@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import classify, clsets, scheme, spreads
+from .galois import DegreeOutOfRange, NotPrime
 from .geometry import Subspace, ambient, make_subspace
 from .incidence import SizeGuard, certificate_to_json
 
@@ -207,9 +208,6 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="PRNG seed recorded in artifacts")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; execution is sequential and "
-                             "deterministic regardless")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scheme", parents=[common],
@@ -279,6 +277,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SizeGuard as exc:
         print(f"size guard: {exc}", file=sys.stderr)
+        return 2
+    except (NotPrime, DegreeOutOfRange) as exc:
+        print(f"unsupported field: {exc}", file=sys.stderr)
         return 2
 
 

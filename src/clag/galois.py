@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_ORDER = 2**16
 TABLE_MAX = 512
+MAX_ORDER = TABLE_MAX  # every field gets dense q x q tables
 
 __all__ = ["FiniteField", "make_field", "field_for_order", "embedding",
            "expansion_table", "NotPrime", "DegreeOutOfRange", "DivisionByZero"]
@@ -124,36 +124,29 @@ class FiniteField:
 
     def _build_tables(self):
         q = self.q
-        if q <= TABLE_MAX:
-            dig = np.array([self._digits(a) for a in range(q)])
-            add_dig = (dig[:, None, :] + dig[None, :, :]) % self.p
-            powers = self.p ** np.arange(self.h)
-            self.add_table = (add_dig * powers).sum(axis=2).astype(np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(a, q):
-                    v = self._mul_poly(a, b)
-                    mul[a, b] = v
-                    mul[b, a] = v
-            self.mul_table = mul
-            self.neg_table = np.array(
-                [self._encode([(-d) % self.p for d in self._digits(a)])
-                 for a in range(q)], dtype=np.int64)
-            inv = np.zeros(q, dtype=np.int64)
-            for a in range(1, q):
-                row = mul[a]
-                inv[a] = int(np.nonzero(row == 1)[0][0])
-            self.inv_table = inv
-        else:
-            self.add_table = None
-            self.mul_table = None
-            self.neg_table = None
-            self.inv_table = None
+        dig = np.array([self._digits(a) for a in range(q)])
+        add_dig = (dig[:, None, :] + dig[None, :, :]) % self.p
+        powers = self.p ** np.arange(self.h)
+        self.add_table = (add_dig * powers).sum(axis=2).astype(np.int64)
+        mul = np.zeros((q, q), dtype=np.int64)
+        for a in range(q):
+            for b in range(a, q):
+                v = self._mul_poly(a, b)
+                mul[a, b] = v
+                mul[b, a] = v
+        self.mul_table = mul
+        self.neg_table = np.array(
+            [self._encode([(-d) % self.p for d in self._digits(a)])
+             for a in range(q)], dtype=np.int64)
+        inv = np.zeros(q, dtype=np.int64)
+        for a in range(1, q):
+            row = mul[a]
+            inv[a] = int(np.nonzero(row == 1)[0][0])
+        self.inv_table = inv
         self._build_log()
 
     def _build_log(self):
-        # exp/log tables for the multiplicative group; also the scalar
-        # fallback when q is too large for dense q x q tables.
+        # exp/log tables for the multiplicative group, used by pow.
         q = self.q
         for g in range(2, q):
             exp = [1]
@@ -181,32 +174,21 @@ class FiniteField:
     # ---- scalar operations -------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        return self._encode([(x + y) % self.p
-                             for x, y in zip(self._digits(a), self._digits(b))])
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
-        if self.neg_table is not None:
-            return int(self.neg_table[a])
-        return self._encode([(-d) % self.p for d in self._digits(a)])
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
+        return int(self.inv_table[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

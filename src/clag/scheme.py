@@ -9,6 +9,13 @@ discrepancy is adjudicated and reported with both values rather than
 silently patched.  All spectral data is handled through exact rational
 projectors, never floating-point eigensolvers.
 
+The brute force counts the triples of one relation matrix once, giving
+the product table p with A_i A_j = sum_l p_ij^l A_l on every pair; the
+intersection matrices, P and the Bose-Mesner checks all come from it.
+Through p, each Bose-Mesner identity among N_j = sum_a lut_j[a] A_a is
+an integer combination of the A_l, whose supports are disjoint and
+non-empty, so it holds exactly iff its coefficients agree: no |X|^2 work.
+
 Line relations: 0 identity, 1 meet in an affine point, 2 meet at
 infinity (parallel), 3 disjoint in the projective closure.  Hyperplane
 relations: 0 identity, 1 disjoint (parallel), 2 affine meet.
@@ -24,7 +31,7 @@ import numpy as np
 
 from . import _kernels, exact
 from .clsets import KSet
-from .geometry import AmbientSpace, Subspace, ambient, meet
+from .geometry import AmbientMismatch, AmbientSpace, Subspace, ambient, meet
 from .incidence import SizeGuard, entry_guard
 
 __all__ = [
@@ -42,10 +49,6 @@ __all__ = [
 
 
 class EmptySet(ValueError):
-    pass
-
-
-class AmbientMismatch(ValueError):
     pass
 
 
@@ -343,19 +346,28 @@ def scheme_axioms_bruteforce(rel: np.ndarray, d: int) -> tuple[bool, np.ndarray]
     return ok and bool(const), p
 
 
-def intersection_matrices_bruteforce(space: AmbientSpace,
-                                     kind: str = "affine_lines") -> list[np.ndarray]:
-    """Intersection matrices recomputed by exhaustive triple counting."""
+def _product_table(space: AmbientSpace, kind: str,
+                   guard: int | None) -> np.ndarray:
+    """p[i,j,l] from one relation matrix; raises if the axioms fail."""
     if kind == "affine_lines":
-        rel, d = line_relation_matrix(space), 3
+        rel, d = line_relation_matrix(space, guard), 3
     else:
-        rel, d = hyperplane_relation_matrix(space), 2
+        rel, d = hyperplane_relation_matrix(space, guard), 2
     ok, p = scheme_axioms_bruteforce(rel, d)
     if not ok:
         raise AssertionError("scheme axioms fail by brute force")
-    return [np.array([[p[i, j, l] for j in range(d + 1)]
-                      for l in range(d + 1)], dtype=np.int64)
-            for i in range(d + 1)]
+    return p
+
+
+def _intersection_matrices(p: np.ndarray) -> list[np.ndarray]:
+    """B_i[l, j] = p_ij^l, read off the product table."""
+    return [p[i].T.copy() for i in range(p.shape[0])]
+
+
+def intersection_matrices_bruteforce(space: AmbientSpace,
+                                     kind: str = "affine_lines") -> list[np.ndarray]:
+    """Intersection matrices recomputed by exhaustive triple counting."""
+    return _intersection_matrices(_product_table(space, kind, None))
 
 
 # -- exact small-matrix spectral helpers ------------------------------------
@@ -449,12 +461,9 @@ def _rational_span_intersect(u_rows, v_rows):
     return basis
 
 
-def eigenmatrix_bruteforce(space: AmbientSpace,
-                           kind: str = "affine_lines") -> np.ndarray:
-    """P derived from brute-force intersection numbers alone: the rows
-    are the common left eigenvectors of the intersection matrices,
-    normalized to leading entry 1, valency row first."""
-    mats = intersection_matrices_bruteforce(space, kind)
+def eigenmatrix_bruteforce(mats: list[np.ndarray]) -> np.ndarray:
+    """P from the intersection matrices of a passing scheme_axioms_bruteforce:
+    their common left eigenvectors, leading entry 1, valency row first."""
     d = len(mats) - 1
     size = d + 1
     spaces_ = [[[1 if i == j else 0 for j in range(size)] for i in range(size)]]
@@ -504,53 +513,53 @@ def align_rows_to(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     return np.array(ordered, dtype=np.int64)
 
 
+def _idempotent_luts(q_matrix, size: int) -> list[tuple[list[int], int]]:
+    """(lut_j, den_j) with E_j = sum_a lut_j[a] A_a / den_j, where
+    lut_j[a] = den_j * Q_aj / |X|."""
+    cols = [[Fraction(v) for v in col] for col in zip(*q_matrix)]
+    dens = [lcm(*[f.denominator for f in col]) for col in cols]
+    return [([int(f * den) for f in col], size * den)
+            for col, den in zip(cols, dens)]
+
+
 def idempotents_scaled(rel: np.ndarray, q_matrix, size: int):
     """E_j as integer matrices with denominators: E_j = N_j / den_j,
     where N_j[cell in relation i] = den_j * Q_ij / |X|."""
-    d = len(q_matrix) - 1
-    out = []
-    for j in range(d + 1):
-        den_col = lcm(*[Fraction(q_matrix[i][j]).denominator
-                        for i in range(d + 1)])
-        den = size * den_col
-        lut = np.array([int(Fraction(q_matrix[i][j]) * den_col)
-                        for i in range(d + 1)], dtype=np.int64)
-        out.append((lut[rel], den))
-    return out
+    return [(np.array(lut, dtype=np.int64)[rel], den)
+            for lut, den in _idempotent_luts(q_matrix, size)]
 
 
-def verify_bose_mesner(rel: np.ndarray, tables: SchemeTables) -> dict:
-    """Exact verification of E_i E_j = delta_ij E_i, sum E_i = I, and
-    B_j = sum_i P_ij E_i, via scaled-integer matmuls."""
-    d = tables.d
-    size = rel.shape[0]
-    ems = idempotents_scaled(rel, tables.Q, size)
-    results = {"idempotency": True, "resolution_of_identity": True,
-               "adjacency_expansion": True, "traces": []}
-    for i, (ni, di) in enumerate(ems):
-        results["traces"].append(Fraction(int(np.trace(ni)), di))
-        for j, (nj, dj) in enumerate(ems):
-            prod = exact.int_matmul(ni, nj)
-            if i == j:
-                if not np.array_equal(prod, ni * dj):
-                    results["idempotency"] = False
-            elif prod.any():
-                results["idempotency"] = False
+def verify_bose_mesner(p: np.ndarray, tables: SchemeTables) -> dict:
+    """Exact verification of E_i E_j = delta_ij E_i, sum E_i = I and
+    A_j = sum_i P_ij E_i for the tables' P and Q, on the coefficients of
+    the present relations (p_0l^l = 1), with |X| = sum_l p_ll^0.
+    Precondition: p[i,j,l] is from a passing scheme_axioms_bruteforce."""
+    idx = range(tables.d + 1)
+    pt = p.tolist()
+    present = [l for l in idx if pt[0][l][l] == 1]
+    size = sum(pt[l][l][0] for l in idx)
+    ems = _idempotent_luts(tables.Q, size)
     big = lcm(*[den for _, den in ems])
-    acc = np.zeros((size, size), dtype=np.int64)
-    for ni, di in ems:
-        acc = acc + ni * (big // di)
-    if not np.array_equal(acc, big * np.eye(size, dtype=np.int64)):
-        results["resolution_of_identity"] = False
-    adj = [(rel == j).astype(np.int64) for j in range(d + 1)]
-    for j in range(d + 1):
-        acc = np.zeros((size, size), dtype=np.int64)
-        for i in range(d + 1):
-            ni, di = ems[i]
-            acc = acc + int(tables.P[i][j]) * ni * (big // di)
-        if not np.array_equal(acc, big * adj[j]):
-            results["adjacency_expansion"] = False
-    return results
+
+    def product(u, v):  # (sum_a u_a A_a)(sum_b v_b A_b), per present A_l
+        return [sum(u[a] * v[b] * pt[a][b][l] for a in idx for b in idx)
+                for l in present]
+
+    def combination(coef):  # big * sum_i coef[i] E_i, per present A_l
+        return [sum(c * u[l] * (big // den) for c, (u, den) in zip(coef, ems))
+                for l in present]
+
+    def adjacency(j):  # big * A_j, per present A_l
+        return [big if l == j else 0 for l in present]
+
+    return {"idempotency": all(  # N_i N_j = delta_ij den_i N_i
+                product(ui, uj) == [di * ui[l] * (i == j) for l in present]
+                for i, (ui, di) in enumerate(ems) for j, (uj, _) in enumerate(ems)),
+            "resolution_of_identity": combination([1] * len(ems)) == adjacency(0),
+            "adjacency_expansion": all(
+                combination([int(tables.P[i][j]) for i in idx]) == adjacency(j)
+                for j in idx),
+            "traces": [Fraction(size * u[0], den) for u, den in ems]}
 
 
 # ---------------------------------------------------------------------------
@@ -634,35 +643,25 @@ def scheme_report(n: int, q: int, kind: str = "affine_lines",
         if x * x > cap:
             report["brute_force"] = {"skipped": f"size guard ({x}^2 > {cap})"}
         else:
-            if kind == "affine_lines":
-                rel, d = line_relation_matrix(space, guard), 3
-            else:
-                rel, d = hyperplane_relation_matrix(space, guard), 2
-            axioms_ok, p = scheme_axioms_bruteforce(rel, d)
-            brute_mats = [np.array([[p[i, j, l] for j in range(d + 1)]
-                                    for l in range(d + 1)], dtype=np.int64)
-                          for i in range(d + 1)]
-            brute_P = align_rows_to(tables.P, eigenmatrix_bruteforce(space, kind))
-            diffs = []
-            for i, (closed, brute) in enumerate(zip(tables.p_matrices, brute_mats)):
-                if not np.array_equal(closed, brute):
-                    diffs.append({"matrix": f"intersection_{i}",
-                                  "closed": _matrix_to_strings(closed),
-                                  "brute": _matrix_to_strings(brute)})
-            if not np.array_equal(tables.P, brute_P):
-                diffs.append({"matrix": "P",
-                              "closed": _matrix_to_strings(tables.P),
-                              "brute": _matrix_to_strings(brute_P)})
-            bm = verify_bose_mesner(rel, tables)
+            p = _product_table(space, kind, guard)
+            brute_mats = _intersection_matrices(p)
+            brute_P = align_rows_to(tables.P, eigenmatrix_bruteforce(brute_mats))
+            pairs = [(f"intersection_{i}", closed, brute) for i, (closed, brute)
+                     in enumerate(zip(tables.p_matrices, brute_mats))]
+            pairs.append(("P", tables.P, brute_P))
+            diffs = [{"matrix": name, "closed": _matrix_to_strings(closed),
+                      "brute": _matrix_to_strings(brute)}
+                     for name, closed, brute in pairs
+                     if not np.array_equal(closed, brute)]
+            bm = verify_bose_mesner(p, tables)
+            traces = bm.pop("traces")
             report["brute_force"] = {
-                "axioms": axioms_ok,
+                "axioms": True,  # _product_table raises otherwise
                 "intersection_matrices": [_matrix_to_strings(mm)
                                           for mm in brute_mats],
                 "P": _matrix_to_strings(brute_P),
-                "bose_mesner": {key: bm[key] for key in
-                                ("idempotency", "resolution_of_identity",
-                                 "adjacency_expansion")},
-                "projector_traces": [str(t) for t in bm["traces"]],
+                "bose_mesner": bm,
+                "projector_traces": [str(t) for t in traces],
                 "diff": diffs,
             }
     if kind == "affine_hyperplanes":

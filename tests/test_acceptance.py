@@ -64,9 +64,9 @@ def test_criterion_02_eigenvalue_matrices():
     details = []
     for n, q in GEOMETRIES:
         space = ambient(n, q, "affine")
-        rel = line_relation_matrix(space)
+        _, p = scheme_axioms_bruteforce(line_relation_matrix(space), 3)
         tables = line_scheme(n, q)
-        res = verify_bose_mesner(rel, tables)
+        res = verify_bose_mesner(p, tables)
         ok = (res["idempotency"] and res["resolution_of_identity"]
               and res["adjacency_expansion"])
         ok_all = ok_all and ok
@@ -81,8 +81,8 @@ def test_criterion_02_eigenvalue_matrices():
 def test_criterion_03_eigenspace_dimensions():
     dims = [int(v) for v in dual_eigenmatrix_closed(3, 2)[0]]
     space = ambient(3, 2, "affine")
-    rel = line_relation_matrix(space)
-    traces = verify_bose_mesner(rel, line_scheme(3, 2))["traces"]
+    _, p = scheme_axioms_bruteforce(line_relation_matrix(space), 3)
+    traces = verify_bose_mesner(p, line_scheme(3, 2))["traces"]
     ok = (dims == [1, 7, 14, 6] and sum(dims) == 28
           and [int(t) for t in traces] == dims)
     report("3", ok, f"dims={dims} traces={[str(t) for t in traces]}")
@@ -205,8 +205,8 @@ def test_criterion_10_hyperplane_matrix_adjudication():
     for n, q in [(3, 2), (3, 3)]:
         space = ambient(n, q, "affine")
         adopted = hyperplane_eigenmatrix_closed(n, q)
-        brute = align_rows_to(adopted,
-                              eigenmatrix_bruteforce(space, "affine_hyperplanes"))
+        mats = intersection_matrices_bruteforce(space, "affine_hyperplanes")
+        brute = align_rows_to(adopted, eigenmatrix_bruteforce(mats))
         rep = hyperplane_adjudication(n, q, brute)
         entry = next(e for e in rep["entries"] if e["entry"] == "P[0][2]")
         ok = (entry["adopted"]["matches_brute_force"]

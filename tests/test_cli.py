@@ -53,6 +53,15 @@ def test_scheme_guard_path(tmp_path):
     assert "skipped" in doc["brute_force"]
 
 
+def test_scheme_unsupported_field_exits_2():
+    # GF(6) does not exist; GF(521) exceeds the dense-table bound
+    for extra in (["--q", "6"], ["--q", "521", "--hyperplanes"]):
+        r = run_cli("scheme", "--n", "3", "--brute-force", *extra)
+        assert r.returncode == 2
+        assert "unsupported field" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_search_command(tmp_path):
     out = tmp_path / "cert.json"
     r = run_cli("search", "--n", "3", "--q", "2", "--k", "1", "--x", "1",

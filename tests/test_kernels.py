@@ -1,5 +1,6 @@
-"""Both kernel paths must agree bit for bit; the numba build is used
-when available unless CLAG_NO_NUMBA disables it."""
+"""Every kernel path must agree bit for bit with the numpy path: the
+plain-Python reference loops always, the numba build when it is
+available (unless CLAG_NO_NUMBA disables it)."""
 
 import os
 import random
@@ -17,6 +18,14 @@ from clag.scheme import line_relation_matrix
 NUMBA = _kernels.USING_NUMBA
 
 
+def _other_paths(name):
+    """The plain-Python reference loop, plus the numba build if active."""
+    paths = [getattr(_kernels, f"_{name}_py")]
+    if NUMBA:
+        paths.append(getattr(_kernels, f"{name}_numba"))
+    return paths
+
+
 def _random_gf_matrix(rng, field, rows, cols):
     return np.array([[rng.randrange(field.q) for _ in range(cols)]
                      for _ in range(rows)], dtype=np.int64)
@@ -31,11 +40,10 @@ def test_rref_paths_agree(q, h):
         a = m.copy()
         rk_np = _kernels.gf_rref_numpy(a, f.add_table, f.mul_table,
                                        f.neg_table, f.inv_table)
-        if NUMBA:
+        for path in _other_paths("gf_rref"):
             b = m.copy()
-            rk_nb = _kernels.gf_rref_numba(b, f.add_table, f.mul_table,
-                                           f.neg_table, f.inv_table)
-            assert rk_np == rk_nb
+            rk = path(b, f.add_table, f.mul_table, f.neg_table, f.inv_table)
+            assert rk_np == rk
             assert np.array_equal(a, b)
 
 
@@ -60,10 +68,9 @@ def test_combinations_paths_agree():
     basis = _random_gf_matrix(rng, f, 3, 6)
     out_np = _kernels.gf_combinations_numpy(coeffs, basis,
                                             f.add_table, f.mul_table)
-    if NUMBA:
-        out_nb = _kernels.gf_combinations_numba(coeffs, basis,
-                                                f.add_table, f.mul_table)
-        assert np.array_equal(out_np, out_nb)
+    for path in _other_paths("gf_combinations"):
+        assert np.array_equal(out_np, path(coeffs, basis,
+                                           f.add_table, f.mul_table))
     # spot-check one combination by hand
     i = 4
     acc = np.zeros(6, dtype=np.int64)
@@ -79,9 +86,8 @@ def test_pair_counts_paths_agree():
     _, _, infs = space.infinity_pencils(1)
     subset = np.array([0, 3, 7, 11, 19, 25], dtype=np.int64)
     out_np = _kernels.pair_counts_numpy(pts[subset], infs[subset])
-    if NUMBA:
-        out_nb = _kernels.pair_counts_numba(pts[subset], infs[subset])
-        assert tuple(out_np) == tuple(out_nb)
+    for path in _other_paths("pair_counts"):
+        assert tuple(out_np) == tuple(path(pts[subset], infs[subset]))
     assert sum(out_np) == len(subset) * (len(subset) - 1)
 
 
@@ -89,9 +95,9 @@ def test_triple_counts_paths_agree():
     rel = line_relation_matrix(ambient(3, 2, "affine"))
     ok_np, p_np = _kernels.triple_counts_numpy(rel, 3)
     assert ok_np
-    if NUMBA:
-        ok_nb, p_nb = _kernels.triple_counts_numba(np.ascontiguousarray(rel), 3)
-        assert ok_nb and np.array_equal(p_np, p_nb)
+    for path in _other_paths("triple_counts"):
+        ok, p = path(np.ascontiguousarray(rel), 3)
+        assert ok and np.array_equal(p_np, p)
 
 
 def test_env_flag_selects_numpy_path():

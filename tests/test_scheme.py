@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clag import _kernels, exact, geometry, scheme
 from clag.clsets import empty_kset, kset_from_indices, point_pencil
 from clag.geometry import ambient, make_subspace
 from clag.scheme import (AmbientMismatch, EmptySet, align_rows_to,
@@ -40,6 +41,7 @@ def test_classify_line_pair():
     assert classify_line_pair(AG32, b, d) == 1
     with pytest.raises(AmbientMismatch):
         classify_line_pair(AG32, a, ambient(3, 3, "affine").spaces(1)[0])
+    assert scheme.AmbientMismatch is geometry.AmbientMismatch
 
 
 def test_relation_matrix_agrees_with_pair_classifier():
@@ -87,7 +89,7 @@ def test_bruteforce_matches_closed_forms(n, q):
     closed = intersection_matrices_closed(n, q)
     for b, c in zip(brute, closed):
         assert np.array_equal(b, c)
-    bp = align_rows_to(eigenmatrix_closed(n, q), eigenmatrix_bruteforce(space))
+    bp = align_rows_to(eigenmatrix_closed(n, q), eigenmatrix_bruteforce(brute))
     assert np.array_equal(bp, eigenmatrix_closed(n, q))
 
 
@@ -104,13 +106,45 @@ def test_scheme_axioms_exhaustive():
 
 
 def test_bose_mesner_identities():
-    rel = line_relation_matrix(AG32)
+    _, p = scheme_axioms_bruteforce(line_relation_matrix(AG32), 3)
     tables = line_scheme(3, 2)
-    res = verify_bose_mesner(rel, tables)
+    res = verify_bose_mesner(p, tables)
     assert res["idempotency"]
     assert res["resolution_of_identity"]
     assert res["adjacency_expansion"]
     assert [str(t) for t in res["traces"]] == ["1", "7", "14", "6"]
+
+
+def test_bose_mesner_needs_no_matrix_product(monkeypatch):
+    _, p = scheme_axioms_bruteforce(line_relation_matrix(AG32), 3)
+
+    def forbidden(*args):
+        raise AssertionError("int_matmul called")
+
+    monkeypatch.setattr(exact, "int_matmul", forbidden)
+    res = verify_bose_mesner(p, line_scheme(3, 2))
+    assert res["idempotency"] and res["resolution_of_identity"]
+    assert res["adjacency_expansion"]
+
+
+@pytest.mark.parametrize("kind", ["affine_lines", "affine_hyperplanes"])
+def test_bose_mesner_flags_perturbed_tables(kind):
+    if kind == "affine_lines":
+        rel, d, make = line_relation_matrix(AG32), 3, line_scheme
+    else:
+        rel, d, make = hyperplane_relation_matrix(AG32), 2, hyperplane_scheme
+    _, p = scheme_axioms_bruteforce(rel, d)
+    bad_p = make(3, 2)
+    bad_p.P[1][1] += 1
+    res = verify_bose_mesner(p, bad_p)
+    assert res["idempotency"] and res["resolution_of_identity"]
+    assert not res["adjacency_expansion"]
+    bad_q = make(3, 2)
+    bad_q.Q[1][1] += 1
+    res = verify_bose_mesner(p, bad_q)
+    assert not res["idempotency"]
+    assert not res["resolution_of_identity"]
+    assert not res["adjacency_expansion"]
 
 
 def test_e0_is_all_ones_projector():
@@ -183,9 +217,9 @@ def test_hyperplane_scheme_tables():
     assert t.valencies == [1, 1, 12]
     assert [int(v) for v in t.Q[0]] == [1, 6, 7]
     rel = hyperplane_relation_matrix(AG32)
-    ok, _ = scheme_axioms_bruteforce(rel, 2)
+    ok, p = scheme_axioms_bruteforce(rel, 2)
     assert ok
-    res = verify_bose_mesner(rel, t)
+    res = verify_bose_mesner(p, t)
     assert res["idempotency"] and res["adjacency_expansion"]
 
 
@@ -203,8 +237,8 @@ def test_hyperplane_inner_distributions():
 def test_hyperplane_adjudication(n, q):
     space = ambient(n, q, "affine")
     adopted = hyperplane_eigenmatrix_closed(n, q)
-    brute = align_rows_to(adopted,
-                          eigenmatrix_bruteforce(space, "affine_hyperplanes"))
+    mats = intersection_matrices_bruteforce(space, "affine_hyperplanes")
+    brute = align_rows_to(adopted, eigenmatrix_bruteforce(mats))
     assert np.array_equal(brute, adopted)
     rep = hyperplane_adjudication(n, q, brute)
     for entry in rep["entries"]:
@@ -223,6 +257,34 @@ def test_scheme_report_no_diff():
     rep2 = scheme_report(3, 2, "affine_hyperplanes", brute_force=True)
     assert rep2["brute_force"]["diff"] == []
     assert rep2["adjudication"]["brute_force_available"]
+
+
+@pytest.mark.parametrize("kind", ["affine_lines", "affine_hyperplanes"])
+def test_scheme_report_counts_triples_once(monkeypatch, kind):
+    calls = {"triples": 0, "relation": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "triple_counts",
+                        counted("triples", _kernels.triple_counts))
+    builder = ("line_relation_matrix" if kind == "affine_lines"
+               else "hyperplane_relation_matrix")
+    monkeypatch.setattr(scheme, builder,
+                        counted("relation", getattr(scheme, builder)))
+    rep = scheme_report(3, 2, kind, brute_force=True)
+    assert rep["brute_force"]["diff"] == []
+    assert calls == {"triples": 1, "relation": 1}
+
+
+def test_scheme_report_keeps_explicit_guard(monkeypatch):
+    # the environment guard would refuse the 28^2 relation matrix
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "100")
+    rep = scheme_report(3, 2, brute_force=True, guard=10**7)
+    assert rep["brute_force"]["diff"] == []
 
 
 def test_scheme_report_guard_path():
