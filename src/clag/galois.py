@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+MAX_ORDER = 2**16
 TABLE_MAX = 512
-MAX_ORDER = TABLE_MAX  # every field gets dense q x q tables
 
 __all__ = ["FiniteField", "make_field", "field_for_order", "embedding",
            "expansion_table", "NotPrime", "DegreeOutOfRange", "DivisionByZero"]
@@ -124,29 +124,36 @@ class FiniteField:
 
     def _build_tables(self):
         q = self.q
-        dig = np.array([self._digits(a) for a in range(q)])
-        add_dig = (dig[:, None, :] + dig[None, :, :]) % self.p
-        powers = self.p ** np.arange(self.h)
-        self.add_table = (add_dig * powers).sum(axis=2).astype(np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_poly(a, b)
-                mul[a, b] = v
-                mul[b, a] = v
-        self.mul_table = mul
-        self.neg_table = np.array(
-            [self._encode([(-d) % self.p for d in self._digits(a)])
-             for a in range(q)], dtype=np.int64)
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
-        self.inv_table = inv
+        if q <= TABLE_MAX:
+            dig = np.array([self._digits(a) for a in range(q)])
+            add_dig = (dig[:, None, :] + dig[None, :, :]) % self.p
+            powers = self.p ** np.arange(self.h)
+            self.add_table = (add_dig * powers).sum(axis=2).astype(np.int64)
+            mul = np.zeros((q, q), dtype=np.int64)
+            for a in range(q):
+                for b in range(a, q):
+                    v = self._mul_poly(a, b)
+                    mul[a, b] = v
+                    mul[b, a] = v
+            self.mul_table = mul
+            self.neg_table = np.array(
+                [self._encode([(-d) % self.p for d in self._digits(a)])
+                 for a in range(q)], dtype=np.int64)
+            inv = np.zeros(q, dtype=np.int64)
+            for a in range(1, q):
+                row = mul[a]
+                inv[a] = int(np.nonzero(row == 1)[0][0])
+            self.inv_table = inv
+        else:
+            self.add_table = None
+            self.mul_table = None
+            self.neg_table = None
+            self.inv_table = None
         self._build_log()
 
     def _build_log(self):
-        # exp/log tables for the multiplicative group, used by pow.
+        # exp/log tables for the multiplicative group; also the scalar
+        # fallback when q is too large for dense q x q tables.
         q = self.q
         for g in range(2, q):
             exp = [1]
@@ -174,21 +181,32 @@ class FiniteField:
     # ---- scalar operations -------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
+        if self.add_table is not None:
+            return int(self.add_table[a, b])
+        return self._encode([(x + y) % self.p
+                             for x, y in zip(self._digits(a), self._digits(b))])
 
     def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
+        if self.neg_table is not None:
+            return int(self.neg_table[a])
+        return self._encode([(-d) % self.p for d in self._digits(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+        if self.mul_table is not None:
+            return int(self.mul_table[a, b])
+        if a == 0 or b == 0:
+            return 0
+        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        return int(self.inv_table[a])
+        if self.inv_table is not None:
+            return int(self.inv_table[a])
+        return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -221,9 +239,16 @@ def make_field(p: int, h: int = 1) -> FiniteField:
 
 
 def field_for_order(q: int) -> FiniteField:
-    """The field of order q (q must be a prime power)."""
+    """The field of order q, a prime power of at most TABLE_MAX.
+
+    This is the field of a geometry: subspace operations index its dense
+    tables, so larger orders are refused here.  make_field still builds
+    larger fields (scalar arithmetic only), such as the extension field
+    of a field-reduction spread."""
     if q < 2:
         raise DegreeOutOfRange(f"no field of order {q}")
+    if q > TABLE_MAX:
+        raise DegreeOutOfRange(f"order {q} exceeds {TABLE_MAX}")
     p = 2
     while p * p <= q:
         if q % p == 0:

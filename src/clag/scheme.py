@@ -646,22 +646,26 @@ def scheme_report(n: int, q: int, kind: str = "affine_lines",
             p = _product_table(space, kind, guard)
             brute_mats = _intersection_matrices(p)
             brute_P = align_rows_to(tables.P, eigenmatrix_bruteforce(brute_mats))
-            pairs = [(f"intersection_{i}", closed, brute) for i, (closed, brute)
-                     in enumerate(zip(tables.p_matrices, brute_mats))]
-            pairs.append(("P", tables.P, brute_P))
-            diffs = [{"matrix": name, "closed": _matrix_to_strings(closed),
-                      "brute": _matrix_to_strings(brute)}
-                     for name, closed, brute in pairs
-                     if not np.array_equal(closed, brute)]
+            diffs = []
+            for i, (closed, brute) in enumerate(zip(tables.p_matrices, brute_mats)):
+                if not np.array_equal(closed, brute):
+                    diffs.append({"matrix": f"intersection_{i}",
+                                  "closed": _matrix_to_strings(closed),
+                                  "brute": _matrix_to_strings(brute)})
+            if not np.array_equal(tables.P, brute_P):
+                diffs.append({"matrix": "P",
+                              "closed": _matrix_to_strings(tables.P),
+                              "brute": _matrix_to_strings(brute_P)})
             bm = verify_bose_mesner(p, tables)
-            traces = bm.pop("traces")
             report["brute_force"] = {
                 "axioms": True,  # _product_table raises otherwise
                 "intersection_matrices": [_matrix_to_strings(mm)
                                           for mm in brute_mats],
                 "P": _matrix_to_strings(brute_P),
-                "bose_mesner": bm,
-                "projector_traces": [str(t) for t in traces],
+                "bose_mesner": {key: bm[key] for key in
+                                ("idempotency", "resolution_of_identity",
+                                 "adjacency_expansion")},
+                "projector_traces": [str(t) for t in bm["traces"]],
                 "diff": diffs,
             }
     if kind == "affine_hyperplanes":

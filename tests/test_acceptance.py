@@ -64,11 +64,11 @@ def test_criterion_02_eigenvalue_matrices():
     details = []
     for n, q in GEOMETRIES:
         space = ambient(n, q, "affine")
-        _, p = scheme_axioms_bruteforce(line_relation_matrix(space), 3)
+        axioms_ok, p = scheme_axioms_bruteforce(line_relation_matrix(space), 3)
         tables = line_scheme(n, q)
         res = verify_bose_mesner(p, tables)
-        ok = (res["idempotency"] and res["resolution_of_identity"]
-              and res["adjacency_expansion"])
+        ok = (axioms_ok and res["idempotency"]
+              and res["resolution_of_identity"] and res["adjacency_expansion"])
         ok_all = ok_all and ok
         details.append(f"AG({n},{q})={ok}")
     grid_ok = all(line_scheme(n, q).check_orthogonality()
@@ -81,9 +81,9 @@ def test_criterion_02_eigenvalue_matrices():
 def test_criterion_03_eigenspace_dimensions():
     dims = [int(v) for v in dual_eigenmatrix_closed(3, 2)[0]]
     space = ambient(3, 2, "affine")
-    _, p = scheme_axioms_bruteforce(line_relation_matrix(space), 3)
+    axioms_ok, p = scheme_axioms_bruteforce(line_relation_matrix(space), 3)
     traces = verify_bose_mesner(p, line_scheme(3, 2))["traces"]
-    ok = (dims == [1, 7, 14, 6] and sum(dims) == 28
+    ok = (axioms_ok and dims == [1, 7, 14, 6] and sum(dims) == 28
           and [int(t) for t in traces] == dims)
     report("3", ok, f"dims={dims} traces={[str(t) for t in traces]}")
 

@@ -81,9 +81,11 @@ def test_degree_out_of_range():
     with pytest.raises(DegreeOutOfRange):
         make_field(2, 17)
     with pytest.raises(DegreeOutOfRange):
-        make_field(2, 10)  # q = 1024 exceeds the dense-table bound
-    with pytest.raises(DegreeOutOfRange):
         make_field(2, 0)
+    with pytest.raises(DegreeOutOfRange):
+        field_for_order(521)  # geometry needs dense tables, q <= 512
+    with pytest.raises(DegreeOutOfRange):
+        field_for_order(1024)
 
 
 def test_field_for_order():
@@ -108,6 +110,24 @@ def test_embedding_prime_field_is_identity():
     f8 = make_field(2, 3)
     emb = embedding(f2, f8)
     assert list(emb) == [0, 1]
+
+
+def test_large_field_without_dense_tables():
+    # q = 1024 exceeds the dense-table bound; arithmetic falls back to
+    # digit addition and exp/log multiplication
+    f = make_field(2, 10)
+    assert f.add_table is None and f.mul_table is None
+    rng = __import__("random").Random(77)
+    for _ in range(200):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        c = rng.randrange(f.q)
+        assert f.mul(a, b) == f.mul(b, a) == f._mul_poly(a, b)
+        assert f.add(a, b) == f.add(b, a)
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
+            assert f.div(f.mul(a, b), a) == b
+    assert f.pow(f.generator, f.q - 1) == 1
 
 
 def test_expansion_table_round_trip():

@@ -106,7 +106,8 @@ def test_scheme_axioms_exhaustive():
 
 
 def test_bose_mesner_identities():
-    _, p = scheme_axioms_bruteforce(line_relation_matrix(AG32), 3)
+    ok, p = scheme_axioms_bruteforce(line_relation_matrix(AG32), 3)
+    assert ok
     tables = line_scheme(3, 2)
     res = verify_bose_mesner(p, tables)
     assert res["idempotency"]
@@ -116,7 +117,8 @@ def test_bose_mesner_identities():
 
 
 def test_bose_mesner_needs_no_matrix_product(monkeypatch):
-    _, p = scheme_axioms_bruteforce(line_relation_matrix(AG32), 3)
+    ok, p = scheme_axioms_bruteforce(line_relation_matrix(AG32), 3)
+    assert ok
 
     def forbidden(*args):
         raise AssertionError("int_matmul called")
@@ -133,7 +135,8 @@ def test_bose_mesner_flags_perturbed_tables(kind):
         rel, d, make = line_relation_matrix(AG32), 3, line_scheme
     else:
         rel, d, make = hyperplane_relation_matrix(AG32), 2, hyperplane_scheme
-    _, p = scheme_axioms_bruteforce(rel, d)
+    ok, p = scheme_axioms_bruteforce(rel, d)
+    assert ok
     bad_p = make(3, 2)
     bad_p.P[1][1] += 1
     res = verify_bose_mesner(p, bad_p)

@@ -24,6 +24,14 @@ def test_type_I_field_reduction():
     assert len(spread_type_I(3, 4, 1)) == 17  # GF(16) over GF(4)
 
 
+def test_type_I_extension_beyond_table_bound():
+    # GF(529) exceeds the dense-table bound; field reduction only needs
+    # its scalar arithmetic, while every subspace lives over GF(23)
+    s = spread_type_I(3, 23, 1)
+    assert len(s) == 23**2 + 1
+    assert s.data == {"subfield": 23, "extension": 529}
+
+
 def test_type_I_plane_spread():
     # k = 2 field reduction: 9 planes partition PG(5,2)
     s = spread_type_I(5, 2, 2)
