@@ -115,8 +115,7 @@ class _Search:
         self.pencils = [list(map(int, m)) for m in pencil_members]
         self.per_space = [int(v) for v in per_space]
         self.pencil_size = len(self.pencils[0])
-        kern = incidence_for(space, k).kernel_basis()
-        self.kernel = kern
+        self.incidence = incidence_for(space, k)
         self.solutions: list[tuple[int, ...]] = []
 
     # -- exact elimination ------------------------------------------------
@@ -257,7 +256,7 @@ class _Search:
         for pid, members in enumerate(self.pencils):
             if int(chi[members].sum()) != self.x:
                 return
-        if self.kernel.shape[0] and exact.int_matvec(self.kernel, chi).any():
+        if not self.incidence.in_row_space(chi):
             return  # final definitional filter
         self.solutions.append(tuple(int(i) for i in np.nonzero(chi)[0]))
         self.stats.solutions += 1
@@ -394,14 +393,13 @@ def classify_hyperplane_cl(n: int, q: int, guard: int | None = None) -> dict:
     }
     cap = guard if guard is not None else ENUM_CAP
     if 2**total <= cap:
-        kern = inc.kernel_basis()
         found = {x: 0 for x in range(q + 1)}
         structure_ok = True
         g = gaussian_binomial(n, k, q)
         for bits in range(2**total):
             chi = np.array([(bits >> t) & 1 for t in range(total)],
                            dtype=np.int64)
-            if kern.shape[0] and exact.int_matvec(kern, chi).any():
+            if not inc.in_row_space(chi):
                 continue
             weight = int(chi.sum())
             if weight % g:

@@ -161,17 +161,19 @@ def solve_left(matrix, target) -> list[Fraction] | None:
     return y
 
 
-_INT64_GUARD = 2**62
+INT64_GUARD = 2**62
+
+
+def _abs_max(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer matrix product.  Uses int64 BLAS-free matmul when the
     worst-case entry provably fits, otherwise falls back to Python ints."""
     inner = a.shape[1]
-    ma = int(np.abs(a).max(initial=0))
-    mb = int(np.abs(b).max(initial=0))
-    if ma * mb * max(inner, 1) < _INT64_GUARD:
-        return a.astype(np.int64) @ b.astype(np.int64)
+    if _abs_max(a) * _abs_max(b) * max(inner, 1) < INT64_GUARD:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     obj = a.astype(object) @ b.astype(object)
     return obj
 

@@ -123,37 +123,31 @@ class FiniteField:
         return self._encode(prod[:h])
 
     def _build_tables(self):
-        q = self.q
-        if q <= TABLE_MAX:
-            dig = np.array([self._digits(a) for a in range(q)])
-            add_dig = (dig[:, None, :] + dig[None, :, :]) % self.p
-            powers = self.p ** np.arange(self.h)
-            self.add_table = (add_dig * powers).sum(axis=2).astype(np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(a, q):
-                    v = self._mul_poly(a, b)
-                    mul[a, b] = v
-                    mul[b, a] = v
-            self.mul_table = mul
-            self.neg_table = np.array(
-                [self._encode([(-d) % self.p for d in self._digits(a)])
-                 for a in range(q)], dtype=np.int64)
-            inv = np.zeros(q, dtype=np.int64)
-            for a in range(1, q):
-                row = mul[a]
-                inv[a] = int(np.nonzero(row == 1)[0][0])
-            self.inv_table = inv
-        else:
+        self._build_log()
+        q, p = self.q, self.p
+        if q > TABLE_MAX:
             self.add_table = None
             self.mul_table = None
             self.neg_table = None
             self.inv_table = None
-        self._build_log()
+            return
+        powers = p ** np.arange(self.h)
+        dig = np.arange(q)[:, None] // powers % p
+        self.add_table = ((dig[:, None, :] + dig[None, :, :]) % p) @ powers
+        self.neg_table = (-dig % p) @ powers
+        # a b = g^(log a + log b) and 1/a = g^(-log a) for nonzero a, b
+        log = self.log
+        mul = self.exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        self.mul_table = mul
+        inv = self.exp[-log % (q - 1)]
+        inv[0] = 0
+        self.inv_table = inv
 
     def _build_log(self):
-        # exp/log tables for the multiplicative group; also the scalar
-        # fallback when q is too large for dense q x q tables.
+        # exp/log tables for the multiplicative group: the source of the
+        # dense tables, and the scalar fallback when q is too large for them.
         q = self.q
         for g in range(2, q):
             exp = [1]

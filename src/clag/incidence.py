@@ -6,9 +6,17 @@ incidence matrix, the top-right block is zero (an affine point never
 lies on a k-space at infinity) and the bottom-right block is the
 incidence matrix of the hyperplane at infinity, one dimension down.
 
-All rank/kernel/membership questions are answered over the rationals
-with exact arithmetic; a membership certificate is the unique rational
-row-combination vector whenever the matrix has full row rank.
+Membership in the rational row space uses the 2-design structure.
+Every point lies on r k-spaces and every two points on lambda of them,
+so the v x v Gram matrix is M M^T = a I + lambda J with a = r - lambda.
+Both numbers are counted from the Gram matrix, which is checked entry
+by entry; a matrix that is not of this form raises `NotADesign`.  With
+c = a + lambda v, (M M^T)^-1 = (c I - lambda J) / (a c), so for
+w = M chi the only candidate certificate is y = num / (a c) with
+num = c w - lambda (sum w) 1.  chi lies in the row space iff
+M^T num = a c chi, an exact integer check, and then y^T M = chi.
+Since a > 0, M M^T is invertible, M has full row rank and y is the
+unique certificate.  Every accepted certificate has passed that check.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from . import exact
 from .geometry import AmbientSpace, DimensionOutOfRange
 
 __all__ = ["IncidenceMatrix", "build_incidence", "SizeGuard", "LengthMismatch",
-           "certificate_to_json"]
+           "NotADesign", "certificate_to_json"]
 
 DEFAULT_ENTRY_GUARD = 10**7
 
@@ -33,6 +41,10 @@ class SizeGuard(RuntimeError):
 
 class LengthMismatch(ValueError):
     pass
+
+
+class NotADesign(ValueError):
+    """M M^T is not (r - lambda) I + lambda J with r > lambda."""
 
 
 def entry_guard() -> int:
@@ -47,6 +59,8 @@ class IncidenceMatrix:
         self.matrix = matrix
         self._rank = None
         self._kernel = None
+        self._design = None
+        self._m = self._mt = None  # int64 M and M^T, set with the design
 
     @property
     def shape(self):
@@ -59,33 +73,63 @@ class IncidenceMatrix:
         return self._rank
 
     def kernel_basis(self) -> np.ndarray:
-        """Primitive integer basis of {z : M z = 0}, as rows."""
+        """Primitive integer basis of {z : M z = 0}, as rows.  The
+        membership test does not use it; tests compare against it."""
         if self._kernel is None:
             basis = exact.nullspace_int(self.matrix.tolist())
             self._kernel = np.array(basis, dtype=np.int64).reshape(
                 len(basis), self.matrix.shape[1])
         return self._kernel
 
-    def in_row_space(self, vec) -> bool:
-        """Membership of an integer vector in the rational row space,
-        decided against the precomputed kernel basis."""
+    def design(self) -> tuple[int, int]:
+        """(r, lambda), counted from the Gram matrix M M^T, which must
+        equal (r - lambda) I + lambda J with r > lambda."""
+        if self._design is None:
+            m = self.matrix.astype(np.int64)
+            gram = exact.int_matmul(m, m.T)
+            v = gram.shape[0]
+            r = int(gram[0, 0]) if v else 0
+            lam = int(gram[0, 1]) if v > 1 else 0
+            expected = np.full((v, v), lam, dtype=np.int64)
+            np.fill_diagonal(expected, r)
+            if r <= lam or not np.array_equal(gram, expected):
+                raise NotADesign(
+                    f"{self.matrix.shape[0]} x {self.matrix.shape[1]} matrix: "
+                    "M M^T is not (r - lambda) I + lambda J with r > lambda")
+            self._design = (r, lam)
+            self._m = m
+            self._mt = np.ascontiguousarray(m.T)
+        return self._design
+
+    def _solve(self, vec) -> tuple[bool, np.ndarray, int]:
+        """(member?, num, a c): y = num / (a c) is the only candidate
+        certificate, and member? is the exact check y^T M = vec."""
         v = np.asarray(vec, dtype=np.int64)
         if v.shape[0] != self.matrix.shape[1]:
             raise LengthMismatch("vector length must equal column count")
-        kern = self.kernel_basis()
-        if kern.shape[0] == 0:
-            return True
-        return not exact.int_matvec(kern, v).any()
+        r, lam = self.design()
+        a = r - lam
+        c = a + lam * self.matrix.shape[0]
+        w = exact.int_matvec(self._m, v)
+        # |num| and a c |v| are at most 2 c r |v|; past int64, use Python ints
+        if 2 * c * r * int(np.abs(v).max(initial=0)) >= exact.INT64_GUARD:
+            v, w = v.astype(object), w.astype(object)
+        num = c * w - lam * w.sum()
+        member = np.array_equal(exact.int_matvec(self._mt, num), a * c * v)
+        return member, num, a * c
+
+    def in_row_space(self, vec) -> bool:
+        """Membership of an integer vector in the rational row space,
+        decided by the design identity (see the module docstring)."""
+        return self._solve(vec)[0]
 
     def row_space_membership(self, vec) -> tuple[bool, list[Fraction] | None]:
         """(member?, certificate).  The certificate y satisfies
-        y^T M = vec exactly and is unique when rank equals #rows."""
-        if not self.in_row_space(vec):
+        y^T M = vec exactly and is unique, since M has full row rank."""
+        member, num, den = self._solve(vec)
+        if not member:
             return False, None
-        cert = exact.solve_left(self.matrix.tolist(), [int(v) for v in vec])
-        if cert is None:  # cannot happen if the kernel test passed
-            return False, None
-        return True, cert
+        return True, [Fraction(int(n), den) for n in num]
 
     def verify_certificate(self, cert, vec) -> bool:
         rows, cols = self.matrix.shape

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import _kernels, exact
 from .clsets import KSet
+from .galois import field_for_order
 from .geometry import AmbientMismatch, AmbientSpace, Subspace, ambient, meet
 from .incidence import SizeGuard, entry_guard
 
@@ -620,6 +621,7 @@ def scheme_report(n: int, q: int, kind: str = "affine_lines",
                   guard: int | None = None) -> dict:
     """JSON-able scheme report: sizes, valencies, dimensions, all
     matrices as exact rational strings, and the brute-force diff."""
+    field_for_order(q)  # the closed forms hold only where GF(q) exists
     if kind == "affine_lines":
         tables = line_scheme(n, q)
     else:

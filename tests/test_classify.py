@@ -105,6 +105,20 @@ def test_hyperplane_classification_ag32():
     assert rep["structure_proof"]["class_differences_span_kernel"]
 
 
+def test_search_and_hyperplane_enumeration_build_no_kernel(monkeypatch):
+    from clag import exact
+    from clag.incidence import IncidenceMatrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational kernel requested")
+
+    monkeypatch.setattr(IncidenceMatrix, "kernel_basis", refuse)
+    monkeypatch.setattr(exact, "row_echelon_rational", refuse)
+    assert search_cl_ksets(3, 2, 1, 1)["solution_count"] == 8
+    rep = classify_hyperplane_cl(3, 2)
+    assert rep["exhaustive"]["counts_per_x"] == {"0": 1, "1": 128, "2": 1}
+
+
 def test_hyperplane_classification_ag33_count_check():
     rep = classify_hyperplane_cl(3, 3)
     assert rep["counts_per_x"]["1"] == 3**13

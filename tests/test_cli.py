@@ -55,8 +55,10 @@ def test_scheme_guard_path(tmp_path):
 
 def test_scheme_unsupported_field_exits_2():
     # GF(6) does not exist; GF(521) exceeds the dense-table bound
-    for extra in (["--q", "6"], ["--q", "521", "--hyperplanes"]):
-        r = run_cli("scheme", "--n", "3", "--brute-force", *extra)
+    for extra in (["--q", "6"], ["--q", "521", "--hyperplanes"],
+                  ["--q", "6", "--brute-force"],
+                  ["--q", "521", "--hyperplanes", "--brute-force"]):
+        r = run_cli("scheme", "--n", "3", *extra)
         assert r.returncode == 2
         assert "unsupported field" in r.stderr
         assert "Traceback" not in r.stderr

@@ -112,6 +112,21 @@ def test_embedding_prime_field_is_identity():
     assert list(emb) == [0, 1]
 
 
+@pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 9)])
+def test_dense_tables_match_polynomial_arithmetic(p, h):
+    # the tables come from exp/log; _mul_poly multiplies polynomials
+    f = make_field(p, h)
+    q = f.q
+    assert (f.mul_table == f.mul_table.T).all()
+    for a in range(q):
+        for b in range(a, q):
+            assert f.mul_table[a, b] == f._mul_poly(a, b)
+        assert f.neg_table[a] == f._encode([-x for x in f._digits(a)])
+        if a:
+            assert f._mul_poly(a, int(f.inv_table[a])) == 1
+    assert f.inv_table[0] == 0
+
+
 def test_large_field_without_dense_tables():
     # q = 1024 exceeds the dense-table bound; arithmetic falls back to
     # digit addition and exp/log multiplication

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clag import exact
+from clag.clsets import incidence_for, is_cameron_liebler, point_pencil
 from clag.geometry import DimensionOutOfRange, ambient
-from clag.incidence import (LengthMismatch, SizeGuard, build_incidence,
-                            certificate_to_json)
+from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
+                            SizeGuard, build_incidence, certificate_to_json)
 from clag.spreads import all_type_II_spreads, restrict_to_affine, spread_type_I
 
 
@@ -75,9 +77,9 @@ def test_membership_consistent_with_kernel_on_random_vectors():
     from clag.exact import solve_left
     for _ in range(60):
         vec = [rng.randrange(2) for _ in range(28)]
-        via_kernel = A.in_row_space(vec)
+        closed = A.in_row_space(vec)
         via_solve = solve_left(A.matrix.tolist(), vec) is not None
-        assert via_kernel == via_solve
+        assert closed == via_solve
 
 
 def test_spread_difference_lies_in_kernel():
@@ -114,3 +116,74 @@ def test_certificate_export_format():
     doc = certificate_to_json(space, cert)
     assert doc["1:0:0:0"] == "1/1"
     assert len(doc) == 8
+
+
+def oracle_membership(A, vec):
+    """The kernel-basis route: verdict from the rational kernel, then the
+    certificate from a Fraction elimination."""
+    kern = A.kernel_basis()
+    if kern.shape[0] and exact.int_matvec(kern, np.asarray(vec)).any():
+        return False, None
+    return True, exact.solve_left(A.matrix.tolist(), [int(v) for v in vec])
+
+
+@pytest.mark.parametrize("n,q,mode,k", [
+    (3, 2, "affine", 1), (3, 3, "affine", 1), (3, 4, "affine", 1),
+    (3, 3, "projective", 1), (4, 2, "affine", 2)])
+def test_design_route_matches_kernel_route(n, q, mode, k):
+    A = build_incidence(ambient(n, q, mode), k)
+    m = A.matrix.astype(np.int64)
+    rng = random.Random(n * 100 + q * 10 + k)
+    perturbed = m[1].copy()
+    perturbed[rng.randrange(m.shape[1])] ^= 1
+    # pencil, two pencils, complement, a multiple past int64 products;
+    # one Fraction elimination on AG(3,4) takes seconds, so one member there
+    members = ([m[0] + m[1]] if q == 4 else
+               [m[0], m[0] + m[1], 1 - m[2], 3**36 * m[3]])
+    randoms = [np.array([rng.randrange(2) for _ in range(m.shape[1])])
+               for _ in range(4)]
+    for i, vec in enumerate(members + [perturbed] + randoms):
+        got = A.row_space_membership(vec)
+        assert got == oracle_membership(A, vec)
+        assert A.in_row_space(vec) == got[0]
+        if i <= len(members):
+            assert got[0] == (i < len(members))
+
+
+def test_design_parameters_are_counted():
+    for (n, q, mode, k), rl in {(3, 2, "affine", 1): (7, 1),
+                                (3, 3, "projective", 1): (13, 1),
+                                (4, 2, "affine", 2): (35, 7)}.items():
+        assert build_incidence(ambient(n, q, mode), k).design() == rl
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 0], [0, 1, 1], [0, 0, 1]],   # unequal point degrees
+    [[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1]],  # unequal pair counts
+    [[1, 1], [1, 1]],                    # r = lambda: rank 1
+])
+def test_non_design_matrix_is_refused(rows):
+    A = IncidenceMatrix(ambient(3, 2, "affine"), 1,
+                        np.array(rows, dtype=np.int8))
+    vec = [0] * len(rows[0])
+    for query in (A.design, lambda: A.in_row_space(vec),
+                  lambda: A.row_space_membership(vec)):
+        with pytest.raises(NotADesign):
+            query()
+    assert issubclass(NotADesign, ValueError)
+
+
+def test_membership_needs_no_rational_elimination(monkeypatch):
+    space = ambient(3, 4, "affine")
+    incidence_for(space, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational elimination called")
+
+    monkeypatch.setattr(exact, "solve_left", refuse)
+    monkeypatch.setattr(exact, "row_echelon_rational", refuse)
+    monkeypatch.setattr(IncidenceMatrix, "kernel_basis", refuse)
+    l = point_pencil(space, space.points[5], 1)
+    ok, cert = is_cameron_liebler(l)
+    assert ok
+    assert cert == [Fraction(int(i == 5)) for i in range(space.num_points)]
