@@ -1,29 +1,16 @@
-"""Hot integer kernels, each with a numba @njit build and a pure-numpy
-fallback.
+"""Hot integer kernels in numpy, each beside the plain-Python loop that
+the tests compare it with bit for bit.
 
-The numba path is used when numba imports cleanly and the environment
-variable CLAG_NO_NUMBA is unset/empty; the numpy path is always
-available and bit-identical.  Everything here is small-integer table
-arithmetic; exact rational work lives in `exact` and stays off the JIT.
+Everything here is small-integer table arithmetic; exact rational work
+lives in `exact`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_WANT_NUMBA = not os.environ.get("CLAG_NO_NUMBA")
-
-try:  # pragma: no cover - exercised via both paths in tests
-    if _WANT_NUMBA:
-        from numba import njit
-    else:
-        njit = None
-except ImportError:  # pragma: no cover
-    njit = None
-
-USING_NUMBA = njit is not None
+# Read by the benchmark's environment record; there is no compiled path.
+USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +49,7 @@ def _gf_rref_py(m, add, mul, neg, inv):
     return rank
 
 
-def gf_rref_numpy(m, add, mul, neg, inv):
+def gf_rref(m, add, mul, neg, inv):
     """RREF of `m` (int64, modified in place) over GF(q); returns rank."""
     rows, cols = m.shape
     rank = 0
@@ -87,10 +74,6 @@ def gf_rref_numpy(m, add, mul, neg, inv):
     return rank
 
 
-gf_rref_numba = njit(_gf_rref_py) if USING_NUMBA else None
-gf_rref = gf_rref_numba if USING_NUMBA else gf_rref_numpy
-
-
 # ---------------------------------------------------------------------------
 # batched linear combinations over GF(q): C @ B for many coefficient rows
 # ---------------------------------------------------------------------------
@@ -108,75 +91,13 @@ def _gf_combinations_py(coeffs, basis, add, mul):
     return out
 
 
-def gf_combinations_numpy(coeffs, basis, add, mul):
+def gf_combinations(coeffs, basis, add, mul):
     """Row space samples: out[i] = sum_t coeffs[i,t] * basis[t] in GF(q)."""
     n = coeffs.shape[0]
     out = np.zeros((n, basis.shape[1]), dtype=np.int64)
     for t in range(basis.shape[0]):
         out = add[out, mul[coeffs[:, t][:, None], basis[t][None, :]]]
     return out
-
-
-gf_combinations_numba = njit(_gf_combinations_py) if USING_NUMBA else None
-gf_combinations = gf_combinations_numba if USING_NUMBA else gf_combinations_numpy
-
-
-# ---------------------------------------------------------------------------
-# ordered pair counts per line-scheme relation for a member list
-# ---------------------------------------------------------------------------
-
-def _pair_counts_py(pts, infs):
-    n, deg = pts.shape
-    c1 = 0
-    c2 = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if infs[a] == infs[b]:
-                c2 += 1
-                continue
-            ia = 0
-            ib = 0
-            meet = False
-            while ia < deg and ib < deg:
-                va = pts[a, ia]
-                vb = pts[b, ib]
-                if va == vb:
-                    meet = True
-                    break
-                if va < vb:
-                    ia += 1
-                else:
-                    ib += 1
-            if meet:
-                c1 += 1
-    c3 = n * (n - 1) // 2 - c1 - c2
-    return 2 * c1, 2 * c2, 2 * c3
-
-
-def pair_counts_numpy(pts, infs):
-    """Ordered pair counts (affine meet, infinite meet, disjoint).
-
-    `pts` holds sorted affine point indices per member, `infs` the index
-    of the member's subspace at infinity.
-    """
-    n = pts.shape[0]
-    if n == 0:
-        return 0, 0, 0
-    npts = int(pts.max()) + 1
-    inc = np.zeros((n, npts), dtype=np.int64)
-    rows = np.repeat(np.arange(n), pts.shape[1])
-    inc[rows, pts.ravel()] = 1
-    shared = inc @ inc.T
-    same_inf = infs[:, None] == infs[None, :]
-    off = ~np.eye(n, dtype=bool)
-    c1 = int(((shared > 0) & off & ~same_inf).sum())
-    c2 = int((same_inf & off).sum())
-    c3 = n * (n - 1) - c1 - c2
-    return c1, c2, c3
-
-
-pair_counts_numba = njit(_pair_counts_py) if USING_NUMBA else None
-pair_counts = pair_counts_numba if USING_NUMBA else pair_counts_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +131,7 @@ def _triple_counts_py(rel, d):
     return ok, p
 
 
-def triple_counts_numpy(rel, d):
+def triple_counts(rel, d):
     """All intersection numbers p_ij^l, verifying they are constant over
     every pair of each relation.  Returns (constant?, p[i,j,l])."""
     x = rel.shape[0]
@@ -231,14 +152,3 @@ def triple_counts_numpy(rel, d):
                 p[i, j, l] = v
     return ok, p
 
-
-triple_counts_numba = njit(_triple_counts_py) if USING_NUMBA else None
-triple_counts = triple_counts_numba if USING_NUMBA else triple_counts_numpy
-
-
-IMPLEMENTATIONS = {
-    "gf_rref": {"numpy": gf_rref_numpy, "numba": gf_rref_numba},
-    "gf_combinations": {"numpy": gf_combinations_numpy, "numba": gf_combinations_numba},
-    "pair_counts": {"numpy": pair_counts_numpy, "numba": pair_counts_numba},
-    "triple_counts": {"numpy": triple_counts_numpy, "numba": triple_counts_numba},
-}

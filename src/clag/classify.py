@@ -29,7 +29,7 @@ from .clsets import (KSet, complement, incidence_for, is_cameron_liebler,
 from .geometry import AmbientSpace, ambient, gaussian_binomial
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
-           "search_cl_line_classes", "classify_hyperplane_cl",
+           "classify_hyperplane_cl",
            "verify_hyperplane_spread_classification",
            "cross_check_projection", "verify_certificate"]
 
@@ -308,11 +308,6 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     }
     cert["wall_clock_s"] = round(wall, 3)
     return cert
-
-
-def search_cl_line_classes(n: int, q: int, x: int,
-                           cap: int | None = None, seed: int = 0) -> dict:
-    return search_cl_ksets(n, q, 1, x, cap=cap, seed=seed)
 
 
 def verify_certificate(cert: dict) -> bool:

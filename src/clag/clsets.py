@@ -7,6 +7,12 @@ point versus k-space incidence matrix) is the single source of truth;
 the spread, switching-set and disjointness-count checks are validators.
 The count-based equivalences carry the hypothesis n >= 2k+1 and report
 a dedicated not-applicable status below it.
+
+Both disjointness criteria, affine and projective, read their counts
+from `disjoint_counts`: one integer product against the cached
+incidence matrix (`incidence.shared_points`), so two k-spaces are
+disjoint iff they share no point of the space, affine points in AG and
+all points in PG.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .geometry import (AmbientSpace, Subspace, ambient, gaussian_binomial,
                        make_subspace, meet, DimensionOutOfRange)
-from .incidence import IncidenceMatrix, build_incidence
+from .incidence import IncidenceMatrix, build_incidence, shared_points
 from .spreads import SwitchingPair, subspace_contains
 
 __all__ = [
@@ -27,9 +33,9 @@ __all__ = [
     "kset_from_indices", "kset_from_subspaces", "empty_kset", "full_kset",
     "point_pencil", "pg_hyperplane_set", "complement", "union", "difference",
     "incidence_for", "is_cameron_liebler", "check_spread_intersections",
-    "check_switching_invariance", "affine_disjoint_count",
+    "check_switching_invariance", "disjoint_counts",
     "infinite_pencil_counts", "check_line_disjointness",
-    "pg_disjoint_count", "check_pg_disjointness", "embed_to_pg",
+    "check_pg_disjointness", "embed_to_pg",
     "restrict_from_pg", "extend_with_infinity",
     "count_through_infinite_subspace", "project_through_infinite_subspace",
     "canonical_complement", "modular_check", "kset_to_json", "kset_from_json",
@@ -242,14 +248,12 @@ def check_switching_invariance(l: KSet, pair: SwitchingPair) -> CheckResult:
                        {"r1": c1, "r2": c2})
 
 
-def affine_disjoint_count(l: KSet, line: Subspace) -> int:
-    """Members of a line class sharing no affine point with `line`."""
-    if l.k != 1:
-        raise NotLines("affine disjointness counts are for line classes")
-    space = l.space
-    line_pts = set(space.point_indices_of(line))
-    pts = space.space_point_indices(1)
-    return sum(1 for j in l.members if not line_pts & set(pts[j]))
+def disjoint_counts(l: KSet) -> np.ndarray:
+    """For every k-space in canonical order, the number of members
+    sharing no point of the space with it (affine points in AG, all
+    points in PG)."""
+    shared = shared_points(incidence_for(l.space, l.k), sorted(l.members))
+    return (shared == 0).sum(1)
 
 
 def infinite_pencil_counts(l: KSet) -> list[int]:
@@ -275,13 +279,12 @@ def check_line_disjointness(l: KSet) -> CheckResult:
                            {"reason": "non-integral parameter"})
     x = int(l.x)
     base = q * q * gaussian_binomial(n - 2, 1, q) + 1
-    pts = space.space_point_indices(1)
-    point_sets = [set(p) for p in pts]
+    counts = disjoint_counts(l)
     bad = []
     for j, line in enumerate(space.spaces(1)):
         chi_l = 1 if j in l.members else 0
         expected = base * (x - chi_l)
-        got = sum(1 for m in l.members if not point_sets[j] & point_sets[m])
+        got = int(counts[j])
         if got != expected:
             bad.append({"line": line.to_json(), "got": got, "expected": expected})
     pencil_counts = infinite_pencil_counts(l)
@@ -291,32 +294,25 @@ def check_line_disjointness(l: KSet) -> CheckResult:
                        {"mismatches": bad[:5], "pencil_counts_ok": pencil_ok})
 
 
-def pg_disjoint_count(l: KSet, other: Subspace) -> int:
-    """Members projectively disjoint from a given k-space."""
-    if l.space.mode != "projective":
-        raise DimensionOutOfRange("projective count on a projective set")
-    spaces = l.space.spaces(l.k)
-    return sum(1 for j in l.members if meet(spaces[j], other) is None)
-
-
-def check_pg_disjointness(l: KSet, sample=None) -> CheckResult:
+def check_pg_disjointness(l: KSet) -> CheckResult:
     """Projective criterion: member count disjoint from K equals
     (x - chi(K)) [n-k-1 choose k]_q q^(k^2+k) for every k-space K."""
     if not _equivalence_applicable(l):
         return CheckResult("pg_disjointness", NOT_APPLICABLE,
                            {"reason": "requires n >= 2k+1"})
     space = l.space
+    if space.mode != "projective":
+        raise DimensionOutOfRange("projective count on a projective set")
     n, k, q = space.n, l.k, space.q
     factor = gaussian_binomial(n - k - 1, k, q) * q ** (k * k + k)
-    spaces = space.spaces(k)
-    indices = range(len(spaces)) if sample is None else sample
+    counts = disjoint_counts(l)
     bad = []
-    for j in indices:
+    for j, kspace in enumerate(space.spaces(k)):
         chi_k = 1 if j in l.members else 0
         expected = (l.x - chi_k) * factor
-        got = pg_disjoint_count(l, spaces[j])
+        got = int(counts[j])
         if got != expected:
-            bad.append({"k_space": spaces[j].to_json(),
+            bad.append({"k_space": kspace.to_json(),
                         "got": got, "expected": str(expected)})
     return CheckResult("pg_disjointness", PASS if not bad else FAIL,
                        {"mismatches": bad[:5]})

@@ -23,7 +23,7 @@ from .galois import FiniteField, field_for_order
 
 __all__ = [
     "gaussian_binomial", "Subspace", "AmbientSpace", "ambient",
-    "make_subspace", "span", "meet", "infinite_part", "is_affine",
+    "make_subspace", "span", "meet", "infinite_part",
     "apply_matrix", "DimensionOutOfRange", "AmbientMismatch",
 ]
 
@@ -188,10 +188,6 @@ def infinite_part(s: Subspace) -> Subspace | None:
     if len(s.rows) == 1:
         return None
     return Subspace(s.n, s.q, s.rows[1:])
-
-
-def is_affine(s: Subspace) -> bool:
-    return s.is_affine()
 
 
 def apply_matrix(s: Subspace, matrix) -> Subspace:
@@ -399,11 +395,6 @@ def ambient(n: int, q: int, mode: str) -> AmbientSpace:
     if key not in _AMBIENT_CACHE:
         _AMBIENT_CACHE[key] = AmbientSpace(n, q, mode)
     return _AMBIENT_CACHE[key]
-
-
-def enumerate_subspaces(space: AmbientSpace, k: int) -> list[Subspace]:
-    """The k-spaces of the given space in canonical order."""
-    return space.spaces(k)
 
 
 def subspace_from_json(n: int, q: int, rows) -> Subspace:

@@ -17,6 +17,10 @@ num = c w - lambda (sum w) 1.  chi lies in the row space iff
 M^T num = a c chi, an exact integer check, and then y^T M = chi.
 Since a > 0, M M^T is invertible, M has full row rank and y is the
 unique certificate.  Every accepted certificate has passed that check.
+
+Whether two k-spaces meet is read off the same matrix: `shared_points`
+gives S = M^T M[:, cols], the number of points each k-space shares with
+each chosen one, so S == 0 marks the disjoint pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from . import exact
 from .geometry import AmbientSpace, DimensionOutOfRange
 
 __all__ = ["IncidenceMatrix", "build_incidence", "SizeGuard", "LengthMismatch",
-           "NotADesign", "certificate_to_json"]
+           "NotADesign", "shared_points", "certificate_to_json"]
 
 DEFAULT_ENTRY_GUARD = 10**7
 
@@ -141,6 +145,13 @@ class IncidenceMatrix:
             if acc != Fraction(int(vec[c])):
                 return False
         return True
+
+
+def shared_points(inc: IncidenceMatrix, cols) -> np.ndarray:
+    """S = M^T M[:, cols]: S[j, c] is the number of points k-space j
+    shares with k-space cols[c], one exact integer product."""
+    m = inc.matrix
+    return exact.int_matmul(m.T, m[:, cols])
 
 
 def build_incidence(space: AmbientSpace, k: int,

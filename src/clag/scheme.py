@@ -30,10 +30,10 @@ from math import lcm
 import numpy as np
 
 from . import _kernels, exact
-from .clsets import KSet
+from .clsets import KSet, incidence_for
 from .galois import field_for_order
 from .geometry import AmbientMismatch, AmbientSpace, Subspace, ambient, meet
-from .incidence import SizeGuard, entry_guard
+from .incidence import SizeGuard, entry_guard, shared_points
 
 __all__ = [
     "SchemeTables", "EmptySet", "AmbientMismatch",
@@ -109,12 +109,8 @@ def line_relation_matrix(space: AmbientSpace, guard: int | None = None) -> np.nd
     cap = guard if guard is not None else entry_guard()
     if x * x > cap:
         raise SizeGuard(f"{x}^2 relation matrix exceeds guard {cap}")
-    pts = np.array(space.space_point_indices(1), dtype=np.int64)
     _, _, per_space = space.infinity_pencils(1)
-    inc = np.zeros((x, space.num_points), dtype=np.int64)
-    rows = np.repeat(np.arange(x), pts.shape[1])
-    inc[rows, pts.ravel()] = 1
-    shared = exact.int_matmul(inc, inc.T)
+    shared = shared_points(incidence_for(space, 1), slice(None))
     rel = np.full((x, x), 3, dtype=np.int8)
     rel[per_space[:, None] == per_space[None, :]] = 2
     rel[shared > 0] = 1
@@ -568,19 +564,22 @@ def verify_bose_mesner(p: np.ndarray, tables: SchemeTables) -> dict:
 # ---------------------------------------------------------------------------
 
 def inner_distribution(l: KSet, kind: str | None = None) -> list[Fraction]:
-    """u_i = |R_i meet (L x L)| / |L|, streamed over member pairs
-    without building the full adjacency matrices."""
+    """u_i = |R_i meet (L x L)| / |L|, counted over the member pairs
+    from their shared points, without the full adjacency matrices."""
     if l.size == 0:
         raise EmptySet("inner distribution of the empty set")
     space = l.space
     if kind is None:
         kind = "affine_lines" if l.k == 1 else "affine_hyperplanes"
     members = sorted(l.members)
-    all_pts = space.space_point_indices(l.k)
-    pts = np.array([all_pts[j] for j in members], dtype=np.int64)
+    shared = shared_points(incidence_for(space, l.k), members)[members]
     _, _, per_space = space.infinity_pencils(l.k)
     infs = per_space[members]
-    c_meet, c_inf, c_disj = _kernels.pair_counts(pts, infs)
+    same_inf = infs[:, None] == infs[None, :]
+    off = ~np.eye(l.size, dtype=bool)
+    c_meet = int(((shared > 0) & off & ~same_inf).sum())
+    c_inf = int((same_inf & off).sum())
+    c_disj = l.size * (l.size - 1) - c_meet - c_inf
     if kind == "affine_lines":
         counts = [l.size, c_meet, c_inf, c_disj]
     else:

@@ -10,7 +10,6 @@ import numpy as np
 
 from clag import exact
 from clag.classify import (classify_hyperplane_cl, search_cl_ksets,
-                           search_cl_line_classes,
                            verify_hyperplane_spread_classification)
 from clag.clsets import (complement, empty_kset, full_kset, incidence_for,
                          is_cameron_liebler, kset_from_indices,
@@ -147,7 +146,7 @@ def test_criterion_06_spread_equivalence():
     extra += [complement(point_pencil(space, p, 1)).chi() for p in space.points]
     extra += [empty_kset(space, 1).chi(), full_kset(space, 1).chi()]
     for x in (0, 1, 2, 3, 4):
-        for sol in search_cl_line_classes(3, 2, x)["solutions"]:
+        for sol in search_cl_ksets(3, 2, 1, x)["solutions"]:
             chi = np.zeros(28, dtype=np.int64)
             chi[sol["indices"]] = 1
             extra.append(chi)
@@ -164,7 +163,7 @@ def test_criterion_06_spread_equivalence():
 def test_criterion_07_x1_classification():
     for n, q in [(3, 2), (3, 3)]:
         start = time.monotonic()
-        cert = search_cl_line_classes(n, q, 1)
+        cert = search_cl_ksets(n, q, 1, 1)
         elapsed = time.monotonic() - start
         space = ambient(n, q, "affine")
         pencils = sorted(tuple(sorted(point_pencil(space, p, 1).members))
@@ -179,7 +178,7 @@ def test_criterion_07_x1_classification():
 def test_criterion_08_x2_nonexistence():
     for n, q in [(3, 2), (3, 3)]:
         start = time.monotonic()
-        cert = search_cl_line_classes(n, q, 2)
+        cert = search_cl_ksets(n, q, 1, 2)
         elapsed = time.monotonic() - start
         report("8", cert["solution_count"] == 0 and elapsed < 1800,
                f"AG({n},{q}) x=2: {cert['solution_count']} solutions "

@@ -4,7 +4,7 @@ import pytest
 
 from clag.classify import (ScaleExceeded, classify_hyperplane_cl,
                            cross_check_projection, search_cl_ksets,
-                           search_cl_line_classes, verify_certificate,
+                           verify_certificate,
                            verify_hyperplane_spread_classification)
 from clag.clsets import complement, is_cameron_liebler, kset_from_indices, point_pencil
 from clag.geometry import ambient
@@ -15,13 +15,13 @@ def found_sets(cert):
 
 
 def test_search_ag32_x0():
-    cert = search_cl_line_classes(3, 2, 0)
+    cert = search_cl_ksets(3, 2, 1, 0)
     assert cert["solution_count"] == 1
     assert cert["solutions"][0]["indices"] == []
 
 
 def test_search_ag32_x1_finds_exactly_the_pencils():
-    cert = search_cl_line_classes(3, 2, 1)
+    cert = search_cl_ksets(3, 2, 1, 1)
     space = ambient(3, 2, "affine")
     pencils = sorted(tuple(sorted(point_pencil(space, p, 1).members))
                      for p in space.points)
@@ -30,7 +30,7 @@ def test_search_ag32_x1_finds_exactly_the_pencils():
 
 
 def test_search_ag32_x2_nonexistence():
-    cert = search_cl_line_classes(3, 2, 2)
+    cert = search_cl_ksets(3, 2, 1, 2)
     assert cert["solution_count"] == 0
     assert cert["stats"]["nodes"] > 0
     assert "pruning_rules" in cert
@@ -38,43 +38,43 @@ def test_search_ag32_x2_nonexistence():
 
 def test_search_complement_symmetry():
     space = ambient(3, 2, "affine")
-    cert = search_cl_line_classes(3, 2, 3)
+    cert = search_cl_ksets(3, 2, 1, 3)
     assert cert["complement_symmetry_used"]
     complements = sorted(
         tuple(sorted(complement(point_pencil(space, p, 1)).members))
         for p in space.points)
     assert found_sets(cert) == complements
-    assert search_cl_line_classes(3, 2, 4)["solution_count"] == 1
+    assert search_cl_ksets(3, 2, 1, 4)["solution_count"] == 1
 
 
 def test_search_out_of_parameter_range():
-    assert search_cl_line_classes(3, 2, 5)["solution_count"] == 0
-    assert search_cl_line_classes(3, 2, -1)["solution_count"] == 0
+    assert search_cl_ksets(3, 2, 1, 5)["solution_count"] == 0
+    assert search_cl_ksets(3, 2, 1, -1)["solution_count"] == 0
 
 
 def test_search_injected_solutions_rediscovered():
     # completeness double-check: known solutions are always in the output
     space = ambient(3, 2, "affine")
-    x1 = found_sets(search_cl_line_classes(3, 2, 1))
+    x1 = found_sets(search_cl_ksets(3, 2, 1, 1))
     for p in space.points:
         assert tuple(sorted(point_pencil(space, p, 1).members)) in x1
-    x4 = found_sets(search_cl_line_classes(3, 2, 4))
+    x4 = found_sets(search_cl_ksets(3, 2, 1, 4))
     assert tuple(range(28)) in x4
 
 
 def test_search_certificates_reverify():
     for x in (0, 1, 3):
-        cert = search_cl_line_classes(3, 2, x)
+        cert = search_cl_ksets(3, 2, 1, x)
         assert verify_certificate(cert)
     # a corrupted certificate fails verification
-    cert = search_cl_line_classes(3, 2, 1)
+    cert = search_cl_ksets(3, 2, 1, 1)
     cert["solutions"][0]["indices"][0] = 27
     assert not verify_certificate(cert)
 
 
 def test_search_is_deterministic():
-    a = search_cl_line_classes(3, 2, 1)
-    b = search_cl_line_classes(3, 2, 1)
+    a = search_cl_ksets(3, 2, 1, 1)
+    b = search_cl_ksets(3, 2, 1, 1)
     a.pop("wall_clock_s"), b.pop("wall_clock_s")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 

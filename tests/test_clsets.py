@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from clag import clsets, geometry
 from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
-                         WrongCodimension, affine_disjoint_count,
-                         check_line_disjointness, check_pg_disjointness,
+                         WrongCodimension, check_line_disjointness,
+                         check_pg_disjointness, disjoint_counts,
                          check_spread_intersections,
                          check_switching_invariance, complement,
                          count_through_infinite_subspace, difference,
@@ -14,10 +15,10 @@ from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
                          full_kset, infinite_pencil_counts,
                          is_cameron_liebler, kset_from_indices,
                          kset_from_json, kset_to_json,
-                         modular_check, pg_disjoint_count, pg_hyperplane_set,
+                         modular_check, pg_hyperplane_set,
                          point_pencil, project_through_infinite_subspace,
                          restrict_from_pg, union)
-from clag.geometry import ambient
+from clag.geometry import ambient, meet
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
                           subspace_contains, switching_pair_from_spreads)
 
@@ -143,12 +144,11 @@ def test_switching_invariance():
 
 def test_affine_disjoint_counts():
     pen = point_pencil(AG32, (1, 0, 0, 0), 1)
-    lines = AG32.spaces(1)
-    member = lines[sorted(pen.members)[0]]
-    assert affine_disjoint_count(pen, member) == 0
-    non_member = lines[next(j for j in range(28) if j not in pen.members)]
-    assert affine_disjoint_count(pen, non_member) == 5  # (q^2*1+1)*(1-0)
-    assert affine_disjoint_count(empty_kset(AG32, 1), member) == 0
+    member = sorted(pen.members)[0]
+    assert disjoint_counts(pen)[member] == 0
+    non_member = next(j for j in range(28) if j not in pen.members)
+    assert disjoint_counts(pen)[non_member] == 5  # (q^2*1+1)*(1-0)
+    assert disjoint_counts(empty_kset(AG32, 1))[member] == 0
 
 
 def test_line_disjointness_check():
@@ -163,15 +163,58 @@ def test_pg_disjoint_counts():
     pen = point_pencil(PG32, (1, 0, 0, 0), 1)
     assert pen.size == 7 and pen.x == 1
     lines = PG32.spaces(1)
-    member = lines[sorted(pen.members)[0]]
-    assert pg_disjoint_count(pen, member) == 0
-    off_vertex = next(s for j, s in enumerate(lines)
+    member = sorted(pen.members)[0]
+    assert disjoint_counts(pen)[member] == 0
+    off_vertex = next(j for j, s in enumerate(lines)
                       if j not in pen.members
                       and not s.contains_point((1, 0, 0, 0)))
     # (x - chi) * [n-k-1 choose k]_q * q^(k^2+k) = 1 * 1 * 4
-    assert pg_disjoint_count(pen, off_vertex) == 4
+    assert disjoint_counts(pen)[off_vertex] == 4
     assert check_pg_disjointness(pen).passed
     assert check_pg_disjointness(empty_kset(PG32, 1)).passed
+
+
+def _disjoint_counts_by_meet(l):
+    """Reference: one exact meet per (k-space, member) pair.  In AG two
+    k-spaces share an affine point iff their meet is not at infinity."""
+    spaces = l.space.spaces(l.k)
+    affine = l.space.mode == "affine"
+
+    def disjoint(a, b):
+        cut = meet(a, b)
+        return cut is None or (affine and not cut.is_affine())
+    return [sum(1 for j in l.members if disjoint(s, spaces[j]))
+            for s in spaces]
+
+
+@pytest.mark.parametrize("n,q,k,mode", [(3, 2, 1, "affine"),
+                                        (3, 2, 1, "projective"),
+                                        (4, 2, 2, "affine"),
+                                        (3, 3, 1, "projective")])
+def test_disjoint_counts_match_meet(n, q, k, mode):
+    space = ambient(n, q, mode)
+    spaces = space.spaces(k)
+    hyp = ambient(n, q, "projective").spaces(n - 1)[0]
+    rng = random.Random(n * 100 + q * 10 + k)
+    sets = [point_pencil(space, space.points[0], k),
+            point_pencil(space, space.points[-1], k),
+            kset_from_indices(space, k, [j for j, s in enumerate(spaces)
+                                         if subspace_contains(hyp, s)]),
+            empty_kset(space, k),
+            kset_from_indices(space, k, rng.sample(range(len(spaces)), 12))]
+    for l in sets:
+        assert list(disjoint_counts(l)) == _disjoint_counts_by_meet(l)
+
+
+def test_disjointness_checks_run_without_meet(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("meet called")
+    monkeypatch.setattr(geometry, "meet", refuse)
+    monkeypatch.setattr(clsets, "meet", refuse)
+    assert check_line_disjointness(point_pencil(AG32, (1, 0, 0, 0), 1)).passed
+    assert check_pg_disjointness(point_pencil(PG32, (1, 0, 0, 0), 1)).passed
+    pg33 = ambient(3, 3, "projective")
+    assert check_pg_disjointness(point_pencil(pg33, (0, 0, 1, 0), 1)).passed
 
 
 def test_pg_hyperplane_set_parameters():

@@ -5,7 +5,7 @@ import pytest
 from clag.galois import field_for_order
 from clag.geometry import (AmbientMismatch, DimensionOutOfRange,
                            ambient, apply_matrix, count_rref_matrices,
-                           gaussian_binomial, infinite_part, is_affine,
+                           gaussian_binomial, infinite_part,
                            make_subspace, meet, span, subspace_from_json)
 
 
@@ -126,7 +126,7 @@ def test_infinite_part():
     assert infinite_part(plane).dim == 1
     inf_line = next(s for s in ambient(3, 2, "projective").spaces(1)
                     if not s.is_affine())
-    assert not is_affine(inf_line)
+    assert not inf_line.is_affine()
     assert infinite_part(inf_line) == inf_line
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,8 @@ from clag.scheme import (AmbientMismatch, EmptySet, align_rows_to,
                          line_scheme, scheme_axioms_bruteforce, scheme_report,
                          type_iii_plus_span_report, u_dot_q,
                          verify_bose_mesner)
-from clag.spreads import all_type_II_spreads, all_type_III_spreads
+from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
+                          sample_type_III_spreads)
 
 AG32 = ambient(3, 2, "affine")
 
@@ -190,6 +192,23 @@ def test_inner_distribution_closed_forms_general():
                          all_type_III_spreads(space, 1, plus_only=True)[0])
         assert inner_distribution(t3) == \
             [1, 0, q ** (n - 2) - 1, q ** (n - 1) - q ** (n - 2)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_inner_distribution_matches_pair_classifier(q):
+    space = ambient(3, q, "affine")
+    lines = space.spaces(1)
+    rng = random.Random(q)
+    sets = [point_pencil(space, space.points[1], 1),
+            spread_kset(space, all_type_II_spreads(space, 1)[-1]),
+            spread_kset(space, sample_type_III_spreads(space, 1, 1, q)[0]),
+            kset_from_indices(space, 1, rng.sample(range(len(lines)), 15))]
+    for l in sets:
+        counts = [0, 0, 0, 0]
+        for a in sorted(l.members):
+            for b in sorted(l.members):
+                counts[classify_line_pair(space, lines[a], lines[b])] += 1
+        assert inner_distribution(l) == [Fraction(c, l.size) for c in counts]
 
 
 def test_eigenspace_profiles():
