@@ -5,10 +5,24 @@ The k-set search enumerates every 0/1 vector of the required weight in
 the row space of the affine incidence matrix.  It backtracks over the
 pencils of (k-1)-spaces at infinity (each must carry exactly x members,
 a sound, necessary constraint: spread differences lie in the kernel)
-and propagates forced values by exact rational elimination; every
-surviving candidate still passes the definitional row-space test as a
-final, independent filter.  All pruning rules are necessary conditions,
-so the enumeration is complete.
+and propagates forced values by exact elimination; every surviving
+candidate still passes the definitional row-space test as a final,
+independent filter.  All pruning rules are necessary conditions, so the
+enumeration is complete.
+
+A 0/1 vector chi is in the row space iff chi = y M for some rational y
+on the points, where M is the point x k-space incidence matrix with
+columns m_j.  Assigning space j the value v is the equation
+m_j . y = v.  The assigned equations are kept as an integer tableau
+T = N M and a particular solution p / den = y0 M: the rows of N are an
+integer basis of {z : m_i . z = 0 for every assigned i} and y0 solves
+every assigned equation, so every solution gives space j the value
+p[j] / den + (a combination of column j of T).  Hence space j is forced
+iff column j of T is zero, its forced value is p[j] / den, one
+`any` over T finds every forced space, and the number of rows of T is
+the dimension left.  Assigning j eliminates column j from T with one
+pivot row; the arithmetic is exact, in int64 while a bound on the new
+entries stays below `exact.INT64_GUARD` and in Python ints past it.
 """
 
 from __future__ import annotations
@@ -17,7 +31,6 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 
 import numpy as np
@@ -26,7 +39,7 @@ from . import exact
 from .clsets import (KSet, complement, incidence_for, is_cameron_liebler,
                      kset_from_indices, point_pencil,
                      project_through_infinite_subspace)
-from .geometry import AmbientSpace, ambient, gaussian_binomial
+from .geometry import AmbientSpace, ambient, gaussian_binomial, make_subspace
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
            "classify_hyperplane_cl",
@@ -35,6 +48,7 @@ __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
 
 DEFAULT_SPACE_CAP = 130
 ENUM_CAP = 1 << 20       # full Boolean enumeration bound for hyperplane sets
+_ENUM_BLOCK = 4096       # Boolean vectors tested per product pair
 _SCAN_GATE = 14          # run forced-value scans once this few dims remain
 _ENDGAME_DIM = 6         # switch to value branching when this few remain
 
@@ -69,29 +83,97 @@ class _Contradiction(Exception):
     pass
 
 
-class _State:
-    __slots__ = ("values", "ones", "unknown", "rows")
+class _Tableau:
+    """Assigned equations m_j . y = val_j as T = N M and p / den = y0 M.
 
-    def __init__(self, values, ones, unknown, rows):
+    M is the point x k-space incidence matrix, the rows of N are an
+    integer basis of {z : m_i . z = 0 for every assigned i}, and y0
+    solves every assigned equation.  One integer array holds T with p
+    as its last row.  Updates build a new array and never write into an
+    old one, so a search state can share its tableau with its children.
+    """
+
+    __slots__ = ("a", "den")
+
+    def __init__(self, a: np.ndarray, den: int):
+        self.a = a
+        self.den = den
+
+    @classmethod
+    def start(cls, matrix: np.ndarray) -> "_Tableau":
+        a = np.zeros((matrix.shape[0] + 1, matrix.shape[1]), dtype=np.int64)
+        a[:-1] = matrix
+        return cls(a, 1)
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.a[:-1]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.a[-1]
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the solution space of the assigned equations."""
+        return self.a.shape[0] - 1
+
+    def forced(self) -> np.ndarray:
+        """Column j is zero iff m_j lies in the span of the assigned m_i,
+        and then every solution gives space j the value p[j] / den."""
+        return ~self.t.any(axis=0)
+
+    def assigned(self, j: int, val: int) -> "_Tableau":
+        """The tableau with m_j . y = val added; raises _Contradiction
+        when m_j is already forced to another value.
+
+        With pivot row r and c = T[r, j]: T[s] <- c T[s] - T[s, j] T[r],
+        p <- c p + (val den - p[j]) T[r] and den <- den c; row r is
+        dropped and every changed row, and (p, den), divided by its gcd."""
+        a, den = self.a, self.den
+        if not a[:-1, j].any():
+            if a[-1, j] != val * den:
+                raise _Contradiction
+            return self
+        # entries of T and p are at most m, so the new ones are at most
+        # 2 m^2 and m (2 m + |val| den), and the new den is den m
+        m = int(abs(a).max())
+        if m * (2 * m + (abs(val) + 1) * den) >= exact.INT64_GUARD:
+            a = a.astype(object)  # Python ints from here on: no overflow
+        col = a[:, j].copy()
+        col[-1] -= val * den
+        # only the rows with a nonzero entry in col change: the others,
+        # p too when p[j] = val den, stay the same up to the factor c
+        nz = col.nonzero()[0]
+        r, rows = nz[0], nz[1:]
+        c = col[r]
+        upd = c * a[rows] - col[rows, None] * a[r]
+        g = np.gcd.reduce(upd, axis=1)
+        if col[-1]:
+            den = int(den * c)
+            gp = gcd(int(g[-1]), den)
+            g[-1] = -gp if den < 0 else gp
+            den //= int(g[-1])
+        upd //= g[:, None]
+        out = a.copy()
+        out[rows] = upd
+        out[r] = out[-2]
+        out[-2] = out[-1]
+        out = out[:-1]
+        return _Tableau(out, den)
+
+
+class _State:
+    __slots__ = ("values", "ones", "unknown", "tab")
+
+    def __init__(self, values, ones, unknown, tab):
         self.values = values
         self.ones = ones
         self.unknown = unknown
-        self.rows = rows
+        self.tab = tab
 
     def clone(self) -> "_State":
-        return _State(self.values[:], self.ones[:], self.unknown[:],
-                      self.rows[:])
-
-
-def _normalize(vec: list[int]) -> list[int]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-        if g == 1:
-            return vec
-    if g > 1:
-        return [v // g for v in vec]
-    return vec
+        return _State(self.values[:], self.ones[:], self.unknown[:], self.tab)
 
 
 class _Search:
@@ -99,60 +181,13 @@ class _Search:
     exactly x members in every pencil at infinity."""
 
     def __init__(self, space: AmbientSpace, k: int, x: int, stats: SearchStats):
-        self.space = space
-        self.k = k
         self.x = x
         self.stats = stats
-        self.npts = space.num_points
-        pts = space.space_point_indices(k)
-        self.vecs = []
-        for tup in pts:
-            v = [0] * self.npts
-            for p in tup:
-                v[p] = 1
-            self.vecs.append(v)
         _, pencil_members, per_space = space.infinity_pencils(k)
         self.pencils = [list(map(int, m)) for m in pencil_members]
         self.per_space = [int(v) for v in per_space]
-        self.pencil_size = len(self.pencils[0])
         self.incidence = incidence_for(space, k)
         self.solutions: list[tuple[int, ...]] = []
-
-    # -- exact elimination ------------------------------------------------
-
-    def _reduce_query(self, rows, j):
-        """Reduce [vec_j | alpha=1 | beta=0]; returns ('forced', value)
-        when the space's value is determined, else ('free', None)."""
-        vec = self.vecs[j][:]
-        alpha, beta = 1, 0
-        for pivot, row in rows:
-            f = vec[pivot]
-            if f:
-                t = row[pivot]
-                vec = [t * a - f * b for a, b in zip(vec, row)]
-                alpha *= t
-                beta = t * beta - f * row[self.npts]
-        if any(vec[:self.npts]):
-            return "free", None
-        val = Fraction(-beta, alpha)
-        return "forced", val
-
-    def _add_equation(self, state, j, val):
-        vec = self.vecs[j] + [val]
-        for pivot, row in state.rows:
-            f = vec[pivot]
-            if f:
-                t = row[pivot]
-                vec = [t * a - f * b for a, b in zip(vec, row)]
-        pivot = next((i for i in range(self.npts) if vec[i]), None)
-        if pivot is None:
-            if vec[self.npts] != 0:
-                raise _Contradiction
-            return
-        vec = _normalize(vec)
-        if vec[pivot] < 0:
-            vec = [-v for v in vec]
-        state.rows.append((pivot, vec))
 
     # -- assignment and propagation ----------------------------------------
 
@@ -171,7 +206,7 @@ class _Search:
         if ones > self.x or ones + unknown < self.x:
             self.stats.pruned_pencil += 1
             raise _Contradiction
-        self._add_equation(state, j, val)
+        state.tab = state.tab.assigned(j, val)
         if unknown and ones == self.x:
             for t in self.pencils[pid]:
                 if state.values[t] == -1:
@@ -182,41 +217,48 @@ class _Search:
                     self._assign(state, t, 1)
 
     def _scan_forced(self, state):
+        # visit forced unknowns in index order, re-reading the tableau
+        # after each assignment, and pass again while anything changed
         changed = True
         while changed:
             changed = False
-            for j in range(len(self.vecs)):
-                if state.values[j] != -1:
-                    continue
-                kind, val = self._reduce_query(state.rows, j)
-                if kind != "forced":
-                    continue
-                if val == 0:
+            j = self._next_forced(state, 0)
+            while j is not None:
+                num, den = state.tab.p[j], state.tab.den
+                if num == 0:
                     self._assign(state, j, 0)
-                elif val == 1:
+                elif num == den:
                     self._assign(state, j, 1)
                 else:
                     self.stats.pruned_rank += 1
                     raise _Contradiction
                 self.stats.forced += 1
                 changed = True
+                j = self._next_forced(state, j + 1)
+
+    @staticmethod
+    def _next_forced(state, start):
+        """The lowest unknown space at or after start whose value the
+        assigned equations determine, or None."""
+        values = state.values
+        for j in np.flatnonzero(state.tab.forced()[start:]).tolist():
+            if values[start + j] == -1:
+                return start + j
+        return None
 
     # -- main recursion ----------------------------------------------------
 
     def run(self):
-        state = _State([-1] * len(self.vecs),
+        state = _State([-1] * len(self.per_space),
                        [0] * len(self.pencils),
                        [len(p) for p in self.pencils],
-                       [])
+                       _Tableau.start(self.incidence.matrix))
         self._dfs(state)
         self.solutions.sort()
 
-    def _remaining_dim(self, state) -> int:
-        return self.npts - len(state.rows)
-
     def _dfs(self, state):
         self.stats.nodes += 1
-        if self._remaining_dim(state) <= _SCAN_GATE:
+        if state.tab.dim <= _SCAN_GATE:
             try:
                 self._scan_forced(state)
             except _Contradiction:
@@ -226,7 +268,7 @@ class _Search:
         if nxt is None:
             self._leaf(state)
             return
-        if self._remaining_dim(state) <= _ENDGAME_DIM:
+        if state.tab.dim <= _ENDGAME_DIM:
             self.stats.endgame_nodes += 1
             j = next(t for t in self.pencils[nxt] if state.values[t] == -1)
             for val in (0, 1):
@@ -267,7 +309,8 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     """Complete classification certificate for the Cameron-Liebler
     k-sets of AG(n, q) with parameter x."""
     space = ambient(n, q, "affine")
-    total = len(space.spaces(k))
+    spaces = space.spaces(k)
+    total = len(spaces)
     limit = cap if cap is not None else space_cap()
     if total > limit:
         raise ScaleExceeded(f"{total} k-spaces exceed the cap {limit}")
@@ -289,7 +332,6 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
             found = sorted(tuple(sorted(allidx - frozenset(s))) for s in found)
         solutions = found
     wall = time.monotonic() - start
-    spaces = space.spaces(k)
     cert = {
         "problem": {"n": n, "q": q, "k": k, "x": x, "mode": "affine"},
         "space_count": total,
@@ -320,7 +362,6 @@ def verify_certificate(cert: dict) -> bool:
         return False
     index = space.space_index(k)
     for sol in cert["solutions"]:
-        from .geometry import make_subspace
         idxs = [index[make_subspace(space.n, space.q, rows).rows]
                 for rows in sol["members"]]
         if sorted(idxs) != sorted(sol["indices"]):
@@ -391,19 +432,20 @@ def classify_hyperplane_cl(n: int, q: int, guard: int | None = None) -> dict:
         found = {x: 0 for x in range(q + 1)}
         structure_ok = True
         g = gaussian_binomial(n, k, q)
-        for bits in range(2**total):
-            chi = np.array([(bits >> t) & 1 for t in range(total)],
-                           dtype=np.int64)
-            if not inc.in_row_space(chi):
-                continue
-            weight = int(chi.sum())
-            if weight % g:
-                structure_ok = False
-                continue
-            x = weight // g
-            found[x] = found.get(x, 0) + 1
-            if any(int(chi[cls].sum()) != x for cls in classes):
-                structure_ok = False
+        shifts = np.arange(total)
+        for lo in range(0, 2**total, _ENUM_BLOCK):
+            hi = min(lo + _ENUM_BLOCK, 2**total)
+            chi = (np.arange(lo, hi)[:, None] >> shifts) & 1
+            chi = chi[inc.rows_in_row_space(chi)]
+            weight = chi.sum(axis=1)
+            whole = weight % g == 0
+            structure_ok = structure_ok and bool(whole.all())
+            chi, xs = chi[whole], weight[whole] // g
+            for x, cnt in zip(*np.unique(xs, return_counts=True)):
+                found[int(x)] = found.get(int(x), 0) + int(cnt)
+            for cls in classes:
+                if (chi[:, cls].sum(axis=1) != xs).any():
+                    structure_ok = False
         report["exhaustive"] = {
             "counts_per_x": {str(x): found[x] for x in sorted(found)},
             "matches_structure_counts": all(

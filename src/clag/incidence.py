@@ -17,6 +17,8 @@ num = c w - lambda (sum w) 1.  chi lies in the row space iff
 M^T num = a c chi, an exact integer check, and then y^T M = chi.
 Since a > 0, M M^T is invertible, M has full row rank and y is the
 unique certificate.  Every accepted certificate has passed that check.
+`rows_in_row_space` decides a block of vectors at once: the same two
+products, with the vectors as the columns of one matrix.
 
 Whether two k-spaces meet is read off the same matrix: `shared_points`
 gives S = M^T M[:, cols], the number of points each k-space shares with
@@ -105,35 +107,41 @@ class IncidenceMatrix:
             self._mt = np.ascontiguousarray(m.T)
         return self._design
 
-    def _solve(self, vec) -> tuple[bool, np.ndarray, int]:
-        """(member?, num, a c): y = num / (a c) is the only candidate
-        certificate, and member? is the exact check y^T M = vec."""
-        v = np.asarray(vec, dtype=np.int64)
-        if v.shape[0] != self.matrix.shape[1]:
+    def _solve(self, vecs) -> tuple[np.ndarray, np.ndarray, int]:
+        """(member?, num, a c) for the rows of vecs: y = num[:, i] / (a c)
+        is the only candidate certificate for row i, and member?[i] is
+        the exact check y^T M = vecs[i]."""
+        v = np.asarray(vecs, dtype=np.int64)
+        if v.ndim != 2 or v.shape[1] != self.matrix.shape[1]:
             raise LengthMismatch("vector length must equal column count")
         r, lam = self.design()
         a = r - lam
         c = a + lam * self.matrix.shape[0]
-        w = exact.int_matvec(self._m, v)
+        vt = v.T
+        w = exact.int_matmul(self._m, vt)
         # |num| and a c |v| are at most 2 c r |v|; past int64, use Python ints
         if 2 * c * r * int(np.abs(v).max(initial=0)) >= exact.INT64_GUARD:
-            v, w = v.astype(object), w.astype(object)
-        num = c * w - lam * w.sum()
-        member = np.array_equal(exact.int_matvec(self._mt, num), a * c * v)
+            vt, w = vt.astype(object), w.astype(object)
+        num = c * w - lam * w.sum(axis=0)
+        member = (exact.int_matmul(self._mt, num) == a * c * vt).all(axis=0)
         return member, num, a * c
 
     def in_row_space(self, vec) -> bool:
         """Membership of an integer vector in the rational row space,
         decided by the design identity (see the module docstring)."""
-        return self._solve(vec)[0]
+        return bool(self._solve(np.asarray(vec)[None])[0][0])
+
+    def rows_in_row_space(self, vecs) -> np.ndarray:
+        """in_row_space for every row of vecs, with one product pair."""
+        return self._solve(vecs)[0]
 
     def row_space_membership(self, vec) -> tuple[bool, list[Fraction] | None]:
         """(member?, certificate).  The certificate y satisfies
         y^T M = vec exactly and is unique, since M has full row rank."""
-        member, num, den = self._solve(vec)
-        if not member:
+        member, num, den = self._solve(np.asarray(vec)[None])
+        if not member[0]:
             return False, None
-        return True, [Fraction(int(n), den) for n in num]
+        return True, [Fraction(int(n), den) for n in num[:, 0]]
 
     def verify_certificate(self, cert, vec) -> bool:
         rows, cols = self.matrix.shape

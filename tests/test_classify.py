@@ -1,13 +1,18 @@
 import json
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from clag.classify import (ScaleExceeded, classify_hyperplane_cl,
-                           cross_check_projection, search_cl_ksets,
-                           verify_certificate,
+from clag import classify, exact
+from clag.classify import (ScaleExceeded, _Contradiction, _Tableau,
+                           classify_hyperplane_cl, cross_check_projection,
+                           search_cl_ksets, verify_certificate,
                            verify_hyperplane_spread_classification)
-from clag.clsets import complement, is_cameron_liebler, kset_from_indices, point_pencil
-from clag.geometry import ambient
+from clag.clsets import (complement, incidence_for, is_cameron_liebler,
+                         kset_from_indices, point_pencil)
+from clag.geometry import ambient, gaussian_binomial
 
 
 def found_sets(cert):
@@ -77,6 +82,125 @@ def test_search_is_deterministic():
     b = search_cl_ksets(3, 2, 1, 1)
     a.pop("wall_clock_s"), b.pop("wall_clock_s")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def without_wall_clock(cert):
+    cert = dict(cert)
+    cert.pop("wall_clock_s")
+    return json.dumps(cert, sort_keys=True)
+
+
+@pytest.mark.parametrize("n,q,k,x,stats", [
+    (3, 3, 1, 2, (8488, 11473, 4665, 3024, 0)),
+    (3, 3, 1, 1, (325, 1235, 72, 189, 27)),
+    (4, 2, 1, 1, (89, 865, 8, 56, 16))])
+def test_search_statistics_are_pinned(n, q, k, x, stats):
+    # any change to the order of forced-value scans moves these counts
+    nodes, forced, pruned, endgame, solutions = stats
+    assert search_cl_ksets(n, q, k, x)["stats"] == {
+        "nodes": nodes, "forced": forced, "pruned_by_pencil_counts": 0,
+        "pruned_by_elimination": pruned, "endgame_nodes": endgame,
+        "solutions": solutions}
+
+
+def test_search_python_int_fallback(monkeypatch):
+    expected = {x: without_wall_clock(search_cl_ksets(3, 2, 1, x))
+                for x in (1, 2)}
+    dtypes = set()
+    assigned = _Tableau.assigned
+
+    def recording(self, j, val):
+        tab = assigned(self, j, val)
+        dtypes.add(tab.a.dtype)
+        return tab
+
+    monkeypatch.setattr(_Tableau, "assigned", recording)
+    # tableau entries on AG(3,2) stay below 2^4, so 2^3 forces the widening
+    monkeypatch.setattr(exact, "INT64_GUARD", 2**3)
+    for x in (1, 2):
+        assert without_wall_clock(search_cl_ksets(3, 2, 1, x)) == expected[x]
+    assert np.dtype(object) in dtypes
+
+
+def assigned_value(rows, values, col):
+    """Value of col . y forced by the equations rows[i] . y = values[i],
+    or None when col is not in their span."""
+    if exact.bareiss_rank(rows + [col]) > exact.bareiss_rank(rows):
+        return None
+    coeffs = exact.solve_left(rows, col) if rows else []
+    return sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
+
+
+@pytest.mark.parametrize("n,q,k,seed", [
+    (3, 3, 1, 1), (3, 3, 1, 2), (4, 2, 2, 1), (4, 2, 2, 2)])
+def test_tableau_matches_exact_elimination(n, q, k, seed):
+    space = ambient(n, q, "affine")
+    m = incidence_for(space, k).matrix.astype(np.int64)
+    cols = m.T.tolist()
+    rng = random.Random(seed)
+    # odd seeds follow a pencil, so every forced value is consistent;
+    # even seeds use random bits, which soon contradict the forced values
+    if seed % 2:
+        target = point_pencil(space, rng.choice(space.points), k).chi()
+    else:
+        target = [rng.randrange(2) for _ in cols]
+    order = list(range(len(cols)))
+    rng.shuffle(order)
+    tab = _Tableau.start(m)
+    rows, values = [], []
+    for j in order:
+        val = int(target[j])
+        forced = assigned_value(rows, values, cols[j])
+        if forced is not None and forced != val:
+            with pytest.raises(_Contradiction):
+                tab.assigned(j, val)
+            continue
+        tab = tab.assigned(j, val)
+        if forced is None:
+            rows.append(cols[j])
+            values.append(val)
+        assert tab.dim == m.shape[0] - len(rows)
+        for i in [j] + rng.sample(range(len(cols)), 3):
+            want = assigned_value(rows, values, cols[i])
+            assert (not tab.t[:, i].any()) == (want is not None)
+            if want is not None:
+                assert Fraction(int(tab.p[i]), tab.den) == want
+        if not tab.dim:
+            break
+    assert not tab.dim
+
+
+def reference_enumeration(n, q):
+    """The exhaustive hyperplane report from one in_row_space call per
+    Boolean vector."""
+    space = ambient(n, q, "affine")
+    inc = incidence_for(space, n - 1)
+    _, members, _ = space.infinity_pencils(n - 1)
+    total = inc.shape[1]
+    g = gaussian_binomial(n, n - 1, q)
+    found = {x: 0 for x in range(q + 1)}
+    structure_ok = True
+    for bits in range(2**total):
+        chi = np.array([(bits >> t) & 1 for t in range(total)])
+        if not inc.in_row_space(chi):
+            continue
+        weight = int(chi.sum())
+        if weight % g:
+            structure_ok = False
+            continue
+        x = weight // g
+        found[x] = found.get(x, 0) + 1
+        if any(int(chi[list(cls)].sum()) != x for cls in members):
+            structure_ok = False
+    return found, structure_ok
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 3)])
+def test_hyperplane_enumeration_matches_per_vector_membership(n, q):
+    found, structure_ok = reference_enumeration(n, q)
+    ex = classify_hyperplane_cl(n, q)["exhaustive"]
+    assert ex["counts_per_x"] == {str(x): found[x] for x in sorted(found)}
+    assert ex["every_solution_selects_x_per_class"] == structure_ok
 
 
 def test_search_scale_guard():
