@@ -92,11 +92,12 @@ def _gf_combinations_py(coeffs, basis, add, mul):
 
 
 def gf_combinations(coeffs, basis, add, mul):
-    """Row space samples: out[i] = sum_t coeffs[i,t] * basis[t] in GF(q)."""
-    n = coeffs.shape[0]
-    out = np.zeros((n, basis.shape[1]), dtype=np.int64)
-    for t in range(basis.shape[0]):
-        out = add[out, mul[coeffs[:, t][:, None], basis[t][None, :]]]
+    """Row space samples: out[..., i, :] = sum_t coeffs[i,t] * basis[..., t, :]
+    in GF(q), for one basis or a stack of bases."""
+    out = np.zeros(basis.shape[:-2] + (coeffs.shape[0], basis.shape[-1]),
+                   dtype=np.int64)
+    for t in range(basis.shape[-2]):
+        out = add[out, mul[coeffs[:, t, None], basis[..., t, None, :]]]
     return out
 
 

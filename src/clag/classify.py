@@ -28,7 +28,6 @@ entries stays below `exact.INT64_GUARD` and in Python ints past it.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 from math import comb, gcd
@@ -55,11 +54,6 @@ _ENDGAME_DIM = 6         # switch to value branching when this few remain
 
 class ScaleExceeded(RuntimeError):
     pass
-
-
-def space_cap() -> int:
-    env = os.environ.get("CLAG_SIZE_GUARD")
-    return int(env) if env else DEFAULT_SPACE_CAP
 
 
 @dataclass
@@ -311,7 +305,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     space = ambient(n, q, "affine")
     spaces = space.spaces(k)
     total = len(spaces)
-    limit = cap if cap is not None else space_cap()
+    limit = cap if cap is not None else DEFAULT_SPACE_CAP
     if total > limit:
         raise ScaleExceeded(f"{total} k-spaces exceed the cap {limit}")
     start = time.monotonic()

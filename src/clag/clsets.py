@@ -109,9 +109,6 @@ class KSet:
         spaces = self.space.spaces(self.k)
         return [spaces[j] for j in sorted(self.members)]
 
-    def contains_index(self, j: int) -> bool:
-        return j in self.members
-
 
 def kset_from_indices(space: AmbientSpace, k: int, indices) -> KSet:
     total = len(space.spaces(k))
@@ -195,10 +192,12 @@ def difference(a: KSet, b: KSet) -> KSet:
 _INCIDENCE_CACHE: dict = {}
 
 
-def incidence_for(space: AmbientSpace, k: int) -> IncidenceMatrix:
+def incidence_for(space: AmbientSpace, k: int,
+                  guard: int | None = None) -> IncidenceMatrix:
+    """The cached incidence matrix; guard applies when it is built."""
     key = (space.n, space.q, space.mode, k)
     if key not in _INCIDENCE_CACHE:
-        _INCIDENCE_CACHE[key] = build_incidence(space, k)
+        _INCIDENCE_CACHE[key] = build_incidence(space, k, guard)
     return _INCIDENCE_CACHE[key]
 
 
@@ -406,15 +405,18 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
     target = ambient(m, space.q, "affine")
     pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
     spaces = space.spaces(l.k)
+    member_pts = space.space_point_indices(l.k)
+    # affine points come first, in PG as in AG
+    pi_pts = {p for p in space.point_indices_of(pi) if p < space.q**space.n}
     image = set()
     for j in sorted(l.members):
-        big = spaces[j]
-        if not subspace_contains(big, axis):
+        if not subspace_contains(spaces[j], axis):
             continue
-        cut = meet(big, pi)
-        if cut is None or cut.dim != l.k - i - 1:
+        # the cut with pi, through its affine points
+        cut = [space.points[p] for p in member_pts[j] if p in pi_pts]
+        if len(cut) != space.q ** (l.k - i - 1):
             raise DimensionViolation("projection lost dimension")
-        local_rows = [[row[p] for p in pivots] for row in cut.rows]
+        local_rows = [[pt[c] for c in pivots] for pt in cut]
         image.add(make_subspace(m, space.q, local_rows).rows)
     index = target.space_index(l.k - i - 1)
     return KSet(target, l.k - i - 1, frozenset(index[r] for r in image))

@@ -24,8 +24,6 @@ __all__ = [
 
 
 def _as_int_rows(matrix) -> list[list[int]]:
-    if isinstance(matrix, np.ndarray):
-        return [[int(v) for v in row] for row in matrix]
     return [[int(v) for v in row] for row in matrix]
 
 

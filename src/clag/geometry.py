@@ -314,34 +314,56 @@ class AmbientSpace:
 
     # -- incidence helpers ----------------------------------------------
 
+    @lru_cache(maxsize=None)
+    def _coefficients(self, k: int) -> np.ndarray:
+        """Normalized coordinate rows of the points of PG(k, q)."""
+        rows = np.array([m[0] for m in enumerate_rref_matrices(k + 1, 1, self.q)],
+                        dtype=np.int64)
+        rows.flags.writeable = False
+        return rows
+
+    @lru_cache(maxsize=None)
+    def _point_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, lookup): lookup[point @ weights] is the index of a
+        normalized point (x0 is 0 or 1), -1 for a code of no point of
+        this space."""
+        weights = self.q ** np.arange(self.n, -1, -1, dtype=np.int64)
+        codes = np.array(self.points, dtype=np.int64) @ weights
+        lookup = np.full(2 * self.q**self.n, -1, dtype=np.int64)
+        lookup[codes] = np.arange(len(codes))
+        weights.flags.writeable = lookup.flags.writeable = False
+        return weights, lookup
+
+    def _point_rows(self, subs) -> np.ndarray:
+        """(len(subs), points, n+1): the normalized coordinates of every
+        point of each of the equal-dimension subspaces, including the
+        points at infinity."""
+        field = self.field
+        bases = np.array([s.rows for s in subs], dtype=np.int64)
+        return _kernels.gf_combinations(self._coefficients(bases.shape[1] - 1),
+                                        bases, field.add_table, field.mul_table)
+
+    def _point_indices(self, subs) -> list[tuple[int, ...]]:
+        weights, lookup = self._point_lookup()
+        idx = np.sort(lookup[self._point_rows(subs) @ weights], axis=1)
+        skip = (idx < 0).sum(axis=1)  # points at infinity in affine mode
+        return [tuple(row[s:]) for row, s in zip(idx.tolist(), skip.tolist())]
+
     def points_of(self, s: Subspace) -> list[tuple[int, ...]]:
         """The points of a subspace that belong to this space (all of
         them in projective mode, the x0 = 1 ones in affine mode)."""
-        field = self.field
-        k = s.dim
-        coeffs = np.array([rows[0]
-                           for rows in enumerate_rref_matrices(k + 1, 1, self.q)],
-                          dtype=np.int64)
-        basis = np.array(s.rows, dtype=np.int64)
-        pts = _kernels.gf_combinations(coeffs, basis,
-                                       field.add_table, field.mul_table)
-        out = []
-        for row in pts:
-            tup = tuple(int(v) for v in row)
-            if self.mode == "affine" and tup[0] == 0:
-                continue
-            out.append(tup)
-        return out
+        pts = self._point_rows([s])[0]
+        if self.mode == "affine":
+            pts = pts[pts[:, 0] != 0]
+        return [tuple(row) for row in pts.tolist()]
 
     def point_indices_of(self, s: Subspace) -> tuple[int, ...]:
-        idx = self.point_index
-        return tuple(sorted(idx[p] for p in self.points_of(s)))
+        return self._point_indices([s])[0]
 
     def space_point_indices(self, k: int) -> list[tuple[int, ...]]:
         """Per k-space sorted point-index tuples, in enumeration order."""
         if k not in self._space_pts:
-            self._space_pts[k] = [self.point_indices_of(s)
-                                  for s in self.spaces(k)]
+            self._space_pts[k] = self._point_indices(self.spaces(k))
         return self._space_pts[k]
 
     def infinity_pencils(self, k: int):

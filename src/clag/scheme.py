@@ -9,16 +9,24 @@ discrepancy is adjudicated and reported with both values rather than
 silently patched.  All spectral data is handled through exact rational
 projectors, never floating-point eigensolvers.
 
-The brute force counts the triples of one relation matrix once, giving
-the product table p with A_i A_j = sum_l p_ij^l A_l on every pair; the
-intersection matrices, P and the Bose-Mesner checks all come from it.
-Through p, each Bose-Mesner identity among N_j = sum_a lut_j[a] A_a is
-an integer combination of the A_l, whose supports are disjoint and
-non-empty, so it holds exactly iff its coefficients agree: no |X|^2 work.
+The brute force reads one relation matrix, `relation_matrix`: for each
+pair of k-spaces, code = 2 [they share an affine point] + [same space
+at infinity], taken from one shared-point product and the pencils at
+infinity and mapped to a relation by one table per kind.  Counting its
+triples once gives the product table p with A_i A_j = sum_l p_ij^l A_l
+on every pair; the intersection matrices, P and the Bose-Mesner checks
+all come from it.  Through p, each Bose-Mesner identity among
+N_j = sum_a lut_j[a] A_a is an integer combination of the A_l, whose
+supports are disjoint and non-empty, so it holds exactly iff its
+coefficients agree: no |X|^2 work.  The rows of P are the common left
+eigenvectors of the intersection matrices B_i, found in one pass as the
+eigenvectors of a combination sum_i t^i B_i with d+1 distinct integer
+eigenvalues.
 
 Line relations: 0 identity, 1 meet in an affine point, 2 meet at
 infinity (parallel), 3 disjoint in the projective closure.  Hyperplane
-relations: 0 identity, 1 disjoint (parallel), 2 affine meet.
+relations: 0 identity, 1 disjoint (parallel), 2 affine meet; two
+hyperplanes with different spaces at infinity always meet.
 """
 
 from __future__ import annotations
@@ -26,18 +34,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _kernels, exact
 from .clsets import KSet, incidence_for
 from .galois import field_for_order
-from .geometry import AmbientMismatch, AmbientSpace, Subspace, ambient, meet
+from .geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
+                       Subspace, ambient, meet)
 from .incidence import SizeGuard, entry_guard, shared_points
 
 __all__ = [
     "SchemeTables", "EmptySet", "AmbientMismatch",
-    "classify_line_pair", "line_relation_matrix", "hyperplane_relation_matrix",
+    "classify_line_pair", "relation_matrix",
     "intersection_matrices_closed", "intersection_matrices_bruteforce",
     "eigenmatrix_closed", "dual_eigenmatrix_closed", "line_scheme",
     "hyperplane_eigenmatrix_closed", "hyperplane_dual_eigenmatrix_closed",
@@ -102,34 +112,25 @@ def classify_line_pair(space: AmbientSpace, a: Subspace, b: Subspace) -> int:
     return 1 if cut.is_affine() else 2
 
 
-def line_relation_matrix(space: AmbientSpace, guard: int | None = None) -> np.ndarray:
-    """Relation index for every ordered pair of affine lines."""
-    lines = space.spaces(1)
-    x = len(lines)
+def relation_matrix(space: AmbientSpace, kind: str = "affine_lines",
+                    members=None, guard: int | None = None) -> np.ndarray:
+    """Relation index of every ordered pair of the kind's k-spaces, or
+    of the given members in their order, read from whether the pair
+    shares an affine point and whether it has the same space at
+    infinity."""
+    spec = _kind(kind)
+    k = spec.k(space.n)
+    cols = slice(None) if members is None else list(members)
+    _, _, per_space = space.infinity_pencils(k)
+    inf = per_space[cols]
+    x = len(inf)
     cap = guard if guard is not None else entry_guard()
     if x * x > cap:
         raise SizeGuard(f"{x}^2 relation matrix exceeds guard {cap}")
-    _, _, per_space = space.infinity_pencils(1)
-    shared = shared_points(incidence_for(space, 1), slice(None))
-    rel = np.full((x, x), 3, dtype=np.int8)
-    rel[per_space[:, None] == per_space[None, :]] = 2
-    rel[shared > 0] = 1
-    np.fill_diagonal(rel, 0)
-    return rel
-
-
-def hyperplane_relation_matrix(space: AmbientSpace,
-                               guard: int | None = None) -> np.ndarray:
-    """0 identity, 1 disjoint (same space at infinity), 2 affine meet."""
-    hyps = space.spaces(space.n - 1)
-    x = len(hyps)
-    cap = guard if guard is not None else entry_guard()
-    if x * x > cap:
-        raise SizeGuard(f"{x}^2 relation matrix exceeds guard {cap}")
-    _, _, per_space = space.infinity_pencils(space.n - 1)
-    rel = np.full((x, x), 2, dtype=np.int8)
-    rel[per_space[:, None] == per_space[None, :]] = 1
-    np.fill_diagonal(rel, 0)
+    meets = shared_points(incidence_for(space, k, guard), cols)[cols] > 0
+    rel = np.array(spec.codes, dtype=np.int8)[2 * meets + (inf[:, None] == inf)]
+    if (rel < 0).any():
+        raise AssertionError(f"{kind}: a pair that cannot occur")
     return rel
 
 
@@ -293,6 +294,30 @@ def hyperplane_scheme(n: int, q: int) -> SchemeTables:
                         hyperplane_dual_eigenmatrix_closed(n, q))
 
 
+class _Kind(NamedTuple):
+    """k(n): the members' dimension in AG(n, q); codes[c]: the relation
+    of read code c = 2 [the pair shares an affine point] + [same space
+    at infinity], -1 for a pair that cannot occur; closed(n, q): the
+    closed-form tables."""
+
+    k: Callable[[int], int]
+    codes: tuple
+    closed: Callable[[int, int], SchemeTables]
+
+
+_KINDS = {
+    "affine_lines": _Kind(lambda n: 1, (3, 2, 1, 0), line_scheme),
+    "affine_hyperplanes": _Kind(lambda n: n - 1, (-1, 1, 2, 0),
+                                hyperplane_scheme),
+}
+
+
+def _kind(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown scheme kind {kind!r}")
+    return _KINDS[kind]
+
+
 def hyperplane_adjudication(n: int, q: int,
                             brute_P: np.ndarray | None) -> dict:
     """Entry-by-entry adjudication of the contested hyperplane P
@@ -346,11 +371,8 @@ def scheme_axioms_bruteforce(rel: np.ndarray, d: int) -> tuple[bool, np.ndarray]
 def _product_table(space: AmbientSpace, kind: str,
                    guard: int | None) -> np.ndarray:
     """p[i,j,l] from one relation matrix; raises if the axioms fail."""
-    if kind == "affine_lines":
-        rel, d = line_relation_matrix(space, guard), 3
-    else:
-        rel, d = hyperplane_relation_matrix(space, guard), 2
-    ok, p = scheme_axioms_bruteforce(rel, d)
+    rel = relation_matrix(space, kind, guard=guard)
+    ok, p = scheme_axioms_bruteforce(rel, max(_kind(kind).codes))
     if not ok:
         raise AssertionError("scheme axioms fail by brute force")
     return p
@@ -392,100 +414,44 @@ def _charpoly(mat) -> list[int]:
     return out  # x^size + out[1] x^(size-1) + ... + out[size]
 
 
-def _integer_roots(coeffs: list[int]) -> list[int]:
-    """All roots with multiplicity; asserts they are integers (scheme
-    eigenvalues are rational algebraic integers)."""
-    work = list(coeffs)
-    roots = []
-    degree = len(work) - 1
-    while degree > 0:
-        if work[-1] == 0:
-            root = 0
-        else:
-            const = abs(work[-1])
-            root = None
-            div = 1
-            while div * div <= const:
-                if const % div == 0:
-                    for cand in (div, -div, const // div, -(const // div)):
-                        val = 0
-                        for c in work:
-                            val = val * cand + c
-                        if val == 0:
-                            root = cand
-                            break
-                if root is not None:
-                    break
-                div += 1
-            if root is None:
-                raise AssertionError("non-integer scheme eigenvalue")
-        # synthetic division
-        new = [work[0]]
-        for c in work[1:-1]:
-            new.append(c + root * new[-1])
-        rem = work[-1] + root * new[-1]
-        assert rem == 0
-        work = new
-        roots.append(root)
-        degree -= 1
-    return roots
-
-
-def _rational_span_intersect(u_rows, v_rows):
-    """Intersection of two rational row spans given integer bases."""
-    if not u_rows or not v_rows:
-        return []
-    dim = len(u_rows[0])
-    cols = [[u_rows[i][c] for i in range(len(u_rows))]
-            + [-v_rows[j][c] for j in range(len(v_rows))]
-            for c in range(dim)]
-    out = []
-    for lam in exact.nullspace_int(cols):
-        vec = [0] * dim
-        for i, coef in enumerate(lam[:len(u_rows)]):
-            if coef:
-                vec = [a + coef * b for a, b in zip(vec, u_rows[i])]
-        if any(vec):
-            out.append(vec)
-    if not out:
-        return []
-    # reduce to an independent primitive basis
-    rref, _ = exact.row_echelon_rational(out)
-    basis = []
-    for row in rref:
-        den = lcm(*[f.denominator for f in row]) if row else 1
-        basis.append([int(f * den) for f in row])
-    return basis
-
-
 def eigenmatrix_bruteforce(mats: list[np.ndarray]) -> np.ndarray:
     """P from the intersection matrices of a passing scheme_axioms_bruteforce:
-    their common left eigenvectors, leading entry 1, valency row first."""
+    their common left eigenvectors, leading entry 1, valency row first.
+
+    The rows are the left eigenvectors of B = sum_{i>=1} t^i B_i at any t
+    where B has d+1 distinct eigenvalues.  Two distinct rows give equal
+    eigenvalues for at most d values of t, so some t <= d C(d+1, 2) + 1
+    separates them all.  The eigenvalues must be integers; they are
+    bounded by the largest row sum of |B|."""
     d = len(mats) - 1
-    size = d + 1
-    spaces_ = [[[1 if i == j else 0 for j in range(size)] for i in range(size)]]
-    for mat in mats[1:]:
-        mt = [[int(mat[j][i]) for j in range(size)] for i in range(size)]
-        refined = []
-        for basis in spaces_:
-            for lam in sorted(set(_integer_roots(_charpoly(mt))), reverse=True):
-                shifted = [[mt[i][j] - (lam if i == j else 0)
-                            for j in range(size)] for i in range(size)]
-                eig = exact.nullspace_int(shifted)
-                inter = _rational_span_intersect(basis, eig)
-                if inter:
-                    refined.append(inter)
-        assert sum(len(b) for b in refined) == size
-        spaces_ = refined
-    assert all(len(b) == 1 for b in spaces_), "common eigenspaces not simple"
+    for t in range(1, (d + 1) ** 3 + 1):
+        bt = [[sum(t**i * int(mats[i][c][r]) for i in range(1, d + 1))
+               for c in range(d + 1)] for r in range(d + 1)]
+        coeffs = _charpoly(bt)
+        bound = max(sum(abs(v) for v in col) for col in zip(*bt))
+        roots = []
+        for lam in range(-bound, bound + 1):
+            val = 0
+            for c in coeffs:
+                val = val * lam + c
+            if val == 0:
+                roots.append(lam)
+                if len(roots) == d + 1:
+                    break
+        if len(roots) == d + 1:
+            break
+    else:
+        raise AssertionError("no integer eigenvalues separate the rows of P")
     rows = []
-    for basis in spaces_:
-        vec = basis[0]
+    for lam in roots:
+        (vec,) = exact.nullspace_int([[v - (lam if i == j else 0)
+                                       for j, v in enumerate(row)]
+                                      for i, row in enumerate(bt)])
         assert vec[0] != 0, "eigenvector not normalizable"
         row = [Fraction(v, vec[0]) for v in vec]
         assert all(f.denominator == 1 for f in row)
         rows.append([int(f) for f in row])
-    valencies = [1] + [int(mats[j][0][j]) for j in range(1, size)]
+    valencies = [1] + [int(mats[j][0][j]) for j in range(1, d + 1)]
     rows.sort(key=lambda r: (r != valencies, [-v for v in r[1:]]))
     return np.array(rows, dtype=np.int64)
 
@@ -564,36 +530,27 @@ def verify_bose_mesner(p: np.ndarray, tables: SchemeTables) -> dict:
 # ---------------------------------------------------------------------------
 
 def inner_distribution(l: KSet, kind: str | None = None) -> list[Fraction]:
-    """u_i = |R_i meet (L x L)| / |L|, counted over the member pairs
-    from their shared points, without the full adjacency matrices."""
+    """u_i = |R_i meet (L x L)| / |L|, counted on the members' relation
+    matrix alone."""
     if l.size == 0:
         raise EmptySet("inner distribution of the empty set")
-    space = l.space
-    if kind is None:
-        kind = "affine_lines" if l.k == 1 else "affine_hyperplanes"
-    members = sorted(l.members)
-    shared = shared_points(incidence_for(space, l.k), members)[members]
-    _, _, per_space = space.infinity_pencils(l.k)
-    infs = per_space[members]
-    same_inf = infs[:, None] == infs[None, :]
-    off = ~np.eye(l.size, dtype=bool)
-    c_meet = int(((shared > 0) & off & ~same_inf).sum())
-    c_inf = int((same_inf & off).sum())
-    c_disj = l.size * (l.size - 1) - c_meet - c_inf
-    if kind == "affine_lines":
-        counts = [l.size, c_meet, c_inf, c_disj]
-    else:
-        if c_disj:
-            raise AssertionError("hyperplanes cannot be projectively disjoint")
-        counts = [l.size, c_inf, c_meet]
-    return [Fraction(c, l.size) for c in counts]
+    kind = kind or _kind_of(l)
+    spec = _kind(kind)
+    if l.k != spec.k(l.space.n):
+        raise DimensionOutOfRange(f"{kind} of AG({l.space.n},{l.space.q}) "
+                                  f"are not {l.k}-spaces")
+    rel = relation_matrix(l.space, kind, sorted(l.members))
+    counts = np.bincount(rel.ravel(), minlength=max(spec.codes) + 1)
+    return [Fraction(int(c), l.size) for c in counts]
+
+
+def _kind_of(l: KSet) -> str:
+    return "affine_lines" if l.k == 1 else "affine_hyperplanes"
 
 
 def u_dot_q(l: KSet, tables: SchemeTables | None = None) -> list[Fraction]:
-    space = l.space
     if tables is None:
-        tables = (line_scheme(space.n, space.q) if l.k == 1
-                  else hyperplane_scheme(space.n, space.q))
+        tables = _kind(_kind_of(l)).closed(l.space.n, l.space.q)
     u = inner_distribution(l, tables.kind)
     return [sum(u[i] * tables.Q[i][j] for i in range(tables.d + 1))
             for j in range(tables.d + 1)]
@@ -621,10 +578,7 @@ def scheme_report(n: int, q: int, kind: str = "affine_lines",
     """JSON-able scheme report: sizes, valencies, dimensions, all
     matrices as exact rational strings, and the brute-force diff."""
     field_for_order(q)  # the closed forms hold only where GF(q) exists
-    if kind == "affine_lines":
-        tables = line_scheme(n, q)
-    else:
-        tables = hyperplane_scheme(n, q)
+    tables = _kind(kind).closed(n, q)
     report = {
         "kind": kind, "n": n, "q": q, "size": tables.size,
         "valencies": tables.valencies,
@@ -689,7 +643,7 @@ def type_iii_plus_span_report(space: AmbientSpace) -> dict:
     rank = exact.bareiss_rank(mat)
     expected = 1 + tables.Q[0][2] + tables.Q[0][3]
     # upper bound certificate: E_1 must kill every spread vector
-    rel = line_relation_matrix(space)
+    rel = relation_matrix(space)
     ems = idempotents_scaled(rel, tables.Q, tables.size)
     n1, _ = ems[1]
     killed = all(not exact.int_matvec(n1, v).any() for v in vecs)

@@ -24,7 +24,7 @@ from clag.scheme import (align_rows_to, dual_eigenmatrix_closed,
                          hyperplane_eigenmatrix_closed,
                          idempotents_scaled, inner_distribution,
                          intersection_matrices_bruteforce,
-                         intersection_matrices_closed, line_relation_matrix,
+                         intersection_matrices_closed, relation_matrix,
                          line_scheme, scheme_axioms_bruteforce,
                          verify_bose_mesner)
 from clag.spreads import all_type_II_spreads, all_type_III_spreads
@@ -46,7 +46,7 @@ def test_criterion_01_intersection_matrices():
     for n, q in GEOMETRIES:
         start = time.monotonic()
         space = ambient(n, q, "affine")
-        rel = line_relation_matrix(space)
+        rel = relation_matrix(space)
         axioms_ok, _ = scheme_axioms_bruteforce(rel, 3)
         brute = intersection_matrices_bruteforce(space)
         closed = intersection_matrices_closed(n, q)
@@ -63,7 +63,7 @@ def test_criterion_02_eigenvalue_matrices():
     details = []
     for n, q in GEOMETRIES:
         space = ambient(n, q, "affine")
-        axioms_ok, p = scheme_axioms_bruteforce(line_relation_matrix(space), 3)
+        axioms_ok, p = scheme_axioms_bruteforce(relation_matrix(space), 3)
         tables = line_scheme(n, q)
         res = verify_bose_mesner(p, tables)
         ok = (axioms_ok and res["idempotency"]
@@ -80,7 +80,7 @@ def test_criterion_02_eigenvalue_matrices():
 def test_criterion_03_eigenspace_dimensions():
     dims = [int(v) for v in dual_eigenmatrix_closed(3, 2)[0]]
     space = ambient(3, 2, "affine")
-    axioms_ok, p = scheme_axioms_bruteforce(line_relation_matrix(space), 3)
+    axioms_ok, p = scheme_axioms_bruteforce(relation_matrix(space), 3)
     traces = verify_bose_mesner(p, line_scheme(3, 2))["traces"]
     ok = (axioms_ok and dims == [1, 7, 14, 6] and sum(dims) == 28
           and [int(t) for t in traces] == dims)
@@ -91,7 +91,7 @@ def test_criterion_04_point_pencils_basis():
     start = time.monotonic()
     for n, q in [(3, 2), (3, 3)]:
         space = ambient(n, q, "affine")
-        rel = line_relation_matrix(space)
+        rel = relation_matrix(space)
         tables = line_scheme(n, q)
         ems = idempotents_scaled(rel, tables.Q, tables.size)
         vecs = []

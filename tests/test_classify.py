@@ -210,6 +210,13 @@ def test_search_scale_guard():
         search_cl_ksets(4, 2, 2, 1)  # 140 planes over the default cap
 
 
+def test_size_guard_env_leaves_search_cap(monkeypatch):
+    # CLAG_SIZE_GUARD counts matrix entries, not k-spaces
+    monkeypatch.setenv("CLAG_SIZE_GUARD", str(10**7))
+    with pytest.raises(ScaleExceeded):
+        search_cl_ksets(4, 2, 2, 1)
+
+
 def test_search_k2_on_ag42():
     cert = search_cl_ksets(4, 2, 2, 1, cap=150)
     space = ambient(4, 2, "affine")

@@ -181,8 +181,12 @@ def test_usage_error_exit_code():
 
 
 def test_size_guard_env(tmp_path):
+    # the guard counts matrix entries: 27 x 117 incidence entries > 50
     r = run_cli("search", "--n", "3", "--q", "3", "--x", "0",
                 env={"CLAG_SIZE_GUARD": "50"})
+    assert r.returncode == 2
+    assert "size guard" in r.stderr
+    r = run_cli("search", "--n", "3", "--q", "3", "--x", "0", "--cap", "50")
     assert r.returncode == 2
     assert "scale exceeded" in r.stderr
 

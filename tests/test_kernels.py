@@ -9,7 +9,7 @@ import pytest
 from clag import _kernels
 from clag.galois import make_field
 from clag.geometry import ambient
-from clag.scheme import line_relation_matrix
+from clag.scheme import relation_matrix
 
 
 def _random_gf_matrix(rng, field, rows, cols):
@@ -64,8 +64,20 @@ def test_combinations_paths_agree():
     assert np.array_equal(out_np[i], acc)
 
 
+def test_combinations_on_a_stack_of_bases():
+    f = make_field(3, 1)
+    rng = random.Random(4)
+    coeffs = _random_gf_matrix(rng, f, 7, 2)
+    bases = [_random_gf_matrix(rng, f, 2, 5) for _ in range(4)]
+    out = _kernels.gf_combinations(coeffs, np.array(bases), f.add_table,
+                                   f.mul_table)
+    for got, basis in zip(out, bases):
+        assert np.array_equal(got, _kernels._gf_combinations_py(
+            coeffs, basis, f.add_table, f.mul_table))
+
+
 def test_triple_counts_paths_agree():
-    rel = line_relation_matrix(ambient(3, 2, "affine"))
+    rel = relation_matrix(ambient(3, 2, "affine"))
     ok_np, p_np = _kernels.triple_counts(rel, 3)
     assert ok_np
     ok, p = _kernels._triple_counts_py(np.ascontiguousarray(rel), 3)

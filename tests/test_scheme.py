@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,12 +13,11 @@ from clag.scheme import (AmbientMismatch, EmptySet, align_rows_to,
                          classify_line_pair, dual_eigenmatrix_closed,
                          eigenmatrix_bruteforce, eigenmatrix_closed,
                          eigenspace_profile, hyperplane_adjudication,
-                         hyperplane_eigenmatrix_closed,
-                         hyperplane_relation_matrix, hyperplane_scheme,
+                         hyperplane_eigenmatrix_closed, hyperplane_scheme,
                          idempotents_scaled, inner_distribution,
                          intersection_matrices_bruteforce,
-                         intersection_matrices_closed, line_relation_matrix,
-                         line_scheme, scheme_axioms_bruteforce, scheme_report,
+                         intersection_matrices_closed, line_scheme,
+                         relation_matrix, scheme_axioms_bruteforce, scheme_report,
                          type_iii_plus_span_report, u_dot_q,
                          verify_bose_mesner)
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
@@ -47,11 +48,25 @@ def test_classify_line_pair():
 
 
 def test_relation_matrix_agrees_with_pair_classifier():
-    rel = line_relation_matrix(AG32)
+    rel = relation_matrix(AG32)
     lines = AG32.spaces(1)
     for i in range(0, 28, 5):
         for j in range(0, 28, 3):
             assert rel[i, j] == classify_line_pair(AG32, lines[i], lines[j])
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (4, 2)])
+def test_hyperplane_relation_matrix_against_meet(n, q):
+    space = ambient(n, q, "affine")
+    hyps = space.spaces(n - 1)
+    rel = relation_matrix(space, "affine_hyperplanes")
+    for i, a in enumerate(hyps):
+        for j, b in enumerate(hyps):
+            if a.rows == b.rows:
+                expected = 0
+            else:  # two hyperplanes of the closure always meet
+                expected = 2 if geometry.meet(a, b).is_affine() else 1
+            assert rel[i, j] == expected
 
 
 def test_closed_eigenmatrix_values_at_3_2():
@@ -95,8 +110,50 @@ def test_bruteforce_matches_closed_forms(n, q):
     assert np.array_equal(bp, eigenmatrix_closed(n, q))
 
 
+def _eigenmatrix_of(rel, d):
+    ok, p = scheme_axioms_bruteforce(rel, d)
+    assert ok
+    return eigenmatrix_bruteforce([p[i].T.copy() for i in range(d + 1)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_eigenmatrix_bruteforce_hamming(n):
+    words = list(itertools.product((0, 1), repeat=n))
+    rel = np.array([[sum(x != y for x, y in zip(a, b)) for b in words]
+                    for a in words], dtype=np.int8)
+    # Krawtchouk: P[r][i] = sum_j (-1)^j C(r, j) C(n - r, i - j)
+    known = [[sum((-1) ** j * comb(r, j) * comb(n - r, i - j)
+                  for j in range(i + 1)) for i in range(n + 1)]
+             for r in range(n + 1)]
+    P = _eigenmatrix_of(rel, n)
+    assert P[0].tolist() == known[0]
+    assert sorted(P.tolist()) == sorted(known)
+
+
+def test_eigenmatrix_bruteforce_johnson():
+    v, k = 7, 3
+    blocks = [set(c) for c in itertools.combinations(range(v), k)]
+    rel = np.array([[k - len(a & b) for b in blocks] for a in blocks],
+                   dtype=np.int8)
+    # Eberlein: P[r][i] = sum_j (-1)^j C(r, j) C(k-r, i-j) C(v-k-r, i-j)
+    known = [[sum((-1) ** j * comb(r, j) * comb(k - r, i - j)
+                  * comb(v - k - r, i - j) for j in range(i + 1))
+              for i in range(k + 1)] for r in range(k + 1)]
+    P = _eigenmatrix_of(rel, k)
+    assert P[0].tolist() == known[0] == [1, 12, 18, 4]
+    assert sorted(P.tolist()) == sorted(known)
+
+
+def test_eigenmatrix_bruteforce_refuses_pentagon():
+    # the 5-cycle's distance scheme has eigenvalues (-1 +- sqrt 5) / 2
+    rel = np.array([[min((a - b) % 5, (b - a) % 5) for b in range(5)]
+                    for a in range(5)], dtype=np.int8)
+    with pytest.raises(AssertionError):
+        _eigenmatrix_of(rel, 2)
+
+
 def test_scheme_axioms_exhaustive():
-    rel = line_relation_matrix(AG32)
+    rel = relation_matrix(AG32)
     ok, p = scheme_axioms_bruteforce(rel, 3)
     assert ok
     # triple counting over 28 lines reproduces all 64 entries
@@ -108,7 +165,7 @@ def test_scheme_axioms_exhaustive():
 
 
 def test_bose_mesner_identities():
-    ok, p = scheme_axioms_bruteforce(line_relation_matrix(AG32), 3)
+    ok, p = scheme_axioms_bruteforce(relation_matrix(AG32), 3)
     assert ok
     tables = line_scheme(3, 2)
     res = verify_bose_mesner(p, tables)
@@ -119,7 +176,7 @@ def test_bose_mesner_identities():
 
 
 def test_bose_mesner_needs_no_matrix_product(monkeypatch):
-    ok, p = scheme_axioms_bruteforce(line_relation_matrix(AG32), 3)
+    ok, p = scheme_axioms_bruteforce(relation_matrix(AG32), 3)
     assert ok
 
     def forbidden(*args):
@@ -133,11 +190,9 @@ def test_bose_mesner_needs_no_matrix_product(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["affine_lines", "affine_hyperplanes"])
 def test_bose_mesner_flags_perturbed_tables(kind):
-    if kind == "affine_lines":
-        rel, d, make = line_relation_matrix(AG32), 3, line_scheme
-    else:
-        rel, d, make = hyperplane_relation_matrix(AG32), 2, hyperplane_scheme
-    ok, p = scheme_axioms_bruteforce(rel, d)
+    d, make = ((3, line_scheme) if kind == "affine_lines"
+               else (2, hyperplane_scheme))
+    ok, p = scheme_axioms_bruteforce(relation_matrix(AG32, kind), d)
     assert ok
     bad_p = make(3, 2)
     bad_p.P[1][1] += 1
@@ -153,7 +208,7 @@ def test_bose_mesner_flags_perturbed_tables(kind):
 
 
 def test_e0_is_all_ones_projector():
-    rel = line_relation_matrix(AG32)
+    rel = relation_matrix(AG32)
     tables = line_scheme(3, 2)
     n0, d0 = idempotents_scaled(rel, tables.Q, tables.size)[0]
     assert (n0 == n0[0, 0]).all() and n0[0, 0] * 28 == d0
@@ -161,7 +216,7 @@ def test_e0_is_all_ones_projector():
 
 def test_b2_e3_eigen_relation():
     # B_2 E_3 = P[3][2] E_3 with P[3][2] = q^(n-1) - 1
-    rel = line_relation_matrix(AG32)
+    rel = relation_matrix(AG32)
     tables = line_scheme(3, 2)
     n3, d3 = idempotents_scaled(rel, tables.Q, tables.size)[3]
     b2 = (rel == 2).astype(np.int64)
@@ -178,6 +233,15 @@ def test_inner_distributions():
     assert inner_distribution(t3) == [1, 0, 1, 2]
     with pytest.raises(EmptySet):
         inner_distribution(empty_kset(AG32, 1))
+
+
+def test_inner_distribution_refuses_mismatched_kind():
+    lines = point_pencil(AG32, (1, 0, 0, 0), 1)
+    with pytest.raises(geometry.DimensionOutOfRange):
+        inner_distribution(lines, "affine_hyperplanes")
+    planes = point_pencil(AG32, (1, 0, 0, 0), 2)
+    with pytest.raises(geometry.DimensionOutOfRange):
+        inner_distribution(planes, "affine_lines")
 
 
 def test_inner_distribution_closed_forms_general():
@@ -221,7 +285,7 @@ def test_eigenspace_profiles():
 
 
 def test_u_dot_q_matches_projector_vanishing():
-    rel = line_relation_matrix(AG32)
+    rel = relation_matrix(AG32)
     tables = line_scheme(3, 2)
     ems = idempotents_scaled(rel, tables.Q, tables.size)
     for l in (point_pencil(AG32, (1, 1, 0, 0), 1),
@@ -238,7 +302,7 @@ def test_hyperplane_scheme_tables():
     assert t.size == 14
     assert t.valencies == [1, 1, 12]
     assert [int(v) for v in t.Q[0]] == [1, 6, 7]
-    rel = hyperplane_relation_matrix(AG32)
+    rel = relation_matrix(AG32, "affine_hyperplanes")
     ok, p = scheme_axioms_bruteforce(rel, 2)
     assert ok
     res = verify_bose_mesner(p, t)
@@ -293,10 +357,8 @@ def test_scheme_report_counts_triples_once(monkeypatch, kind):
 
     monkeypatch.setattr(_kernels, "triple_counts",
                         counted("triples", _kernels.triple_counts))
-    builder = ("line_relation_matrix" if kind == "affine_lines"
-               else "hyperplane_relation_matrix")
-    monkeypatch.setattr(scheme, builder,
-                        counted("relation", getattr(scheme, builder)))
+    monkeypatch.setattr(scheme, "relation_matrix",
+                        counted("relation", scheme.relation_matrix))
     rep = scheme_report(3, 2, kind, brute_force=True)
     assert rep["brute_force"]["diff"] == []
     assert calls == {"triples": 1, "relation": 1}
@@ -323,7 +385,7 @@ def test_type_iii_plus_span():
 
 def test_point_pencils_span_v0_v1():
     # the q^n pencil vectors are independent and killed by E_2 and E_3
-    rel = line_relation_matrix(AG32)
+    rel = relation_matrix(AG32)
     tables = line_scheme(3, 2)
     ems = idempotents_scaled(rel, tables.Q, tables.size)
     from clag import exact
@@ -337,7 +399,7 @@ def test_point_pencils_span_v0_v1():
 
 
 def test_type_ii_spread_vectors_span_v0_v3():
-    rel = line_relation_matrix(AG32)
+    rel = relation_matrix(AG32)
     tables = line_scheme(3, 2)
     ems = idempotents_scaled(rel, tables.Q, tables.size)
     from clag import exact
