@@ -9,22 +9,23 @@ The count-based equivalences carry the hypothesis n >= 2k+1 and report
 a dedicated not-applicable status below it.
 
 Both disjointness criteria, affine and projective, read their counts
-from `disjoint_counts`: one integer product against the cached
-incidence matrix (`incidence.shared_points`), so two k-spaces are
-disjoint iff they share no point of the space, affine points in AG and
-all points in PG.
+from `disjoint_counts`: one Boolean product against the cached
+incidence matrix (`incidence.meets`), so two k-spaces are disjoint iff
+they share no point of the space, affine points in AG and all points
+in PG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 
 import numpy as np
 
 from .geometry import (AmbientSpace, Subspace, ambient, gaussian_binomial,
                        make_subspace, meet, DimensionOutOfRange)
-from .incidence import IncidenceMatrix, build_incidence, shared_points
+from .incidence import IncidenceMatrix, build_incidence, meets
 from .spreads import SwitchingPair, subspace_contains
 
 __all__ = [
@@ -251,8 +252,8 @@ def disjoint_counts(l: KSet) -> np.ndarray:
     """For every k-space in canonical order, the number of members
     sharing no point of the space with it (affine points in AG, all
     points in PG)."""
-    shared = shared_points(incidence_for(l.space, l.k), sorted(l.members))
-    return (shared == 0).sum(1)
+    met = meets(incidence_for(l.space, l.k), sorted(l.members))
+    return (~met).sum(1)
 
 
 def infinite_pencil_counts(l: KSet) -> list[int]:
@@ -365,20 +366,25 @@ def count_through_infinite_subspace(l: KSet, axis: Subspace | None) -> int:
         raise NotSkew("axis must lie at infinity")
     if not -1 <= axis.dim <= l.k - 2:
         raise DimensionViolation("need -1 <= i <= k-2")
-    spaces = l.space.spaces(l.k)
-    return sum(1 for j in l.members if subspace_contains(spaces[j], axis))
+    through = l.space.spaces_through(l.k, axis)
+    return int(through[list(l.members)].sum())
+
+
+_COMPLEMENT_CACHE: dict = {}
 
 
 def canonical_complement(space: AmbientSpace, axis: Subspace) -> Subspace:
     """First canonically enumerated affine (n-i-1)-space skew to axis."""
-    proj = ambient(space.n, space.q, "projective")
-    target_dim = space.n - axis.dim - 1
-    for cand in proj.spaces(target_dim):
-        if not cand.is_affine():
-            break
-        if meet(cand, axis) is None:
-            return cand
-    raise NotSkew("no affine complement found")
+    key = (space.n, space.q, axis.rows)
+    if key not in _COMPLEMENT_CACHE:
+        proj = ambient(space.n, space.q, "projective")
+        target_dim = space.n - axis.dim - 1
+        affine = takewhile(Subspace.is_affine, proj.spaces(target_dim))
+        found = next((c for c in affine if meet(c, axis) is None), None)
+        if found is None:
+            raise NotSkew("no affine complement found")
+        _COMPLEMENT_CACHE[key] = found
+    return _COMPLEMENT_CACHE[key]
 
 
 def project_through_infinite_subspace(l: KSet, axis: Subspace,
@@ -404,13 +410,13 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
     m = pi.dim
     target = ambient(m, space.q, "affine")
     pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
-    spaces = space.spaces(l.k)
+    through = space.spaces_through(l.k, axis)
     member_pts = space.space_point_indices(l.k)
     # affine points come first, in PG as in AG
     pi_pts = {p for p in space.point_indices_of(pi) if p < space.q**space.n}
     image = set()
     for j in sorted(l.members):
-        if not subspace_contains(spaces[j], axis):
+        if not through[j]:
             continue
         # the cut with pi, through its affine points
         cut = [space.points[p] for p in member_pts[j] if p in pi_pts]

@@ -387,6 +387,26 @@ class AmbientSpace:
             self._space_idx[key] = (inf_list, members, per_space)
         return self._space_idx[key]
 
+    def spaces_through(self, k: int, axis: Subspace) -> np.ndarray:
+        """Boolean mask over the k-spaces, in canonical order, of those
+        containing the subspace `axis` at infinity.  An affine k-space
+        contains it iff its (k-1)-space at infinity does, so each of
+        those is tested once; in PG the k-spaces at infinity, which
+        follow the affine ones, are tested themselves."""
+        key = ("through", k, axis.rows)
+        if key not in self._space_idx:
+            def contains(s):
+                return all(s.contains_point(r) for r in axis.rows)
+            inf_list, _, per_space = ambient(self.n, self.q,
+                                             "affine").infinity_pencils(k)
+            mask = np.array([contains(t) for t in inf_list],
+                            dtype=bool)[per_space]
+            if self.mode == "projective":
+                mask = np.concatenate(
+                    [mask, [contains(s) for s in self.spaces(k)[len(mask):]]])
+            self._space_idx[key] = mask
+        return self._space_idx[key]
+
     def infinite_subspaces(self, d: int) -> list[Subspace]:
         """The d-spaces contained in the hyperplane at infinity, in
         canonical order."""

@@ -20,9 +20,9 @@ unique certificate.  Every accepted certificate has passed that check.
 `rows_in_row_space` decides a block of vectors at once: the same two
 products, with the vectors as the columns of one matrix.
 
-Whether two k-spaces meet is read off the same matrix: `shared_points`
-gives S = M^T M[:, cols], the number of points each k-space shares with
-each chosen one, so S == 0 marks the disjoint pairs.
+Whether two k-spaces meet is read off the same matrix: `meets` gives
+M^T M[:, cols] as a Boolean product, True where a k-space shares a
+point with a chosen one, so False marks the disjoint pairs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import exact
 from .geometry import AmbientSpace, DimensionOutOfRange
 
 __all__ = ["IncidenceMatrix", "build_incidence", "SizeGuard", "LengthMismatch",
-           "NotADesign", "shared_points", "certificate_to_json"]
+           "NotADesign", "meets", "certificate_to_json"]
 
 DEFAULT_ENTRY_GUARD = 10**7
 
@@ -155,11 +155,11 @@ class IncidenceMatrix:
         return True
 
 
-def shared_points(inc: IncidenceMatrix, cols) -> np.ndarray:
-    """S = M^T M[:, cols]: S[j, c] is the number of points k-space j
-    shares with k-space cols[c], one exact integer product."""
-    m = inc.matrix
-    return exact.int_matmul(m.T, m[:, cols])
+def meets(inc: IncidenceMatrix, cols) -> np.ndarray:
+    """Boolean M^T M[:, cols]: entry [j, c] is True iff k-space j shares
+    a point with k-space cols[c]."""
+    m = inc.matrix.astype(bool)
+    return m.T @ m[:, cols]
 
 
 def build_incidence(space: AmbientSpace, k: int,

@@ -26,7 +26,7 @@ from clag.scheme import (align_rows_to, dual_eigenmatrix_closed,
                          intersection_matrices_bruteforce,
                          intersection_matrices_closed, relation_matrix,
                          line_scheme, scheme_axioms_bruteforce,
-                         verify_bose_mesner)
+                         scheme_report, verify_bose_mesner)
 from clag.spreads import all_type_II_spreads, all_type_III_spreads
 
 GEOMETRIES = [(3, 2), (3, 3), (4, 2)]
@@ -55,6 +55,17 @@ def test_criterion_01_intersection_matrices():
         report("1", axioms_ok and match and elapsed < 10,
                f"AG({n},{q}): axioms={axioms_ok} matrices_match={match} "
                f"time={elapsed:.1f}s (< 10 s)")
+
+
+def test_criterion_01_ag43_line_scheme_brute_force():
+    # 1080 lines: every triple count of the 3-class scheme, by brute force
+    start = time.monotonic()
+    brute = scheme_report(4, 3, brute_force=True)["brute_force"]
+    elapsed = time.monotonic() - start
+    bm_ok = all(brute["bose_mesner"].values())
+    report("1", brute["diff"] == [] and bm_ok and elapsed < 5,
+           f"AG(4,3) lines: diff={brute['diff']} bose_mesner={bm_ok} "
+           f"time={elapsed:.1f}s (< 5 s)")
 
 
 def test_criterion_02_eigenvalue_matrices():

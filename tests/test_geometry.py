@@ -7,6 +7,7 @@ from clag.geometry import (AmbientMismatch, DimensionOutOfRange,
                            ambient, apply_matrix, count_rref_matrices,
                            gaussian_binomial, infinite_part,
                            make_subspace, meet, span, subspace_from_json)
+from clag.spreads import subspace_contains
 
 
 def test_gaussian_binomial_values():
@@ -190,3 +191,18 @@ def test_points_of_affine_subspace():
     assert all(p[0] == 1 for p in pts)
     pg = ambient(3, 2, "projective")
     assert len(pg.points_of(plane)) == 7  # all projective points
+
+
+@pytest.mark.parametrize("n,q,mode,k", [(4, 2, "affine", 2),
+                                        (4, 2, "affine", 3),
+                                        (3, 2, "projective", 2),
+                                        (3, 3, "affine", 2)])
+def test_spaces_through_matches_containment(n, q, mode, k):
+    space = ambient(n, q, mode)
+    spaces = space.spaces(k)
+    axes = [a for i in range(k - 1) for a in space.infinite_subspaces(i)]
+    assert axes
+    for axis in axes:
+        mask = space.spaces_through(k, axis)
+        assert mask.dtype == bool and len(mask) == len(spaces)
+        assert mask.tolist() == [subspace_contains(s, axis) for s in spaces]

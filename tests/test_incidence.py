@@ -8,7 +8,8 @@ from clag import exact
 from clag.clsets import incidence_for, is_cameron_liebler, point_pencil
 from clag.geometry import DimensionOutOfRange, ambient
 from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
-                            SizeGuard, build_incidence, certificate_to_json)
+                            SizeGuard, build_incidence, certificate_to_json,
+                            meets)
 from clag.spreads import all_type_II_spreads, restrict_to_affine, spread_type_I
 
 
@@ -187,3 +188,20 @@ def test_membership_needs_no_rational_elimination(monkeypatch):
     ok, cert = is_cameron_liebler(l)
     assert ok
     assert cert == [Fraction(int(i == 5)) for i in range(space.num_points)]
+
+
+@pytest.mark.parametrize("n,q,mode,k", [(3, 2, "affine", 1),
+                                        (3, 2, "projective", 1),
+                                        (3, 3, "affine", 1),
+                                        (4, 2, "affine", 2),
+                                        (3, 3, "affine", 2)])
+def test_meets_matches_shared_point_counts(n, q, mode, k):
+    inc = build_incidence(ambient(n, q, mode), k)
+    m = inc.matrix.astype(np.int64)
+    rng = random.Random(n * 100 + q * 10 + k)
+    for cols in (list(range(m.shape[1])),
+                 sorted(rng.sample(range(m.shape[1]), 7)), []):
+        shared = m.T @ m[:, cols]  # the integer product, as the oracle
+        got = meets(inc, cols)
+        assert got.dtype == bool
+        assert np.array_equal(got, shared > 0)

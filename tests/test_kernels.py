@@ -83,3 +83,54 @@ def test_triple_counts_paths_agree():
     ok, p = _kernels._triple_counts_py(np.ascontiguousarray(rel), 3)
     assert ok and np.array_equal(p_np, p)
 
+
+
+def _random_relation(rng, x, d, symmetric, zero_diagonal):
+    rel = rng.integers(0, d + 1, size=(x, x))
+    if symmetric:
+        rel = np.triu(rel) + np.triu(rel, 1).T
+    if zero_diagonal:
+        np.fill_diagonal(rel, 0)
+    return rel.astype(np.int8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("zero_diagonal", [True, False])
+def test_triple_counts_match_reference_on_random_relations(d, symmetric,
+                                                           zero_diagonal):
+    rng = np.random.default_rng(100 * d + 10 * symmetric + zero_diagonal)
+    for trial in range(25):
+        rel = _random_relation(rng, int(rng.integers(2, 12)), d, symmetric,
+                               zero_diagonal)
+        if trial % 5 == 0:
+            rel[rel == d] = 0  # relation d is empty
+        ok_np, p_np = _kernels.triple_counts(rel, d)
+        ok, p = _kernels._triple_counts_py(rel, d)
+        assert ok_np == ok
+        # both read p at the first pair of each relation in row-major order
+        assert np.array_equal(p_np, p)
+
+
+def test_triple_counts_on_schemes_with_identity_and_largest_relation():
+    # constant p on genuine schemes: a relation equal to I, and the
+    # largest relation, are both present and derived without a pass
+    for kind in ("affine_lines", "affine_hyperplanes"):
+        rel = relation_matrix(ambient(3, 3, "affine"), kind)
+        d = int(rel.max())
+        ok_np, p_np = _kernels.triple_counts(rel, d)
+        ok, p = _kernels._triple_counts_py(rel, d)
+        assert ok_np and ok and np.array_equal(p_np, p)
+
+
+def test_triple_counts_reject_perturbed_line_relation():
+    rel = relation_matrix(ambient(3, 3, "affine")).copy()
+    assert _kernels.triple_counts(rel, 3)[0]
+    # swap one symmetric pair of relation 1 with one of relation 3
+    a, b = map(int, np.argwhere(rel == 1)[0])
+    c, e = map(int, np.argwhere(rel == 3)[0])
+    rel[a, b] = rel[b, a] = 3
+    rel[c, e] = rel[e, c] = 1
+    ok_np, _ = _kernels.triple_counts(rel, 3)
+    ok, _ = _kernels._triple_counts_py(rel, 3)
+    assert not ok_np and not ok
