@@ -38,7 +38,8 @@ from . import exact
 from .clsets import (KSet, complement, incidence_for, is_cameron_liebler,
                      kset_from_indices, point_pencil,
                      project_through_infinite_subspace)
-from .geometry import AmbientSpace, ambient, gaussian_binomial, make_subspace
+from .geometry import (AmbientSpace, DimensionOutOfRange, ambient,
+                       gaussian_binomial, make_subspace)
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
            "classify_hyperplane_cl",
@@ -302,6 +303,8 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
                     cap: int | None = None, seed: int = 0) -> dict:
     """Complete classification certificate for the Cameron-Liebler
     k-sets of AG(n, q) with parameter x."""
+    if not 1 <= k <= n - 1:
+        raise DimensionOutOfRange(f"k={k} outside 1..{n - 1}")
     space = ambient(n, q, "affine")
     spaces = space.spaces(k)
     total = len(spaces)

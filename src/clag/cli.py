@@ -16,7 +16,7 @@ import sys
 
 from . import classify, clsets, scheme, spreads
 from .galois import DegreeOutOfRange, NotPrime
-from .geometry import Subspace, ambient, make_subspace
+from .geometry import DimensionOutOfRange, Subspace, ambient, make_subspace
 from .incidence import SizeGuard, certificate_to_json
 
 
@@ -209,6 +209,8 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="PRNG seed recorded in artifacts")
+    common.add_argument("--out")
+    common.add_argument("--timing", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scheme", parents=[common],
@@ -222,15 +224,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-diff", action="store_true",
                    help="exit 0 even when brute force disagrees")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_scheme)
 
     p = sub.add_parser("verify", parents=[common], help="verify a k-set file")
     p.add_argument("--set", required=True)
     p.add_argument("--all-checks", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", parents=[common], help="classify Cameron-Liebler k-sets")
@@ -240,8 +238,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--cap", type=int, default=None,
                    help="override the k-space count cap")
-    p.add_argument("--out")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("spread", parents=[common], help="construct and verify a spread")
@@ -256,8 +252,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", help="(n-2)-space at infinity for type 3")
     p.add_argument("--choices",
                    help="type 3 tau list, subspaces separated by '|'")
-    p.add_argument("--out")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_spread)
 
     p = sub.add_parser("project", parents=[common], help="project a k-set through infinity")
@@ -265,8 +259,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True,
                    help="i-space at infinity, subspace literal")
     p.add_argument("--pi", help="target (n-i-1)-space; canonical if omitted")
-    p.add_argument("--out")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_project)
     return parser
 
@@ -281,6 +273,9 @@ def main(argv=None) -> int:
         return 2
     except (NotPrime, DegreeOutOfRange) as exc:
         print(f"unsupported field: {exc}", file=sys.stderr)
+        return 2
+    except DimensionOutOfRange as exc:
+        print(f"unsupported dimension: {exc}", file=sys.stderr)
         return 2
 
 

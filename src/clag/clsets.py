@@ -13,20 +13,26 @@ from `disjoint_counts`: one Boolean product against the cached
 incidence matrix (`incidence.meets`), so two k-spaces are disjoint iff
 they share no point of the space, affine points in AG and all points
 in PG.
+
+Every other incidence question is read off the canonical point sets
+too, never by row reduction: pencils and hyperplane sets from
+`AmbientSpace.incidence`, the skew complement and the members through
+an axis from `AmbientSpace.shared_points` in the projective closure,
+and each projected image by looking up its point set among the
+target's `space_point_indices`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import takewhile
 
 import numpy as np
 
 from .geometry import (AmbientSpace, Subspace, ambient, gaussian_binomial,
-                       make_subspace, meet, DimensionOutOfRange)
+                       make_subspace, DimensionOutOfRange)
 from .incidence import IncidenceMatrix, build_incidence, meets
-from .spreads import SwitchingPair, subspace_contains
+from .spreads import SwitchingPair
 
 __all__ = [
     "KSet", "CheckResult", "NotDisjoint", "NotContained", "NotLines",
@@ -137,16 +143,14 @@ def point_pencil(space: AmbientSpace, point, k: int) -> KSet:
     if isinstance(point, Subspace):
         point = point.rows[0]
     point = tuple(int(v) for v in point)
-    if space.mode == "affine" and point[0] == 0:
-        raise DimensionOutOfRange("affine pencils need an affine point")
-    pidx = space.point_index.get(point)
-    if pidx is not None:
-        members = [j for j, pts in enumerate(space.space_point_indices(k))
-                   if pidx in pts]
-    else:  # infinite point of a projective space
-        spaces = space.spaces(k)
-        members = [j for j, s in enumerate(spaces) if s.contains_point(point)]
-    return KSet(space, k, frozenset(members))
+    lead = next((v for v in point if v), 1)
+    f = space.field
+    # normalized coordinates: the first nonzero one is 1
+    pidx = space.point_index.get(tuple(f.mul(f.inv(lead), v) for v in point))
+    if pidx is None:
+        raise DimensionOutOfRange(f"{point} is not a point of {space}")
+    members = np.flatnonzero(space.incidence(k)[:, pidx])
+    return KSet(space, k, frozenset(members.tolist()))
 
 
 def pg_hyperplane_set(space: AmbientSpace, hyperplane: Subspace, k: int) -> KSet:
@@ -156,9 +160,8 @@ def pg_hyperplane_set(space: AmbientSpace, hyperplane: Subspace, k: int) -> KSet
         raise DimensionOutOfRange("hyperplane sets live in the projective space")
     if hyperplane.dim != space.n - 1:
         raise DimensionOutOfRange("not a hyperplane")
-    members = [j for j, s in enumerate(space.spaces(k))
-               if subspace_contains(hyperplane, s)]
-    return KSet(space, k, frozenset(members))
+    members = np.flatnonzero(space.spaces_inside(k, hyperplane))
+    return KSet(space, k, frozenset(members.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +373,15 @@ def count_through_infinite_subspace(l: KSet, axis: Subspace | None) -> int:
     return int(through[list(l.members)].sum())
 
 
-_COMPLEMENT_CACHE: dict = {}
-
-
 def canonical_complement(space: AmbientSpace, axis: Subspace) -> Subspace:
-    """First canonically enumerated affine (n-i-1)-space skew to axis."""
-    key = (space.n, space.q, axis.rows)
-    if key not in _COMPLEMENT_CACHE:
-        proj = ambient(space.n, space.q, "projective")
-        target_dim = space.n - axis.dim - 1
-        affine = takewhile(Subspace.is_affine, proj.spaces(target_dim))
-        found = next((c for c in affine if meet(c, axis) is None), None)
-        if found is None:
-            raise NotSkew("no affine complement found")
-        _COMPLEMENT_CACHE[key] = found
-    return _COMPLEMENT_CACHE[key]
+    """First canonically enumerated affine (n-i-1)-space skew to axis;
+    the affine ones open the enumeration."""
+    proj = ambient(space.n, space.q, "projective")
+    dim = space.n - axis.dim - 1
+    skew = np.flatnonzero(proj.shared_points(dim, axis) == 0)
+    if not len(skew) or not proj.spaces(dim)[skew[0]].is_affine():
+        raise NotSkew("no affine complement found")
+    return proj.spaces(dim)[skew[0]]
 
 
 def project_through_infinite_subspace(l: KSet, axis: Subspace,
@@ -405,27 +402,30 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
         raise DimensionViolation("pi must have dimension n-i-1")
     if not pi.is_affine():
         raise NotSkew("pi must carry an affine part")
-    if meet(pi, axis) is not None:
+    proj = ambient(space.n, space.q, "projective")
+    if proj.shared_points(pi.dim, axis)[proj.index_of(pi)]:
         raise NotSkew("pi must be skew to the axis")
-    m = pi.dim
-    target = ambient(m, space.q, "affine")
+    d = l.k - i - 1
+    target = ambient(pi.dim, space.q, "affine")
     pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
+    # pi's affine points (they come first, in PG as in AG) as points of
+    # the target: their coordinates in the pivot columns of pi
+    points, index = space.points, target.point_index
+    local = {p: index[tuple(points[p][c] for c in pivots)]
+             for p in space.point_indices_of(pi) if p < space.q**space.n}
+    by_points = {pts: j for j, pts in enumerate(target.space_point_indices(d))}
     through = space.spaces_through(l.k, axis)
     member_pts = space.space_point_indices(l.k)
-    # affine points come first, in PG as in AG
-    pi_pts = {p for p in space.point_indices_of(pi) if p < space.q**space.n}
     image = set()
     for j in sorted(l.members):
         if not through[j]:
             continue
         # the cut with pi, through its affine points
-        cut = [space.points[p] for p in member_pts[j] if p in pi_pts]
-        if len(cut) != space.q ** (l.k - i - 1):
+        cut = tuple(sorted(local[p] for p in member_pts[j] if p in local))
+        if len(cut) != space.q ** d:
             raise DimensionViolation("projection lost dimension")
-        local_rows = [[pt[c] for c in pivots] for pt in cut]
-        image.add(make_subspace(m, space.q, local_rows).rows)
-    index = target.space_index(l.k - i - 1)
-    return KSet(target, l.k - i - 1, frozenset(index[r] for r in image))
+        image.add(by_points[cut])
+    return KSet(target, d, frozenset(image))
 
 
 def modular_check(l: KSet) -> bool:

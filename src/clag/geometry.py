@@ -71,9 +71,6 @@ class Subspace:
         """True iff the subspace is not contained in x0 = 0."""
         return self.rows[0][0] != 0
 
-    def contains_point(self, point: tuple[int, ...]) -> bool:
-        return _reduce_point(self.field, self.rows, point) is None
-
     def key(self):
         """Canonical sort key: affine subspaces first (leading pivot
         column 0), then the ones at infinity ordered recursively, so the
@@ -87,20 +84,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(n={self.n}, q={self.q}, dim={self.dim}, {self.rows})"
-
-
-def _reduce_point(field, rows, point):
-    """Residual of a point after reduction against echelon rows; None if
-    the point lies in the row space."""
-    v = list(point)
-    for row in rows:
-        pc = next(i for i, x in enumerate(row) if x)
-        if v[pc]:
-            f = v[pc]
-            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
-    if any(v):
-        return tuple(v)
-    return None
 
 
 def _rref(field, rows) -> tuple[tuple[int, ...], ...]:
@@ -387,24 +370,43 @@ class AmbientSpace:
             self._space_idx[key] = (inf_list, members, per_space)
         return self._space_idx[key]
 
+    def incidence(self, k: int) -> np.ndarray:
+        """Read-only Boolean (k-spaces x points) incidence in canonical
+        order, built once from `space_point_indices`."""
+        key = ("incidence", k)
+        if key not in self._space_idx:
+            pts = np.array(self.space_point_indices(k), dtype=np.int64)
+            mat = np.zeros((len(pts), self.num_points), dtype=bool)
+            np.put_along_axis(mat, pts, True, axis=1)
+            mat.flags.writeable = False
+            self._space_idx[key] = mat
+        return self._space_idx[key]
+
+    def shared_points(self, k: int, s: Subspace) -> np.ndarray:
+        """For every k-space in canonical order, the number of points of
+        this space it shares with s.  A k-space lies inside s iff it
+        shares all of its points, passes through s iff it shares all of
+        s's, and is skew to s iff it shares none; in AG only affine
+        points count, so relations with subspaces at infinity are read
+        in the projective closure."""
+        return self.incidence(k)[:, list(self.point_indices_of(s))].sum(axis=1)
+
+    def spaces_inside(self, k: int, s: Subspace) -> np.ndarray:
+        """Boolean mask over the k-spaces, in canonical order, of those
+        contained in s."""
+        return self.shared_points(k, s) == len(self.space_point_indices(k)[0])
+
     def spaces_through(self, k: int, axis: Subspace) -> np.ndarray:
         """Boolean mask over the k-spaces, in canonical order, of those
-        containing the subspace `axis` at infinity.  An affine k-space
-        contains it iff its (k-1)-space at infinity does, so each of
-        those is tested once; in PG the k-spaces at infinity, which
-        follow the affine ones, are tested themselves."""
+        containing the subspace `axis`: the ones sharing all of its
+        points in the projective closure, whose enumeration starts with
+        the affine k-spaces in the same order."""
         key = ("through", k, axis.rows)
         if key not in self._space_idx:
-            def contains(s):
-                return all(s.contains_point(r) for r in axis.rows)
-            inf_list, _, per_space = ambient(self.n, self.q,
-                                             "affine").infinity_pencils(k)
-            mask = np.array([contains(t) for t in inf_list],
-                            dtype=bool)[per_space]
-            if self.mode == "projective":
-                mask = np.concatenate(
-                    [mask, [contains(s) for s in self.spaces(k)[len(mask):]]])
-            self._space_idx[key] = mask
+            proj = ambient(self.n, self.q, "projective")
+            shared = proj.shared_points(k, axis)[:len(self.spaces(k))]
+            self._space_idx[key] = shared == gaussian_binomial(axis.dim + 1, 1,
+                                                               self.q)
         return self._space_idx[key]
 
     def infinite_subspaces(self, d: int) -> list[Subspace]:

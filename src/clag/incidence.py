@@ -164,7 +164,8 @@ def meets(inc: IncidenceMatrix, cols) -> np.ndarray:
 
 def build_incidence(space: AmbientSpace, k: int,
                     guard: int | None = None) -> IncidenceMatrix:
-    """The 0/1 point versus k-space matrix in canonical order."""
+    """The 0/1 point versus k-space matrix in canonical order: the
+    transpose of `AmbientSpace.incidence`."""
     if not 1 <= k <= space.n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{space.n - 1}")
     n_rows = space.num_points
@@ -173,9 +174,7 @@ def build_incidence(space: AmbientSpace, k: int,
     if n_rows * len(cols) > cap:
         raise SizeGuard(
             f"{n_rows} x {len(cols)} incidence exceeds guard {cap}")
-    mat = np.zeros((n_rows, len(cols)), dtype=np.int8)
-    for j, pts in enumerate(space.space_point_indices(k)):
-        mat[list(pts), j] = 1
+    mat = np.ascontiguousarray(space.incidence(k).T, dtype=np.int8)
     return IncidenceMatrix(space, k, mat)
 
 

@@ -150,7 +150,7 @@ def _line_count(n: int, q: int) -> int:
 def intersection_matrices_closed(n: int, q: int) -> list[np.ndarray]:
     """The four intersection matrices of the affine-line scheme."""
     if n < 3:
-        raise ValueError("the line scheme needs n >= 3")
+        raise DimensionOutOfRange("the line scheme needs n >= 3")
     m = (q**n - 1) // (q - 1)
 
     def frac(num):
@@ -189,7 +189,7 @@ def eigenmatrix_closed(n: int, q: int) -> np.ndarray:
     """Eigenvalue matrix P of the affine-line scheme (rows: eigenspaces
     V0..V3; columns: relations)."""
     if n < 3:
-        raise ValueError("the line scheme needs n >= 3")
+        raise DimensionOutOfRange("the line scheme needs n >= 3")
 
     def frac(num):
         assert num % (q - 1) == 0
@@ -291,7 +291,7 @@ def hyperplane_intersection_matrices_closed(n: int, q: int) -> list[np.ndarray]:
 
 def hyperplane_scheme(n: int, q: int) -> SchemeTables:
     if n < 2:
-        raise ValueError("the hyperplane scheme needs n >= 2")
+        raise DimensionOutOfRange("the hyperplane scheme needs n >= 2")
     return SchemeTables("affine_hyperplanes", n, q, 2,
                         _hyperplane_count(n, q),
                         hyperplane_intersection_matrices_closed(n, q),

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from clag.clsets import kset_from_indices, kset_to_json, point_pencil
 from clag.geometry import ambient
 
@@ -173,6 +175,24 @@ def test_project_command(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["x"] == "1" and doc["is_cameron_liebler"]
     assert doc["same_parameter"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "3", "--q", "2", "--k", "0", "--x", "1"],
+    ["search", "--n", "3", "--q", "2", "--k", "3", "--x", "1"],
+    ["verify", "--set", "{point_set}"],
+    ["scheme", "--n", "2", "--q", "2"],
+    ["scheme", "--hyperplanes", "--n", "1", "--q", "2"],
+    ["spread", "--type", "1", "--n", "3", "--q", "2", "--k", "0"],
+])
+def test_unsupported_dimension_exits_2(tmp_path, argv):
+    # a k = 0 set: one point of AG(3,2)
+    point_set = tmp_path / "point.json"
+    point_set.write_text(json.dumps({"n": 3, "q": 2, "k": 0, "mode": "affine",
+                                     "members": [[[1, 0, 0, 0]]]}))
+    r = run_cli(*(a.format(point_set=point_set) for a in argv))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
 
 
 def test_usage_error_exit_code():

@@ -1,10 +1,12 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from clag import clsets, geometry
+from clag.classify import cross_check_projection
 from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
                          WrongCodimension, check_line_disjointness,
                          check_pg_disjointness, disjoint_counts,
@@ -18,9 +20,11 @@ from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
                          modular_check, pg_hyperplane_set,
                          point_pencil, project_through_infinite_subspace,
                          restrict_from_pg, union)
-from clag.geometry import ambient, meet
+from clag.geometry import ambient, make_subspace, meet
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
-                          subspace_contains, switching_pair_from_spreads)
+                          switching_pair_from_spreads)
+
+from oracle import contains
 
 AG32 = ambient(3, 2, "affine")
 PG32 = ambient(3, 2, "projective")
@@ -28,7 +32,7 @@ PG32 = ambient(3, 2, "projective")
 
 def lines_in_hyperplane(space, hyp):
     return [j for j, s in enumerate(space.spaces(1))
-            if subspace_contains(hyp, s)]
+            if contains(hyp, s)]
 
 
 def test_empty_and_full():
@@ -167,7 +171,7 @@ def test_pg_disjoint_counts():
     assert disjoint_counts(pen)[member] == 0
     off_vertex = next(j for j, s in enumerate(lines)
                       if j not in pen.members
-                      and not s.contains_point((1, 0, 0, 0)))
+                      and not contains(s, make_subspace(3, 2, [[1, 0, 0, 0]])))
     # (x - chi) * [n-k-1 choose k]_q * q^(k^2+k) = 1 * 1 * 4
     assert disjoint_counts(pen)[off_vertex] == 4
     assert check_pg_disjointness(pen).passed
@@ -199,22 +203,43 @@ def test_disjoint_counts_match_meet(n, q, k, mode):
     sets = [point_pencil(space, space.points[0], k),
             point_pencil(space, space.points[-1], k),
             kset_from_indices(space, k, [j for j, s in enumerate(spaces)
-                                         if subspace_contains(hyp, s)]),
+                                         if contains(hyp, s)]),
             empty_kset(space, k),
             kset_from_indices(space, k, rng.sample(range(len(spaces)), 12))]
     for l in sets:
         assert list(disjoint_counts(l)) == _disjoint_counts_by_meet(l)
 
 
+def _refuse(monkeypatch, *names):
+    """Every clag module binding one of `names` gets a function that
+    raises in its place."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"one of {names} called")
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "clag" and mod is not None:
+            for name in names:
+                if name in vars(mod):
+                    monkeypatch.setattr(mod, name, refuse)
+
+
 def test_disjointness_checks_run_without_meet(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("meet called")
-    monkeypatch.setattr(geometry, "meet", refuse)
-    monkeypatch.setattr(clsets, "meet", refuse)
+    _refuse(monkeypatch, "meet")
     assert check_line_disjointness(point_pencil(AG32, (1, 0, 0, 0), 1)).passed
     assert check_pg_disjointness(point_pencil(PG32, (1, 0, 0, 0), 1)).passed
     pg33 = ambient(3, 3, "projective")
     assert check_pg_disjointness(point_pencil(pg33, (0, 0, 1, 0), 1)).passed
+
+
+def test_projection_cross_check_runs_without_meet_or_make_subspace(monkeypatch):
+    # cold caches, so nothing computed earlier with these functions is reused
+    monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
+    monkeypatch.setattr(clsets, "_INCIDENCE_CACHE", {})
+    _refuse(monkeypatch, "meet", "make_subspace")
+    with pytest.raises(AssertionError):
+        geometry.meet(None, None)
+    result = cross_check_projection(4, 2, 2)
+    assert result["projections"] == 18 * 15
+    assert result["all_images_cl_with_same_x"]
 
 
 def test_pg_hyperplane_set_parameters():
@@ -286,7 +311,7 @@ def test_projection_requires_skewness():
     pen = point_pencil(ag42, (1, 0, 0, 0, 0), 2)
     axis = ag42.infinite_subspaces(0)[0]
     bad_pi = next(s for s in ambient(4, 2, "projective").spaces(3)
-                  if s.is_affine() and s.contains_point(axis.rows[0]))
+                  if s.is_affine() and contains(s, axis))
     with pytest.raises(NotSkew):
         project_through_infinite_subspace(pen, axis, bad_pi)
 
@@ -313,12 +338,12 @@ def test_restriction_to_subspace_keeps_shifted_constant():
     space = ambient(4, 2, "affine")
     solid = space.spaces(3)[0]
     inf_pts = [p for p in space.infinite_subspaces(0)
-               if subspace_contains(solid, p)]
+               if contains(solid, p)]
     from clag.spreads import extend_spread_from_subspace, spread_type_II
     sub_spreads = []
     for axis in inf_pts:
         members = [m for m in spread_type_II(space, axis).members
-                   if subspace_contains(solid, m)]
+                   if contains(solid, m)]
         sub_spreads.append(members)
     idx = space.space_index(1)
     for l in (point_pencil(space, (1, 0, 0, 0, 0), 1),

@@ -7,7 +7,8 @@ from clag.geometry import (AmbientMismatch, DimensionOutOfRange,
                            ambient, apply_matrix, count_rref_matrices,
                            gaussian_binomial, infinite_part,
                            make_subspace, meet, span, subspace_from_json)
-from clag.spreads import subspace_contains
+
+from oracle import contains
 
 
 def test_gaussian_binomial_values():
@@ -100,7 +101,7 @@ def test_meet_idempotent_and_two_point_span():
     p2 = make_subspace(3, 2, [[1, 1, 1, 0]])
     joined = span(p1, p2)
     assert joined.dim == 1
-    assert joined.contains_point((1, 0, 0, 0)) and joined.contains_point((1, 1, 1, 0))
+    assert contains(joined, p1) and contains(joined, p2)
 
 
 def test_disjoint_lines_span_whole_space():
@@ -205,4 +206,41 @@ def test_spaces_through_matches_containment(n, q, mode, k):
     for axis in axes:
         mask = space.spaces_through(k, axis)
         assert mask.dtype == bool and len(mask) == len(spaces)
-        assert mask.tolist() == [subspace_contains(s, axis) for s in spaces]
+        assert mask.tolist() == [contains(s, axis) for s in spaces]
+
+
+def _probes(space, rng):
+    """A few subspaces of every dimension below n: affine ones and ones
+    at infinity (in AG those have no point of the space)."""
+    proj = ambient(space.n, space.q, "projective")
+    out = []
+    for d in range(space.n):
+        affine = [s for s in proj.spaces(d) if s.is_affine()]
+        out += rng.sample(affine, min(3, len(affine)))
+        at_inf = space.infinite_subspaces(d)
+        out += rng.sample(at_inf, min(3, len(at_inf)))
+    return out
+
+
+@pytest.mark.parametrize("n,q,mode", [(3, 2, "affine"), (3, 3, "affine"),
+                                      (4, 2, "affine"), (3, 2, "projective")])
+def test_inside_through_skew_match_row_reduction(n, q, mode):
+    space = ambient(n, q, mode)
+    probes = _probes(space, random.Random(n * 10 + q))
+    for k in range(n):
+        spaces = space.spaces(k)
+        for s in probes:
+            shared = space.shared_points(k, s)
+            inside = space.spaces_inside(k, s)
+            through = space.spaces_through(k, s)
+            for j, t in enumerate(spaces):
+                cut = meet(t, s)
+                if cut is None:
+                    expected = 0
+                elif mode == "projective":
+                    expected = gaussian_binomial(cut.dim + 1, 1, q)
+                else:  # only affine points count
+                    expected = q**cut.dim if cut.is_affine() else 0
+                assert shared[j] == expected
+                assert inside[j] == contains(s, t)
+                assert through[j] == contains(t, s)

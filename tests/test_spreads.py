@@ -10,8 +10,10 @@ from clag.spreads import (AllEqual, BadChoices, DivisibilityViolated,
                           lift_spread_through_infinity,
                           random_affine_collineation, restrict_to_affine,
                           spread_type_I, spread_type_II, spread_type_III,
-                          subspace_contains, switching_pair_from_spreads,
+                          switching_pair_from_spreads,
                           transport_type_III, verify_switching_pair)
+
+from oracle import contains
 
 
 def test_type_I_field_reduction():
@@ -85,7 +87,7 @@ def test_type_II_pencils_partition_lines():
 def test_type_III_construction_and_plus():
     space = ambient(3, 2, "affine")
     pi = space.infinite_subspaces(1)[0]
-    taus = [t for t in space.infinite_subspaces(0) if subspace_contains(pi, t)]
+    taus = [t for t in space.infinite_subspaces(0) if contains(pi, t)]
     s = spread_type_III(space, pi, [taus[0], taus[1]])
     assert len(s) == 4 and s.type_tag == "III+"
     assert is_plus(s)
@@ -98,7 +100,7 @@ def test_type_III_construction_and_plus():
 def test_type_III_all_equal_rejected():
     space = ambient(3, 2, "affine")
     pi = space.infinite_subspaces(1)[0]
-    tau = next(t for t in space.infinite_subspaces(0) if subspace_contains(pi, t))
+    tau = next(t for t in space.infinite_subspaces(0) if contains(pi, t))
     with pytest.raises(AllEqual):
         spread_type_III(space, pi, [tau, tau])
 
@@ -107,9 +109,9 @@ def test_type_III_bad_choices():
     space = ambient(3, 2, "affine")
     pi = space.infinite_subspaces(1)[0]
     outside = next(t for t in space.infinite_subspaces(0)
-                   if not subspace_contains(pi, t))
+                   if not contains(pi, t))
     inside = next(t for t in space.infinite_subspaces(0)
-                  if subspace_contains(pi, t))
+                  if contains(pi, t))
     with pytest.raises(BadChoices):
         spread_type_III(space, pi, [outside, inside])
 
@@ -117,7 +119,7 @@ def test_type_III_bad_choices():
 def test_type_III_not_plus_for_larger_q():
     space = ambient(3, 3, "affine")
     pi = space.infinite_subspaces(1)[0]
-    taus = [t for t in space.infinite_subspaces(0) if subspace_contains(pi, t)]
+    taus = [t for t in space.infinite_subspaces(0) if contains(pi, t)]
     repeated = spread_type_III(space, pi, [taus[0], taus[0], taus[1]])
     assert repeated.type_tag == "III" and not is_plus(repeated)
     distinct = spread_type_III(space, pi, [taus[0], taus[1], taus[2]])
@@ -186,7 +188,7 @@ def test_switching_pair_restricts_to_affine():
 def test_type_III_transport_under_affine_maps():
     space = ambient(3, 2, "affine")
     pi = space.infinite_subspaces(1)[0]
-    taus = [t for t in space.infinite_subspaces(0) if subspace_contains(pi, t)]
+    taus = [t for t in space.infinite_subspaces(0) if contains(pi, t)]
     s = spread_type_III(space, pi, [taus[0], taus[1]])
     rng = random.Random(41)
     for _ in range(8):
@@ -201,9 +203,9 @@ def test_extend_spread_from_subspace():
     space = ambient(4, 2, "affine")
     hyp = space.spaces(3)[0]
     inf_pts = [p for p in space.infinite_subspaces(0)
-               if subspace_contains(hyp, p)]
+               if contains(hyp, p)]
     sub_members = [m for m in spread_type_II(space, inf_pts[1]).members
-                   if subspace_contains(hyp, m)]
+                   if contains(hyp, m)]
     assert len(sub_members) == 4
     ext = extend_spread_from_subspace(sub_members, hyp, inf_pts[0], space)
     assert len(ext) == 8
@@ -217,11 +219,11 @@ def test_lift_spread_through_infinity():
     space = ambient(4, 2, "affine")
     solid = space.spaces(3)[0]
     inf_in = next(p for p in space.infinite_subspaces(0)
-                  if subspace_contains(solid, p))
+                  if contains(solid, p))
     local = [m for m in spread_type_II(space, inf_in).members
-             if subspace_contains(solid, m)]
+             if contains(solid, m)]
     axis = next(p for p in space.infinite_subspaces(0)
-                if not subspace_contains(solid, p))
+                if not contains(solid, p))
     lifted = lift_spread_through_infinity(local, axis, space)
     assert lifted.k == 2 and len(lifted) == 4
 
@@ -233,7 +235,7 @@ def test_lift_degenerate_is_type_II_pencil():
     plane = space.spaces(2)[0]
     pts = [make_subspace(3, 2, [list(p)]) for p in space.points_of(plane)]
     axis = next(p for p in space.infinite_subspaces(0)
-                if not subspace_contains(plane, p))
+                if not contains(plane, p))
     lifted = lift_spread_through_infinity(pts, axis, space)
     assert lifted.k == 1 and len(lifted) == 4
     pencil = spread_type_II(space, axis)
