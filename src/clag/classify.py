@@ -35,11 +35,12 @@ from math import comb, gcd
 import numpy as np
 
 from . import exact
-from .clsets import (KSet, complement, incidence_for, is_cameron_liebler,
+from .clsets import (KSet, complement, is_cameron_liebler,
                      kset_from_indices, point_pencil,
                      project_through_infinite_subspace)
 from .geometry import (AmbientSpace, DimensionOutOfRange, ambient,
                        gaussian_binomial, make_subspace)
+from .incidence import build_incidence
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
            "classify_hyperplane_cl",
@@ -181,7 +182,7 @@ class _Search:
         _, pencil_members, per_space = space.infinity_pencils(k)
         self.pencils = [list(map(int, m)) for m in pencil_members]
         self.per_space = [int(v) for v in per_space]
-        self.incidence = incidence_for(space, k)
+        self.incidence = build_incidence(space, k)
         self.solutions: list[tuple[int, ...]] = []
 
     # -- assignment and propagation ----------------------------------------
@@ -374,7 +375,7 @@ def verify_certificate(cert: dict) -> bool:
 # hyperplane sets
 # ---------------------------------------------------------------------------
 
-def classify_hyperplane_cl(n: int, q: int, guard: int | None = None) -> dict:
+def classify_hyperplane_cl(n: int, q: int) -> dict:
     """Classification of Cameron-Liebler hyperplane sets.
 
     Two independent routes: (a) an exact structure proof (the kernel of
@@ -388,7 +389,7 @@ def classify_hyperplane_cl(n: int, q: int, guard: int | None = None) -> dict:
     k = n - 1
     hyps = space.spaces(k)
     total = len(hyps)
-    inc = incidence_for(space, k)
+    inc = build_incidence(space, k)
     rank = inc.rank()
     if rank != space.num_points:
         raise AssertionError("incidence matrix lost rank")
@@ -424,8 +425,7 @@ def classify_hyperplane_cl(n: int, q: int, guard: int | None = None) -> dict:
         "total": sum(counts.values()),
         "exhaustive": None,
     }
-    cap = guard if guard is not None else ENUM_CAP
-    if 2**total <= cap:
+    if 2**total <= ENUM_CAP:
         found = {x: 0 for x in range(q + 1)}
         structure_ok = True
         g = gaussian_binomial(n, k, q)
@@ -450,8 +450,8 @@ def classify_hyperplane_cl(n: int, q: int, guard: int | None = None) -> dict:
             "every_solution_selects_x_per_class": structure_ok,
         }
     else:
-        report["exhaustive"] = {"skipped":
-                                f"2^{total} Boolean vectors exceed cap {cap}"}
+        report["exhaustive"] = {
+            "skipped": f"2^{total} Boolean vectors exceed cap {ENUM_CAP}"}
     return report
 
 

@@ -5,7 +5,9 @@ error.  All numeric output is rendered as exact rational strings, the
 PRNG seed is recorded in every artifact, and artifacts are byte-stable
 across reruns (wall-clock timing is embedded only with --timing).
 CLAG_SIZE_GUARD overrides the matrix-entry guard (default 10**7) of
-incidence and relation matrices; the search's k-space cap is --cap.
+relation matrices and of every incidence matrix, spreads, pencils and
+projections included, read on every access; the search's k-space cap
+is --cap.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import (AmbientSpace, Subspace, ambient, gaussian_binomial,
                        make_subspace, DimensionOutOfRange)
-from .incidence import IncidenceMatrix, build_incidence, meets
+from .incidence import build_incidence, meets
 from .spreads import SwitchingPair
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "WrongCodimension", "NotSkew", "DimensionViolation",
     "kset_from_indices", "kset_from_subspaces", "empty_kset", "full_kset",
     "point_pencil", "pg_hyperplane_set", "complement", "union", "difference",
-    "incidence_for", "is_cameron_liebler", "check_spread_intersections",
+    "is_cameron_liebler", "check_spread_intersections",
     "check_switching_invariance", "disjoint_counts",
     "infinite_pencil_counts", "check_line_disjointness",
     "check_pg_disjointness", "embed_to_pg",
@@ -193,18 +193,6 @@ def difference(a: KSet, b: KSet) -> KSet:
 # the definitional test
 # ---------------------------------------------------------------------------
 
-_INCIDENCE_CACHE: dict = {}
-
-
-def incidence_for(space: AmbientSpace, k: int,
-                  guard: int | None = None) -> IncidenceMatrix:
-    """The cached incidence matrix; guard applies when it is built."""
-    key = (space.n, space.q, space.mode, k)
-    if key not in _INCIDENCE_CACHE:
-        _INCIDENCE_CACHE[key] = build_incidence(space, k, guard)
-    return _INCIDENCE_CACHE[key]
-
-
 def is_cameron_liebler(l: KSet) -> tuple[bool, list[Fraction] | None]:
     """Definitional test: chi in the row space of the incidence matrix.
 
@@ -214,8 +202,7 @@ def is_cameron_liebler(l: KSet) -> tuple[bool, list[Fraction] | None]:
     """
     if l.space.mode == "affine" and l.x.denominator != 1:
         return False, None
-    inc = incidence_for(l.space, l.k)
-    return inc.row_space_membership(l.chi())
+    return build_incidence(l.space, l.k).row_space_membership(l.chi())
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +242,7 @@ def disjoint_counts(l: KSet) -> np.ndarray:
     """For every k-space in canonical order, the number of members
     sharing no point of the space with it (affine points in AG, all
     points in PG)."""
-    met = meets(incidence_for(l.space, l.k), sorted(l.members))
+    met = meets(build_incidence(l.space, l.k), sorted(l.members))
     return (~met).sum(1)
 
 

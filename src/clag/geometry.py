@@ -13,6 +13,7 @@ structure, search certificates.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,12 +25,24 @@ from .galois import FiniteField, field_for_order
 __all__ = [
     "gaussian_binomial", "Subspace", "AmbientSpace", "ambient",
     "make_subspace", "span", "meet", "infinite_part",
-    "apply_matrix", "DimensionOutOfRange", "AmbientMismatch",
+    "apply_matrix", "DimensionOutOfRange", "AmbientMismatch", "SizeGuard",
 ]
+
+DEFAULT_ENTRY_GUARD = 10**7
 
 
 class DimensionOutOfRange(ValueError):
     pass
+
+
+class SizeGuard(RuntimeError):
+    pass
+
+
+def entry_guard() -> int:
+    """Matrix-entry cap: CLAG_SIZE_GUARD, else DEFAULT_ENTRY_GUARD."""
+    env = os.environ.get("CLAG_SIZE_GUARD")
+    return int(env) if env else DEFAULT_ENTRY_GUARD
 
 
 class AmbientMismatch(ValueError):
@@ -372,7 +385,17 @@ class AmbientSpace:
 
     def incidence(self, k: int) -> np.ndarray:
         """Read-only Boolean (k-spaces x points) incidence in canonical
-        order, built once from `space_point_indices`."""
+        order, built once from `space_point_indices`.  Every call first
+        raises SizeGuard when its entries, counted in closed form,
+        exceed `entry_guard()`, whatever is already cached."""
+        n, q, cap = self.n, self.q, entry_guard()
+        if self.mode == "affine":
+            spaces = q ** (n - k) * gaussian_binomial(n, k, q)
+        else:
+            spaces = gaussian_binomial(n + 1, k + 1, q)
+        if self.num_points * spaces > cap:
+            raise SizeGuard(f"{self.num_points} x {spaces} incidence "
+                            f"exceeds guard {cap}")
         key = ("incidence", k)
         if key not in self._space_idx:
             pts = np.array(self.space_point_indices(k), dtype=np.int64)

@@ -23,27 +23,26 @@ products, with the vectors as the columns of one matrix.
 Whether two k-spaces meet is read off the same matrix: `meets` gives
 M^T M[:, cols] as a Boolean product, True where a k-space shares a
 point with a chosen one, so False marks the disjoint pairs.
+
+There is one matrix per space and k: `AmbientSpace.incidence` allocates
+it, as Booleans, and checks the CLAG_SIZE_GUARD entry guard on every
+call.  `build_incidence` wraps it, once, in an `IncidenceMatrix` whose
+`.matrix` is an int8 view of its transpose, and `meets` reads the
+Boolean matrix itself.  `SizeGuard` and `entry_guard` live in
+`geometry` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 import numpy as np
 
 from . import exact
-from .geometry import AmbientSpace, DimensionOutOfRange
+from .geometry import AmbientSpace, DimensionOutOfRange, SizeGuard, entry_guard
 
-__all__ = ["IncidenceMatrix", "build_incidence", "SizeGuard", "LengthMismatch",
-           "NotADesign", "meets", "certificate_to_json"]
-
-DEFAULT_ENTRY_GUARD = 10**7
-
-
-class SizeGuard(RuntimeError):
-    pass
-
+__all__ = ["IncidenceMatrix", "build_incidence", "SizeGuard", "entry_guard",
+           "LengthMismatch", "NotADesign", "meets", "certificate_to_json"]
 
 class LengthMismatch(ValueError):
     pass
@@ -51,11 +50,6 @@ class LengthMismatch(ValueError):
 
 class NotADesign(ValueError):
     """M M^T is not (r - lambda) I + lambda J with r > lambda."""
-
-
-def entry_guard() -> int:
-    env = os.environ.get("CLAG_SIZE_GUARD")
-    return int(env) if env else DEFAULT_ENTRY_GUARD
 
 
 class IncidenceMatrix:
@@ -91,7 +85,7 @@ class IncidenceMatrix:
         """(r, lambda), counted from the Gram matrix M M^T, which must
         equal (r - lambda) I + lambda J with r > lambda."""
         if self._design is None:
-            m = self.matrix.astype(np.int64)
+            m = self.matrix.astype(np.int64, order="C")
             gram = exact.int_matmul(m, m.T)
             v = gram.shape[0]
             r = int(gram[0, 0]) if v else 0
@@ -158,24 +152,21 @@ class IncidenceMatrix:
 def meets(inc: IncidenceMatrix, cols) -> np.ndarray:
     """Boolean M^T M[:, cols]: entry [j, c] is True iff k-space j shares
     a point with k-space cols[c]."""
-    m = inc.matrix.astype(bool)
-    return m.T @ m[:, cols]
+    m = inc.space.incidence(inc.k)
+    return m @ m[cols].T
 
 
-def build_incidence(space: AmbientSpace, k: int,
-                    guard: int | None = None) -> IncidenceMatrix:
-    """The 0/1 point versus k-space matrix in canonical order: the
-    transpose of `AmbientSpace.incidence`."""
+def build_incidence(space: AmbientSpace, k: int) -> IncidenceMatrix:
+    """The 0/1 point versus k-space matrix in canonical order, one per
+    space and k: an int8 view of the transposed `AmbientSpace.incidence`,
+    whose size guard it passes on every call."""
     if not 1 <= k <= space.n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{space.n - 1}")
-    n_rows = space.num_points
-    cols = space.spaces(k)
-    cap = guard if guard is not None else entry_guard()
-    if n_rows * len(cols) > cap:
-        raise SizeGuard(
-            f"{n_rows} x {len(cols)} incidence exceeds guard {cap}")
-    mat = np.ascontiguousarray(space.incidence(k).T, dtype=np.int8)
-    return IncidenceMatrix(space, k, mat)
+    mat = space.incidence(k)
+    key = ("IncidenceMatrix", k)
+    if key not in space._space_idx:
+        space._space_idx[key] = IncidenceMatrix(space, k, mat.T.view(np.int8))
+    return space._space_idx[key]
 
 
 def certificate_to_json(space: AmbientSpace, cert) -> dict[str, str]:

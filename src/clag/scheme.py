@@ -44,11 +44,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _kernels, exact
-from .clsets import KSet, incidence_for
+from .clsets import KSet
 from .galois import field_for_order
 from .geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
                        Subspace, ambient, meet)
-from .incidence import SizeGuard, entry_guard, meets
+from .incidence import SizeGuard, build_incidence, entry_guard, meets
 
 __all__ = [
     "SchemeTables", "EmptySet", "AmbientMismatch",
@@ -118,7 +118,7 @@ def classify_line_pair(space: AmbientSpace, a: Subspace, b: Subspace) -> int:
 
 
 def relation_matrix(space: AmbientSpace, kind: str = "affine_lines",
-                    members=None, guard: int | None = None) -> np.ndarray:
+                    members=None) -> np.ndarray:
     """Relation index of every ordered pair of the kind's k-spaces, or
     of the given members in their order, read from whether the pair
     shares an affine point and whether it has the same space at
@@ -129,10 +129,10 @@ def relation_matrix(space: AmbientSpace, kind: str = "affine_lines",
     _, _, per_space = space.infinity_pencils(k)
     inf = per_space[cols]
     x = len(inf)
-    cap = guard if guard is not None else entry_guard()
+    cap = entry_guard()
     if x * x > cap:
         raise SizeGuard(f"{x}^2 relation matrix exceeds guard {cap}")
-    met = meets(incidence_for(space, k, guard), cols)[cols]
+    met = meets(build_incidence(space, k), cols)[cols]
     rel = np.array(spec.codes, dtype=np.int8)[2 * met + (inf[:, None] == inf)]
     if (rel < 0).any():
         raise AssertionError(f"{kind}: a pair that cannot occur")
@@ -373,10 +373,9 @@ def scheme_axioms_bruteforce(rel: np.ndarray, d: int) -> tuple[bool, np.ndarray]
     return ok and bool(const), p
 
 
-def _product_table(space: AmbientSpace, kind: str,
-                   guard: int | None) -> np.ndarray:
+def _product_table(space: AmbientSpace, kind: str) -> np.ndarray:
     """p[i,j,l] from one relation matrix; raises if the axioms fail."""
-    rel = relation_matrix(space, kind, guard=guard)
+    rel = relation_matrix(space, kind)
     ok, p = scheme_axioms_bruteforce(rel, max(_kind(kind).codes))
     if not ok:
         raise AssertionError("scheme axioms fail by brute force")
@@ -391,7 +390,7 @@ def _intersection_matrices(p: np.ndarray) -> list[np.ndarray]:
 def intersection_matrices_bruteforce(space: AmbientSpace,
                                      kind: str = "affine_lines") -> list[np.ndarray]:
     """Intersection matrices recomputed by exhaustive triple counting."""
-    return _intersection_matrices(_product_table(space, kind, None))
+    return _intersection_matrices(_product_table(space, kind))
 
 
 # -- exact small-matrix spectral helpers ------------------------------------
@@ -578,8 +577,7 @@ def _matrix_to_strings(mat) -> list[list[str]]:
 
 
 def scheme_report(n: int, q: int, kind: str = "affine_lines",
-                  brute_force: bool = False,
-                  guard: int | None = None) -> dict:
+                  brute_force: bool = False) -> dict:
     """JSON-able scheme report: sizes, valencies, dimensions, all
     matrices as exact rational strings, and the brute-force diff."""
     field_for_order(q)  # the closed forms hold only where GF(q) exists
@@ -599,11 +597,11 @@ def scheme_report(n: int, q: int, kind: str = "affine_lines",
     if brute_force:
         space = ambient(n, q, "affine")
         x = tables.size
-        cap = guard if guard is not None else entry_guard()
+        cap = entry_guard()
         if x * x > cap:
             report["brute_force"] = {"skipped": f"size guard ({x}^2 > {cap})"}
         else:
-            p = _product_table(space, kind, guard)
+            p = _product_table(space, kind)
             brute_mats = _intersection_matrices(p)
             brute_P = align_rows_to(tables.P, eigenmatrix_bruteforce(brute_mats))
             diffs = []

@@ -11,13 +11,14 @@ import numpy as np
 from clag import exact
 from clag.classify import (classify_hyperplane_cl, search_cl_ksets,
                            verify_hyperplane_spread_classification)
-from clag.clsets import (complement, empty_kset, full_kset, incidence_for,
+from clag.clsets import (complement, empty_kset, full_kset,
                          is_cameron_liebler, kset_from_indices,
                          check_line_disjointness, check_pg_disjointness,
                          count_through_infinite_subspace,
                          pg_hyperplane_set, point_pencil,
                          project_through_infinite_subspace)
 from clag.geometry import ambient, gaussian_binomial
+from clag.incidence import build_incidence
 from clag.scheme import (align_rows_to, dual_eigenmatrix_closed,
                          eigenmatrix_bruteforce, eigenspace_profile,
                          hyperplane_adjudication,
@@ -150,7 +151,7 @@ def test_criterion_06_spread_equivalence():
     spread_mat = np.zeros((len(spreads), 28), dtype=np.int64)
     for i, s in enumerate(spreads):
         spread_mat[i, list(s.member_indices())] = 1
-    kern = incidence_for(space, 1).kernel_basis()
+    kern = build_incidence(space, 1).kernel_basis()
     rng = np.random.default_rng(20240808)
     vectors = rng.integers(0, 2, size=(10_000, 28), dtype=np.int64)
     extra = [point_pencil(space, p, 1).chi() for p in space.points]

@@ -10,9 +10,10 @@ from clag.classify import (ScaleExceeded, _Contradiction, _Tableau,
                            classify_hyperplane_cl, cross_check_projection,
                            search_cl_ksets, verify_certificate,
                            verify_hyperplane_spread_classification)
-from clag.clsets import (complement, incidence_for, is_cameron_liebler,
-                         kset_from_indices, point_pencil)
+from clag.clsets import (complement, is_cameron_liebler, kset_from_indices,
+                         point_pencil)
 from clag.geometry import ambient, gaussian_binomial
+from clag.incidence import build_incidence
 
 
 def found_sets(cert):
@@ -135,7 +136,7 @@ def assigned_value(rows, values, col):
     (3, 3, 1, 1), (3, 3, 1, 2), (4, 2, 2, 1), (4, 2, 2, 2)])
 def test_tableau_matches_exact_elimination(n, q, k, seed):
     space = ambient(n, q, "affine")
-    m = incidence_for(space, k).matrix.astype(np.int64)
+    m = build_incidence(space, k).matrix.astype(np.int64)
     cols = m.T.tolist()
     rng = random.Random(seed)
     # odd seeds follow a pencil, so every forced value is consistent;
@@ -174,7 +175,7 @@ def reference_enumeration(n, q):
     """The exhaustive hyperplane report from one in_row_space call per
     Boolean vector."""
     space = ambient(n, q, "affine")
-    inc = incidence_for(space, n - 1)
+    inc = build_incidence(space, n - 1)
     _, members, _ = space.infinity_pencils(n - 1)
     total = inc.shape[1]
     g = gaussian_binomial(n, n - 1, q)

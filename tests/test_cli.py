@@ -211,6 +211,15 @@ def test_size_guard_env(tmp_path):
     assert "scale exceeded" in r.stderr
 
 
+def test_size_guard_env_covers_spread_incidences():
+    # type III reads the hyperplanes through pi from the PG(3,2) incidence
+    r = run_cli("spread", "--type", "3", "--n", "3", "--q", "2",
+                "--pi", "0:1:0:0;0:0:1:0", "--choices", "0:1:0:0|0:0:1:0",
+                env={"CLAG_SIZE_GUARD": "100"})
+    assert r.returncode == 2
+    assert "size guard" in r.stderr
+
+
 def test_seed_recorded(tmp_path):
     out = tmp_path / "c.json"
     run_cli("search", "--n", "3", "--q", "2", "--x", "0", "--seed", "42",

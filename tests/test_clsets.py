@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from clag import clsets, geometry
+from clag import geometry
 from clag.classify import cross_check_projection
 from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
                          WrongCodimension, check_line_disjointness,
@@ -233,7 +233,6 @@ def test_disjointness_checks_run_without_meet(monkeypatch):
 def test_projection_cross_check_runs_without_meet_or_make_subspace(monkeypatch):
     # cold caches, so nothing computed earlier with these functions is reused
     monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
-    monkeypatch.setattr(clsets, "_INCIDENCE_CACHE", {})
     _refuse(monkeypatch, "meet", "make_subspace")
     with pytest.raises(AssertionError):
         geometry.meet(None, None)

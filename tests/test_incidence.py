@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clag import exact
-from clag.clsets import incidence_for, is_cameron_liebler, point_pencil
+from clag.clsets import is_cameron_liebler, point_pencil
 from clag.geometry import DimensionOutOfRange, ambient
 from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
                             SizeGuard, build_incidence, certificate_to_json,
@@ -103,11 +103,36 @@ def test_length_mismatch():
         A.in_row_space([0] * 27)
 
 
-def test_dimension_and_size_guards():
+def test_dimension_and_size_guards(monkeypatch):
     with pytest.raises(DimensionOutOfRange):
         build_incidence(ambient(3, 2, "affine"), 3)
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "10")
     with pytest.raises(SizeGuard):
-        build_incidence(ambient(3, 2, "affine"), 1, guard=10)
+        build_incidence(ambient(3, 2, "affine"), 1)
+
+
+def test_size_guard_holds_on_a_warm_cache(monkeypatch):
+    space = ambient(3, 2, "affine")
+    pencil = point_pencil(space, space.points[0], 1)
+    assert is_cameron_liebler(pencil)[0]
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "10")
+    message = "^8 x 28 incidence exceeds guard 10$"
+    for query in (lambda: build_incidence(space, 1),
+                  lambda: is_cameron_liebler(pencil),
+                  lambda: space.incidence(1)):
+        with pytest.raises(SizeGuard, match=message):
+            query()
+
+
+def test_one_incidence_buffer_per_space_and_k():
+    for space, k in ((ambient(3, 2, "affine"), 1),
+                     (ambient(3, 3, "projective"), 1),
+                     (ambient(4, 2, "affine"), 2)):
+        inc = build_incidence(space, k)
+        assert build_incidence(space, k) is inc
+        assert np.shares_memory(inc.matrix, space.incidence(k))
+        assert inc.matrix.dtype == np.int8
+        assert np.array_equal(inc.matrix, space.incidence(k).T)
 
 
 def test_certificate_export_format():
@@ -176,7 +201,7 @@ def test_non_design_matrix_is_refused(rows):
 
 def test_membership_needs_no_rational_elimination(monkeypatch):
     space = ambient(3, 4, "affine")
-    incidence_for(space, 1)
+    build_incidence(space, 1)
 
     def refuse(*args, **kwargs):
         raise AssertionError("rational elimination called")

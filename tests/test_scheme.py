@@ -8,7 +8,7 @@ import pytest
 
 from clag import _kernels, exact, geometry, scheme
 from clag.clsets import empty_kset, kset_from_indices, point_pencil
-from clag.geometry import ambient, make_subspace
+from clag.geometry import SizeGuard, ambient, make_subspace
 from clag.scheme import (AmbientMismatch, EmptySet, align_rows_to,
                          classify_line_pair, dual_eigenmatrix_closed,
                          eigenmatrix_bruteforce, eigenmatrix_closed,
@@ -364,11 +364,13 @@ def test_scheme_report_counts_triples_once(monkeypatch, kind):
     assert calls == {"triples": 1, "relation": 1}
 
 
-def test_scheme_report_keeps_explicit_guard(monkeypatch):
-    # the environment guard would refuse the 28^2 relation matrix
+def test_scheme_report_reads_the_environment_guard(monkeypatch):
+    # the environment guard refuses the 28^2 relation matrix
     monkeypatch.setenv("CLAG_SIZE_GUARD", "100")
-    rep = scheme_report(3, 2, brute_force=True, guard=10**7)
-    assert rep["brute_force"]["diff"] == []
+    rep = scheme_report(3, 2, brute_force=True)
+    assert rep["brute_force"] == {"skipped": "size guard (28^2 > 100)"}
+    with pytest.raises(SizeGuard):
+        relation_matrix(AG32)
 
 
 def test_scheme_report_guard_path():
