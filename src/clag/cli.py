@@ -79,7 +79,7 @@ def cmd_verify(args) -> int:
         with open(args.set) as fh:
             doc = json.load(fh)
         l = clsets.kset_from_json(doc)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"malformed k-set file {args.set}: {exc}", file=sys.stderr)
         return 2
     ok, cert = clsets.is_cameron_liebler(l)
@@ -184,7 +184,7 @@ def cmd_project(args) -> int:
         axis = _parse_rows(args.axis, l.space.n, l.space.q)
         pi = (_parse_rows(args.pi, l.space.n, l.space.q)
               if args.pi else None)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
     try:

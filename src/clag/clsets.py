@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (AmbientSpace, Subspace, ambient, gaussian_binomial,
-                       make_subspace, DimensionOutOfRange)
+                       subspace_from_json, DimensionOutOfRange)
 from .incidence import build_incidence, meets
 from .spreads import SwitchingPair
 
@@ -317,9 +317,8 @@ def embed_to_pg(l: KSet) -> KSet:
     unchanged; the projective chi is the affine chi padded with zeros)."""
     if l.space.mode != "affine":
         raise DimensionOutOfRange("embedding starts from an affine set")
-    proj = ambient(l.space.n, l.space.q, "projective")
     # affine k-spaces form a prefix of the projective enumeration
-    return KSet(proj, l.k, l.members)
+    return KSet(l.space.closure, l.k, l.members)
 
 
 def restrict_from_pg(l: KSet) -> tuple[KSet, int]:
@@ -337,10 +336,9 @@ def extend_with_infinity(l: KSet) -> KSet:
     """Embed and add every k-space at infinity; the parameter grows by
     (q^(n-k)-1)/(q^(k+1)-1)."""
     emb = embed_to_pg(l)
-    proj = emb.space
-    n_affine = len(ambient(l.space.n, l.space.q, "affine").spaces(l.k))
-    total = len(proj.spaces(l.k))
-    return KSet(proj, l.k, emb.members | frozenset(range(n_affine, total)))
+    n_affine = len(l.space.spaces(l.k))
+    total = len(emb.space.spaces(l.k))
+    return KSet(emb.space, l.k, emb.members | frozenset(range(n_affine, total)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +361,7 @@ def count_through_infinite_subspace(l: KSet, axis: Subspace | None) -> int:
 def canonical_complement(space: AmbientSpace, axis: Subspace) -> Subspace:
     """First canonically enumerated affine (n-i-1)-space skew to axis;
     the affine ones open the enumeration."""
-    proj = ambient(space.n, space.q, "projective")
+    proj = space.closure
     dim = space.n - axis.dim - 1
     skew = np.flatnonzero(proj.shared_points(dim, axis) == 0)
     if not len(skew) or not proj.spaces(dim)[skew[0]].is_affine():
@@ -389,7 +387,7 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
         raise DimensionViolation("pi must have dimension n-i-1")
     if not pi.is_affine():
         raise NotSkew("pi must carry an affine part")
-    proj = ambient(space.n, space.q, "projective")
+    proj = space.closure
     if proj.shared_points(pi.dim, axis)[proj.index_of(pi)]:
         raise NotSkew("pi must be skew to the axis")
     d = l.k - i - 1
@@ -439,7 +437,8 @@ def kset_to_json(l: KSet) -> dict:
 def kset_from_json(doc: dict) -> KSet:
     space = ambient(int(doc["n"]), int(doc["q"]), doc["mode"])
     k = int(doc["k"])
-    subs = [make_subspace(space.n, space.q, rows) for rows in doc["members"]]
+    subs = [subspace_from_json(space.n, space.q, rows)
+            for rows in doc["members"]]
     for s in subs:
         if s.dim != k:
             raise DimensionViolation("member of wrong dimension")

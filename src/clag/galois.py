@@ -185,9 +185,6 @@ class FiniteField:
             return int(self.neg_table[a])
         return self._encode([(-d) % self.p for d in self._digits(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
             return int(self.mul_table[a, b])

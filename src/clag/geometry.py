@@ -4,10 +4,17 @@ PG(n, q) is modelled on homogeneous coordinates (x0 : ... : xn); the
 affine space AG(n, q) is PG(n, q) minus the fixed hyperplane at
 infinity x0 = 0, with affine points normalized to x0 = 1.  A subspace
 is stored as the unique reduced row echelon basis of its row space, so
-two subspaces are equal iff their matrices are equal, and the
-enumeration order (lexicographic on the echelon matrix, affine spaces
-first) is reproducible everywhere: file formats, incidence block
-structure, search certificates.
+two subspaces are equal iff their matrices are equal.
+
+The projective space owns the canonical order: its points and k-spaces
+are sorted on the echelon matrix, affine ones first.  AG(n, q) reads its
+points and k-spaces as the affine prefix of its projective `closure`,
+the same `Subspace` objects, so embedding into PG(n, q) and restricting
+to AG(n, q) keep every index, and the order is reproducible everywhere:
+file formats, incidence block structure, search certificates.  Every
+derived table of a space (enumerations, indices, point sets, pencils,
+incidence matrices) is built once and kept in that instance's one memo,
+`AmbientSpace.memo`, so it lives exactly as long as the instance.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +109,8 @@ def _rref(field, rows) -> tuple[tuple[int, ...], ...]:
     mat = np.array(rows, dtype=np.int64)
     if mat.ndim != 2:
         raise ValueError("basis must be a matrix")
+    if not all(0 <= v < field.q for row in mat.tolist() for v in row):
+        raise ValueError(f"basis entries must be field codes 0..{field.q - 1}")
     rank = _kernels.gf_rref(mat, field.add_table, field.mul_table,
                             field.neg_table, field.inv_table)
     return tuple(tuple(int(v) for v in mat[i]) for i in range(rank))
@@ -127,49 +135,23 @@ def span(a: Subspace, b: Subspace) -> Subspace:
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace | None:
-    """Exact intersection; None when the subspaces are disjoint."""
+    """Exact intersection; None when the subspaces are disjoint.  The
+    rows of the reduced [a; b | I] whose left block vanishes are a basis
+    of the left kernel {lam : lam_a a + lam_b b = 0}, and the vectors
+    lam_a a span the intersection."""
     if (a.n, a.q) != (b.n, b.q):
         raise AmbientMismatch("meet of subspaces of different spaces")
     field = a.field
-    gens = list(a.rows) + list(b.rows)
-    null = _gf_left_nullspace(field, gens)
-    vecs = []
-    na = len(a.rows)
-    for lam in null:
-        vec = [0] * (a.n + 1)
-        for i in range(na):
-            if lam[i]:
-                vec = [field.add(x, field.mul(lam[i], y))
-                       for x, y in zip(vec, a.rows[i])]
-        vecs.append(vec)
-    vecs = [v for v in vecs if any(v)]
-    if not vecs:
+    gens = np.array(a.rows + b.rows, dtype=np.int64)
+    aug = np.hstack([gens, np.eye(len(gens), dtype=np.int64)])
+    _kernels.gf_rref(aug, field.add_table, field.mul_table,
+                     field.neg_table, field.inv_table)
+    width = a.n + 1
+    kernel = aug[~aug[:, :width].any(axis=1), width:width + len(a.rows)]
+    if not len(kernel):
         return None
-    return make_subspace(a.n, a.q, vecs)
-
-
-def _gf_left_nullspace(field, rows):
-    """Vectors lam with lam . rows = 0, by eliminating [rows | I]."""
-    m = len(rows)
-    ncols = len(rows[0])
-    aug = [list(r) + [1 if j == i else 0 for j in range(m)]
-           for i, r in enumerate(rows)]
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, m) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        ipv = field.inv(aug[rank][col])
-        if ipv != 1:
-            aug[rank] = [field.mul(v, ipv) for v in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [field.sub(x, field.mul(f, y))
-                          for x, y in zip(aug[r], aug[rank])]
-        rank += 1
-    return [row[ncols:] for row in aug[rank:]]
+    return make_subspace(a.n, a.q, _kernels.gf_combinations(
+        kernel, gens[:len(a.rows)], field.add_table, field.mul_table))
 
 
 def infinite_part(s: Subspace) -> Subspace | None:
@@ -190,15 +172,9 @@ def apply_matrix(s: Subspace, matrix) -> Subspace:
     """Image of a subspace under an invertible (n+1)x(n+1) matrix acting
     on row vectors."""
     field = s.field
-    rows = []
-    for r in s.rows:
-        out = [0] * (s.n + 1)
-        for i, c in enumerate(r):
-            if c:
-                for j in range(s.n + 1):
-                    out[j] = field.add(out[j], field.mul(c, matrix[i][j]))
-        rows.append(out)
-    return make_subspace(s.n, s.q, rows)
+    return make_subspace(s.n, s.q, _kernels.gf_combinations(
+        np.array(s.rows, dtype=np.int64), np.array(matrix, dtype=np.int64),
+        field.add_table, field.mul_table))
 
 
 def _pivot_patterns(ncols: int, nrows: int):
@@ -252,38 +228,43 @@ class AmbientSpace:
         self.q = q
         self.mode = mode
         self.field = field_for_order(q)
-        self._spaces: dict[int, list[Subspace]] = {}
-        self._space_idx: dict[int, dict] = {}
-        self._space_pts: dict[int, list[tuple[int, ...]]] = {}
+        self._memo: dict = {}
+
+    def memo(self, key, build):
+        """build() stored under key: every derived table of this space is
+        computed once, kept here, and freed with the instance."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    @property
+    def closure(self) -> AmbientSpace:
+        """PG(n, q), whose points and k-spaces open with this space's;
+        a projective space is its own closure."""
+        if self.mode == "projective":
+            return self
+        return ambient(self.n, self.q, "projective")
+
+    def _num_spaces(self, k: int) -> int:
+        if self.mode == "affine":
+            return self.q ** (self.n - k) * gaussian_binomial(self.n, k, self.q)
+        return gaussian_binomial(self.n + 1, k + 1, self.q)
 
     # -- points --------------------------------------------------------
 
     @property
     def num_points(self) -> int:
-        if self.mode == "affine":
-            return self.q**self.n
-        return (self.q ** (self.n + 1) - 1) // (self.q - 1)
-
-    @lru_cache(maxsize=None)
-    def _point_data(self):
-        affine = [(1,) + coords
-                  for coords in itertools.product(range(self.q), repeat=self.n)]
-        points = affine
-        if self.mode == "projective":
-            infinite = [(0,) + rows[0]
-                        for rows in enumerate_rref_matrices(self.n, 1, self.q)]
-            infinite.sort(key=lambda t: (next(i for i, x in enumerate(t) if x), t))
-            points = affine + infinite
-        index = {pt: i for i, pt in enumerate(points)}
-        return points, index
+        return self._num_spaces(0)
 
     @property
     def points(self) -> list[tuple[int, ...]]:
-        return self._point_data()[0]
+        """Normalized coordinates, in the order of the 0-spaces."""
+        return self.memo("points", lambda: [s.rows[0] for s in self.spaces(0)])
 
     @property
     def point_index(self) -> dict:
-        return self._point_data()[1]
+        return self.memo("point_index",
+                         lambda: {pt: i for i, pt in enumerate(self.points)})
 
     # -- k-spaces ------------------------------------------------------
 
@@ -291,44 +272,23 @@ class AmbientSpace:
         """Canonically ordered list of the k-spaces of this space."""
         if k < 0 or k > self.n:
             raise DimensionOutOfRange(f"k={k} outside 0..{self.n}")
-        if k not in self._spaces:
-            subs = [Subspace(self.n, self.q, rows)
-                    for rows in enumerate_rref_matrices(self.n + 1, k + 1, self.q)]
-            subs.sort(key=Subspace.key)
+
+        def build():
             if self.mode == "affine":
-                subs = [s for s in subs if s.is_affine()]
-            self._spaces[k] = subs
-            self._space_idx[k] = {s.rows: i for i, s in enumerate(subs)}
-        return self._spaces[k]
+                return self.closure.spaces(k)[:self._num_spaces(k)]
+            return sorted((Subspace(self.n, self.q, rows) for rows in
+                           enumerate_rref_matrices(self.n + 1, k + 1, self.q)),
+                          key=Subspace.key)
+        return self.memo(("spaces", k), build)
 
     def space_index(self, k: int) -> dict:
-        self.spaces(k)
-        return self._space_idx[k]
+        return self.memo(("space_index", k), lambda: {
+            s.rows: i for i, s in enumerate(self.spaces(k))})
 
     def index_of(self, s: Subspace) -> int:
         return self.space_index(s.dim)[s.rows]
 
-    # -- incidence helpers ----------------------------------------------
-
-    @lru_cache(maxsize=None)
-    def _coefficients(self, k: int) -> np.ndarray:
-        """Normalized coordinate rows of the points of PG(k, q)."""
-        rows = np.array([m[0] for m in enumerate_rref_matrices(k + 1, 1, self.q)],
-                        dtype=np.int64)
-        rows.flags.writeable = False
-        return rows
-
-    @lru_cache(maxsize=None)
-    def _point_lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, lookup): lookup[point @ weights] is the index of a
-        normalized point (x0 is 0 or 1), -1 for a code of no point of
-        this space."""
-        weights = self.q ** np.arange(self.n, -1, -1, dtype=np.int64)
-        codes = np.array(self.points, dtype=np.int64) @ weights
-        lookup = np.full(2 * self.q**self.n, -1, dtype=np.int64)
-        lookup[codes] = np.arange(len(codes))
-        weights.flags.writeable = lookup.flags.writeable = False
-        return weights, lookup
+    # -- point sets ------------------------------------------------------
 
     def _point_rows(self, subs) -> np.ndarray:
         """(len(subs), points, n+1): the normalized coordinates of every
@@ -336,31 +296,46 @@ class AmbientSpace:
         points at infinity."""
         field = self.field
         bases = np.array([s.rows for s in subs], dtype=np.int64)
-        return _kernels.gf_combinations(self._coefficients(bases.shape[1] - 1),
-                                        bases, field.add_table, field.mul_table)
+        r = bases.shape[1]
+        coeffs = self.memo(("coefficients", r), lambda: np.array(
+            [m[0] for m in enumerate_rref_matrices(r, 1, self.q)],
+            dtype=np.int64))
+        return _kernels.gf_combinations(coeffs, bases, field.add_table,
+                                        field.mul_table)
 
-    def _point_indices(self, subs) -> list[tuple[int, ...]]:
-        weights, lookup = self._point_lookup()
-        idx = np.sort(lookup[self._point_rows(subs) @ weights], axis=1)
-        skip = (idx < 0).sum(axis=1)  # points at infinity in affine mode
-        return [tuple(row[s:]) for row, s in zip(idx.tolist(), skip.tolist())]
+    def _point_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, lookup): lookup[point @ weights] is the index of a
+        normalized point (x0 is 0 or 1)."""
+        weights = self.q ** np.arange(self.n, -1, -1, dtype=np.int64)
+        lookup = np.full(2 * self.q**self.n, -1, dtype=np.int64)
+        lookup[np.array(self.points, dtype=np.int64) @ weights] = \
+            np.arange(self.num_points)
+        return weights, lookup
+
+    def point_sets(self, subs) -> list[tuple[int, ...]]:
+        """For each of the equal-dimension subspaces `subs`, the sorted
+        indices of its points in this space, read in the closure: in AG
+        its affine points, the ones whose closure index is below q^n."""
+        proj = self.closure
+        weights, lookup = proj.memo("point_lookup", proj._point_lookup)
+        idx = np.sort(lookup[proj._point_rows(subs) @ weights], axis=1)
+        keep = (idx < self.num_points).sum(axis=1)
+        return [tuple(row[:s]) for row, s in zip(idx.tolist(), keep.tolist())]
 
     def points_of(self, s: Subspace) -> list[tuple[int, ...]]:
         """The points of a subspace that belong to this space (all of
         them in projective mode, the x0 = 1 ones in affine mode)."""
-        pts = self._point_rows([s])[0]
-        if self.mode == "affine":
-            pts = pts[pts[:, 0] != 0]
-        return [tuple(row) for row in pts.tolist()]
+        return [self.points[i] for i in self.point_indices_of(s)]
 
     def point_indices_of(self, s: Subspace) -> tuple[int, ...]:
-        return self._point_indices([s])[0]
+        return self.point_sets([s])[0]
 
     def space_point_indices(self, k: int) -> list[tuple[int, ...]]:
         """Per k-space sorted point-index tuples, in enumeration order."""
-        if k not in self._space_pts:
-            self._space_pts[k] = self._point_indices(self.spaces(k))
-        return self._space_pts[k]
+        return self.memo(("space_point_indices", k),
+                         lambda: self.point_sets(self.spaces(k)))
+
+    # -- incidence -------------------------------------------------------
 
     def infinity_pencils(self, k: int):
         """Type II pencil structure for affine k-spaces.
@@ -372,38 +347,34 @@ class AmbientSpace:
         """
         if self.mode != "affine":
             raise DimensionOutOfRange("pencil structure is an affine notion")
-        key = ("pencils", k)
-        if key not in self._space_idx:
-            spaces = self.spaces(k)
+
+        def build():
             inf_list = self.infinite_subspaces(k - 1)
             idx = {s.rows: i for i, s in enumerate(inf_list)}
-            per_space = np.array([idx[infinite_part(s).rows] for s in spaces],
-                                 dtype=np.int64)
-            members = [np.nonzero(per_space == i)[0] for i in range(len(inf_list))]
-            self._space_idx[key] = (inf_list, members, per_space)
-        return self._space_idx[key]
+            per_space = np.array([idx[infinite_part(s).rows]
+                                  for s in self.spaces(k)], dtype=np.int64)
+            members = [np.nonzero(per_space == i)[0]
+                       for i in range(len(inf_list))]
+            return inf_list, members, per_space
+        return self.memo(("infinity_pencils", k), build)
 
     def incidence(self, k: int) -> np.ndarray:
         """Read-only Boolean (k-spaces x points) incidence in canonical
         order, built once from `space_point_indices`.  Every call first
         raises SizeGuard when its entries, counted in closed form,
         exceed `entry_guard()`, whatever is already cached."""
-        n, q, cap = self.n, self.q, entry_guard()
-        if self.mode == "affine":
-            spaces = q ** (n - k) * gaussian_binomial(n, k, q)
-        else:
-            spaces = gaussian_binomial(n + 1, k + 1, q)
-        if self.num_points * spaces > cap:
-            raise SizeGuard(f"{self.num_points} x {spaces} incidence "
-                            f"exceeds guard {cap}")
-        key = ("incidence", k)
-        if key not in self._space_idx:
+        cap = entry_guard()
+        if self.num_points * self._num_spaces(k) > cap:
+            raise SizeGuard(f"{self.num_points} x {self._num_spaces(k)} "
+                            f"incidence exceeds guard {cap}")
+
+        def build():
             pts = np.array(self.space_point_indices(k), dtype=np.int64)
             mat = np.zeros((len(pts), self.num_points), dtype=bool)
             np.put_along_axis(mat, pts, True, axis=1)
             mat.flags.writeable = False
-            self._space_idx[key] = mat
-        return self._space_idx[key]
+            return mat
+        return self.memo(("incidence", k), build)
 
     def shared_points(self, k: int, s: Subspace) -> np.ndarray:
         """For every k-space in canonical order, the number of points of
@@ -422,25 +393,22 @@ class AmbientSpace:
     def spaces_through(self, k: int, axis: Subspace) -> np.ndarray:
         """Boolean mask over the k-spaces, in canonical order, of those
         containing the subspace `axis`: the ones sharing all of its
-        points in the projective closure, whose enumeration starts with
-        the affine k-spaces in the same order."""
-        key = ("through", k, axis.rows)
-        if key not in self._space_idx:
-            proj = ambient(self.n, self.q, "projective")
-            shared = proj.shared_points(k, axis)[:len(self.spaces(k))]
-            self._space_idx[key] = shared == gaussian_binomial(axis.dim + 1, 1,
-                                                               self.q)
-        return self._space_idx[key]
+        points in the closure, whose k-spaces open with these."""
+        def build():
+            shared = self.closure.shared_points(k, axis)[:self._num_spaces(k)]
+            return shared == gaussian_binomial(axis.dim + 1, 1, self.q)
+        return self.memo(("spaces_through", k, axis.rows), build)
 
     def infinite_subspaces(self, d: int) -> list[Subspace]:
         """The d-spaces contained in the hyperplane at infinity, in
-        canonical order."""
+        canonical order: the d-spaces of PG(n-1, q), enumerated on their
+        own rather than cut from the closure's d-spaces."""
         if d < 0:
             return []
-        subs = [Subspace(self.n, self.q, tuple((0,) + r for r in rows))
-                for rows in enumerate_rref_matrices(self.n, d + 1, self.q)]
-        subs.sort(key=Subspace.key)
-        return subs
+        return self.memo(("infinite_subspaces", d), lambda: sorted(
+            (Subspace(self.n, self.q, tuple((0,) + r for r in rows))
+             for rows in enumerate_rref_matrices(self.n, d + 1, self.q)),
+            key=Subspace.key))
 
     def __repr__(self):
         name = "AG" if self.mode == "affine" else "PG"
@@ -468,6 +436,6 @@ def subspace_from_json(n: int, q: int, rows) -> Subspace:
     """Validate and load a subspace; input must already be in reduced
     echelon form so that files are canonical."""
     sub = make_subspace(n, q, rows)
-    if sub.rows != tuple(tuple(int(v) for v in r) for r in rows):
+    if sub.rows != tuple(tuple(r) for r in rows):
         raise ValueError("subspace basis is not in reduced echelon form")
     return sub

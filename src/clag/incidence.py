@@ -60,7 +60,7 @@ class IncidenceMatrix:
         self._rank = None
         self._kernel = None
         self._design = None
-        self._m = self._mt = None  # int64 M and M^T, set with the design
+        self._m = None  # int64 M, set with the design
 
     @property
     def shape(self):
@@ -98,7 +98,6 @@ class IncidenceMatrix:
                     "M M^T is not (r - lambda) I + lambda J with r > lambda")
             self._design = (r, lam)
             self._m = m
-            self._mt = np.ascontiguousarray(m.T)
         return self._design
 
     def _solve(self, vecs) -> tuple[np.ndarray, np.ndarray, int]:
@@ -117,7 +116,7 @@ class IncidenceMatrix:
         if 2 * c * r * int(np.abs(v).max(initial=0)) >= exact.INT64_GUARD:
             vt, w = vt.astype(object), w.astype(object)
         num = c * w - lam * w.sum(axis=0)
-        member = (exact.int_matmul(self._mt, num) == a * c * vt).all(axis=0)
+        member = (exact.int_matmul(self._m.T, num) == a * c * vt).all(axis=0)
         return member, num, a * c
 
     def in_row_space(self, vec) -> bool:
@@ -163,10 +162,8 @@ def build_incidence(space: AmbientSpace, k: int) -> IncidenceMatrix:
     if not 1 <= k <= space.n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{space.n - 1}")
     mat = space.incidence(k)
-    key = ("IncidenceMatrix", k)
-    if key not in space._space_idx:
-        space._space_idx[key] = IncidenceMatrix(space, k, mat.T.view(np.int8))
-    return space._space_idx[key]
+    return space.memo(("IncidenceMatrix", k),
+                      lambda: IncidenceMatrix(space, k, mat.T.view(np.int8)))
 
 
 def certificate_to_json(space: AmbientSpace, cert) -> dict[str, str]:

@@ -118,7 +118,7 @@ def _point_counts(space: AmbientSpace, members) -> np.ndarray:
     the space's incidence: a spread of PG(3, 23) has 530 members, the
     space 293,090 lines."""
     pts = itertools.chain.from_iterable(
-        space._point_indices(members) if members else ())
+        space.point_sets(members) if members else ())
     return np.bincount(np.fromiter(pts, dtype=np.int64),
                        minlength=space.num_points)
 
@@ -262,7 +262,7 @@ def all_type_II_spreads(space: AmbientSpace, k: int) -> list[Spread]:
 def _taus(space: AmbientSpace, pi: Subspace, k: int) -> list[Subspace]:
     """The (k-1)-spaces inside pi, in canonical order; the ones at
     infinity close the projective enumeration in that order."""
-    proj = ambient(space.n, space.q, "projective")
+    proj = space.closure
     inside = proj.spaces_inside(k - 1, pi)
     return [t for t, ok in zip(proj.spaces(k - 1), inside) if ok]
 
@@ -370,7 +370,7 @@ def extend_spread_from_subspace(sub_members, tau_a: Subspace,
     k = sub_members[0].dim
     if axis.is_affine() or axis.dim != k - 1:
         raise GeometryMismatch("axis must be a (k-1)-space at infinity")
-    proj = ambient(space.n, space.q, "projective")
+    proj = space.closure
     if not proj.spaces_through(tau_a.dim, axis)[proj.index_of(tau_a)]:
         raise GeometryMismatch("axis must lie in the subspace at infinity")
     spaces = space.spaces(k)

@@ -5,12 +5,18 @@ import sys
 
 import pytest
 
+import clag
 from clag.clsets import kset_from_indices, kset_to_json, point_pencil
 from clag.geometry import ambient
+
+# the child imports the same clag as these tests, installed or not
+CLAG_PATH = os.path.dirname(os.path.dirname(os.path.abspath(clag.__file__)))
 
 
 def run_cli(*argv, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (CLAG_PATH, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "clag.cli", *argv],
@@ -134,6 +140,25 @@ def test_verify_malformed_input(tmp_path):
     assert "malformed" in r.stderr
 
 
+@pytest.mark.parametrize("basis", [
+    # the line of AG(3,2) through (1,0,0,0) and (1,1,0,0), by a basis
+    # that spans it but is not its reduced echelon form
+    [[1, 1, 0, 0], [1, 0, 0, 0]],
+    # 2 is no element of GF(2)
+    [[1, 0, 0, 0], [0, 2, 0, 0]],
+    # a row that is no array
+    [5],
+])
+def test_verify_rejects_malformed_basis(tmp_path, basis):
+    bad = tmp_path / "bad_basis.json"
+    bad.write_text(json.dumps({"n": 3, "q": 2, "k": 1, "mode": "affine",
+                               "members": [basis]}))
+    r = run_cli("verify", "--set", str(bad))
+    assert r.returncode == 2
+    assert "malformed k-set file" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_spread_command(tmp_path):
     out = tmp_path / "spread.json"
     r = run_cli("spread", "--type", "2", "--n", "3", "--q", "2",
@@ -161,6 +186,10 @@ def test_spread_usage_errors():
     assert run_cli("spread", "--type", "2", "--n", "3", "--q", "2").returncode == 2
     r = run_cli("spread", "--type", "1", "--n", "4", "--q", "2")
     assert r.returncode == 2  # divisibility violated
+    r = run_cli("spread", "--type", "2", "--n", "3", "--q", "2",
+                "--at-infinity", "0:0:0:5")
+    assert r.returncode == 2  # 5 is no element of GF(2)
+    assert "Traceback" not in r.stderr
 
 
 def test_project_command(tmp_path):

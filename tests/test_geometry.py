@@ -1,9 +1,13 @@
+import gc
+import itertools
 import random
+import weakref
 
+import numpy as np
 import pytest
 
 from clag.galois import field_for_order
-from clag.geometry import (AmbientMismatch, DimensionOutOfRange,
+from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
                            ambient, apply_matrix, count_rref_matrices,
                            gaussian_binomial, infinite_part,
                            make_subspace, meet, span, subspace_from_json)
@@ -81,16 +85,27 @@ def test_rref_canonicalization_invariance():
         assert make_subspace(3, 3, mixed).rows == sub.rows
 
 
+def _check_grassmann(a, b):
+    s, m = span(a, b), meet(a, b)
+    meet_dim = -1 if m is None else m.dim
+    assert s.dim + meet_dim == a.dim + b.dim
+    if m is not None:
+        assert contains(a, m) and contains(b, m)
+
+
 def test_span_meet_grassmann():
+    # dim <a, b> + dim (a meet b) = dim a + dim b, with the meet inside
+    # both: every pair of lines and planes of PG(3,2), a seeded sample
+    # of PG(4,3)
+    pg32 = ambient(3, 2, "projective")
+    subs = pg32.spaces(1) + pg32.spaces(2)
+    for a, b in itertools.product(subs, repeat=2):
+        _check_grassmann(a, b)
     rng = random.Random(7)
-    space = ambient(3, 2, "projective")
-    lines = space.spaces(1)
-    for _ in range(60):
-        a, b = rng.choice(lines), rng.choice(lines)
-        s = span(a, b)
-        m = meet(a, b)
-        meet_dim = m.dim if m is not None else -1
-        assert s.dim + meet_dim == a.dim + b.dim
+    pg43 = ambient(4, 3, "projective")
+    subs = pg43.spaces(1) + pg43.spaces(2)
+    for _ in range(300):
+        _check_grassmann(rng.choice(subs), rng.choice(subs))
 
 
 def test_meet_idempotent_and_two_point_span():
@@ -134,11 +149,32 @@ def test_infinite_part():
 
 def test_affine_spaces_are_projective_prefix():
     # the affine enumeration is the leading block of the projective one,
-    # which is what makes zero-padded embedding an index identity
-    for k in (1, 2):
-        aff = [s.rows for s in ambient(3, 2, "affine").spaces(k)]
-        proj = [s.rows for s in ambient(3, 2, "projective").spaces(k)]
-        assert proj[:len(aff)] == aff
+    # the same objects, which is what makes zero-padded embedding an
+    # index identity; the rest are the subspaces at infinity
+    for n, q in ((3, 2), (3, 3), (4, 2)):
+        ag, pg = ambient(n, q, "affine"), ambient(n, q, "projective")
+        assert ag.closure is pg and pg.closure is pg
+        assert ag.points == pg.points[:q**n]
+        for k in range(n + 1):
+            aff, proj = ag.spaces(k), pg.spaces(k)
+            assert len(aff) == q ** (n - k) * gaussian_binomial(n, k, q)
+            assert all(a is p for a, p in zip(aff, proj))
+            assert all(s.is_affine() for s in aff)
+            assert ag.infinite_subspaces(k) == proj[len(aff):]
+
+
+def test_space_tables_die_with_the_instance():
+    old = AmbientSpace(3, 2, "affine")
+    points, inc = old.points, old.incidence(1)
+    ref = weakref.ref(old)
+    del old
+    gc.collect()
+    assert ref() is None
+    # a fresh instance builds its own tables, equal to the old ones
+    fresh = AmbientSpace(3, 2, "affine")
+    assert fresh.points == points and fresh.points is not points
+    assert np.array_equal(fresh.incidence(1), inc)
+    assert not np.shares_memory(fresh.incidence(1), inc)
 
 
 def test_point_ordering_affine_first():
@@ -152,7 +188,6 @@ def test_point_ordering_affine_first():
 
 
 def test_enumeration_order_is_deterministic():
-    from clag.geometry import AmbientSpace
     a = [s.rows for s in ambient(3, 2, "affine").spaces(1)]
     b = [s.rows for s in AmbientSpace(3, 2, "affine").spaces(1)]
     assert a == b
@@ -179,9 +214,11 @@ def test_subspace_serialization_round_trip():
     sub = ambient(3, 2, "affine").spaces(1)[5]
     doc = sub.to_json()
     assert subspace_from_json(3, 2, doc) == sub
-    # non-echelon input is rejected
-    with pytest.raises(ValueError):
-        subspace_from_json(3, 2, [[0, 0, 0, 1], [1, 0, 0, 1]])
+    # non-echelon input and entries that are not field codes are rejected
+    for rows in ([[0, 0, 0, 1], [1, 0, 0, 1]], [[1, 0, 0, 0], [0, 2, 0, 0]],
+                 [[1, 0, 0, 0], [0, -1, 0, 0]], [[1, 0.5, 0, 0], [0, 0, 1, 0]]):
+        with pytest.raises(ValueError):
+            subspace_from_json(3, 2, rows)
 
 
 def test_points_of_affine_subspace():
