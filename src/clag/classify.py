@@ -23,11 +23,14 @@ iff column j of T is zero, its forced value is p[j] / den, one
 the dimension left.  Assigning j eliminates column j from T with one
 pivot row; the arithmetic is exact, in int64 while a bound on the new
 entries stays below `exact.INT64_GUARD` and in Python ints past it.
+
+A pencil's choices are enumerated member by member, so the choices
+that share a prefix of 0/1 values share its assignments and a prefix
+that contradicts is found once, not once per choice that extends it.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from math import comb, gcd
@@ -275,18 +278,33 @@ class _Search:
                     continue
                 self._dfs(child)
             return
-        members = self.pencils[nxt]
-        undecided = [t for t in members if state.values[t] == -1]
-        need = self.x - state.ones[nxt]
-        for chosen in itertools.combinations(undecided, need):
-            chosen = set(chosen)
+        for child in self._children(state, nxt, 0):
+            self._dfs(child)
+
+    def _children(self, state, pid, i):
+        """The states that complete pencil pid from its i-th member on
+        with exactly x members, in the order of `itertools.combinations`
+        over its unknown members: member by member, 1 before 0, each
+        prefix assigned once and shared by every child that extends it.
+        Members already set, by a pencil cascade too, are skipped, and a
+        value is offered only while x members stay reachable, so the
+        pencil counts cannot fail here."""
+        members = self.pencils[pid]
+        while i < len(members) and state.values[members[i]] != -1:
+            i += 1
+        if i == len(members):
+            yield state
+            return
+        need = self.x - state.ones[pid]
+        for val in (1, 0):
+            if not 0 <= need - val <= state.unknown[pid] - 1:
+                continue
             child = state.clone()
             try:
-                for t in undecided:
-                    self._assign(child, t, 1 if t in chosen else 0)
+                self._assign(child, members[i], val)
             except _Contradiction:
                 continue
-            self._dfs(child)
+            yield from self._children(child, pid, i + 1)
 
     def _leaf(self, state):
         chi = np.array(state.values, dtype=np.int64)

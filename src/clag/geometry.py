@@ -51,6 +51,13 @@ def entry_guard() -> int:
     return int(env) if env else DEFAULT_ENTRY_GUARD
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, locked against writes: memoised tables are shared by every
+    caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 class AmbientMismatch(ValueError):
     pass
 
@@ -372,8 +379,7 @@ class AmbientSpace:
             pts = np.array(self.space_point_indices(k), dtype=np.int64)
             mat = np.zeros((len(pts), self.num_points), dtype=bool)
             np.put_along_axis(mat, pts, True, axis=1)
-            mat.flags.writeable = False
-            return mat
+            return _read_only(mat)
         return self.memo(("incidence", k), build)
 
     def shared_points(self, k: int, s: Subspace) -> np.ndarray:
@@ -386,17 +392,21 @@ class AmbientSpace:
         return self.incidence(k)[:, list(self.point_indices_of(s))].sum(axis=1)
 
     def spaces_inside(self, k: int, s: Subspace) -> np.ndarray:
-        """Boolean mask over the k-spaces, in canonical order, of those
-        contained in s."""
-        return self.shared_points(k, s) == len(self.space_point_indices(k)[0])
+        """Read-only Boolean mask over the k-spaces, in canonical order,
+        of those contained in s, built once per (k, s)."""
+        def build():
+            size = len(self.space_point_indices(k)[0])
+            return _read_only(self.shared_points(k, s) == size)
+        return self.memo(("spaces_inside", k, s.rows), build)
 
     def spaces_through(self, k: int, axis: Subspace) -> np.ndarray:
-        """Boolean mask over the k-spaces, in canonical order, of those
-        containing the subspace `axis`: the ones sharing all of its
-        points in the closure, whose k-spaces open with these."""
+        """Read-only Boolean mask over the k-spaces, in canonical order,
+        of those containing the subspace `axis`: the ones sharing all of
+        its points in the closure, whose k-spaces open with these."""
         def build():
             shared = self.closure.shared_points(k, axis)[:self._num_spaces(k)]
-            return shared == gaussian_binomial(axis.dim + 1, 1, self.q)
+            return _read_only(
+                shared == gaussian_binomial(axis.dim + 1, 1, self.q))
         return self.memo(("spaces_through", k, axis.rows), build)
 
     def infinite_subspaces(self, d: int) -> list[Subspace]:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from clag import classify, exact
-from clag.classify import (ScaleExceeded, _Contradiction, _Tableau,
+from clag.classify import (ScaleExceeded, SearchStats, _Contradiction,
+                           _ENDGAME_DIM, _Search, _Tableau,
                            classify_hyperplane_cl, cross_check_projection,
                            search_cl_ksets, verify_certificate,
                            verify_hyperplane_spread_classification)
@@ -14,6 +15,7 @@ from clag.clsets import (complement, is_cameron_liebler, kset_from_indices,
                          point_pencil)
 from clag.geometry import ambient, gaussian_binomial
 from clag.incidence import build_incidence
+from oracle import combination_children
 
 
 def found_sets(cert):
@@ -94,14 +96,54 @@ def without_wall_clock(cert):
 @pytest.mark.parametrize("n,q,k,x,stats", [
     (3, 3, 1, 2, (8488, 11473, 4665, 3024, 0)),
     (3, 3, 1, 1, (325, 1235, 72, 189, 27)),
-    (4, 2, 1, 1, (89, 865, 8, 56, 16))])
+    (4, 2, 1, 1, (89, 865, 8, 56, 16)),
+    (3, 4, 1, 1, (1801, 7833, 24, 288, 64)),
+    (5, 2, 1, 2, (3585, 85080, 935, 1384, 0))])
 def test_search_statistics_are_pinned(n, q, k, x, stats):
-    # any change to the order of forced-value scans moves these counts
+    # any change to the order of forced-value scans or of a pencil's
+    # choices moves these counts
     nodes, forced, pruned, endgame, solutions = stats
-    assert search_cl_ksets(n, q, k, x)["stats"] == {
+    cap = len(ambient(n, q, "affine").spaces(k))
+    assert search_cl_ksets(n, q, k, x, cap=cap)["stats"] == {
         "nodes": nodes, "forced": forced, "pruned_by_pencil_counts": 0,
         "pruned_by_elimination": pruned, "endgame_nodes": endgame,
         "solutions": solutions}
+
+
+class _CheckedSearch(_Search):
+    """A search that, at every branching node, checks its pencil
+    children against the former one-clone-per-combination loop."""
+
+    checked = 0
+
+    def _children(self, state, pid, i):
+        if i:  # the recursion inside one node's enumeration
+            yield from super()._children(state, pid, i)
+            return
+        assert state.tab.dim > _ENDGAME_DIM
+        want = combination_children(self, state, pid)
+        got = list(super()._children(state, pid, 0))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.values, a.ones, a.unknown) == (b.values, b.ones, b.unknown)
+            assert a.tab.a.dtype == b.tab.a.dtype
+            assert np.array_equal(a.tab.a, b.tab.a)
+            assert a.tab.den == b.tab.den
+        self.checked += 1
+        yield from got
+
+
+@pytest.mark.parametrize("n,q,k,x", [(3, 2, 1, 2), (3, 3, 1, 1), (4, 2, 2, 2)])
+def test_pencil_children_match_combination_loop(n, q, k, x):
+    space = ambient(n, q, "affine")
+    plain, checked = SearchStats(), SearchStats()
+    search = _CheckedSearch(space, k, x, checked)
+    search.run()
+    reference = _Search(space, k, x, plain)
+    reference.run()
+    assert search.checked > 0
+    assert checked == plain
+    assert search.solutions == reference.solutions
 
 
 def test_search_python_int_fallback(monkeypatch):

@@ -281,3 +281,16 @@ def test_inside_through_skew_match_row_reduction(n, q, mode):
                 assert shared[j] == expected
                 assert inside[j] == contains(s, t)
                 assert through[j] == contains(t, s)
+
+
+@pytest.mark.parametrize("mode", ["affine", "projective"])
+def test_containment_masks_are_memoised_and_read_only(mode):
+    space = ambient(3, 3, mode)
+    plane = space.spaces(2)[5]
+    axis = space.infinite_subspaces(0)[2]
+    for query in (lambda: space.spaces_inside(1, plane),
+                  lambda: space.spaces_through(1, axis)):
+        mask = query()
+        assert query() is mask
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
