@@ -18,11 +18,17 @@ T = N M and a particular solution p / den = y0 M: the rows of N are an
 integer basis of {z : m_i . z = 0 for every assigned i} and y0 solves
 every assigned equation, so every solution gives space j the value
 p[j] / den + (a combination of column j of T).  Hence space j is forced
-iff column j of T is zero, its forced value is p[j] / den, one
-`any` over T finds every forced space, and the number of rows of T is
-the dimension left.  Assigning j eliminates column j from T with one
-pivot row; the arithmetic is exact, in int64 while a bound on the new
-entries stays below `exact.INT64_GUARD` and in Python ints past it.
+iff column j of T is zero, its forced value is p[j] / den, and the
+number of rows of T is the dimension left.  Assigning j eliminates
+column j from T with one pivot row; the arithmetic is exact, in int64
+while a bound on the new entries stays below `exact.INT64_GUARD` and in
+Python ints past it.
+
+T depends only on which spaces were assigned, and in what order, not
+on their values.  So T, its list of forced spaces and a memo of the
+eliminations made from it are one read-only object shared by every
+state that reaches it; a state owns only p and den, and an assignment
+reuses T's elimination and updates p alone.
 
 A pencil's choices are enumerated member by member, so the choices
 that share a prefix of 0/1 values share its assignments and a prefix
@@ -41,8 +47,8 @@ from . import exact
 from .clsets import (KSet, complement, is_cameron_liebler,
                      kset_from_indices, point_pencil,
                      project_through_infinite_subspace)
-from .geometry import (AmbientSpace, DimensionOutOfRange, ambient,
-                       gaussian_binomial, make_subspace)
+from .geometry import (AmbientSpace, DimensionOutOfRange, _read_only,
+                       ambient, gaussian_binomial, make_subspace)
 from .incidence import build_incidence
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
@@ -82,84 +88,99 @@ class _Contradiction(Exception):
     pass
 
 
+class _Directions:
+    """T, read-only, with its forced (zero) columns, its largest |entry|
+    and a memo of the eliminations already made from it."""
+
+    __slots__ = ("a", "forced", "m", "memo")
+
+    def __init__(self, a: np.ndarray):
+        self.a = _read_only(a)
+        self.forced = (~a.any(axis=0)).tolist()
+        self.m = int(abs(a).max(initial=0))
+        self.memo: dict[int, tuple[int, int, _Directions]] = {}
+
+    def eliminated(self, j: int) -> "tuple[int, int, _Directions]":
+        """(r, c, T') for column j: with pivot row r and c = T[r, j],
+        T[s] <- c T[s] - T[s, j] T[r], row r is dropped and every
+        changed row divided by its gcd."""
+        hit = self.memo.get(j)
+        if hit is None:
+            a = self.a
+            # the new entries are at most 2 m^2
+            if 2 * self.m * self.m >= exact.INT64_GUARD:
+                a = a.astype(object)  # Python ints from here on
+            col = a[:, j]
+            nz = col.nonzero()[0]
+            r, rows = nz[0], nz[1:]
+            c = col[r]
+            upd = c * a[rows] - col[rows, None] * a[r]
+            upd //= np.gcd.reduce(upd, axis=1)[:, None]
+            out = a.copy()
+            out[rows] = upd
+            out[r] = out[-1]
+            hit = self.memo[j] = (int(r), int(c), _Directions(out[:-1]))
+        return hit
+
+
 class _Tableau:
     """Assigned equations m_j . y = val_j as T = N M and p / den = y0 M.
 
     M is the point x k-space incidence matrix, the rows of N are an
     integer basis of {z : m_i . z = 0 for every assigned i}, and y0
-    solves every assigned equation.  One integer array holds T with p
-    as its last row.  Updates build a new array and never write into an
-    old one, so a search state can share its tableau with its children.
-    """
+    solves every assigned equation.  T is a `_Directions` shared between
+    tableaux; each tableau owns only p and den.  Updates build new
+    arrays and never write into old ones, so a search state can share
+    its tableau with its children."""
 
-    __slots__ = ("a", "den")
+    __slots__ = ("dirs", "p", "den")
 
-    def __init__(self, a: np.ndarray, den: int):
-        self.a = a
+    def __init__(self, dirs: _Directions, p: np.ndarray, den: int):
+        self.dirs = dirs
+        self.p = p
         self.den = den
 
     @classmethod
     def start(cls, matrix: np.ndarray) -> "_Tableau":
-        a = np.zeros((matrix.shape[0] + 1, matrix.shape[1]), dtype=np.int64)
-        a[:-1] = matrix
-        return cls(a, 1)
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.a[:-1]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.a[-1]
+        return cls(_Directions(matrix.astype(np.int64)),
+                   np.zeros(matrix.shape[1], dtype=np.int64), 1)
 
     @property
     def dim(self) -> int:
         """Dimension of the solution space of the assigned equations."""
-        return self.a.shape[0] - 1
-
-    def forced(self) -> np.ndarray:
-        """Column j is zero iff m_j lies in the span of the assigned m_i,
-        and then every solution gives space j the value p[j] / den."""
-        return ~self.t.any(axis=0)
+        return self.dirs.a.shape[0]
 
     def assigned(self, j: int, val: int) -> "_Tableau":
         """The tableau with m_j . y = val added; raises _Contradiction
         when m_j is already forced to another value.
 
-        With pivot row r and c = T[r, j]: T[s] <- c T[s] - T[s, j] T[r],
-        p <- c p + (val den - p[j]) T[r] and den <- den c; row r is
-        dropped and every changed row, and (p, den), divided by its gcd."""
-        a, den = self.a, self.den
-        if not a[:-1, j].any():
-            if a[-1, j] != val * den:
+        T is eliminated by `_Directions.eliminated`; with its pivot row r
+        and c = T[r, j], p <- c p + (val den - p[j]) T[r] and
+        den <- den c, both divided by their gcd, unless p[j] = val den
+        already, which leaves p and den as they are."""
+        dirs, p, den = self.dirs, self.p, self.den
+        if dirs.forced[j]:
+            if p[j] != val * den:
                 raise _Contradiction
             return self
-        # entries of T and p are at most m, so the new ones are at most
-        # 2 m^2 and m (2 m + |val| den), and the new den is den m
-        m = int(abs(a).max())
-        if m * (2 * m + (abs(val) + 1) * den) >= exact.INT64_GUARD:
-            a = a.astype(object)  # Python ints from here on: no overflow
-        col = a[:, j].copy()
-        col[-1] -= val * den
-        # only the rows with a nonzero entry in col change: the others,
-        # p too when p[j] = val den, stay the same up to the factor c
-        nz = col.nonzero()[0]
-        r, rows = nz[0], nz[1:]
-        c = col[r]
-        upd = c * a[rows] - col[rows, None] * a[r]
-        g = np.gcd.reduce(upd, axis=1)
-        if col[-1]:
-            den = int(den * c)
-            gp = gcd(int(g[-1]), den)
-            g[-1] = -gp if den < 0 else gp
-            den //= int(g[-1])
-        upd //= g[:, None]
-        out = a.copy()
-        out[rows] = upd
-        out[r] = out[-2]
-        out[-2] = out[-1]
-        out = out[:-1]
-        return _Tableau(out, den)
+        r, c, child = dirs.eliminated(j)
+        e = p[j] - val * den
+        if e:
+            row = dirs.a[r]
+            # entries of T and p are at most m, so the new ones are at
+            # most m (2 m + |val| den), and the new den is den m
+            m = max(dirs.m, int(abs(p).max()))
+            if m * (2 * m + (abs(val) + 1) * den) >= exact.INT64_GUARD:
+                # Python ints from here on
+                p, row = p.astype(object), row.astype(object)
+            p = c * p - e * row
+            den *= c
+            g = gcd(int(np.gcd.reduce(p)), den)
+            if den < 0:
+                g = -g
+            p //= g
+            den //= g
+        return _Tableau(child, p, den)
 
 
 class _State:
@@ -218,32 +239,25 @@ class _Search:
     def _scan_forced(self, state):
         # visit forced unknowns in index order, re-reading the tableau
         # after each assignment, and pass again while anything changed
+        values = state.values
         changed = True
         while changed:
             changed = False
-            j = self._next_forced(state, 0)
-            while j is not None:
-                num, den = state.tab.p[j], state.tab.den
+            tab = state.tab
+            for j in range(len(values)):
+                if not tab.dirs.forced[j] or values[j] != -1:
+                    continue
+                num = tab.p[j]
                 if num == 0:
                     self._assign(state, j, 0)
-                elif num == den:
+                elif num == tab.den:
                     self._assign(state, j, 1)
                 else:
                     self.stats.pruned_rank += 1
                     raise _Contradiction
                 self.stats.forced += 1
                 changed = True
-                j = self._next_forced(state, j + 1)
-
-    @staticmethod
-    def _next_forced(state, start):
-        """The lowest unknown space at or after start whose value the
-        assigned equations determine, or None."""
-        values = state.values
-        for j in np.flatnonzero(state.tab.forced()[start:]).tolist():
-            if values[start + j] == -1:
-                return start + j
-        return None
+                tab = state.tab
 
     # -- main recursion ----------------------------------------------------
 

@@ -15,7 +15,7 @@ from clag.clsets import (complement, is_cameron_liebler, kset_from_indices,
                          point_pencil)
 from clag.geometry import ambient, gaussian_binomial
 from clag.incidence import build_incidence
-from oracle import combination_children
+from oracle import OneArrayTableau, combination_children
 
 
 def found_sets(cert):
@@ -98,7 +98,8 @@ def without_wall_clock(cert):
     (3, 3, 1, 1, (325, 1235, 72, 189, 27)),
     (4, 2, 1, 1, (89, 865, 8, 56, 16)),
     (3, 4, 1, 1, (1801, 7833, 24, 288, 64)),
-    (5, 2, 1, 2, (3585, 85080, 935, 1384, 0))])
+    (5, 2, 1, 2, (3585, 85080, 935, 1384, 0)),
+    (3, 3, 1, 3, (80080, 70341, 48813, 27678, 0))])
 def test_search_statistics_are_pinned(n, q, k, x, stats):
     # any change to the order of forced-value scans or of a pencil's
     # choices moves these counts
@@ -126,8 +127,10 @@ class _CheckedSearch(_Search):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (a.values, a.ones, a.unknown) == (b.values, b.ones, b.unknown)
-            assert a.tab.a.dtype == b.tab.a.dtype
-            assert np.array_equal(a.tab.a, b.tab.a)
+            assert a.tab.dirs.a.dtype == b.tab.dirs.a.dtype
+            assert np.array_equal(a.tab.dirs.a, b.tab.dirs.a)
+            assert a.tab.p.dtype == b.tab.p.dtype
+            assert np.array_equal(a.tab.p, b.tab.p)
             assert a.tab.den == b.tab.den
         self.checked += 1
         yield from got
@@ -149,12 +152,13 @@ def test_pencil_children_match_combination_loop(n, q, k, x):
 def test_search_python_int_fallback(monkeypatch):
     expected = {x: without_wall_clock(search_cl_ksets(3, 2, 1, x))
                 for x in (1, 2)}
-    dtypes = set()
+    t_dtypes, p_dtypes = set(), set()
     assigned = _Tableau.assigned
 
     def recording(self, j, val):
         tab = assigned(self, j, val)
-        dtypes.add(tab.a.dtype)
+        t_dtypes.add(tab.dirs.a.dtype)
+        p_dtypes.add(tab.p.dtype)
         return tab
 
     monkeypatch.setattr(_Tableau, "assigned", recording)
@@ -162,7 +166,8 @@ def test_search_python_int_fallback(monkeypatch):
     monkeypatch.setattr(exact, "INT64_GUARD", 2**3)
     for x in (1, 2):
         assert without_wall_clock(search_cl_ksets(3, 2, 1, x)) == expected[x]
-    assert np.dtype(object) in dtypes
+    assert np.dtype(object) in t_dtypes
+    assert np.dtype(object) in p_dtypes
 
 
 def assigned_value(rows, values, col):
@@ -174,25 +179,34 @@ def assigned_value(rows, values, col):
     return sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
 
 
-@pytest.mark.parametrize("n,q,k,seed", [
-    (3, 3, 1, 1), (3, 3, 1, 2), (4, 2, 2, 1), (4, 2, 2, 2)])
-def test_tableau_matches_exact_elimination(n, q, k, seed):
+ASSIGNMENT_SEQUENCES = [(3, 3, 1, 1), (3, 3, 1, 2), (4, 2, 2, 1), (4, 2, 2, 2)]
+
+
+def assignment_sequence(n, q, k, seed):
+    """The incidence matrix, a seeded order of its columns and a 0/1
+    value per column: odd seeds follow a pencil, so every forced value
+    is consistent; even seeds use random bits, which soon contradict
+    the forced values."""
     space = ambient(n, q, "affine")
     m = build_incidence(space, k).matrix.astype(np.int64)
-    cols = m.T.tolist()
     rng = random.Random(seed)
-    # odd seeds follow a pencil, so every forced value is consistent;
-    # even seeds use random bits, which soon contradict the forced values
     if seed % 2:
         target = point_pencil(space, rng.choice(space.points), k).chi()
     else:
-        target = [rng.randrange(2) for _ in cols]
-    order = list(range(len(cols)))
+        target = [rng.randrange(2) for _ in range(m.shape[1])]
+    order = list(range(m.shape[1]))
     rng.shuffle(order)
+    return m, order, [int(v) for v in target], rng
+
+
+@pytest.mark.parametrize("n,q,k,seed", ASSIGNMENT_SEQUENCES)
+def test_tableau_matches_exact_elimination(n, q, k, seed):
+    m, order, target, rng = assignment_sequence(n, q, k, seed)
+    cols = m.T.tolist()
     tab = _Tableau.start(m)
     rows, values = [], []
     for j in order:
-        val = int(target[j])
+        val = target[j]
         forced = assigned_value(rows, values, cols[j])
         if forced is not None and forced != val:
             with pytest.raises(_Contradiction):
@@ -205,12 +219,54 @@ def test_tableau_matches_exact_elimination(n, q, k, seed):
         assert tab.dim == m.shape[0] - len(rows)
         for i in [j] + rng.sample(range(len(cols)), 3):
             want = assigned_value(rows, values, cols[i])
-            assert (not tab.t[:, i].any()) == (want is not None)
+            assert (not tab.dirs.a[:, i].any()) == (want is not None)
             if want is not None:
                 assert Fraction(int(tab.p[i]), tab.den) == want
         if not tab.dim:
             break
     assert not tab.dim
+
+
+@pytest.mark.parametrize("guard", [None, 2**5])
+@pytest.mark.parametrize("n,q,k,seed", ASSIGNMENT_SEQUENCES)
+def test_tableau_matches_one_array_tableau(n, q, k, seed, guard,
+                                           monkeypatch):
+    # with a lowered guard T and p widen to Python ints at other steps
+    # than the one array does, so only their entries must agree
+    if guard is not None:
+        monkeypatch.setattr(exact, "INT64_GUARD", guard)
+    m, order, target, _ = assignment_sequence(n, q, k, seed)
+    tab, ref = _Tableau.start(m), OneArrayTableau.start(m)
+    widened = set()
+    for j in order:
+        try:
+            ref = ref.assigned(j, target[j])
+        except _Contradiction:
+            with pytest.raises(_Contradiction):
+                tab.assigned(j, target[j])
+            continue
+        tab = tab.assigned(j, target[j])
+        assert np.array_equal(tab.dirs.a, ref.t)
+        assert np.array_equal(tab.p, ref.p)
+        assert tab.den == ref.den
+        if guard is None:
+            assert tab.dirs.a.dtype == ref.t.dtype
+            assert tab.p.dtype == ref.p.dtype
+        widened |= {name for name, a in (("t", tab.dirs.a), ("p", tab.p))
+                    if a.dtype == object}
+    assert not tab.dim
+    assert widened == (set() if guard is None else {"t", "p"})
+
+
+def test_tableau_children_share_their_directions():
+    m = build_incidence(ambient(3, 2, "affine"), 1).matrix
+    tab = _Tableau.start(m)
+    zero, one = tab.assigned(5, 0), tab.assigned(5, 1)
+    assert zero.dirs is one.dirs
+    assert zero.den == 1 and not zero.p.any() and one.p.any()
+    for a in (tab.dirs.a, zero.dirs.a):
+        with pytest.raises(ValueError):
+            a[0, 0] = 7
 
 
 def reference_enumeration(n, q):
