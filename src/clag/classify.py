@@ -28,16 +28,25 @@ T depends only on which spaces were assigned, and in what order, not
 on their values.  So T, its list of forced spaces and a memo of the
 eliminations made from it are one read-only object shared by every
 state that reaches it; a state owns only p and den, and an assignment
-reuses T's elimination and updates p alone.
+reuses T's elimination and updates p alone.  The forced-value scan
+reads only T's forced columns that were not its own pivots.
 
-A pencil's choices are enumerated member by member, so the choices
-that share a prefix of 0/1 values share its assignments and a prefix
-that contradicts is found once, not once per choice that extends it.
+Every choice of a branching pencil assigns the pencil's unknown members
+in the same order, so all of them meet the same chain of T's, and
+along it p and den are linear in the node's p at those members and its
+den.  One plan per (T, unknown members, count) holds that chain as a
+check matrix and an update matrix, and one block step builds every
+child of the node from it: the choices whose checks vanish survive,
+each with p' = ctot p + (s @ alpha) @ R, reduced as an assignment
+reduces it, so the children are those of assigning the members one by
+one.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -47,8 +56,9 @@ from . import exact
 from .clsets import (KSet, complement, is_cameron_liebler,
                      kset_from_indices, point_pencil,
                      project_through_infinite_subspace)
-from .geometry import (AmbientSpace, DimensionOutOfRange, _read_only,
-                       ambient, gaussian_binomial, make_subspace)
+from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard,
+                       _read_only, ambient, entry_guard, gaussian_binomial,
+                       make_subspace)
 from .incidence import build_incidence
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
@@ -89,16 +99,25 @@ class _Contradiction(Exception):
 
 
 class _Directions:
-    """T, read-only, with its forced (zero) columns, its largest |entry|
-    and a memo of the eliminations already made from it."""
+    """T, read-only, with its forced (zero) columns, the sorted list of
+    those that are not pivots of the eliminations that made T, its
+    largest |entry|, a memo of the eliminations already made from it and
+    the pencil plans that start from it."""
 
-    __slots__ = ("a", "forced", "m", "memo")
+    __slots__ = ("a", "forced", "fresh", "m", "memo", "plans")
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, parent: "_Directions | None" = None,
+                 pivot: int = -1):
         self.a = _read_only(a)
-        self.forced = (~a.any(axis=0)).tolist()
+        forced = ~a.any(axis=0)
+        self.forced = forced.tolist()
+        self.fresh = np.flatnonzero(forced).tolist()
+        if parent is not None:  # T is the parent's T with pivot eliminated
+            self.fresh = sorted(parent.fresh + [
+                j for j in self.fresh if not parent.forced[j] and j != pivot])
         self.m = int(abs(a).max(initial=0))
         self.memo: dict[int, tuple[int, int, _Directions]] = {}
+        self.plans: dict[tuple[tuple[int, ...], int], _Plan] = {}
 
     def eliminated(self, j: int) -> "tuple[int, int, _Directions]":
         """(r, c, T') for column j: with pivot row r and c = T[r, j],
@@ -119,8 +138,118 @@ class _Directions:
             out = a.copy()
             out[rows] = upd
             out[r] = out[-1]
-            hit = self.memo[j] = (int(r), int(c), _Directions(out[:-1]))
+            hit = self.memo[j] = (int(r), int(c),
+                                  _Directions(out[:-1], self, j))
         return hit
+
+
+def _fit(a: np.ndarray) -> np.ndarray:
+    """a as int64 when its entries stay below `exact.INT64_GUARD`."""
+    if a.dtype == object and abs(a).max(initial=0) < exact.INT64_GUARD:
+        return a.astype(np.int64)
+    return a
+
+
+class _Plan:
+    """Every child of a branching pencil at once, for one T, the
+    pencil's unknown members u_1 .. u_m and the number `need` of them
+    that get value 1.
+
+    Each choice v of `itertools.combinations` assigns u_1 .. u_m in this
+    order, as `_Search._assign` does, cascades included, so every choice
+    meets the same chain of T's: u_i is either forced in the current T
+    or eliminated from it by `_Directions.eliminated`.  Along the chain
+    the unreduced p and den of a choice are linear in s = (p[u], den) of
+    the node, so one matrix holds its checks and one its update:
+    - a forced u_i needs e_i = p_i[u_i] - v_i den_i = 0;
+    - an eliminated u_i, with pivot row R_i and c_i, makes
+      p_i = c_i p_{i-1} - e_i R_i and den_i = c_i den_{i-1}.
+    So a choice survives iff s @ checks is zero, and then, with
+    ctot = prod c_i and alpha_i = -e_i prod_{l > i} c_l,
+    p' = ctot p + (s @ alpha) @ R and den' = ctot den.  Reduced by the
+    gcd of p' and den' with den' > 0, as `_Tableau.assigned` reduces
+    every p and den it builds, these are its p and den exactly."""
+
+    __slots__ = ("choices", "checks", "alpha", "rows", "ctot", "dirs",
+                 "bound")
+
+    def __init__(self, dirs: _Directions, unknown: tuple[int, ...],
+                 need: int):
+        m = len(unknown)
+        # the linear forms of the chain take (choices) x (m + 1) x m entries
+        cap = entry_guard()
+        if comb(m, need) * (m + 1) * m > cap:
+            raise SizeGuard(f"{comb(m, need)} choices of {m} pencil members "
+                            f"x {m + 1} x {m} forms exceed guard {cap}")
+        picks = list(itertools.combinations(range(m), need))
+        choices = np.zeros((len(picks), m), dtype=np.int64)
+        choices[np.arange(len(picks))[:, None],
+                np.array(picks, dtype=np.intp).reshape(len(picks), need)] = 1
+        self.choices = choices.tolist()
+        checks, alphas, self.ctot, rows, self.dirs = (
+            self._chain(dirs, unknown, choices, np.int64)
+            or self._chain(dirs, unknown, choices.astype(object), object))
+        self.checks = _fit(self._matrix(checks, m))
+        self.alpha = _fit(self._matrix(alphas, m))
+        self.rows = _fit(np.stack(rows) if rows else
+                         np.zeros((0, dirs.a.shape[1]), dtype=np.int64))
+        k_max = int(abs(self.checks).max(initial=0))
+        a_max = int(abs(self.alpha).max(initial=0))
+        r_max = int(abs(self.rows).max(initial=0))
+        # |s| <= M bounds |s @ checks| by (m+1) k_max M and every entry
+        # of ctot p + (s @ alpha) @ R and of ctot den by this bound times M
+        self.bound = max((m + 1) * k_max,
+                         abs(self.ctot) + len(rows) * (m + 1) * a_max * r_max)
+
+    @staticmethod
+    def _chain(dirs, unknown, choices, dtype):
+        """The check forms, the alpha forms, ctot, the pivot rows R_i
+        and the last T; None when an int64 entry could reach
+        `exact.INT64_GUARD`."""
+        guard = exact.INT64_GUARD
+        n, m = choices.shape
+        # forms[v, :, i] is p[u_i] of choice v as a linear form in s
+        forms = np.zeros((n, m + 1, m), dtype=dtype)
+        forms[:, :m] = np.eye(m, dtype=np.int64)
+        bound, ctot = 1, 1
+        checks, steps, rows = [], [], []
+        for i, u in enumerate(unknown):
+            e_bound = bound + abs(ctot)
+            if dtype is np.int64 and e_bound >= guard:
+                return None
+            e = forms[:, :, i].copy()
+            e[:, m] -= ctot * choices[:, i]
+            if dirs.forced[u]:
+                checks.append(e)
+                continue
+            r, c, nxt = dirs.eliminated(u)
+            bound = abs(c) * bound + e_bound * dirs.m
+            if dtype is np.int64 and bound >= guard:
+                return None
+            row = dirs.a[r]
+            rest = list(unknown[i + 1:])
+            forms[:, :, i + 1:] = (c * forms[:, :, i + 1:]
+                                   - e[:, :, None] * row[rest])
+            steps.append((e, e_bound, c))
+            rows.append(row)
+            ctot *= c
+            dirs = nxt
+        # alpha_i = -e_i prod_{l > i} c_l
+        tail, alphas = 1, []
+        for e, e_bound, c in reversed(steps):
+            if dtype is np.int64 and e_bound * abs(tail) >= guard:
+                return None
+            alphas.append(-tail * e)
+            tail *= c
+        return checks, alphas[::-1], ctot, rows, dirs
+
+    @staticmethod
+    def _matrix(forms, m):
+        """The forms, each (choices) x (m + 1), as one matrix with m + 1
+        rows whose column v * len(forms) + i is form i of choice v."""
+        if not forms:
+            return np.zeros((m + 1, 0), dtype=np.int64)
+        return np.stack(forms, axis=2).transpose(1, 0, 2).reshape(m + 1, -1)
 
 
 class _Tableau:
@@ -208,6 +337,7 @@ class _Search:
         self.per_space = [int(v) for v in per_space]
         self.incidence = build_incidence(space, k)
         self.solutions: list[tuple[int, ...]] = []
+        self.plans_built = 0
 
     # -- assignment and propagation ----------------------------------------
 
@@ -238,14 +368,19 @@ class _Search:
 
     def _scan_forced(self, state):
         # visit forced unknowns in index order, re-reading the tableau
-        # after each assignment, and pass again while anything changed
+        # after each assignment, and pass again while anything changed;
+        # a T's pivots are assigned in every state that reaches it, so
+        # only its other forced columns (`fresh`) are read
         values = state.values
         changed = True
         while changed:
             changed = False
             tab = state.tab
-            for j in range(len(values)):
-                if not tab.dirs.forced[j] or values[j] != -1:
+            fresh, i = tab.dirs.fresh, 0
+            while i < len(fresh):
+                j = fresh[i]
+                i += 1
+                if values[j] != -1:
                     continue
                 num = tab.p[j]
                 if num == 0:
@@ -257,7 +392,9 @@ class _Search:
                     raise _Contradiction
                 self.stats.forced += 1
                 changed = True
-                tab = state.tab
+                if state.tab is not tab:
+                    tab = state.tab
+                    fresh, i = tab.dirs.fresh, bisect_right(tab.dirs.fresh, j)
 
     # -- main recursion ----------------------------------------------------
 
@@ -292,33 +429,53 @@ class _Search:
                     continue
                 self._dfs(child)
             return
-        for child in self._children(state, nxt, 0):
+        for child in self._children(state, nxt):
             self._dfs(child)
 
-    def _children(self, state, pid, i):
-        """The states that complete pencil pid from its i-th member on
-        with exactly x members, in the order of `itertools.combinations`
-        over its unknown members: member by member, 1 before 0, each
-        prefix assigned once and shared by every child that extends it.
-        Members already set, by a pencil cascade too, are skipped, and a
-        value is offered only while x members stay reachable, so the
-        pencil counts cannot fail here."""
-        members = self.pencils[pid]
-        while i < len(members) and state.values[members[i]] != -1:
-            i += 1
-        if i == len(members):
-            yield state
-            return
+    def _children(self, state, pid):
+        """The states that complete pencil pid with exactly x members,
+        in the order of `itertools.combinations` over its unknown
+        members, each as if those members were assigned in pencil order:
+        one block step of the `_Plan` kept on T for (unknown, need).  p
+        widens to Python ints when the plan's bound is reached."""
+        values = state.values
+        unknown = tuple(t for t in self.pencils[pid] if values[t] == -1)
         need = self.x - state.ones[pid]
-        for val in (1, 0):
-            if not 0 <= need - val <= state.unknown[pid] - 1:
-                continue
-            child = state.clone()
-            try:
-                self._assign(child, members[i], val)
-            except _Contradiction:
-                continue
-            yield from self._children(child, pid, i + 1)
+        tab = state.tab
+        key = (unknown, need)
+        plan = tab.dirs.plans.get(key)
+        if plan is None:
+            plan = tab.dirs.plans[key] = _Plan(tab.dirs, unknown, need)
+            self.plans_built += 1
+        p, den = tab.p, tab.den
+        if max(int(abs(p).max()), den) * plan.bound >= exact.INT64_GUARD:
+            p = p.astype(object)  # Python ints from here on
+        s = np.append(p[list(unknown)], den)
+        n = len(plan.choices)
+        alive = ~(s @ plan.checks).reshape(n, -1).any(axis=1)
+        picked = np.flatnonzero(alive).tolist()
+        if not picked:
+            return []
+        alpha = (s @ plan.alpha).reshape(n, -1)[alive]
+        ps = plan.ctot * p + alpha @ plan.rows
+        den = plan.ctot * den
+        g = np.gcd(np.gcd.reduce(ps, axis=1), den)
+        if den < 0:
+            g = -g
+        ps //= g[:, None]
+        dens = (den // g).tolist()
+        ones = state.ones[:]
+        ones[pid] = self.x
+        left = state.unknown[:]
+        left[pid] = 0
+        children = []
+        for row, v in enumerate(picked):
+            vals = values[:]
+            for t, val in zip(unknown, plan.choices[v]):
+                vals[t] = val
+            children.append(_State(vals, ones[:], left[:],
+                                   _Tableau(plan.dirs, ps[row], dens[row])))
+        return children
 
     def _leaf(self, state):
         chi = np.array(state.values, dtype=np.int64)
@@ -333,9 +490,13 @@ class _Search:
 
 
 def search_cl_ksets(n: int, q: int, k: int, x: int,
-                    cap: int | None = None, seed: int = 0) -> dict:
+                    cap: int | None = None, seed: int = 0,
+                    timing: bool = False) -> dict:
     """Complete classification certificate for the Cameron-Liebler
-    k-sets of AG(n, q) with parameter x."""
+    k-sets of AG(n, q) with parameter x.  With `timing`, the search
+    rate `nodes_per_s` and the number of pencil plans built follow
+    `wall_clock_s`; like it they describe the run, not the
+    classification."""
     if not 1 <= k <= n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{n - 1}")
     space = ambient(n, q, "affine")
@@ -349,6 +510,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     complemented = False
     solutions: list[tuple[int, ...]] = []
     stats = SearchStats()
+    plans_built = 0
     if 0 <= x <= max_x:
         search_x = x
         if x > max_x - x:
@@ -356,6 +518,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
             search_x = max_x - x
         search = _Search(space, k, search_x, stats)
         search.run()
+        plans_built = search.plans_built
         found = search.solutions
         if complemented:
             allidx = frozenset(range(total))
@@ -379,6 +542,9 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
         "seed": seed,
     }
     cert["wall_clock_s"] = round(wall, 3)
+    if timing:
+        cert["nodes_per_s"] = round(stats.nodes / wall) if wall > 0 else 0
+        cert["plans_built"] = plans_built
     return cert
 
 

@@ -6,8 +6,8 @@ PRNG seed is recorded in every artifact, and artifacts are byte-stable
 across reruns (wall-clock timing is embedded only with --timing).
 CLAG_SIZE_GUARD overrides the matrix-entry guard (default 10**7) of
 relation matrices and of every incidence matrix, spreads, pencils and
-projections included, read on every access; the search's k-space cap
-is --cap.
+projections included, and of every pencil plan the search builds, read
+on every access; the search's k-space cap is --cap.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     try:
         cert = classify.search_cl_ksets(args.n, args.q, args.k, args.x,
-                                        cap=args.cap, seed=args.seed)
+                                        cap=args.cap, seed=args.seed,
+                                        timing=args.timing)
     except classify.ScaleExceeded as exc:
         print(f"scale exceeded: {exc}", file=sys.stderr)
         return 2

@@ -4,9 +4,10 @@
 inside big iff adding its rows to big's does not grow the row space,
 decided by GF(q) row reduction (`span` goes through `gf_rref`).
 
-`combination_children` is the search's former branching loop: one
+`combination_children` is the reference for `_Search._children`: one
 clone per `itertools.combinations` choice of a pencil's unknown
-members, each replaying the pencil's assignments from the start.
+members, each replaying the pencil's assignments one `_assign` at a
+time from the start.
 
 `OneArrayTableau` is the search's former tableau: one integer array
 holds T with p as its last row, and every assignment eliminates the

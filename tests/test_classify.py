@@ -13,7 +13,7 @@ from clag.classify import (ScaleExceeded, SearchStats, _Contradiction,
                            verify_hyperplane_spread_classification)
 from clag.clsets import (complement, is_cameron_liebler, kset_from_indices,
                          point_pencil)
-from clag.geometry import ambient, gaussian_binomial
+from clag.geometry import SizeGuard, ambient, gaussian_binomial
 from clag.incidence import build_incidence
 from oracle import OneArrayTableau, combination_children
 
@@ -113,30 +113,37 @@ def test_search_statistics_are_pinned(n, q, k, x, stats):
 
 class _CheckedSearch(_Search):
     """A search that, at every branching node, checks its pencil
-    children against the former one-clone-per-combination loop."""
+    children against the one-clone-per-combination reference; with
+    `same_dtypes` off, T's and p's entries must agree but not their
+    dtypes."""
 
     checked = 0
+    same_dtypes = True
+    widened = 0  # block steps that took an int64 p to Python ints
 
-    def _children(self, state, pid, i):
-        if i:  # the recursion inside one node's enumeration
-            yield from super()._children(state, pid, i)
-            return
+    def _children(self, state, pid):
         assert state.tab.dim > _ENDGAME_DIM
         want = combination_children(self, state, pid)
-        got = list(super()._children(state, pid, 0))
+        got = super()._children(state, pid)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (a.values, a.ones, a.unknown) == (b.values, b.ones, b.unknown)
-            assert a.tab.dirs.a.dtype == b.tab.dirs.a.dtype
+            assert a.tab.dirs is b.tab.dirs
             assert np.array_equal(a.tab.dirs.a, b.tab.dirs.a)
-            assert a.tab.p.dtype == b.tab.p.dtype
             assert np.array_equal(a.tab.p, b.tab.p)
             assert a.tab.den == b.tab.den
+            if self.same_dtypes:
+                assert a.tab.dirs.a.dtype == b.tab.dirs.a.dtype
+                assert a.tab.p.dtype == b.tab.p.dtype
+        if state.tab.p.dtype != object and any(
+                c.tab.p.dtype == object for c in got):
+            self.widened += 1
         self.checked += 1
-        yield from got
+        return got
 
 
-@pytest.mark.parametrize("n,q,k,x", [(3, 2, 1, 2), (3, 3, 1, 1), (4, 2, 2, 2)])
+@pytest.mark.parametrize("n,q,k,x", [(3, 2, 1, 2), (3, 3, 1, 1), (4, 2, 2, 2),
+                                     (3, 4, 1, 1), (5, 2, 1, 2)])
 def test_pencil_children_match_combination_loop(n, q, k, x):
     space = ambient(n, q, "affine")
     plain, checked = SearchStats(), SearchStats()
@@ -168,6 +175,46 @@ def test_search_python_int_fallback(monkeypatch):
         assert without_wall_clock(search_cl_ksets(3, 2, 1, x)) == expected[x]
     assert np.dtype(object) in t_dtypes
     assert np.dtype(object) in p_dtypes
+
+
+def test_pencil_block_step_widens_to_python_ints(monkeypatch):
+    # at 2^12 most branching nodes reach their plan's bound while p is
+    # still int64 (270 of 307 on AG(3,3) x = 2)
+    expected = without_wall_clock(search_cl_ksets(3, 3, 1, 2))
+    monkeypatch.setattr(exact, "INT64_GUARD", 2**12)
+    search = _CheckedSearch(ambient(3, 3, "affine"), 1, 2, SearchStats())
+    search.same_dtypes = False
+    search.run()
+    assert search.widened > 0
+    assert without_wall_clock(search_cl_ksets(3, 3, 1, 2)) == expected
+
+
+def test_pencil_plans_are_built_once_per_directions_and_key(monkeypatch):
+    built = []
+
+    class Recording(classify._Plan):
+        __slots__ = ()
+
+        def __init__(self, dirs, unknown, need):
+            built.append((dirs, unknown, need))
+            super().__init__(dirs, unknown, need)
+
+    monkeypatch.setattr(classify, "_Plan", Recording)
+    search = _Search(ambient(3, 3, "affine"), 1, 2, SearchStats())
+    search.run()
+    distinct = [b for i, b in enumerate(built)
+                if not any(b[0] is c[0] and b[1:] == c[1:]
+                           for c in built[:i])]
+    assert len(distinct) == len(built) == search.plans_built == 3
+
+
+def test_pencil_plan_size_guard(monkeypatch):
+    # AG(3,3): the 27 x 117 incidence has 3,159 entries; the root plan
+    # for x = 2 has C(9, 2) x 10 x 9 = 3,240, for x = 1 9 x 10 x 9 = 810
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "3200")
+    assert search_cl_ksets(3, 3, 1, 1)["solution_count"] == 27
+    with pytest.raises(SizeGuard):
+        search_cl_ksets(3, 3, 1, 2)
 
 
 def assigned_value(rows, values, col):
@@ -204,7 +251,7 @@ def test_tableau_matches_exact_elimination(n, q, k, seed):
     m, order, target, rng = assignment_sequence(n, q, k, seed)
     cols = m.T.tolist()
     tab = _Tableau.start(m)
-    rows, values = [], []
+    rows, values, pivots = [], [], set()
     for j in order:
         val = target[j]
         forced = assigned_value(rows, values, cols[j])
@@ -216,7 +263,10 @@ def test_tableau_matches_exact_elimination(n, q, k, seed):
         if forced is None:
             rows.append(cols[j])
             values.append(val)
+            pivots.add(j)
         assert tab.dim == m.shape[0] - len(rows)
+        zero = np.flatnonzero(~tab.dirs.a.any(axis=0)).tolist()
+        assert tab.dirs.fresh == [i for i in zero if i not in pivots]
         for i in [j] + rng.sample(range(len(cols)), 3):
             want = assigned_value(rows, values, cols[i])
             assert (not tab.dirs.a[:, i].any()) == (want is not None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,28 @@ def test_search_byte_identical(tmp_path):
     run_cli("search", "--n", "3", "--q", "2", "--x", "1", "--out", str(a))
     run_cli("search", "--n", "3", "--q", "2", "--x", "1", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_search_timing_is_opt_in():
+    # SHA-256 of the certificates as printed before `--timing` reported
+    # the search rate and plan count
+    pinned = {
+        ("2", "1"): "49e71a0221c429de42dc232ccac26d7b"
+                    "9201d6ea9f2e6a38ea06c0d6cfb7648f",
+        ("3", "2"): "f5b84235a9b9bc8ac95867a7ab1506cc"
+                    "146066c0856a850caf48ef8e50d7e9cf"}
+    for (q, x), digest in pinned.items():
+        plain = run_cli("search", "--n", "3", "--q", q, "--x", x)
+        assert plain.returncode == 0
+        assert hashlib.sha256(plain.stdout.encode()).hexdigest() == digest
+        timed = run_cli("search", "--n", "3", "--q", q, "--x", x, "--timing")
+        doc = json.loads(timed.stdout)
+        assert list(doc)[-3:] == ["wall_clock_s", "nodes_per_s",
+                                  "plans_built"]
+        assert doc["nodes_per_s"] > 0 and doc["plans_built"] > 0
+        for key in ("wall_clock_s", "nodes_per_s", "plans_built"):
+            doc.pop(key)
+        assert json.dumps(doc, indent=2) + "\n" == plain.stdout
 
 
 def test_verify_pencil(tmp_path):
