@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, gcd
 
 import numpy as np
@@ -58,7 +58,7 @@ from .clsets import (KSet, complement, is_cameron_liebler,
                      project_through_infinite_subspace)
 from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard,
                        _read_only, ambient, entry_guard, gaussian_binomial,
-                       make_subspace)
+                       subspace_from_json)
 from .incidence import build_incidence
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
@@ -79,19 +79,13 @@ class ScaleExceeded(RuntimeError):
 
 @dataclass
 class SearchStats:
+    """The search's counters, named and ordered as in the certificate."""
     nodes: int = 0
     forced: int = 0
-    pruned_pencil: int = 0
-    pruned_rank: int = 0
+    pruned_by_pencil_counts: int = 0
+    pruned_by_elimination: int = 0
     endgame_nodes: int = 0
     solutions: int = 0
-
-    def to_json(self) -> dict:
-        return {"nodes": self.nodes, "forced": self.forced,
-                "pruned_by_pencil_counts": self.pruned_pencil,
-                "pruned_by_elimination": self.pruned_rank,
-                "endgame_nodes": self.endgame_nodes,
-                "solutions": self.solutions}
 
 
 class _Contradiction(Exception):
@@ -271,7 +265,10 @@ class _Tableau:
 
     @classmethod
     def start(cls, matrix: np.ndarray) -> "_Tableau":
-        return cls(_Directions(matrix.astype(np.int64)),
+        # a read-only int64 matrix is shared; a writable one is copied,
+        # since `_Directions` locks its T against writes
+        return cls(_Directions(matrix.astype(np.int64,
+                                             copy=matrix.flags.writeable)),
                    np.zeros(matrix.shape[1], dtype=np.int64), 1)
 
     @property
@@ -354,7 +351,7 @@ class _Search:
             state.ones[pid] += 1
         ones, unknown = state.ones[pid], state.unknown[pid]
         if ones > self.x or ones + unknown < self.x:
-            self.stats.pruned_pencil += 1
+            self.stats.pruned_by_pencil_counts += 1
             raise _Contradiction
         state.tab = state.tab.assigned(j, val)
         if unknown and ones == self.x:
@@ -388,7 +385,7 @@ class _Search:
                 elif num == tab.den:
                     self._assign(state, j, 1)
                 else:
-                    self.stats.pruned_rank += 1
+                    self.stats.pruned_by_elimination += 1
                     raise _Contradiction
                 self.stats.forced += 1
                 changed = True
@@ -500,11 +497,11 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     if not 1 <= k <= n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{n - 1}")
     space = ambient(n, q, "affine")
-    spaces = space.spaces(k)
-    total = len(spaces)
+    total = space._num_spaces(k)  # closed form: nothing is built past the cap
     limit = cap if cap is not None else DEFAULT_SPACE_CAP
     if total > limit:
         raise ScaleExceeded(f"{total} k-spaces exceed the cap {limit}")
+    spaces = space.spaces(k)
     start = time.monotonic()
     max_x = q ** (n - k)
     complemented = False
@@ -538,7 +535,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
         "solutions": [{"indices": list(s),
                        "members": [spaces[j].to_json() for j in s]}
                       for s in solutions],
-        "stats": stats.to_json(),
+        "stats": asdict(stats),
         "seed": seed,
     }
     cert["wall_clock_s"] = round(wall, 3)
@@ -550,17 +547,24 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
 
 def verify_certificate(cert: dict) -> bool:
     """Standalone re-verification: every listed solution passes the
-    definitional test and the count matches the claim."""
-    prob = cert["problem"]
-    space = ambient(int(prob["n"]), int(prob["q"]), prob["mode"])
-    k = int(prob["k"])
-    if len(cert["solutions"]) != cert["solution_count"]:
+    definitional test and the count matches the claim.  Members must be
+    canonical k-spaces of the geometry, read as `clsets.kset_from_json`
+    reads them; a malformed certificate is rejected, not raised on."""
+    try:
+        prob = cert["problem"]
+        space = ambient(int(prob["n"]), int(prob["q"]), prob["mode"])
+        k = int(prob["k"])
+        index = space.space_index(k)
+        claimed = [(sorted(sol["indices"]),
+                    [index[subspace_from_json(space.n, space.q, rows).rows]
+                     for rows in sol["members"]])
+                   for sol in cert["solutions"]]
+        if len(claimed) != cert["solution_count"]:
+            return False
+    except (KeyError, TypeError, ValueError):
         return False
-    index = space.space_index(k)
-    for sol in cert["solutions"]:
-        idxs = [index[make_subspace(space.n, space.q, rows).rows]
-                for rows in sol["members"]]
-        if sorted(idxs) != sorted(sol["indices"]):
+    for indices, idxs in claimed:
+        if sorted(idxs) != indices:
             return False
         l = kset_from_indices(space, k, idxs)
         ok, _ = is_cameron_liebler(l)
@@ -606,8 +610,7 @@ def classify_hyperplane_cl(n: int, q: int) -> dict:
         v[cls] -= 1
         diffs.append(v)
     diff_mat = np.array(diffs, dtype=np.int64)
-    in_kernel = not exact.int_matmul(inc.matrix.astype(np.int64),
-                                     diff_mat.T).any()
+    in_kernel = not exact.int_matmul(inc.matrix, diff_mat.T).any()
     if not in_kernel:
         raise AssertionError("class differences are not in the kernel")
     counts = {x: comb(q, x) ** n_classes for x in range(q + 1)}

@@ -18,8 +18,9 @@ import sys
 
 from . import classify, clsets, scheme, spreads
 from .galois import DegreeOutOfRange, NotPrime
-from .geometry import DimensionOutOfRange, Subspace, ambient, make_subspace
-from .incidence import SizeGuard, certificate_to_json
+from .geometry import (DimensionOutOfRange, SizeGuard, Subspace, ambient,
+                       make_subspace)
+from .incidence import certificate_to_json
 
 
 def _parse_rows(text: str, n: int, q: int) -> Subspace:

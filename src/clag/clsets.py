@@ -242,7 +242,7 @@ def disjoint_counts(l: KSet) -> np.ndarray:
     """For every k-space in canonical order, the number of members
     sharing no point of the space with it (affine points in AG, all
     points in PG)."""
-    met = meets(build_incidence(l.space, l.k), sorted(l.members))
+    met = meets(l.space, l.k, sorted(l.members))
     return (~met).sum(1)
 
 

@@ -147,9 +147,10 @@ class FiniteField:
 
     def _build_log(self):
         # exp/log tables for the multiplicative group: the source of the
-        # dense tables, and the scalar fallback when q is too large for them.
+        # dense tables and of the scalar exp/log path.  Candidate 1 is
+        # primitive only in GF(2), where exp = [1] and log = [0, 0].
         q = self.q
-        for g in range(2, q):
+        for g in range(1, q):
             exp = [1]
             x = 1
             for _ in range(q - 1):
@@ -165,29 +166,18 @@ class FiniteField:
                 self.log = log
                 self.generator = g
                 return
-        if q == 2:
-            self.exp = np.array([1], dtype=np.int64)
-            self.log = np.array([0, 0], dtype=np.int64)
-            self.generator = 1
-            return
         raise AssertionError("no primitive element found")
 
     # ---- scalar operations -------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
         return self._encode([(x + y) % self.p
                              for x, y in zip(self._digits(a), self._digits(b))])
 
     def neg(self, a: int) -> int:
-        if self.neg_table is not None:
-            return int(self.neg_table[a])
         return self._encode([(-d) % self.p for d in self._digits(a)])
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
         if a == 0 or b == 0:
             return 0
         return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
@@ -195,8 +185,6 @@ class FiniteField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
         return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
 
     def div(self, a: int, b: int) -> int:

@@ -20,16 +20,16 @@ unique certificate.  Every accepted certificate has passed that check.
 `rows_in_row_space` decides a block of vectors at once: the same two
 products, with the vectors as the columns of one matrix.
 
-Whether two k-spaces meet is read off the same matrix: `meets` gives
-M^T M[:, cols] as a Boolean product, True where a k-space shares a
-point with a chosen one, so False marks the disjoint pairs.
+Whether two k-spaces meet is read off the same incidence: `meets`
+gives M^T M[:, cols] as a Boolean product, True where a k-space shares
+a point with a chosen one, so False marks the disjoint pairs.
 
-There is one matrix per space and k: `AmbientSpace.incidence` allocates
-it, as Booleans, and checks the CLAG_SIZE_GUARD entry guard on every
-call.  `build_incidence` wraps it, once, in an `IncidenceMatrix` whose
-`.matrix` is an int8 view of its transpose, and `meets` reads the
-Boolean matrix itself.  `SizeGuard` and `entry_guard` live in
-`geometry` and are re-exported here.
+There are two matrices per space and k.  `AmbientSpace.incidence` is
+the Boolean one, for incidence questions such as `meets`, and checks
+the CLAG_SIZE_GUARD entry guard on every call.  `build_incidence` wraps
+its transpose, once, as a read-only int64 matrix in an
+`IncidenceMatrix`, whose `.matrix` every integer product reads: the
+design, the membership test and the search's tableau.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .geometry import AmbientSpace, DimensionOutOfRange, SizeGuard, entry_guard
+from .geometry import AmbientSpace, DimensionOutOfRange, _read_only
 
-__all__ = ["IncidenceMatrix", "build_incidence", "SizeGuard", "entry_guard",
-           "LengthMismatch", "NotADesign", "meets", "certificate_to_json"]
+__all__ = ["IncidenceMatrix", "build_incidence", "LengthMismatch",
+           "NotADesign", "meets", "certificate_to_json"]
 
 class LengthMismatch(ValueError):
     pass
@@ -60,7 +60,6 @@ class IncidenceMatrix:
         self._rank = None
         self._kernel = None
         self._design = None
-        self._m = None  # int64 M, set with the design
 
     @property
     def shape(self):
@@ -85,7 +84,7 @@ class IncidenceMatrix:
         """(r, lambda), counted from the Gram matrix M M^T, which must
         equal (r - lambda) I + lambda J with r > lambda."""
         if self._design is None:
-            m = self.matrix.astype(np.int64, order="C")
+            m = self.matrix
             gram = exact.int_matmul(m, m.T)
             v = gram.shape[0]
             r = int(gram[0, 0]) if v else 0
@@ -97,7 +96,6 @@ class IncidenceMatrix:
                     f"{self.matrix.shape[0]} x {self.matrix.shape[1]} matrix: "
                     "M M^T is not (r - lambda) I + lambda J with r > lambda")
             self._design = (r, lam)
-            self._m = m
         return self._design
 
     def _solve(self, vecs) -> tuple[np.ndarray, np.ndarray, int]:
@@ -111,12 +109,12 @@ class IncidenceMatrix:
         a = r - lam
         c = a + lam * self.matrix.shape[0]
         vt = v.T
-        w = exact.int_matmul(self._m, vt)
+        w = exact.int_matmul(self.matrix, vt)
         # |num| and a c |v| are at most 2 c r |v|; past int64, use Python ints
         if 2 * c * r * int(np.abs(v).max(initial=0)) >= exact.INT64_GUARD:
             vt, w = vt.astype(object), w.astype(object)
         num = c * w - lam * w.sum(axis=0)
-        member = (exact.int_matmul(self._m.T, num) == a * c * vt).all(axis=0)
+        member = (exact.int_matmul(self.matrix.T, num) == a * c * vt).all(axis=0)
         return member, num, a * c
 
     def in_row_space(self, vec) -> bool:
@@ -148,22 +146,22 @@ class IncidenceMatrix:
         return True
 
 
-def meets(inc: IncidenceMatrix, cols) -> np.ndarray:
-    """Boolean M^T M[:, cols]: entry [j, c] is True iff k-space j shares
-    a point with k-space cols[c]."""
-    m = inc.space.incidence(inc.k)
+def meets(space: AmbientSpace, k: int, cols) -> np.ndarray:
+    """Boolean M^T M[:, cols] over the space's k-spaces: entry [j, c] is
+    True iff k-space j shares a point with k-space cols[c]."""
+    m = space.incidence(k)
     return m @ m[cols].T
 
 
 def build_incidence(space: AmbientSpace, k: int) -> IncidenceMatrix:
     """The 0/1 point versus k-space matrix in canonical order, one per
-    space and k: an int8 view of the transposed `AmbientSpace.incidence`,
-    whose size guard it passes on every call."""
+    space and k: the transposed `AmbientSpace.incidence` as a read-only
+    int64 matrix, whose size guard it passes on every call."""
     if not 1 <= k <= space.n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{space.n - 1}")
     mat = space.incidence(k)
-    return space.memo(("IncidenceMatrix", k),
-                      lambda: IncidenceMatrix(space, k, mat.T.view(np.int8)))
+    return space.memo(("IncidenceMatrix", k), lambda: IncidenceMatrix(
+        space, k, _read_only(mat.T.astype(np.int64, order="C"))))
 
 
 def certificate_to_json(space: AmbientSpace, cert) -> dict[str, str]:

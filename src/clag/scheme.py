@@ -47,8 +47,8 @@ from . import _kernels, exact
 from .clsets import KSet
 from .galois import field_for_order
 from .geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
-                       Subspace, ambient, meet)
-from .incidence import SizeGuard, build_incidence, entry_guard, meets
+                       SizeGuard, Subspace, ambient, entry_guard, meet)
+from .incidence import meets
 
 __all__ = [
     "SchemeTables", "EmptySet", "AmbientMismatch",
@@ -132,7 +132,7 @@ def relation_matrix(space: AmbientSpace, kind: str = "affine_lines",
     cap = entry_guard()
     if x * x > cap:
         raise SizeGuard(f"{x}^2 relation matrix exceeds guard {cap}")
-    met = meets(build_incidence(space, k), cols)[cols]
+    met = meets(space, k, cols)[cols]
     rel = np.array(spec.codes, dtype=np.int8)[2 * met + (inf[:, None] == inf)]
     if (rel < 0).any():
         raise AssertionError(f"{kind}: a pair that cannot occur")

@@ -36,7 +36,7 @@ __all__ = [
     "Spread", "SwitchingPair", "SpreadError", "DivisibilityViolated",
     "NotAtInfinity", "WrongDimension", "BadChoices", "AllEqual", "WrongType",
     "GeometryMismatch", "spread_type_I", "restrict_to_affine",
-    "spread_type_II", "spread_type_III", "is_plus", "is_spread",
+    "spread_type_II", "spread_type_III", "is_spread",
     "verify_switching_pair", "switching_pair_from_spreads",
     "all_type_II_spreads", "all_type_III_spreads", "sample_type_III_spreads",
     "extend_spread_from_subspace", "lift_spread_through_infinity",
@@ -245,14 +245,10 @@ def spread_type_II(space: AmbientSpace, at_infinity: Subspace) -> Spread:
 
 
 def all_type_II_spreads(space: AmbientSpace, k: int) -> list[Spread]:
-    inf_list, pencil_members, _ = space.infinity_pencils(k)
-    spaces = space.spaces(k)
-    out = []
-    for axis, idxs in zip(inf_list, pencil_members):
-        members = _sorted_members(spaces[j] for j in idxs)
-        out.append(Spread(space, k, members, "II",
-                          {"at_infinity": axis.to_json()}))
-    return out
+    """Every parallel class of k-spaces: `spread_type_II` on each
+    (k-1)-space at infinity, in canonical order."""
+    inf_list, _, _ = space.infinity_pencils(k)
+    return [spread_type_II(space, axis) for axis in inf_list]
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +300,6 @@ def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     if not ok:
         raise BadChoices(f"choices do not produce a spread: {reason}")
     return spread
-
-
-def is_plus(s: Spread) -> bool:
-    """True iff a type III line spread used pairwise distinct points."""
-    if s.type_tag not in ("III", "III+") or s.k != 1:
-        raise WrongType("defined for type III line spreads only")
-    choices = s.data["choices"]
-    return len({tuple(map(tuple, c)) for c in choices}) == len(choices)
 
 
 def all_type_III_spreads(space: AmbientSpace, k: int = 1,

@@ -13,7 +13,7 @@ from clag.classify import (ScaleExceeded, SearchStats, _Contradiction,
                            verify_hyperplane_spread_classification)
 from clag.clsets import (complement, is_cameron_liebler, kset_from_indices,
                          point_pencil)
-from clag.geometry import SizeGuard, ambient, gaussian_binomial
+from clag.geometry import AmbientSpace, SizeGuard, ambient, gaussian_binomial
 from clag.incidence import build_incidence
 from oracle import OneArrayTableau, combination_children
 
@@ -78,6 +78,28 @@ def test_search_certificates_reverify():
     cert = search_cl_ksets(3, 2, 1, 1)
     cert["solutions"][0]["indices"][0] = 27
     assert not verify_certificate(cert)
+
+
+def malformed(cert, where):
+    """The AG(3,2) x=1 certificate with one defect planted at `where`."""
+    bad = json.loads(json.dumps(cert))
+    sol = bad["solutions"][0]
+    if where == "plane":
+        sol["members"][0] = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    elif where == "code":
+        sol["members"][0][0][-1] = 5
+    elif where == "indices":
+        del sol["indices"]
+    elif where == "swapped":
+        sol["members"][0] = sol["members"][0][::-1]
+    return bad
+
+
+@pytest.mark.parametrize("where", ["plane", "code", "indices", "swapped"])
+def test_malformed_certificate_is_rejected(where):
+    cert = search_cl_ksets(3, 2, 1, 1)
+    assert verify_certificate(cert)
+    assert verify_certificate(malformed(cert, where)) is False
 
 
 def test_search_is_deterministic():
@@ -357,6 +379,16 @@ def test_search_scale_guard():
         search_cl_ksets(4, 3, 1, 1)
     with pytest.raises(ScaleExceeded):
         search_cl_ksets(4, 2, 2, 1)  # 140 planes over the default cap
+
+
+def test_search_cap_is_checked_before_enumeration(monkeypatch):
+    # AG(6,5) has 12,714,681 lines in its closure; none may be built
+    def refuse(self, k):
+        raise AssertionError("k-spaces enumerated")
+
+    monkeypatch.setattr(AmbientSpace, "spaces", refuse)
+    with pytest.raises(ScaleExceeded):
+        search_cl_ksets(6, 5, 1, 1)
 
 
 def test_size_guard_env_leaves_search_cap(monkeypatch):

@@ -97,6 +97,18 @@ def test_search_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_search_over_the_cap_exits_2_without_enumerating(monkeypatch, capsys):
+    from clag.cli import main
+    from clag.geometry import AmbientSpace
+
+    def refuse(self, k):
+        raise AssertionError("k-spaces enumerated")
+
+    monkeypatch.setattr(AmbientSpace, "spaces", refuse)
+    assert main(["search", "--n", "6", "--q", "5", "--x", "1"]) == 2
+    assert "scale exceeded" in capsys.readouterr().err
+
+
 def test_search_timing_is_opt_in():
     # SHA-256 of the certificates as printed before `--timing` reported
     # the search rate and plan count

@@ -127,6 +127,28 @@ def test_dense_tables_match_polynomial_arithmetic(p, h):
     assert f.inv_table[0] == 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_scalar_operations_match_dense_tables(q):
+    # the scalar methods take the digit and exp/log paths, never the tables
+    f = field_for_order(q)
+    for a in range(q):
+        assert f.neg(a) == f.neg_table[a]
+        for b in range(q):
+            assert f.add(a, b) == f.add_table[a, b]
+            assert f.mul(a, b) == f.mul_table[a, b]
+        if a:
+            assert f.inv(a) == f.inv_table[a]
+    with pytest.raises(DivisionByZero):
+        f.inv(0)
+
+
+def test_gf2_exp_log_and_generator():
+    f = make_field(2, 1)
+    assert f.generator == 1
+    assert f.exp.tolist() == [1]
+    assert f.log.tolist() == [0, 0]
+
+
 def test_large_field_without_dense_tables():
     # q = 1024 exceeds the dense-table bound; arithmetic falls back to
     # digit addition and exp/log multiplication

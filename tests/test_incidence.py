@@ -6,10 +6,10 @@ import pytest
 
 from clag import exact
 from clag.clsets import is_cameron_liebler, point_pencil
-from clag.geometry import DimensionOutOfRange, ambient
+from clag.classify import _Tableau
+from clag.geometry import DimensionOutOfRange, SizeGuard, ambient
 from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
-                            SizeGuard, build_incidence, certificate_to_json,
-                            meets)
+                            build_incidence, certificate_to_json, meets)
 from clag.spreads import all_type_II_spreads, restrict_to_affine, spread_type_I
 
 
@@ -125,14 +125,22 @@ def test_size_guard_holds_on_a_warm_cache(monkeypatch):
 
 
 def test_one_incidence_buffer_per_space_and_k():
+    # the Boolean matrix answers incidence questions; the one read-only
+    # int64 matrix serves the design, membership and the search's tableau
     for space, k in ((ambient(3, 2, "affine"), 1),
                      (ambient(3, 3, "projective"), 1),
                      (ambient(4, 2, "affine"), 2)):
         inc = build_incidence(space, k)
         assert build_incidence(space, k) is inc
-        assert np.shares_memory(inc.matrix, space.incidence(k))
-        assert inc.matrix.dtype == np.int8
+        assert inc.matrix.dtype == np.int64
+        assert not inc.matrix.flags.writeable
         assert np.array_equal(inc.matrix, space.incidence(k).T)
+        inc.design()
+        assert build_incidence(space, k).matrix is inc.matrix
+        assert _Tableau.start(inc.matrix).dirs.a is inc.matrix
+        mine = inc.matrix.copy()  # a caller's writable matrix stays writable
+        assert _Tableau.start(mine).dirs.a is not mine
+        assert mine.flags.writeable
 
 
 def test_certificate_export_format():
@@ -221,12 +229,12 @@ def test_membership_needs_no_rational_elimination(monkeypatch):
                                         (4, 2, "affine", 2),
                                         (3, 3, "affine", 2)])
 def test_meets_matches_shared_point_counts(n, q, mode, k):
-    inc = build_incidence(ambient(n, q, mode), k)
-    m = inc.matrix.astype(np.int64)
+    space = ambient(n, q, mode)
+    m = space.incidence(k).T.astype(np.int64)
     rng = random.Random(n * 100 + q * 10 + k)
     for cols in (list(range(m.shape[1])),
                  sorted(rng.sample(range(m.shape[1]), 7)), []):
         shared = m.T @ m[:, cols]  # the integer product, as the oracle
-        got = meets(inc, cols)
+        got = meets(space, k, cols)
         assert got.dtype == bool
         assert np.array_equal(got, shared > 0)

@@ -4,9 +4,9 @@ import pytest
 
 from clag.geometry import ambient, apply_matrix, infinite_part, make_subspace
 from clag.spreads import (AllEqual, BadChoices, DivisibilityViolated,
-                          NotAtInfinity, Spread, WrongType,
+                          NotAtInfinity, Spread,
                           all_type_II_spreads, all_type_III_spreads,
-                          extend_spread_from_subspace, is_plus, is_spread,
+                          extend_spread_from_subspace, is_spread,
                           lift_spread_through_infinity,
                           random_affine_collineation, restrict_to_affine,
                           spread_type_I, spread_type_II, spread_type_III,
@@ -84,13 +84,25 @@ def test_type_II_pencils_partition_lines():
     assert len(seen) == 28
 
 
+@pytest.mark.parametrize("n,q,k", [(3, 2, 1), (3, 3, 1), (4, 2, 2)])
+def test_all_type_II_spreads_follow_the_pencils(n, q, k):
+    space = ambient(n, q, "affine")
+    inf_list, pencil_members, _ = space.infinity_pencils(k)
+    got = all_type_II_spreads(space, k)
+    assert len(got) == len(inf_list)
+    for s, axis, members in zip(got, inf_list, pencil_members):
+        assert s.type_tag == "II" and s.k == k
+        assert s.data == {"at_infinity": axis.to_json()}
+        assert s.member_indices() == tuple(sorted(members.tolist()))
+        assert list(s.members) == sorted(s.members, key=lambda m: m.key())
+
+
 def test_type_III_construction_and_plus():
     space = ambient(3, 2, "affine")
     pi = space.infinite_subspaces(1)[0]
     taus = [t for t in space.infinite_subspaces(0) if contains(pi, t)]
     s = spread_type_III(space, pi, [taus[0], taus[1]])
     assert len(s) == 4 and s.type_tag == "III+"
-    assert is_plus(s)
     ok, _ = is_spread(s.members, space, 1)
     assert ok
     # a type III spread is not a parallel class
@@ -121,16 +133,9 @@ def test_type_III_not_plus_for_larger_q():
     pi = space.infinite_subspaces(1)[0]
     taus = [t for t in space.infinite_subspaces(0) if contains(pi, t)]
     repeated = spread_type_III(space, pi, [taus[0], taus[0], taus[1]])
-    assert repeated.type_tag == "III" and not is_plus(repeated)
+    assert repeated.type_tag == "III"
     distinct = spread_type_III(space, pi, [taus[0], taus[1], taus[2]])
-    assert distinct.type_tag == "III+" and is_plus(distinct)
-
-
-def test_is_plus_wrong_type():
-    space = ambient(3, 2, "affine")
-    s = all_type_II_spreads(space, 1)[0]
-    with pytest.raises(WrongType):
-        is_plus(s)
+    assert distinct.type_tag == "III+"
 
 
 def test_all_type_III_counts():
