@@ -1,5 +1,5 @@
-"""Hot integer kernels in numpy, each beside the plain-Python loop that
-the tests compare it with bit for bit.
+"""Hot integer kernels in numpy.  The tests compare each with a
+plain-Python reference loop in `tests/oracle.py`, bit for bit.
 
 Everything here is small-integer table arithmetic; exact rational work
 lives in `exact`.
@@ -16,38 +16,6 @@ USING_NUMBA = False
 # ---------------------------------------------------------------------------
 # reduced row echelon form over GF(q), table-driven
 # ---------------------------------------------------------------------------
-
-def _gf_rref_py(m, add, mul, neg, inv):
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        piv = -1
-        for r in range(rank, rows):
-            if m[r, col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            for c in range(cols):
-                t = m[rank, c]
-                m[rank, c] = m[piv, c]
-                m[piv, c] = t
-        pv = m[rank, col]
-        if pv != 1:
-            ipv = inv[pv]
-            for c in range(col, cols):
-                m[rank, c] = mul[m[rank, c], ipv]
-        for r in range(rows):
-            f = m[r, col]
-            if r != rank and f != 0:
-                for c in range(col, cols):
-                    m[r, c] = add[m[r, c], neg[mul[f, m[rank, c]]]]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
 
 def gf_rref(m, add, mul, neg, inv):
     """RREF of `m` (int64, modified in place) over GF(q); returns rank."""
@@ -78,19 +46,6 @@ def gf_rref(m, add, mul, neg, inv):
 # batched linear combinations over GF(q): C @ B for many coefficient rows
 # ---------------------------------------------------------------------------
 
-def _gf_combinations_py(coeffs, basis, add, mul):
-    n, r = coeffs.shape
-    cols = basis.shape[1]
-    out = np.zeros((n, cols), dtype=np.int64)
-    for i in range(n):
-        for t in range(r):
-            c = coeffs[i, t]
-            if c != 0:
-                for j in range(cols):
-                    out[i, j] = add[out[i, j], mul[c, basis[t, j]]]
-    return out
-
-
 def gf_combinations(coeffs, basis, add, mul):
     """Row space samples: out[..., i, :] = sum_t coeffs[i,t] * basis[..., t, :]
     in GF(q), for one basis or a stack of bases."""
@@ -104,33 +59,6 @@ def gf_combinations(coeffs, basis, add, mul):
 # ---------------------------------------------------------------------------
 # intersection numbers p_ij^l from a relation matrix, with constancy check
 # ---------------------------------------------------------------------------
-
-def _triple_counts_py(rel, d):
-    x = rel.shape[0]
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    seen = np.zeros(d + 1, dtype=np.int64)
-    ok = True
-    cnt = np.zeros((d + 1, d + 1), dtype=np.int64)
-    for a in range(x):
-        for b in range(x):
-            for i in range(d + 1):
-                for j in range(d + 1):
-                    cnt[i, j] = 0
-            for z in range(x):
-                cnt[rel[a, z], rel[z, b]] += 1
-            l = rel[a, b]
-            if seen[l] == 0:
-                seen[l] = 1
-                for i in range(d + 1):
-                    for j in range(d + 1):
-                        p[i, j, l] = cnt[i, j]
-            else:
-                for i in range(d + 1):
-                    for j in range(d + 1):
-                        if p[i, j, l] != cnt[i, j]:
-                            ok = False
-    return ok, p
-
 
 # rows per popcount block: the AND temporary is _BLOCK x |X| x words
 _BLOCK = 32

@@ -549,7 +549,8 @@ def verify_certificate(cert: dict) -> bool:
     """Standalone re-verification: every listed solution passes the
     definitional test and the count matches the claim.  Members must be
     canonical k-spaces of the geometry, read as `clsets.kset_from_json`
-    reads them; a malformed certificate is rejected, not raised on."""
+    reads them; a malformed certificate is rejected, not raised on, and
+    so is one that lists a solution, or a member of one, twice."""
     try:
         prob = cert["problem"]
         space = ambient(int(prob["n"]), int(prob["q"]), prob["mode"])
@@ -559,12 +560,13 @@ def verify_certificate(cert: dict) -> bool:
                     [index[subspace_from_json(space.n, space.q, rows).rows]
                      for rows in sol["members"]])
                    for sol in cert["solutions"]]
-        if len(claimed) != cert["solution_count"]:
+        if (len(claimed) != cert["solution_count"]
+                or len({tuple(i) for i, _ in claimed}) != len(claimed)):
             return False
     except (KeyError, TypeError, ValueError):
         return False
     for indices, idxs in claimed:
-        if sorted(idxs) != indices:
+        if sorted(idxs) != indices or len(set(idxs)) != len(idxs):
             return False
         l = kset_from_indices(space, k, idxs)
         ok, _ = is_cameron_liebler(l)
@@ -593,8 +595,6 @@ def classify_hyperplane_cl(n: int, q: int) -> dict:
     total = len(hyps)
     inc = build_incidence(space, k)
     rank = inc.rank()
-    if rank != space.num_points:
-        raise AssertionError("incidence matrix lost rank")
     _, pencil_members, per_space = space.infinity_pencils(k)
     classes = [list(map(int, m)) for m in pencil_members]
     n_classes = len(classes)

@@ -42,8 +42,7 @@ __all__ = [
     "is_cameron_liebler", "check_spread_intersections",
     "check_switching_invariance", "disjoint_counts",
     "infinite_pencil_counts", "check_line_disjointness",
-    "check_pg_disjointness", "embed_to_pg",
-    "restrict_from_pg", "extend_with_infinity",
+    "check_pg_disjointness", "embed_to_pg", "restrict_from_pg",
     "count_through_infinite_subspace", "project_through_infinite_subspace",
     "canonical_complement", "modular_check", "kset_to_json", "kset_from_json",
 ]
@@ -332,15 +331,6 @@ def restrict_from_pg(l: KSet) -> tuple[KSet, int]:
     return KSet(aff, l.k, kept), l.size - len(kept)
 
 
-def extend_with_infinity(l: KSet) -> KSet:
-    """Embed and add every k-space at infinity; the parameter grows by
-    (q^(n-k)-1)/(q^(k+1)-1)."""
-    emb = embed_to_pg(l)
-    n_affine = len(l.space.spaces(l.k))
-    total = len(emb.space.spaces(l.k))
-    return KSet(emb.space, l.k, emb.members | frozenset(range(n_affine, total)))
-
-
 # ---------------------------------------------------------------------------
 # counting and projecting through subspaces at infinity
 # ---------------------------------------------------------------------------
@@ -442,4 +432,7 @@ def kset_from_json(doc: dict) -> KSet:
     for s in subs:
         if s.dim != k:
             raise DimensionViolation("member of wrong dimension")
-    return kset_from_subspaces(space, k, subs)
+    l = kset_from_subspaces(space, k, subs)
+    if l.size != len(subs):
+        raise ValueError("a member is listed twice")
+    return l

@@ -184,10 +184,6 @@ def apply_matrix(s: Subspace, matrix) -> Subspace:
         field.add_table, field.mul_table))
 
 
-def _pivot_patterns(ncols: int, nrows: int):
-    return itertools.combinations(range(ncols), nrows)
-
-
 def _free_cells(pivots, ncols):
     cells = []
     pivot_set = set(pivots)
@@ -200,7 +196,7 @@ def _free_cells(pivots, ncols):
 
 def enumerate_rref_matrices(ncols: int, nrows: int, q: int):
     """All reduced-echelon full-rank nrows x ncols matrices over GF(q)."""
-    for pivots in _pivot_patterns(ncols, nrows):
+    for pivots in itertools.combinations(range(ncols), nrows):
         cells = _free_cells(pivots, ncols)
         base = [[0] * ncols for _ in range(nrows)]
         for i, pc in enumerate(pivots):
@@ -212,15 +208,6 @@ def enumerate_rref_matrices(ncols: int, nrows: int, q: int):
             for (i, j), v in zip(cells, values):
                 base[i][j] = v
             yield tuple(tuple(r) for r in base)
-
-
-def count_rref_matrices(ncols: int, nrows: int, q: int) -> int:
-    """Subspace count by summing q^(#free cells) over pivot patterns;
-    independent of the Gaussian-binomial product formula."""
-    total = 0
-    for pivots in _pivot_patterns(ncols, nrows):
-        total += q ** len(_free_cells(pivots, ncols))
-    return total
 
 
 class AmbientSpace:

@@ -57,7 +57,6 @@ class IncidenceMatrix:
         self.space = space
         self.k = k
         self.matrix = matrix
-        self._rank = None
         self._kernel = None
         self._design = None
 
@@ -66,10 +65,10 @@ class IncidenceMatrix:
         return self.matrix.shape
 
     def rank(self) -> int:
-        """Rank over the rationals, by fraction-free elimination."""
-        if self._rank is None:
-            self._rank = exact.bareiss_rank(self.matrix)
-        return self._rank
+        """Rank over the rationals: the row count, since the design
+        identity makes M M^T invertible."""
+        self.design()
+        return self.matrix.shape[0]
 
     def kernel_basis(self) -> np.ndarray:
         """Primitive integer basis of {z : M z = 0}, as rows.  The

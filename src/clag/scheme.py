@@ -60,7 +60,7 @@ __all__ = [
     "align_rows_to", "hyperplane_intersection_matrices_closed",
     "idempotents_scaled", "verify_bose_mesner", "scheme_axioms_bruteforce",
     "inner_distribution", "u_dot_q", "eigenspace_profile",
-    "scheme_report", "type_iii_plus_span_report",
+    "scheme_report",
 ]
 
 
@@ -629,27 +629,3 @@ def scheme_report(n: int, q: int, kind: str = "affine_lines",
     if kind == "affine_hyperplanes":
         report["adjudication"] = hyperplane_adjudication(n, q, brute_P)
     return report
-
-
-def type_iii_plus_span_report(space: AmbientSpace) -> dict:
-    """Span rank of all type III+ line-spread vectors versus the
-    dimension of V0 + V2 + V3; reported, not assumed."""
-    from .spreads import all_type_III_spreads
-    tables = line_scheme(space.n, space.q)
-    spreads = all_type_III_spreads(space, 1, plus_only=True)
-    vecs = []
-    for s in spreads:
-        chi = np.zeros(tables.size, dtype=np.int64)
-        chi[list(s.member_indices())] = 1
-        vecs.append(chi)
-    mat = np.array(vecs, dtype=np.int64)
-    rank = exact.bareiss_rank(mat)
-    expected = 1 + tables.Q[0][2] + tables.Q[0][3]
-    # upper bound certificate: E_1 must kill every spread vector
-    rel = relation_matrix(space)
-    ems = idempotents_scaled(rel, tables.Q, tables.size)
-    n1, _ = ems[1]
-    killed = all(not exact.int_matvec(n1, v).any() for v in vecs)
-    return {"spread_count": len(spreads), "rank": rank,
-            "expected_dimension": int(expected),
-            "spans": rank == expected, "e1_kills_all": killed}

@@ -27,20 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .galois import field_for_order, make_field, expansion_table
-from .geometry import (AmbientSpace, Subspace, ambient, apply_matrix,
+from .geometry import (AmbientSpace, Subspace, ambient,
                        enumerate_rref_matrices, make_subspace, span)
 
 __all__ = [
     "Spread", "SwitchingPair", "SpreadError", "DivisibilityViolated",
-    "NotAtInfinity", "WrongDimension", "BadChoices", "AllEqual", "WrongType",
+    "NotAtInfinity", "WrongDimension", "BadChoices", "AllEqual",
     "GeometryMismatch", "spread_type_I", "restrict_to_affine",
     "spread_type_II", "spread_type_III", "is_spread",
     "verify_switching_pair", "switching_pair_from_spreads",
     "all_type_II_spreads", "all_type_III_spreads", "sample_type_III_spreads",
     "extend_spread_from_subspace", "lift_spread_through_infinity",
-    "random_affine_collineation", "transport_type_III",
 ]
 
 
@@ -65,10 +63,6 @@ class BadChoices(SpreadError):
 
 
 class AllEqual(SpreadError):
-    pass
-
-
-class WrongType(SpreadError):
     pass
 
 
@@ -302,8 +296,7 @@ def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     return spread
 
 
-def all_type_III_spreads(space: AmbientSpace, k: int = 1,
-                         plus_only: bool = False) -> list[Spread]:
+def all_type_III_spreads(space: AmbientSpace, k: int = 1) -> list[Spread]:
     """Every type III k-spread (exhaustive over pi and the tau choices).
     Desk scale only: the choice count is (#tau)^q."""
     out = []
@@ -311,10 +304,7 @@ def all_type_III_spreads(space: AmbientSpace, k: int = 1,
     for pi in space.infinite_subspaces(space.n - 2):
         taus = _taus(space, pi, k)
         for combo in itertools.product(taus, repeat=q):
-            keys = {t.rows for t in combo}
-            if len(keys) == 1:
-                continue
-            if plus_only and len(keys) != q:
+            if len({t.rows for t in combo}) == 1:
                 continue
             out.append(spread_type_III(space, pi, list(combo)))
     return out
@@ -387,43 +377,3 @@ def lift_spread_through_infinity(local_members, axis: Subspace,
     if not ok:
         raise GeometryMismatch(f"lift is not a spread: {reason}")
     return spread
-
-
-# ---------------------------------------------------------------------------
-# affine collineations (for transport tests and seeded sampling)
-# ---------------------------------------------------------------------------
-
-def random_affine_collineation(space: AmbientSpace, rng: random.Random):
-    """A random element of the affine group as an (n+1)x(n+1) matrix
-    acting on row vectors: fixes x0 = 0 and is invertible."""
-    f = space.field
-    n, q = space.n, space.q
-    while True:
-        mat = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        work = np.array(mat, dtype=np.int64)
-        rank = _kernels.gf_rref(work, f.add_table, f.mul_table,
-                                f.neg_table, f.inv_table)
-        if rank == n:
-            break
-    translation = [rng.randrange(q) for _ in range(n)]
-    full = [[1] + translation]
-    for i in range(n):
-        full.append([0] + mat[i])
-    return full
-
-
-def transport_type_III(s: Spread, matrix) -> Spread:
-    """Image of a type III spread under an affine collineation, by
-    transporting its construction data and rebuilding."""
-    if s.type_tag not in ("III", "III+"):
-        raise WrongType("transport is defined for type III spreads")
-    n, q = s.space.n, s.space.q
-    pi = make_subspace(n, q, s.data["pi"])
-    hyps = [make_subspace(n, q, h) for h in s.data["hyperplanes"]]
-    choices = [make_subspace(n, q, c) for c in s.data["choices"]]
-    pi2 = apply_matrix(pi, matrix)
-    mapped = {apply_matrix(h, matrix).rows: apply_matrix(c, matrix)
-              for h, c in zip(hyps, choices)}
-    # the images are the hyperplanes through pi2; affine hyperplanes
-    # are in canonical order when their rows are
-    return spread_type_III(s.space, pi2, [mapped[h] for h in sorted(mapped)])

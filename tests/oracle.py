@@ -1,8 +1,11 @@
 """Reference implementations for the tests.
 
+`gf_rref`, `gf_combinations` and `triple_counts` are plain-Python
+loops that the numpy kernels of `clag._kernels` must match bit for bit.
+
 `contains` decides containment independent of point sets: small lies
 inside big iff adding its rows to big's does not grow the row space,
-decided by GF(q) row reduction (`span` goes through `gf_rref`).
+decided by GF(q) row reduction (`span` goes through `_kernels.gf_rref`).
 
 `combination_children` is the reference for `_Search._children`: one
 clone per `itertools.combinations` choice of a pencil's unknown
@@ -11,16 +14,23 @@ time from the start.
 
 `OneArrayTableau` is the search's former tableau: one integer array
 holds T with p as its last row, and every assignment eliminates the
-whole array, T included."""
+whole array, T included.
+
+`random_affine_collineation` and `transport_type_III` map a type III
+spread by an affine collineation, transporting its construction data
+and rebuilding it with `spread_type_III`."""
 
 import itertools
+import random
 from math import gcd
 
 import numpy as np
 
-from clag import exact
+from clag import _kernels, exact
 from clag.classify import _Contradiction
-from clag.geometry import Subspace, span
+from clag.geometry import (AmbientSpace, Subspace, apply_matrix,
+                           make_subspace, span)
+from clag.spreads import Spread, spread_type_III
 
 
 def contains(big: Subspace, small: Subspace) -> bool:
@@ -92,3 +102,109 @@ class OneArrayTableau:
         out[-2] = out[-1]
         out = out[:-1]
         return OneArrayTableau(out, den)
+
+
+def gf_rref(m, add, mul, neg, inv):
+    rows, cols = m.shape
+    rank = 0
+    for col in range(cols):
+        piv = -1
+        for r in range(rank, rows):
+            if m[r, col] != 0:
+                piv = r
+                break
+        if piv < 0:
+            continue
+        if piv != rank:
+            for c in range(cols):
+                t = m[rank, c]
+                m[rank, c] = m[piv, c]
+                m[piv, c] = t
+        pv = m[rank, col]
+        if pv != 1:
+            ipv = inv[pv]
+            for c in range(col, cols):
+                m[rank, c] = mul[m[rank, c], ipv]
+        for r in range(rows):
+            f = m[r, col]
+            if r != rank and f != 0:
+                for c in range(col, cols):
+                    m[r, c] = add[m[r, c], neg[mul[f, m[rank, c]]]]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def gf_combinations(coeffs, basis, add, mul):
+    n, r = coeffs.shape
+    cols = basis.shape[1]
+    out = np.zeros((n, cols), dtype=np.int64)
+    for i in range(n):
+        for t in range(r):
+            c = coeffs[i, t]
+            if c != 0:
+                for j in range(cols):
+                    out[i, j] = add[out[i, j], mul[c, basis[t, j]]]
+    return out
+
+
+def triple_counts(rel, d):
+    x = rel.shape[0]
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    seen = np.zeros(d + 1, dtype=np.int64)
+    ok = True
+    cnt = np.zeros((d + 1, d + 1), dtype=np.int64)
+    for a in range(x):
+        for b in range(x):
+            for i in range(d + 1):
+                for j in range(d + 1):
+                    cnt[i, j] = 0
+            for z in range(x):
+                cnt[rel[a, z], rel[z, b]] += 1
+            l = rel[a, b]
+            if seen[l] == 0:
+                seen[l] = 1
+                for i in range(d + 1):
+                    for j in range(d + 1):
+                        p[i, j, l] = cnt[i, j]
+            else:
+                for i in range(d + 1):
+                    for j in range(d + 1):
+                        if p[i, j, l] != cnt[i, j]:
+                            ok = False
+    return ok, p
+
+
+def random_affine_collineation(space: AmbientSpace, rng: random.Random):
+    """A random element of the affine group as an (n+1)x(n+1) matrix
+    acting on row vectors: fixes x0 = 0 and is invertible."""
+    f = space.field
+    n, q = space.n, space.q
+    while True:
+        mat = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        work = np.array(mat, dtype=np.int64)
+        rank = _kernels.gf_rref(work, f.add_table, f.mul_table,
+                                f.neg_table, f.inv_table)
+        if rank == n:
+            break
+    translation = [rng.randrange(q) for _ in range(n)]
+    full = [[1] + translation]
+    for i in range(n):
+        full.append([0] + mat[i])
+    return full
+
+
+def transport_type_III(s: Spread, matrix) -> Spread:
+    """Image of a type III spread under an affine collineation, by
+    transporting its construction data and rebuilding."""
+    n, q = s.space.n, s.space.q
+    pi = make_subspace(n, q, s.data["pi"])
+    hyps = [make_subspace(n, q, h) for h in s.data["hyperplanes"]]
+    choices = [make_subspace(n, q, c) for c in s.data["choices"]]
+    pi2 = apply_matrix(pi, matrix)
+    mapped = {apply_matrix(h, matrix).rows: apply_matrix(c, matrix)
+              for h, c in zip(hyps, choices)}
+    # the images are the hyperplanes through pi2; affine hyperplanes
+    # are in canonical order when their rows are
+    return spread_type_III(s.space, pi2, [mapped[h] for h in sorted(mapped)])

@@ -134,7 +134,8 @@ def test_criterion_05_spread_vectors():
             profiles_ok = profiles_ok and eigenspace_profile(l, tables) == {0, 3}
             vecs.append(l.chi().astype(np.int64))
         rank = exact.bareiss_rank(np.array(vecs))
-        plus = all_type_III_spreads(space, 1, plus_only=True)[0]
+        plus = next(s for s in all_type_III_spreads(space, 1)
+                    if s.type_tag == "III+")
         lp = spread_kset(space, plus)
         u = inner_distribution(lp, "affine_lines")
         u_ok = u == [1, 0, q ** (n - 2) - 1, q ** (n - 1) - q ** (n - 2)]

@@ -92,10 +92,17 @@ def malformed(cert, where):
         del sol["indices"]
     elif where == "swapped":
         sol["members"][0] = sol["members"][0][::-1]
+    elif where == "repeated_solution":
+        bad["solutions"].append(sol)
+        bad["solution_count"] += 1
+    elif where == "repeated_member":
+        sol["members"].append(sol["members"][0])
+        sol["indices"].append(sol["indices"][0])
     return bad
 
 
-@pytest.mark.parametrize("where", ["plane", "code", "indices", "swapped"])
+@pytest.mark.parametrize("where", ["plane", "code", "indices", "swapped",
+                                   "repeated_solution", "repeated_member"])
 def test_malformed_certificate_is_rejected(where):
     cert = search_cl_ksets(3, 2, 1, 1)
     assert verify_certificate(cert)

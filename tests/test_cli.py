@@ -183,11 +183,17 @@ def test_verify_malformed_input(tmp_path):
     [[1, 0, 0, 0], [0, 2, 0, 0]],
     # a row that is no array
     [5],
+    # the first member again: a point pencil listed with 8 entries
+    [[1, 0, 0, 0], [0, 0, 0, 1]],
 ])
 def test_verify_rejects_malformed_basis(tmp_path, basis):
+    # the 7 lines of AG(3,2) through the origin, then the bad entry
+    pencil = [[[1, 0, 0, 0], [0, a, b, c]]
+              for a, b, c in [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
+                              (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
     bad = tmp_path / "bad_basis.json"
     bad.write_text(json.dumps({"n": 3, "q": 2, "k": 1, "mode": "affine",
-                               "members": [basis]}))
+                               "members": pencil + [basis]}))
     r = run_cli("verify", "--set", str(bad))
     assert r.returncode == 2
     assert "malformed k-set file" in r.stderr

@@ -13,10 +13,9 @@ from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
                          check_spread_intersections,
                          check_switching_invariance, complement,
                          count_through_infinite_subspace, difference,
-                         embed_to_pg, empty_kset, extend_with_infinity,
-                         full_kset, infinite_pencil_counts,
-                         is_cameron_liebler, kset_from_indices,
-                         kset_from_json, kset_to_json,
+                         embed_to_pg, empty_kset, full_kset,
+                         infinite_pencil_counts, is_cameron_liebler,
+                         kset_from_indices, kset_from_json, kset_to_json,
                          modular_check, pg_hyperplane_set,
                          point_pencil, project_through_infinite_subspace,
                          restrict_from_pg, union)
@@ -268,7 +267,9 @@ def test_embed_restrict_extend():
     assert emb.x == 1 and is_cameron_liebler(emb)[0]
     back, dropped = restrict_from_pg(emb)
     assert dropped == 0 and back.members == pen.members
-    ext = extend_with_infinity(pen)
+    # add every line at infinity: the lines of the hyperplane x0 = 0
+    h_inf = AG32.infinite_subspaces(2)[0]
+    ext = union(emb, pg_hyperplane_set(PG32, h_inf, 1))
     assert ext.x == 2  # x + (q^(n-k)-1)/(q^(k+1)-1) = 1 + 1
     assert is_cameron_liebler(ext)[0]
     back2, dropped2 = restrict_from_pg(ext)

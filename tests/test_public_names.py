@@ -1,4 +1,6 @@
 import importlib
+import inspect
+import os
 import pkgutil
 
 import pytest
@@ -16,3 +18,16 @@ def test_every_public_name_resolves(name):
     missing = [attr for attr in getattr(mod, "__all__", [])
                if not hasattr(mod, attr)]
     assert not missing
+
+
+def test_names_the_benchmark_reaches_into_exist(monkeypatch):
+    # the tracer patches these methods on their class, and the worker
+    # records _kernels.USING_NUMBA; a missing one crashes every run
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "clagbench")
+    monkeypatch.syspath_prepend(bench)
+    tracer = importlib.import_module("tracer")
+    for short, clsname, meth in tracer.TRACED_METHODS.values():
+        cls = getattr(importlib.import_module(f"clag.{short}"), clsname)
+        assert inspect.isfunction(cls.__dict__.get(meth)), (clsname, meth)
+    assert hasattr(importlib.import_module("clag._kernels"), "USING_NUMBA")

@@ -18,8 +18,7 @@ from clag.scheme import (AmbientMismatch, EmptySet, align_rows_to,
                          intersection_matrices_bruteforce,
                          intersection_matrices_closed, line_scheme,
                          relation_matrix, scheme_axioms_bruteforce, scheme_report,
-                         type_iii_plus_span_report, u_dot_q,
-                         verify_bose_mesner)
+                         u_dot_q, verify_bose_mesner)
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
                           sample_type_III_spreads)
 
@@ -28,6 +27,11 @@ AG32 = ambient(3, 2, "affine")
 
 def spread_kset(space, spread):
     return kset_from_indices(space, spread.k, spread.member_indices())
+
+
+def first_type_iii_plus(space):
+    return next(s for s in all_type_III_spreads(space, 1)
+                if s.type_tag == "III+")
 
 
 def test_classify_line_pair():
@@ -229,7 +233,7 @@ def test_inner_distributions():
     assert inner_distribution(pen) == [1, 6, 0, 0]
     t2 = spread_kset(AG32, all_type_II_spreads(AG32, 1)[0])
     assert inner_distribution(t2) == [1, 0, 3, 0]
-    t3 = spread_kset(AG32, all_type_III_spreads(AG32, 1, plus_only=True)[0])
+    t3 = spread_kset(AG32, first_type_iii_plus(AG32))
     assert inner_distribution(t3) == [1, 0, 1, 2]
     with pytest.raises(EmptySet):
         inner_distribution(empty_kset(AG32, 1))
@@ -252,8 +256,7 @@ def test_inner_distribution_closed_forms_general():
             [1, Fraction(q**n - q, q - 1), 0, 0]
         t2 = spread_kset(space, all_type_II_spreads(space, 1)[0])
         assert inner_distribution(t2) == [1, 0, q ** (n - 1) - 1, 0]
-        t3 = spread_kset(space,
-                         all_type_III_spreads(space, 1, plus_only=True)[0])
+        t3 = spread_kset(space, first_type_iii_plus(space))
         assert inner_distribution(t3) == \
             [1, 0, q ** (n - 2) - 1, q ** (n - 1) - q ** (n - 2)]
 
@@ -280,7 +283,7 @@ def test_eigenspace_profiles():
     assert eigenspace_profile(pen) == {0, 1}
     t2 = spread_kset(AG32, all_type_II_spreads(AG32, 1)[0])
     assert eigenspace_profile(t2) == {0, 3}
-    t3 = spread_kset(AG32, all_type_III_spreads(AG32, 1, plus_only=True)[0])
+    t3 = spread_kset(AG32, first_type_iii_plus(AG32))
     assert eigenspace_profile(t3) == {0, 2, 3}
 
 
@@ -379,10 +382,20 @@ def test_scheme_report_guard_path():
 
 
 def test_type_iii_plus_span():
-    rep = type_iii_plus_span_report(AG32)
-    assert rep["spread_count"] == 42
-    assert rep["rank"] == rep["expected_dimension"] == 21
-    assert rep["spans"] and rep["e1_kills_all"]
+    # the type III+ spread vectors span V0 + V2 + V3 and are killed by E_1
+    rel = relation_matrix(AG32)
+    tables = line_scheme(3, 2)
+    ems = idempotents_scaled(rel, tables.Q, tables.size)
+    vecs = []
+    for s in all_type_III_spreads(AG32, 1):
+        if s.type_tag != "III+":
+            continue
+        chi = spread_kset(AG32, s).chi().astype(np.int64)
+        assert not (ems[1][0] @ chi).any()
+        vecs.append(chi)
+    assert len(vecs) == 42
+    dim = 1 + tables.Q[0][2] + tables.Q[0][3]
+    assert exact.bareiss_rank(np.array(vecs)) == dim == 21
 
 
 def test_point_pencils_span_v0_v1():

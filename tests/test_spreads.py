@@ -7,13 +7,11 @@ from clag.spreads import (AllEqual, BadChoices, DivisibilityViolated,
                           NotAtInfinity, Spread,
                           all_type_II_spreads, all_type_III_spreads,
                           extend_spread_from_subspace, is_spread,
-                          lift_spread_through_infinity,
-                          random_affine_collineation, restrict_to_affine,
+                          lift_spread_through_infinity, restrict_to_affine,
                           spread_type_I, spread_type_II, spread_type_III,
-                          switching_pair_from_spreads,
-                          transport_type_III, verify_switching_pair)
+                          switching_pair_from_spreads, verify_switching_pair)
 
-from oracle import contains
+from oracle import contains, random_affine_collineation, transport_type_III
 
 
 def test_type_I_field_reduction():
@@ -141,12 +139,15 @@ def test_type_III_not_plus_for_larger_q():
 def test_all_type_III_counts():
     space = ambient(3, 2, "affine")
     # 7 infinite lines, each with 3 points: 3^2 - 3 choice vectors
-    assert len(all_type_III_spreads(space, 1)) == 42
-    assert len(all_type_III_spreads(space, 1, plus_only=True)) == 42
+    spreads = all_type_III_spreads(space, 1)
+    assert len(spreads) == 42
+    assert sum(s.type_tag == "III+" for s in spreads) == 42
 
 
 def test_spread_counts_and_sizes():
-    for s in all_type_III_spreads(ambient(3, 3, "affine"), 1, plus_only=True)[:5]:
+    plus = [s for s in all_type_III_spreads(ambient(3, 3, "affine"), 1)
+            if s.type_tag == "III+"]
+    for s in plus[:5]:
         assert len(s) == 9
         ok, _ = is_spread(s.members, s.space, 1)
         assert ok
