@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 mathematical-check failure, 2 usage or input
 error.  All numeric output is rendered as exact rational strings, the
 PRNG seed is recorded in every artifact, and artifacts are byte-stable
 across reruns (wall-clock timing is embedded only with --timing).
-CLAG_SIZE_GUARD overrides the matrix-entry guard (default 10**7) of
-relation matrices and of every incidence matrix, spreads, pencils and
-projections included, and of every pencil plan the search builds, read
-on every access; the search's k-space cap is --cap.
+CLAG_SIZE_GUARD overrides the entry guard (default 10**7) of relation
+matrices, of the point lists membership reads, of every Boolean
+incidence matrix, spreads, pencils and projections included, and of
+every pencil plan the search builds, read on every access; the search's
+k-space cap is --cap.
 """
 
 from __future__ import annotations

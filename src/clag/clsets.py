@@ -252,6 +252,18 @@ def infinite_pencil_counts(l: KSet) -> list[int]:
     return [int(chi[m].sum()) for m in pencil_members]
 
 
+def _disjointness_mismatches(l: KSet, factor: int):
+    """(j, got, expected) for the first five k-spaces j, in index order,
+    whose number `got` of disjoint members is not the criterion's
+    expected = (x - chi(j)) factor."""
+    x = l.x
+    got = disjoint_counts(l)
+    num = (x.numerator - x.denominator * l.chi().astype(np.int64)) * factor
+    bad = np.flatnonzero(got * x.denominator != num)[:5].tolist()
+    return [(j, int(got[j]), Fraction(int(num[j]), x.denominator))
+            for j in bad]
+
+
 def check_line_disjointness(l: KSet) -> CheckResult:
     """The line-class criterion: for every affine line, the number of
     members affinely disjoint to it is (q^2 [n-2 choose 1]_q + 1)(x -
@@ -268,19 +280,14 @@ def check_line_disjointness(l: KSet) -> CheckResult:
                            {"reason": "non-integral parameter"})
     x = int(l.x)
     base = q * q * gaussian_binomial(n - 2, 1, q) + 1
-    counts = disjoint_counts(l)
-    bad = []
-    for j, line in enumerate(space.spaces(1)):
-        chi_l = 1 if j in l.members else 0
-        expected = base * (x - chi_l)
-        got = int(counts[j])
-        if got != expected:
-            bad.append({"line": line.to_json(), "got": got, "expected": expected})
+    lines = space.spaces(1)
+    bad = [{"line": lines[j].to_json(), "got": got, "expected": int(expected)}
+           for j, got, expected in _disjointness_mismatches(l, base)]
     pencil_counts = infinite_pencil_counts(l)
     pencil_ok = all(c == x for c in pencil_counts)
     status = PASS if not bad and pencil_ok else FAIL
     return CheckResult("line_disjointness", status,
-                       {"mismatches": bad[:5], "pencil_counts_ok": pencil_ok})
+                       {"mismatches": bad, "pencil_counts_ok": pencil_ok})
 
 
 def check_pg_disjointness(l: KSet) -> CheckResult:
@@ -294,17 +301,12 @@ def check_pg_disjointness(l: KSet) -> CheckResult:
         raise DimensionOutOfRange("projective count on a projective set")
     n, k, q = space.n, l.k, space.q
     factor = gaussian_binomial(n - k - 1, k, q) * q ** (k * k + k)
-    counts = disjoint_counts(l)
-    bad = []
-    for j, kspace in enumerate(space.spaces(k)):
-        chi_k = 1 if j in l.members else 0
-        expected = (l.x - chi_k) * factor
-        got = int(counts[j])
-        if got != expected:
-            bad.append({"k_space": kspace.to_json(),
-                        "got": got, "expected": str(expected)})
+    kspaces = space.spaces(k)
+    bad = [{"k_space": kspaces[j].to_json(), "got": got,
+            "expected": str(expected)}
+           for j, got, expected in _disjointness_mismatches(l, factor)]
     return CheckResult("pg_disjointness", PASS if not bad else FAIL,
-                       {"mismatches": bad[:5]})
+                       {"mismatches": bad})
 
 
 # ---------------------------------------------------------------------------

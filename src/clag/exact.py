@@ -11,15 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 __all__ = [
     "bareiss_rank",
     "row_echelon_rational",
     "nullspace_int",
     "solve_left",
-    "int_matmul",
-    "int_matvec",
 ]
 
 
@@ -160,21 +156,3 @@ def solve_left(matrix, target) -> list[Fraction] | None:
 
 
 INT64_GUARD = 2**62
-
-
-def _abs_max(a: np.ndarray) -> int:
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
-def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product.  Uses int64 BLAS-free matmul when the
-    worst-case entry provably fits, otherwise falls back to Python ints."""
-    inner = a.shape[1]
-    if _abs_max(a) * _abs_max(b) * max(inner, 1) < INT64_GUARD:
-        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    obj = a.astype(object) @ b.astype(object)
-    return obj
-
-
-def int_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return int_matmul(a, v.reshape(-1, 1)).ravel()

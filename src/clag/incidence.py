@@ -1,4 +1,4 @@
-"""Point versus k-space incidence matrices and exact row-space queries.
+"""Point versus k-space incidence and exact row-space queries.
 
 The projective matrix with the canonical ordering decomposes into
 blocks: affine rows/columns first, so the top-left block is the affine
@@ -6,30 +6,35 @@ incidence matrix, the top-right block is zero (an affine point never
 lies on a k-space at infinity) and the bottom-right block is the
 incidence matrix of the hyperplane at infinity, one dimension down.
 
+An `IncidenceMatrix` holds M as point lists, never as a dense matrix:
+column j of M is the point list of k-space j (`points`, the K x s array
+of `AmbientSpace.space_point_indices`), and row p is the list of the r
+k-spaces through point p, sorted out of the same array by the design
+check.  Every product with M or M^T is a gather and sum over one of the
+two lists.
+
 Membership in the rational row space uses the 2-design structure.
 Every point lies on r k-spaces and every two points on lambda of them,
 so the v x v Gram matrix is M M^T = a I + lambda J with a = r - lambda.
-Both numbers are counted from the Gram matrix, which is checked entry
-by entry; a matrix that is not of this form raises `NotADesign`.  With
-c = a + lambda v, (M M^T)^-1 = (c I - lambda J) / (a c), so for
-w = M chi the only candidate certificate is y = num / (a c) with
+r is counted over the point lists and must be the same for every point;
+then, point by point, the k-spaces through p must cover p r times and
+every other point lambda = r (s - 1) / (v - 1) times.  A matrix that is
+not of this form raises `NotADesign`.  With c = a + lambda v,
+(M M^T)^-1 = (c I - lambda J) / (a c), so for w = M chi the only
+candidate certificate is y = num / (a c) with
 num = c w - lambda (sum w) 1.  chi lies in the row space iff
 M^T num = a c chi, an exact integer check, and then y^T M = chi.
 Since a > 0, M M^T is invertible, M has full row rank and y is the
 unique certificate.  Every accepted certificate has passed that check.
 `rows_in_row_space` decides a block of vectors at once: the same two
-products, with the vectors as the columns of one matrix.
+gathers, with the vectors as the columns of one matrix.
 
-Whether two k-spaces meet is read off the same incidence: `meets`
-gives M^T M[:, cols] as a Boolean product, True where a k-space shares
-a point with a chosen one, so False marks the disjoint pairs.
-
-There are two matrices per space and k.  `AmbientSpace.incidence` is
-the Boolean one, for incidence questions such as `meets`, and checks
-the CLAG_SIZE_GUARD entry guard on every call.  `build_incidence` wraps
-its transpose, once, as a read-only int64 matrix in an
-`IncidenceMatrix`, whose `.matrix` every integer product reads: the
-design, the membership test and the search's tableau.
+Whether two k-spaces meet is an incidence question, read off the
+Boolean `AmbientSpace.incidence`: `meets` gives M^T M[:, cols] as a
+Boolean product, True where a k-space shares a point with a chosen one,
+so False marks the disjoint pairs.  Both the Boolean matrix and the
+point lists pass the CLAG_SIZE_GUARD entry guard on every call, counted
+in closed form: v K entries for the Boolean matrix, K s for the lists.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .geometry import AmbientSpace, DimensionOutOfRange, _read_only
+from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard,
+                       _read_only, entry_guard, gaussian_binomial)
 
 __all__ = ["IncidenceMatrix", "build_incidence", "LengthMismatch",
            "NotADesign", "meets", "certificate_to_json"]
@@ -53,67 +59,86 @@ class NotADesign(ValueError):
 
 
 class IncidenceMatrix:
-    def __init__(self, space: AmbientSpace, k: int, matrix: np.ndarray):
+    """The v x K point versus k-space matrix M of `space`, held as the
+    K x s int64 array `points` of each k-space's point indices."""
+
+    def __init__(self, space: AmbientSpace, k: int, points: np.ndarray):
         self.space = space
         self.k = k
-        self.matrix = matrix
+        self.points = points
+        self.shape = (space.num_points, len(points))
         self._kernel = None
         self._design = None
-
-    @property
-    def shape(self):
-        return self.matrix.shape
+        self._through = None
 
     def rank(self) -> int:
         """Rank over the rationals: the row count, since the design
         identity makes M M^T invertible."""
         self.design()
-        return self.matrix.shape[0]
+        return self.shape[0]
 
     def kernel_basis(self) -> np.ndarray:
         """Primitive integer basis of {z : M z = 0}, as rows.  The
         membership test does not use it; tests compare against it."""
         if self._kernel is None:
-            basis = exact.nullspace_int(self.matrix.tolist())
+            m = np.zeros(self.shape, dtype=np.int64)
+            m[self.points, np.arange(self.shape[1])[:, None]] = 1
+            basis = exact.nullspace_int(m.tolist())
             self._kernel = np.array(basis, dtype=np.int64).reshape(
-                len(basis), self.matrix.shape[1])
+                len(basis), self.shape[1])
         return self._kernel
 
     def design(self) -> tuple[int, int]:
-        """(r, lambda), counted from the Gram matrix M M^T, which must
-        equal (r - lambda) I + lambda J with r > lambda."""
+        """(r, lambda): every point lies on r k-spaces and every two
+        points on lambda of them, with r > lambda, checked one point at
+        a time over the point lists."""
         if self._design is None:
-            m = self.matrix
-            gram = exact.int_matmul(m, m.T)
-            v = gram.shape[0]
-            r = int(gram[0, 0]) if v else 0
-            lam = int(gram[0, 1]) if v > 1 else 0
-            expected = np.full((v, v), lam, dtype=np.int64)
-            np.fill_diagonal(expected, r)
-            if r <= lam or not np.array_equal(gram, expected):
-                raise NotADesign(
-                    f"{self.matrix.shape[0]} x {self.matrix.shape[1]} matrix: "
-                    "M M^T is not (r - lambda) I + lambda J with r > lambda")
+            pts = self.points
+            (v, spaces), s = self.shape, pts.shape[1]
+            refused = NotADesign(
+                f"{v} x {spaces} matrix: "
+                "M M^T is not (r - lambda) I + lambda J with r > lambda")
+            degree = np.bincount(pts.ravel(), minlength=v)
+            r = int(degree[0])
+            # the k-spaces through a point cover r (s - 1) other points
+            lam = r * (s - 1) // (v - 1) if v > 1 else 0
+            if r <= lam or (degree != r).any():
+                raise refused
+            # the k-spaces through each point, in index order
+            through = np.argsort(pts.ravel(), kind="stable").reshape(v, r) // s
+            for p, mine in enumerate(through):
+                count = np.bincount(pts[mine].ravel(), minlength=v)
+                count[p] += lam - r
+                if (count != lam).any():
+                    raise refused
+            self._through = through
             self._design = (r, lam)
         return self._design
+
+    def _point_sums(self, vt: np.ndarray) -> np.ndarray:
+        """M vt: row p sums the rows of vt over the k-spaces through p."""
+        self.design()
+        return vt[self._through].sum(axis=1)
 
     def _solve(self, vecs) -> tuple[np.ndarray, np.ndarray, int]:
         """(member?, num, a c) for the rows of vecs: y = num[:, i] / (a c)
         is the only candidate certificate for row i, and member?[i] is
         the exact check y^T M = vecs[i]."""
         v = np.asarray(vecs, dtype=np.int64)
-        if v.ndim != 2 or v.shape[1] != self.matrix.shape[1]:
+        if v.ndim != 2 or v.shape[1] != self.shape[1]:
             raise LengthMismatch("vector length must equal column count")
         r, lam = self.design()
         a = r - lam
-        c = a + lam * self.matrix.shape[0]
+        c = a + lam * self.shape[0]
         vt = v.T
-        w = exact.int_matmul(self.matrix, vt)
-        # |num| and a c |v| are at most 2 c r |v|; past int64, use Python ints
-        if 2 * c * r * int(np.abs(v).max(initial=0)) >= exact.INT64_GUARD:
-            vt, w = vt.astype(object), w.astype(object)
+        # |num| and a c |v| are at most 2 c r |v|, and an entry of
+        # M^T num sums s entries of num; past int64, use Python ints
+        if (2 * c * r * self.points.shape[1] * int(np.abs(v).max(initial=0))
+                >= exact.INT64_GUARD):
+            vt = vt.astype(object)
+        w = self._point_sums(vt)
         num = c * w - lam * w.sum(axis=0)
-        member = (exact.int_matmul(self.matrix.T, num) == a * c * vt).all(axis=0)
+        member = (num[self.points].sum(axis=1) == a * c * vt).all(axis=0)
         return member, num, a * c
 
     def in_row_space(self, vec) -> bool:
@@ -122,7 +147,7 @@ class IncidenceMatrix:
         return bool(self._solve(np.asarray(vec)[None])[0][0])
 
     def rows_in_row_space(self, vecs) -> np.ndarray:
-        """in_row_space for every row of vecs, with one product pair."""
+        """in_row_space for every row of vecs, with one gather pair."""
         return self._solve(vecs)[0]
 
     def row_space_membership(self, vec) -> tuple[bool, list[Fraction] | None]:
@@ -134,15 +159,11 @@ class IncidenceMatrix:
         return True, [Fraction(int(n), den) for n in num[:, 0]]
 
     def verify_certificate(self, cert, vec) -> bool:
-        rows, cols = self.matrix.shape
-        for c in range(cols):
-            acc = Fraction(0)
-            for r in range(rows):
-                if cert[r]:
-                    acc += cert[r] * int(self.matrix[r, c])
-            if acc != Fraction(int(vec[c])):
-                return False
-        return True
+        """y^T M = vec, summed exactly over each k-space's points."""
+        if len(vec) != self.shape[1]:
+            raise LengthMismatch("vector length must equal column count")
+        return all(sum((cert[p] for p in pts), Fraction(0)) == int(x)
+                   for pts, x in zip(self.points.tolist(), vec))
 
 
 def meets(space: AmbientSpace, k: int, cols) -> np.ndarray:
@@ -154,13 +175,20 @@ def meets(space: AmbientSpace, k: int, cols) -> np.ndarray:
 
 def build_incidence(space: AmbientSpace, k: int) -> IncidenceMatrix:
     """The 0/1 point versus k-space matrix in canonical order, one per
-    space and k: the transposed `AmbientSpace.incidence` as a read-only
-    int64 matrix, whose size guard it passes on every call."""
+    space and k, as the read-only int64 point lists of its k-spaces.
+    Every call first raises SizeGuard when the lists' entries, counted
+    in closed form, exceed `entry_guard()`, whatever is already cached."""
     if not 1 <= k <= space.n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{space.n - 1}")
-    mat = space.incidence(k)
+    cap = entry_guard()
+    spaces = space._num_spaces(k)
+    size = (space.q ** k if space.mode == "affine"
+            else gaussian_binomial(k + 1, 1, space.q))
+    if spaces * size > cap:
+        raise SizeGuard(f"{spaces} x {size} point lists exceed guard {cap}")
     return space.memo(("IncidenceMatrix", k), lambda: IncidenceMatrix(
-        space, k, _read_only(mat.T.astype(np.int64, order="C"))))
+        space, k, _read_only(np.array(space.space_point_indices(k),
+                                      dtype=np.int64))))
 
 
 def certificate_to_json(space: AmbientSpace, cert) -> dict[str, str]:

@@ -264,7 +264,7 @@ def assignment_sequence(n, q, k, seed):
     is consistent; even seeds use random bits, which soon contradict
     the forced values."""
     space = ambient(n, q, "affine")
-    m = build_incidence(space, k).matrix.astype(np.int64)
+    m = space.incidence(k).T.astype(np.int64)
     rng = random.Random(seed)
     if seed % 2:
         target = point_pencil(space, rng.choice(space.points), k).chi()
@@ -338,7 +338,7 @@ def test_tableau_matches_one_array_tableau(n, q, k, seed, guard,
 
 
 def test_tableau_children_share_their_directions():
-    m = build_incidence(ambient(3, 2, "affine"), 1).matrix
+    m = ambient(3, 2, "affine").incidence(1).T.astype(np.int64)
     tab = _Tableau.start(m)
     zero, one = tab.assigned(5, 0), tab.assigned(5, 1)
     assert zero.dirs is one.dirs

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from clag import exact
 
 
@@ -53,19 +51,3 @@ def test_solve_left_rational_solution():
     m = [[2, 0], [0, 3]]
     y = exact.solve_left(m, [1, 1])
     assert y == [Fraction(1, 2), Fraction(1, 3)]
-
-
-def test_int_matmul_exact_and_fallback():
-    a = np.array([[2**40, 1], [0, 1]], dtype=object)
-    b = np.array([[2**40, 0], [1, 1]], dtype=object)
-    c = exact.int_matmul(a, b)
-    assert c[0][0] == 2**80 + 1  # would overflow int64
-    small = exact.int_matmul(np.eye(3, dtype=np.int64),
-                             np.ones((3, 3), dtype=np.int64))
-    assert small.dtype == np.int64 and small.sum() == 9
-
-
-def test_int_matvec():
-    a = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    v = np.array([5, 6], dtype=np.int64)
-    assert exact.int_matvec(a, v).tolist() == [17, 39]

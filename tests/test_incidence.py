@@ -5,30 +5,37 @@ import numpy as np
 import pytest
 
 from clag import exact
-from clag.clsets import is_cameron_liebler, point_pencil
+from clag.clsets import is_cameron_liebler, kset_from_indices, point_pencil
 from clag.classify import _Tableau
-from clag.geometry import DimensionOutOfRange, SizeGuard, ambient
+from clag.geometry import AmbientSpace, DimensionOutOfRange, SizeGuard, ambient
 from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
                             build_incidence, certificate_to_json, meets)
 from clag.spreads import all_type_II_spreads, restrict_to_affine, spread_type_I
 
 
+def dense(A):
+    """M as a dense int64 matrix, read from the Boolean incidence."""
+    return A.space.incidence(A.k).T.astype(np.int64)
+
+
 def test_shapes_and_column_sums():
     A = build_incidence(ambient(3, 2, "affine"), 1)
     assert A.shape == (8, 28)
-    assert set(A.matrix.sum(axis=0).tolist()) == {2}  # q^k points per line
+    assert A.points.shape == (28, 2)  # q^k points per line
+    assert set(dense(A).sum(axis=0).tolist()) == {2}
     P = build_incidence(ambient(3, 2, "projective"), 1)
     assert P.shape == (15, 35)
-    assert set(P.matrix.sum(axis=0).tolist()) == {3}  # (q^2-1)/(q-1)
+    assert P.points.shape == (35, 3)  # (q^2-1)/(q-1)
+    assert set(dense(P).sum(axis=0).tolist()) == {3}
 
 
 def test_projective_block_structure():
     # affine rows/cols first, zero top-right, one-lower incidence bottom-right
-    P = build_incidence(ambient(3, 2, "projective"), 1).matrix
-    A = build_incidence(ambient(3, 2, "affine"), 1).matrix
+    P = dense(build_incidence(ambient(3, 2, "projective"), 1))
+    A = dense(build_incidence(ambient(3, 2, "affine"), 1))
     assert np.array_equal(P[:8, :28], A)
     assert not P[:8, 28:].any()
-    P2 = build_incidence(ambient(2, 2, "projective"), 1).matrix
+    P2 = dense(build_incidence(ambient(2, 2, "projective"), 1))
     assert np.array_equal(P[8:, 28:], P2)
 
 
@@ -37,21 +44,21 @@ def test_incidence_has_full_row_rank():
     for n, q, mode, k in [(3, 2, "affine", 1), (3, 2, "projective", 1),
                           (3, 3, "affine", 1), (4, 2, "affine", 2)]:
         A = build_incidence(ambient(n, q, mode), k)
-        assert exact.bareiss_rank(A.matrix) == A.rank() == A.shape[0]
+        assert exact.bareiss_rank(dense(A)) == A.rank() == A.shape[0]
 
 
 def test_kernel_dimension():
     A = build_incidence(ambient(3, 2, "affine"), 1)
     kern = A.kernel_basis()
     assert kern.shape[0] == 20  # 28 - 8
-    assert not (A.matrix.astype(np.int64) @ kern.T).any()
+    assert not (dense(A) @ kern.T).any()
 
 
 def test_membership_trivial_cases():
     A = build_incidence(ambient(3, 2, "affine"), 1)
     ok, cert = A.row_space_membership([0] * 28)
     assert ok and all(c == 0 for c in cert)
-    row = A.matrix[3].tolist()
+    row = dense(A)[3].tolist()
     ok, cert = A.row_space_membership(row)
     assert ok
     assert cert == [Fraction(1) if i == 3 else Fraction(0) for i in range(8)]
@@ -68,7 +75,8 @@ def test_single_line_not_in_row_space():
 def test_certificate_soundness():
     A = build_incidence(ambient(3, 2, "affine"), 1)
     # sum of two pencil rows is in the row space with known certificate
-    vec = (A.matrix[0] + A.matrix[5]).tolist()
+    m = dense(A)
+    vec = (m[0] + m[5]).tolist()
     ok, cert = A.row_space_membership(vec)
     assert ok and A.verify_certificate(cert, vec)
 
@@ -77,16 +85,17 @@ def test_membership_consistent_with_kernel_on_random_vectors():
     A = build_incidence(ambient(3, 2, "affine"), 1)
     rng = random.Random(31)
     from clag.exact import solve_left
+    m = dense(A).tolist()
     for _ in range(60):
         vec = [rng.randrange(2) for _ in range(28)]
         closed = A.in_row_space(vec)
-        via_solve = solve_left(A.matrix.tolist(), vec) is not None
+        via_solve = solve_left(m, vec) is not None
         assert closed == via_solve
 
 
 def test_spread_difference_lies_in_kernel():
     space = ambient(3, 2, "affine")
-    A = build_incidence(space, 1)
+    m = dense(build_incidence(space, 1))
     spreads = all_type_II_spreads(space, 1)
     aff_type_I = restrict_to_affine(spread_type_I(3, 2, 1))
     spreads = spreads + [aff_type_I]
@@ -95,7 +104,7 @@ def test_spread_difference_lies_in_kernel():
             diff = np.zeros(28, dtype=np.int64)
             diff[list(s1.member_indices())] += 1
             diff[list(s2.member_indices())] -= 1
-            assert not (A.matrix.astype(np.int64) @ diff).any()
+            assert not (m @ diff).any()
 
 
 def test_length_mismatch():
@@ -113,41 +122,49 @@ def test_dimension_and_size_guards(monkeypatch):
 
 
 def test_size_guard_holds_on_a_warm_cache(monkeypatch):
+    # the point lists hold 28 x 2 entries, the Boolean matrix 8 x 28
     space = ambient(3, 2, "affine")
     pencil = point_pencil(space, space.points[0], 1)
     assert is_cameron_liebler(pencil)[0]
     monkeypatch.setenv("CLAG_SIZE_GUARD", "10")
-    message = "^8 x 28 incidence exceeds guard 10$"
-    for query in (lambda: build_incidence(space, 1),
-                  lambda: is_cameron_liebler(pencil),
-                  lambda: space.incidence(1)):
+    lists = "^28 x 2 point lists exceed guard 10$"
+    for query, message in ((lambda: build_incidence(space, 1), lists),
+                           (lambda: is_cameron_liebler(pencil), lists),
+                           (lambda: space.incidence(1),
+                            "^8 x 28 incidence exceeds guard 10$")):
         with pytest.raises(SizeGuard, match=message):
             query()
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "56")
+    assert is_cameron_liebler(pencil)[0]
+    with pytest.raises(SizeGuard):
+        space.incidence(1)
 
 
 def test_one_incidence_buffer_per_space_and_k():
-    # the Boolean matrix answers incidence questions; the one read-only
-    # int64 matrix serves the design, membership and the search's tableau
+    # the Boolean matrix answers incidence questions; one read-only int64
+    # array of point lists serves the design and membership, and the
+    # search's tableau copies its own M
     for space, k in ((ambient(3, 2, "affine"), 1),
                      (ambient(3, 3, "projective"), 1),
                      (ambient(4, 2, "affine"), 2)):
         inc = build_incidence(space, k)
         assert build_incidence(space, k) is inc
-        assert inc.matrix.dtype == np.int64
-        assert not inc.matrix.flags.writeable
-        assert np.array_equal(inc.matrix, space.incidence(k).T)
+        assert inc.points.dtype == np.int64
+        assert not inc.points.flags.writeable
+        assert inc.points.tolist() == [list(p) for p in
+                                       space.space_point_indices(k)]
         inc.design()
-        assert build_incidence(space, k).matrix is inc.matrix
-        assert _Tableau.start(inc.matrix).dirs.a is inc.matrix
-        mine = inc.matrix.copy()  # a caller's writable matrix stays writable
-        assert _Tableau.start(mine).dirs.a is not mine
-        assert mine.flags.writeable
+        assert build_incidence(space, k).points is inc.points
+        m = space.incidence(k).T
+        t = _Tableau.start(m).dirs.a
+        assert t.dtype == np.int64 and np.array_equal(t, m)
+        assert not np.shares_memory(t, m)
 
 
 def test_certificate_export_format():
     space = ambient(3, 2, "affine")
     A = build_incidence(space, 1)
-    ok, cert = A.row_space_membership(A.matrix[0].tolist())
+    ok, cert = A.row_space_membership(dense(A)[0].tolist())
     doc = certificate_to_json(space, cert)
     assert doc["1:0:0:0"] == "1/1"
     assert len(doc) == 8
@@ -157,9 +174,10 @@ def oracle_membership(A, vec):
     """The kernel-basis route: verdict from the rational kernel, then the
     certificate from a Fraction elimination."""
     kern = A.kernel_basis()
-    if kern.shape[0] and exact.int_matvec(kern, np.asarray(vec)).any():
+    # Python ints: on PG(3,3) kern @ (3**36 m[3]) passes int64 on the way
+    if (kern @ np.asarray(vec).astype(object)).any():
         return False, None
-    return True, exact.solve_left(A.matrix.tolist(), [int(v) for v in vec])
+    return True, exact.solve_left(dense(A).tolist(), [int(v) for v in vec])
 
 
 @pytest.mark.parametrize("n,q,mode,k", [
@@ -167,7 +185,7 @@ def oracle_membership(A, vec):
     (3, 3, "projective", 1), (4, 2, "affine", 2)])
 def test_design_route_matches_kernel_route(n, q, mode, k):
     A = build_incidence(ambient(n, q, mode), k)
-    m = A.matrix.astype(np.int64)
+    m = dense(A)
     rng = random.Random(n * 100 + q * 10 + k)
     perturbed = m[1].copy()
     perturbed[rng.randrange(m.shape[1])] ^= 1
@@ -185,6 +203,37 @@ def test_design_route_matches_kernel_route(n, q, mode, k):
             assert got[0] == (i < len(members))
 
 
+@pytest.mark.parametrize("guard,wide", [(None, False), (393, False),
+                                        (392, True), (197, True)])
+def test_membership_widens_past_the_int64_bound(guard, wide, monkeypatch):
+    # AG(3,2) lines: |num| <= 2 c r = 196 for a 0/1 vector, and an entry
+    # of M^T num sums s = 2 entries of num, so Python ints from 392 down
+    if guard is not None:
+        monkeypatch.setattr(exact, "INT64_GUARD", guard)
+    A = build_incidence(ambient(3, 2, "affine"), 1)
+    m = dense(A)
+    rng = random.Random(5)
+    randoms = [np.array([rng.randrange(2) for _ in range(28)])
+               for _ in range(4)]
+    for vec in [m[0], 1 - m[2], np.eye(28, dtype=np.int64)[0]] + randoms:
+        member, num, _ = A._solve(vec[None])
+        assert (num.dtype == object) == wide
+        assert A.row_space_membership(vec) == oracle_membership(A, vec)
+
+
+def test_membership_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Boolean incidence built")
+
+    monkeypatch.setattr(AmbientSpace, "incidence", refuse)
+    space = ambient(3, 7, "affine")
+    lines = [j for j, pts in enumerate(space.space_point_indices(1))
+             if 5 in pts]
+    ok, cert = is_cameron_liebler(kset_from_indices(space, 1, lines))
+    assert ok
+    assert cert == [Fraction(int(i == 5)) for i in range(space.num_points)]
+
+
 def test_design_parameters_are_counted():
     for (n, q, mode, k), rl in {(3, 2, "affine", 1): (7, 1),
                                 (3, 3, "projective", 1): (13, 1),
@@ -193,14 +242,15 @@ def test_design_parameters_are_counted():
 
 
 @pytest.mark.parametrize("rows", [
-    [[1, 1, 0], [0, 1, 1], [0, 0, 1]],   # unequal point degrees
-    [[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1]],  # unequal pair counts
-    [[1, 1], [1, 1]],                    # r = lambda: rank 1
+    [[0, 1], [0, 2], [3, 4], [5, 6]],    # unequal point degrees
+    [[0, 1], [2, 3], [4, 5], [6, 7]],    # unequal pair counts
+    [list(range(8))] * 2,                # r = lambda: rank 1
 ])
 def test_non_design_matrix_is_refused(rows):
+    # rows: point lists of equal size on the 8 points of AG(3, 2)
     A = IncidenceMatrix(ambient(3, 2, "affine"), 1,
-                        np.array(rows, dtype=np.int8))
-    vec = [0] * len(rows[0])
+                        np.array(rows, dtype=np.int64))
+    vec = [0] * len(rows)
     for query in (A.design, A.rank, lambda: A.in_row_space(vec),
                   lambda: A.row_space_membership(vec)):
         with pytest.raises(NotADesign):

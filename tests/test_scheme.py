@@ -183,10 +183,11 @@ def test_bose_mesner_needs_no_matrix_product(monkeypatch):
     ok, p = scheme_axioms_bruteforce(relation_matrix(AG32), 3)
     assert ok
 
-    def forbidden(*args):
-        raise AssertionError("int_matmul called")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("relation matrix or triple count called")
 
-    monkeypatch.setattr(exact, "int_matmul", forbidden)
+    monkeypatch.setattr(scheme, "relation_matrix", forbidden)
+    monkeypatch.setattr(_kernels, "triple_counts", forbidden)
     res = verify_bose_mesner(p, line_scheme(3, 2))
     assert res["idempotency"] and res["resolution_of_identity"]
     assert res["adjacency_expansion"]
