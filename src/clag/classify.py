@@ -59,7 +59,7 @@ from .clsets import (KSet, complement, is_cameron_liebler,
 from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard,
                        _read_only, ambient, entry_guard, gaussian_binomial,
                        subspace_from_json)
-from .incidence import build_incidence
+from .incidence import _dense_rows, build_incidence
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
            "classify_hyperplane_cl",
@@ -332,7 +332,7 @@ class _Search:
         self.pencils = [list(map(int, m)) for m in pencil_members]
         self.per_space = [int(v) for v in per_space]
         self.incidence = build_incidence(space, k)
-        self.tableau = _Tableau.start(space.incidence(k).T)
+        self.tableau = _Tableau.start(_dense_rows(space, k).T)
         self.solutions: list[tuple[int, ...]] = []
         self.plans_built = 0
 

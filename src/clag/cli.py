@@ -5,10 +5,10 @@ error.  All numeric output is rendered as exact rational strings, the
 PRNG seed is recorded in every artifact, and artifacts are byte-stable
 across reruns (wall-clock timing is embedded only with --timing).
 CLAG_SIZE_GUARD overrides the entry guard (default 10**7) of relation
-matrices, of the point lists membership reads, of every Boolean
-incidence matrix, spreads, pencils and projections included, and of
-every pencil plan the search builds, read on every access; the search's
-k-space cap is --cap.
+matrices, of the point lists that membership, pencils, spreads and
+projections read, of the dense incidence matrix that disjointness
+checks and the search's tableau build, and of every pencil plan the
+search builds, read on every access; the search's k-space cap is --cap.
 """
 
 from __future__ import annotations
@@ -148,10 +148,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_spread(args) -> int:
-    n, q, k = args.n, args.q, args.k
+    n, q = args.n, args.q
     try:
         if args.type == 1:
-            s = spreads.spread_type_I(n, q, k)
+            s = spreads.spread_type_I(n, q, 1 if args.k is None else args.k)
             if args.affine:
                 s = spreads.restrict_to_affine(s)
         elif args.type == 2:
@@ -169,6 +169,8 @@ def cmd_spread(args) -> int:
             pi = _parse_rows(args.pi, n, q)
             choices = [_parse_rows(c, n, q) for c in args.choices.split("|")]
             s = spreads.spread_type_III(space, pi, choices)
+        if args.k not in (None, s.k):
+            raise spreads.WrongDimension(f"--k {args.k}, but k = {s.k}")
     except (spreads.SpreadError, ValueError) as exc:
         print(f"spread construction failed: {exc}", file=sys.stderr)
         return 2
@@ -249,7 +251,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, help="member dimension; type 1 defaults to 1")
     p.add_argument("--affine", action="store_true",
                    help="restrict a type 1 spread to the affine space")
     p.add_argument("--at-infinity",

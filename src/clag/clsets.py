@@ -9,17 +9,18 @@ The count-based equivalences carry the hypothesis n >= 2k+1 and report
 a dedicated not-applicable status below it.
 
 Both disjointness criteria, affine and projective, read their counts
-from `disjoint_counts`: one Boolean product against the cached
-incidence matrix (`incidence.meets`), so two k-spaces are disjoint iff
-they share no point of the space, affine points in AG and all points
-in PG.
+from `disjoint_counts`: one Boolean product of the incidence matrix
+(`incidence.meets`), so two k-spaces are disjoint iff they share no
+point of the space, affine points in AG and all points in PG.
 
-Every other incidence question is read off the canonical point sets
-too, never by row reduction: pencils and hyperplane sets from
-`AmbientSpace.incidence`, the skew complement and the members through
-an axis from `AmbientSpace.shared_points` in the projective closure,
-and each projected image by looking up its point set among the
-target's `space_point_indices`.
+Every other incidence question is read off the point lists of the
+k-spaces (`AmbientSpace.point_lists`), never by row reduction and
+never from a dense matrix: a pencil is the k-spaces whose list holds
+its point, hyperplane sets, the skew complement and the members
+through an axis come from `AmbientSpace.shared_points` (in the
+projective closure for subspaces at infinity), and each projected
+image is found by looking up its point set among the target's
+`space_point_indices`.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def point_pencil(space: AmbientSpace, point, k: int) -> KSet:
     pidx = space.point_index.get(tuple(f.mul(f.inv(lead), v) for v in point))
     if pidx is None:
         raise DimensionOutOfRange(f"{point} is not a point of {space}")
-    members = np.flatnonzero(space.incidence(k)[:, pidx])
+    members = np.flatnonzero((space.point_lists(k) == pidx).any(axis=1))
     return KSet(space, k, frozenset(members.tolist()))
 
 

@@ -13,8 +13,13 @@ the same `Subspace` objects, so embedding into PG(n, q) and restricting
 to AG(n, q) keep every index, and the order is reproducible everywhere:
 file formats, incidence block structure, search certificates.  Every
 derived table of a space (enumerations, indices, point sets, pencils,
-incidence matrices) is built once and kept in that instance's one memo,
+containment masks) is built once and kept in that instance's one memo,
 `AmbientSpace.memo`, so it lives exactly as long as the instance.
+
+The point versus k-space incidence is stored once per k, as the point
+lists of the k-spaces (`AmbientSpace.point_lists`); pencils and the
+inside/through/skew masks gather a mask of points over them, and no
+dense points x k-spaces matrix is kept.
 """
 
 from __future__ import annotations
@@ -352,39 +357,38 @@ class AmbientSpace:
             return inf_list, members, per_space
         return self.memo(("infinity_pencils", k), build)
 
-    def incidence(self, k: int) -> np.ndarray:
-        """Read-only Boolean (k-spaces x points) incidence in canonical
-        order, built once from `space_point_indices`.  Every call first
-        raises SizeGuard when its entries, counted in closed form,
-        exceed `entry_guard()`, whatever is already cached."""
+    def point_lists(self, k: int) -> np.ndarray:
+        """Read-only int64 (k-spaces x points per k-space) array of
+        `space_point_indices(k)`, the one stored form of the point versus
+        k-space incidence.  Every call first raises SizeGuard when its
+        entries, counted in closed form, exceed `entry_guard()`, whatever
+        is already cached."""
         cap = entry_guard()
-        if self.num_points * self._num_spaces(k) > cap:
-            raise SizeGuard(f"{self.num_points} x {self._num_spaces(k)} "
-                            f"incidence exceeds guard {cap}")
-
-        def build():
-            pts = np.array(self.space_point_indices(k), dtype=np.int64)
-            mat = np.zeros((len(pts), self.num_points), dtype=bool)
-            np.put_along_axis(mat, pts, True, axis=1)
-            return _read_only(mat)
-        return self.memo(("incidence", k), build)
+        spaces = self._num_spaces(k)
+        size = (self.q ** k if self.mode == "affine"
+                else gaussian_binomial(k + 1, 1, self.q))
+        if spaces * size > cap:
+            raise SizeGuard(f"{spaces} x {size} point lists exceed guard {cap}")
+        return self.memo(("point_lists", k), lambda: _read_only(
+            np.array(self.space_point_indices(k), dtype=np.int64)))
 
     def shared_points(self, k: int, s: Subspace) -> np.ndarray:
         """For every k-space in canonical order, the number of points of
-        this space it shares with s.  A k-space lies inside s iff it
+        this space it shares with s: a Boolean mask of s's points
+        gathered over the point lists.  A k-space lies inside s iff it
         shares all of its points, passes through s iff it shares all of
         s's, and is skew to s iff it shares none; in AG only affine
         points count, so relations with subspaces at infinity are read
         in the projective closure."""
-        return self.incidence(k)[:, list(self.point_indices_of(s))].sum(axis=1)
+        mask = np.zeros(self.num_points, dtype=bool)
+        mask[list(self.point_indices_of(s))] = True
+        return mask[self.point_lists(k)].sum(axis=1)
 
     def spaces_inside(self, k: int, s: Subspace) -> np.ndarray:
         """Read-only Boolean mask over the k-spaces, in canonical order,
         of those contained in s, built once per (k, s)."""
-        def build():
-            size = len(self.space_point_indices(k)[0])
-            return _read_only(self.shared_points(k, s) == size)
-        return self.memo(("spaces_inside", k, s.rows), build)
+        return self.memo(("spaces_inside", k, s.rows), lambda: _read_only(
+            self.shared_points(k, s) == self.point_lists(k).shape[1]))
 
     def spaces_through(self, k: int, axis: Subspace) -> np.ndarray:
         """Read-only Boolean mask over the k-spaces, in canonical order,

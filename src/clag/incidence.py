@@ -7,11 +7,11 @@ lies on a k-space at infinity) and the bottom-right block is the
 incidence matrix of the hyperplane at infinity, one dimension down.
 
 An `IncidenceMatrix` holds M as point lists, never as a dense matrix:
-column j of M is the point list of k-space j (`points`, the K x s array
-of `AmbientSpace.space_point_indices`), and row p is the list of the r
-k-spaces through point p, sorted out of the same array by the design
-check.  Every product with M or M^T is a gather and sum over one of the
-two lists.
+column j of M is the point list of k-space j (`points`, the space's
+own K x s array `AmbientSpace.point_lists(k)`), and row p is the list
+of the r k-spaces through point p, sorted out of the same array by the
+design check.  Every product with M or M^T is a gather and sum over one
+of the two lists.
 
 Membership in the rational row space uses the 2-design structure.
 Every point lies on r k-spaces and every two points on lambda of them,
@@ -29,12 +29,14 @@ unique certificate.  Every accepted certificate has passed that check.
 `rows_in_row_space` decides a block of vectors at once: the same two
 gathers, with the vectors as the columns of one matrix.
 
-Whether two k-spaces meet is an incidence question, read off the
-Boolean `AmbientSpace.incidence`: `meets` gives M^T M[:, cols] as a
-Boolean product, True where a k-space shares a point with a chosen one,
-so False marks the disjoint pairs.  Both the Boolean matrix and the
-point lists pass the CLAG_SIZE_GUARD entry guard on every call, counted
-in closed form: v K entries for the Boolean matrix, K s for the lists.
+Whether two k-spaces meet is an incidence question: `meets` gives
+M^T M[:, cols] as a Boolean product, True where a k-space shares a point
+with a chosen one, so False marks the disjoint pairs.  It, the search's
+starting tableau and `kernel_basis` need M dense; each builds the
+Boolean K x v matrix from the point lists when it is called, and none
+keeps it.  The point lists (`AmbientSpace.point_lists`) pass the
+CLAG_SIZE_GUARD entry guard on every call, counted in closed form as K s
+entries; a dense matrix is refused first when its v K entries exceed it.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard,
-                       _read_only, entry_guard, gaussian_binomial)
+from .geometry import AmbientSpace, DimensionOutOfRange, SizeGuard, entry_guard
 
 __all__ = ["IncidenceMatrix", "build_incidence", "LengthMismatch",
            "NotADesign", "meets", "certificate_to_json"]
@@ -78,14 +79,14 @@ class IncidenceMatrix:
         return self.shape[0]
 
     def kernel_basis(self) -> np.ndarray:
-        """Primitive integer basis of {z : M z = 0}, as rows.  The
-        membership test does not use it; tests compare against it."""
+        """Primitive integer basis of {z : M z = 0}, as rows, with M
+        read from the space's point lists (the `points` that
+        `build_incidence` passes).  The membership test does not use it;
+        tests compare against it."""
         if self._kernel is None:
-            m = np.zeros(self.shape, dtype=np.int64)
-            m[self.points, np.arange(self.shape[1])[:, None]] = 1
+            m = _dense_rows(self.space, self.k).T.astype(np.int64)
             basis = exact.nullspace_int(m.tolist())
-            self._kernel = np.array(basis, dtype=np.int64).reshape(
-                len(basis), self.shape[1])
+            self._kernel = np.array(basis, np.int64).reshape(-1, m.shape[1])
         return self._kernel
 
     def design(self) -> tuple[int, int]:
@@ -166,29 +167,36 @@ class IncidenceMatrix:
                    for pts, x in zip(self.points.tolist(), vec))
 
 
+def _dense_rows(space: AmbientSpace, k: int) -> np.ndarray:
+    """Boolean (k-spaces x points) M^T, built from the point lists on
+    each call.  Raises SizeGuard first when its entries, counted in
+    closed form, exceed `entry_guard()`."""
+    cap = entry_guard()
+    v, spaces = space.num_points, space._num_spaces(k)
+    if v * spaces > cap:
+        raise SizeGuard(f"{v} x {spaces} incidence exceeds guard {cap}")
+    mat = np.zeros((spaces, v), dtype=bool)
+    np.put_along_axis(mat, space.point_lists(k), True, axis=1)
+    return mat
+
+
 def meets(space: AmbientSpace, k: int, cols) -> np.ndarray:
     """Boolean M^T M[:, cols] over the space's k-spaces: entry [j, c] is
     True iff k-space j shares a point with k-space cols[c]."""
-    m = space.incidence(k)
+    m = _dense_rows(space, k)
     return m @ m[cols].T
 
 
 def build_incidence(space: AmbientSpace, k: int) -> IncidenceMatrix:
     """The 0/1 point versus k-space matrix in canonical order, one per
-    space and k, as the read-only int64 point lists of its k-spaces.
-    Every call first raises SizeGuard when the lists' entries, counted
-    in closed form, exceed `entry_guard()`, whatever is already cached."""
+    space and k, on the space's own point lists.  Every call reads them
+    through `AmbientSpace.point_lists`, so its size guard holds whatever
+    is already cached."""
     if not 1 <= k <= space.n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{space.n - 1}")
-    cap = entry_guard()
-    spaces = space._num_spaces(k)
-    size = (space.q ** k if space.mode == "affine"
-            else gaussian_binomial(k + 1, 1, space.q))
-    if spaces * size > cap:
-        raise SizeGuard(f"{spaces} x {size} point lists exceed guard {cap}")
-    return space.memo(("IncidenceMatrix", k), lambda: IncidenceMatrix(
-        space, k, _read_only(np.array(space.space_point_indices(k),
-                                      dtype=np.int64))))
+    points = space.point_lists(k)
+    return space.memo(("IncidenceMatrix", k),
+                      lambda: IncidenceMatrix(space, k, points))
 
 
 def certificate_to_json(space: AmbientSpace, cert) -> dict[str, str]:

@@ -15,8 +15,9 @@ Spread types:
 Every constructor validates its output exactly (pairwise disjointness
 and point coverage).  Which subspaces lie inside or pass through
 which (the hyperplanes through pi, the tau_i inside pi, the members
-inside each hyperplane) is read from the point-set incidence of
-`AmbientSpace`, in the projective closure for subspaces at infinity.
+inside each hyperplane) is read from `AmbientSpace.shared_points`, a
+mask of points gathered over the k-spaces' point lists, in the
+projective closure for subspaces at infinity.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _sorted_members(members) -> tuple[Subspace, ...]:
 def _point_counts(space: AmbientSpace, members) -> np.ndarray:
     """For every point of the space, the number of members through it.
     Read from the equal-dimension members' points in one batch, not from
-    the space's incidence: a spread of PG(3, 23) has 530 members, the
+    the space's point lists: a spread of PG(3, 23) has 530 members, the
     space 293,090 lines."""
     pts = itertools.chain.from_iterable(
         space.point_sets(members) if members else ())

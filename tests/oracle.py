@@ -3,6 +3,9 @@
 `gf_rref`, `gf_combinations` and `triple_counts` are plain-Python
 loops that the numpy kernels of `clag._kernels` must match bit for bit.
 
+`dense_incidence` is M itself, the dense int64 points x k-spaces
+matrix, filled in Python from `space_point_indices`.
+
 `contains` decides containment independent of point sets: small lies
 inside big iff adding its rows to big's does not grow the row space,
 decided by GF(q) row reduction (`span` goes through `_kernels.gf_rref`).
@@ -31,6 +34,15 @@ from clag.classify import _Contradiction
 from clag.geometry import (AmbientSpace, Subspace, apply_matrix,
                            make_subspace, span)
 from clag.spreads import Spread, spread_type_III
+
+
+def dense_incidence(space: AmbientSpace, k: int) -> np.ndarray:
+    pts = space.space_point_indices(k)
+    m = np.zeros((space.num_points, len(pts)), dtype=np.int64)
+    for j, points in enumerate(pts):
+        for p in points:
+            m[p, j] = 1
+    return m
 
 
 def contains(big: Subspace, small: Subspace) -> bool:

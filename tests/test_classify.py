@@ -15,7 +15,7 @@ from clag.clsets import (complement, is_cameron_liebler, kset_from_indices,
                          point_pencil)
 from clag.geometry import AmbientSpace, SizeGuard, ambient, gaussian_binomial
 from clag.incidence import build_incidence
-from oracle import OneArrayTableau, combination_children
+from oracle import OneArrayTableau, combination_children, dense_incidence
 
 
 def found_sets(cert):
@@ -264,7 +264,7 @@ def assignment_sequence(n, q, k, seed):
     is consistent; even seeds use random bits, which soon contradict
     the forced values."""
     space = ambient(n, q, "affine")
-    m = space.incidence(k).T.astype(np.int64)
+    m = dense_incidence(space, k)
     rng = random.Random(seed)
     if seed % 2:
         target = point_pencil(space, rng.choice(space.points), k).chi()
@@ -338,7 +338,7 @@ def test_tableau_matches_one_array_tableau(n, q, k, seed, guard,
 
 
 def test_tableau_children_share_their_directions():
-    m = ambient(3, 2, "affine").incidence(1).T.astype(np.int64)
+    m = dense_incidence(ambient(3, 2, "affine"), 1)
     tab = _Tableau.start(m)
     zero, one = tab.assigned(5, 0), tab.assigned(5, 1)
     assert zero.dirs is one.dirs

@@ -254,6 +254,11 @@ def test_project_command(tmp_path):
     ["scheme", "--n", "2", "--q", "2"],
     ["scheme", "--hyperplanes", "--n", "1", "--q", "2"],
     ["spread", "--type", "1", "--n", "3", "--q", "2", "--k", "0"],
+    # --k disagreeing with the axis or the choices
+    ["spread", "--type", "2", "--n", "3", "--q", "2", "--k", "2",
+     "--at-infinity", "0:1:0:0"],
+    ["spread", "--type", "3", "--n", "3", "--q", "2", "--k", "2",
+     "--pi", "0:1:0:0;0:0:1:0", "--choices", "0:1:0:0|0:0:1:0"],
 ])
 def test_unsupported_dimension_exits_2(tmp_path, argv):
     # a k = 0 set: one point of AG(3,2)

@@ -3,10 +3,11 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from clag import geometry
-from clag.classify import cross_check_projection
+from clag import cli, geometry
+from clag.classify import cross_check_projection, search_cl_ksets
 from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
                          WrongCodimension, check_line_disjointness,
                          check_pg_disjointness, disjoint_counts,
@@ -19,7 +20,8 @@ from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
                          modular_check, pg_hyperplane_set,
                          point_pencil, project_through_infinite_subspace,
                          restrict_from_pg, union)
-from clag.geometry import ambient, make_subspace, meet
+from clag.geometry import SizeGuard, ambient, make_subspace, meet
+from clag.incidence import IncidenceMatrix, meets
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
                           switching_pair_from_spreads)
 
@@ -52,6 +54,64 @@ def test_point_pencil_is_cl_with_x_1():
     # certificate: exactly the unit vector at the vertex
     vertex = AG32.point_index[(1, 0, 0, 0)]
     assert cert[vertex] == 1 and sum(map(abs, cert)) == 1
+
+
+def test_pencils_read_the_point_lists_under_a_small_guard(monkeypatch):
+    # AG(3,3) lines: 117 x 3 = 351 list entries, 27 x 117 = 3,159 dense
+    monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "1000")
+    space = ambient(3, 3, "affine")
+    pen = point_pencil(space, (1, 0, 0, 0), 1)
+    through = space.spaces_through(1, make_subspace(3, 3, [(1, 0, 0, 0)]))
+    assert pen.members == frozenset(np.flatnonzero(through).tolist())
+    assert pen.size == 13 and is_cameron_liebler(pen)[0]
+    dense = "^27 x 117 incidence exceeds guard 1000$"
+    with pytest.raises(SizeGuard, match=dense):
+        meets(space, 1, [0])
+    with pytest.raises(SizeGuard, match=dense):
+        search_cl_ksets(3, 3, 1, 1)
+
+
+def test_pencils_and_projections_past_the_dense_guard():
+    # the dense matrices would hold 1,331 x 16,093 and 364 x 33,880 entries
+    ag311 = ambient(3, 11, "affine")
+    pen = point_pencil(ag311, ag311.points[0], 1)
+    assert pen.size == 133 and is_cameron_liebler(pen)[0]
+    ag53 = ambient(5, 3, "affine")
+    pen = point_pencil(ag53, ag53.points[0], 2)
+    img = project_through_infinite_subspace(pen, ag53.infinite_subspaces(0)[0])
+    assert (img.space.n, img.k, img.x) == (4, 1, 1)
+    assert is_cameron_liebler(img)[0]
+
+
+def _memo_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _memo_arrays(item)
+    elif isinstance(value, IncidenceMatrix):
+        yield from _memo_arrays(list(vars(value).values()))
+
+
+def test_no_dense_incidence_is_memoised(monkeypatch, tmp_path):
+    monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
+    space = ambient(3, 4, "affine")
+    setfile = tmp_path / "pencil.json"
+    setfile.write_text(json.dumps(kset_to_json(
+        point_pencil(space, space.points[7], 1))))
+    assert cli.main(["verify", "--set", str(setfile), "--all-checks",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert cross_check_projection(4, 2, 2)["all_images_cl_with_same_x"]
+    touched = list(geometry._AMBIENT_CACHE.values())
+    assert len(touched) >= 4
+    for sp in touched:
+        v = sp.num_points
+        dense = {shape for k in range(1, sp.n)
+                 for shape in ((sp._num_spaces(k), v), (v, sp._num_spaces(k)))}
+        for value in sp._memo.values():
+            for arr in _memo_arrays(value):
+                assert arr.shape not in dense, (sp, arr.shape)
 
 
 def test_hyperplane_line_set_not_cl_in_affine():

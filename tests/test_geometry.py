@@ -166,7 +166,7 @@ def test_affine_spaces_are_projective_prefix():
 
 def test_space_tables_die_with_the_instance():
     old = AmbientSpace(3, 2, "affine")
-    points, inc = old.points, old.incidence(1)
+    points, lists = old.points, old.point_lists(1)
     ref = weakref.ref(old)
     del old
     gc.collect()
@@ -174,8 +174,8 @@ def test_space_tables_die_with_the_instance():
     # a fresh instance builds its own tables, equal to the old ones
     fresh = AmbientSpace(3, 2, "affine")
     assert fresh.points == points and fresh.points is not points
-    assert np.array_equal(fresh.incidence(1), inc)
-    assert not np.shares_memory(fresh.incidence(1), inc)
+    assert np.array_equal(fresh.point_lists(1), lists)
+    assert not np.shares_memory(fresh.point_lists(1), lists)
 
 
 def test_point_ordering_affine_first():

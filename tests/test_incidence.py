@@ -4,18 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clag import exact
+from clag import exact, incidence
 from clag.clsets import is_cameron_liebler, kset_from_indices, point_pencil
 from clag.classify import _Tableau
-from clag.geometry import AmbientSpace, DimensionOutOfRange, SizeGuard, ambient
+from clag.geometry import DimensionOutOfRange, SizeGuard, ambient
 from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
                             build_incidence, certificate_to_json, meets)
 from clag.spreads import all_type_II_spreads, restrict_to_affine, spread_type_I
+from oracle import dense_incidence
 
 
 def dense(A):
-    """M as a dense int64 matrix, read from the Boolean incidence."""
-    return A.space.incidence(A.k).T.astype(np.int64)
+    return dense_incidence(A.space, A.k)
 
 
 def test_shapes_and_column_sums():
@@ -126,24 +126,25 @@ def test_size_guard_holds_on_a_warm_cache(monkeypatch):
     space = ambient(3, 2, "affine")
     pencil = point_pencil(space, space.points[0], 1)
     assert is_cameron_liebler(pencil)[0]
+    assert meets(space, 1, [0]).any()
     monkeypatch.setenv("CLAG_SIZE_GUARD", "10")
     lists = "^28 x 2 point lists exceed guard 10$"
     for query, message in ((lambda: build_incidence(space, 1), lists),
                            (lambda: is_cameron_liebler(pencil), lists),
-                           (lambda: space.incidence(1),
+                           (lambda: meets(space, 1, [0]),
                             "^8 x 28 incidence exceeds guard 10$")):
         with pytest.raises(SizeGuard, match=message):
             query()
     monkeypatch.setenv("CLAG_SIZE_GUARD", "56")
     assert is_cameron_liebler(pencil)[0]
     with pytest.raises(SizeGuard):
-        space.incidence(1)
+        meets(space, 1, [0])
 
 
 def test_one_incidence_buffer_per_space_and_k():
-    # the Boolean matrix answers incidence questions; one read-only int64
-    # array of point lists serves the design and membership, and the
-    # search's tableau copies its own M
+    # one read-only int64 array of point lists per space and k serves the
+    # masks, the design and membership; the search's tableau copies its
+    # own M
     for space, k in ((ambient(3, 2, "affine"), 1),
                      (ambient(3, 3, "projective"), 1),
                      (ambient(4, 2, "affine"), 2)):
@@ -153,9 +154,10 @@ def test_one_incidence_buffer_per_space_and_k():
         assert not inc.points.flags.writeable
         assert inc.points.tolist() == [list(p) for p in
                                        space.space_point_indices(k)]
+        assert inc.points is space.point_lists(k)
         inc.design()
         assert build_incidence(space, k).points is inc.points
-        m = space.incidence(k).T
+        m = dense(inc)
         t = _Tableau.start(m).dirs.a
         assert t.dtype == np.int64 and np.array_equal(t, m)
         assert not np.shares_memory(t, m)
@@ -225,7 +227,7 @@ def test_membership_builds_no_dense_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Boolean incidence built")
 
-    monkeypatch.setattr(AmbientSpace, "incidence", refuse)
+    monkeypatch.setattr(incidence, "_dense_rows", refuse)
     space = ambient(3, 7, "affine")
     lines = [j for j, pts in enumerate(space.space_point_indices(1))
              if 5 in pts]
@@ -281,7 +283,7 @@ def test_membership_needs_no_rational_elimination(monkeypatch):
                                         (3, 3, "affine", 2)])
 def test_meets_matches_shared_point_counts(n, q, mode, k):
     space = ambient(n, q, mode)
-    m = space.incidence(k).T.astype(np.int64)
+    m = dense_incidence(space, k)
     rng = random.Random(n * 100 + q * 10 + k)
     for cols in (list(range(m.shape[1])),
                  sorted(rng.sample(range(m.shape[1]), 7)), []):
