@@ -550,11 +550,14 @@ def verify_certificate(cert: dict) -> bool:
     definitional test and the count matches the claim.  Members must be
     canonical k-spaces of the geometry, read as `clsets.kset_from_json`
     reads them; a malformed certificate is rejected, not raised on, and
-    so is one that lists a solution, or a member of one, twice."""
+    so is one that lists a solution, or a member of one, twice, or has
+    a k outside 1..n-1, which `search_cl_ksets` never writes."""
     try:
         prob = cert["problem"]
         space = ambient(int(prob["n"]), int(prob["q"]), prob["mode"])
         k = int(prob["k"])
+        if not 1 <= k <= space.n - 1:
+            return False
         index = space.space_index(k)
         claimed = [(sorted(sol["indices"]),
                     [index[subspace_from_json(space.n, space.q, rows).rows]
@@ -661,8 +664,7 @@ def verify_hyperplane_spread_classification(n: int, q: int) -> dict:
     backtracking and confirm each is a parallel class (type II)."""
     space = ambient(n, q, "affine")
     k = n - 1
-    pts = space.space_point_indices(k)
-    point_sets = [frozenset(p) for p in pts]
+    point_sets = [frozenset(p) for p in space.point_lists(k).tolist()]
     _, _, per_space = space.infinity_pencils(k)
     all_points = frozenset(range(space.num_points))
     spreads: list[tuple[int, ...]] = []
@@ -693,7 +695,7 @@ def verify_hyperplane_spread_classification(n: int, q: int) -> dict:
 # projection cross-check
 # ---------------------------------------------------------------------------
 
-def cross_check_projection(n: int, q: int, k: int, extra_ksets=None) -> dict:
+def cross_check_projection(n: int, q: int, k: int) -> dict:
     """Project every catalogued Cameron-Liebler k-set through each
     admissible (k-2)-space at infinity and confirm the image is a
     Cameron-Liebler line class of the same parameter."""
@@ -707,8 +709,6 @@ def cross_check_projection(n: int, q: int, k: int, extra_ksets=None) -> dict:
     catalog.append(("empty", kset_from_indices(space, k, [])))
     catalog.append(("complement_of_pencil",
                     complement(point_pencil(space, space.points[0], k))))
-    if extra_ksets:
-        catalog.extend(extra_ksets)
     i = k - 2
     axes = space.infinite_subspaces(i)
     results = []

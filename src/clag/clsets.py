@@ -19,8 +19,8 @@ never from a dense matrix: a pencil is the k-spaces whose list holds
 its point, hyperplane sets, the skew complement and the members
 through an axis come from `AmbientSpace.shared_points` (in the
 projective closure for subspaces at infinity), and each projected
-image is found by looking up its point set among the target's
-`space_point_indices`.
+image is found by looking up its point set among the rows of the
+target's point lists.
 """
 
 from __future__ import annotations
@@ -390,16 +390,16 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
     # the target: their coordinates in the pivot columns of pi
     points, index = space.points, target.point_index
     local = {p: index[tuple(points[p][c] for c in pivots)]
-             for p in space.point_indices_of(pi) if p < space.q**space.n}
-    by_points = {pts: j for j, pts in enumerate(target.space_point_indices(d))}
+             for p in space.point_indices_of(pi).tolist()
+             if p < space.q**space.n}
+    by_points = {tuple(pts): j
+                 for j, pts in enumerate(target.point_lists(d).tolist())}
     through = space.spaces_through(l.k, axis)
-    member_pts = space.space_point_indices(l.k)
+    members = [j for j in sorted(l.members) if through[j]]
     image = set()
-    for j in sorted(l.members):
-        if not through[j]:
-            continue
+    for pts in space.point_lists(l.k)[members].tolist():
         # the cut with pi, through its affine points
-        cut = tuple(sorted(local[p] for p in member_pts[j] if p in local))
+        cut = tuple(sorted(local[p] for p in pts if p in local))
         if len(cut) != space.q ** d:
             raise DimensionViolation("projection lost dimension")
         image.add(by_points[cut])

@@ -16,10 +16,12 @@ derived table of a space (enumerations, indices, point sets, pencils,
 containment masks) is built once and kept in that instance's one memo,
 `AmbientSpace.memo`, so it lives exactly as long as the instance.
 
-The point versus k-space incidence is stored once per k, as the point
-lists of the k-spaces (`AmbientSpace.point_lists`); pencils and the
-inside/through/skew masks gather a mask of points over them, and no
-dense points x k-spaces matrix is kept.
+Each k-space's points are stored once, as one row of the int64 point
+lists of the k-spaces (`AmbientSpace.point_lists`), computed by
+`point_sets` in one batch; they are also the one stored form of the
+point versus k-space incidence.  Pencils and the inside/through/skew
+masks gather a mask of points over them; no dense points x k-spaces
+matrix and no per-space tuples are kept.
 """
 
 from __future__ import annotations
@@ -311,28 +313,34 @@ class AmbientSpace:
             np.arange(self.num_points)
         return weights, lookup
 
-    def point_sets(self, subs) -> list[tuple[int, ...]]:
-        """For each of the equal-dimension subspaces `subs`, the sorted
-        indices of its points in this space, read in the closure: in AG
-        its affine points, the ones whose closure index is below q^n."""
+    def point_sets(self, subs) -> np.ndarray:
+        """Sorted int64 (len(subs), s) array: for each of the
+        equal-dimension subspaces `subs`, the indices of its s points in
+        this space, read in the closure (in AG its affine points, the
+        ones whose closure index is below q^n).  Raises AmbientMismatch
+        when the subspaces have different numbers of points here, as a
+        line at infinity and an affine line do in AG."""
         proj = self.closure
         weights, lookup = proj.memo("point_lookup", proj._point_lookup)
         idx = np.sort(lookup[proj._point_rows(subs) @ weights], axis=1)
         keep = (idx < self.num_points).sum(axis=1)
-        return [tuple(row[:s]) for row, s in zip(idx.tolist(), keep.tolist())]
+        if (keep != keep[0]).any():
+            raise AmbientMismatch("unequal numbers of points in this space")
+        return np.ascontiguousarray(idx[:, :keep[0]])
 
     def points_of(self, s: Subspace) -> list[tuple[int, ...]]:
         """The points of a subspace that belong to this space (all of
         them in projective mode, the x0 = 1 ones in affine mode)."""
         return [self.points[i] for i in self.point_indices_of(s)]
 
-    def point_indices_of(self, s: Subspace) -> tuple[int, ...]:
+    def point_indices_of(self, s: Subspace) -> np.ndarray:
         return self.point_sets([s])[0]
 
     def space_point_indices(self, k: int) -> list[tuple[int, ...]]:
-        """Per k-space sorted point-index tuples, in enumeration order."""
-        return self.memo(("space_point_indices", k),
-                         lambda: self.point_sets(self.spaces(k)))
+        """Per k-space sorted point-index tuples of Python ints, in
+        enumeration order: `point_lists(k)` as tuples, built per call
+        and not kept."""
+        return [tuple(r) for r in self.point_lists(k).tolist()]
 
     # -- incidence -------------------------------------------------------
 
@@ -358,11 +366,13 @@ class AmbientSpace:
         return self.memo(("infinity_pencils", k), build)
 
     def point_lists(self, k: int) -> np.ndarray:
-        """Read-only int64 (k-spaces x points per k-space) array of
-        `space_point_indices(k)`, the one stored form of the point versus
-        k-space incidence.  Every call first raises SizeGuard when its
-        entries, counted in closed form, exceed `entry_guard()`, whatever
-        is already cached."""
+        """Read-only C-contiguous int64 (k-spaces x points per k-space)
+        array of `point_sets(spaces(k))`, the one stored copy of the
+        k-spaces' points and so of the point versus k-space incidence.
+        In AG it owns its memory, not a view of the closure-width rows.
+        Every call first raises SizeGuard when its entries, counted in
+        closed form, exceed `entry_guard()`, whatever is already
+        cached."""
         cap = entry_guard()
         spaces = self._num_spaces(k)
         size = (self.q ** k if self.mode == "affine"
@@ -370,7 +380,7 @@ class AmbientSpace:
         if spaces * size > cap:
             raise SizeGuard(f"{spaces} x {size} point lists exceed guard {cap}")
         return self.memo(("point_lists", k), lambda: _read_only(
-            np.array(self.space_point_indices(k), dtype=np.int64)))
+            self.point_sets(self.spaces(k))))
 
     def shared_points(self, k: int, s: Subspace) -> np.ndarray:
         """For every k-space in canonical order, the number of points of
@@ -381,7 +391,7 @@ class AmbientSpace:
         points count, so relations with subspaces at infinity are read
         in the projective closure."""
         mask = np.zeros(self.num_points, dtype=bool)
-        mask[list(self.point_indices_of(s))] = True
+        mask[self.point_indices_of(s)] = True
         return mask[self.point_lists(k)].sum(axis=1)
 
     def spaces_inside(self, k: int, s: Subspace) -> np.ndarray:

@@ -108,28 +108,24 @@ def _sorted_members(members) -> tuple[Subspace, ...]:
 
 
 def _point_counts(space: AmbientSpace, members) -> np.ndarray:
-    """For every point of the space, the number of members through it.
-    Read from the equal-dimension members' points in one batch, not from
-    the space's point lists: a spread of PG(3, 23) has 530 members, the
-    space 293,090 lines."""
-    pts = itertools.chain.from_iterable(
-        space.point_sets(members) if members else ())
-    return np.bincount(np.fromiter(pts, dtype=np.int64),
-                       minlength=space.num_points)
+    """For every point of the space, the number of members through it:
+    a `bincount` of the equal-dimension members' point sets, computed
+    in one batch, not read from the space's point lists: a spread of
+    PG(3, 23) has 530 members, the space 293,090 lines.  The members
+    must all have points in the space (none at infinity in AG)."""
+    pts = space.point_sets(members).ravel() if members else []
+    return np.bincount(pts, minlength=space.num_points)
 
 
-def _coverage(space: AmbientSpace, members) -> tuple[bool, str]:
-    """Exact disjointness-and-partition check over the space's points."""
-    counts = _point_counts(space, members)
-    if (counts > 1).any():
-        return False, "members overlap"
-    if (counts == 0).any():
-        return False, "points left uncovered"
-    return True, "ok"
+def _at_infinity(space: AmbientSpace, members) -> bool:
+    """True iff some member of an affine space lies at infinity: it has
+    no point there, so no point count would see it."""
+    return space.mode == "affine" and not all(m.is_affine() for m in members)
 
 
 def is_spread(members, space: AmbientSpace, k: int | None = None) -> tuple[bool, str]:
-    """Exact verification; returns (ok, reason)."""
+    """Exact verification, a disjointness-and-partition check over the
+    space's points; returns (ok, reason)."""
     members = list(members)
     if not members:
         return False, "empty"
@@ -140,7 +136,14 @@ def is_spread(members, space: AmbientSpace, k: int | None = None) -> tuple[bool,
         return False, f"dimension is not {k}"
     if len(set(m.rows for m in members)) != len(members):
         return False, "repeated member"
-    return _coverage(space, members)
+    if _at_infinity(space, members):
+        return False, "member at infinity"
+    counts = _point_counts(space, members)
+    if (counts > 1).any():
+        return False, "members overlap"
+    if (counts == 0).any():
+        return False, "points left uncovered"
+    return True, "ok"
 
 
 def verify_switching_pair(pair: SwitchingPair) -> tuple[bool, str]:
@@ -149,13 +152,12 @@ def verify_switching_pair(pair: SwitchingPair) -> tuple[bool, str]:
     space = pair.space
     if set(m.rows for m in pair.r1) & set(m.rows for m in pair.r2):
         return False, "the two sets share a k-space"
-    covered = []
-    for part in (pair.r1, pair.r2):
-        counts = _point_counts(space, part)
-        if (counts > 1).any():
-            return False, "not a partial spread"
-        covered.append(counts > 0)
-    if not np.array_equal(covered[0], covered[1]):
+    if _at_infinity(space, (*pair.r1, *pair.r2)):
+        return False, "member at infinity"
+    c1, c2 = _point_counts(space, pair.r1), _point_counts(space, pair.r2)
+    if (c1 > 1).any() or (c2 > 1).any():
+        return False, "not a partial spread"
+    if not np.array_equal(c1 > 0, c2 > 0):
         return False, "covered point sets differ"
     return True, "ok"
 

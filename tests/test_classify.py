@@ -98,11 +98,21 @@ def malformed(cert, where):
     elif where == "repeated_member":
         sol["members"].append(sol["members"][0])
         sol["indices"].append(sol["indices"][0])
+    elif where.startswith("k="):
+        # search_cl_ksets writes only 1 <= k <= n-1; k=0 lists a point
+        bad["problem"]["k"] = int(where[2])
+        if where == "k=0 point":
+            bad["solutions"] = [{"indices": [0],
+                                 "members": [[[1, 0, 0, 0]]]}]
+        else:
+            bad["solutions"] = []
+        bad["solution_count"] = len(bad["solutions"])
     return bad
 
 
 @pytest.mark.parametrize("where", ["plane", "code", "indices", "swapped",
-                                   "repeated_solution", "repeated_member"])
+                                   "repeated_solution", "repeated_member",
+                                   "k=0 point", "k=0", "k=3"])
 def test_malformed_certificate_is_rejected(where):
     cert = search_cl_ksets(3, 2, 1, 1)
     assert verify_certificate(cert)

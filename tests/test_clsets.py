@@ -105,13 +105,26 @@ def test_no_dense_incidence_is_memoised(monkeypatch, tmp_path):
     assert cross_check_projection(4, 2, 2)["all_images_cl_with_same_x"]
     touched = list(geometry._AMBIENT_CACHE.values())
     assert len(touched) >= 4
+    lists = 0
     for sp in touched:
         v = sp.num_points
         dense = {shape for k in range(1, sp.n)
                  for shape in ((sp._num_spaces(k), v), (v, sp._num_spaces(k)))}
-        for value in sp._memo.values():
+        for key, value in sp._memo.items():
             for arr in _memo_arrays(value):
                 assert arr.shape not in dense, (sp, arr.shape)
+            # each k-space's points are stored once, in the point lists
+            assert key[0] != "space_point_indices", (sp, key)
+            if key[0] == "point_lists":
+                k = key[1]
+                s = (sp.q ** k if sp.mode == "affine"
+                     else (sp.q ** (k + 1) - 1) // (sp.q - 1))
+                assert value.shape == (sp._num_spaces(k), s), (sp, k)
+                assert value.dtype == np.int64 and value.flags.c_contiguous
+                # not a view that keeps a wider array alive
+                assert value.base is None or value.base.nbytes == value.nbytes
+                lists += 1
+    assert lists >= 3
 
 
 def test_hyperplane_line_set_not_cl_in_affine():

@@ -178,6 +178,32 @@ def test_space_tables_die_with_the_instance():
     assert not np.shares_memory(fresh.point_lists(1), lists)
 
 
+@pytest.mark.parametrize("n,q,mode,k", [(3, 2, "affine", 1),
+                                         (3, 3, "projective", 1),
+                                         (4, 2, "affine", 2)])
+def test_space_point_indices_are_the_point_lists_as_tuples(n, q, mode, k):
+    space = ambient(n, q, mode)
+    tuples = space.space_point_indices(k)
+    assert tuples == [tuple(r) for r in space.point_lists(k).tolist()]
+    assert all(type(p) is int for t in tuples for p in t)
+    assert all(list(t) == sorted(t) for t in tuples)
+    # built per call from the stored lists, not kept beside them
+    assert space.space_point_indices(k) is not tuples
+    assert ("space_point_indices", k) not in space._memo
+
+
+def test_point_sets_of_unequal_point_counts_are_refused():
+    ag = ambient(3, 2, "affine")
+    affine_line = ag.spaces(1)[0]
+    line_at_infinity = make_subspace(3, 2, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    sets = ag.point_sets([affine_line, affine_line])
+    assert sets.dtype == np.int64 and sets.shape == (2, 2)
+    with pytest.raises(AmbientMismatch):
+        ag.point_sets([affine_line, line_at_infinity])
+    # in the closure both lines have q + 1 points
+    assert ag.closure.point_sets([affine_line, line_at_infinity]).shape == (2, 3)
+
+
 def test_point_ordering_affine_first():
     pg = ambient(3, 2, "projective")
     pts = pg.points

@@ -191,6 +191,27 @@ def test_switching_pair_restricts_to_affine():
     assert ok, reason
 
 
+def test_member_at_infinity_is_refused_in_the_affine_space():
+    # a line at infinity has no affine point, so no point count sees it
+    from clag.spreads import SwitchingPair
+    space = ambient(3, 2, "affine")
+    at_inf = make_subspace(3, 2, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    members = list(all_type_II_spreads(space, 1)[0].members)
+    assert is_spread(members, space, 1) == (True, "ok")
+    assert is_spread(members + [at_inf], space, 1) == \
+        (False, "member at infinity")
+    assert is_spread([at_inf], space, 1) == (False, "member at infinity")
+    other = make_subspace(3, 2, [[0, 1, 0, 0], [0, 0, 0, 1]])
+    for r1, r2 in (((at_inf,), (other,)), ((members[0],), (members[1], at_inf)),
+                   ((members[0], at_inf), (members[1],))):
+        assert verify_switching_pair(SwitchingPair(space, 1, r1, r2)) == \
+            (False, "member at infinity")
+    # in the closure the same lines are ordinary members
+    pg = space.closure
+    assert verify_switching_pair(SwitchingPair(pg, 1, (at_inf,), (other,))) \
+        == (False, "covered point sets differ")
+
+
 def test_type_III_transport_under_affine_maps():
     space = ambient(3, 2, "affine")
     pi = space.infinite_subspaces(1)[0]
