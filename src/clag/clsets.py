@@ -428,14 +428,24 @@ def kset_to_json(l: KSet) -> dict:
 
 
 def kset_from_json(doc: dict) -> KSet:
+    """Each member is first looked up among the space's canonical
+    k-spaces; only one that is not found there is validated row by row,
+    so every malformed member is refused by `subspace_from_json`."""
     space = ambient(int(doc["n"]), int(doc["q"]), doc["mode"])
     k = int(doc["k"])
-    subs = [subspace_from_json(space.n, space.q, rows)
-            for rows in doc["members"]]
+    index = space.space_index(k)
+    found, subs = [], []
+    for rows in doc["members"]:
+        try:
+            found.append(index[tuple(tuple(r) for r in rows)])
+            continue
+        except (KeyError, TypeError):
+            pass
+        subs.append(subspace_from_json(space.n, space.q, rows))
     for s in subs:
         if s.dim != k:
             raise DimensionViolation("member of wrong dimension")
-    l = kset_from_subspaces(space, k, subs)
-    if l.size != len(subs):
+    members = frozenset(found + [index[s.rows] for s in subs])
+    if len(members) != len(found) + len(subs):
         raise ValueError("a member is listed twice")
-    return l
+    return KSet(space, k, members)

@@ -18,10 +18,10 @@ containment masks) is built once and kept in that instance's one memo,
 
 Each k-space's points are stored once, as one row of the int64 point
 lists of the k-spaces (`AmbientSpace.point_lists`), computed by
-`point_sets` in one batch; they are also the one stored form of the
-point versus k-space incidence.  Pencils and the inside/through/skew
-masks gather a mask of points over them; no dense points x k-spaces
-matrix and no per-space tuples are kept.
+`point_sets` in a few vectorised chunks of bounded size; they are also
+the one stored form of the point versus k-space incidence.  Pencils and
+the inside/through/skew masks gather a mask of points over them; no
+dense points x k-spaces matrix and no per-space tuples are kept.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 DEFAULT_ENTRY_GUARD = 10**7
+
+# (subspace, point) pairs whose coordinates `point_sets` builds at once;
+# the largest call of any benchmark workload (the 363 affine hyperplanes
+# of AG(5,3), 121 points each in the closure) fits in one such chunk
+POINT_BLOCK_ENTRIES = 2**16
 
 
 class DimensionOutOfRange(ValueError):
@@ -319,14 +324,24 @@ class AmbientSpace:
         this space, read in the closure (in AG its affine points, the
         ones whose closure index is below q^n).  Raises AmbientMismatch
         when the subspaces have different numbers of points here, as a
-        line at infinity and an affine line do in AG."""
+        line at infinity and an affine line do in AG.  Coordinates are
+        built for at most POINT_BLOCK_ENTRIES (subspace, point) pairs at
+        a time, so the peak stays near the result's size."""
         proj = self.closure
         weights, lookup = proj.memo("point_lookup", proj._point_lookup)
-        idx = np.sort(lookup[proj._point_rows(subs) @ weights], axis=1)
-        keep = (idx < self.num_points).sum(axis=1)
-        if (keep != keep[0]).any():
-            raise AmbientMismatch("unequal numbers of points in this space")
-        return np.ascontiguousarray(idx[:, :keep[0]])
+        step = max(1, POINT_BLOCK_ENTRIES
+                   // gaussian_binomial(len(subs[0].rows), 1, self.q))
+        out = None
+        for start in range(0, len(subs), step):
+            rows = proj._point_rows(subs[start:start + step])
+            idx = np.sort(lookup[rows @ weights], axis=1)
+            keep = (idx < self.num_points).sum(axis=1)
+            if out is None:
+                out = np.empty((len(subs), keep[0]), dtype=np.int64)
+            if (keep != out.shape[1]).any():
+                raise AmbientMismatch("unequal numbers of points in this space")
+            out[start:start + step] = idx[:, :out.shape[1]]
+        return out
 
     def points_of(self, s: Subspace) -> list[tuple[int, ...]]:
         """The points of a subspace that belong to this space (all of

@@ -17,7 +17,13 @@ and point coverage).  Which subspaces lie inside or pass through
 which (the hyperplanes through pi, the tau_i inside pi, the members
 inside each hyperplane) is read from `AmbientSpace.shared_points`, a
 mask of points gathered over the k-spaces' point lists, in the
-projective closure for subspaces at infinity.
+projective closure for subspaces at infinity.  A type III spread is
+gathered as indices into the space's k-spaces and validated by one
+count over the rows of those point lists.
+
+The seeded sample of type III spreads is built once per (space, k,
+count, seed) and kept in the space's memo; every call returns a new
+list of the same frozen `Spread` objects.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .geometry import (AmbientSpace, Subspace, ambient,
 __all__ = [
     "Spread", "SwitchingPair", "SpreadError", "DivisibilityViolated",
     "NotAtInfinity", "WrongDimension", "BadChoices", "AllEqual",
-    "GeometryMismatch", "spread_type_I", "restrict_to_affine",
+    "GeometryMismatch", "BadSeed", "spread_type_I", "restrict_to_affine",
     "spread_type_II", "spread_type_III", "is_spread",
     "verify_switching_pair", "switching_pair_from_spreads",
     "all_type_II_spreads", "all_type_III_spreads", "sample_type_III_spreads",
@@ -68,6 +74,10 @@ class AllEqual(SpreadError):
 
 
 class GeometryMismatch(SpreadError):
+    pass
+
+
+class BadSeed(SpreadError):
     pass
 
 
@@ -107,10 +117,24 @@ def _sorted_members(members) -> tuple[Subspace, ...]:
     return tuple(sorted(members, key=Subspace.key))
 
 
+def _spread_reason(repeated: bool, counts) -> str:
+    """Why members are not a spread, or "ok": a repeated member, else
+    what `counts` (per point of the space, the number of members through
+    it; not read when a member is repeated) shows."""
+    if repeated:
+        return "repeated member"
+    if (counts > 1).any():
+        return "members overlap"
+    if (counts == 0).any():
+        return "points left uncovered"
+    return "ok"
+
+
 def _point_counts(space: AmbientSpace, members) -> np.ndarray:
     """For every point of the space, the number of members through it:
     a `bincount` of the equal-dimension members' point sets, computed
-    in one batch, not read from the space's point lists: a spread of
+    by one `point_sets` call, not read from the space's point lists
+    (a type III spread reads them, see `spread_type_III`): a spread of
     PG(3, 23) has 530 members, the space 293,090 lines.  The members
     must all have points in the space (none at infinity in AG)."""
     pts = space.point_sets(members).ravel() if members else []
@@ -134,16 +158,12 @@ def is_spread(members, space: AmbientSpace, k: int | None = None) -> tuple[bool,
         return False, "mixed dimensions"
     if k is not None and dims != {k}:
         return False, f"dimension is not {k}"
-    if len(set(m.rows for m in members)) != len(members):
-        return False, "repeated member"
-    if _at_infinity(space, members):
+    repeated = len(set(m.rows for m in members)) != len(members)
+    if not repeated and _at_infinity(space, members):
         return False, "member at infinity"
-    counts = _point_counts(space, members)
-    if (counts > 1).any():
-        return False, "members overlap"
-    if (counts == 0).any():
-        return False, "points left uncovered"
-    return True, "ok"
+    reason = _spread_reason(
+        repeated, None if repeated else _point_counts(space, members))
+    return reason == "ok", reason
 
 
 def verify_switching_pair(pair: SwitchingPair) -> tuple[bool, str]:
@@ -283,20 +303,22 @@ def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     distinct = len(set(t.rows for t in choices))
     if distinct == 1:
         raise AllEqual("all tau_i equal degenerates to a type II spread")
+    # ascending indices are the canonical (Subspace.key) order
+    idx = np.sort(np.concatenate([
+        np.flatnonzero(space.spaces_inside(k, h) & space.spaces_through(k, tau))
+        for h, tau in zip(hyps, choices)]))
+    counts = np.bincount(space.point_lists(k)[idx].ravel(),
+                         minlength=space.num_points)
+    reason = _spread_reason(bool((np.diff(idx) == 0).any()), counts)
+    if reason != "ok":
+        raise BadChoices(f"choices do not produce a spread: {reason}")
     spaces = space.spaces(k)
-    members = [spaces[j] for h, tau in zip(hyps, choices)
-               for j in np.flatnonzero(space.spaces_inside(k, h)
-                                       & space.spaces_through(k, tau))]
     tag = "III+" if k == 1 and distinct == len(choices) else "III"
-    spread = Spread(space, k, _sorted_members(members), tag, {
+    return Spread(space, k, tuple(spaces[j] for j in idx), tag, {
         "pi": pi.to_json(),
         "hyperplanes": [h.to_json() for h in hyps],
         "choices": [t.to_json() for t in choices],
     })
-    ok, reason = is_spread(spread.members, space, k)
-    if not ok:
-        raise BadChoices(f"choices do not produce a spread: {reason}")
-    return spread
 
 
 def all_type_III_spreads(space: AmbientSpace, k: int = 1) -> list[Spread]:
@@ -316,25 +338,34 @@ def all_type_III_spreads(space: AmbientSpace, k: int = 1) -> list[Spread]:
 def sample_type_III_spreads(space: AmbientSpace, k: int, count: int,
                             seed: int) -> list[Spread]:
     """Deterministic seeded sample of type III spreads, for checks where
-    the exhaustive list is too large.  Repeats are discarded."""
-    rng = random.Random(seed)
-    pis = space.infinite_subspaces(space.n - 2)
-    out = []
-    seen = set()
-    attempts = 0
-    while len(out) < count and attempts < 50 * count:
-        attempts += 1
-        pi = rng.choice(pis)
-        taus = _taus(space, pi, k)
-        combo = [rng.choice(taus) for _ in range(space.q)]
-        if len({t.rows for t in combo}) == 1:
-            continue
-        key = (pi.rows, tuple(t.rows for t in combo))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(spread_type_III(space, pi, combo))
-    return out
+    the exhaustive list is too large.  Repeats are discarded.  The sample
+    is built once per (space, k, count, seed) and kept in the space's
+    memo: each call returns a new list of the same shared, frozen
+    `Spread` objects.  `seed` must be an int, so that no unseeded sample
+    is ever kept and handed out again as if it were random."""
+    if not isinstance(seed, int):
+        raise BadSeed(f"seed must be an int, got {seed!r}")
+
+    def build():
+        rng = random.Random(seed)
+        pis = space.infinite_subspaces(space.n - 2)
+        out = []
+        seen = set()
+        attempts = 0
+        while len(out) < count and attempts < 50 * count:
+            attempts += 1
+            pi = rng.choice(pis)
+            taus = _taus(space, pi, k)
+            combo = [rng.choice(taus) for _ in range(space.q)]
+            if len({t.rows for t in combo}) == 1:
+                continue
+            key = (pi.rows, tuple(t.rows for t in combo))
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(spread_type_III(space, pi, combo))
+        return tuple(out)
+    return list(space.memo(("type_III_sample", k, count, seed), build))
 
 
 # ---------------------------------------------------------------------------

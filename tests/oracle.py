@@ -21,7 +21,15 @@ whole array, T included.
 
 `random_affine_collineation` and `transport_type_III` map a type III
 spread by an affine collineation, transporting its construction data
-and rebuilding it with `spread_type_III`."""
+and rebuilding it with `spread_type_III`.
+
+`member_spread_type_III` is `spread_type_III` by its former route:
+the members as `Subspace` objects, put in canonical order by
+`_sorted_members` and validated by `is_spread`, which recomputes every
+member's points.
+
+`subspace_kset_from_json` is `kset_from_json` by its former route:
+every member through `subspace_from_json`, none looked up first."""
 
 import itertools
 import random
@@ -31,9 +39,12 @@ import numpy as np
 
 from clag import _kernels, exact
 from clag.classify import _Contradiction
-from clag.geometry import (AmbientSpace, Subspace, apply_matrix,
-                           make_subspace, span)
-from clag.spreads import Spread, spread_type_III
+from clag.clsets import DimensionViolation, KSet, kset_from_subspaces
+from clag.geometry import (AmbientSpace, Subspace, ambient, apply_matrix,
+                           make_subspace, span, subspace_from_json)
+from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
+                          NotAtInfinity, Spread, _sorted_members, _taus,
+                          is_spread, spread_type_III)
 
 
 def dense_incidence(space: AmbientSpace, k: int) -> np.ndarray:
@@ -220,3 +231,53 @@ def transport_type_III(s: Spread, matrix) -> Spread:
     # the images are the hyperplanes through pi2; affine hyperplanes
     # are in canonical order when their rows are
     return spread_type_III(s.space, pi2, [mapped[h] for h in sorted(mapped)])
+
+
+def member_spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
+    if space.mode != "affine":
+        raise GeometryMismatch("type III spreads live in the affine space")
+    if pi.is_affine() or pi.dim != space.n - 2:
+        raise NotAtInfinity("pi must be an (n-2)-space at infinity")
+    choices = list(choices)
+    hyps = [h for h, ok in zip(space.spaces(space.n - 1),
+                               space.spaces_through(space.n - 1, pi)) if ok]
+    if len(choices) != len(hyps):
+        raise BadChoices(f"need {len(hyps)} choices, got {len(choices)}")
+    dims = {t.dim for t in choices}
+    if len(dims) != 1:
+        raise BadChoices("choices of mixed dimension")
+    k = dims.pop() + 1
+    inside_pi = {t.rows for t in _taus(space, pi, k)}
+    if any(t.rows not in inside_pi for t in choices):
+        raise BadChoices("every tau_i must lie inside pi")
+    distinct = len(set(t.rows for t in choices))
+    if distinct == 1:
+        raise AllEqual("all tau_i equal degenerates to a type II spread")
+    spaces = space.spaces(k)
+    members = [spaces[j] for h, tau in zip(hyps, choices)
+               for j in np.flatnonzero(space.spaces_inside(k, h)
+                                       & space.spaces_through(k, tau))]
+    tag = "III+" if k == 1 and distinct == len(choices) else "III"
+    spread = Spread(space, k, _sorted_members(members), tag, {
+        "pi": pi.to_json(),
+        "hyperplanes": [h.to_json() for h in hyps],
+        "choices": [t.to_json() for t in choices],
+    })
+    ok, reason = is_spread(spread.members, space, k)
+    if not ok:
+        raise BadChoices(f"choices do not produce a spread: {reason}")
+    return spread
+
+
+def subspace_kset_from_json(doc: dict) -> KSet:
+    space = ambient(int(doc["n"]), int(doc["q"]), doc["mode"])
+    k = int(doc["k"])
+    subs = [subspace_from_json(space.n, space.q, rows)
+            for rows in doc["members"]]
+    for s in subs:
+        if s.dim != k:
+            raise DimensionViolation("member of wrong dimension")
+    l = kset_from_subspaces(space, k, subs)
+    if l.size != len(subs):
+        raise ValueError("a member is listed twice")
+    return l

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import clag
+from clag import cli
 from clag.clsets import kset_from_indices, kset_to_json, point_pencil
 from clag.geometry import ambient
 
@@ -300,3 +301,68 @@ def test_seed_recorded(tmp_path):
     run_cli("search", "--n", "3", "--q", "2", "--x", "0", "--seed", "42",
             "--out", str(out))
     assert json.loads(out.read_text())["seed"] == 42
+
+
+# the 7 lines of AG(3,2) through the origin, then one more entry
+_PENCIL = [[[1, 0, 0, 0], [0, a, b, c]]
+           for a, b, c in [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
+                           (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
+
+
+@pytest.mark.parametrize("extra", [
+    [[1, 1, 0, 0], [1, 0, 0, 0]],                  # not reduced echelon
+    [[1, 0, 0, 0], [0, 2, 0, 0]],                  # 2 is no element of GF(2)
+    [[1, 0, 0, 1]],                                # a point
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],    # a plane
+    [[0, 1, 0, 0], [0, 0, 1, 0]],                  # a line at infinity
+    [[1, 0, 0, 0], [0, 0, 0, 1]],                  # the first member again
+    [[1.5, 0, 0, 0], [0, 0, 0, 1]],                # a fractional entry
+    [[1, 0, 0, 1.0], [0, 1, 0, 0]],                # an integral float
+    [[True, False, False, True], [0, 1, 0, 0]],    # booleans
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"]],  # strings
+    "1000",                                        # a string member
+    [[[1], 0, 0, 0], [0, 1, 0, 0]],                # a nested entry
+    [5],                                           # a row that is no array
+    {"rows": 1},
+    None,
+])
+def test_kset_files_are_refused_as_by_the_subspace_route(tmp_path, capsys, extra):
+    from clag.clsets import kset_from_json
+    from oracle import subspace_kset_from_json
+    doc = {"n": 3, "q": 2, "k": 1, "mode": "affine",
+           "members": _PENCIL + [extra]}
+    outcome = []
+    for load in (kset_from_json, subspace_kset_from_json):
+        try:
+            outcome.append(("loaded", load(doc).members))
+        except Exception as exc:  # the two routes must fail alike
+            outcome.append((type(exc), str(exc)))
+    assert outcome[0] == outcome[1]
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps(doc))
+    code = cli.main(["verify", "--set", str(setfile)])
+    err = capsys.readouterr().err
+    if outcome[1][0] == "loaded":
+        assert code in (0, 1) and err == ""
+    else:
+        assert code == 2
+        assert err == f"malformed k-set file {setfile}: {outcome[1][1]}\n"
+
+
+def test_verify_all_checks_report_is_pinned(tmp_path, monkeypatch, capsys):
+    # SHA-256 of the report on the AG(3,4) pencil of the origin, whose
+    # 60 sampled type III spreads were built one spread at a time from
+    # sorted Subspace members; the second run reads them from the memo
+    import clag.spreads as spreads
+    space = ambient(3, 4, "affine")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pencil.json").write_text(
+        json.dumps(kset_to_json(point_pencil(space, (1, 0, 0, 0), 1))))
+    digest = "b54799ea4de3df042b9a18c816973e44f93cbc35996b5664f561e015d278a84c"
+    for run in range(2):
+        assert cli.main(["verify", "--set", "pencil.json", "--all-checks"]) == 0
+        report = capsys.readouterr().out
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
+        assert json.loads(report)["checks"]["spread_intersections_type_III"] \
+            == {"status": "pass", "spreads": 60, "mode": "sampled"}
+        monkeypatch.setattr(spreads, "spread_type_III", None)

@@ -321,3 +321,35 @@ def test_containment_masks_are_memoised_and_read_only(mode):
         assert query() is mask
         with pytest.raises(ValueError):
             mask[0] = not mask[0]
+
+
+def test_point_sets_in_chunks_match_one_block(monkeypatch):
+    from clag import geometry
+    ag = ambient(3, 3, "affine")
+    lines = ag.spaces(1)
+    whole = ag.point_sets(lines)
+    line_at_infinity = make_subspace(3, 3, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    monkeypatch.setattr(geometry, "POINT_BLOCK_ENTRIES", 10)
+    assert np.array_equal(ag.point_sets(lines), whole)
+    assert np.array_equal(ag.closure.point_sets(lines),
+                          ag.closure.point_lists(1)[:len(lines)])
+    # 2 lines per chunk: the line at infinity is alone in the third
+    with pytest.raises(AmbientMismatch):
+        ag.point_sets(lines[:4] + [line_at_infinity])
+
+
+def test_point_lists_peak_stays_near_their_size(monkeypatch):
+    # AG(3,13) lines: 30,927 lines of 13 points, a 3.07 MiB result
+    import tracemalloc
+    from clag import geometry
+    monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
+    ag = ambient(3, 13, "affine")
+    ag.spaces(1)
+    tracemalloc.start()
+    try:
+        lists = ag.point_lists(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lists.shape == (30927, 13)
+    assert peak < 5 * lists.nbytes

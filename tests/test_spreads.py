@@ -1,17 +1,23 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
-from clag.geometry import ambient, apply_matrix, infinite_part, make_subspace
-from clag.spreads import (AllEqual, BadChoices, DivisibilityViolated,
+from clag.geometry import (AmbientSpace, ambient, apply_matrix, infinite_part,
+                           make_subspace)
+from clag.spreads import (AllEqual, BadChoices, BadSeed, DivisibilityViolated,
                           NotAtInfinity, Spread,
                           all_type_II_spreads, all_type_III_spreads,
                           extend_spread_from_subspace, is_spread,
                           lift_spread_through_infinity, restrict_to_affine,
-                          spread_type_I, spread_type_II, spread_type_III,
+                          sample_type_III_spreads, spread_type_I,
+                          spread_type_II, spread_type_III,
                           switching_pair_from_spreads, verify_switching_pair)
 
-from oracle import contains, random_affine_collineation, transport_type_III
+from oracle import (contains, member_spread_type_III,
+                    random_affine_collineation, transport_type_III)
 
 
 def test_type_I_field_reduction():
@@ -273,3 +279,77 @@ def test_type_I_spread_json():
     s = spread_type_I(3, 2, 1)
     doc = s.to_json()
     assert doc["type"] == "I" and len(doc["members"]) == 5
+
+
+def _type_III_inputs(space, k, limit, seed):
+    """(pi, choices) pairs: every one when there are at most `limit`,
+    else `limit` seeded picks; all-equal choices are left out."""
+    from clag.spreads import _taus
+    pairs = [(pi, list(combo))
+             for pi in space.infinite_subspaces(space.n - 2)
+             for combo in itertools.product(_taus(space, pi, k), repeat=space.q)
+             if len({t.rows for t in combo}) > 1]
+    if len(pairs) <= limit:
+        return pairs
+    return random.Random(seed).sample(pairs, limit)
+
+
+@pytest.mark.parametrize("n,q,k,limit", [
+    (3, 2, 1, 1000), (3, 3, 1, 1000), (3, 4, 1, 60), (4, 2, 2, 60)])
+def test_type_III_from_indices_matches_the_member_route(n, q, k, limit):
+    space = ambient(n, q, "affine")
+    inputs = _type_III_inputs(space, k, limit, seed=n * q)
+    assert inputs
+    for pi, choices in inputs:
+        s = spread_type_III(space, pi, choices)
+        ref = member_spread_type_III(space, pi, choices)
+        assert s.members == ref.members
+        assert s.type_tag == ref.type_tag
+        assert s.to_json() == ref.to_json()
+
+
+def test_sampled_type_III_family_is_built_once_per_space(monkeypatch):
+    import clag.spreads as spreads
+    space = AmbientSpace(3, 3, "affine")
+    first = sample_type_III_spreads(space, 1, 8, seed=2)
+    keys = [key for key in space._memo
+            if isinstance(key, tuple) and key[0] == "type_III_sample"]
+    assert keys == [("type_III_sample", 1, 8, 2)]
+
+    def refuse(*args):
+        raise AssertionError("a spread was built again")
+
+    monkeypatch.setattr(spreads, "spread_type_III", refuse)
+    first.clear()
+    second = sample_type_III_spreads(space, 1, 8, seed=2)
+    assert len(second) == 8
+    second.pop()
+    third = sample_type_III_spreads(space, 1, 8, seed=2)
+    assert len(third) == 8 and third is not second
+    assert all(a is b for a, b in zip(second, third))
+    monkeypatch.undo()
+    # another seed is another sample
+    other = sample_type_III_spreads(space, 1, 8, seed=3)
+    assert [s.to_json() for s in other] != [s.to_json() for s in third]
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, "0", (0,)])
+def test_sampled_type_III_spreads_need_an_int_seed(seed):
+    space = AmbientSpace(3, 3, "affine")
+    with pytest.raises(BadSeed, match="seed must be an int"):
+        sample_type_III_spreads(space, 1, 4, seed)
+    assert issubclass(BadSeed, ValueError)
+    assert not space._memo
+
+
+def test_sampled_type_III_family_is_the_one_pinned():
+    # SHA-256 of the JSON of the 60-spread samples that `clag verify
+    # --all-checks` checks on AG(3,4) lines, as built one spread at a
+    # time from sorted Subspace members
+    pinned = {0: "68f33dc437a67166be39e0a1929a8a2d404e4c8c99e1dab4e16130b441ce74f1",
+              3: "5b23dd9665d82c0a89cbb4665aeefdd92c5b7ab78e5fa89c4aa188c8c74320bc"}
+    space = ambient(3, 4, "affine")
+    for seed, digest in pinned.items():
+        family = sample_type_III_spreads(space, 1, 60, seed)
+        text = json.dumps([s.to_json() for s in family])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

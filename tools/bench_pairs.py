@@ -1,0 +1,93 @@
+"""Alternating parent/change runs of the clagbench benchmark.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
+        --pairs N [--seed S] [--seconds T]
+
+Runs ``clagbench/run.py`` of each checkout, from its own root, N times
+on each side.  Pair i runs the parent first when i is even and the
+change first when i is odd, so neither side always meets the host in
+the same state.  Prints every end-to-end metric of each pair, then per
+metric and side the median and quartiles, and in how many pairs the
+change read lower.  Exits 1 when a run reports ``correct: false``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(parent: list[dict], change: list[dict]) -> dict:
+    """Per metric, each side's quartiles and how many of the pairs
+    (parent[i], change[i]) the change read lower; ties count for
+    neither side."""
+    out = {}
+    for name in parent[0]:
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        out[name] = {"parent": quartiles(p), "change": quartiles(c),
+                     "lower": sum(b < a for a, b in zip(p, c)),
+                     "pairs": len(p)}
+    return out
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in checkout `root`: the metric values of its
+    last output line, and whether it read correct."""
+    r = subprocess.run(
+        [sys.executable, os.path.join("clagbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=root, capture_output=True, text=True, check=True)
+    doc = json.loads(r.stdout.strip().splitlines()[-1])
+    return {"correct": doc["correct"],
+            "metrics": {k: m["value"] for k, m in doc["metrics"].items()}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=30)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {"parent": [], "change": []}
+    correct = True
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            res = run_once(sides[side], args.workload, args.seed, args.seconds)
+            correct &= res["correct"]
+            runs[side].append(res["metrics"])
+        print(f"pair {i} ({order[0]} first): " + "  ".join(
+            f"{name} {runs['parent'][-1][name]:.4f}/{val:.4f}"
+            for name, val in runs["change"][-1].items()), flush=True)
+    print(f"# {args.workload} seed={args.seed} seconds={args.seconds} "
+          f"pairs={args.pairs}; parent/change median [q1, q3]")
+    for name, s in summarize(runs["parent"], runs["change"]).items():
+        (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
+        print(f"  {name:14s} parent {pm:.4f} [{p1:.4f}, {p3:.4f}]  "
+              f"change {cm:.4f} [{c1:.4f}, {c3:.4f}]  "
+              f"change lower {s['lower']}/{s['pairs']}")
+    if not correct:
+        print("a run read correct: false", file=sys.stderr)
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
