@@ -16,11 +16,13 @@ point of the space, affine points in AG and all points in PG.
 Every other incidence question is read off the point lists of the
 k-spaces (`AmbientSpace.point_lists`), never by row reduction and
 never from a dense matrix: a pencil is the k-spaces whose list holds
-its point, hyperplane sets, the skew complement and the members
-through an axis come from `AmbientSpace.shared_points` (in the
-projective closure for subspaces at infinity), and each projected
-image is found by looking up its point set among the rows of the
-target's point lists.
+its point, hyperplane sets, the canonical skew complement and the
+k-spaces through an axis come from `AmbientSpace.shared_points` (in
+the projective closure for subspaces at infinity).  Projection works
+per (k, axis, pi), not per k-set: one memoised image map sends every
+k-space through the axis to the index of its cut with pi, found by
+looking up the cut's point set among the rows of the target's point
+lists, and a k-set's image is that map read at its members.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (AmbientSpace, Subspace, ambient, gaussian_binomial,
-                       subspace_from_json, DimensionOutOfRange)
+from .geometry import (AmbientSpace, Subspace, _read_only, ambient,
+                       gaussian_binomial, subspace_from_json,
+                       DimensionOutOfRange)
 from .incidence import build_incidence, meets
 from .spreads import SwitchingPair
 
@@ -353,13 +356,52 @@ def count_through_infinite_subspace(l: KSet, axis: Subspace | None) -> int:
 
 def canonical_complement(space: AmbientSpace, axis: Subspace) -> Subspace:
     """First canonically enumerated affine (n-i-1)-space skew to axis;
-    the affine ones open the enumeration."""
-    proj = space.closure
-    dim = space.n - axis.dim - 1
-    skew = np.flatnonzero(proj.shared_points(dim, axis) == 0)
-    if not len(skew) or not proj.spaces(dim)[skew[0]].is_affine():
-        raise NotSkew("no affine complement found")
-    return proj.spaces(dim)[skew[0]]
+    the affine ones open the enumeration.  Found once per (space, axis)."""
+    def build():
+        proj = space.closure
+        dim = space.n - axis.dim - 1
+        skew = np.flatnonzero(proj.shared_points(dim, axis) == 0)
+        if not len(skew) or not proj.spaces(dim)[skew[0]].is_affine():
+            raise NotSkew("no affine complement found")
+        return proj.spaces(dim)[skew[0]]
+    return space.memo(("canonical_complement", axis.rows), build)
+
+
+def _projection_map(space: AmbientSpace, k: int, axis: Subspace,
+                    pi: Subspace) -> np.ndarray:
+    """Read-only int64 array over the k-spaces of the affine space, in
+    canonical order: for each one through the axis, the index of its cut
+    with pi among the (k-i-1)-spaces of pi viewed as AG(n-i-1, q), and
+    -1 for every other k-space.  Built once per (k, axis, pi)."""
+    def build():
+        proj = space.closure
+        ours = proj.point_indices_of(pi)
+        if np.isin(proj.point_indices_of(axis), ours).any():
+            raise NotSkew("pi must be skew to the axis")
+        d = k - axis.dim - 1
+        target = ambient(pi.dim, space.q, "affine")
+        pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
+        # pi's affine points (they come first, in PG as in AG) as points
+        # of the target: their coordinates in the pivot columns of pi
+        ours = ours[ours < space.num_points]
+        points, index = space.points, target.point_index
+        local = np.full(space.num_points, -1, dtype=np.int64)
+        local[ours] = [index[tuple(points[p][c] for c in pivots)]
+                       for p in ours.tolist()]
+        through = np.flatnonzero(space.spaces_through(k, axis))
+        # each cut with pi, through its affine points, sorted: the -1
+        # entries of the points outside pi come first
+        cuts = np.sort(local[space.point_lists(k)[through]], axis=1)
+        size = space.q ** d
+        if ((cuts >= 0).sum(axis=1) != size).any():
+            raise DimensionViolation("projection lost dimension")
+        by_points = {tuple(pts): j
+                     for j, pts in enumerate(target.point_lists(d).tolist())}
+        image = np.full(len(space.spaces(k)), -1, dtype=np.int64)
+        image[through] = [by_points[tuple(c)]
+                          for c in cuts[:, cuts.shape[1] - size:].tolist()]
+        return _read_only(image)
+    return space.memo(("projection_map", k, axis.rows, pi.rows), build)
 
 
 def project_through_infinite_subspace(l: KSet, axis: Subspace,
@@ -367,9 +409,13 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
     """Project the members through an i-space at infinity onto a skew
     (n-i-1)-space pi, yielding a (k-i-1)-set of pi viewed as an affine
     geometry.  When the input has the Cameron-Liebler property and
-    n >= 2k-i, the image does too, with the same parameter."""
+    n >= 2k-i, the image does too, with the same parameter.  The image
+    is read off the projection map of (k, axis, pi), the same one for
+    every k-set."""
     space = l.space
     i = axis.dim
+    if space.mode != "affine":
+        raise DimensionViolation("projection starts from an affine set")
     if axis.is_affine():
         raise NotSkew("axis must lie at infinity")
     if not (0 <= i <= l.k - 2) or space.n < l.k + 2:
@@ -380,30 +426,9 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
         raise DimensionViolation("pi must have dimension n-i-1")
     if not pi.is_affine():
         raise NotSkew("pi must carry an affine part")
-    proj = space.closure
-    if proj.shared_points(pi.dim, axis)[proj.index_of(pi)]:
-        raise NotSkew("pi must be skew to the axis")
-    d = l.k - i - 1
-    target = ambient(pi.dim, space.q, "affine")
-    pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
-    # pi's affine points (they come first, in PG as in AG) as points of
-    # the target: their coordinates in the pivot columns of pi
-    points, index = space.points, target.point_index
-    local = {p: index[tuple(points[p][c] for c in pivots)]
-             for p in space.point_indices_of(pi).tolist()
-             if p < space.q**space.n}
-    by_points = {tuple(pts): j
-                 for j, pts in enumerate(target.point_lists(d).tolist())}
-    through = space.spaces_through(l.k, axis)
-    members = [j for j in sorted(l.members) if through[j]]
-    image = set()
-    for pts in space.point_lists(l.k)[members].tolist():
-        # the cut with pi, through its affine points
-        cut = tuple(sorted(local[p] for p in pts if p in local))
-        if len(cut) != space.q ** d:
-            raise DimensionViolation("projection lost dimension")
-        image.add(by_points[cut])
-    return KSet(target, d, frozenset(image))
+    image = _projection_map(space, l.k, axis, pi)[sorted(l.members)]
+    return KSet(ambient(pi.dim, space.q, "affine"), l.k - i - 1,
+                frozenset(image[image >= 0].tolist()))
 
 
 def modular_check(l: KSet) -> bool:

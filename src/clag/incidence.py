@@ -26,8 +26,8 @@ num = c w - lambda (sum w) 1.  chi lies in the row space iff
 M^T num = a c chi, an exact integer check, and then y^T M = chi.
 Since a > 0, M M^T is invertible, M has full row rank and y is the
 unique certificate.  Every accepted certificate has passed that check.
-`rows_in_row_space` decides a block of vectors at once: the same two
-gathers, with the vectors as the columns of one matrix.
+`rows_in_row_space` decides many vectors with the same two gathers,
+the vectors as the columns of one matrix, in blocks of bounded size.
 
 Whether two k-spaces meet is an incidence question: `meets` gives
 M^T M[:, cols] as a Boolean product, True where a k-space shares a point
@@ -50,6 +50,12 @@ from .geometry import AmbientSpace, DimensionOutOfRange, SizeGuard, entry_guard
 
 __all__ = ["IncidenceMatrix", "build_incidence", "LengthMismatch",
            "NotADesign", "meets", "certificate_to_json"]
+
+# entries of the gathers that decide one block of `rows_in_row_space`:
+# a block of rows costs one entry per incidence and row, in int64 (or
+# Python ints past the int64 guard)
+MEMBERSHIP_BLOCK_ENTRIES = 2**20
+
 
 class LengthMismatch(ValueError):
     pass
@@ -148,8 +154,13 @@ class IncidenceMatrix:
         return bool(self._solve(np.asarray(vec)[None])[0][0])
 
     def rows_in_row_space(self, vecs) -> np.ndarray:
-        """in_row_space for every row of vecs, with one gather pair."""
-        return self._solve(vecs)[0]
+        """in_row_space for every row of vecs, with one gather pair per
+        block of rows; a block's gathers, one entry per incidence and
+        row, hold at most MEMBERSHIP_BLOCK_ENTRIES entries (or one row)."""
+        vecs = np.asarray(vecs)
+        step = max(1, MEMBERSHIP_BLOCK_ENTRIES // self.points.size)
+        return np.concatenate([self._solve(vecs[i:i + step])[0]
+                               for i in range(0, max(1, len(vecs)), step)])
 
     def row_space_membership(self, vec) -> tuple[bool, list[Fraction] | None]:
         """(member?, certificate).  The certificate y satisfies

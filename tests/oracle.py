@@ -29,7 +29,13 @@ the members as `Subspace` objects, put in canonical order by
 member's points.
 
 `subspace_kset_from_json` is `kset_from_json` by its former route:
-every member through `subspace_from_json`, none looked up first."""
+every member through `subspace_from_json`, none looked up first.
+
+`project_through_infinite_subspace` is the projection by its former
+route: per call, the canonical complement is searched again, pi's points
+are mapped to the target's one by one, and each member through the axis
+is cut with pi and looked up on its own.  It keeps the former argument
+checks, which accept a projective set as if it were affine."""
 
 import itertools
 import random
@@ -39,7 +45,8 @@ import numpy as np
 
 from clag import _kernels, exact
 from clag.classify import _Contradiction
-from clag.clsets import DimensionViolation, KSet, kset_from_subspaces
+from clag.clsets import (DimensionViolation, KSet, NotSkew,
+                         kset_from_subspaces)
 from clag.geometry import (AmbientSpace, Subspace, ambient, apply_matrix,
                            make_subspace, span, subspace_from_json)
 from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
@@ -281,3 +288,44 @@ def subspace_kset_from_json(doc: dict) -> KSet:
     if l.size != len(subs):
         raise ValueError("a member is listed twice")
     return l
+
+
+def project_through_infinite_subspace(l: KSet, axis: Subspace,
+                                      pi: Subspace | None = None) -> KSet:
+    space = l.space
+    i = axis.dim
+    if axis.is_affine():
+        raise NotSkew("axis must lie at infinity")
+    if not (0 <= i <= l.k - 2) or space.n < l.k + 2:
+        raise DimensionViolation("need 0 <= i <= k-2 and n >= k+2")
+    proj = space.closure
+    if pi is None:
+        dim = space.n - axis.dim - 1
+        skew = np.flatnonzero(proj.shared_points(dim, axis) == 0)
+        if not len(skew) or not proj.spaces(dim)[skew[0]].is_affine():
+            raise NotSkew("no affine complement found")
+        pi = proj.spaces(dim)[skew[0]]
+    if pi.dim != space.n - i - 1:
+        raise DimensionViolation("pi must have dimension n-i-1")
+    if not pi.is_affine():
+        raise NotSkew("pi must carry an affine part")
+    if proj.shared_points(pi.dim, axis)[proj.index_of(pi)]:
+        raise NotSkew("pi must be skew to the axis")
+    d = l.k - i - 1
+    target = ambient(pi.dim, space.q, "affine")
+    pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
+    points, index = space.points, target.point_index
+    local = {p: index[tuple(points[p][c] for c in pivots)]
+             for p in space.point_indices_of(pi).tolist()
+             if p < space.q**space.n}
+    by_points = {tuple(pts): j
+                 for j, pts in enumerate(target.point_lists(d).tolist())}
+    through = space.spaces_through(l.k, axis)
+    members = [j for j in sorted(l.members) if through[j]]
+    image = set()
+    for pts in space.point_lists(l.k)[members].tolist():
+        cut = tuple(sorted(local[p] for p in pts if p in local))
+        if len(cut) != space.q ** d:
+            raise DimensionViolation("projection lost dimension")
+        image.add(by_points[cut])
+    return KSet(target, d, frozenset(image))

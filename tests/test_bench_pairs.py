@@ -28,3 +28,29 @@ def test_summary_of_fixed_pairs():
     # ties count for neither side
     assert summary["setup_s"]["lower"] == 2
     assert tool.quartiles([0.5]) == (0.5, 0.5, 0.5)
+
+
+# the printed lines of one `clagbench/run.py --workload verify` run
+VERIFY_RUN = """\
+# verify seed=0 trace=0 repetitions=1+0 traced; python=3.11.7, numpy=2.4.6, using_numba=False, CLAG_NO_NUMBA=None, CLAG_SIZE_GUARD=None, nproc=2, cpu=1
+  accept_ms                                        3.0791 ms
+  reject_ms                                        3.2946 ms
+  project_s                                        0.0519 s
+  wall_clock_s (unscaled wall_s)                   0.2442 s
+  error_rate                                       0.0000 (0/15)
+  setup_s                                          0.1121 s
+  wall_s                                           0.1114 s
+  peak_rss_mib                                    33.3789 MiB
+  main_op_s                                        0.0413 s
+{"correct": true, "attempted": 15, "failed": 0, "metrics": {"setup_s": {"value": 0.11208213679846109, "unit": "s"}, "wall_s": {"value": 0.111437058199858, "unit": "s"}, "peak_rss_mib": {"value": 33.37890625, "unit": "MiB"}, "main_op_s": {"value": 0.04132857940013062, "unit": "s"}}}
+"""
+
+
+def test_named_figures_of_a_fixed_run():
+    tool = _tool()
+    assert tool.named_figures(VERIFY_RUN) == {
+        "accept_ms": 3.0791, "reject_ms": 3.2946, "project_s": 0.0519}
+    # lines before the header are not figures
+    assert tool.named_figures("warming up\n" + VERIFY_RUN)["project_s"] == 0.0519
+    with pytest.raises(ValueError):
+        tool.named_figures(VERIFY_RUN.split("  wall_clock_s")[0])

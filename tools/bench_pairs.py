@@ -6,8 +6,10 @@
 Runs ``clagbench/run.py`` of each checkout, from its own root, N times
 on each side.  Pair i runs the parent first when i is even and the
 change first when i is odd, so neither side always meets the host in
-the same state.  Prints every end-to-end metric of each pair, then per
-metric and side the median and quartiles, and in how many pairs the
+the same state.  Prints every end-to-end metric of each pair, and the
+workload's named figures beside them (for ``verify``: ``accept_ms``,
+``reject_ms``, ``project_s``), read from the lines the run prints; then
+per figure and side the median and quartiles, and in how many pairs the
 change read lower.  Exits 1 when a run reports ``correct: false``.
 """
 
@@ -43,17 +45,33 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def named_figures(stdout: str) -> dict:
+    """The named figures of a run's output: the ``name value unit``
+    lines between its ``#`` header and its ``wall_clock_s`` line."""
+    lines = stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("#"))
+    out = {}
+    for line in lines[start + 1:]:
+        name, value = line.split()[:2]
+        if name == "wall_clock_s":
+            return out
+        out[name] = float(value)
+    raise ValueError("no wall_clock_s line after the header")
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in checkout `root`: the metric values of its
-    last output line, and whether it read correct."""
+    last output line followed by its named figures, and whether it read
+    correct."""
     r = subprocess.run(
         [sys.executable, os.path.join("clagbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=root, capture_output=True, text=True, check=True)
     doc = json.loads(r.stdout.strip().splitlines()[-1])
+    metrics = {k: m["value"] for k, m in doc["metrics"].items()}
     return {"correct": doc["correct"],
-            "metrics": {k: m["value"] for k, m in doc["metrics"].items()}}
+            "metrics": {**metrics, **named_figures(r.stdout)}}
 
 
 def main(argv=None) -> int:
