@@ -6,9 +6,11 @@ PRNG seed is recorded in every artifact, and artifacts are byte-stable
 across reruns (wall-clock timing is embedded only with --timing).
 CLAG_SIZE_GUARD overrides the entry guard (default 10**7) of relation
 matrices, of the point lists that membership, pencils, spreads and
-projections read, of the dense incidence matrix that disjointness
-checks and the search's tableau build, and of every pencil plan the
-search builds, read on every access; the search's k-space cap is --cap.
+projections read, of the point marks that disjointness checks and
+scheme relations gather and the meet matrices the relations read, of
+the dense incidence matrix that the search's tableau builds, and of
+every pencil plan the search builds, read on every access; the search's
+k-space cap is --cap.
 """
 
 from __future__ import annotations

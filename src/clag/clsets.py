@@ -9,9 +9,10 @@ The count-based equivalences carry the hypothesis n >= 2k+1 and report
 a dedicated not-applicable status below it.
 
 Both disjointness criteria, affine and projective, read their counts
-from `disjoint_counts`: one Boolean product of the incidence matrix
-(`incidence.meets`), so two k-spaces are disjoint iff they share no
-point of the space, affine points in AG and all points in PG.
+from `disjoint_counts`: the members each k-space meets, counted over
+the point lists in bounded blocks (`incidence.meet_counts`), so two
+k-spaces are disjoint iff they share no point of the space, affine
+points in AG and all points in PG.
 
 Every other incidence question is read off the point lists of the
 k-spaces (`AmbientSpace.point_lists`), never by row reduction and
@@ -35,7 +36,7 @@ import numpy as np
 from .geometry import (AmbientSpace, Subspace, _read_only, ambient,
                        gaussian_binomial, subspace_from_json,
                        DimensionOutOfRange)
-from .incidence import build_incidence, meets
+from .incidence import build_incidence, meet_counts
 from .spreads import SwitchingPair
 
 __all__ = [
@@ -245,8 +246,8 @@ def disjoint_counts(l: KSet) -> np.ndarray:
     """For every k-space in canonical order, the number of members
     sharing no point of the space with it (affine points in AG, all
     points in PG)."""
-    met = meets(l.space, l.k, sorted(l.members))
-    return (~met).sum(1)
+    members = sorted(l.members)
+    return len(members) - meet_counts(l.space, l.k, members)
 
 
 def infinite_pencil_counts(l: KSet) -> list[int]:

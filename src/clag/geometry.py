@@ -125,11 +125,14 @@ class Subspace:
 
 
 def _rref(field, rows) -> tuple[tuple[int, ...], ...]:
-    mat = np.array(rows, dtype=np.int64)
+    # range-check the entries as given: an int past int64 would overflow
+    # the int64 conversion before any check
+    mat = np.array(rows, dtype=object)
     if mat.ndim != 2:
         raise ValueError("basis must be a matrix")
-    if not all(0 <= v < field.q for row in mat.tolist() for v in row):
+    if not all(0 <= v < field.q for v in mat.flat):
         raise ValueError(f"basis entries must be field codes 0..{field.q - 1}")
+    mat = mat.astype(np.int64)
     rank = _kernels.gf_rref(mat, field.add_table, field.mul_table,
                             field.neg_table, field.inv_table)
     return tuple(tuple(int(v) for v in mat[i]) for i in range(rank))

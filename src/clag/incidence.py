@@ -29,14 +29,21 @@ unique certificate.  Every accepted certificate has passed that check.
 `rows_in_row_space` decides many vectors with the same two gathers,
 the vectors as the columns of one matrix, in blocks of bounded size.
 
-Whether two k-spaces meet is an incidence question: `meets` gives
-M^T M[:, cols] as a Boolean product, True where a k-space shares a point
-with a chosen one, so False marks the disjoint pairs.  It, the search's
-starting tableau and `kernel_basis` need M dense; each builds the
-Boolean K x v matrix from the point lists when it is called, and none
-keeps it.  The point lists (`AmbientSpace.point_lists`) pass the
-CLAG_SIZE_GUARD entry guard on every call, counted in closed form as K s
-entries; a dense matrix is refused first when its v K entries exceed it.
+Whether two k-spaces meet is read from the point lists too: `meets`
+gives the Boolean M^T[rows] M[:, cols], True where a k-space shares a
+point with a chosen one, so False marks the disjoint pairs.  Each point
+marks the chosen k-spaces through it in a v x len(cols) Boolean array
+packed into bits, and each k-space ORs the packed marks of its s
+points.  `meet_counts` counts the set bits of those ORs block by block,
+so the disjointness counts never hold a K x len(cols) matrix.  Only
+exact elimination needs M dense: the search's starting tableau and
+`kernel_basis` each build the Boolean K x v matrix from the point lists
+when they are called, and neither keeps it.  The point lists
+(`AmbientSpace.point_lists`) pass the CLAG_SIZE_GUARD entry guard on
+every call, counted in closed form as K s entries; the meet marks are
+refused when their v len(cols) entries exceed it, the result of `meets`
+when its len(rows) len(cols) entries do, and a dense matrix when its
+v K entries do.
 """
 
 from __future__ import annotations
@@ -49,12 +56,14 @@ from . import exact
 from .geometry import AmbientSpace, DimensionOutOfRange, SizeGuard, entry_guard
 
 __all__ = ["IncidenceMatrix", "build_incidence", "LengthMismatch",
-           "NotADesign", "meets", "certificate_to_json"]
+           "NotADesign", "meets", "meet_counts", "certificate_to_json"]
 
 # entries of the gathers that decide one block of `rows_in_row_space`:
 # a block of rows costs one entry per incidence and row, in int64 (or
 # Python ints past the int64 guard)
 MEMBERSHIP_BLOCK_ENTRIES = 2**20
+# k-space x chosen-k-space entries that `meet_counts` gathers per block
+MEET_BLOCK_ENTRIES = 2**22
 
 
 class LengthMismatch(ValueError):
@@ -180,8 +189,10 @@ class IncidenceMatrix:
 
 def _dense_rows(space: AmbientSpace, k: int) -> np.ndarray:
     """Boolean (k-spaces x points) M^T, built from the point lists on
-    each call.  Raises SizeGuard first when its entries, counted in
-    closed form, exceed `entry_guard()`."""
+    each call, for the two users that need M dense for exact
+    elimination: the search's starting tableau and `kernel_basis`.
+    Raises SizeGuard first when its entries, counted in closed form,
+    exceed `entry_guard()`."""
     cap = entry_guard()
     v, spaces = space.num_points, space._num_spaces(k)
     if v * spaces > cap:
@@ -191,11 +202,59 @@ def _dense_rows(space: AmbientSpace, k: int) -> np.ndarray:
     return mat
 
 
-def meets(space: AmbientSpace, k: int, cols) -> np.ndarray:
-    """Boolean M^T M[:, cols] over the space's k-spaces: entry [j, c] is
-    True iff k-space j shares a point with k-space cols[c]."""
-    m = _dense_rows(space, k)
-    return m @ m[cols].T
+def _meet_marks(space: AmbientSpace, k: int, cols):
+    """(point lists, packed marks, len(cols)): each point marks the
+    chosen k-spaces through it in a v x len(cols) Boolean array, packed
+    into bits along cols.  Raises SizeGuard first when the
+    v x len(cols) marks exceed `entry_guard()`."""
+    pts = space.point_lists(k)
+    chosen = pts[cols]
+    v, width = space.num_points, len(chosen)
+    cap = entry_guard()
+    if v * width > cap:
+        raise SizeGuard(f"{v} x {width} meet marks exceed guard {cap}")
+    marks = np.zeros((v, width), dtype=bool)
+    marks[chosen, np.arange(width)[:, None]] = True
+    return pts, np.packbits(marks, axis=1), width
+
+
+def _gather_marks(packed: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """OR of the packed marks of the points of each row of `pts`, one
+    gather per column of the point lists."""
+    met = packed[pts[:, 0]]
+    for col in pts.T[1:]:
+        met |= packed[col]
+    return met
+
+
+def meets(space: AmbientSpace, k: int, cols, rows=slice(None)) -> np.ndarray:
+    """Boolean M^T[rows] M[:, cols]: entry [i, c] is True iff k-space
+    rows[i] shares a point with k-space cols[c] (every k-space by
+    default).  Each k-space ORs the bit-packed marks of its points.
+    Raises SizeGuard when the v x len(cols) marks or, before the
+    gather, the len(rows) x len(cols) result exceed `entry_guard()`."""
+    pts, packed, width = _meet_marks(space, k, cols)
+    pts = pts[rows]
+    cap = entry_guard()
+    if len(pts) * width > cap:
+        raise SizeGuard(f"{len(pts)} x {width} meet matrix exceeds "
+                        f"guard {cap}")
+    met = _gather_marks(packed, pts)
+    return np.unpackbits(met, axis=1, count=width).view(bool)
+
+
+def meet_counts(space: AmbientSpace, k: int, cols) -> np.ndarray:
+    """For every k-space, the number of k-spaces cols[c] it shares a
+    point with: the set bits of its row of `meets`, counted in blocks
+    of at most MEET_BLOCK_ENTRIES result entries (or one row), so no
+    K x len(cols) matrix is built."""
+    pts, packed, width = _meet_marks(space, k, cols)
+    step = max(1, MEET_BLOCK_ENTRIES // max(1, width))
+    counts = np.empty(len(pts), dtype=np.int64)
+    for i in range(0, len(pts), step):
+        met = _gather_marks(packed, pts[i:i + step])
+        counts[i:i + step] = np.bitwise_count(met).sum(1, dtype=np.int64)
+    return counts
 
 
 def build_incidence(space: AmbientSpace, k: int) -> IncidenceMatrix:

@@ -11,8 +11,9 @@ projectors, never floating-point eigensolvers.
 
 The brute force reads one relation matrix, `relation_matrix`: for each
 pair of k-spaces, code = 2 [they share an affine point] + [same space
-at infinity], taken from one Boolean "do they meet" product and the
-pencils at infinity and mapped to a relation by one table per kind.
+at infinity], taken from one "do they meet" gather over the point
+lists (`incidence.meets`) and the pencils at infinity and mapped to a
+relation by one table per kind.
 Counting its triples once gives the product table p with
 A_i A_j = sum_l p_ij^l A_l on every pair; the intersection matrices, P
 and the Bose-Mesner checks all come from it.  All (d+1)^2 products are
@@ -132,7 +133,7 @@ def relation_matrix(space: AmbientSpace, kind: str = "affine_lines",
     cap = entry_guard()
     if x * x > cap:
         raise SizeGuard(f"{x}^2 relation matrix exceeds guard {cap}")
-    met = meets(space, k, cols)[cols]
+    met = meets(space, k, cols, rows=cols)
     rel = np.array(spec.codes, dtype=np.int8)[2 * met + (inf[:, None] == inf)]
     if (rel < 0).any():
         raise AssertionError(f"{kind}: a pair that cannot occur")

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -54,3 +55,25 @@ def test_named_figures_of_a_fixed_run():
     assert tool.named_figures("warming up\n" + VERIFY_RUN)["project_s"] == 0.0519
     with pytest.raises(ValueError):
         tool.named_figures(VERIFY_RUN.split("  wall_clock_s")[0])
+
+
+def test_each_run_gets_a_fresh_bytecode_cache(monkeypatch):
+    tool = _tool()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    seen = []
+
+    def fake_run(argv, **kwargs):
+        cache = kwargs["env"]["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(cache) and not os.listdir(cache)
+        # the run may fill its own cache
+        assert "PYTHONDONTWRITEBYTECODE" not in kwargs["env"]
+        seen.append(cache)
+        return subprocess.CompletedProcess(argv, 0, stdout=VERIFY_RUN,
+                                           stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    for _ in range(2):
+        res = tool.run_once("checkout", "verify", 0, 30)
+        assert res["correct"] and res["metrics"]["project_s"] == 0.0519
+    assert len(set(seen)) == 2
+    assert not any(os.path.exists(cache) for cache in seen)

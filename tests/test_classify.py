@@ -88,6 +88,8 @@ def malformed(cert, where):
         sol["members"][0] = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     elif where == "code":
         sol["members"][0][0][-1] = 5
+    elif where == "code_past_int64":
+        sol["members"][0][0][-1] = 2**63
     elif where == "indices":
         del sol["indices"]
     elif where == "swapped":
@@ -110,7 +112,8 @@ def malformed(cert, where):
     return bad
 
 
-@pytest.mark.parametrize("where", ["plane", "code", "indices", "swapped",
+@pytest.mark.parametrize("where", ["plane", "code", "code_past_int64",
+                                   "indices", "swapped",
                                    "repeated_solution", "repeated_member",
                                    "k=0 point", "k=0", "k=3"])
 def test_malformed_certificate_is_rejected(where):

@@ -186,6 +186,8 @@ def test_verify_malformed_input(tmp_path):
     [5],
     # the first member again: a point pencil listed with 8 entries
     [[1, 0, 0, 0], [0, 0, 0, 1]],
+    # 2^63 is no element of GF(2), and no int64 holds it
+    [[1, 0, 0, 0], [0, 2**63, 0, 0]],
 ])
 def test_verify_rejects_malformed_basis(tmp_path, basis):
     # the 7 lines of AG(3,2) through the origin, then the bad entry
@@ -246,6 +248,24 @@ def test_project_command(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["x"] == "1" and doc["is_cameron_liebler"]
     assert doc["same_parameter"]
+
+
+def test_project_rejects_codes_past_int64(tmp_path):
+    space = ambient(4, 2, "affine")
+    doc = kset_to_json(point_pencil(space, (1, 0, 0, 0, 0), 2))
+    good = tmp_path / "pen2.json"
+    good.write_text(json.dumps(doc))
+    doc["members"][0][1][1] = 2**63
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "img.json"
+    for setfile, axis in ((bad, "0:0:0:0:1"), (good, f"0:0:0:0:{2**63}")):
+        r = run_cli("project", "--set", str(setfile), "--axis", axis,
+                    "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr == ("malformed input: "
+                            "basis entries must be field codes 0..1\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -57,7 +57,8 @@ def test_point_pencil_is_cl_with_x_1():
 
 
 def test_pencils_read_the_point_lists_under_a_small_guard(monkeypatch):
-    # AG(3,3) lines: 117 x 3 = 351 list entries, 27 x 117 = 3,159 dense
+    # AG(3,3) lines: 117 x 3 = 351 list entries, 27 x 117 = 3,159 dense,
+    # and 27 marks per line that `meets` is asked about
     monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
     monkeypatch.setenv("CLAG_SIZE_GUARD", "1000")
     space = ambient(3, 3, "affine")
@@ -65,10 +66,14 @@ def test_pencils_read_the_point_lists_under_a_small_guard(monkeypatch):
     through = space.spaces_through(1, make_subspace(3, 3, [(1, 0, 0, 0)]))
     assert pen.members == frozenset(np.flatnonzero(through).tolist())
     assert pen.size == 13 and is_cameron_liebler(pen)[0]
-    dense = "^27 x 117 incidence exceeds guard 1000$"
-    with pytest.raises(SizeGuard, match=dense):
-        meets(space, 1, [0])
-    with pytest.raises(SizeGuard, match=dense):
+    assert check_line_disjointness(pen).passed
+    # line 0 itself and the 12 other lines through each of its 3 points
+    assert meets(space, 1, [0]).sum() == 1 + 3 * 12
+    with pytest.raises(SizeGuard,
+                       match="^27 x 117 meet marks exceed guard 1000$"):
+        meets(space, 1, slice(None))
+    with pytest.raises(SizeGuard,
+                       match="^27 x 117 incidence exceeds guard 1000$"):
         search_cl_ksets(3, 3, 1, 1)
 
 
@@ -77,6 +82,7 @@ def test_pencils_and_projections_past_the_dense_guard():
     ag311 = ambient(3, 11, "affine")
     pen = point_pencil(ag311, ag311.points[0], 1)
     assert pen.size == 133 and is_cameron_liebler(pen)[0]
+    assert check_line_disjointness(pen).passed
     ag53 = ambient(5, 3, "affine")
     pen = point_pencil(ag53, ag53.points[0], 2)
     img = project_through_infinite_subspace(pen, ag53.infinite_subspaces(0)[0])

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 from clag import exact, incidence
-from clag.clsets import is_cameron_liebler, kset_from_indices, point_pencil
+from clag.clsets import (check_line_disjointness, check_pg_disjointness,
+                         complement, is_cameron_liebler, kset_from_indices,
+                         point_pencil)
 from clag.classify import _Tableau
 from clag.geometry import DimensionOutOfRange, SizeGuard, ambient
 from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
-                            build_incidence, certificate_to_json, meets)
+                            build_incidence, certificate_to_json, meet_counts,
+                            meets)
+from clag.scheme import classify_line_pair, relation_matrix
 from clag.spreads import all_type_II_spreads, restrict_to_affine, spread_type_I
 from oracle import dense_incidence
 
@@ -122,23 +126,38 @@ def test_dimension_and_size_guards(monkeypatch):
 
 
 def test_size_guard_holds_on_a_warm_cache(monkeypatch):
-    # the point lists hold 28 x 2 entries, the Boolean matrix 8 x 28
+    # the point lists hold 28 x 2 entries, the marks of `meets` 8 per
+    # chosen line, the Boolean matrix 8 x 28
     space = ambient(3, 2, "affine")
     pencil = point_pencil(space, space.points[0], 1)
     assert is_cameron_liebler(pencil)[0]
     assert meets(space, 1, [0]).any()
     monkeypatch.setenv("CLAG_SIZE_GUARD", "10")
     lists = "^28 x 2 point lists exceed guard 10$"
-    for query, message in ((lambda: build_incidence(space, 1), lists),
-                           (lambda: is_cameron_liebler(pencil), lists),
-                           (lambda: meets(space, 1, [0]),
-                            "^8 x 28 incidence exceeds guard 10$")):
-        with pytest.raises(SizeGuard, match=message):
+    for query in (lambda: build_incidence(space, 1),
+                  lambda: is_cameron_liebler(pencil),
+                  lambda: meets(space, 1, [0])):
+        with pytest.raises(SizeGuard, match=lists):
             query()
     monkeypatch.setenv("CLAG_SIZE_GUARD", "56")
     assert is_cameron_liebler(pencil)[0]
-    with pytest.raises(SizeGuard):
-        meets(space, 1, [0])
+    # 8 x 7 marks pass; the 28 x 7 result of every row does not, but
+    # the counts gather it in bounded blocks and 8 rows fit
+    seven = list(range(7))
+    with pytest.raises(SizeGuard,
+                       match="^28 x 7 meet matrix exceeds guard 56$"):
+        meets(space, 1, seven)
+    assert np.array_equal(meets(space, 1, seven, rows=range(8)).sum(1),
+                          meet_counts(space, 1, seven)[:8])
+    assert check_line_disjointness(pencil).passed
+    # 3 members: 8 x 3 marks and 3 x 3 relations, no 28 x 3 rows
+    assert relation_matrix(space, members=[5, 0, 5]).shape == (3, 3)
+    for query in (meets, meet_counts):
+        with pytest.raises(SizeGuard,
+                           match="^8 x 8 meet marks exceed guard 56$"):
+            query(space, 1, list(range(8)))
+    with pytest.raises(SizeGuard, match="^8 x 28 incidence exceeds guard 56$"):
+        incidence._dense_rows(space, 1)
 
 
 def test_one_incidence_buffer_per_space_and_k():
@@ -236,6 +255,34 @@ def test_membership_builds_no_dense_matrix(monkeypatch):
     assert cert == [Fraction(int(i == 5)) for i in range(space.num_points)]
 
 
+def test_disjointness_and_relations_build_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Boolean incidence built")
+
+    monkeypatch.setattr(incidence, "_dense_rows", refuse)
+    ag = ambient(3, 4, "affine")
+    pen = point_pencil(ag, ag.points[0], 1)
+    assert check_line_disjointness(pen).passed
+    assert check_line_disjointness(complement(pen)).passed
+    assert not check_line_disjointness(kset_from_indices(ag, 1, [0])).passed
+    pg = ambient(5, 2, "projective")
+    pen = point_pencil(pg, pg.points[0], 2)
+    assert check_pg_disjointness(pen).passed
+    assert check_pg_disjointness(complement(pen)).passed
+    ag = ambient(3, 2, "affine")
+    lines = ag.spaces(1)
+    rel = relation_matrix(ag)
+    assert rel.tolist() == [[classify_line_pair(ag, a, b) for b in lines]
+                            for a in lines]
+    assert np.array_equal(relation_matrix(ag, members=[5, 0, 5]),
+                          rel[np.ix_([5, 0, 5], [5, 0, 5])])
+    rel = relation_matrix(ambient(4, 3, "affine"), "affine_hyperplanes")
+    assert np.array_equal(rel, rel.T) and not rel.diagonal().any()
+    # every hyperplane has the same number of partners in each relation
+    counts = np.stack([(rel == i).sum(1) for i in range(rel.max() + 1)])
+    assert (counts == counts[:, :1]).all()
+
+
 def test_design_parameters_are_counted():
     for (n, q, mode, k), rl in {(3, 2, "affine", 1): (7, 1),
                                 (3, 3, "projective", 1): (13, 1),
@@ -280,14 +327,22 @@ def test_membership_needs_no_rational_elimination(monkeypatch):
                                         (3, 2, "projective", 1),
                                         (3, 3, "affine", 1),
                                         (4, 2, "affine", 2),
-                                        (3, 3, "affine", 2)])
-def test_meets_matches_shared_point_counts(n, q, mode, k):
+                                        (3, 3, "affine", 2),
+                                        (5, 2, "projective", 2)])
+def test_meets_matches_shared_point_counts(n, q, mode, k, monkeypatch):
+    # blocks of a few rows, so the counts cross many block edges
+    monkeypatch.setattr(incidence, "MEET_BLOCK_ENTRIES", 50)
     space = ambient(n, q, mode)
     m = dense_incidence(space, k)
     rng = random.Random(n * 100 + q * 10 + k)
-    for cols in (list(range(m.shape[1])),
+    rows = rng.sample(range(m.shape[1]), 5)
+    for cols in (slice(None), list(range(m.shape[1])),
                  sorted(rng.sample(range(m.shape[1]), 7)), []):
         shared = m.T @ m[:, cols]  # the integer product, as the oracle
         got = meets(space, k, cols)
         assert got.dtype == bool
         assert np.array_equal(got, shared > 0)
+        assert np.array_equal(meets(space, k, cols, rows=rows),
+                              shared[rows] > 0)
+        assert meet_counts(space, k, cols).tolist() == \
+            (shared > 0).sum(1).tolist()
