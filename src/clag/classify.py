@@ -20,9 +20,9 @@ every assigned equation, so every solution gives space j the value
 p[j] / den + (a combination of column j of T).  Hence space j is forced
 iff column j of T is zero, its forced value is p[j] / den, and the
 number of rows of T is the dimension left.  Assigning j eliminates
-column j from T with one pivot row; the arithmetic is exact, in int64
-while a bound on the new entries stays below `exact.INT64_GUARD` and in
-Python ints past it.
+column j from T with one pivot row by `exact.eliminate`, the library's
+one exact elimination step, in int64 while a bound on the new entries
+stays below `exact.INT64_GUARD` and in Python ints past it.
 
 T depends only on which spaces were assigned, and in what order, not
 on their values.  So T, its list of forced spaces and a memo of the
@@ -45,6 +45,7 @@ one.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -114,26 +115,13 @@ class _Directions:
         self.plans: dict[tuple[tuple[int, ...], int], _Plan] = {}
 
     def eliminated(self, j: int) -> "tuple[int, int, _Directions]":
-        """(r, c, T') for column j: with pivot row r and c = T[r, j],
-        T[s] <- c T[s] - T[s, j] T[r], row r is dropped and every
-        changed row divided by its gcd."""
+        """(r, c, T') for column j, by `exact.eliminate`: with pivot row
+        r and c = T[r, j], T[s] <- c T[s] - T[s, j] T[r], row r is
+        dropped and every changed row divided by its gcd."""
         hit = self.memo.get(j)
         if hit is None:
-            a = self.a
-            # the new entries are at most 2 m^2
-            if 2 * self.m * self.m >= exact.INT64_GUARD:
-                a = a.astype(object)  # Python ints from here on
-            col = a[:, j]
-            nz = col.nonzero()[0]
-            r, rows = nz[0], nz[1:]
-            c = col[r]
-            upd = c * a[rows] - col[rows, None] * a[r]
-            upd //= np.gcd.reduce(upd, axis=1)[:, None]
-            out = a.copy()
-            out[rows] = upd
-            out[r] = out[-1]
-            hit = self.memo[j] = (int(r), int(c),
-                                  _Directions(out[:-1], self, j))
+            r, c, out = exact.eliminate(self.a, j, self.m)
+            hit = self.memo[j] = (r, c, _Directions(out, self, j))
         return hit
 
 
@@ -545,25 +533,44 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     return cert
 
 
+def _int(v) -> int:
+    """v as an int; a bool, or a value that is not an integer, raises
+    TypeError."""
+    if isinstance(v, bool):
+        raise TypeError("a bool where an int is meant")
+    return operator.index(v)
+
+
 def verify_certificate(cert: dict) -> bool:
     """Standalone re-verification: every listed solution passes the
     definitional test and the count matches the claim.  Members must be
     canonical k-spaces of the geometry, read as `clsets.kset_from_json`
     reads them; a malformed certificate is rejected, not raised on, and
-    so is one that lists a solution, or a member of one, twice, or has
-    a k outside 1..n-1, which `search_cl_ksets` never writes."""
+    so is one that lists a solution, or a member of one, twice, or that
+    `search_cl_ksets` never writes: a mode other than affine, a k
+    outside 1..n-1, a bool where an int is meant, or a `space_count`,
+    `expected_weight` or `complement_symmetry_used` other than its
+    closed form."""
     try:
         prob = cert["problem"]
-        space = ambient(int(prob["n"]), int(prob["q"]), prob["mode"])
-        k = int(prob["k"])
-        if not 1 <= k <= space.n - 1:
+        if prob["mode"] != "affine":
+            return False
+        n, q, k, x = (_int(prob[key]) for key in ("n", "q", "k", "x"))
+        space = ambient(n, q, "affine")
+        if not 1 <= k <= n - 1:
+            return False
+        g, top = gaussian_binomial(n, k, q), q ** (n - k)
+        if (_int(cert["space_count"]) != top * g
+                or _int(cert["expected_weight"]) != x * g
+                or cert["complement_symmetry_used"]
+                is not (0 <= x <= top and x > top - x)):
             return False
         index = space.space_index(k)
-        claimed = [(sorted(sol["indices"]),
-                    [index[subspace_from_json(space.n, space.q, rows).rows]
+        claimed = [(sorted(map(_int, sol["indices"])),
+                    [index[subspace_from_json(n, q, rows).rows]
                      for rows in sol["members"]])
                    for sol in cert["solutions"]]
-        if (len(claimed) != cert["solution_count"]
+        if (len(claimed) != _int(cert["solution_count"])
                 or len({tuple(i) for i, _ in claimed}) != len(claimed)):
             return False
     except (KeyError, TypeError, ValueError):
@@ -573,7 +580,7 @@ def verify_certificate(cert: dict) -> bool:
             return False
         l = kset_from_indices(space, k, idxs)
         ok, _ = is_cameron_liebler(l)
-        if not ok or l.x != prob["x"]:
+        if not ok or l.x != x:
             return False
     return True
 

@@ -427,7 +427,7 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
         raise DimensionViolation("pi must have dimension n-i-1")
     if not pi.is_affine():
         raise NotSkew("pi must carry an affine part")
-    image = _projection_map(space, l.k, axis, pi)[sorted(l.members)]
+    image = _projection_map(space, l.k, axis, pi)[list(l.members)]
     return KSet(ambient(pi.dim, space.q, "affine"), l.k - i - 1,
                 frozenset(image[image >= 0].tolist()))
 

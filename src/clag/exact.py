@@ -1,158 +1,65 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact integer elimination.
 
-Everything here works with arbitrary-precision Python ints and
-fractions.Fraction.  No floating point is used anywhere: row-space
-membership, ranks and kernels are yes/no mathematical facts and have to
-be decided exactly.
+No floating point is used anywhere: row-space membership, ranks and
+kernels are yes/no mathematical facts and have to be decided exactly.
+`eliminate` is the one elimination step, fraction-free in the style of
+Bareiss (Math. Comp. 1968): it works in int64 while a bound on the new
+entries stays below `INT64_GUARD` and in Python ints past it.  The
+search's tableau eliminates with it, and so does `nullspace_int`, which
+gives `IncidenceMatrix.kernel_basis` and the scheme's eigenvectors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+import numpy as np
 
-__all__ = [
-    "bareiss_rank",
-    "row_echelon_rational",
-    "nullspace_int",
-    "solve_left",
-]
+__all__ = ["eliminate", "nullspace_int"]
+
+INT64_GUARD = 2**62
 
 
-def _as_int_rows(matrix) -> list[list[int]]:
-    return [[int(v) for v in row] for row in matrix]
-
-
-def bareiss_rank(matrix) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = _as_int_rows(matrix)
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][col]
-        for r in range(rank + 1, rows):
-            mrc = m[r][col]
-            row_r = m[r]
-            row_p = m[rank]
-            for c in range(col, cols):
-                row_r[c] = (piv * row_r[c] - mrc * row_p[c]) // prev
-        prev = piv
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def row_echelon_rational(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
-
-    Returns (rref_rows, pivot_columns); zero rows are dropped.
-    """
-    m = [[Fraction(v) for v in row] for row in matrix]
-    if not m:
-        return [], []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    return m[:rank], pivots
-
-
-def _primitive(vec: list[Fraction]) -> list[int]:
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
+def eliminate(a: np.ndarray, j: int, m: int) -> tuple[int, int, np.ndarray]:
+    """(r, c, a') for column j of the integer rows a, whose entries are
+    at most m in size: with pivot row r, the first with a[r, j] != 0,
+    and c = a[r, j], a[s] <- c a[s] - a[s, j] a[r] for every other row
+    with a[s, j] != 0, each changed row divided by its gcd; row r takes
+    the last row's place and the last row is dropped.  a is not changed.
+    The rows of a must be linearly independent, so no changed row
+    vanishes."""
+    # the new entries are at most 2 m^2
+    if 2 * m * m >= INT64_GUARD:
+        a = a.astype(object)  # Python ints from here on
+    col = a[:, j]
+    nz = col.nonzero()[0]
+    r, rows = nz[0], nz[1:]
+    c = col[r]
+    upd = c * a[rows] - col[rows, None] * a[r]
+    upd //= np.gcd.reduce(upd, axis=1)[:, None]
+    out = a.copy()
+    out[rows] = upd
+    out[r] = out[-1]
+    return int(r), int(c), out[:-1]
 
 
 def nullspace_int(matrix) -> list[list[int]]:
-    """Primitive integer basis of the rational null space {z : M z = 0}."""
-    rref, pivots = row_echelon_rational(matrix)
-    if not rref:
-        cols = len(matrix[0]) if len(matrix) else 0
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    cols = len(rref[0])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][free]
-        basis.append(_primitive(vec))
-    return basis
+    """Primitive integer basis of the rational null space {z : M z = 0}.
 
-
-def solve_left(matrix, target) -> list[Fraction] | None:
-    """Exact rational y with y^T M = target, or None if target is not in
-    the row space of M.  When M has full row rank the solution is unique."""
+    The rows of [M^T | I] combine to exactly the rows (M z | z), so
+    eliminating the first `rows` columns leaves rows (0 | z) that are a
+    basis of the null space.  Each z is primitive: `eliminate` divides
+    every changed row by its gcd, and the I block keeps every row
+    nonzero and the rows independent."""
     rows = len(matrix)
-    if rows == 0:
-        return [] if all(v == 0 for v in target) else None
-    cols = len(matrix[0])
-    if len(target) != cols:
-        raise ValueError("target length does not match column count")
-    # Solve M^T y = target by elimination on the augmented transpose.
-    aug = [[Fraction(matrix[r][c]) for r in range(rows)] + [Fraction(target[c])]
-           for c in range(cols)]
-    rref, pivots = row_echelon_rational(aug)
-    y = [Fraction(0)] * rows
-    for r, pc in enumerate(pivots):
-        if pc == rows:  # pivot in the augmented column: inconsistent
-            return None
-        y[pc] = rref[r][rows]
-    # The elimination may have dropped dependent equations; verify the
-    # candidate once so every returned certificate is sound.
-    for c in range(cols):
-        acc = Fraction(0)
-        for r in range(rows):
-            if y[r]:
-                acc += y[r] * matrix[r][c]
-        if acc != target[c]:
-            return None
-    return y
-
-
-INT64_GUARD = 2**62
+    cols = len(matrix[0]) if rows else 0
+    a = np.zeros((cols, rows + cols), dtype=object)
+    for i, row in enumerate(matrix):
+        a[:, i] = [int(v) for v in row]
+    a[:, rows:] = np.eye(cols, dtype=np.int64)
+    m = int(abs(a).max(initial=0))
+    if m < INT64_GUARD:
+        a = a.astype(np.int64)
+    for j in range(rows):
+        if a[:, j].any():
+            _, _, a = eliminate(a, j, m)
+            m = int(abs(a).max(initial=0))
+    return a[:, rows:].tolist()

@@ -37,7 +37,7 @@ from .galois import FiniteField, field_for_order
 
 __all__ = [
     "gaussian_binomial", "Subspace", "AmbientSpace", "ambient",
-    "make_subspace", "span", "meet", "infinite_part",
+    "make_subspace", "span", "infinite_part",
     "apply_matrix", "DimensionOutOfRange", "AmbientMismatch", "SizeGuard",
 ]
 
@@ -154,26 +154,6 @@ def span(a: Subspace, b: Subspace) -> Subspace:
     if (a.n, a.q) != (b.n, b.q):
         raise AmbientMismatch("span of subspaces of different spaces")
     return make_subspace(a.n, a.q, list(a.rows) + list(b.rows))
-
-
-def meet(a: Subspace, b: Subspace) -> Subspace | None:
-    """Exact intersection; None when the subspaces are disjoint.  The
-    rows of the reduced [a; b | I] whose left block vanishes are a basis
-    of the left kernel {lam : lam_a a + lam_b b = 0}, and the vectors
-    lam_a a span the intersection."""
-    if (a.n, a.q) != (b.n, b.q):
-        raise AmbientMismatch("meet of subspaces of different spaces")
-    field = a.field
-    gens = np.array(a.rows + b.rows, dtype=np.int64)
-    aug = np.hstack([gens, np.eye(len(gens), dtype=np.int64)])
-    _kernels.gf_rref(aug, field.add_table, field.mul_table,
-                     field.neg_table, field.inv_table)
-    width = a.n + 1
-    kernel = aug[~aug[:, :width].any(axis=1), width:width + len(a.rows)]
-    if not len(kernel):
-        return None
-    return make_subspace(a.n, a.q, _kernels.gf_combinations(
-        kernel, gens[:len(a.rows)], field.add_table, field.mul_table))
 
 
 def infinite_part(s: Subspace) -> Subspace | None:

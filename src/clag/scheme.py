@@ -47,13 +47,12 @@ import numpy as np
 from . import _kernels, exact
 from .clsets import KSet
 from .galois import field_for_order
-from .geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
-                       SizeGuard, Subspace, ambient, entry_guard, meet)
+from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard, ambient,
+                       entry_guard)
 from .incidence import meets
 
 __all__ = [
-    "SchemeTables", "EmptySet", "AmbientMismatch",
-    "classify_line_pair", "relation_matrix",
+    "SchemeTables", "EmptySet", "relation_matrix",
     "intersection_matrices_closed", "intersection_matrices_bruteforce",
     "eigenmatrix_closed", "dual_eigenmatrix_closed", "line_scheme",
     "hyperplane_eigenmatrix_closed", "hyperplane_dual_eigenmatrix_closed",
@@ -105,18 +104,6 @@ class SchemeTables:
 # ---------------------------------------------------------------------------
 # relations
 # ---------------------------------------------------------------------------
-
-def classify_line_pair(space: AmbientSpace, a: Subspace, b: Subspace) -> int:
-    """0 identity, 1 affine meet, 2 meet at infinity, 3 disjoint."""
-    if (a.n, a.q) != (space.n, space.q) or (b.n, b.q) != (space.n, space.q):
-        raise AmbientMismatch("lines of a different geometry")
-    if a.rows == b.rows:
-        return 0
-    cut = meet(a, b)
-    if cut is None:
-        return 3
-    return 1 if cut.is_affine() else 2
-
 
 def relation_matrix(space: AmbientSpace, kind: str = "affine_lines",
                     members=None) -> np.ndarray:

@@ -35,10 +35,20 @@ every member through `subspace_from_json`, none looked up first.
 route: per call, the canonical complement is searched again, pi's points
 are mapped to the target's one by one, and each member through the axis
 is cut with pi and looked up on its own.  It keeps the former argument
-checks, which accept a projective set as if it were affine."""
+checks, which accept a projective set as if it were affine.
+
+`row_echelon_rational`, `bareiss_rank`, `nullspace` and `solve_left`
+are plain-Python eliminations over `Fraction`s and Python ints, the
+references for `clag.exact`: none of them calls `exact.eliminate`.
+
+`meet` is the exact intersection of two subspaces by GF(q) elimination,
+and `classify_line_pair` the relation of two lines read from it: the
+references for the point-list gathers that answer every meet question
+in the library."""
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -47,8 +57,9 @@ from clag import _kernels, exact
 from clag.classify import _Contradiction
 from clag.clsets import (DimensionViolation, KSet, NotSkew,
                          kset_from_subspaces)
-from clag.geometry import (AmbientSpace, Subspace, ambient, apply_matrix,
-                           make_subspace, span, subspace_from_json)
+from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, ambient,
+                           apply_matrix, make_subspace, span,
+                           subspace_from_json)
 from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
                           NotAtInfinity, Spread, _sorted_members, _taus,
                           is_spread, spread_type_III)
@@ -329,3 +340,170 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
             raise DimensionViolation("projection lost dimension")
         image.add(by_points[cut])
     return KSet(target, d, frozenset(image))
+
+
+def row_echelon_rational(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals.
+
+    Returns (rref_rows, pivot_columns); zero rows are dropped.
+    """
+    m = [[Fraction(v) for v in row] for row in matrix]
+    if not m:
+        return [], []
+    rows, cols = len(m), len(m[0])
+    pivots: list[int] = []
+    rank = 0
+    for col in range(cols):
+        pivot_row = None
+        for r in range(rank, rows):
+            if m[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(rows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == rows:
+            break
+    return m[:rank], pivots
+
+
+def bareiss_rank(matrix) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    m = [[int(v) for v in row] for row in matrix]
+    if not m:
+        return 0
+    rows, cols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(cols):
+        pivot_row = None
+        for r in range(rank, rows):
+            if m[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        piv = m[rank][col]
+        for r in range(rank + 1, rows):
+            mrc = m[r][col]
+            row_r = m[r]
+            row_p = m[rank]
+            for c in range(col, cols):
+                row_r[c] = (piv * row_r[c] - mrc * row_p[c]) // prev
+        prev = piv
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def primitive(vec: list[Fraction]) -> list[int]:
+    """The integer multiple of vec whose entries have gcd 1 and whose
+    first nonzero entry is positive."""
+    den = 1
+    for v in vec:
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    for v in ints:
+        if v != 0:
+            if v < 0:
+                ints = [-w for w in ints]
+            break
+    return ints
+
+
+def nullspace(matrix) -> list[list[int]]:
+    """Primitive integer basis of {z : M z = 0}, one vector per free
+    column of the rational RREF."""
+    rref, pivots = row_echelon_rational(matrix)
+    if not rref:
+        cols = len(matrix[0]) if len(matrix) else 0
+        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    cols = len(rref[0])
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][free]
+        basis.append(primitive(vec))
+    return basis
+
+
+def solve_left(matrix, target) -> list[Fraction] | None:
+    """Exact rational y with y^T M = target, or None if target is not in
+    the row space of M.  When M has full row rank the solution is unique."""
+    rows = len(matrix)
+    if rows == 0:
+        return [] if all(v == 0 for v in target) else None
+    cols = len(matrix[0])
+    if len(target) != cols:
+        raise ValueError("target length does not match column count")
+    # Solve M^T y = target by elimination on the augmented transpose.
+    aug = [[Fraction(matrix[r][c]) for r in range(rows)] + [Fraction(target[c])]
+           for c in range(cols)]
+    rref, pivots = row_echelon_rational(aug)
+    y = [Fraction(0)] * rows
+    for r, pc in enumerate(pivots):
+        if pc == rows:  # pivot in the augmented column: inconsistent
+            return None
+        y[pc] = rref[r][rows]
+    # The elimination may have dropped dependent equations; verify the
+    # candidate once so every returned certificate is sound.
+    for c in range(cols):
+        acc = Fraction(0)
+        for r in range(rows):
+            if y[r]:
+                acc += y[r] * matrix[r][c]
+        if acc != target[c]:
+            return None
+    return y
+
+
+def meet(a: Subspace, b: Subspace) -> Subspace | None:
+    """Exact intersection; None when the subspaces are disjoint.  The
+    rows of the reduced [a; b | I] whose left block vanishes are a basis
+    of the left kernel {lam : lam_a a + lam_b b = 0}, and the vectors
+    lam_a a span the intersection."""
+    if (a.n, a.q) != (b.n, b.q):
+        raise AmbientMismatch("meet of subspaces of different spaces")
+    field = a.field
+    gens = np.array(a.rows + b.rows, dtype=np.int64)
+    aug = np.hstack([gens, np.eye(len(gens), dtype=np.int64)])
+    _kernels.gf_rref(aug, field.add_table, field.mul_table,
+                     field.neg_table, field.inv_table)
+    width = a.n + 1
+    kernel = aug[~aug[:, :width].any(axis=1), width:width + len(a.rows)]
+    if not len(kernel):
+        return None
+    return make_subspace(a.n, a.q, _kernels.gf_combinations(
+        kernel, gens[:len(a.rows)], field.add_table, field.mul_table))
+
+
+def classify_line_pair(space: AmbientSpace, a: Subspace, b: Subspace) -> int:
+    """0 identity, 1 affine meet, 2 meet at infinity, 3 disjoint."""
+    if (a.n, a.q) != (space.n, space.q) or (b.n, b.q) != (space.n, space.q):
+        raise AmbientMismatch("lines of a different geometry")
+    if a.rows == b.rows:
+        return 0
+    cut = meet(a, b)
+    if cut is None:
+        return 3
+    return 1 if cut.is_affine() else 2

@@ -15,7 +15,8 @@ from clag.clsets import (complement, is_cameron_liebler, kset_from_indices,
                          point_pencil)
 from clag.geometry import AmbientSpace, SizeGuard, ambient, gaussian_binomial
 from clag.incidence import build_incidence
-from oracle import OneArrayTableau, combination_children, dense_incidence
+from oracle import (OneArrayTableau, bareiss_rank, combination_children,
+                    dense_incidence, solve_left)
 
 
 def found_sets(cert):
@@ -109,13 +110,31 @@ def malformed(cert, where):
         else:
             bad["solutions"] = []
         bad["solution_count"] = len(bad["solutions"])
+    # fields search_cl_ksets writes in closed form, and ints given as
+    # bools, which compare equal to 0 and 1
+    elif where == "space_count":
+        bad["space_count"] = 29  # 28 lines
+    elif where == "expected_weight":
+        bad["expected_weight"] = 3  # x [3 1]_2 = 7
+    elif where == "complement_symmetry_used":
+        bad["complement_symmetry_used"] = True  # x = 1 is not past 8 - 1
+    elif where == "mode":
+        bad["problem"]["mode"] = "projective"
+    elif where in ("k_bool", "x_bool"):
+        bad["problem"][where[0]] = True
+    elif where == "index_bool":
+        sol = next(s for s in bad["solutions"] if 1 in s["indices"])
+        sol["indices"][sol["indices"].index(1)] = True
     return bad
 
 
 @pytest.mark.parametrize("where", ["plane", "code", "code_past_int64",
                                    "indices", "swapped",
                                    "repeated_solution", "repeated_member",
-                                   "k=0 point", "k=0", "k=3"])
+                                   "k=0 point", "k=0", "k=3",
+                                   "space_count", "expected_weight",
+                                   "complement_symmetry_used", "mode",
+                                   "k_bool", "x_bool", "index_bool"])
 def test_malformed_certificate_is_rejected(where):
     cert = search_cl_ksets(3, 2, 1, 1)
     assert verify_certificate(cert)
@@ -262,9 +281,9 @@ def test_pencil_plan_size_guard(monkeypatch):
 def assigned_value(rows, values, col):
     """Value of col . y forced by the equations rows[i] . y = values[i],
     or None when col is not in their span."""
-    if exact.bareiss_rank(rows + [col]) > exact.bareiss_rank(rows):
+    if bareiss_rank(rows + [col]) > bareiss_rank(rows):
         return None
-    coeffs = exact.solve_left(rows, col) if rows else []
+    coeffs = solve_left(rows, col) if rows else []
     return sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
 
 
@@ -445,7 +464,7 @@ def test_search_and_hyperplane_enumeration_build_no_kernel(monkeypatch):
         raise AssertionError("rational kernel requested")
 
     monkeypatch.setattr(IncidenceMatrix, "kernel_basis", refuse)
-    monkeypatch.setattr(exact, "row_echelon_rational", refuse)
+    monkeypatch.setattr(exact, "nullspace_int", refuse)
     assert search_cl_ksets(3, 2, 1, 1)["solution_count"] == 8
     rep = classify_hyperplane_cl(3, 2)
     assert rep["exhaustive"]["counts_per_x"] == {"0": 1, "1": 128, "2": 1}

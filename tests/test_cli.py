@@ -132,6 +132,21 @@ def test_search_timing_is_opt_in():
         assert json.dumps(doc, indent=2) + "\n" == plain.stdout
 
 
+def test_search_certificates_are_pinned(capsys):
+    # SHA-256 of the printed certificates of a k = 2 search (AG(4,2)
+    # planes) and a nonexistence search (AG(5,2) lines): any change to
+    # the search's eliminations, its order or its counters moves them
+    pinned = {
+        ("--n", "4", "--q", "2", "--k", "2", "--x", "1", "--cap", "200"):
+            "9497858ebc0b670b82337c2902d7519a35e27848afbe1cfb0b222e69698e5c2e",
+        ("--n", "5", "--q", "2", "--x", "2", "--cap", "600"):
+            "4e22aff862a4cff9cb15448e414316eb5bf92bace765639fb9e926cff1ba5214"}
+    for argv, digest in pinned.items():
+        assert cli.main(["search", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_pencil(tmp_path):
     space = ambient(3, 2, "affine")
     pen = point_pencil(space, (1, 0, 0, 0), 1)

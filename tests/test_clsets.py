@@ -20,12 +20,12 @@ from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
                          modular_check, pg_hyperplane_set,
                          point_pencil, project_through_infinite_subspace,
                          restrict_from_pg, union)
-from clag.geometry import SizeGuard, ambient, make_subspace, meet
+from clag.geometry import SizeGuard, ambient, make_subspace
 from clag.incidence import IncidenceMatrix, meets
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
                           switching_pair_from_spreads)
 
-from oracle import contains
+from oracle import contains, meet
 
 AG32 = ambient(3, 2, "affine")
 PG32 = ambient(3, 2, "projective")
@@ -301,19 +301,23 @@ def _refuse(monkeypatch, *names):
 
 
 def test_disjointness_checks_run_without_meet(monkeypatch):
-    _refuse(monkeypatch, "meet")
-    assert check_line_disjointness(point_pencil(AG32, (1, 0, 0, 0), 1)).passed
-    assert check_pg_disjointness(point_pencil(PG32, (1, 0, 0, 0), 1)).passed
-    pg33 = ambient(3, 3, "projective")
-    assert check_pg_disjointness(point_pencil(pg33, (0, 0, 1, 0), 1)).passed
+    # the library has no meet; no GF(q) elimination stands in for it
+    assert not hasattr(geometry, "meet")
+    line = point_pencil(AG32, (1, 0, 0, 0), 1)
+    pens = [point_pencil(PG32, (1, 0, 0, 0), 1),
+            point_pencil(ambient(3, 3, "projective"), (0, 0, 1, 0), 1)]
+    _refuse(monkeypatch, "gf_rref")
+    assert check_line_disjointness(line).passed
+    assert all(check_pg_disjointness(pen).passed for pen in pens)
 
 
 def test_projection_cross_check_runs_without_meet_or_make_subspace(monkeypatch):
     # cold caches, so nothing computed earlier with these functions is reused
     monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
-    _refuse(monkeypatch, "meet", "make_subspace")
+    assert not hasattr(geometry, "meet")
+    _refuse(monkeypatch, "make_subspace")
     with pytest.raises(AssertionError):
-        geometry.meet(None, None)
+        geometry.make_subspace(3, 2, [[1, 0, 0, 0]])
     result = cross_check_projection(4, 2, 2)
     assert result["projections"] == 18 * 15
     assert result["all_images_cl_with_same_x"]

@@ -10,9 +10,9 @@ from clag.galois import field_for_order
 from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
                            ambient, apply_matrix, enumerate_rref_matrices,
                            gaussian_binomial, infinite_part,
-                           make_subspace, meet, span, subspace_from_json)
+                           make_subspace, span, subspace_from_json)
 
-from oracle import contains
+from oracle import contains, meet
 
 
 def test_gaussian_binomial_values():

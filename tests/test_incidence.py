@@ -13,9 +13,10 @@ from clag.geometry import DimensionOutOfRange, SizeGuard, ambient
 from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
                             build_incidence, certificate_to_json, meet_counts,
                             meets)
-from clag.scheme import classify_line_pair, relation_matrix
+from clag.scheme import relation_matrix
 from clag.spreads import all_type_II_spreads, restrict_to_affine, spread_type_I
-from oracle import dense_incidence
+from oracle import (bareiss_rank, classify_line_pair, dense_incidence,
+                    solve_left)
 
 
 def dense(A):
@@ -48,7 +49,7 @@ def test_incidence_has_full_row_rank():
     for n, q, mode, k in [(3, 2, "affine", 1), (3, 2, "projective", 1),
                           (3, 3, "affine", 1), (4, 2, "affine", 2)]:
         A = build_incidence(ambient(n, q, mode), k)
-        assert exact.bareiss_rank(dense(A)) == A.rank() == A.shape[0]
+        assert bareiss_rank(dense(A)) == A.rank() == A.shape[0]
 
 
 def test_kernel_dimension():
@@ -88,7 +89,6 @@ def test_certificate_soundness():
 def test_membership_consistent_with_kernel_on_random_vectors():
     A = build_incidence(ambient(3, 2, "affine"), 1)
     rng = random.Random(31)
-    from clag.exact import solve_left
     m = dense(A).tolist()
     for _ in range(60):
         vec = [rng.randrange(2) for _ in range(28)]
@@ -198,7 +198,7 @@ def oracle_membership(A, vec):
     # Python ints: on PG(3,3) kern @ (3**36 m[3]) passes int64 on the way
     if (kern @ np.asarray(vec).astype(object)).any():
         return False, None
-    return True, exact.solve_left(dense(A).tolist(), [int(v) for v in vec])
+    return True, solve_left(dense(A).tolist(), [int(v) for v in vec])
 
 
 @pytest.mark.parametrize("n,q,mode,k", [
@@ -314,8 +314,7 @@ def test_membership_needs_no_rational_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rational elimination called")
 
-    monkeypatch.setattr(exact, "solve_left", refuse)
-    monkeypatch.setattr(exact, "row_echelon_rational", refuse)
+    monkeypatch.setattr(exact, "nullspace_int", refuse)
     monkeypatch.setattr(IncidenceMatrix, "kernel_basis", refuse)
     l = point_pencil(space, space.points[5], 1)
     ok, cert = is_cameron_liebler(l)

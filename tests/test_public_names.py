@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -31,3 +32,25 @@ def test_names_the_benchmark_reaches_into_exist(monkeypatch):
         cls = getattr(importlib.import_module(f"clag.{short}"), clsname)
         assert inspect.isfunction(cls.__dict__.get(meth)), (clsname, meth)
     assert hasattr(importlib.import_module("clag._kernels"), "USING_NUMBA")
+
+
+def test_every_exact_name_has_a_library_caller():
+    # clag.exact keeps only what the rest of the library runs; a name
+    # that only tests call belongs in tests/oracle.py
+    from clag import exact
+    package = os.path.dirname(os.path.abspath(clag.__file__))
+    used = set()
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py") or fname == "exact.py":
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "exact"):
+                used.add(node.attr)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module in ("exact", "clag.exact")):
+                used.update(alias.name for alias in node.names)
+    assert not set(exact.__all__) - used
