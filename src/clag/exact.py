@@ -2,8 +2,9 @@
 
 No floating point is used anywhere: row-space membership, ranks and
 kernels are yes/no mathematical facts and have to be decided exactly.
-`eliminate` is the one elimination step, fraction-free in the style of
-Bareiss (Math. Comp. 1968): it works in int64 while a bound on the new
+`eliminate` is the one elimination step, fraction-free with every changed
+row divided by its gcd (not Bareiss's division by the previous pivot, so
+no minor bounds the entries): it works in int64 while a bound on the new
 entries stays below `INT64_GUARD` and in Python ints past it.  The
 search's tableau eliminates with it, and so does `nullspace_int`, which
 gives `IncidenceMatrix.kernel_basis` and the scheme's eigenvectors.
@@ -42,13 +43,16 @@ def eliminate(a: np.ndarray, j: int, m: int) -> tuple[int, int, np.ndarray]:
 
 
 def nullspace_int(matrix) -> list[list[int]]:
-    """Primitive integer basis of the rational null space {z : M z = 0}.
+    """Primitive integer basis of the rational null space {z : M z = 0},
+    the first nonzero entry of each vector positive.
 
     The rows of [M^T | I] combine to exactly the rows (M z | z), so
     eliminating the first `rows` columns leaves rows (0 | z) that are a
     basis of the null space.  Each z is primitive: `eliminate` divides
     every changed row by its gcd, and the I block keeps every row
-    nonzero and the rows independent."""
+    nonzero and the rows independent.  Which basis comes out follows
+    the pivot order of that elimination; it need not be the free-column
+    basis of M's reduced row echelon form."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     a = np.zeros((cols, rows + cols), dtype=object)
@@ -62,4 +66,5 @@ def nullspace_int(matrix) -> list[list[int]]:
         if a[:, j].any():
             _, _, a = eliminate(a, j, m)
             m = int(abs(a).max(initial=0))
-    return a[:, rows:].tolist()
+    return [z if next(v for v in z if v) > 0 else [-v for v in z]
+            for z in a[:, rows:].tolist()]

@@ -96,8 +96,10 @@ class IncidenceMatrix:
     def kernel_basis(self) -> np.ndarray:
         """Primitive integer basis of {z : M z = 0}, as rows, with M
         read from the space's point lists (the `points` that
-        `build_incidence` passes).  The membership test does not use it;
-        tests compare against it."""
+        `build_incidence` passes), from `exact.nullspace_int`: the first
+        nonzero entry of each row is positive, and which basis of the
+        kernel comes out follows that elimination's pivot order.  The
+        membership test does not use it; tests compare against it."""
         if self._kernel is None:
             m = _dense_rows(self.space, self.k).T.astype(np.int64)
             basis = exact.nullspace_int(m.tolist())

@@ -47,12 +47,12 @@ import numpy as np
 from . import _kernels, exact
 from .clsets import KSet
 from .galois import field_for_order
-from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard, ambient,
-                       entry_guard)
+from .geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
+                       SizeGuard, ambient, entry_guard)
 from .incidence import meets
 
 __all__ = [
-    "SchemeTables", "EmptySet", "relation_matrix",
+    "SchemeTables", "EmptySet", "AmbientMismatch", "relation_matrix",
     "intersection_matrices_closed", "intersection_matrices_bruteforce",
     "eigenmatrix_closed", "dual_eigenmatrix_closed", "line_scheme",
     "hyperplane_eigenmatrix_closed", "hyperplane_dual_eigenmatrix_closed",

@@ -48,6 +48,7 @@ def test_classify_line_pair():
     assert classify_line_pair(AG32, b, d) == 1
     with pytest.raises(AmbientMismatch):
         classify_line_pair(AG32, a, ambient(3, 3, "affine").spaces(1)[0])
+    assert scheme.AmbientMismatch is geometry.AmbientMismatch
 
 
 def test_relation_matrix_agrees_with_pair_classifier():
