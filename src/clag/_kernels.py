@@ -48,11 +48,16 @@ def gf_rref(m, add, mul, neg, inv):
 
 def gf_combinations(coeffs, basis, add, mul):
     """Row space samples: out[..., i, :] = sum_t coeffs[i,t] * basis[..., t, :]
-    in GF(q), for one basis or a stack of bases."""
-    out = np.zeros(basis.shape[:-2] + (coeffs.shape[0], basis.shape[-1]),
-                   dtype=np.int64)
-    for t in range(basis.shape[-2]):
-        out = add[out, mul[coeffs[:, t, None], basis[..., t, None, :]]]
+    in GF(q), for one basis or a stack of bases of at least one row.  The
+    tables are read raveled, at a*q + b."""
+    q = add.shape[0]
+    add, mul = add.ravel(), mul.ravel()
+    scaled = coeffs * q
+    out = mul.take(scaled[:, 0, None] + basis[..., 0, None, :])
+    for t in range(1, basis.shape[-2]):
+        out *= q
+        out += mul.take(scaled[:, t, None] + basis[..., t, None, :])
+        out = add.take(out)
     return out
 
 
@@ -60,93 +65,70 @@ def gf_combinations(coeffs, basis, add, mul):
 # intersection numbers p_ij^l from a relation matrix, with constancy check
 # ---------------------------------------------------------------------------
 
-# rows per popcount block: the AND temporary is _BLOCK x |X| x words
-_BLOCK = 32
-
-
-def _packed(mask):
-    """Rows of a boolean matrix as bits, zero-padded to uint64 words."""
-    nbytes = -(-mask.shape[1] // 64) * 8
-    out = np.zeros((mask.shape[0], nbytes), dtype=np.uint8)
-    packed = np.packbits(mask, axis=1)
-    out[:, :packed.shape[1]] = packed
-    return out.view(np.uint64)
-
-
-def _popcount_product(rows, cols):
-    """int32 A B for 0/1 matrices given as the packed rows of A and the
-    packed columns of B: entry (a, b) counts the common set bits."""
-    prod = np.empty((rows.shape[0], cols.shape[0]), dtype=np.int32)
-    for s in range(0, rows.shape[0], _BLOCK):
-        both = rows[s:s + _BLOCK, None, :] & cols[None]
-        prod[s:s + _BLOCK] = np.bitwise_count(both).sum(axis=2, dtype=np.int32)
-    return prod
+# rows of the relation matrix per product: no |X| x |X| product is held
+# beyond the digit matrix
+_ROWS = 64
 
 
 def triple_counts(rel, d):
     """All intersection numbers p_ij^l, verifying they are constant over
     every pair of each relation.  Returns (constant?, p[i,j,l]).
 
-    Every product A_i A_j of the adjacency matrices A_l = [rel == l] is
-    formed and compared with its value on every pair of every relation,
-    and p is read at the first pair in row-major order.  Only products
-    of two relations other than I and e take a popcount pass over
-    bit-packed rows.  A relation whose mask is the diagonal is I, so its
-    products are copies.  The relation e with the most cells needs no
-    pass: since sum_l A_l = J,
-        A_i A_e = r_i 1^T - sum_{j != e} A_i A_j,
-        A_e A_j = 1 c_j^T - sum_{i != e} A_i A_j,
-    with r_i and c_j the row and column sums of A_i and A_j, for any rel.
+    `rel` holds relation numbers 0..d.  With b = bit_length(|X|), every
+    count (A_i A_j)[a, c] is below 2^b, so the digit matrix
+    D = 2^(b rel) packs a whole row of the table into one number:
+        (A_i D)[a, c] = sum_j (A_i A_j)[a, c] 2^(b j),
+    one base-2^b digit per j, with no carries.  One float64 product per
+    relation i, taken in row blocks, thus gives all d+1 products A_i A_j.
+    Every term and partial sum is a non-negative integer below
+    2^(b g) <= 2^53 when the relations are split into digit groups of
+    g = floor(53 / b), so float64 is exact; today's sizes need one group
+    (496 lines use 36 bits, 1080 use 44).  The relation equal to I gives
+    D itself, and since sum_l A_l = J, the relation e with the most
+    cells needs no product: A_e D = 1 colsum(D) - sum_{i != e} A_i D.
+
+    Every packed product P_i = A_i D is compared with T_i[rel], where
+    T_i[l] is P_i at the first pair of relation l in row-major order.
+    p is read from T, so on any rel it is the table at those pairs.
     """
     x = rel.shape[0]
-    masks = [rel == l for l in range(d + 1)]
+    b = x.bit_length()
+    g = 53 // b
+    flat = rel.ravel()
+    counts = [np.count_nonzero(flat == l) for l in range(d + 1)]
+    e = int(np.argmax(counts))
+    ident = next((l for l in range(d + 1) if counts[l] == x
+                  and (np.diagonal(rel) == l).all()), None)
+    present = np.flatnonzero(counts)
+    rows, cols = np.divmod([np.argmax(flat == l) for l in present], x)
+    first_rows = rel[rows]
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     ok = True
-
-    def check(i, j, prod):
-        nonlocal ok
-        for l in range(d + 1):
-            vals = prod[masks[l]]
-            if vals.size == 0:
-                continue
-            v = vals[0]
-            if ok and not (vals == v).all():
-                ok = False
-            p[i, j, l] = v
-
-    def total(prods):
-        acc = np.zeros((x, x), dtype=np.int32)
-        for prod in prods:
-            acc += prod
-        return acc
-
-    eye = np.eye(x, dtype=bool)
-    ident = next((l for l in range(d + 1)
-                  if np.array_equal(masks[l], eye)), None)
-    e = max(range(d + 1), key=lambda l: np.count_nonzero(masks[l]))
-    rest = [l for l in range(d + 1) if l != e]
-    packed = {l: (_packed(masks[l]), _packed(masks[l].T))
-              for l in rest if l != ident}
-    known = {}
-    for i in rest:
-        for j in rest:
-            if i == ident:
-                known[i, j] = masks[j]
-            elif j == ident:
-                known[i, j] = masks[i]
-            else:
-                known[i, j] = _popcount_product(packed[i][0], packed[j][1])
-            check(i, j, known[i, j])
-    row_sums = [m.sum(axis=1, dtype=np.int32)[:, None] for m in masks]
-    col_sums = [m.sum(axis=0, dtype=np.int32)[None, :] for m in masks]
-    for i in rest:  # A_i A_e = r_i 1^T - sum_{j != e} A_i A_j
-        prod = total(known[i, j] for j in rest)
-        check(i, e, np.subtract(row_sums[i], prod, out=prod))
-    prod_ee = np.zeros((x, x), dtype=np.int32)
-    for j in rest:  # A_e A_j = 1 c_j^T - sum_{i != e} A_i A_j
-        prod = total(known[i, j] for i in rest)
-        check(e, j, np.subtract(col_sums[j], prod, out=prod))
-        prod_ee += prod
-    # sum_j A_e A_j = r_e 1^T gives the last product
-    check(e, e, np.subtract(row_sums[e], prod_ee, out=prod_ee))
+    for lo in range(0, d + 1, g):
+        width = min(g, d + 1 - lo)
+        digit = np.zeros(d + 1)
+        digit[lo:lo + width] = np.ldexp(1.0, b * np.arange(width))
+        dig = np.take(digit, rel)
+        # t[i, l]: (A_i D) at the first pair of relation l, exactly
+        at_first = dig[:, cols].T
+        t = np.zeros((d + 1, d + 1))
+        for i in range(d + 1):
+            t[i, present] = np.where(first_rows == i, at_first, 0.0).sum(axis=1)
+        packed = t.astype(np.int64)
+        for j in range(width):
+            p[:, lo + j, :] = (packed >> (b * j)) & ((1 << b) - 1)
+        colsum = dig.sum(axis=0)
+        for s in range(0, x, _ROWS):
+            if not ok:
+                break
+            block = rel[s:s + _ROWS]
+            prod_e = np.broadcast_to(colsum, block.shape).copy()
+            for i in range(d + 1):
+                if i == e:
+                    continue
+                prod = (dig[s:s + _ROWS] if i == ident
+                        else (block == i).astype(np.float64) @ dig)
+                ok = ok and bool((prod == np.take(t[i], block)).all())
+                prod_e -= prod
+            ok = ok and bool((prod_e == np.take(t[e], block)).all())
     return ok, p

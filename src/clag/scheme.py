@@ -17,10 +17,15 @@ relation by one table per kind.
 Counting its triples once gives the product table p with
 A_i A_j = sum_l p_ij^l A_l on every pair; the intersection matrices, P
 and the Bose-Mesner checks all come from it.  All (d+1)^2 products are
-compared on every pair, but only four for lines and one for hyperplanes
-take a popcount pass: A_0 = I gives copies, and the products of the
-relation with the most pairs (disjoint lines, e.g. 420 of 496 in
-AG(5,2); affinely meeting hyperplanes) follow from sum_l A_l = J.
+compared on every pair, packed as digits: with b = bit_length(|X|) and
+D = 2^(b rel), row a of the float64 product A_i D holds every
+(A_i A_j)[a, c] as its base-2^b digit j, without carries.  Every term
+is a non-negative integer and every partial sum stays below 2^53 (the
+relations are split into digit groups of at most 53 bits), so float64
+is exact.  Only two relations for lines and one for hyperplanes take a
+product: A_0 = I gives D, and the relation with the most pairs
+(disjoint lines, e.g. 420 of 496 in AG(5,2); affinely meeting
+hyperplanes) follows from sum_l A_l = J.
 Through p, each Bose-Mesner identity among
 N_j = sum_a lut_j[a] A_a is an integer combination of the A_l, whose
 supports are disjoint and non-empty, so it holds exactly iff its
@@ -351,10 +356,12 @@ def hyperplane_adjudication(n: int, q: int,
 
 def scheme_axioms_bruteforce(rel: np.ndarray, d: int) -> tuple[bool, np.ndarray]:
     """Partition/identity/symmetry plus constancy of every p_ij^l over
-    every pair, exhaustively.  Returns (ok, p[i,j,l])."""
+    every pair, exhaustively.  Returns (ok, p[i,j,l]); p is zero when
+    some entry is not a relation number 0..d."""
+    if not ((rel >= 0) & (rel <= d)).all():
+        return False, np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     ok = bool((np.diag(rel) == 0).all())
     ok = ok and bool((rel == rel.T).all())
-    ok = ok and bool(((rel >= 0) & (rel <= d)).all())
     off = rel[~np.eye(rel.shape[0], dtype=bool)]
     ok = ok and bool((off > 0).all())
     const, p = _kernels.triple_counts(np.ascontiguousarray(rel), d)
@@ -384,14 +391,16 @@ def intersection_matrices_bruteforce(space: AmbientSpace,
 # -- exact small-matrix spectral helpers ------------------------------------
 
 def _charpoly(mat) -> list[int]:
-    """Monic characteristic polynomial det(xI - M), coefficients by the
-    Faddeev-LeVerrier recursion, exact."""
+    """Monic characteristic polynomial det(xI - M) of an integer matrix,
+    coefficients by the Faddeev-LeVerrier recursion in Python ints: its
+    divisions are exact, since every coefficient is an integer."""
     size = len(mat)
-    m = [[Fraction(int(v)) for v in row] for row in mat]
-    coeffs = [Fraction(1)]
+    m = [[int(v) for v in row] for row in mat]
+    coeffs = [1]
     a = [row[:] for row in m]
     for k in range(1, size + 1):
-        c = -sum(a[i][i] for i in range(size)) / k
+        c, rem = divmod(-sum(a[i][i] for i in range(size)), k)
+        assert rem == 0
         coeffs.append(c)
         if k == size:
             break
@@ -399,11 +408,7 @@ def _charpoly(mat) -> list[int]:
             a[i][i] += c
         a = [[sum(m[i][t] * a[t][j] for t in range(size))
               for j in range(size)] for i in range(size)]
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out  # x^size + out[1] x^(size-1) + ... + out[size]
+    return coeffs  # x^size + coeffs[1] x^(size-1) + ... + coeffs[size]
 
 
 def eigenmatrix_bruteforce(mats: list[np.ndarray]) -> np.ndarray:

@@ -136,3 +136,71 @@ def test_triple_counts_reject_perturbed_line_relation():
     ok_np, _ = _kernels.triple_counts(rel, 3)
     ok, _ = oracle.triple_counts(rel, 3)
     assert not ok_np and not ok
+
+
+def _cyclic_scheme(x, labels):
+    # the thin scheme of Z_x: (a, c) is in relation labels[(c - a) % x]
+    steps = (np.arange(x)[None, :] - np.arange(x)[:, None]) % x
+    return np.asarray(labels, dtype=np.int8)[steps]
+
+
+@pytest.mark.parametrize("d", [12, 13])
+def test_triple_counts_match_reference_across_digit_groups(d):
+    # 8 <= |X| <= 15 gives 4-bit digits, so 13 relations fill one 52-bit
+    # group and a 14th starts a second
+    assert 13 * 4 <= 53 < 14 * 4
+    rng = np.random.default_rng(d)
+    for trial in range(4):
+        rel = _random_relation(rng, int(rng.integers(8, 13)), d,
+                               symmetric=bool(trial % 2),
+                               zero_diagonal=trial < 2)
+        ok_np, p_np = _kernels.triple_counts(rel, d)
+        ok, p = oracle.triple_counts(rel, d)
+        assert ok_np == ok and np.array_equal(p_np, p)
+    # on 14 points: the thin scheme, constant in both groups, and with
+    # one cell of relation 13 swapped with one of relation 12; for d = 12,
+    # I merged with the step 13, which is not a scheme
+    labels = rng.permutation(14)[:d + 1] if d == 13 else np.arange(14) % 13
+    rel = _cyclic_scheme(14, labels)
+    ok_np, p_np = _kernels.triple_counts(rel, d)
+    ok, p = oracle.triple_counts(rel, d)
+    assert ok_np == ok and np.array_equal(p_np, p)
+    assert ok_np == (d == 13)
+    if d == 13:
+        a, b = map(int, np.argwhere(rel == 13)[0])
+        c, e = map(int, np.argwhere(rel == 12)[1])
+        rel[a, b], rel[c, e] = 12, 13
+        ok_np, p_np = _kernels.triple_counts(rel, d)
+        ok, p = oracle.triple_counts(rel, d)
+        assert not ok_np and not ok and np.array_equal(p_np, p)
+
+
+def test_triple_counts_with_largest_relation_tied_at_a_lower_index():
+    rng = np.random.default_rng(7)
+    for counts in ([10, 20, 14, 20], [18, 10, 18, 18], [22, 21, 21, 0]):
+        cells = np.repeat(np.arange(4), counts)
+        for _ in range(5):
+            rel = rng.permutation(cells).reshape(8, 8).astype(np.int8)
+            ok_np, p_np = _kernels.triple_counts(rel, 3)
+            ok, p = oracle.triple_counts(rel, 3)
+            assert ok_np == ok and np.array_equal(p_np, p)
+    # AG(3,2) lines: relations 1 and 3 both have 336 of the 784 pairs
+    rel = relation_matrix(ambient(3, 2, "affine"))
+    assert np.count_nonzero(rel == 1) == np.count_nonzero(rel == 3) == 336
+    assert _kernels.triple_counts(rel, 3)[0]
+
+
+def test_triple_counts_without_an_identity_class():
+    # (a, c) -> (a + c) % x: every relation is a permutation, none is I
+    x = 9
+    rel = ((np.arange(x)[:, None] + np.arange(x)[None, :]) % x).astype(np.int8)
+    ok_np, p_np = _kernels.triple_counts(rel, x - 1)
+    ok, p = oracle.triple_counts(rel, x - 1)
+    assert not ok and ok_np == ok and np.array_equal(p_np, p)
+    # Z_9 with I labelled last, and with I merged into the class of +-1
+    for labels in (np.roll(np.arange(x), 1), [0, 0, 1, 2, 3, 3, 2, 1, 0]):
+        rel = _cyclic_scheme(x, labels)
+        d = int(rel.max())
+        ok_np, p_np = _kernels.triple_counts(rel, d)
+        ok, p = oracle.triple_counts(rel, d)
+        assert ok_np == ok and np.array_equal(p_np, p)

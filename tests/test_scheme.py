@@ -156,6 +156,34 @@ def test_eigenmatrix_bruteforce_refuses_pentagon():
         _eigenmatrix_of(rel, 2)
 
 
+def _leibniz_det(m):
+    size = len(m)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[a] > perm[b] for a in range(size)
+                         for b in range(a + 1, size))
+        term = (-1) ** inversions
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total
+
+
+def test_charpoly_is_det_of_x_minus_m():
+    rng = random.Random(11)
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(8):
+            m = [[rng.randint(-30, 30) for _ in range(size)]
+                 for _ in range(size)]
+            coeffs = scheme._charpoly(m)
+            assert coeffs[0] == 1 and len(coeffs) == size + 1
+            for t in range(-3, 4):
+                shifted = [[(t if r == c else 0) - m[r][c]
+                            for c in range(size)] for r in range(size)]
+                assert sum(c * t ** (size - k) for k, c in
+                           enumerate(coeffs)) == _leibniz_det(shifted)
+
+
 def test_scheme_axioms_exhaustive():
     rel = relation_matrix(AG32)
     ok, p = scheme_axioms_bruteforce(rel, 3)
@@ -166,6 +194,14 @@ def test_scheme_axioms_exhaustive():
         for j in range(4):
             for l in range(4):
                 assert p[i, j, l] == closed[i][l, j]
+
+
+def test_scheme_axioms_refuse_codes_outside_the_relations():
+    rel = relation_matrix(AG32).copy()
+    for bad in (4, -1):
+        rel[0, 1] = rel[1, 0] = bad
+        ok, p = scheme_axioms_bruteforce(rel, 3)
+        assert not ok and not p.any()
 
 
 def test_bose_mesner_identities():
