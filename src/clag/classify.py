@@ -22,7 +22,10 @@ iff column j of T is zero, its forced value is p[j] / den, and the
 number of rows of T is the dimension left.  Assigning j eliminates
 column j from T with one pivot row by `exact.eliminate`, the library's
 one exact elimination step, in int64 while a bound on the new entries
-stays below `exact.INT64_GUARD` and in Python ints past it.
+stays below `exact.INT64_GUARD` and in Python ints past it.  p / den is
+kept up to a positive scale, den > 0, with a bound carried on
+max(|p|, den): p and den are divided by their gcd only when an
+update's bound reaches `_REDUCE_AT`, before p widens to Python ints.
 
 T depends only on which spaces were assigned, and in what order, not
 on their values.  So T, its list of forced spaces and a memo of the
@@ -37,9 +40,9 @@ along it p and den are linear in the node's p at those members and its
 den.  One plan per (T, unknown members, count) holds that chain as a
 check matrix and an update matrix, and one block step builds every
 child of the node from it: the choices whose checks vanish survive,
-each with p' = ctot p + (s @ alpha) @ R, reduced as an assignment
-reduces it, so the children are those of assigning the members one by
-one.
+each with p' = ctot p + (s @ alpha) @ R and one shared den' = ctot den,
+so the children are those of assigning the members one by one, up to
+a positive scale.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from math import comb, gcd
 
@@ -71,6 +73,7 @@ DEFAULT_SPACE_CAP = 130
 ENUM_CAP = 1 << 20       # full Boolean enumeration bound for hyperplane sets
 _ENUM_BLOCK = 4096       # Boolean vectors tested per gather pair
 _SCAN_GATE = 14          # run forced-value scans once this few dims remain
+_REDUCE_AT = 2**31       # divide p and den by their gcd past this bound
 _ENDGAME_DIM = 6         # switch to value branching when this few remain
 
 
@@ -94,16 +97,17 @@ class _Contradiction(Exception):
 
 
 class _Directions:
-    """T, read-only, with its forced (zero) columns, the sorted list of
-    those that are not pivots of the eliminations that made T, its
-    largest |entry|, a memo of the eliminations already made from it and
-    the pencil plans that start from it."""
+    """T, read-only, with its number of rows, its forced (zero) columns,
+    the sorted list of those that are not pivots of the eliminations
+    that made T, its largest |entry|, a memo of the eliminations already
+    made from it and the pencil plans that start from it."""
 
-    __slots__ = ("a", "forced", "fresh", "m", "memo", "plans")
+    __slots__ = ("a", "dim", "forced", "fresh", "m", "memo", "plans")
 
     def __init__(self, a: np.ndarray, parent: "_Directions | None" = None,
                  pivot: int = -1):
         self.a = _read_only(a)
+        self.dim = a.shape[0]
         forced = ~a.any(axis=0)
         self.forced = forced.tolist()
         self.fresh = np.flatnonzero(forced).tolist()
@@ -148,9 +152,9 @@ class _Plan:
       p_i = c_i p_{i-1} - e_i R_i and den_i = c_i den_{i-1}.
     So a choice survives iff s @ checks is zero, and then, with
     ctot = prod c_i and alpha_i = -e_i prod_{l > i} c_l,
-    p' = ctot p + (s @ alpha) @ R and den' = ctot den.  Reduced by the
-    gcd of p' and den' with den' > 0, as `_Tableau.assigned` reduces
-    every p and den it builds, these are its p and den exactly."""
+    p' = ctot p + (s @ alpha) @ R and den' = ctot den.  ctot and alpha
+    are negated when ctot < 0, so den' > 0, and p' / den' is the
+    p / den of `_Tableau.assigned` up to a positive scale."""
 
     __slots__ = ("choices", "checks", "alpha", "rows", "ctot", "dirs",
                  "bound")
@@ -173,6 +177,8 @@ class _Plan:
             or self._chain(dirs, unknown, choices.astype(object), object))
         self.checks = _fit(self._matrix(checks, m))
         self.alpha = _fit(self._matrix(alphas, m))
+        if self.ctot < 0:
+            self.ctot, self.alpha = -self.ctot, -self.alpha
         self.rows = _fit(np.stack(rows) if rows else
                          np.zeros((0, dirs.a.shape[1]), dtype=np.int64))
         k_max = int(abs(self.checks).max(initial=0))
@@ -240,60 +246,69 @@ class _Tableau:
     M is the point x k-space incidence matrix, the rows of N are an
     integer basis of {z : m_i . z = 0 for every assigned i}, and y0
     solves every assigned equation.  T is a `_Directions` shared between
-    tableaux; each tableau owns only p and den.  Updates build new
-    arrays and never write into old ones, so a search state can share
-    its tableau with its children."""
+    tableaux; each tableau owns only p and den, kept up to a positive
+    scale with den > 0, and a bound mp on max(|p|, den).  Updates build
+    new arrays and never write into old ones, so a search state can
+    share its tableau with its children."""
 
-    __slots__ = ("dirs", "p", "den")
+    __slots__ = ("dirs", "p", "den", "mp")
 
-    def __init__(self, dirs: _Directions, p: np.ndarray, den: int):
+    def __init__(self, dirs: _Directions, p: np.ndarray, den: int, mp: int):
         self.dirs = dirs
         self.p = p
         self.den = den
+        self.mp = mp
 
     @classmethod
     def start(cls, matrix: np.ndarray) -> "_Tableau":
         # a copy, since `_Directions` locks its T against writes; an
         # F-order copy measured no faster
         return cls(_Directions(matrix.astype(np.int64, order="C")),
-                   np.zeros(matrix.shape[1], dtype=np.int64), 1)
+                   np.zeros(matrix.shape[1], dtype=np.int64), 1, 1)
 
     @property
     def dim(self) -> int:
         """Dimension of the solution space of the assigned equations."""
-        return self.dirs.a.shape[0]
+        return self.dirs.dim
+
+    def reduced(self) -> "tuple[np.ndarray, int, int]":
+        """p, den and max(|p|, den), with p and den divided by their
+        gcd."""
+        g = gcd(int(np.gcd.reduce(self.p)), self.den)
+        p, den = self.p // g, self.den // g
+        return p, den, max(int(abs(p).max()), den)
 
     def assigned(self, j: int, val: int) -> "_Tableau":
         """The tableau with m_j . y = val added; raises _Contradiction
         when m_j is already forced to another value.
 
         T is eliminated by `_Directions.eliminated`; with its pivot row r
-        and c = T[r, j], p <- c p + (val den - p[j]) T[r] and
-        den <- den c, both divided by their gcd, unless p[j] = val den
-        already, which leaves p and den as they are."""
-        dirs, p, den = self.dirs, self.p, self.den
+        and c = T[r, j], p <- |c| p + sign(c) (val den - p[j]) T[r] and
+        den <- |c| den, unless p[j] = val den already, which leaves p and
+        den as they are.  When the new bound reaches `_REDUCE_AT`, p and
+        den are first divided by their gcd."""
+        dirs, p, den, mp = self.dirs, self.p, self.den, self.mp
         if dirs.forced[j]:
             if p[j] != val * den:
                 raise _Contradiction
             return self
         r, c, child = dirs.eliminated(j)
-        e = p[j] - val * den
+        e = int(p[j]) - val * den
         if e:
+            if abs(c) * mp + abs(e) * dirs.m >= _REDUCE_AT:
+                p, den, mp = self.reduced()
+                e = int(p[j]) - val * den
+            if c < 0:
+                c, e = -c, -e
             row = dirs.a[r]
-            # entries of T and p are at most m, so the new ones are at
-            # most m (2 m + |val| den), and the new den is den m
-            m = max(dirs.m, int(abs(p).max()))
-            if m * (2 * m + (abs(val) + 1) * den) >= exact.INT64_GUARD:
+            # |c p - e T[r]| <= c mp + |e| m, and den grows by c
+            mp = c * mp + abs(e) * dirs.m
+            if mp >= exact.INT64_GUARD:
                 # Python ints from here on
                 p, row = p.astype(object), row.astype(object)
             p = c * p - e * row
             den *= c
-            g = gcd(int(np.gcd.reduce(p)), den)
-            if den < 0:
-                g = -g
-            p //= g
-            den //= g
-        return _Tableau(child, p, den)
+        return _Tableau(child, p, den, mp)
 
 
 class _State:
@@ -353,19 +368,20 @@ class _Search:
 
     def _scan_forced(self, state):
         # visit forced unknowns in index order, re-reading the tableau
-        # after each assignment, and pass again while anything changed;
-        # a T's pivots are assigned in every state that reaches it, so
-        # only its other forced columns (`fresh`) are read
+        # after each assignment, and pass again while T changed (with T
+        # unchanged a pass leaves no forced column unknown); a T's
+        # pivots are assigned in every state that reaches it, so only
+        # its other forced columns (`fresh`) that are unknown are read
         values = state.values
         changed = True
         while changed:
             changed = False
             tab = state.tab
-            fresh, i = tab.dirs.fresh, 0
-            while i < len(fresh):
-                j = fresh[i]
+            todo, i = [j for j in tab.dirs.fresh if values[j] == -1], 0
+            while i < len(todo):
+                j = todo[i]
                 i += 1
-                if values[j] != -1:
+                if values[j] != -1:  # set by a pencil cascade
                     continue
                 num = tab.p[j]
                 if num == 0:
@@ -376,10 +392,11 @@ class _Search:
                     self.stats.pruned_by_elimination += 1
                     raise _Contradiction
                 self.stats.forced += 1
-                changed = True
                 if state.tab is not tab:
+                    changed = True
                     tab = state.tab
-                    fresh, i = tab.dirs.fresh, bisect_right(tab.dirs.fresh, j)
+                    todo, i = [t for t in tab.dirs.fresh
+                               if t > j and values[t] == -1], 0
 
     # -- main recursion ----------------------------------------------------
 
@@ -393,17 +410,17 @@ class _Search:
 
     def _dfs(self, state):
         self.stats.nodes += 1
-        if state.tab.dim <= _SCAN_GATE:
+        if state.tab.dirs.dim <= _SCAN_GATE:
             try:
                 self._scan_forced(state)
             except _Contradiction:
                 return
-        nxt = next((pid for pid in range(len(self.pencils))
-                    if state.unknown[pid]), None)
+        nxt = next((pid for pid, left in enumerate(state.unknown) if left),
+                   None)
         if nxt is None:
             self._leaf(state)
             return
-        if state.tab.dim <= _ENDGAME_DIM:
+        if state.tab.dirs.dim <= _ENDGAME_DIM:
             self.stats.endgame_nodes += 1
             j = next(t for t in self.pencils[nxt] if state.values[t] == -1)
             for val in (0, 1):
@@ -421,8 +438,10 @@ class _Search:
         """The states that complete pencil pid with exactly x members,
         in the order of `itertools.combinations` over its unknown
         members, each as if those members were assigned in pencil order:
-        one block step of the `_Plan` kept on T for (unknown, need).  p
-        widens to Python ints when the plan's bound is reached."""
+        one block step of the `_Plan` kept on T for (unknown, need), and
+        one den for all of them.  p and den are first divided by their
+        gcd when the children's bound reaches `_REDUCE_AT`, and p widens
+        to Python ints when it reaches `exact.INT64_GUARD`."""
         values = state.values
         unknown = tuple(t for t in self.pencils[pid] if values[t] == -1)
         need = self.x - state.ones[pid]
@@ -432,8 +451,11 @@ class _Search:
         if plan is None:
             plan = tab.dirs.plans[key] = _Plan(tab.dirs, unknown, need)
             self.plans_built += 1
-        p, den = tab.p, tab.den
-        if max(int(abs(p).max()), den) * plan.bound >= exact.INT64_GUARD:
+        p, den, mp = tab.p, tab.den, tab.mp
+        if mp * plan.bound >= _REDUCE_AT:
+            p, den, mp = tab.reduced()
+        mp *= plan.bound
+        if mp >= exact.INT64_GUARD:
             p = p.astype(object)  # Python ints from here on
         s = np.append(p[list(unknown)], den)
         n = len(plan.choices)
@@ -443,12 +465,7 @@ class _Search:
             return []
         alpha = (s @ plan.alpha).reshape(n, -1)[alive]
         ps = plan.ctot * p + alpha @ plan.rows
-        den = plan.ctot * den
-        g = np.gcd(np.gcd.reduce(ps, axis=1), den)
-        if den < 0:
-            g = -g
-        ps //= g[:, None]
-        dens = (den // g).tolist()
+        den *= plan.ctot
         ones = state.ones[:]
         ones[pid] = self.x
         left = state.unknown[:]
@@ -459,7 +476,7 @@ class _Search:
             for t, val in zip(unknown, plan.choices[v]):
                 vals[t] = val
             children.append(_State(vals, ones[:], left[:],
-                                   _Tableau(plan.dirs, ps[row], dens[row])))
+                                   _Tableau(plan.dirs, ps[row], den, mp)))
         return children
 
     def _leaf(self, state):

@@ -28,6 +28,9 @@ def test_summary_of_fixed_pairs():
     assert summary["main_op_s"]["pairs"] == 4
     # ties count for neither side
     assert summary["setup_s"]["lower"] == 2
+    # change median over parent median
+    assert summary["main_op_s"]["ratio"] == pytest.approx(0.035 / 0.065)
+    assert summary["setup_s"]["ratio"] == pytest.approx(0.115 / 0.12)
     assert tool.quartiles([0.5]) == (0.5, 0.5, 0.5)
 
 

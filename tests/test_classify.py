@@ -160,7 +160,9 @@ def without_wall_clock(cert):
     (4, 2, 1, 1, (89, 865, 8, 56, 16)),
     (3, 4, 1, 1, (1801, 7833, 24, 288, 64)),
     (5, 2, 1, 2, (3585, 85080, 935, 1384, 0)),
-    (3, 3, 1, 3, (80080, 70341, 48813, 27678, 0))])
+    (3, 3, 1, 3, (80080, 70341, 48813, 27678, 0)),
+    (4, 3, 1, 1, (937, 39236, 18, 405, 81)),
+    (5, 2, 2, 1, (537, 18376, 80, 112, 32))])
 def test_search_statistics_are_pinned(n, q, k, x, stats):
     # any change to the order of forced-value scans or of a pencil's
     # choices moves these counts
@@ -175,7 +177,7 @@ def test_search_statistics_are_pinned(n, q, k, x, stats):
 class _CheckedSearch(_Search):
     """A search that, at every branching node, checks its pencil
     children against the one-clone-per-combination reference; with
-    `same_dtypes` off, T's and p's entries must agree but not their
+    `same_dtypes` off, T's entries and p / den must agree but not their
     dtypes."""
 
     checked = 0
@@ -191,8 +193,9 @@ class _CheckedSearch(_Search):
             assert (a.values, a.ones, a.unknown) == (b.values, b.ones, b.unknown)
             assert a.tab.dirs is b.tab.dirs
             assert np.array_equal(a.tab.dirs.a, b.tab.dirs.a)
-            assert np.array_equal(a.tab.p, b.tab.p)
-            assert a.tab.den == b.tab.den
+            # p / den agree as rational vectors, not in scale
+            assert np.array_equal(a.tab.p * b.tab.den, b.tab.p * a.tab.den)
+            assert a.tab.den > 0 and b.tab.den > 0
             if self.same_dtypes:
                 assert a.tab.dirs.a.dtype == b.tab.dirs.a.dtype
                 assert a.tab.p.dtype == b.tab.p.dtype
@@ -239,8 +242,9 @@ def test_search_python_int_fallback(monkeypatch):
 
 
 def test_pencil_block_step_widens_to_python_ints(monkeypatch):
-    # at 2^12 most branching nodes reach their plan's bound while p is
-    # still int64 (270 of 307 on AG(3,3) x = 2)
+    # at 2^12 some branching nodes reach their plan's bound while p is
+    # still int64 (36 of 307 on AG(3,3) x = 2; at most others p has
+    # already widened in `_Tableau.assigned`)
     expected = without_wall_clock(search_cl_ksets(3, 3, 1, 2))
     monkeypatch.setattr(exact, "INT64_GUARD", 2**12)
     search = _CheckedSearch(ambient(3, 3, "affine"), 1, 2, SearchStats())
@@ -248,6 +252,55 @@ def test_pencil_block_step_widens_to_python_ints(monkeypatch):
     search.run()
     assert search.widened > 0
     assert without_wall_clock(search_cl_ksets(3, 3, 1, 2)) == expected
+
+
+BOUND_SEARCHES = [(3, 3, 1, 2, 130), (3, 4, 1, 1, 400), (4, 2, 2, 2, 150)]
+
+
+@pytest.mark.parametrize("reduce_at", [None, 2**4])
+@pytest.mark.parametrize("n,q,k,x,cap", BOUND_SEARCHES)
+def test_tableau_bound_holds_and_p_stays_int64(n, q, k, x, cap, reduce_at,
+                                               monkeypatch):
+    # every tableau the search builds keeps max |p| and den within its
+    # bound mp, with den > 0; at the default guard none widens to Python
+    # ints, which a block step that widens p before reducing it does on
+    # AG(3,4); a lowered reduction threshold leaves the certificate as
+    # it is
+    expected = without_wall_clock(search_cl_ksets(n, q, k, x, cap=cap))
+    if reduce_at is not None:
+        monkeypatch.setattr(classify, "_REDUCE_AT", reduce_at)
+    seen = {"tableaux": 0, "reduced": 0}
+    assigned, children, reduced = (_Tableau.assigned, _Search._children,
+                                   _Tableau.reduced)
+
+    def check(tab):
+        assert tab.p.dtype == np.int64
+        assert int(abs(tab.p).max()) <= tab.mp
+        assert 0 < tab.den <= tab.mp
+        seen["tableaux"] += 1
+
+    def checked_assigned(self, j, val):
+        tab = assigned(self, j, val)
+        check(tab)
+        return tab
+
+    def checked_children(self, state, pid):
+        got = children(self, state, pid)
+        for child in got:
+            check(child.tab)
+        return got
+
+    def counted_reduced(self):
+        seen["reduced"] += 1
+        return reduced(self)
+
+    monkeypatch.setattr(_Tableau, "assigned", checked_assigned)
+    monkeypatch.setattr(_Search, "_children", checked_children)
+    monkeypatch.setattr(_Tableau, "reduced", counted_reduced)
+    assert without_wall_clock(search_cl_ksets(n, q, k, x, cap=cap)) == expected
+    assert seen["tableaux"] > 0
+    if reduce_at is not None:
+        assert seen["reduced"] > 0
 
 
 def test_pencil_plans_are_built_once_per_directions_and_key(monkeypatch):
@@ -358,8 +411,10 @@ def test_tableau_matches_one_array_tableau(n, q, k, seed, guard,
             continue
         tab = tab.assigned(j, target[j])
         assert np.array_equal(tab.dirs.a, ref.t)
-        assert np.array_equal(tab.p, ref.p)
-        assert tab.den == ref.den
+        # the same rational vector; the tableau reduces p / den only
+        # past `_REDUCE_AT`, the reference at every step
+        assert np.array_equal(tab.p * ref.den, ref.p * tab.den)
+        assert tab.den > 0 and ref.den > 0
         if guard is None:
             assert tab.dirs.a.dtype == ref.t.dtype
             assert tab.p.dtype == ref.p.dtype

@@ -10,8 +10,9 @@ the same state, and every run starts from an empty bytecode cache.
 Prints every end-to-end metric of each pair, and the workload's named
 figures beside them (for ``verify``: ``accept_ms``, ``reject_ms``,
 ``project_s``), read from the lines the run prints; then per figure and
-side the median and quartiles, and in how many pairs the change read
-lower.  Exits 1 when a run reports ``correct: false``.
+side the median and quartiles, in how many pairs the change read lower,
+and the ratio of the change's median to the parent's.  Exits 1 when a
+run reports ``correct: false``.
 """
 
 from __future__ import annotations
@@ -34,16 +35,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(parent: list[dict], change: list[dict]) -> dict:
-    """Per metric, each side's quartiles and how many of the pairs
-    (parent[i], change[i]) the change read lower; ties count for
-    neither side."""
+    """Per metric, each side's quartiles, how many of the pairs
+    (parent[i], change[i]) the change read lower (ties count for
+    neither side) and the change/parent ratio of the medians."""
     out = {}
     for name in parent[0]:
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
-        out[name] = {"parent": quartiles(p), "change": quartiles(c),
+        qp, qc = quartiles(p), quartiles(c)
+        out[name] = {"parent": qp, "change": qc,
                      "lower": sum(b < a for a, b in zip(p, c)),
-                     "pairs": len(p)}
+                     "pairs": len(p),
+                     "ratio": qc[1] / qp[1]}
     return out
 
 
@@ -111,7 +114,8 @@ def main(argv=None) -> int:
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
         print(f"  {name:14s} parent {pm:.4f} [{p1:.4f}, {p3:.4f}]  "
               f"change {cm:.4f} [{c1:.4f}, {c3:.4f}]  "
-              f"change lower {s['lower']}/{s['pairs']}")
+              f"change lower {s['lower']}/{s['pairs']}  "
+              f"ratio {s['ratio']:.3f}")
     if not correct:
         print("a run read correct: false", file=sys.stderr)
     return 0 if correct else 1
