@@ -36,19 +36,21 @@ reads only T's forced columns that were not its own pivots.
 
 Every choice of a branching pencil assigns the pencil's unknown members
 in the same order, so all of them meet the same chain of T's, and
-along it p and den are linear in the node's p at those members and its
-den.  One plan per (T, unknown members, count) holds that chain as a
-check matrix and an update matrix, and one block step builds every
+along it every check and every update coefficient is a linear form in
+s, the node's p at those members and its den, and in den times the
+choice's bits.  One plan per (T, unknown members, count) walks the
+chain once and keeps each form as its part on s and its part on the
+bits summed over each choice, and one product per node gives every
+choice's checks and coefficients alpha.  One block step builds every
 child of the node from it: the choices whose checks vanish survive,
-each with p' = ctot p + (s @ alpha) @ R and one shared den' = ctot den,
-so the children are those of assigning the members one by one, up to
-a positive scale.
+each with p' = ctot p + alpha @ R and one shared den' = ctot den, so
+the children are those of assigning the members one by one, up to a
+positive scale.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from dataclasses import asdict, dataclass
 from math import comb, gcd
@@ -59,7 +61,7 @@ from . import exact
 from .clsets import (KSet, complement, is_cameron_liebler,
                      kset_from_indices, point_pencil,
                      project_through_infinite_subspace)
-from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard,
+from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard, _int,
                        _read_only, ambient, entry_guard, gaussian_binomial,
                        subspace_from_json)
 from .incidence import _dense_rows, build_incidence
@@ -144,100 +146,78 @@ class _Plan:
     Each choice v of `itertools.combinations` assigns u_1 .. u_m in this
     order, as `_Search._assign` does, cascades included, so every choice
     meets the same chain of T's: u_i is either forced in the current T
-    or eliminated from it by `_Directions.eliminated`.  Along the chain
-    the unreduced p and den of a choice are linear in s = (p[u], den) of
-    the node, so one matrix holds its checks and one its update:
-    - a forced u_i needs e_i = p_i[u_i] - v_i den_i = 0;
+    or eliminated from it by `_Directions.eliminated`.  With
+    e_i = p_{i-1}[u_i] - v_i den_{i-1}:
+    - a forced u_i needs e_i = 0;
     - an eliminated u_i, with pivot row R_i and c_i, makes
       p_i = c_i p_{i-1} - e_i R_i and den_i = c_i den_{i-1}.
-    So a choice survives iff s @ checks is zero, and then, with
-    ctot = prod c_i and alpha_i = -e_i prod_{l > i} c_l,
-    p' = ctot p + (s @ alpha) @ R and den' = ctot den.  ctot and alpha
-    are negated when ctot < 0, so den' > 0, and p' / den' is the
-    p / den of `_Tableau.assigned` up to a positive scale."""
+    v_i enters only as v_i den_{i-1} = v_i den prod_{l < i} c_l, so every
+    e_i, and every alpha_i = -e_i prod_{l > i} c_l, is a linear form in
+    s = (p[u], den) of the node and den v, the same for every choice.
+    One walk of the chain builds these forms, a check per forced member
+    and an alpha per eliminated one, and splits each in two: its part on
+    s is a column of `forms`, (m + 1) x m, and its part on den v, summed
+    over each choice's picks, a column of `forms_v`, (choices) x m; the
+    `nchecks` checks come first.  So s @ forms + den forms_v gives every
+    choice's checks and alphas; a choice survives iff its checks vanish,
+    and then p' = ctot p + alpha @ R and den' = ctot den, with
+    ctot = prod c_i.
+    Every form and ctot are negated when ctot < 0, so den' > 0, and
+    p' / den' is the p / den of `_Tableau.assigned` up to a positive
+    scale."""
 
-    __slots__ = ("choices", "checks", "alpha", "rows", "ctot", "dirs",
-                 "bound")
+    __slots__ = ("choices", "forms", "forms_v", "nchecks", "rows", "ctot",
+                 "dirs", "bound")
 
     def __init__(self, dirs: _Directions, unknown: tuple[int, ...],
                  need: int):
         m = len(unknown)
-        # the linear forms of the chain take (choices) x (m + 1) x m entries
+        # forms_v holds (choices) x m entries
         cap = entry_guard()
-        if comb(m, need) * (m + 1) * m > cap:
+        if comb(m, need) * m > cap:
             raise SizeGuard(f"{comb(m, need)} choices of {m} pencil members "
-                            f"x {m + 1} x {m} forms exceed guard {cap}")
-        picks = list(itertools.combinations(range(m), need))
+                            f"x {m} forms exceed guard {cap}")
+        picks = np.array(list(itertools.combinations(range(m), need)),
+                         dtype=np.intp)
         choices = np.zeros((len(picks), m), dtype=np.int64)
-        choices[np.arange(len(picks))[:, None],
-                np.array(picks, dtype=np.intp).reshape(len(picks), need)] = 1
+        choices[np.arange(len(picks))[:, None], picks] = 1
         self.choices = choices.tolist()
-        checks, alphas, self.ctot, rows, self.dirs = (
-            self._chain(dirs, unknown, choices, np.int64)
-            or self._chain(dirs, unknown, choices.astype(object), object))
-        self.checks = _fit(self._matrix(checks, m))
-        self.alpha = _fit(self._matrix(alphas, m))
-        if self.ctot < 0:
-            self.ctot, self.alpha = -self.ctot, -self.alpha
-        self.rows = _fit(np.stack(rows) if rows else
-                         np.zeros((0, dirs.a.shape[1]), dtype=np.int64))
-        k_max = int(abs(self.checks).max(initial=0))
-        a_max = int(abs(self.alpha).max(initial=0))
-        r_max = int(abs(self.rows).max(initial=0))
-        # |s| <= M bounds |s @ checks| by (m+1) k_max M and every entry
-        # of ctot p + (s @ alpha) @ R and of ctot den by this bound times M
-        self.bound = max((m + 1) * k_max,
-                         abs(self.ctot) + len(rows) * (m + 1) * a_max * r_max)
-
-    @staticmethod
-    def _chain(dirs, unknown, choices, dtype):
-        """The check forms, the alpha forms, ctot, the pivot rows R_i
-        and the last T; None when an int64 entry could reach
-        `exact.INT64_GUARD`."""
-        guard = exact.INT64_GUARD
-        n, m = choices.shape
-        # forms[v, :, i] is p[u_i] of choice v as a linear form in s
-        forms = np.zeros((n, m + 1, m), dtype=dtype)
-        forms[:, :m] = np.eye(m, dtype=np.int64)
-        bound, ctot = 1, 1
-        checks, steps, rows = [], [], []
+        # column l of pu is p[u_l] as a form in (p[u], den, den v)
+        pu = np.zeros((2 * m + 1, m), dtype=object)
+        pu[:m] = np.eye(m, dtype=np.int64)
+        ctot, checks, steps, rows = 1, [], [], []
         for i, u in enumerate(unknown):
-            e_bound = bound + abs(ctot)
-            if dtype is np.int64 and e_bound >= guard:
-                return None
-            e = forms[:, :, i].copy()
-            e[:, m] -= ctot * choices[:, i]
+            e = pu[:, i].copy()
+            e[m + 1 + i] -= ctot
             if dirs.forced[u]:
                 checks.append(e)
                 continue
             r, c, nxt = dirs.eliminated(u)
-            bound = abs(c) * bound + e_bound * dirs.m
-            if dtype is np.int64 and bound >= guard:
-                return None
             row = dirs.a[r]
-            rest = list(unknown[i + 1:])
-            forms[:, :, i + 1:] = (c * forms[:, :, i + 1:]
-                                   - e[:, :, None] * row[rest])
-            steps.append((e, e_bound, c))
+            pu[:, i + 1:] = (c * pu[:, i + 1:]
+                             - e[:, None] * row[list(unknown[i + 1:])])
+            steps.append((e, c))
             rows.append(row)
             ctot *= c
             dirs = nxt
-        # alpha_i = -e_i prod_{l > i} c_l
         tail, alphas = 1, []
-        for e, e_bound, c in reversed(steps):
-            if dtype is np.int64 and e_bound * abs(tail) >= guard:
-                return None
+        for e, c in reversed(steps):
             alphas.append(-tail * e)
             tail *= c
-        return checks, alphas[::-1], ctot, rows, dirs
-
-    @staticmethod
-    def _matrix(forms, m):
-        """The forms, each (choices) x (m + 1), as one matrix with m + 1
-        rows whose column v * len(forms) + i is form i of choice v."""
-        if not forms:
-            return np.zeros((m + 1, 0), dtype=np.int64)
-        return np.stack(forms, axis=2).transpose(1, 0, 2).reshape(m + 1, -1)
+        forms = np.stack(checks + alphas[::-1], axis=1)
+        if ctot < 0:
+            ctot, forms = -ctot, -forms
+        self.ctot, self.dirs, self.nchecks = ctot, dirs, len(checks)
+        self.forms = _fit(forms[:m + 1])
+        self.forms_v = _fit(forms[m + 1:][picks].sum(axis=1))
+        self.rows = _fit(np.stack(rows) if rows else
+                         np.zeros((0, dirs.a.shape[1]), dtype=np.int64))
+        # |s| <= M bounds every form of a choice by f M, and every entry
+        # of ctot p + alpha @ R and of ctot den by this bound times M
+        f = ((m + 1) * int(abs(self.forms).max())
+             + int(abs(self.forms_v).max()))
+        self.bound = max(f, ctot + len(rows) * f
+                         * int(abs(self.rows).max(initial=0)))
 
 
 class _Tableau:
@@ -438,10 +418,12 @@ class _Search:
         """The states that complete pencil pid with exactly x members,
         in the order of `itertools.combinations` over its unknown
         members, each as if those members were assigned in pencil order:
-        one block step of the `_Plan` kept on T for (unknown, need), and
-        one den for all of them.  p and den are first divided by their
-        gcd when the children's bound reaches `_REDUCE_AT`, and p widens
-        to Python ints when it reaches `exact.INT64_GUARD`."""
+        one block step of the `_Plan` kept on T for (unknown, need), whose
+        one product s @ forms + den forms_v gives every choice's checks
+        and alphas, and one den for all of them.  p and den are first
+        divided by their gcd when the children's bound reaches
+        `_REDUCE_AT`, and p widens to Python ints when it reaches
+        `exact.INT64_GUARD`."""
         values = state.values
         unknown = tuple(t for t in self.pencils[pid] if values[t] == -1)
         need = self.x - state.ones[pid]
@@ -458,13 +440,12 @@ class _Search:
         if mp >= exact.INT64_GUARD:
             p = p.astype(object)  # Python ints from here on
         s = np.append(p[list(unknown)], den)
-        n = len(plan.choices)
-        alive = ~(s @ plan.checks).reshape(n, -1).any(axis=1)
+        out = s @ plan.forms + s[-1:] * plan.forms_v
+        alive = ~out[:, :plan.nchecks].any(axis=1)
         picked = np.flatnonzero(alive).tolist()
         if not picked:
             return []
-        alpha = (s @ plan.alpha).reshape(n, -1)[alive]
-        ps = plan.ctot * p + alpha @ plan.rows
+        ps = plan.ctot * p + out[alive, plan.nchecks:] @ plan.rows
         den *= plan.ctot
         ones = state.ones[:]
         ones[pid] = self.x
@@ -548,14 +529,6 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
         cert["nodes_per_s"] = round(stats.nodes / wall) if wall > 0 else 0
         cert["plans_built"] = plans_built
     return cert
-
-
-def _int(v) -> int:
-    """v as an int; a bool, or a value that is not an integer, raises
-    TypeError."""
-    if isinstance(v, bool):
-        raise TypeError("a bool where an int is meant")
-    return operator.index(v)
 
 
 def verify_certificate(cert: dict) -> bool:

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (AmbientSpace, Subspace, _read_only, ambient,
+from .geometry import (AmbientSpace, Subspace, _int, _read_only, ambient,
                        gaussian_binomial, subspace_from_json,
                        DimensionOutOfRange)
 from .incidence import build_incidence, meet_counts
@@ -454,11 +454,12 @@ def kset_to_json(l: KSet) -> dict:
 
 
 def kset_from_json(doc: dict) -> KSet:
-    """Each member is first looked up among the space's canonical
-    k-spaces; only one that is not found there is validated row by row,
-    so every malformed member is refused by `subspace_from_json`."""
-    space = ambient(int(doc["n"]), int(doc["q"]), doc["mode"])
-    k = int(doc["k"])
+    """n, q and k must be ints, not bools (TypeError otherwise).  Each
+    member is first looked up among the space's canonical k-spaces; only
+    one that is not found there is validated row by row, so every
+    malformed member is refused by `subspace_from_json`."""
+    space = ambient(_int(doc["n"]), _int(doc["q"]), doc["mode"])
+    k = _int(doc["k"])
     index = space.space_index(k)
     found, subs = [], []
     for rows in doc["members"]:

@@ -27,6 +27,7 @@ dense points x k-spaces matrix and no per-space tuples are kept.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 
@@ -439,6 +440,14 @@ def ambient(n: int, q: int, mode: str) -> AmbientSpace:
     if key not in _AMBIENT_CACHE:
         _AMBIENT_CACHE[key] = AmbientSpace(n, q, mode)
     return _AMBIENT_CACHE[key]
+
+
+def _int(v) -> int:
+    """v as an int; a bool, or a value that is not an integer, raises
+    TypeError."""
+    if isinstance(v, bool):
+        raise TypeError("a bool where an int is meant")
+    return operator.index(v)
 
 
 def subspace_from_json(n: int, q: int, rows) -> Subspace:

@@ -57,8 +57,8 @@ from clag import _kernels, exact
 from clag.classify import _Contradiction
 from clag.clsets import (DimensionViolation, KSet, NotSkew,
                          kset_from_subspaces)
-from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, ambient,
-                           apply_matrix, make_subspace, span,
+from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, _int,
+                           ambient, apply_matrix, make_subspace, span,
                            subspace_from_json)
 from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
                           NotAtInfinity, Spread, _sorted_members, _taus,
@@ -288,8 +288,8 @@ def member_spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread
 
 
 def subspace_kset_from_json(doc: dict) -> KSet:
-    space = ambient(int(doc["n"]), int(doc["q"]), doc["mode"])
-    k = int(doc["k"])
+    space = ambient(_int(doc["n"]), _int(doc["q"]), doc["mode"])
+    k = _int(doc["k"])
     subs = [subspace_from_json(space.n, space.q, rows)
             for rows in doc["members"]]
     for s in subs:

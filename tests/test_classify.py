@@ -162,7 +162,9 @@ def without_wall_clock(cert):
     (5, 2, 1, 2, (3585, 85080, 935, 1384, 0)),
     (3, 3, 1, 3, (80080, 70341, 48813, 27678, 0)),
     (4, 3, 1, 1, (937, 39236, 18, 405, 81)),
-    (5, 2, 2, 1, (537, 18376, 80, 112, 32))])
+    (5, 2, 2, 1, (537, 18376, 80, 112, 32)),
+    # every node a block step whose children all fail their plan's checks
+    (5, 2, 3, 2, (32483, 0, 0, 0, 0))])
 def test_search_statistics_are_pinned(n, q, k, x, stats):
     # any change to the order of forced-value scans or of a pencil's
     # choices moves these counts
@@ -207,7 +209,7 @@ class _CheckedSearch(_Search):
 
 
 @pytest.mark.parametrize("n,q,k,x", [(3, 2, 1, 2), (3, 3, 1, 1), (4, 2, 2, 2),
-                                     (3, 4, 1, 1), (5, 2, 1, 2)])
+                                     (3, 4, 1, 1), (5, 2, 1, 2), (4, 3, 1, 1)])
 def test_pencil_children_match_combination_loop(n, q, k, x):
     space = ambient(n, q, "affine")
     plain, checked = SearchStats(), SearchStats()
@@ -323,12 +325,13 @@ def test_pencil_plans_are_built_once_per_directions_and_key(monkeypatch):
 
 
 def test_pencil_plan_size_guard(monkeypatch):
-    # AG(3,3): the 27 x 117 incidence has 3,159 entries; the root plan
-    # for x = 2 has C(9, 2) x 10 x 9 = 3,240, for x = 1 9 x 10 x 9 = 810
-    monkeypatch.setenv("CLAG_SIZE_GUARD", "3200")
-    assert search_cl_ksets(3, 3, 1, 1)["solution_count"] == 27
+    # AG(3,4): the 64 x 336 incidence has 21,504 entries; a plan holds
+    # (choices) x (members) entries, so the root plan for x = 8 has
+    # C(16, 8) x 16 = 205,920, for x = 1 16 x 16 = 256
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "100000")
+    assert search_cl_ksets(3, 4, 1, 1, cap=400)["solution_count"] == 64
     with pytest.raises(SizeGuard):
-        search_cl_ksets(3, 3, 1, 2)
+        search_cl_ksets(3, 4, 1, 8, cap=400)
 
 
 def assigned_value(rows, values, col):

@@ -344,6 +344,21 @@ _PENCIL = [[[1, 0, 0, 0], [0, a, b, c]]
                            (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
 
 
+@pytest.mark.parametrize("header", [
+    {"n": 3.7}, {"k": 1.9}, {"k": True}, {"q": 2.5}, {"n": "3"}])
+def test_kset_file_headers_must_be_ints(tmp_path, capsys, header):
+    # each of these once read as n = 3, k = 1, q = 2, and the pencil verified
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps({"n": 3, "q": 2, "k": 1, "mode": "affine",
+                                   "members": _PENCIL, **header}))
+    assert cli.main(["verify", "--set", str(setfile)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"malformed k-set file {setfile}: ")
+    assert cli.main(["project", "--set", str(setfile),
+                     "--axis", "0:0:0:1"]) == 2
+    assert capsys.readouterr().err.startswith("malformed input: ")
+
+
 @pytest.mark.parametrize("extra", [
     [[1, 1, 0, 0], [1, 0, 0, 0]],                  # not reduced echelon
     [[1, 0, 0, 0], [0, 2, 0, 0]],                  # 2 is no element of GF(2)

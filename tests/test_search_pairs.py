@@ -1,0 +1,50 @@
+import argparse
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "search_pairs.py")
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("search_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_rows_are_parsed_with_an_optional_cap():
+    tool = _tool()
+    assert tool.parse_row("3,2,1,1") == (3, 2, 1, 1, None)
+    assert tool.parse_row("4,3,1,2,1080") == (4, 3, 1, 2, 1080)
+    with pytest.raises(argparse.ArgumentTypeError):
+        tool.parse_row("3,2,1")
+
+
+def test_the_repository_against_itself(capsys):
+    tool = _tool()
+    assert tool.main([ROOT, ROOT, "--row", "3,2,1,1", "--row", "3,2,1,2",
+                      "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "pair 1 (change first)" in out
+    for x, nodes in ((1, 35), (2, 95)):
+        line = next(line for line in out.splitlines()
+                    if line.startswith(f"AG(3,2) k=1 x={x} "))
+        assert f"{nodes} nodes, certificates same" in line
+        assert "/2  ratio" in line
+
+
+def test_differing_certificates_exit_1(monkeypatch, capsys):
+    tool = _tool()
+
+    def fake_run(root, row):
+        return {"seconds": 1.0, "nodes": 7, "sha256": root}
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    assert tool.main(["a", "b", "--row", "3,2,1,1", "--pairs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "certificates DIFFER" in captured.out
+    assert "a certificate differs" in captured.err
+    assert tool.main(["a", "a", "--row", "3,2,1,1", "--pairs", "1"]) == 0
