@@ -32,7 +32,8 @@ on their values.  So T, its list of forced spaces and a memo of the
 eliminations made from it are one read-only object shared by every
 state that reaches it; a state owns only p and den, and an assignment
 reuses T's elimination and updates p alone.  The forced-value scan
-reads only T's forced columns that were not its own pivots.
+runs at every node and reads only T's forced columns that were not its
+own pivots, so it costs little where nothing is forced.
 
 Every choice of a branching pencil assigns the pencil's unknown members
 in the same order, so all of them meet the same chain of T's, and
@@ -72,9 +73,11 @@ __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
            "cross_check_projection", "verify_certificate"]
 
 DEFAULT_SPACE_CAP = 130
-ENUM_CAP = 1 << 20       # full Boolean enumeration bound for hyperplane sets
-_ENUM_BLOCK = 4096       # Boolean vectors tested per gather pair
-_SCAN_GATE = 14          # run forced-value scans once this few dims remain
+# what a certificate's "pruning_rules" lists, and all it may list
+PRUNING_RULES = ("pencil-at-infinity counts (type II spread intersections "
+                 "must equal x)",
+                 "exact rational forced-value elimination",
+                 "final row-space membership filter")
 _REDUCE_AT = 2**31       # divide p and den by their gcd past this bound
 _ENDGAME_DIM = 6         # switch to value branching when this few remain
 
@@ -390,11 +393,10 @@ class _Search:
 
     def _dfs(self, state):
         self.stats.nodes += 1
-        if state.tab.dirs.dim <= _SCAN_GATE:
-            try:
-                self._scan_forced(state)
-            except _Contradiction:
-                return
+        try:
+            self._scan_forced(state)
+        except _Contradiction:
+            return
         nxt = next((pid for pid, left in enumerate(state.unknown) if left),
                    None)
         if nxt is None:
@@ -513,10 +515,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
         "space_count": total,
         "expected_weight": x * gaussian_binomial(n, k, q),
         "complement_symmetry_used": complemented,
-        "pruning_rules": ["pencil-at-infinity counts (type II spread "
-                          "intersections must equal x)",
-                          "exact rational forced-value elimination",
-                          "final row-space membership filter"],
+        "pruning_rules": list(PRUNING_RULES),
         "solution_count": len(solutions),
         "solutions": [{"indices": list(s),
                        "members": [spaces[j].to_json() for j in s]}
@@ -538,9 +537,9 @@ def verify_certificate(cert: dict) -> bool:
     reads them; a malformed certificate is rejected, not raised on, and
     so is one that lists a solution, or a member of one, twice, or that
     `search_cl_ksets` never writes: a mode other than affine, a k
-    outside 1..n-1, a bool where an int is meant, or a `space_count`,
+    outside 1..n-1, a bool where an int is meant, a `space_count`,
     `expected_weight` or `complement_symmetry_used` other than its
-    closed form."""
+    closed form, or `pruning_rules` other than `PRUNING_RULES`."""
     try:
         prob = cert["problem"]
         if prob["mode"] != "affine":
@@ -553,7 +552,8 @@ def verify_certificate(cert: dict) -> bool:
         if (_int(cert["space_count"]) != top * g
                 or _int(cert["expected_weight"]) != x * g
                 or cert["complement_symmetry_used"]
-                is not (0 <= x <= top and x > top - x)):
+                is not (0 <= x <= top and x > top - x)
+                or cert["pruning_rules"] != list(PRUNING_RULES)):
             return False
         index = space.space_index(k)
         claimed = [(sorted(map(_int, sol["indices"])),
@@ -585,31 +585,26 @@ def classify_hyperplane_cl(n: int, q: int) -> dict:
     Two independent routes: (a) an exact structure proof (the kernel of
     the incidence matrix is spanned by parallel-class differences, so
     the Cameron-Liebler sets are exactly the per-class x-selections,
-    C(q, x)^c of them for each x); (b) when 2^|X| is small enough, an
-    exhaustive enumeration of all Boolean vectors in the row space,
-    cross-checked against (a).
+    C(q, x)^c of them for each x); (b) the complete pencil search of
+    `search_cl_ksets` for each x, on min(x, q - x) by complement, whose
+    counts are cross-checked against (a) and whose every set is checked
+    to hold x members of each parallel class.  (b) is skipped when (a)'s
+    total count times |X| exceeds `entry_guard()`.
     """
     space = ambient(n, q, "affine")
     k = n - 1
-    hyps = space.spaces(k)
-    total = len(hyps)
     inc = build_incidence(space, k)
+    total = inc.shape[1]
     rank = inc.rank()
     _, pencil_members, per_space = space.infinity_pencils(k)
-    classes = [list(map(int, m)) for m in pencil_members]
-    n_classes = len(classes)
+    n_classes = len(pencil_members)
     # (a) the kernel is spanned by differences of parallel classes
     kern_dim = total - rank
     if kern_dim != n_classes - 1:
         raise AssertionError("kernel dimension does not match class count")
-    base = np.zeros(total, dtype=np.int64)
-    base[classes[0]] = 1
-    diffs = []
-    for cls in classes[1:]:
-        v = base.copy()
-        v[cls] -= 1
-        diffs.append(v)
-    diff_mat = np.array(diffs, dtype=np.int64)
+    # row i - 1 is class 0 minus class i
+    diff_mat = ((per_space == 0).astype(np.int64)
+                - (per_space == np.arange(1, n_classes)[:, None]))
     in_kernel = not inc._point_sums(diff_mat.T).any()
     if not in_kernel:
         raise AssertionError("class differences are not in the kernel")
@@ -626,33 +621,27 @@ def classify_hyperplane_cl(n: int, q: int) -> dict:
         "total": sum(counts.values()),
         "exhaustive": None,
     }
-    if 2**total <= ENUM_CAP:
-        found = {x: 0 for x in range(q + 1)}
-        structure_ok = True
-        g = gaussian_binomial(n, k, q)
-        shifts = np.arange(total)
-        for lo in range(0, 2**total, _ENUM_BLOCK):
-            hi = min(lo + _ENUM_BLOCK, 2**total)
-            chi = (np.arange(lo, hi)[:, None] >> shifts) & 1
-            chi = chi[inc.rows_in_row_space(chi)]
-            weight = chi.sum(axis=1)
-            whole = weight % g == 0
-            structure_ok = structure_ok and bool(whole.all())
-            chi, xs = chi[whole], weight[whole] // g
-            for x, cnt in zip(*np.unique(xs, return_counts=True)):
-                found[int(x)] = found.get(int(x), 0) + int(cnt)
-            for cls in classes:
-                if (chi[:, cls].sum(axis=1) != xs).any():
-                    structure_ok = False
-        report["exhaustive"] = {
-            "counts_per_x": {str(x): found[x] for x in sorted(found)},
-            "matches_structure_counts": all(
-                found.get(x, 0) == counts[x] for x in counts),
-            "every_solution_selects_x_per_class": structure_ok,
-        }
-    else:
-        report["exhaustive"] = {
-            "skipped": f"2^{total} Boolean vectors exceed cap {ENUM_CAP}"}
+    cap = entry_guard()
+    if report["total"] * total > cap:
+        report["exhaustive"] = {"skipped": f"size guard ({report['total']} "
+                                           f"sets x {total} > {cap})"}
+        return report
+    found, structure_ok = {}, True
+    for y in range(q // 2 + 1):  # complements select q - y per class
+        search = _Search(space, k, y, SearchStats())
+        search.run()
+        sols = search.solutions
+        found[y] = found[q - y] = len(sols)
+        which = np.repeat(np.arange(len(sols)), [len(s) for s in sols])
+        members = per_space[[j for s in sols for j in s]]
+        per_class = np.bincount(which * n_classes + members,
+                                minlength=len(sols) * n_classes)
+        structure_ok = structure_ok and bool((per_class == y).all())
+    report["exhaustive"] = {
+        "counts_per_x": {str(x): found[x] for x in sorted(found)},
+        "matches_structure_counts": found == counts,
+        "every_solution_selects_x_per_class": structure_ok,
+    }
     return report
 
 

@@ -78,13 +78,20 @@ def cmd_scheme(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _read_kset(path: str) -> clsets.KSet | None:
+    """The k-set in file `path`, or None once the reason it is
+    malformed is printed."""
     try:
-        with open(args.set) as fh:
-            doc = json.load(fh)
-        l = clsets.kset_from_json(doc)
+        with open(path) as fh:
+            return clsets.kset_from_json(json.load(fh))
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"malformed k-set file {args.set}: {exc}", file=sys.stderr)
+        print(f"malformed k-set file {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_verify(args) -> int:
+    l = _read_kset(args.set)
+    if l is None:
         return 2
     ok, cert = clsets.is_cameron_liebler(l)
     report = {
@@ -185,13 +192,14 @@ def cmd_spread(args) -> int:
 
 
 def cmd_project(args) -> int:
+    l = _read_kset(args.set)
+    if l is None:
+        return 2
     try:
-        with open(args.set) as fh:
-            l = clsets.kset_from_json(json.load(fh))
         axis = _parse_rows(args.axis, l.space.n, l.space.q)
         pi = (_parse_rows(args.pi, l.space.n, l.space.q)
               if args.pi else None)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
     try:

@@ -454,17 +454,18 @@ def kset_to_json(l: KSet) -> dict:
 
 
 def kset_from_json(doc: dict) -> KSet:
-    """n, q and k must be ints, not bools (TypeError otherwise).  Each
-    member is first looked up among the space's canonical k-spaces; only
-    one that is not found there is validated row by row, so every
-    malformed member is refused by `subspace_from_json`."""
+    """n, q, k and every member coordinate must be ints, not bools or
+    floats (TypeError otherwise).  Each member is first looked up among
+    the space's canonical k-spaces, keyed by its coordinates read with
+    `_int`; only one that is not found there is validated row by row, so
+    every malformed member is refused by `subspace_from_json`."""
     space = ambient(_int(doc["n"]), _int(doc["q"]), doc["mode"])
     k = _int(doc["k"])
     index = space.space_index(k)
     found, subs = [], []
     for rows in doc["members"]:
         try:
-            found.append(index[tuple(tuple(r) for r in rows)])
+            found.append(index[tuple(tuple(map(_int, r)) for r in rows)])
             continue
         except (KeyError, TypeError):
             pass

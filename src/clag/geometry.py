@@ -452,8 +452,11 @@ def _int(v) -> int:
 
 def subspace_from_json(n: int, q: int, rows) -> Subspace:
     """Validate and load a subspace; input must already be in reduced
-    echelon form so that files are canonical."""
+    echelon form so that files are canonical, with int entries: a bool
+    or a float raises TypeError, as in `_int`."""
     sub = make_subspace(n, q, rows)
     if sub.rows != tuple(tuple(r) for r in rows):
         raise ValueError("subspace basis is not in reduced echelon form")
+    for r in rows:  # False and 0.0 compare equal to 0
+        list(map(_int, r))
     return sub

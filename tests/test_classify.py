@@ -125,6 +125,14 @@ def malformed(cert, where):
     elif where == "index_bool":
         sol = next(s for s in bad["solutions"] if 1 in s["indices"])
         sol["indices"][sol["indices"].index(1)] = True
+    elif where == "member_bool":
+        sol["members"][0][0][0] = True  # an affine member's leading 1
+    elif where == "member_float":
+        sol["members"][0][1][0] = 0.0  # a direction row's leading 0
+    elif where == "pruning_rules":
+        bad["pruning_rules"] = []
+    elif where == "pruning_rules_missing":
+        del bad["pruning_rules"]
     return bad
 
 
@@ -134,7 +142,9 @@ def malformed(cert, where):
                                    "k=0 point", "k=0", "k=3",
                                    "space_count", "expected_weight",
                                    "complement_symmetry_used", "mode",
-                                   "k_bool", "x_bool", "index_bool"])
+                                   "k_bool", "x_bool", "index_bool",
+                                   "member_bool", "member_float",
+                                   "pruning_rules", "pruning_rules_missing"])
 def test_malformed_certificate_is_rejected(where):
     cert = search_cl_ksets(3, 2, 1, 1)
     assert verify_certificate(cert)
@@ -162,9 +172,8 @@ def without_wall_clock(cert):
     (5, 2, 1, 2, (3585, 85080, 935, 1384, 0)),
     (3, 3, 1, 3, (80080, 70341, 48813, 27678, 0)),
     (4, 3, 1, 1, (937, 39236, 18, 405, 81)),
-    (5, 2, 2, 1, (537, 18376, 80, 112, 32)),
-    # every node a block step whose children all fail their plan's checks
-    (5, 2, 3, 2, (32483, 0, 0, 0, 0))])
+    (5, 2, 2, 1, (345, 19264, 96, 112, 32)),
+    (5, 2, 3, 2, (349, 576, 194, 0, 0))])
 def test_search_statistics_are_pinned(n, q, k, x, stats):
     # any change to the order of forced-value scans or of a pencil's
     # choices moves these counts
@@ -526,6 +535,27 @@ def test_search_and_hyperplane_enumeration_build_no_kernel(monkeypatch):
     assert search_cl_ksets(3, 2, 1, 1)["solution_count"] == 8
     rep = classify_hyperplane_cl(3, 2)
     assert rep["exhaustive"]["counts_per_x"] == {"0": 1, "1": 128, "2": 1}
+
+
+def test_hyperplane_classification_ag24_through_the_search():
+    # 2^20 Boolean vectors: the pencil search counts every x instead
+    ex = classify_hyperplane_cl(2, 4)["exhaustive"]
+    assert ex == {"counts_per_x": {"0": 1, "1": 1024, "2": 7776,
+                                   "3": 1024, "4": 1},
+                  "matches_structure_counts": True,
+                  "every_solution_selects_x_per_class": True}
+
+
+def test_hyperplane_search_is_skipped_past_the_size_guard(monkeypatch):
+    # AG(2,3): 164 sets x 12 lines = 1,968 entries
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "1967")
+    rep = classify_hyperplane_cl(2, 3)
+    assert rep["exhaustive"] == {
+        "skipped": "size guard (164 sets x 12 > 1967)"}
+    assert rep["counts_per_x"] == {"0": 1, "1": 81, "2": 81, "3": 1}
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "1968")
+    assert classify_hyperplane_cl(2, 3)["exhaustive"][
+        "matches_structure_counts"]
 
 
 def test_hyperplane_classification_ag33_count_check():

@@ -8,7 +8,8 @@ import pytest
 
 import clag
 from clag import cli
-from clag.clsets import kset_from_indices, kset_to_json, point_pencil
+from clag.clsets import (kset_from_indices, kset_from_json, kset_to_json,
+                         point_pencil)
 from clag.geometry import ambient
 
 # the child imports the same clag as these tests, installed or not
@@ -274,11 +275,12 @@ def test_project_rejects_codes_past_int64(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "img.json"
-    for setfile, axis in ((bad, "0:0:0:0:1"), (good, f"0:0:0:0:{2**63}")):
+    for setfile, axis, name in ((bad, "0:0:0:0:1", f"k-set file {bad}"),
+                                (good, f"0:0:0:0:{2**63}", "input")):
         r = run_cli("project", "--set", str(setfile), "--axis", axis,
                     "--out", str(out))
         assert r.returncode == 2
-        assert r.stderr == ("malformed input: "
+        assert r.stderr == (f"malformed {name}: "
                             "basis entries must be field codes 0..1\n")
         assert not out.exists()
 
@@ -356,7 +358,28 @@ def test_kset_file_headers_must_be_ints(tmp_path, capsys, header):
         f"malformed k-set file {setfile}: ")
     assert cli.main(["project", "--set", str(setfile),
                      "--axis", "0:0:0:1"]) == 2
-    assert capsys.readouterr().err.startswith("malformed input: ")
+    assert capsys.readouterr().err.startswith(
+        f"malformed k-set file {setfile}: ")
+
+
+@pytest.mark.parametrize("row,col,value", [
+    (1, 2, False), (1, 2, 0.0), (0, 0, True), (0, 0, 1.0)])
+def test_kset_member_coordinates_must_be_ints(tmp_path, capsys, row, col,
+                                              value):
+    # False == 0 and 1.0 == 1, so each of these once found its member
+    # among the canonical lines and the AG(3,3) pencil verified
+    space = ambient(3, 3, "affine")
+    doc = kset_to_json(point_pencil(space, (1, 0, 0, 0), 1))
+    assert doc["members"][5][row][col] == value
+    doc["members"][5][row][col] = value
+    with pytest.raises(TypeError):
+        kset_from_json(doc)
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps(doc))
+    for argv in (["verify"], ["project", "--axis", "0:0:0:1"]):
+        assert cli.main([*argv, "--set", str(setfile)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"malformed k-set file {setfile}: ")
 
 
 @pytest.mark.parametrize("extra", [

@@ -40,11 +40,12 @@ def test_differing_certificates_exit_1(monkeypatch, capsys):
     tool = _tool()
 
     def fake_run(root, row):
-        return {"seconds": 1.0, "nodes": 7, "sha256": root}
+        return {"seconds": 1.0, "nodes": 7, "sha256": root,
+                "keys": {"solutions": "same", "stats": root}}
 
     monkeypatch.setattr(tool, "run_once", fake_run)
     assert tool.main(["a", "b", "--row", "3,2,1,1", "--pairs", "1"]) == 1
     captured = capsys.readouterr()
-    assert "certificates DIFFER" in captured.out
+    assert "certificates DIFFER in stats; " in captured.out
     assert "a certificate differs" in captured.err
     assert tool.main(["a", "a", "--row", "3,2,1,1", "--pairs", "1"]) == 0

@@ -10,7 +10,8 @@ runs the parent first when i is even and the change first when i is
 odd, as ``tools/bench_pairs.py`` does.  For each row prints the time of
 every pair, then each side's median with its quartiles, in how many
 pairs the change read lower and the ratio of the medians.  Exits 1 when
-a certificate without ``wall_clock_s`` differs between the sides.
+a certificate without ``wall_clock_s`` differs between the sides; the
+row's line then names the top-level keys whose values differ.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ start = time.perf_counter()
 cert = search_cl_ksets(n, q, k, x, cap=cap)
 seconds = time.perf_counter() - start
 cert.pop("wall_clock_s")
-text = json.dumps(cert, sort_keys=True).encode()
+def digest(value):
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 print(json.dumps({"seconds": seconds, "nodes": cert["stats"]["nodes"],
-                  "sha256": hashlib.sha256(text).hexdigest()}))
+                  "sha256": digest(cert),
+                  "keys": {key: digest(v) for key, v in cert.items()}}))
 """
 
 
@@ -48,8 +51,8 @@ def parse_row(text: str) -> tuple:
 
 def run_once(root: str, row: tuple) -> dict:
     """One search of checkout `root` in a fresh interpreter: its seconds,
-    its node count and the SHA-256 of its certificate without
-    ``wall_clock_s``."""
+    its node count, the SHA-256 of its certificate without
+    ``wall_clock_s`` and that of each of its top-level values."""
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     r = subprocess.run([sys.executable, "-c", _SEARCH, json.dumps(row)],
                        cwd=root, capture_output=True, text=True, env=env)
@@ -71,13 +74,17 @@ def compare_row(sides: dict, row: tuple, pairs: int) -> bool:
         print(f"  pair {i} ({order[0]} first): "
               f"{runs['parent'][-1]['seconds']:.3f}/"
               f"{runs['change'][-1]['seconds']:.3f} s", flush=True)
-    digests = {run["sha256"] for side in runs.values() for run in side}
+    every = runs["parent"] + runs["change"]
+    digests = {run["sha256"] for run in every}
+    differ = sorted({key for run in every for key in run["keys"]
+                     if len({r["keys"].get(key) for r in every}) > 1})
     s = summarize(*([{"seconds": run["seconds"]} for run in runs[side]]
                     for side in ("parent", "change")))["seconds"]
     (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
     print(f"AG({n},{q}) k={k} x={x} cap={cap}: "
           f"{runs['change'][0]['nodes']} nodes, certificates "
-          f"{'same' if len(digests) == 1 else 'DIFFER'}; "
+          f"{'same' if len(digests) == 1 else 'DIFFER'}"
+          f"{' in ' + ', '.join(differ) if differ else ''}; "
           f"parent {pm:.3f} s [{p1:.3f}, {p3:.3f}]  "
           f"change {cm:.3f} s [{c1:.3f}, {c3:.3f}]  "
           f"change lower {s['lower']}/{s['pairs']}  ratio {s['ratio']:.3f}",
