@@ -2,8 +2,12 @@
 scheme of affine hyperplanes: relations, intersection matrices,
 eigenvalue matrix P, dual Q, idempotents and inner distributions.
 
-Every table exists twice: a closed form in n and q, and a brute-force
-version computed from the geometry by exact integer counting.  Brute
+P exists twice: a closed form in n and q, and a brute-force version
+computed from the geometry by exact integer counting.  The closed Q and
+intersection matrices follow from the closed P by the Bose-Mesner
+identities (k_i = P_0i, m_r = |X| / sum_i P_ri^2/k_i, Q_ir = m_r P_ri/k_i,
+p_ij^l = sum_r m_r P_ri P_rj P_rl / (|X| k_l)), which must give integral
+m_r and p_ij^l; brute force counts the intersection matrices too.  Brute
 force is ground truth; the closed forms are fixtures under test, and a
 discrepancy is adjudicated and reported with both values rather than
 silently patched.  All spectral data is handled through exact rational
@@ -58,11 +62,9 @@ from .incidence import meets
 
 __all__ = [
     "SchemeTables", "EmptySet", "AmbientMismatch", "relation_matrix",
-    "intersection_matrices_closed", "intersection_matrices_bruteforce",
-    "eigenmatrix_closed", "dual_eigenmatrix_closed", "line_scheme",
-    "hyperplane_eigenmatrix_closed", "hyperplane_dual_eigenmatrix_closed",
-    "hyperplane_scheme", "hyperplane_adjudication", "eigenmatrix_bruteforce",
-    "align_rows_to", "hyperplane_intersection_matrices_closed",
+    "intersection_matrices_bruteforce", "eigenmatrix_closed", "line_scheme",
+    "hyperplane_eigenmatrix_closed", "hyperplane_scheme",
+    "hyperplane_adjudication", "eigenmatrix_bruteforce", "align_rows_to",
     "idempotents_scaled", "verify_bose_mesner", "scheme_axioms_bruteforce",
     "inner_distribution", "u_dot_q", "eigenspace_profile",
     "scheme_report",
@@ -95,15 +97,13 @@ class SchemeTables:
         return list(self.Q[0])
 
     def check_orthogonality(self) -> bool:
-        """P Q = |X| I, exactly."""
-        d = self.d
-        for r in range(d + 1):
-            for c in range(d + 1):
-                acc = sum(Fraction(int(self.P[r][i])) * self.Q[i][c]
-                          for i in range(d + 1))
-                if acc != (self.size if r == c else 0):
-                    return False
-        return True
+        """P Q = |X| I, exactly: sum_i P_ri lut_c[i] = den_c [r = c] on
+        the integer columns of `_idempotent_luts`."""
+        rows = self.P.tolist()
+        return all(sum(a * b for a, b in zip(row, lut)) == den * (r == c)
+                   for c, (lut, den) in enumerate(_idempotent_luts(self.Q,
+                                                                   self.size))
+                   for r, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -133,49 +133,15 @@ def relation_matrix(space: AmbientSpace, kind: str = "affine_lines",
 
 
 # ---------------------------------------------------------------------------
-# closed forms: affine lines (3-class)
+# closed forms: P typed in n and q, the rest derived from it
 # ---------------------------------------------------------------------------
 
-def _line_count(n: int, q: int) -> int:
-    return q ** (n - 1) * (q**n - 1) // (q - 1)
-
-
-def intersection_matrices_closed(n: int, q: int) -> list[np.ndarray]:
-    """The four intersection matrices of the affine-line scheme."""
-    if n < 3:
-        raise DimensionOutOfRange("the line scheme needs n >= 3")
-    m = (q**n - 1) // (q - 1)
-
-    def frac(num):
-        assert num % (q - 1) == 0
-        return num // (q - 1)
-
-    p0 = np.eye(4, dtype=np.int64)
-    p1 = np.array([
-        [0, q * (m - 1), 0, 0],
-        [1, (q - 1) ** 2 + m - 2, q - 1, (q - 1) * (m - 1 - q)],
-        [0, q * q, 0, q * (m - 1 - q)],
-        [0, q * q, q, q * (m - 2 - q)],
-    ], dtype=np.int64)
-    p2 = np.array([
-        [0, 0, q ** (n - 1) - 1, 0],
-        [0, q - 1, 0, q ** (n - 1) - q],
-        [1, 0, q ** (n - 1) - 2, 0],
-        [0, q, 0, q ** (n - 1) - 1 - q],
-    ], dtype=np.int64)
-    p3 = np.array([
-        [0, 0, 0,
-         frac(q**2 - (q + 1) * q**n + q ** (2 * n - 1))],
-        [0, q**n - q**2, q ** (n - 1) - q,
-         frac(q**3 + q**2 - (2 * q**2 + q - 1) * q ** (n - 1) - q
-              + q ** (2 * n - 1))],
-        [0, frac(q ** (n + 1) - q**3), 0,
-         frac(q**3 + q**2 - (2 * q + 1) * q**n + q ** (2 * n - 1))],
-        [1, frac(q ** (n + 1) - q**3 - q**2 + q), q ** (n - 1) - q - 1,
-         frac(q**3 + 3 * q**2 - (2 * q**2 + 2 * q - 1) * q ** (n - 1)
-              - 2 * q + q ** (2 * n - 1))],
-    ], dtype=np.int64)
-    return [p0, p1, p2, p3]
+def _int64(rows, what: str) -> np.ndarray:
+    """rows as an int64 array; DimensionOutOfRange when an entry does
+    not fit."""
+    if any(not -2**63 <= v < 2**63 for row in rows for v in row):
+        raise DimensionOutOfRange(f"an entry of {what} exceeds int64")
+    return np.array(rows, dtype=np.int64)
 
 
 def eigenmatrix_closed(n: int, q: int) -> np.ndarray:
@@ -188,49 +154,13 @@ def eigenmatrix_closed(n: int, q: int) -> np.ndarray:
         assert num % (q - 1) == 0
         return num // (q - 1)
 
-    return np.array([
+    return _int64([
         [1, frac(q ** (n + 1) - q**2), q ** (n - 1) - 1,
          frac(q**2 - (q + 1) * q**n + q ** (2 * n - 1))],
         [1, frac(q**n - q**2), -1, frac(q**2 - q**n)],
         [1, -q, -1, q],
         [1, -q, q ** (n - 1) - 1, q - q ** (n - 1)],
-    ], dtype=np.int64)
-
-
-def dual_eigenmatrix_closed(n: int, q: int) -> list[list[Fraction]]:
-    """Dual eigenvalue matrix Q; row 0 lists eigenspace dimensions.
-    Orthogonality P Q = |X| I is verified at construction."""
-    a = (q**2 + 1) * q**n - q**2 - q ** (2 * n)
-    Q = [
-        [Fraction(1), Fraction(q**n - 1),
-         Fraction(-a, q**2 - q), Fraction(q**n - q, q - 1)],
-        [Fraction(1), Fraction(a, q**2 - q ** (n + 1)),
-         Fraction(-a, q**2 - q ** (n + 1)), Fraction(-1)],
-        [Fraction(1), Fraction(q - q ** (n + 1), q**n - q),
-         Fraction(a, (q - 1) * q**n - q**2 + q), Fraction(q**n - q, q - 1)],
-        [Fraction(1), Fraction(q - q ** (n + 1), q**n - q),
-         Fraction(q ** (n + 1) - q, q**n - q), Fraction(-1)],
-    ]
-    tables = SchemeTables("affine_lines", n, q, 3, _line_count(n, q),
-                          [], eigenmatrix_closed(n, q), Q)
-    if not tables.check_orthogonality():
-        raise AssertionError("P Q != |X| I for the line scheme closed form")
-    return Q
-
-
-def line_scheme(n: int, q: int) -> SchemeTables:
-    return SchemeTables("affine_lines", n, q, 3, _line_count(n, q),
-                        intersection_matrices_closed(n, q),
-                        eigenmatrix_closed(n, q),
-                        dual_eigenmatrix_closed(n, q))
-
-
-# ---------------------------------------------------------------------------
-# closed forms: affine hyperplanes (2-class)
-# ---------------------------------------------------------------------------
-
-def _hyperplane_count(n: int, q: int) -> int:
-    return q * (q**n - 1) // (q - 1)
+    ], f"P of AG({n},{q}) lines")
 
 
 def hyperplane_eigenmatrix_closed(n: int, q: int) -> np.ndarray:
@@ -243,53 +173,62 @@ def hyperplane_eigenmatrix_closed(n: int, q: int) -> np.ndarray:
     of the projective closure) and -1 fail both scheme identities; see
     hyperplane_adjudication, which settles the entries by brute force.
     """
+    if n < 2:
+        raise DimensionOutOfRange("the hyperplane scheme needs n >= 2")
     m = (q**n - 1) // (q - 1)
-    return np.array([
+    return _int64([
         [1, q - 1, q * (m - 1)],
         [1, q - 1, -q],
         [1, -1, 0],
-    ], dtype=np.int64)
+    ], f"P of AG({n},{q}) hyperplanes")
 
 
-def hyperplane_dual_eigenmatrix_closed(n: int, q: int) -> list[list[Fraction]]:
-    m = (q**n - 1) // (q - 1)
-    Q = [
-        [Fraction(1), Fraction(m - 1), Fraction(q**n - 1)],
-        [Fraction(1), Fraction(m - 1), Fraction(-(q**n - 1), q - 1)],
-        [Fraction(1), Fraction(-1), Fraction(0)],
-    ]
-    tables = SchemeTables("affine_hyperplanes", n, q, 2,
-                          _hyperplane_count(n, q), [],
-                          hyperplane_eigenmatrix_closed(n, q), Q)
+def _tables_from_eigenmatrix(kind: str, n: int, q: int,
+                             P: np.ndarray) -> SchemeTables:
+    """The scheme tables that P fixes, by the Bose-Mesner identities in
+    exact integers and Fractions (rows r: eigenspaces, columns i:
+    relations): k_i = P_0i, |X| = sum_i k_i, m_r = |X| / sum_i P_ri^2/k_i,
+    Q_ir = m_r P_ri / k_i and B_i[l, j] = p_ij^l =
+    sum_r m_r P_ri P_rj P_rl / (|X| k_l).  Raises AssertionError unless
+    every m_r is a positive integer, every p_ij^l a non-negative integer
+    and P Q = |X| I, i.e. the rows of P are orthogonal with weights 1/k_i."""
+    rows = P.tolist()
+    idx = range(len(rows))
+    k = rows[0]
+    size = sum(k)
+    scale = lcm(*k)
+    norms = [sum(v * v * (scale // kv) for v, kv in zip(row, k))
+             for row in rows]  # scale * sum_i P_ri^2 / k_i
+    if any(w <= 0 or size * scale % w for w in norms):
+        raise AssertionError(f"{kind} P: |X| = {size} over the row norms "
+                             f"{norms} / {scale} are not positive integers")
+    mult = [size * scale // w for w in norms]
+    Q = [[Fraction(mult[r] * rows[r][i], k[i]) for r in idx] for i in idx]
+
+    def p(i, j, l):
+        num = sum(mult[r] * rows[r][i] * rows[r][j] * rows[r][l] for r in idx)
+        val, rem = divmod(num, size * k[l])
+        if rem or val < 0:
+            raise AssertionError(f"{kind} P: p_{i}{j}^{l} = "
+                                 f"{Fraction(num, size * k[l])}")
+        return val
+
+    mats = [_int64([[p(i, j, l) for j in idx] for l in idx],
+                   f"B_{i} of AG({n},{q}) {kind}") for i in idx]
+    tables = SchemeTables(kind, n, q, len(rows) - 1, size, mats, P, Q)
     if not tables.check_orthogonality():
-        raise AssertionError("P Q != |X| I for the hyperplane scheme")
-    return Q
+        raise AssertionError(f"P Q != |X| I for the {kind} closed form")
+    return tables
 
 
-def hyperplane_intersection_matrices_closed(n: int, q: int) -> list[np.ndarray]:
-    m = (q**n - 1) // (q - 1)
-    p0 = np.eye(3, dtype=np.int64)
-    p1 = np.array([
-        [0, q - 1, 0],
-        [1, q - 2, 0],
-        [0, 0, q - 1],
-    ], dtype=np.int64)
-    p2 = np.array([
-        [0, 0, (m - 1) * q],
-        [0, 0, (m - 1) * q],
-        [1, q - 1, (m - 2) * q],
-    ], dtype=np.int64)
-    return [p0, p1, p2]
+def line_scheme(n: int, q: int) -> SchemeTables:
+    return _tables_from_eigenmatrix("affine_lines", n, q,
+                                    eigenmatrix_closed(n, q))
 
 
 def hyperplane_scheme(n: int, q: int) -> SchemeTables:
-    if n < 2:
-        raise DimensionOutOfRange("the hyperplane scheme needs n >= 2")
-    return SchemeTables("affine_hyperplanes", n, q, 2,
-                        _hyperplane_count(n, q),
-                        hyperplane_intersection_matrices_closed(n, q),
-                        hyperplane_eigenmatrix_closed(n, q),
-                        hyperplane_dual_eigenmatrix_closed(n, q))
+    return _tables_from_eigenmatrix("affine_hyperplanes", n, q,
+                                    hyperplane_eigenmatrix_closed(n, q))
 
 
 class _Kind(NamedTuple):
@@ -323,8 +262,7 @@ def hyperplane_adjudication(n: int, q: int,
     orthogonality P Q = |X| I, and (when available) the brute-force
     eigenvalue matrix, which is authoritative."""
     m = (q**n - 1) // (q - 1)
-    size = q * m
-    q_mat = hyperplane_dual_eigenmatrix_closed(n, q)
+    adopted = hyperplane_scheme(n, q)
     report = {"entries": [], "brute_force_available": brute_P is not None}
     candidates = {
         (0, 2): {"adopted": q * (m - 1),
@@ -334,11 +272,11 @@ def hyperplane_adjudication(n: int, q: int,
     for (row, col), pair in candidates.items():
         entry = {"entry": f"P[{row}][{col}]"}
         for name, value in pair.items():
-            P = hyperplane_eigenmatrix_closed(n, q).copy()
+            P = adopted.P.copy()
             P[row][col] = value
-            rowsum_ok = int(P[0].sum()) == size
-            tables = SchemeTables("affine_hyperplanes", n, q, 2, size, [],
-                                  P, q_mat)
+            rowsum_ok = int(P[0].sum()) == adopted.size
+            tables = SchemeTables("affine_hyperplanes", n, q, 2,
+                                  adopted.size, [], P, adopted.Q)
             verdict = {"value": int(value),
                        "valency_row_sum": rowsum_ok,
                        "orthogonality": tables.check_orthogonality()}

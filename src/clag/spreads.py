@@ -257,7 +257,8 @@ def spread_type_II(space: AmbientSpace, at_infinity: Subspace) -> Spread:
     if at_infinity.rows not in idx:
         raise WrongDimension("axis must be a (k-1)-space at infinity")
     spaces = space.spaces(k)
-    members = _sorted_members(spaces[j] for j in pencil_members[idx[at_infinity.rows]])
+    # pencil indices are ascending, which is the canonical (Subspace.key) order
+    members = tuple(spaces[j] for j in pencil_members[idx[at_infinity.rows]])
     return Spread(space, k, members, "II", {"at_infinity": at_infinity.to_json()})
 
 

@@ -44,7 +44,13 @@ references for `clag.exact`: none of them calls `exact.eliminate`.
 `meet` is the exact intersection of two subspaces by GF(q) elimination,
 and `classify_line_pair` the relation of two lines read from it: the
 references for the point-list gathers that answer every meet question
-in the library."""
+in the library.
+
+`line_intersection_matrices`, `line_dual_eigenmatrix`,
+`hyperplane_intersection_matrices` and `hyperplane_dual_eigenmatrix`
+are the intersection matrices B_i[l, j] = p_ij^l and the dual
+eigenvalue matrices Q typed in n and q, the references for the tables
+that `clag.scheme` derives from the closed eigenvalue matrix P."""
 
 import itertools
 import random
@@ -507,3 +513,77 @@ def classify_line_pair(space: AmbientSpace, a: Subspace, b: Subspace) -> int:
     if cut is None:
         return 3
     return 1 if cut.is_affine() else 2
+
+
+def line_intersection_matrices(n: int, q: int) -> list[np.ndarray]:
+    m = (q**n - 1) // (q - 1)
+
+    def frac(num):
+        assert num % (q - 1) == 0
+        return num // (q - 1)
+
+    p0 = np.eye(4, dtype=np.int64)
+    p1 = np.array([
+        [0, q * (m - 1), 0, 0],
+        [1, (q - 1) ** 2 + m - 2, q - 1, (q - 1) * (m - 1 - q)],
+        [0, q * q, 0, q * (m - 1 - q)],
+        [0, q * q, q, q * (m - 2 - q)],
+    ], dtype=np.int64)
+    p2 = np.array([
+        [0, 0, q ** (n - 1) - 1, 0],
+        [0, q - 1, 0, q ** (n - 1) - q],
+        [1, 0, q ** (n - 1) - 2, 0],
+        [0, q, 0, q ** (n - 1) - 1 - q],
+    ], dtype=np.int64)
+    p3 = np.array([
+        [0, 0, 0,
+         frac(q**2 - (q + 1) * q**n + q ** (2 * n - 1))],
+        [0, q**n - q**2, q ** (n - 1) - q,
+         frac(q**3 + q**2 - (2 * q**2 + q - 1) * q ** (n - 1) - q
+              + q ** (2 * n - 1))],
+        [0, frac(q ** (n + 1) - q**3), 0,
+         frac(q**3 + q**2 - (2 * q + 1) * q**n + q ** (2 * n - 1))],
+        [1, frac(q ** (n + 1) - q**3 - q**2 + q), q ** (n - 1) - q - 1,
+         frac(q**3 + 3 * q**2 - (2 * q**2 + 2 * q - 1) * q ** (n - 1)
+              - 2 * q + q ** (2 * n - 1))],
+    ], dtype=np.int64)
+    return [p0, p1, p2, p3]
+
+
+def line_dual_eigenmatrix(n: int, q: int) -> list[list[Fraction]]:
+    a = (q**2 + 1) * q**n - q**2 - q ** (2 * n)
+    return [
+        [Fraction(1), Fraction(q**n - 1),
+         Fraction(-a, q**2 - q), Fraction(q**n - q, q - 1)],
+        [Fraction(1), Fraction(a, q**2 - q ** (n + 1)),
+         Fraction(-a, q**2 - q ** (n + 1)), Fraction(-1)],
+        [Fraction(1), Fraction(q - q ** (n + 1), q**n - q),
+         Fraction(a, (q - 1) * q**n - q**2 + q), Fraction(q**n - q, q - 1)],
+        [Fraction(1), Fraction(q - q ** (n + 1), q**n - q),
+         Fraction(q ** (n + 1) - q, q**n - q), Fraction(-1)],
+    ]
+
+
+def hyperplane_intersection_matrices(n: int, q: int) -> list[np.ndarray]:
+    m = (q**n - 1) // (q - 1)
+    p0 = np.eye(3, dtype=np.int64)
+    p1 = np.array([
+        [0, q - 1, 0],
+        [1, q - 2, 0],
+        [0, 0, q - 1],
+    ], dtype=np.int64)
+    p2 = np.array([
+        [0, 0, (m - 1) * q],
+        [0, 0, (m - 1) * q],
+        [1, q - 1, (m - 2) * q],
+    ], dtype=np.int64)
+    return [p0, p1, p2]
+
+
+def hyperplane_dual_eigenmatrix(n: int, q: int) -> list[list[Fraction]]:
+    m = (q**n - 1) // (q - 1)
+    return [
+        [Fraction(1), Fraction(m - 1), Fraction(q**n - 1)],
+        [Fraction(1), Fraction(m - 1), Fraction(-(q**n - 1), q - 1)],
+        [Fraction(1), Fraction(-1), Fraction(0)],
+    ]

@@ -18,13 +18,11 @@ from clag.clsets import (complement, empty_kset, full_kset,
                          project_through_infinite_subspace)
 from clag.geometry import ambient, gaussian_binomial
 from clag.incidence import build_incidence
-from clag.scheme import (align_rows_to, dual_eigenmatrix_closed,
-                         eigenmatrix_bruteforce, eigenspace_profile,
+from clag.scheme import (align_rows_to, eigenmatrix_bruteforce, eigenspace_profile,
                          hyperplane_adjudication,
                          hyperplane_eigenmatrix_closed,
                          idempotents_scaled, inner_distribution,
-                         intersection_matrices_bruteforce,
-                         intersection_matrices_closed, relation_matrix,
+                         intersection_matrices_bruteforce, relation_matrix,
                          line_scheme, scheme_axioms_bruteforce,
                          scheme_report, verify_bose_mesner)
 from clag.spreads import all_type_II_spreads, all_type_III_spreads
@@ -50,7 +48,7 @@ def test_criterion_01_intersection_matrices():
         rel = relation_matrix(space)
         axioms_ok, _ = scheme_axioms_bruteforce(rel, 3)
         brute = intersection_matrices_bruteforce(space)
-        closed = intersection_matrices_closed(n, q)
+        closed = line_scheme(n, q).p_matrices
         match = all(np.array_equal(b, c) for b, c in zip(brute, closed))
         elapsed = time.monotonic() - start
         report("1", axioms_ok and match and elapsed < 10,
@@ -90,7 +88,7 @@ def test_criterion_02_eigenvalue_matrices():
 
 
 def test_criterion_03_eigenspace_dimensions():
-    dims = [int(v) for v in dual_eigenmatrix_closed(3, 2)[0]]
+    dims = [int(v) for v in line_scheme(3, 2).Q[0]]
     space = ambient(3, 2, "affine")
     axioms_ok, p = scheme_axioms_bruteforce(relation_matrix(space), 3)
     traces = verify_bose_mesner(p, line_scheme(3, 2))["traces"]

@@ -285,6 +285,17 @@ def test_project_rejects_codes_past_int64(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("n,q,extra", [(10, 9, []), (19, 9, ["--hyperplanes"])])
+def test_scheme_tables_past_int64_exit_2(capsys, n, q, extra):
+    # the largest AG(n, 9) whose P and intersection matrices fit in
+    # int64 runs; one dimension more is an unsupported dimension
+    assert cli.main(["scheme", "--n", str(n), "--q", str(q), *extra]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == n and doc["orthogonality"]
+    assert cli.main(["scheme", "--n", str(n + 1), "--q", str(q), *extra]) == 2
+    assert capsys.readouterr().err.startswith("unsupported dimension: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--n", "3", "--q", "2", "--k", "0", "--x", "1"],
     ["search", "--n", "3", "--q", "2", "--k", "3", "--x", "1"],

@@ -9,18 +9,20 @@ import pytest
 from clag import _kernels, geometry, scheme
 from clag.clsets import empty_kset, kset_from_indices, point_pencil
 from clag.geometry import AmbientMismatch, SizeGuard, ambient, make_subspace
-from clag.scheme import (EmptySet, align_rows_to, dual_eigenmatrix_closed,
+from clag.scheme import (EmptySet, align_rows_to,
                          eigenmatrix_bruteforce, eigenmatrix_closed,
                          eigenspace_profile, hyperplane_adjudication,
                          hyperplane_eigenmatrix_closed, hyperplane_scheme,
                          idempotents_scaled, inner_distribution,
-                         intersection_matrices_bruteforce,
-                         intersection_matrices_closed, line_scheme,
+                         intersection_matrices_bruteforce, line_scheme,
                          relation_matrix, scheme_axioms_bruteforce, scheme_report,
                          u_dot_q, verify_bose_mesner)
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
                           sample_type_III_spreads)
-from oracle import bareiss_rank, classify_line_pair, meet
+from oracle import (bareiss_rank, classify_line_pair,
+                    hyperplane_dual_eigenmatrix,
+                    hyperplane_intersection_matrices, line_dual_eigenmatrix,
+                    line_intersection_matrices, meet)
 
 AG32 = ambient(3, 2, "affine")
 
@@ -81,7 +83,7 @@ def test_closed_eigenmatrix_values_at_3_2():
 
 
 def test_closed_dual_dimensions_at_3_2():
-    Q = dual_eigenmatrix_closed(3, 2)
+    Q = line_scheme(3, 2).Q
     assert [int(v) for v in Q[0]] == [1, 7, 14, 6]
     assert sum(Q[0]) == 28
 
@@ -94,7 +96,7 @@ def test_orthogonality_grid():
 
 
 def test_intersection_matrices_closed_values():
-    mats = intersection_matrices_closed(3, 2)
+    mats = line_scheme(3, 2).p_matrices
     assert np.array_equal(mats[0], np.eye(4, dtype=np.int64))
     assert mats[2][0].tolist() == [0, 0, 3, 0]  # q^(n-1) - 1 = 3
     # row sums of matrix i are the valency of relation i
@@ -103,11 +105,40 @@ def test_intersection_matrices_closed_values():
         assert set(mats[i].sum(axis=1).tolist()) == {int(P[0][i])}
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_derived_tables_equal_the_typed_references(q):
+    # Q and the intersection matrices derived from the closed P
+    cases = ([(line_scheme(n, q), line_intersection_matrices(n, q),
+               line_dual_eigenmatrix(n, q)) for n in range(3, 8)]
+             + [(hyperplane_scheme(n, q), hyperplane_intersection_matrices(n, q),
+                 hyperplane_dual_eigenmatrix(n, q)) for n in range(2, 8)])
+    for tables, mats, Q in cases:
+        assert len(tables.p_matrices) == len(mats) == tables.d + 1
+        for derived, typed in zip(tables.p_matrices, mats):
+            assert derived.dtype == np.int64
+            assert np.array_equal(derived, typed)
+        assert tables.Q == Q
+        assert tables.size == sum(int(v) for v in tables.P[0])
+
+
+@pytest.mark.parametrize("kind,make,row,col,value", [
+    # the hyperplane variant P[1][2] = -1: non-integral multiplicities
+    ("affine_hyperplanes", hyperplane_eigenmatrix_closed, 1, 2, -1),
+    # the line P with row 3 repeated: rows 2 and 3 not orthogonal
+    ("affine_lines", eigenmatrix_closed, 3, slice(None), [1, -2, -1, 2]),
+])
+def test_tables_refuse_a_p_with_unorthogonal_rows(kind, make, row, col, value):
+    P = make(3, 2).copy()
+    P[row, col] = value
+    with pytest.raises(AssertionError):
+        scheme._tables_from_eigenmatrix(kind, 3, 2, P)
+
+
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3)])
 def test_bruteforce_matches_closed_forms(n, q):
     space = ambient(n, q, "affine")
     brute = intersection_matrices_bruteforce(space)
-    closed = intersection_matrices_closed(n, q)
+    closed = line_scheme(n, q).p_matrices
     for b, c in zip(brute, closed):
         assert np.array_equal(b, c)
     bp = align_rows_to(eigenmatrix_closed(n, q), eigenmatrix_bruteforce(brute))
@@ -189,7 +220,7 @@ def test_scheme_axioms_exhaustive():
     ok, p = scheme_axioms_bruteforce(rel, 3)
     assert ok
     # triple counting over 28 lines reproduces all 64 entries
-    closed = intersection_matrices_closed(3, 2)
+    closed = line_scheme(3, 2).p_matrices
     for i in range(4):
         for j in range(4):
             for l in range(4):
