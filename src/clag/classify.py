@@ -59,12 +59,12 @@ from math import comb, gcd
 import numpy as np
 
 from . import exact
-from .clsets import (KSet, complement, is_cameron_liebler,
-                     kset_from_indices, point_pencil,
+from .clsets import (KSet, are_cameron_liebler, complement,
+                     kset_from_indices, kset_from_json, point_pencil,
                      project_through_infinite_subspace)
-from .geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard, _int,
-                       _read_only, ambient, entry_guard, gaussian_binomial,
-                       subspace_from_json)
+from .geometry import (AmbientSpace, DimensionOutOfRange, _int, _read_only,
+                       ambient, check_size, count_text, entry_guard,
+                       gaussian_binomial)
 from .incidence import _dense_rows, build_incidence
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
@@ -176,10 +176,8 @@ class _Plan:
                  need: int):
         m = len(unknown)
         # forms_v holds (choices) x m entries
-        cap = entry_guard()
-        if comb(m, need) * m > cap:
-            raise SizeGuard(f"{comb(m, need)} choices of {m} pencil members "
-                            f"x {m} forms exceed guard {cap}")
+        check_size("{0} choices of {1} pencil members x {1} forms exceed "
+                   "guard {cap}", comb(m, need), m)
         picks = np.array(list(itertools.combinations(range(m), need)),
                          dtype=np.intp)
         choices = np.zeros((len(picks), m), dtype=np.int64)
@@ -488,7 +486,8 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     total = space._num_spaces(k)  # closed form: nothing is built past the cap
     limit = cap if cap is not None else DEFAULT_SPACE_CAP
     if total > limit:
-        raise ScaleExceeded(f"{total} k-spaces exceed the cap {limit}")
+        raise ScaleExceeded(f"{count_text(total)} k-spaces exceed the cap "
+                            f"{limit}")
     spaces = space.spaces(k)
     start = time.monotonic()
     max_x = q ** (n - k)
@@ -532,14 +531,20 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
 
 def verify_certificate(cert: dict) -> bool:
     """Standalone re-verification: every listed solution passes the
-    definitional test and the count matches the claim.  Members must be
-    canonical k-spaces of the geometry, read as `clsets.kset_from_json`
-    reads them; a malformed certificate is rejected, not raised on, and
-    so is one that lists a solution, or a member of one, twice, or that
-    `search_cl_ksets` never writes: a mode other than affine, a k
-    outside 1..n-1, a bool where an int is meant, a `space_count`,
-    `expected_weight` or `complement_symmetry_used` other than its
-    closed form, or `pruning_rules` other than `PRUNING_RULES`."""
+    definitional test and the count matches the claim.  Each solution's
+    members are read by `clsets.kset_from_json`, as a k-set file is, and
+    must match its `indices`; every solution is then decided in one
+    `clsets.are_cameron_liebler` call.  A malformed certificate is
+    rejected, not raised on: one with a member `kset_from_json` refuses,
+    one that lists a solution twice, or one that `search_cl_ksets` never
+    writes: a mode other than affine, a k outside 1..n-1, a bool where
+    an int is meant, a `space_count`, `expected_weight` or
+    `complement_symmetry_used` other than its closed form, or
+    `pruning_rules` other than `PRUNING_RULES`.  A well-formed
+    certificate too large for `entry_guard()` raises SizeGuard, not
+    False: reading its first solution enumerates the closure's k-spaces
+    and deciding the solutions reads their point lists, both guarded.
+    A certificate with no solutions is decided on its header alone."""
     try:
         prob = cert["problem"]
         if prob["mode"] != "affine":
@@ -555,24 +560,17 @@ def verify_certificate(cert: dict) -> bool:
                 is not (0 <= x <= top and x > top - x)
                 or cert["pruning_rules"] != list(PRUNING_RULES)):
             return False
-        index = space.space_index(k)
         claimed = [(sorted(map(_int, sol["indices"])),
-                    [index[subspace_from_json(n, q, rows).rows]
-                     for rows in sol["members"]])
+                    kset_from_json({**prob, "members": sol["members"]}))
                    for sol in cert["solutions"]]
         if (len(claimed) != _int(cert["solution_count"])
                 or len({tuple(i) for i, _ in claimed}) != len(claimed)):
             return False
     except (KeyError, TypeError, ValueError):
         return False
-    for indices, idxs in claimed:
-        if sorted(idxs) != indices or len(set(idxs)) != len(idxs):
-            return False
-        l = kset_from_indices(space, k, idxs)
-        ok, _ = is_cameron_liebler(l)
-        if not ok or l.x != x:
-            return False
-    return True
+    ksets = [l for _, l in claimed]
+    return (all(sorted(l.members) == i and l.x == x for i, l in claimed)
+            and all(are_cameron_liebler(space, k, ksets)))
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +679,6 @@ def verify_hyperplane_spread_classification(n: int, q: int) -> dict:
 # projection cross-check
 # ---------------------------------------------------------------------------
 
-def _cameron_liebler_rows(space: AmbientSpace, k: int, ksets) -> list[bool]:
-    """`is_cameron_liebler` of each k-set of the affine space, from one
-    membership call on their stacked characteristic vectors."""
-    chis = np.array([l.chi() for l in ksets])
-    # the reshape keeps the row length when there are no k-sets
-    member = build_incidence(space, k).rows_in_row_space(
-        chis.reshape(len(ksets), len(space.spaces(k))))
-    return [bool(ok) and l.x.denominator == 1
-            for ok, l in zip(member, ksets)]
-
-
 def cross_check_projection(n: int, q: int, k: int) -> dict:
     """Project every catalogued Cameron-Liebler k-set through each
     admissible (k-2)-space at infinity and confirm the image is a
@@ -707,7 +694,7 @@ def cross_check_projection(n: int, q: int, k: int) -> dict:
     catalog.append(("empty", kset_from_indices(space, k, [])))
     catalog.append(("complement_of_pencil",
                     complement(point_pencil(space, space.points[0], k))))
-    verdicts = _cameron_liebler_rows(space, k, [l for _, l in catalog])
+    verdicts = are_cameron_liebler(space, k, [l for _, l in catalog])
     for (name, _), ok in zip(catalog, verdicts):
         if not ok:
             raise AssertionError(f"catalog set {name} is not Cameron-Liebler")
@@ -716,8 +703,8 @@ def cross_check_projection(n: int, q: int, k: int) -> dict:
     images = [project_through_infinite_subspace(l, axis)
               for _, l, axis in pairs]
     # every image is a line set of AG(n-k+1, q)
-    verdicts = _cameron_liebler_rows(ambient(n - k + 1, q, "affine"), 1,
-                                     images)
+    verdicts = are_cameron_liebler(ambient(n - k + 1, q, "affine"), 1,
+                                   images)
     results = [{"set": name, "axis": axis.to_json(), "image_is_cl": img_ok,
                 "same_parameter": img.x == l.x}
                for (name, l, axis), img, img_ok in zip(pairs, images, verdicts)]

@@ -3,14 +3,16 @@
 Exit codes: 0 success, 1 mathematical-check failure, 2 usage or input
 error.  All numeric output is rendered as exact rational strings, the
 PRNG seed is recorded in every artifact, and artifacts are byte-stable
-across reruns (wall-clock timing is embedded only with --timing).
-CLAG_SIZE_GUARD overrides the entry guard (default 10**7) of relation
-matrices, of the point lists that membership, pencils, spreads and
-projections read, of the point marks that disjointness checks and
-scheme relations gather and the meet matrices the relations read, of
-the dense incidence matrix that the search's tableau builds, and of
-every pencil plan the search builds, read on every access; the search's
-k-space cap is --cap.
+across reruns (wall-clock timing is embedded only with search --timing,
+an option of search alone).  CLAG_SIZE_GUARD overrides the entry guard
+(default 10**7) of every enumeration of subspaces (so a k-set file of a
+geometry too large to enumerate exits 2 at once), of relation matrices,
+of the point lists that membership, pencils, spreads and projections
+read, of the point marks that disjointness checks and scheme relations
+gather and the meet matrices the relations read, of the dense
+incidence matrix that the search's tableau builds, and of every pencil
+plan the search builds, read on every access; the search's k-space cap
+is --cap.
 """
 
 from __future__ import annotations
@@ -227,7 +229,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="PRNG seed recorded in artifacts")
     common.add_argument("--out")
-    common.add_argument("--timing", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scheme", parents=[common],
@@ -255,6 +256,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--cap", type=int, default=None,
                    help="override the k-space count cap")
+    p.add_argument("--timing", action="store_true", help="embed run timings")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("spread", parents=[common], help="construct and verify a spread")

@@ -44,7 +44,7 @@ __all__ = [
     "WrongCodimension", "NotSkew", "DimensionViolation",
     "kset_from_indices", "kset_from_subspaces", "empty_kset", "full_kset",
     "point_pencil", "pg_hyperplane_set", "complement", "union", "difference",
-    "is_cameron_liebler", "check_spread_intersections",
+    "is_cameron_liebler", "are_cameron_liebler", "check_spread_intersections",
     "check_switching_invariance", "disjoint_counts",
     "infinite_pencil_counts", "check_line_disjointness",
     "check_pg_disjointness", "embed_to_pg", "restrict_from_pg",
@@ -207,6 +207,18 @@ def is_cameron_liebler(l: KSet) -> tuple[bool, list[Fraction] | None]:
     if l.space.mode == "affine" and l.x.denominator != 1:
         return False, None
     return build_incidence(l.space, l.k).row_space_membership(l.chi())
+
+
+def are_cameron_liebler(space: AmbientSpace, k: int, ksets) -> list[bool]:
+    """`is_cameron_liebler` of each k-set of `space`, without the
+    certificates, from one membership call on their stacked
+    characteristic vectors; an empty list builds nothing."""
+    if not ksets:
+        return []
+    member = build_incidence(space, k).rows_in_row_space(
+        np.array([l.chi() for l in ksets]))
+    return [bool(ok) and (space.mode != "affine" or l.x.denominator == 1)
+            for ok, l in zip(member, ksets)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,16 @@ lists of the k-spaces (`AmbientSpace.point_lists`), computed by
 the one stored form of the point versus k-space incidence.  Pencils and
 the inside/through/skew masks gather a mask of points over them; no
 dense points x k-spaces matrix and no per-space tuples are kept.
+
+Every table sized in closed form, each enumeration of subspaces
+included, is checked before it is built by `check_size`, the one size
+policy: it raises SizeGuard past `entry_guard()`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -64,6 +69,24 @@ def entry_guard() -> int:
     return int(env) if env else DEFAULT_ENTRY_GUARD
 
 
+def count_text(v: int) -> str:
+    """v in decimal, or "at least 2^b" from 2^100 on: a count in closed
+    form can have more digits than `str` prints."""
+    b = v.bit_length() - 1
+    return str(v) if b < 100 else f"at least 2^{b}"
+
+
+def check_size(message: str, *shape: int) -> None:
+    """The one size policy: raise SizeGuard when a table of the given
+    shape, counted in closed form before it is built, has more entries
+    than `entry_guard()`.  Only then is `message` formatted, with each
+    dimension as `count_text` shows it in its positional fields and the
+    guard in {cap}."""
+    cap = entry_guard()
+    if math.prod(shape) > cap:
+        raise SizeGuard(message.format(*map(count_text, shape), cap=cap))
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """arr, locked against writes: memoised tables are shared by every
     caller."""
@@ -81,6 +104,7 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
         raise DimensionOutOfRange("negative argument")
     if b > a:
         return 0
+    b = min(b, a - b)  # [a, b]_q = [a, a - b]_q
     num = 1
     den = 1
     for i in range(b):
@@ -191,7 +215,11 @@ def _free_cells(pivots, ncols):
 
 
 def enumerate_rref_matrices(ncols: int, nrows: int, q: int):
-    """All reduced-echelon full-rank nrows x ncols matrices over GF(q)."""
+    """All reduced-echelon full-rank nrows x ncols matrices over GF(q),
+    the (nrows-1)-spaces of PG(ncols-1, q).  Raises SizeGuard before
+    the first when their number exceeds `entry_guard()`."""
+    check_size(f"{{}} {nrows - 1}-spaces of PG({ncols - 1},{q}) exceed "
+               "guard {cap}", gaussian_binomial(ncols, nrows, q))
     for pivots in itertools.combinations(range(ncols), nrows):
         cells = _free_cells(pivots, ncols)
         base = [[0] * ncols for _ in range(nrows)]
@@ -259,7 +287,10 @@ class AmbientSpace:
     # -- k-spaces ------------------------------------------------------
 
     def spaces(self, k: int) -> list[Subspace]:
-        """Canonically ordered list of the k-spaces of this space."""
+        """Canonically ordered list of the k-spaces of this space,
+        enumerated in the closure; SizeGuard is raised first when the
+        closure has more k-spaces, counted in closed form, than
+        `entry_guard()`."""
         if k < 0 or k > self.n:
             raise DimensionOutOfRange(f"k={k} outside 0..{self.n}")
 
@@ -372,12 +403,10 @@ class AmbientSpace:
         Every call first raises SizeGuard when its entries, counted in
         closed form, exceed `entry_guard()`, whatever is already
         cached."""
-        cap = entry_guard()
         spaces = self._num_spaces(k)
         size = (self.q ** k if self.mode == "affine"
                 else gaussian_binomial(k + 1, 1, self.q))
-        if spaces * size > cap:
-            raise SizeGuard(f"{spaces} x {size} point lists exceed guard {cap}")
+        check_size("{} x {} point lists exceed guard {cap}", spaces, size)
         return self.memo(("point_lists", k), lambda: _read_only(
             self.point_sets(self.spaces(k))))
 
@@ -412,7 +441,8 @@ class AmbientSpace:
     def infinite_subspaces(self, d: int) -> list[Subspace]:
         """The d-spaces contained in the hyperplane at infinity, in
         canonical order: the d-spaces of PG(n-1, q), enumerated on their
-        own rather than cut from the closure's d-spaces."""
+        own rather than cut from the closure's d-spaces, under the same
+        guard as `spaces`."""
         if d < 0:
             return []
         return self.memo(("infinite_subspaces", d), lambda: sorted(

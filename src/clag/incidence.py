@@ -53,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .geometry import AmbientSpace, DimensionOutOfRange, SizeGuard, entry_guard
+from .geometry import AmbientSpace, DimensionOutOfRange, check_size
 
 __all__ = ["IncidenceMatrix", "build_incidence", "LengthMismatch",
            "NotADesign", "meets", "meet_counts", "certificate_to_json"]
@@ -195,10 +195,8 @@ def _dense_rows(space: AmbientSpace, k: int) -> np.ndarray:
     elimination: the search's starting tableau and `kernel_basis`.
     Raises SizeGuard first when its entries, counted in closed form,
     exceed `entry_guard()`."""
-    cap = entry_guard()
     v, spaces = space.num_points, space._num_spaces(k)
-    if v * spaces > cap:
-        raise SizeGuard(f"{v} x {spaces} incidence exceeds guard {cap}")
+    check_size("{} x {} incidence exceeds guard {cap}", v, spaces)
     mat = np.zeros((spaces, v), dtype=bool)
     np.put_along_axis(mat, space.point_lists(k), True, axis=1)
     return mat
@@ -212,9 +210,7 @@ def _meet_marks(space: AmbientSpace, k: int, cols):
     pts = space.point_lists(k)
     chosen = pts[cols]
     v, width = space.num_points, len(chosen)
-    cap = entry_guard()
-    if v * width > cap:
-        raise SizeGuard(f"{v} x {width} meet marks exceed guard {cap}")
+    check_size("{} x {} meet marks exceed guard {cap}", v, width)
     marks = np.zeros((v, width), dtype=bool)
     marks[chosen, np.arange(width)[:, None]] = True
     return pts, np.packbits(marks, axis=1), width
@@ -237,10 +233,7 @@ def meets(space: AmbientSpace, k: int, cols, rows=slice(None)) -> np.ndarray:
     gather, the len(rows) x len(cols) result exceed `entry_guard()`."""
     pts, packed, width = _meet_marks(space, k, cols)
     pts = pts[rows]
-    cap = entry_guard()
-    if len(pts) * width > cap:
-        raise SizeGuard(f"{len(pts)} x {width} meet matrix exceeds "
-                        f"guard {cap}")
+    check_size("{} x {} meet matrix exceeds guard {cap}", len(pts), width)
     met = _gather_marks(packed, pts)
     return np.unpackbits(met, axis=1, count=width).view(bool)
 

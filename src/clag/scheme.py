@@ -57,7 +57,7 @@ from . import _kernels, exact
 from .clsets import KSet
 from .galois import field_for_order
 from .geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
-                       SizeGuard, ambient, entry_guard)
+                       ambient, check_size, entry_guard)
 from .incidence import meets
 
 __all__ = [
@@ -122,9 +122,7 @@ def relation_matrix(space: AmbientSpace, kind: str = "affine_lines",
     _, _, per_space = space.infinity_pencils(k)
     inf = per_space[cols]
     x = len(inf)
-    cap = entry_guard()
-    if x * x > cap:
-        raise SizeGuard(f"{x}^2 relation matrix exceeds guard {cap}")
+    check_size("{0}^2 relation matrix exceeds guard {cap}", x, x)
     met = meets(space, k, cols, rows=cols)
     rel = np.array(spec.codes, dtype=np.int8)[2 * met + (inf[:, None] == inf)]
     if (rel < 0).any():

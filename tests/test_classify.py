@@ -151,6 +151,26 @@ def test_malformed_certificate_is_rejected(where):
     assert verify_certificate(malformed(cert, where)) is False
 
 
+def test_certificate_past_the_size_guard_raises(monkeypatch):
+    # a well-formed header for AG(12,3) lines at x = 1: its first solution
+    # would be read from the 52,955,405,230 lines of PG(12,3)
+    monkeypatch.delenv("CLAG_SIZE_GUARD", raising=False)
+    g = gaussian_binomial(12, 1, 3)
+    cert = {"problem": {"n": 12, "q": 3, "k": 1, "x": 1, "mode": "affine"},
+            "space_count": 3**11 * g, "expected_weight": g,
+            "complement_symmetry_used": False,
+            "pruning_rules": list(classify.PRUNING_RULES),
+            "solution_count": 1,
+            "solutions": [{"indices": [0], "members": [
+                [[1] + [0] * 12, [0] * 12 + [1]]]}]}
+    with pytest.raises(SizeGuard,
+                       match=r"^52955405230 1-spaces of PG\(12,3\)"):
+        verify_certificate(cert)
+    # no solutions: the header alone decides
+    cert.update(solution_count=0, solutions=[])
+    assert verify_certificate(cert)
+
+
 def test_search_is_deterministic():
     a = search_cl_ksets(3, 2, 1, 1)
     b = search_cl_ksets(3, 2, 1, 1)

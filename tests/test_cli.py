@@ -8,6 +8,7 @@ import pytest
 
 import clag
 from clag import cli
+from clag.classify import search_cl_ksets, verify_certificate
 from clag.clsets import (kset_from_indices, kset_from_json, kset_to_json,
                          point_pencil)
 from clag.geometry import ambient
@@ -16,14 +17,15 @@ from clag.geometry import ambient
 CLAG_PATH = os.path.dirname(os.path.dirname(os.path.abspath(clag.__file__)))
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv, env=None, timeout=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (CLAG_PATH, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "clag.cli", *argv],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=full_env,
+                          timeout=timeout)
 
 
 def test_scheme_command(tmp_path):
@@ -335,6 +337,32 @@ def test_size_guard_env(tmp_path):
     assert "scale exceeded" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    # 2^99999 (2^100000 - 1) lines: past the 4,300 digits str() prints
+    ["--n", "100000", "--q", "2", "--x", "1"],
+    # [3000, 2999]_2 took 24 s when computed over 2999 factors
+    ["--n", "3000", "--q", "2", "--k", "2999", "--x", "0"]])
+def test_search_far_past_the_cap_exits_2_at_once(argv):
+    r = run_cli("search", *argv, timeout=10)
+    assert r.returncode == 2
+    assert r.stderr.startswith("scale exceeded: at least 2^")
+
+
+def test_kset_files_past_the_enumeration_guard_exit_2(tmp_path):
+    # PG(12,3) has 52,955,405,230 lines; enumerating them for the index
+    # of AG(12,3) lines ran until the process was killed
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps({"n": 12, "q": 3, "k": 1, "mode": "affine",
+                                   "members": [[[1] + [0] * 12,
+                                                [0] * 12 + [1]]]}))
+    for argv in (["verify"], ["project", "--axis", ":".join("0" * 12 + "1")]):
+        r = run_cli(*argv, "--set", str(setfile), timeout=10,
+                    env={"CLAG_SIZE_GUARD": ""})
+        assert r.returncode == 2
+        assert r.stderr == ("size guard: 52955405230 1-spaces of PG(12,3) "
+                            "exceed guard 10000000\n")
+
+
 def test_size_guard_env_covers_spread_incidences():
     # type III reads the hyperplanes through pi from the PG(3,2) incidence
     r = run_cli("spread", "--type", "3", "--n", "3", "--q", "2",
@@ -431,6 +459,39 @@ def test_kset_files_are_refused_as_by_the_subspace_route(tmp_path, capsys, extra
     else:
         assert code == 2
         assert err == f"malformed k-set file {setfile}: {outcome[1][1]}\n"
+
+
+@pytest.mark.parametrize("mutation", ["true", "1.0", "twice", "plane",
+                                      "not echelon"])
+def test_kset_files_and_certificates_refuse_the_same_members(
+        tmp_path, capsys, mutation):
+    # a certificate's solutions are read as k-set files are
+    cert = search_cl_ksets(3, 2, 1, 1)
+    sol = cert["solutions"][0]
+    members, indices = sol["members"], sol["indices"]
+    bad = json.loads(json.dumps(members))
+    if mutation == "true":
+        bad[0][0][0] = True
+    elif mutation == "1.0":
+        bad[0][0][0] = 1.0
+    elif mutation == "twice":
+        bad.append(bad[0])
+        indices = sorted(indices + indices[:1])
+    elif mutation == "plane":
+        bad[0] = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    else:
+        bad[0] = bad[0][::-1]
+    setfile = tmp_path / "set.json"
+    for rows, code, verdict in ((members, 0, True), (bad, 2, False)):
+        setfile.write_text(json.dumps({"n": 3, "q": 2, "k": 1,
+                                       "mode": "affine", "members": rows}))
+        assert cli.main(["verify", "--set", str(setfile)]) == code
+        sol["members"] = rows
+        if rows is bad:
+            sol["indices"] = indices
+        assert verify_certificate(cert) is verdict
+    assert capsys.readouterr().err.startswith(
+        f"malformed k-set file {setfile}: ")
 
 
 def test_verify_all_checks_report_is_pinned(tmp_path, monkeypatch, capsys):

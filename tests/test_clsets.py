@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clag import cli, geometry
+from clag import cli, clsets, geometry
 from clag.classify import cross_check_projection, search_cl_ksets
 from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
-                         WrongCodimension, check_line_disjointness,
+                         WrongCodimension, are_cameron_liebler,
+                         check_line_disjointness,
                          check_pg_disjointness, disjoint_counts,
                          check_spread_intersections,
                          check_switching_invariance, complement,
@@ -34,6 +35,30 @@ PG32 = ambient(3, 2, "projective")
 def lines_in_hyperplane(space, hyp):
     return [j for j, s in enumerate(space.spaces(1))
             if contains(hyp, s)]
+
+
+def test_batched_decision_matches_the_definitional_test(monkeypatch):
+    # in PG(4,2) the lines of a hyperplane have x = 7/3: Cameron-Liebler
+    # there, while a non-integral x is refused in AG
+    pg = ambient(4, 2, "projective")
+    hyp = make_subspace(4, 2, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                               [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
+    pencil = point_pencil(AG32, AG32.points[3], 1)
+    cases = [(AG32, [pencil, kset_from_indices(AG32, 1, [0]),
+                     empty_kset(AG32, 1), complement(pencil)]),
+             (pg, [pg_hyperplane_set(pg, hyp, 1),
+                   kset_from_indices(pg, 1, [5]),
+                   point_pencil(pg, pg.points[0], 1)])]
+    for space, sets in cases:
+        expected = [is_cameron_liebler(l)[0] for l in sets]
+        assert are_cameron_liebler(space, 1, sets) == expected
+    assert expected == [True, False, True]
+
+    def refuse(*args):
+        raise AssertionError("incidence built")
+
+    monkeypatch.setattr(clsets, "build_incidence", refuse)
+    assert are_cameron_liebler(AG32, 1, []) == []
 
 
 def test_empty_and_full():

@@ -8,9 +8,10 @@ import pytest
 
 from clag.galois import field_for_order
 from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
-                           ambient, apply_matrix, enumerate_rref_matrices,
-                           gaussian_binomial, infinite_part,
-                           make_subspace, span, subspace_from_json)
+                           SizeGuard, ambient, apply_matrix, count_text,
+                           enumerate_rref_matrices, gaussian_binomial,
+                           infinite_part, make_subspace, span,
+                           subspace_from_json)
 
 from oracle import contains, meet
 
@@ -21,6 +22,35 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2, 3) == 130  # lines of PG(3,3)
     assert gaussian_binomial(2, 3, 5) == 0    # b > a
     assert gaussian_binomial(5, 0, 7) == 1
+
+
+def test_gaussian_binomial_loops_over_the_smaller_side():
+    # [a, b]_q = [a, a - b]_q; b = 2999 factors took 24 s
+    assert gaussian_binomial(3000, 2999, 2) == 2**3000 - 1
+    assert gaussian_binomial(7, 5, 3) == gaussian_binomial(7, 2, 3)
+
+
+def test_enumeration_passes_the_size_guard_first(monkeypatch):
+    # PG(3,3) has 40 points and 130 lines; its plane at infinity, PG(2,3),
+    # has 13 lines
+    space = AmbientSpace(3, 3, "projective")
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "129")
+    with pytest.raises(SizeGuard,
+                       match=r"^130 1-spaces of PG\(3,3\) exceed guard 129$"):
+        space.spaces(1)
+    assert len(space.spaces(0)) == 40
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "12")
+    with pytest.raises(SizeGuard,
+                       match=r"^13 1-spaces of PG\(2,3\) exceed guard 12$"):
+        space.infinite_subspaces(1)
+    assert ("spaces", 1) not in space._memo
+
+
+def test_counts_past_the_digit_limit_are_printable():
+    # str() refuses an int of more than 4,300 digits
+    assert count_text(2**100 - 1) == str(2**100 - 1)
+    assert count_text(2**100) == "at least 2^100"
+    assert count_text(3 * 2**20000) == "at least 2^20001"
 
 
 def test_gaussian_binomial_matches_pivot_pattern_count():

@@ -34,6 +34,28 @@ def test_names_the_benchmark_reaches_into_exist(monkeypatch):
     assert hasattr(importlib.import_module("clag._kernels"), "USING_NUMBA")
 
 
+def test_size_guard_is_raised_in_one_place():
+    # the size policy lives in geometry.check_size: every table the
+    # library guards calls it rather than constructing SizeGuard
+    def constructs(node):
+        return (isinstance(node, ast.Call) and "SizeGuard" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+    package = os.path.dirname(os.path.abspath(clag.__file__))
+    everywhere = in_helper = 0
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            everywhere += constructs(node)
+            if (fname == "geometry.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "check_size"):
+                in_helper += sum(map(constructs, ast.walk(node)))
+    assert everywhere == in_helper == 1
+
+
 def test_every_exact_name_has_a_library_caller():
     # clag.exact keeps only what the rest of the library runs; a name
     # that only tests call belongs in tests/oracle.py
