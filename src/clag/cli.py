@@ -13,11 +13,16 @@ gather and the meet matrices the relations read, of the dense
 incidence matrix that the search's tableau builds, and of every pencil
 plan the search builds, read on every access; the search's k-space cap
 is --cap.
+
+The argument parser is built once per process, on the first call of
+`main`; each parsed command runs the `cmd_*` function bound in this
+module at that moment.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -71,7 +76,8 @@ def cmd_scheme(args) -> int:
         print(_fmt_table(report["P"]))
         print("Q =")
         print(_fmt_table(report["Q"]))
-    _emit(report, args)
+    if args.format == "json" or args.out:
+        _emit(report, args)
     mismatch = bool(report.get("brute_force")
                     and report["brute_force"].get("diff"))
     if mismatch and not args.allow_diff:
@@ -220,7 +226,10 @@ def cmd_project(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The `clag` argument parser, built on the first call and shared
+    by every later one."""
     parser = argparse.ArgumentParser(
         prog="clag",
         description="Cameron-Liebler sets, spreads and association "
@@ -242,12 +251,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-diff", action="store_true",
                    help="exit 0 even when brute force disagrees")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_scheme)
 
     p = sub.add_parser("verify", parents=[common], help="verify a k-set file")
     p.add_argument("--set", required=True)
     p.add_argument("--all-checks", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", parents=[common], help="classify Cameron-Liebler k-sets")
     p.add_argument("--n", type=int, required=True)
@@ -257,7 +264,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None,
                    help="override the k-space count cap")
     p.add_argument("--timing", action="store_true", help="embed run timings")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("spread", parents=[common], help="construct and verify a spread")
     p.add_argument("--type", type=int, choices=(1, 2, 3), required=True)
@@ -271,22 +277,20 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", help="(n-2)-space at infinity for type 3")
     p.add_argument("--choices",
                    help="type 3 tau list, subspaces separated by '|'")
-    p.set_defaults(func=cmd_spread)
 
     p = sub.add_parser("project", parents=[common], help="project a k-set through infinity")
     p.add_argument("--set", required=True)
     p.add_argument("--axis", required=True,
                    help="i-space at infinity, subspace literal")
     p.add_argument("--pi", help="target (n-i-1)-space; canonical if omitted")
-    p.set_defaults(func=cmd_project)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # read at each call, so a rebound cmd_* (a tracer's) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except SizeGuard as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ lists, and a k-set's image is that map read at its members.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -234,10 +235,13 @@ def check_spread_intersections(l: KSet, spreads) -> CheckResult:
     if not _equivalence_applicable(l):
         return CheckResult("spread_intersections", NOT_APPLICABLE,
                            {"reason": "requires n >= 2k+1"})
-    chi = l.chi()
-    counts = []
-    for s in spreads:
-        counts.append(int(chi[list(s.member_indices())].sum()))
+    idx = [s.member_indices() for s in spreads]
+    # one gather of every member, summed per spread as prefix differences
+    hits = l.chi()[np.fromiter(itertools.chain.from_iterable(idx),
+                               dtype=np.int64)]
+    prefix = np.concatenate(([0], np.cumsum(hits, dtype=np.int64)))
+    ends = np.cumsum([0] + [len(i) for i in idx])
+    counts = (prefix[ends[1:]] - prefix[ends[:-1]]).tolist()
     ok = l.x.denominator == 1 and all(c == l.x for c in counts)
     return CheckResult("spread_intersections", PASS if ok else FAIL,
                        {"counts": counts, "x": str(l.x)})

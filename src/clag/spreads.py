@@ -13,17 +13,21 @@ Spread types:
 * type III+ -- type III for lines with all chosen points distinct.
 
 Every constructor validates its output exactly (pairwise disjointness
-and point coverage).  Which subspaces lie inside or pass through
-which (the hyperplanes through pi, the tau_i inside pi, the members
-inside each hyperplane) is read from `AmbientSpace.shared_points`, a
-mask of points gathered over the k-spaces' point lists, in the
-projective closure for subspaces at infinity.  A type III spread is
+and point coverage).  A type III spread is read from the pencil
+structure (`AmbientSpace.infinity_pencils`), with no containment mask:
+the hyperplanes through pi are pi's pencil of hyperplanes, one scatter
+over their point lists labels every affine point by the hyperplane
+through pi that holds it, and a member K has K at infinity equal to
+tau_i, where i is the label of K's first point.  Its members are
 gathered as indices into the space's k-spaces and validated by one
-count over the rows of those point lists.
+count over the rows of those point lists.  The exhaustive list and the
+seeded sample read each pi's labels once, for all of its spreads.
 
-The seeded sample of type III spreads is built once per (space, k,
-count, seed) and kept in the space's memo; every call returns a new
-list of the same frozen `Spread` objects.
+A `Spread` keeps its sorted member indices; the type II and type III
+constructors hand them over.  The parallel classes of a (space, k) and
+the seeded sample of type III spreads of a (space, k, count, seed) are
+built once and kept in the space's memo; every call returns a new list
+of the same frozen `Spread` objects.
 """
 
 from __future__ import annotations
@@ -88,13 +92,20 @@ class Spread:
     members: tuple[Subspace, ...]
     type_tag: str = "untyped"
     data: dict = field(default_factory=dict, compare=False, hash=False)
+    # the sorted member indices: given by the type II and III
+    # constructors, else looked up on the first `member_indices` call
+    indices: tuple[int, ...] | None = field(default=None, compare=False,
+                                            repr=False)
 
     def __len__(self):
         return len(self.members)
 
     def member_indices(self) -> tuple[int, ...]:
-        idx = self.space.space_index(self.k)
-        return tuple(sorted(idx[m.rows] for m in self.members))
+        if self.indices is None:
+            idx = self.space.space_index(self.k)
+            object.__setattr__(self, "indices", tuple(sorted(
+                idx[m.rows] for m in self.members)))
+        return self.indices
 
     def to_json(self) -> dict:
         return {
@@ -246,80 +257,120 @@ def restrict_to_affine(s: Spread) -> Spread:
 # type II: parallel classes
 # ---------------------------------------------------------------------------
 
+def _infinite_index(space: AmbientSpace, d: int) -> dict:
+    """Rows -> position in `space.infinite_subspaces(d)`, built once
+    per (space, d)."""
+    return space.memo(("infinite_index", d), lambda: {
+        s.rows: i for i, s in enumerate(space.infinite_subspaces(d))})
+
+
 def spread_type_II(space: AmbientSpace, at_infinity: Subspace) -> Spread:
     if space.mode != "affine":
         raise GeometryMismatch("type II spreads live in the affine space")
     if at_infinity.is_affine():
         raise NotAtInfinity("the axis of a type II spread lies at infinity")
     k = at_infinity.dim + 1
-    inf_list, pencil_members, _ = space.infinity_pencils(k)
-    idx = {s.rows: i for i, s in enumerate(inf_list)}
-    if at_infinity.rows not in idx:
+    _, pencil_members, _ = space.infinity_pencils(k)
+    i = _infinite_index(space, k - 1).get(at_infinity.rows)
+    if i is None:
         raise WrongDimension("axis must be a (k-1)-space at infinity")
     spaces = space.spaces(k)
     # pencil indices are ascending, which is the canonical (Subspace.key) order
-    members = tuple(spaces[j] for j in pencil_members[idx[at_infinity.rows]])
-    return Spread(space, k, members, "II", {"at_infinity": at_infinity.to_json()})
+    idx = pencil_members[i].tolist()
+    return Spread(space, k, tuple(spaces[j] for j in idx), "II",
+                  {"at_infinity": at_infinity.to_json()}, indices=tuple(idx))
 
 
 def all_type_II_spreads(space: AmbientSpace, k: int) -> list[Spread]:
     """Every parallel class of k-spaces: `spread_type_II` on each
-    (k-1)-space at infinity, in canonical order."""
-    inf_list, _, _ = space.infinity_pencils(k)
-    return [spread_type_II(space, axis) for axis in inf_list]
+    (k-1)-space at infinity, in canonical order.  The classes are built
+    once per (space, k) and kept in the space's memo: each call returns
+    a new list of the same frozen `Spread` objects."""
+    return list(space.memo(("type_II_spreads", k), lambda: tuple(
+        spread_type_II(space, axis) for axis in space.infinity_pencils(k)[0])))
 
 
 # ---------------------------------------------------------------------------
 # type III
 # ---------------------------------------------------------------------------
 
+def _pencil_of(space: AmbientSpace, pi: Subspace, k: int):
+    """(hyps, label, taus) for the (n-2)-space pi at infinity: the
+    indices of the q affine hyperplanes through pi (its pencil in
+    `infinity_pencils(n-1)`, ascending, so in canonical order); for
+    every affine point, the position in hyps of the one holding it; and
+    the (k-1)-spaces at infinity inside pi, in canonical order.  tau
+    lies in pi iff the k-space joining tau to the affine point 0 lies in
+    a hyperplane through pi, the one holding point 0; point lists are
+    sorted, so point 0 opens the rows of the k-spaces through it."""
+    _, pencils, _ = space.infinity_pencils(space.n - 1)
+    hyps = pencils[_infinite_index(space, space.n - 2)[pi.rows]]
+    label = np.empty(space.num_points, dtype=np.int64)
+    label[space.point_lists(space.n - 1)[hyps]] = np.arange(len(hyps))[:, None]
+    lists = space.point_lists(k)
+    through = np.flatnonzero(lists[:, 0] == 0)
+    inside = (label[lists[through]] == label[0]).all(axis=1)
+    inf_list = space.infinite_subspaces(k - 1)
+    taus = np.sort(space.infinity_pencils(k)[2][through[inside]])
+    return hyps, label, [inf_list[i] for i in taus]
+
+
 def _taus(space: AmbientSpace, pi: Subspace, k: int) -> list[Subspace]:
-    """The (k-1)-spaces inside pi, in canonical order; the ones at
-    infinity close the projective enumeration in that order."""
-    proj = space.closure
-    inside = proj.spaces_inside(k - 1, pi)
-    return [t for t, ok in zip(proj.spaces(k - 1), inside) if ok]
+    """The (k-1)-spaces inside pi, in canonical order."""
+    return _pencil_of(space, pi, k)[2]
 
 
 def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     """Members: the k-spaces K with tau_i <= K <= pi_i, where pi_1..pi_q
     are the affine hyperplanes through pi in canonical order and tau_i
-    is the i-th chosen (k-1)-space inside pi."""
+    is the i-th chosen (k-1)-space inside pi.  Such a K has K at
+    infinity equal to tau_i, and lies in the one hyperplane through pi
+    that holds its first point: so K is a member iff its pencil id is
+    that of tau_(label of its first point)."""
     if space.mode != "affine":
         raise GeometryMismatch("type III spreads live in the affine space")
     if pi.is_affine() or pi.dim != space.n - 2:
         raise NotAtInfinity("pi must be an (n-2)-space at infinity")
     choices = list(choices)
-    hyps = [h for h, ok in zip(space.spaces(space.n - 1),
-                               space.spaces_through(space.n - 1, pi)) if ok]
-    if len(choices) != len(hyps):
-        raise BadChoices(f"need {len(hyps)} choices, got {len(choices)}")
+    if len(choices) != space.q:  # the hyperplanes through pi
+        raise BadChoices(f"need {space.q} choices, got {len(choices)}")
     dims = {t.dim for t in choices}
     if len(dims) != 1:
         raise BadChoices("choices of mixed dimension")
     k = dims.pop() + 1
-    inside_pi = {t.rows for t in _taus(space, pi, k)}
-    if any(t.rows not in inside_pi for t in choices):
+    if k >= space.n:  # pi holds no (n-1)-space
         raise BadChoices("every tau_i must lie inside pi")
-    distinct = len(set(t.rows for t in choices))
+    return _spread_type_III(space, pi, choices, _pencil_of(space, pi, k))
+
+
+def _spread_type_III(space: AmbientSpace, pi: Subspace, choices,
+                     pencil) -> Spread:
+    """`spread_type_III` past its checks of pi and of the number and
+    dimension k - 1 of the choices, given `_pencil_of(space, pi, k)`."""
+    hyps, label, taus = pencil
+    k = choices[0].dim + 1
+    if not {t.rows for t in choices} <= {t.rows for t in taus}:
+        raise BadChoices("every tau_i must lie inside pi")
+    tau_index = _infinite_index(space, k - 1)
+    ids = [tau_index[t.rows] for t in choices]
+    distinct = len(set(ids))
     if distinct == 1:
         raise AllEqual("all tau_i equal degenerates to a type II spread")
+    lists = space.point_lists(k)
     # ascending indices are the canonical (Subspace.key) order
-    idx = np.sort(np.concatenate([
-        np.flatnonzero(space.spaces_inside(k, h) & space.spaces_through(k, tau))
-        for h, tau in zip(hyps, choices)]))
-    counts = np.bincount(space.point_lists(k)[idx].ravel(),
-                         minlength=space.num_points)
-    reason = _spread_reason(bool((np.diff(idx) == 0).any()), counts)
+    idx = np.flatnonzero(space.infinity_pencils(k)[2]
+                         == np.array(ids)[label[lists[:, 0]]])
+    counts = np.bincount(lists[idx].ravel(), minlength=space.num_points)
+    reason = _spread_reason(False, counts)
     if reason != "ok":
         raise BadChoices(f"choices do not produce a spread: {reason}")
-    spaces = space.spaces(k)
+    spaces, hyperplanes = space.spaces(k), space.spaces(space.n - 1)
     tag = "III+" if k == 1 and distinct == len(choices) else "III"
     return Spread(space, k, tuple(spaces[j] for j in idx), tag, {
         "pi": pi.to_json(),
-        "hyperplanes": [h.to_json() for h in hyps],
+        "hyperplanes": [hyperplanes[j].to_json() for j in hyps],
         "choices": [t.to_json() for t in choices],
-    })
+    }, indices=tuple(idx.tolist()))
 
 
 def all_type_III_spreads(space: AmbientSpace, k: int = 1) -> list[Spread]:
@@ -328,11 +379,11 @@ def all_type_III_spreads(space: AmbientSpace, k: int = 1) -> list[Spread]:
     out = []
     q = space.q
     for pi in space.infinite_subspaces(space.n - 2):
-        taus = _taus(space, pi, k)
-        for combo in itertools.product(taus, repeat=q):
+        pencil = _pencil_of(space, pi, k)
+        for combo in itertools.product(pencil[2], repeat=q):
             if len({t.rows for t in combo}) == 1:
                 continue
-            out.append(spread_type_III(space, pi, list(combo)))
+            out.append(_spread_type_III(space, pi, list(combo), pencil))
     return out
 
 
@@ -352,19 +403,22 @@ def sample_type_III_spreads(space: AmbientSpace, k: int, count: int,
         pis = space.infinite_subspaces(space.n - 2)
         out = []
         seen = set()
+        pencils = {}  # pi.rows -> _pencil_of, for the pis drawn so far
         attempts = 0
         while len(out) < count and attempts < 50 * count:
             attempts += 1
             pi = rng.choice(pis)
-            taus = _taus(space, pi, k)
-            combo = [rng.choice(taus) for _ in range(space.q)]
+            if pi.rows not in pencils:
+                pencils[pi.rows] = _pencil_of(space, pi, k)
+            pencil = pencils[pi.rows]
+            combo = [rng.choice(pencil[2]) for _ in range(space.q)]
             if len({t.rows for t in combo}) == 1:
                 continue
             key = (pi.rows, tuple(t.rows for t in combo))
             if key in seen:
                 continue
             seen.add(key)
-            out.append(spread_type_III(space, pi, combo))
+            out.append(_spread_type_III(space, pi, combo, pencil))
         return tuple(out)
     return list(space.memo(("type_III_sample", k, count, seed), build))
 

@@ -26,7 +26,11 @@ and rebuilding it with `spread_type_III`.
 `member_spread_type_III` is `spread_type_III` by its former route:
 the members as `Subspace` objects, put in canonical order by
 `_sorted_members` and validated by `is_spread`, which recomputes every
-member's points.
+member's points.  `mask_taus` and `mask_type_III_indices` are the
+containment-mask route that `spread_type_III` took before it read the
+pencil structure: the (k-1)-spaces inside pi from a mask over the
+closure's (k-1)-spaces, and the members of each affine hyperplane h_i
+through pi as `spaces_inside(k, h_i) & spaces_through(k, tau_i)`.
 
 `subspace_kset_from_json` is `kset_from_json` by its former route:
 every member through `subspace_from_json`, none looked up first.
@@ -67,7 +71,7 @@ from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, _int,
                            ambient, apply_matrix, make_subspace, span,
                            subspace_from_json)
 from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
-                          NotAtInfinity, Spread, _sorted_members, _taus,
+                          NotAtInfinity, Spread, _sorted_members,
                           is_spread, spread_type_III)
 
 
@@ -257,30 +261,47 @@ def transport_type_III(s: Spread, matrix) -> Spread:
     return spread_type_III(s.space, pi2, [mapped[h] for h in sorted(mapped)])
 
 
+def mask_taus(space: AmbientSpace, pi: Subspace, k: int) -> list[Subspace]:
+    proj = space.closure
+    inside = proj.spaces_inside(k - 1, pi)
+    return [t for t, ok in zip(proj.spaces(k - 1), inside) if ok]
+
+
+def _mask_hyperplanes(space: AmbientSpace, pi: Subspace) -> list[Subspace]:
+    return [h for h, ok in zip(space.spaces(space.n - 1),
+                               space.spaces_through(space.n - 1, pi)) if ok]
+
+
+def mask_type_III_indices(space: AmbientSpace, pi: Subspace,
+                          choices) -> tuple[int, ...]:
+    k = choices[0].dim + 1
+    hyps = _mask_hyperplanes(space, pi)
+    return tuple(sorted(np.concatenate([
+        np.flatnonzero(space.spaces_inside(k, h) & space.spaces_through(k, tau))
+        for h, tau in zip(hyps, choices)]).tolist()))
+
+
 def member_spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     if space.mode != "affine":
         raise GeometryMismatch("type III spreads live in the affine space")
     if pi.is_affine() or pi.dim != space.n - 2:
         raise NotAtInfinity("pi must be an (n-2)-space at infinity")
     choices = list(choices)
-    hyps = [h for h, ok in zip(space.spaces(space.n - 1),
-                               space.spaces_through(space.n - 1, pi)) if ok]
+    hyps = _mask_hyperplanes(space, pi)
     if len(choices) != len(hyps):
         raise BadChoices(f"need {len(hyps)} choices, got {len(choices)}")
     dims = {t.dim for t in choices}
     if len(dims) != 1:
         raise BadChoices("choices of mixed dimension")
     k = dims.pop() + 1
-    inside_pi = {t.rows for t in _taus(space, pi, k)}
+    inside_pi = {t.rows for t in mask_taus(space, pi, k)}
     if any(t.rows not in inside_pi for t in choices):
         raise BadChoices("every tau_i must lie inside pi")
     distinct = len(set(t.rows for t in choices))
     if distinct == 1:
         raise AllEqual("all tau_i equal degenerates to a type II spread")
     spaces = space.spaces(k)
-    members = [spaces[j] for h, tau in zip(hyps, choices)
-               for j in np.flatnonzero(space.spaces_inside(k, h)
-                                       & space.spaces_through(k, tau))]
+    members = [spaces[j] for j in mask_type_III_indices(space, pi, choices)]
     tag = "III+" if k == 1 and distinct == len(choices) else "III"
     spread = Spread(space, k, _sorted_members(members), tag, {
         "pi": pi.to_json(),

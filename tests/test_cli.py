@@ -58,6 +58,23 @@ def test_scheme_table_format():
     assert "12" in r.stdout
 
 
+def test_scheme_table_format_prints_only_the_tables(tmp_path):
+    r = run_cli("scheme", "--n", "3", "--q", "2", "--format", "table")
+    assert r.returncode == 0
+    # a title, then P and Q, each a label and 4 rows
+    assert len(r.stdout.splitlines()) == 11
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(r.stdout)
+    outs = {}
+    for fmt in ("table", "json"):
+        outs[fmt] = tmp_path / f"{fmt}.json"
+        written = run_cli("scheme", "--n", "3", "--q", "2", "--format", fmt,
+                          "--out", str(outs[fmt]))
+        assert written.returncode == 0
+    assert written.stdout == f"wrote {outs['json']}\n"
+    assert outs["table"].read_bytes() == outs["json"].read_bytes()
+
+
 def test_scheme_guard_path(tmp_path):
     r = run_cli("scheme", "--n", "5", "--q", "4", "--brute-force",
                 "--out", str(tmp_path / "big.json"))
@@ -364,12 +381,85 @@ def test_kset_files_past_the_enumeration_guard_exit_2(tmp_path):
 
 
 def test_size_guard_env_covers_spread_incidences():
-    # type III reads the hyperplanes through pi from the PG(3,2) incidence
+    # type III reads the AG(3,2) point lists of the planes (14 x 4) and
+    # of the lines (28 x 2), 56 entries each
     r = run_cli("spread", "--type", "3", "--n", "3", "--q", "2",
                 "--pi", "0:1:0:0;0:0:1:0", "--choices", "0:1:0:0|0:0:1:0",
-                env={"CLAG_SIZE_GUARD": "100"})
+                env={"CLAG_SIZE_GUARD": "50"})
     assert r.returncode == 2
     assert "size guard" in r.stderr
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lines.json").write_text(json.dumps(kset_to_json(
+        point_pencil(ambient(3, 2, "affine"), (1, 0, 0, 0), 1))))
+    (tmp_path / "planes.json").write_text(json.dumps(kset_to_json(
+        point_pencil(ambient(4, 2, "affine"), (1, 0, 0, 0, 0), 2))))
+    commands = [
+        ["verify", "--set", "lines.json", "--all-checks"],
+        ["search", "--n", "3", "--q", "2", "--x", "1", "--seed", "7"],
+        ["scheme", "--n", "3", "--q", "2", "--format", "table"],
+        ["spread", "--type", "3", "--n", "3", "--q", "2",
+         "--pi", "0:1:0:0;0:0:1:0", "--choices", "0:1:0:0|0:0:1:0"],
+        ["project", "--set", "planes.json", "--axis", "0:0:0:0:1"],
+        ["verify", "--set", "lines.json"],
+    ]
+    fresh = []
+    for argv in commands:
+        r = run_cli(*argv)
+        fresh.append((r.returncode, r.stdout))
+    ran = []
+    real = cli.cmd_verify
+
+    def traced(args):
+        ran.append(args.set)
+        return real(args)
+
+    for order in (commands, commands[::-1]):
+        for argv in order:
+            assert (cli.main(argv), capsys.readouterr().out) \
+                == fresh[commands.index(argv)]
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["search", "--n", "3", "--seed", "x"])
+        assert usage.value.code == 2
+        capsys.readouterr()
+        # the parser is built by now; a rebound cmd_verify still runs
+        monkeypatch.setattr(cli, "cmd_verify", traced)
+    assert ran == ["lines.json", "lines.json"]
+
+
+# SHA-256 of `clag verify --all-checks` reports, recorded from the
+# former containment-mask route of the type III spreads
+@pytest.mark.parametrize("name,code,digest", [
+    # 63 type III spreads: all of them
+    ("ag32_pencil", 0,
+     "39b4ed526664aeaad86b826f1be9a6cfb4bb267e0e6e8620f6cfb8bb1c3b9e67"),
+    # 832 type III spreads: a sample of 60
+    ("ag33_pencil", 0,
+     "d98f580b1aad853af869856038515c4e55d6a99378589f2ba9ee0d23946e6a5d"),
+    # the type II counts, read in the details, differ from x
+    ("ag33_perturbed", 1,
+     "be31f104ba36dd619b134dfa2788ce8c74d6fea93502c6da606e8a378de9306b"),
+    ("pg33_star", 0,
+     "75b46dd97b22b3bcb8dd99f80149146eb66562a8974e3cfedbc280271a6ab91c"),
+])
+def test_verify_all_checks_reports_stay_byte_identical(tmp_path, monkeypatch,
+                                                       capsys, name, code,
+                                                       digest):
+    q = 2 if name.startswith("ag32") else 3
+    space = ambient(3, q, "projective" if name.startswith("pg") else "affine")
+    l = point_pencil(space, (1, 0, 0, 0), 1)
+    if name.endswith("perturbed"):
+        # the pencil, its first line swapped for the first line outside it
+        outside = min(set(range(len(space.spaces(1)))) - l.members)
+        l = kset_from_indices(space, 1, sorted(l.members)[1:] + [outside])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.json").write_text(json.dumps(kset_to_json(l)))
+    assert cli.main(["verify", "--set", "set.json", "--all-checks"]) == code
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 def test_seed_recorded(tmp_path):

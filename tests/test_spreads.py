@@ -16,8 +16,9 @@ from clag.spreads import (AllEqual, BadChoices, BadSeed, DivisibilityViolated,
                           spread_type_II, spread_type_III,
                           switching_pair_from_spreads, verify_switching_pair)
 
-from oracle import (contains, member_spread_type_III,
-                    random_affine_collineation, transport_type_III)
+from oracle import (contains, mask_taus, mask_type_III_indices,
+                    member_spread_type_III, random_affine_collineation,
+                    transport_type_III)
 
 
 def test_type_I_field_reduction():
@@ -353,3 +354,88 @@ def test_sampled_type_III_family_is_the_one_pinned():
         family = sample_type_III_spreads(space, 1, 60, seed)
         text = json.dumps([s.to_json() for s in family])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _inputs_of(s):
+    """(pi, choices) of a type III spread, read back from its data."""
+    n, q = s.space.n, s.space.q
+    return (make_subspace(n, q, s.data["pi"]),
+            [make_subspace(n, q, c) for c in s.data["choices"]])
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
+def test_every_type_III_spread_matches_the_mask_route(n, q):
+    from clag.spreads import _taus
+    space = AmbientSpace(n, q, "affine")
+    pis = space.infinite_subspaces(n - 2)
+    for pi in pis:
+        assert _taus(space, pi, 1) == mask_taus(space, pi, 1)
+    family = all_type_III_spreads(space, 1)
+    taus = len(mask_taus(space, pis[0], 1))
+    assert len(family) == len(pis) * (taus ** q - taus)
+    for s in family:
+        assert s.member_indices() == mask_type_III_indices(space, *_inputs_of(s))
+
+
+# SHA-256 of the JSON list of member index lists of the 60-spread seed-0
+# samples, recorded from the former containment-mask route
+_SAMPLE_DIGESTS = {
+    (3, 4, 1): "03ce8587ef9922285cbd2f5a0a950368240536e3704f6f331b1833a8c5f831b0",
+    (3, 5, 1): "3de6ee6ba685611477d0371fc2c0e42f0dae2cfeb54e5cb2dd6c023afa7d8441",
+    (4, 2, 2): "f43cbb0ceb6c771162119db91a21ea01faa686100ab34a594c8c45944746337d",
+    (5, 2, 2): "24321e27ee4f4dce3e7d58dafc18abc43aca34689d44622d312ba9a171d0b53f",
+}
+
+
+@pytest.mark.parametrize("n,q,k", sorted(_SAMPLE_DIGESTS))
+def test_sampled_type_III_spreads_match_the_mask_route(n, q, k):
+    from clag.spreads import _taus
+    space = AmbientSpace(n, q, "affine")
+    family = sample_type_III_spreads(space, k, 60, 0)
+    assert len(family) == 60
+    for s in family:
+        pi, choices = _inputs_of(s)
+        assert _taus(space, pi, k) == mask_taus(space, pi, k)
+        assert s.member_indices() == mask_type_III_indices(space, pi, choices)
+    text = json.dumps([s.member_indices() for s in family])
+    assert hashlib.sha256(text.encode()).hexdigest() == _SAMPLE_DIGESTS[n, q, k]
+
+
+def test_type_III_reads_no_containment_masks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a containment mask was read")
+
+    for name in ("spaces_inside", "spaces_through", "shared_points"):
+        monkeypatch.setattr(AmbientSpace, name, refuse)
+    space = AmbientSpace(3, 3, "affine")
+    assert len(sample_type_III_spreads(space, 1, 8, seed=0)) == 8
+    assert len(all_type_III_spreads(space, 1)) == 780
+
+
+def test_spread_member_indices_are_the_members_indices():
+    space = ambient(3, 3, "affine")
+    given = [*all_type_II_spreads(space, 1),
+             *sample_type_III_spreads(space, 1, 8, seed=1)]
+    idx = space.space_index(1)
+    for s in given:
+        assert s.indices is not None
+        assert s.member_indices() == tuple(idx[m.rows] for m in s.members)
+    looked_up = Spread(space, 1, given[0].members, "untyped")
+    assert looked_up.indices is None
+    assert looked_up.member_indices() == given[0].member_indices()
+    assert looked_up == Spread(space, 1, given[0].members, "untyped",
+                               indices=given[0].indices)
+
+
+def test_spread_families_are_built_once_per_space(monkeypatch):
+    import clag.spreads as spreads
+    space = AmbientSpace(3, 3, "affine")
+    first = [all_type_II_spreads(space, 1),
+             sample_type_III_spreads(space, 1, 8, seed=0)]
+    monkeypatch.setattr(spreads, "spread_type_II", None)
+    monkeypatch.setattr(spreads, "_spread_type_III", None)
+    second = [all_type_II_spreads(space, 1),
+              sample_type_III_spreads(space, 1, 8, seed=0)]
+    for a, b in zip(first, second):
+        assert a is not b and len(a) == len(b)
+        assert all(x is y for x, y in zip(a, b))
