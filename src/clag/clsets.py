@@ -14,16 +14,19 @@ the point lists in bounded blocks (`incidence.meet_counts`), so two
 k-spaces are disjoint iff they share no point of the space, affine
 points in AG and all points in PG.
 
-Every other incidence question is read off the point lists of the
-k-spaces (`AmbientSpace.point_lists`), never by row reduction and
-never from a dense matrix: a pencil is the k-spaces whose list holds
-its point, hyperplane sets, the canonical skew complement and the
-k-spaces through an axis come from `AmbientSpace.shared_points` (in
-the projective closure for subspaces at infinity).  Projection works
-per (k, axis, pi), not per k-set: one memoised image map sends every
-k-space through the axis to the index of its cut with pi, found by
-looking up the cut's point set among the rows of the target's point
-lists, and a k-set's image is that map read at its members.
+Every other incidence question is read off point lists, never by row
+reduction and never from a dense matrix: a point pencil is the
+k-spaces whose list (`AmbientSpace.point_lists`) holds its point, and a
+hyperplane set the k-spaces whose list lies in the hyperplane's points.
+A question about a subspace at infinity (the k-spaces through an axis,
+the canonical skew complement, whether pi is skew to the axis) is read
+at the affine point 0 through the pencils, by
+`AmbientSpace.shared_at_origin`, never in the projective closure.
+Projection works per (k, axis, pi), not per k-set: one memoised image
+map sends every k-space through the axis to the index of its cut with
+pi, found by looking up the cut's point set among the rows of the
+target's point lists, and a k-set's image is that map read at its
+members.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (AmbientSpace, Subspace, _int, _read_only, ambient,
-                       gaussian_binomial, subspace_from_json,
+                       gaussian_binomial, infinite_part, subspace_from_json,
                        DimensionOutOfRange)
 from .incidence import build_incidence, meet_counts
 from .spreads import SwitchingPair
@@ -165,7 +168,8 @@ def pg_hyperplane_set(space: AmbientSpace, hyperplane: Subspace, k: int) -> KSet
         raise DimensionOutOfRange("hyperplane sets live in the projective space")
     if hyperplane.dim != space.n - 1:
         raise DimensionOutOfRange("not a hyperplane")
-    members = np.flatnonzero(space.spaces_inside(k, hyperplane))
+    members = np.flatnonzero(np.isin(
+        space.point_lists(k), space.point_indices_of(hyperplane)).all(axis=1))
     return KSet(space, k, frozenset(members.tolist()))
 
 
@@ -360,27 +364,33 @@ def restrict_from_pg(l: KSet) -> tuple[KSet, int]:
 
 def count_through_infinite_subspace(l: KSet, axis: Subspace | None) -> int:
     """Members through a fixed i-space at infinity (axis None means
-    i = -1, counting everything)."""
+    i = -1, counting everything); an axis needs an affine set."""
     if axis is None:
         return l.size
     if axis.is_affine():
         raise NotSkew("axis must lie at infinity")
     if not -1 <= axis.dim <= l.k - 2:
         raise DimensionViolation("need -1 <= i <= k-2")
-    through = l.space.spaces_through(l.k, axis)
-    return int(through[list(l.members)].sum())
+    space = l.space
+    if space.mode != "affine":
+        raise DimensionViolation("counting through an axis needs an affine set")
+    # per pencil: do its k-spaces pass through the axis
+    through = space.shared_at_origin(l.k, axis) == space.q ** (axis.dim + 1)
+    return int(through[space.infinity_pencils(l.k)[2][list(l.members)]].sum())
 
 
 def canonical_complement(space: AmbientSpace, axis: Subspace) -> Subspace:
-    """First canonically enumerated affine (n-i-1)-space skew to axis;
-    the affine ones open the enumeration.  Found once per (space, axis)."""
+    """First canonically enumerated affine (n-i-1)-space skew to axis,
+    found once per (space, axis).  Affine subspaces are ordered on their
+    rows, and each pencil's least member is the one through the affine
+    point 0, whose first row (1, 0, ..., 0) is the least: so it is
+    <P0, t> for the least rows t at infinity skew to the axis."""
     def build():
-        proj = space.closure
         dim = space.n - axis.dim - 1
-        skew = np.flatnonzero(proj.shared_points(dim, axis) == 0)
-        if not len(skew) or not proj.spaces(dim)[skew[0]].is_affine():
-            raise NotSkew("no affine complement found")
-        return proj.spaces(dim)[skew[0]]
+        t = min(t.rows for t, c in zip(space.infinite_subspaces(dim - 1),
+                                       space.shared_at_origin(dim, axis))
+                if c == 1)
+        return Subspace(space.n, space.q, (space.points[0], *t))
     return space.memo(("canonical_complement", axis.rows), build)
 
 
@@ -391,21 +401,21 @@ def _projection_map(space: AmbientSpace, k: int, axis: Subspace,
     with pi among the (k-i-1)-spaces of pi viewed as AG(n-i-1, q), and
     -1 for every other k-space.  Built once per (k, axis, pi)."""
     def build():
-        proj = space.closure
-        ours = proj.point_indices_of(pi)
-        if np.isin(proj.point_indices_of(axis), ours).any():
+        at_inf = space.infinite_index(pi.dim - 1)[infinite_part(pi).rows]
+        if space.shared_at_origin(pi.dim, axis)[at_inf] != 1:
             raise NotSkew("pi must be skew to the axis")
         d = k - axis.dim - 1
         target = ambient(pi.dim, space.q, "affine")
         pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
-        # pi's affine points (they come first, in PG as in AG) as points
-        # of the target: their coordinates in the pivot columns of pi
-        ours = ours[ours < space.num_points]
+        # pi's affine points as points of the target: their coordinates
+        # in the pivot columns of pi
+        ours = space.point_indices_of(pi)
         points, index = space.points, target.point_index
         local = np.full(space.num_points, -1, dtype=np.int64)
         local[ours] = [index[tuple(points[p][c] for c in pivots)]
                        for p in ours.tolist()]
-        through = np.flatnonzero(space.spaces_through(k, axis))
+        pencils = space.shared_at_origin(k, axis) == space.q ** (axis.dim + 1)
+        through = np.flatnonzero(pencils[space.infinity_pencils(k)[2]])
         # each cut with pi, through its affine points, sorted: the -1
         # entries of the points outside pi come first
         cuts = np.sort(local[space.point_lists(k)[through]], axis=1)

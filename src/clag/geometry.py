@@ -13,15 +13,18 @@ the same `Subspace` objects, so embedding into PG(n, q) and restricting
 to AG(n, q) keep every index, and the order is reproducible everywhere:
 file formats, incidence block structure, search certificates.  Every
 derived table of a space (enumerations, indices, point sets, pencils,
-containment masks) is built once and kept in that instance's one memo,
-`AmbientSpace.memo`, so it lives exactly as long as the instance.
+the point lists through the affine point 0) is built once and kept in
+that instance's one memo, `AmbientSpace.memo`, so it lives exactly as
+long as the instance.
 
 Each k-space's points are stored once, as one row of the int64 point
 lists of the k-spaces (`AmbientSpace.point_lists`), computed by
 `point_sets` in a few vectorised chunks of bounded size; they are also
-the one stored form of the point versus k-space incidence.  Pencils and
-the inside/through/skew masks gather a mask of points over them; no
-dense points x k-spaces matrix and no per-space tuples are kept.
+the one stored form of the point versus k-space incidence.  No dense
+points x k-spaces matrix and no per-space tuples are kept.  An affine
+question about a subspace at infinity is never read in the projective
+closure: `AmbientSpace.shared_at_origin` answers it at the affine point
+0, through the pencils of `infinity_pencils`.
 
 Every table sized in closed form, each enumeration of subspaces
 included, is checked before it is built by `check_size`, the one size
@@ -386,14 +389,38 @@ class AmbientSpace:
             raise DimensionOutOfRange("pencil structure is an affine notion")
 
         def build():
-            inf_list = self.infinite_subspaces(k - 1)
-            idx = {s.rows: i for i, s in enumerate(inf_list)}
+            idx = self.infinite_index(k - 1)
             per_space = np.array([idx[infinite_part(s).rows]
                                   for s in self.spaces(k)], dtype=np.int64)
-            members = [np.nonzero(per_space == i)[0]
-                       for i in range(len(inf_list))]
-            return inf_list, members, per_space
+            members = [np.nonzero(per_space == i)[0] for i in range(len(idx))]
+            return self.infinite_subspaces(k - 1), members, per_space
         return self.memo(("infinity_pencils", k), build)
+
+    def shared_at_origin(self, k: int, a: Subspace) -> np.ndarray:
+        """The one rule for incidences at infinity.  For every
+        (k-1)-space t at infinity, in canonical order (that of the
+        pencils of `infinity_pencils(k)`), the number of affine points
+        that <P0, t> shares with <P0, a>, where a lies at infinity and
+        P0 is the affine point 0, (1, 0, ..., 0).  The affine k-spaces
+        K with K at infinity t pass through a iff the count is
+        q^(dim a + 1); t lies in a iff it is q^k, and is skew to a iff
+        it is 1.  (P0, *t.rows) is already in reduced echelon form, so
+        no join is row reduced; the point lists of the <P0, t>, one
+        k-space per pencil, are built once per k, and every call first
+        checks their size, counted in closed form, against the guard."""
+        if self.mode != "affine":
+            raise DimensionOutOfRange("incidences at infinity are affine")
+
+        def origin_lists(d):
+            check_size("{} x {} point lists through point 0 exceed guard "
+                       "{cap}", gaussian_binomial(self.n, d, self.q), self.q**d)
+            return self.memo(("origin_lists", d), lambda: _read_only(
+                self.point_sets([Subspace(self.n, self.q, (p0, *t.rows))
+                                 for t in self.infinite_subspaces(d - 1)])))
+        p0 = self.points[0]
+        mask = np.zeros(self.num_points, dtype=bool)
+        mask[origin_lists(a.dim + 1)[self.infinite_index(a.dim)[a.rows]]] = True
+        return mask[origin_lists(k)].sum(axis=1)
 
     def point_lists(self, k: int) -> np.ndarray:
         """Read-only C-contiguous int64 (k-spaces x points per k-space)
@@ -410,34 +437,6 @@ class AmbientSpace:
         return self.memo(("point_lists", k), lambda: _read_only(
             self.point_sets(self.spaces(k))))
 
-    def shared_points(self, k: int, s: Subspace) -> np.ndarray:
-        """For every k-space in canonical order, the number of points of
-        this space it shares with s: a Boolean mask of s's points
-        gathered over the point lists.  A k-space lies inside s iff it
-        shares all of its points, passes through s iff it shares all of
-        s's, and is skew to s iff it shares none; in AG only affine
-        points count, so relations with subspaces at infinity are read
-        in the projective closure."""
-        mask = np.zeros(self.num_points, dtype=bool)
-        mask[self.point_indices_of(s)] = True
-        return mask[self.point_lists(k)].sum(axis=1)
-
-    def spaces_inside(self, k: int, s: Subspace) -> np.ndarray:
-        """Read-only Boolean mask over the k-spaces, in canonical order,
-        of those contained in s, built once per (k, s)."""
-        return self.memo(("spaces_inside", k, s.rows), lambda: _read_only(
-            self.shared_points(k, s) == self.point_lists(k).shape[1]))
-
-    def spaces_through(self, k: int, axis: Subspace) -> np.ndarray:
-        """Read-only Boolean mask over the k-spaces, in canonical order,
-        of those containing the subspace `axis`: the ones sharing all of
-        its points in the closure, whose k-spaces open with these."""
-        def build():
-            shared = self.closure.shared_points(k, axis)[:self._num_spaces(k)]
-            return _read_only(
-                shared == gaussian_binomial(axis.dim + 1, 1, self.q))
-        return self.memo(("spaces_through", k, axis.rows), build)
-
     def infinite_subspaces(self, d: int) -> list[Subspace]:
         """The d-spaces contained in the hyperplane at infinity, in
         canonical order: the d-spaces of PG(n-1, q), enumerated on their
@@ -449,6 +448,11 @@ class AmbientSpace:
             (Subspace(self.n, self.q, tuple((0,) + r for r in rows))
              for rows in enumerate_rref_matrices(self.n, d + 1, self.q)),
             key=Subspace.key))
+
+    def infinite_index(self, d: int) -> dict:
+        """Rows -> position in `infinite_subspaces(d)`, built once per d."""
+        return self.memo(("infinite_index", d), lambda: {
+            s.rows: i for i, s in enumerate(self.infinite_subspaces(d))})
 
     def __repr__(self):
         name = "AG" if self.mode == "affine" else "PG"

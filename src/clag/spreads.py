@@ -14,14 +14,16 @@ Spread types:
 
 Every constructor validates its output exactly (pairwise disjointness
 and point coverage).  A type III spread is read from the pencil
-structure (`AmbientSpace.infinity_pencils`), with no containment mask:
-the hyperplanes through pi are pi's pencil of hyperplanes, one scatter
-over their point lists labels every affine point by the hyperplane
-through pi that holds it, and a member K has K at infinity equal to
-tau_i, where i is the label of K's first point.  Its members are
-gathered as indices into the space's k-spaces and validated by one
-count over the rows of those point lists.  The exhaustive list and the
-seeded sample read each pi's labels once, for all of its spreads.
+structure (`AmbientSpace.infinity_pencils`), never in the projective
+closure: the hyperplanes through pi are pi's pencil of hyperplanes, one
+scatter over their point lists labels every affine point by the
+hyperplane through pi that holds it, the tau inside pi are read at the
+affine point 0 (`AmbientSpace.shared_at_origin`), and a member K has K
+at infinity equal to tau_i, where i is the label of K's first point.
+Its members are gathered as indices into the space's k-spaces and
+validated by one count over the rows of those point lists.  The
+exhaustive list and the seeded sample read each pi's labels once, for
+all of its spreads.
 
 A `Spread` keeps its sorted member indices; the type II and type III
 constructors hand them over.  The parallel classes of a (space, k) and
@@ -40,7 +42,8 @@ import numpy as np
 
 from .galois import field_for_order, make_field, expansion_table
 from .geometry import (AmbientSpace, Subspace, ambient,
-                       enumerate_rref_matrices, make_subspace, span)
+                       enumerate_rref_matrices, gaussian_binomial,
+                       make_subspace, span)
 
 __all__ = [
     "Spread", "SwitchingPair", "SpreadError", "DivisibilityViolated",
@@ -257,13 +260,6 @@ def restrict_to_affine(s: Spread) -> Spread:
 # type II: parallel classes
 # ---------------------------------------------------------------------------
 
-def _infinite_index(space: AmbientSpace, d: int) -> dict:
-    """Rows -> position in `space.infinite_subspaces(d)`, built once
-    per (space, d)."""
-    return space.memo(("infinite_index", d), lambda: {
-        s.rows: i for i, s in enumerate(space.infinite_subspaces(d))})
-
-
 def spread_type_II(space: AmbientSpace, at_infinity: Subspace) -> Spread:
     if space.mode != "affine":
         raise GeometryMismatch("type II spreads live in the affine space")
@@ -271,7 +267,7 @@ def spread_type_II(space: AmbientSpace, at_infinity: Subspace) -> Spread:
         raise NotAtInfinity("the axis of a type II spread lies at infinity")
     k = at_infinity.dim + 1
     _, pencil_members, _ = space.infinity_pencils(k)
-    i = _infinite_index(space, k - 1).get(at_infinity.rows)
+    i = space.infinite_index(k - 1).get(at_infinity.rows)
     if i is None:
         raise WrongDimension("axis must be a (k-1)-space at infinity")
     spaces = space.spaces(k)
@@ -299,25 +295,16 @@ def _pencil_of(space: AmbientSpace, pi: Subspace, k: int):
     indices of the q affine hyperplanes through pi (its pencil in
     `infinity_pencils(n-1)`, ascending, so in canonical order); for
     every affine point, the position in hyps of the one holding it; and
-    the (k-1)-spaces at infinity inside pi, in canonical order.  tau
-    lies in pi iff the k-space joining tau to the affine point 0 lies in
-    a hyperplane through pi, the one holding point 0; point lists are
-    sorted, so point 0 opens the rows of the k-spaces through it."""
+    the (k-1)-spaces tau at infinity inside pi, in canonical order:
+    those whose <P0, tau> shares all its q^k affine points with
+    <P0, pi> (`AmbientSpace.shared_at_origin`)."""
     _, pencils, _ = space.infinity_pencils(space.n - 1)
-    hyps = pencils[_infinite_index(space, space.n - 2)[pi.rows]]
+    hyps = pencils[space.infinite_index(space.n - 2)[pi.rows]]
     label = np.empty(space.num_points, dtype=np.int64)
     label[space.point_lists(space.n - 1)[hyps]] = np.arange(len(hyps))[:, None]
-    lists = space.point_lists(k)
-    through = np.flatnonzero(lists[:, 0] == 0)
-    inside = (label[lists[through]] == label[0]).all(axis=1)
     inf_list = space.infinite_subspaces(k - 1)
-    taus = np.sort(space.infinity_pencils(k)[2][through[inside]])
-    return hyps, label, [inf_list[i] for i in taus]
-
-
-def _taus(space: AmbientSpace, pi: Subspace, k: int) -> list[Subspace]:
-    """The (k-1)-spaces inside pi, in canonical order."""
-    return _pencil_of(space, pi, k)[2]
+    inside = np.flatnonzero(space.shared_at_origin(k, pi) == space.q ** k)
+    return hyps, label, [inf_list[i] for i in inside]
 
 
 def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
@@ -351,7 +338,7 @@ def _spread_type_III(space: AmbientSpace, pi: Subspace, choices,
     k = choices[0].dim + 1
     if not {t.rows for t in choices} <= {t.rows for t in taus}:
         raise BadChoices("every tau_i must lie inside pi")
-    tau_index = _infinite_index(space, k - 1)
+    tau_index = space.infinite_index(k - 1)
     ids = [tau_index[t.rows] for t in choices]
     distinct = len(set(ids))
     if distinct == 1:
@@ -401,11 +388,14 @@ def sample_type_III_spreads(space: AmbientSpace, k: int, count: int,
     def build():
         rng = random.Random(seed)
         pis = space.infinite_subspaces(space.n - 2)
+        taus = gaussian_binomial(space.n - 1, k, space.q)  # per pi
         out = []
         seen = set()
         pencils = {}  # pi.rows -> _pencil_of, for the pis drawn so far
         attempts = 0
-        while len(out) < count and attempts < 50 * count:
+        # stop too once every type III spread has been drawn
+        while (len(out) < count and attempts < 50 * count
+               and len(seen) < len(pis) * (taus ** space.q - taus)):
             attempts += 1
             pi = rng.choice(pis)
             if pi.rows not in pencils:
@@ -437,12 +427,14 @@ def extend_spread_from_subspace(sub_members, tau_a: Subspace,
     k = sub_members[0].dim
     if axis.is_affine() or axis.dim != k - 1:
         raise GeometryMismatch("axis must be a (k-1)-space at infinity")
-    proj = space.closure
-    if not proj.spaces_through(tau_a.dim, axis)[proj.index_of(tau_a)]:
+    if span(tau_a, axis) != tau_a:
         raise GeometryMismatch("axis must lie in the subspace at infinity")
-    spaces = space.spaces(k)
-    extra = [spaces[j] for j in np.flatnonzero(
-        space.spaces_through(k, axis) & ~space.spaces_inside(k, tau_a))]
+    # the k-spaces through axis are its pencil; drop those inside tau_a
+    _, pencils, _ = space.infinity_pencils(k)
+    pencil = pencils[space.infinite_index(k - 1)[axis.rows]]
+    inside = np.isin(space.point_lists(k)[pencil],
+                     space.point_indices_of(tau_a)).all(axis=1)
+    extra = [space.spaces(k)[j] for j in pencil[~inside]]
     members = _sorted_members(sub_members + extra)
     spread = Spread(space, k, members, "untyped",
                     {"extended_from": tau_a.to_json(), "axis": axis.to_json()})

@@ -8,7 +8,8 @@ matrix, filled in Python from `space_point_indices`.
 
 `contains` decides containment independent of point sets: small lies
 inside big iff adding its rows to big's does not grow the row space,
-decided by GF(q) row reduction (`span` goes through `_kernels.gf_rref`).
+decided by GF(q) row reduction (`span` goes through `_kernels.gf_rref`);
+the verdicts of the last 2^16 pairs asked are kept.
 
 `combination_children` is the reference for `_Search._children`: one
 clone per `itertools.combinations` choice of a pencil's unknown
@@ -26,20 +27,26 @@ and rebuilding it with `spread_type_III`.
 `member_spread_type_III` is `spread_type_III` by its former route:
 the members as `Subspace` objects, put in canonical order by
 `_sorted_members` and validated by `is_spread`, which recomputes every
-member's points.  `mask_taus` and `mask_type_III_indices` are the
-containment-mask route that `spread_type_III` took before it read the
-pencil structure: the (k-1)-spaces inside pi from a mask over the
-closure's (k-1)-spaces, and the members of each affine hyperplane h_i
-through pi as `spaces_inside(k, h_i) & spaces_through(k, tau_i)`.
+member's points.  `mask_taus` and `mask_type_III_indices` decide
+type III membership by GF(q) row reduction alone, with no point list
+read: the (k-1)-spaces at infinity inside pi by `contains`, and the
+members of each affine hyperplane h_i through pi as the k-spaces inside
+h_i (by `contains`) among those through tau_i (`spaces_through`).
+
+`spaces_through` lists the affine k-spaces that contain a subspace at
+infinity: each k-space's part at infinity is found by `meet` with the
+hyperplane x0 = 0, and each such part is tested by `contains`.
 
 `subspace_kset_from_json` is `kset_from_json` by its former route:
 every member through `subspace_from_json`, none looked up first.
 
 `project_through_infinite_subspace` is the projection by its former
-route: per call, the canonical complement is searched again, pi's points
-are mapped to the target's one by one, and each member through the axis
-is cut with pi and looked up on its own.  It keeps the former argument
-checks, which accept a projective set as if it were affine.
+route: per call, the canonical complement is searched again (the first
+affine subspace with no `meet` with the axis), pi's points are mapped
+to the target's one by one, and each member through the axis
+(`spaces_through`) is cut with pi and looked up on its own.  It keeps
+the former argument checks, which accept a projective set as if it were
+affine.
 
 `row_echelon_rational`, `bareiss_rank`, `nullspace` and `solve_left`
 are plain-Python eliminations over `Fraction`s and Python ints, the
@@ -56,6 +63,7 @@ are the intersection matrices B_i[l, j] = p_ij^l and the dual
 eigenvalue matrices Q typed in n and q, the references for the tables
 that `clag.scheme` derives from the closed eigenvalue matrix P."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -84,6 +92,7 @@ def dense_incidence(space: AmbientSpace, k: int) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=2**16)
 def contains(big: Subspace, small: Subspace) -> bool:
     return span(big, small) == big
 
@@ -262,23 +271,38 @@ def transport_type_III(s: Spread, matrix) -> Spread:
 
 
 def mask_taus(space: AmbientSpace, pi: Subspace, k: int) -> list[Subspace]:
-    proj = space.closure
-    inside = proj.spaces_inside(k - 1, pi)
-    return [t for t, ok in zip(proj.spaces(k - 1), inside) if ok]
+    return [t for t in space.infinite_subspaces(k - 1) if contains(pi, t)]
 
 
 def _mask_hyperplanes(space: AmbientSpace, pi: Subspace) -> list[Subspace]:
-    return [h for h, ok in zip(space.spaces(space.n - 1),
-                               space.spaces_through(space.n - 1, pi)) if ok]
+    return [h for h in space.spaces(space.n - 1) if contains(h, pi)]
+
+
+@functools.lru_cache(maxsize=None)
+def _parts_at_infinity(space: AmbientSpace, k: int) -> dict:
+    """Rows of each part at infinity -> the affine k-spaces with it."""
+    at_infinity = make_subspace(space.n, space.q,
+                                np.eye(space.n + 1, dtype=np.int64)[1:])
+    parts = {}
+    for j, s in enumerate(space.spaces(k)):
+        parts.setdefault(meet(s, at_infinity).rows, []).append(j)
+    return parts
+
+
+def spaces_through(space: AmbientSpace, k: int, axis: Subspace) -> frozenset:
+    """Indices of the affine k-spaces containing the axis at infinity."""
+    return frozenset(j for rows, js in _parts_at_infinity(space, k).items()
+                     if contains(Subspace(space.n, space.q, rows), axis)
+                     for j in js)
 
 
 def mask_type_III_indices(space: AmbientSpace, pi: Subspace,
                           choices) -> tuple[int, ...]:
     k = choices[0].dim + 1
-    hyps = _mask_hyperplanes(space, pi)
-    return tuple(sorted(np.concatenate([
-        np.flatnonzero(space.spaces_inside(k, h) & space.spaces_through(k, tau))
-        for h, tau in zip(hyps, choices)]).tolist()))
+    spaces = space.spaces(k)
+    return tuple(sorted(
+        j for h, tau in zip(_mask_hyperplanes(space, pi), choices)
+        for j in spaces_through(space, k, tau) if contains(h, spaces[j])))
 
 
 def member_spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
@@ -336,18 +360,17 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
         raise NotSkew("axis must lie at infinity")
     if not (0 <= i <= l.k - 2) or space.n < l.k + 2:
         raise DimensionViolation("need 0 <= i <= k-2 and n >= k+2")
-    proj = space.closure
     if pi is None:
         dim = space.n - axis.dim - 1
-        skew = np.flatnonzero(proj.shared_points(dim, axis) == 0)
-        if not len(skew) or not proj.spaces(dim)[skew[0]].is_affine():
+        pi = next((s for s in space.closure.spaces(dim)
+                   if meet(s, axis) is None), None)
+        if pi is None or not pi.is_affine():
             raise NotSkew("no affine complement found")
-        pi = proj.spaces(dim)[skew[0]]
     if pi.dim != space.n - i - 1:
         raise DimensionViolation("pi must have dimension n-i-1")
     if not pi.is_affine():
         raise NotSkew("pi must carry an affine part")
-    if proj.shared_points(pi.dim, axis)[proj.index_of(pi)]:
+    if meet(pi, axis) is not None:
         raise NotSkew("pi must be skew to the axis")
     d = l.k - i - 1
     target = ambient(pi.dim, space.q, "affine")
@@ -358,8 +381,8 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
              if p < space.q**space.n}
     by_points = {tuple(pts): j
                  for j, pts in enumerate(target.point_lists(d).tolist())}
-    through = space.spaces_through(l.k, axis)
-    members = [j for j in sorted(l.members) if through[j]]
+    through = spaces_through(space, l.k, axis)
+    members = [j for j in sorted(l.members) if j in through]
     image = set()
     for pts in space.point_lists(l.k)[members].tolist():
         cut = tuple(sorted(local[p] for p in pts if p in local))

@@ -8,8 +8,9 @@ import pytest
 
 from clag import cli, clsets, geometry
 from clag.classify import cross_check_projection, search_cl_ksets
-from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
-                         WrongCodimension, are_cameron_liebler,
+from clag.clsets import (NOT_APPLICABLE, DimensionViolation, NotContained,
+                         NotDisjoint, NotSkew, WrongCodimension,
+                         are_cameron_liebler, canonical_complement,
                          check_line_disjointness,
                          check_pg_disjointness, disjoint_counts,
                          check_spread_intersections,
@@ -24,6 +25,8 @@ from clag.clsets import (NOT_APPLICABLE, NotContained, NotDisjoint, NotSkew,
 from clag.geometry import SizeGuard, ambient, make_subspace
 from clag.incidence import IncidenceMatrix, meets
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
+                          extend_spread_from_subspace,
+                          sample_type_III_spreads, spread_type_II,
                           switching_pair_from_spreads)
 
 from oracle import contains, meet
@@ -88,8 +91,9 @@ def test_pencils_read_the_point_lists_under_a_small_guard(monkeypatch):
     monkeypatch.setenv("CLAG_SIZE_GUARD", "1000")
     space = ambient(3, 3, "affine")
     pen = point_pencil(space, (1, 0, 0, 0), 1)
-    through = space.spaces_through(1, make_subspace(3, 3, [(1, 0, 0, 0)]))
-    assert pen.members == frozenset(np.flatnonzero(through).tolist())
+    vertex = make_subspace(3, 3, [(1, 0, 0, 0)])
+    assert pen.members == {j for j, s in enumerate(space.spaces(1))
+                           if contains(s, vertex)}
     assert pen.size == 13 and is_cameron_liebler(pen)[0]
     assert check_line_disjointness(pen).passed
     # line 0 itself and the 12 other lines through each of its 3 points
@@ -225,7 +229,6 @@ def test_cl_meets_every_spread_exhaustively():
 def test_cl_meets_sampled_spreads_beyond_desk_scale():
     # the same invariant on AG(4,2), with seeded sampling of the mixed
     # spreads (the exhaustive list is large there)
-    from clag.spreads import sample_type_III_spreads
     space = ambient(4, 2, "affine")
     spreads = all_type_II_spreads(space, 1)
     spreads += sample_type_III_spreads(space, 1, 40, seed=7)
@@ -348,6 +351,43 @@ def test_projection_cross_check_runs_without_meet_or_make_subspace(monkeypatch):
     assert result["all_images_cl_with_same_x"]
 
 
+def test_affine_questions_read_no_point_list_of_the_closure(monkeypatch):
+    # cold caches, and every point list of a projective space refused:
+    # questions about subspaces at infinity are read at the affine point 0
+    monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
+    lists = geometry.AmbientSpace.point_lists
+
+    def affine_only(space, k):
+        assert space.mode == "affine", f"point lists of {space} read"
+        return lists(space, k)
+    monkeypatch.setattr(geometry.AmbientSpace, "point_lists", affine_only)
+    assert cross_check_projection(4, 2, 2)["all_images_cl_with_same_x"]
+    ag52 = ambient(5, 2, "affine")
+    axis = ag52.infinite_subspaces(1)[4]
+    pi = canonical_complement(ag52, axis)
+    assert pi.is_affine() and meet(pi, axis) is None
+    # the solids through a point and a line at infinity: [3 choose 1]_2
+    pen = point_pencil(ag52, ag52.points[5], 3)
+    assert count_through_infinite_subspace(pen, axis) == 7
+    ag42 = ambient(4, 2, "affine")
+    solid = ag42.spaces(3)[0]
+    inf = [p for p in ag42.infinite_subspaces(0) if contains(solid, p)]
+    sub = [m for m in spread_type_II(ag42, inf[1]).members
+           if contains(solid, m)]
+    assert len(extend_spread_from_subspace(sub, solid, inf[0], ag42)) == 8
+    ag33 = ambient(3, 3, "affine")
+    assert len(sample_type_III_spreads(ag33, 1, 8, seed=0)) == 8
+
+
+def test_count_through_an_axis_needs_an_affine_set():
+    pg = ambient(4, 2, "projective")
+    pen = point_pencil(pg, pg.points[0], 2)
+    assert count_through_infinite_subspace(pen, None) == pen.size
+    with pytest.raises(DimensionViolation, match="^counting through an axis "
+                                                 "needs an affine set$"):
+        count_through_infinite_subspace(pen, pg.infinite_subspaces(0)[0])
+
+
 def test_pg_hyperplane_set_parameters():
     hyp = PG32.spaces(2)[0]
     hs = pg_hyperplane_set(PG32, hyp, 1)
@@ -447,7 +487,6 @@ def test_restriction_to_subspace_keeps_shifted_constant():
     solid = space.spaces(3)[0]
     inf_pts = [p for p in space.infinite_subspaces(0)
                if contains(solid, p)]
-    from clag.spreads import extend_spread_from_subspace, spread_type_II
     sub_spreads = []
     for axis in inf_pts:
         members = [m for m in spread_type_II(space, axis).members
@@ -468,7 +507,7 @@ def test_restriction_to_subspace_keeps_shifted_constant():
 
 
 def test_sampled_type_III_spreads_deterministic():
-    from clag.spreads import is_spread, sample_type_III_spreads
+    from clag.spreads import is_spread
     space = ambient(3, 3, "affine")
     a = sample_type_III_spreads(space, 1, 12, seed=5)
     b = sample_type_III_spreads(space, 1, 12, seed=5)

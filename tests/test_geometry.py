@@ -13,6 +13,8 @@ from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
                            infinite_part, make_subspace, span,
                            subspace_from_json)
 
+from clag.clsets import pg_hyperplane_set
+
 from oracle import contains, meet
 
 
@@ -293,14 +295,22 @@ def test_points_of_affine_subspace():
                                         (3, 2, "projective", 2),
                                         (3, 3, "affine", 2)])
 def test_spaces_through_matches_containment(n, q, mode, k):
+    # the k-spaces through an axis at infinity, read pencil by pencil at
+    # the affine point 0, are the ones containing it by row reduction;
+    # the rule is affine, and PG refuses it
     space = ambient(n, q, mode)
-    spaces = space.spaces(k)
     axes = [a for i in range(k - 1) for a in space.infinite_subspaces(i)]
     assert axes
+    if mode == "projective":
+        with pytest.raises(DimensionOutOfRange,
+                           match="^incidences at infinity are affine$"):
+            space.shared_at_origin(k, axes[0])
+        return
+    per_space = space.infinity_pencils(k)[2]
     for axis in axes:
-        mask = space.spaces_through(k, axis)
-        assert mask.dtype == bool and len(mask) == len(spaces)
-        assert mask.tolist() == [contains(s, axis) for s in spaces]
+        counts = space.shared_at_origin(k, axis)
+        mask = (counts == q ** (axis.dim + 1))[per_space]
+        assert mask.tolist() == [contains(s, axis) for s in space.spaces(k)]
 
 
 def _probes(space, rng):
@@ -317,40 +327,48 @@ def _probes(space, rng):
 
 
 @pytest.mark.parametrize("n,q,mode", [(3, 2, "affine"), (3, 3, "affine"),
-                                      (4, 2, "affine"), (3, 2, "projective")])
+                                      (4, 2, "affine"), (5, 2, "affine"),
+                                      (3, 2, "projective")])
 def test_inside_through_skew_match_row_reduction(n, q, mode):
+    # in AG, the origin rule: for every (k-1)-space t and probe a at
+    # infinity, <P0, t> and <P0, a> share the q^(c+1) affine points of
+    # <P0, t meet a>, c = dim(t meet a), and the one point P0 when t and
+    # a are skew; so the count tells through, inside and skew apart.
+    # In PG, inside is read over the space's own point lists: the
+    # k-spaces of a hyperplane set are the ones inside it.
     space = ambient(n, q, mode)
-    probes = _probes(space, random.Random(n * 10 + q))
-    for k in range(n):
-        spaces = space.spaces(k)
-        for s in probes:
-            shared = space.shared_points(k, s)
-            inside = space.spaces_inside(k, s)
-            through = space.spaces_through(k, s)
-            for j, t in enumerate(spaces):
-                cut = meet(t, s)
-                if cut is None:
-                    expected = 0
-                elif mode == "projective":
-                    expected = gaussian_binomial(cut.dim + 1, 1, q)
-                else:  # only affine points count
-                    expected = q**cut.dim if cut.is_affine() else 0
-                assert shared[j] == expected
-                assert inside[j] == contains(s, t)
-                assert through[j] == contains(t, s)
+    probes = [s for s in _probes(space, random.Random(n * 10 + q))
+              if not s.is_affine()]
+    if mode == "projective":
+        for k in range(1, n):
+            for h in space.spaces(n - 1):
+                assert pg_hyperplane_set(space, h, k).members == {
+                    j for j, s in enumerate(space.spaces(k)) if contains(h, s)}
+        return
+    for k in range(1, n):
+        for a in probes:
+            shared = space.shared_at_origin(k, a)
+            for t, count in zip(space.infinite_subspaces(k - 1), shared):
+                cut = meet(t, a)
+                assert count == (1 if cut is None else q ** (cut.dim + 1))
+                assert (count == q ** (a.dim + 1)) == contains(t, a)
+                assert (count == q ** k) == contains(a, t)
+                assert (count == 1) == (cut is None)
 
 
-@pytest.mark.parametrize("mode", ["affine", "projective"])
-def test_containment_masks_are_memoised_and_read_only(mode):
-    space = ambient(3, 3, mode)
-    plane = space.spaces(2)[5]
+def test_origin_lists_are_memoised_and_read_only():
+    space = AmbientSpace(3, 3, "affine")
     axis = space.infinite_subspaces(0)[2]
-    for query in (lambda: space.spaces_inside(1, plane),
-                  lambda: space.spaces_through(1, axis)):
-        mask = query()
-        assert query() is mask
-        with pytest.raises(ValueError):
-            mask[0] = not mask[0]
+    first = space.shared_at_origin(1, axis)
+    keys = [key for key in space._memo if key[0] == "origin_lists"]
+    assert sorted(keys) == [("origin_lists", 1)]
+    lists = space._memo[keys[0]]
+    # the lines through P0, one per point at infinity
+    assert lists.shape == (13, 3) and (lists[:, 0] == 0).all()
+    with pytest.raises(ValueError):
+        lists[0, 0] = 1
+    assert (space.shared_at_origin(1, axis) == first).all()
+    assert space._memo[keys[0]] is lists
 
 
 def test_point_sets_in_chunks_match_one_block(monkeypatch):

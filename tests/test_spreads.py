@@ -8,7 +8,7 @@ import pytest
 from clag.geometry import (AmbientSpace, ambient, apply_matrix, infinite_part,
                            make_subspace)
 from clag.spreads import (AllEqual, BadChoices, BadSeed, DivisibilityViolated,
-                          NotAtInfinity, Spread,
+                          NotAtInfinity, Spread, _pencil_of,
                           all_type_II_spreads, all_type_III_spreads,
                           extend_spread_from_subspace, is_spread,
                           lift_spread_through_infinity, restrict_to_affine,
@@ -285,10 +285,10 @@ def test_type_I_spread_json():
 def _type_III_inputs(space, k, limit, seed):
     """(pi, choices) pairs: every one when there are at most `limit`,
     else `limit` seeded picks; all-equal choices are left out."""
-    from clag.spreads import _taus
     pairs = [(pi, list(combo))
              for pi in space.infinite_subspaces(space.n - 2)
-             for combo in itertools.product(_taus(space, pi, k), repeat=space.q)
+             for combo in itertools.product(_pencil_of(space, pi, k)[2],
+                                            repeat=space.q)
              if len({t.rows for t in combo}) > 1]
     if len(pairs) <= limit:
         return pairs
@@ -365,11 +365,10 @@ def _inputs_of(s):
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
 def test_every_type_III_spread_matches_the_mask_route(n, q):
-    from clag.spreads import _taus
     space = AmbientSpace(n, q, "affine")
     pis = space.infinite_subspaces(n - 2)
     for pi in pis:
-        assert _taus(space, pi, 1) == mask_taus(space, pi, 1)
+        assert _pencil_of(space, pi, 1)[2] == mask_taus(space, pi, 1)
     family = all_type_III_spreads(space, 1)
     taus = len(mask_taus(space, pis[0], 1))
     assert len(family) == len(pis) * (taus ** q - taus)
@@ -389,27 +388,51 @@ _SAMPLE_DIGESTS = {
 
 @pytest.mark.parametrize("n,q,k", sorted(_SAMPLE_DIGESTS))
 def test_sampled_type_III_spreads_match_the_mask_route(n, q, k):
-    from clag.spreads import _taus
     space = AmbientSpace(n, q, "affine")
     family = sample_type_III_spreads(space, k, 60, 0)
     assert len(family) == 60
     for s in family:
         pi, choices = _inputs_of(s)
-        assert _taus(space, pi, k) == mask_taus(space, pi, k)
+        assert _pencil_of(space, pi, k)[2] == mask_taus(space, pi, k)
         assert s.member_indices() == mask_type_III_indices(space, pi, choices)
     text = json.dumps([s.member_indices() for s in family])
     assert hashlib.sha256(text.encode()).hexdigest() == _SAMPLE_DIGESTS[n, q, k]
 
 
 def test_type_III_reads_no_containment_masks(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a containment mask was read")
-
+    # the closure's containment masks are gone, and no point list of the
+    # closure is read: the tau inside pi are read at the affine point 0
     for name in ("spaces_inside", "spaces_through", "shared_points"):
-        monkeypatch.setattr(AmbientSpace, name, refuse)
+        assert not hasattr(AmbientSpace, name)
+    lists = AmbientSpace.point_lists
+
+    def affine_only(space, k):
+        assert space.mode == "affine", f"point lists of {space} read"
+        return lists(space, k)
+    monkeypatch.setattr(AmbientSpace, "point_lists", affine_only)
     space = AmbientSpace(3, 3, "affine")
     assert len(sample_type_III_spreads(space, 1, 8, seed=0)) == 8
     assert len(all_type_III_spreads(space, 1)) == 780
+
+
+def test_sample_stops_once_every_type_III_spread_is_drawn(monkeypatch):
+    # AG(3,2) has 7 (n-2)-spaces pi at infinity with 3 tau each: 7 x
+    # (3^2 - 3) = 42 type III line spreads, fewer than the 60 asked for;
+    # the cap of 50 x 60 attempts made 3,000 draws of pi
+    import clag.spreads as spreads
+    draws = []
+
+    class Counting(random.Random):
+        def choice(self, seq):
+            draws.append(len(seq))
+            return super().choice(seq)
+    monkeypatch.setattr(spreads.random, "Random", Counting)
+    space = AmbientSpace(3, 2, "affine")
+    sample = sample_type_III_spreads(space, 1, 60, seed=0)
+    pis = draws.count(7)  # 278 at seed 0
+    assert len(sample) == 42 and pis < 600
+    assert sorted(s.member_indices() for s in sample) == sorted(
+        s.member_indices() for s in all_type_III_spreads(space, 1))
 
 
 def test_spread_member_indices_are_the_members_indices():
