@@ -5,48 +5,51 @@ The k-set search enumerates every 0/1 vector of the required weight in
 the row space of the affine incidence matrix.  It backtracks over the
 pencils of (k-1)-spaces at infinity (each must carry exactly x members,
 a sound, necessary constraint: spread differences lie in the kernel)
-and propagates forced values by exact elimination; every surviving
-candidate still passes the definitional row-space test as a final,
-independent filter.  All pruning rules are necessary conditions, so the
-enumeration is complete.
+and propagates forced values by elimination modulo a prime; every
+surviving candidate still passes the definitional row-space test as a
+final, independent filter.  All pruning rules are necessary conditions,
+so the enumeration is complete.
 
 A 0/1 vector chi is in the row space iff chi = y M for some rational y
 on the points, where M is the point x k-space incidence matrix with
-columns m_j.  Assigning space j the value v is the equation
-m_j . y = v.  The assigned equations are kept as an integer tableau
-T = N M and a particular solution p / den = y0 M: the rows of N are an
-integer basis of {z : m_i . z = 0 for every assigned i} and y0 solves
-every assigned equation, so every solution gives space j the value
-p[j] / den + (a combination of column j of T).  Hence space j is forced
-iff column j of T is zero, its forced value is p[j] / den, and the
-number of rows of T is the dimension left.  Assigning j eliminates
-column j from T with one pivot row by `exact.eliminate`, the library's
-one exact elimination step, in int64 while a bound on the new entries
-stays below `exact.INT64_GUARD` and in Python ints past it.  p / den is
-kept up to a positive scale, den > 0, with a bound carried on
-max(|p|, den): p and den are divided by their gcd only when an
-update's bound reaches `_REDUCE_AT`, before p widens to Python ints.
+columns m_j.  M is a 2-design, M M^T = (r - lambda) I + lambda J, so
+det(M M^T) = (r - lambda)^(v-1) r q^k, with r the k-spaces through a
+point, is a unit mod every prime P > r other than the characteristic.
+For such a P, y = chi M^T (M M^T)^-1 has no P in any denominator, so
+every Cameron-Liebler chi is y M reduced mod P.  The search keeps the
+assigned equations m_j . y = v over GF(P), P = `_PRIME`: every true
+solution below a node solves them mod P, so a forced value outside
+{0, 1}, or an inconsistent system, still proves that none lies there,
+and a coincidence mod P can only miss a prune.
+
+The assigned equations are kept as a tableau T = N M and a particular
+solution p = y0 M, both int64 residues mod P: the rows of N are a basis
+of {z : m_i . z = 0 for every assigned i} and y0 solves every assigned
+equation, so every solution gives space j the value p[j] plus a
+combination of column j of T.  Hence space j is forced iff column j of
+T is zero, its forced value is p[j], and the number of rows of T is the
+dimension left.  Assigning j eliminates column j from T with one pivot
+row R scaled to R[j] = 1 by one modular inverse, and p <- p - e R with
+e = p[j] - v.
 
 T depends only on which spaces were assigned, and in what order, not
 on their values.  So T, its list of forced spaces and a memo of the
-eliminations made from it are one read-only object shared by every
-state that reaches it; a state owns only p and den, and an assignment
-reuses T's elimination and updates p alone.  The forced-value scan
-runs at every node and reads only T's forced columns that were not its
-own pivots, so it costs little where nothing is forced.
+eliminations made from it are one read-only `_Directions` shared by every
+state that reaches it; a state owns only p, and an assignment reuses
+T's elimination and updates p alone.  The forced-value scan runs at
+every node and reads only T's forced columns that were not its own
+pivots, so it costs little where nothing is forced.
 
 Every choice of a branching pencil assigns the pencil's unknown members
 in the same order, so all of them meet the same chain of T's, and
 along it every check and every update coefficient is a linear form in
-s, the node's p at those members and its den, and in den times the
-choice's bits.  One plan per (T, unknown members, count) walks the
-chain once and keeps each form as its part on s and its part on the
-bits summed over each choice, and one product per node gives every
-choice's checks and coefficients alpha.  One block step builds every
-child of the node from it: the choices whose checks vanish survive,
-each with p' = ctot p + alpha @ R and one shared den' = ctot den, so
-the children are those of assigning the members one by one, up to a
-positive scale.
+the node's p at those members and in the choice's bits.  One plan per
+(T, unknown members, count) walks the chain once and keeps each form as
+its part on p and its part on the bits summed over each choice, and one
+product per node gives every choice's checks and coefficients alpha.
+One block step builds every child of the node from it: the choices
+whose checks vanish survive, each with p' = p + alpha @ R, the children
+of assigning the members one by one.
 """
 
 from __future__ import annotations
@@ -54,11 +57,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import asdict, dataclass
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
-from . import exact
 from .clsets import (KSet, are_cameron_liebler, complement,
                      kset_from_indices, kset_from_json, point_pencil,
                      project_through_infinite_subspace)
@@ -73,12 +75,18 @@ __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
            "cross_check_projection", "verify_certificate"]
 
 DEFAULT_SPACE_CAP = 130
-# what a certificate's "pruning_rules" lists, and all it may list
+# what a certificate's "pruning_rules" lists, and all it may list; the
+# elimination rule is the rational one reduced mod `_PRIME`, which prunes
+# no true solution (see the module docstring), so the text stays that of
+# the certificates already written
 PRUNING_RULES = ("pencil-at-infinity counts (type II spread intersections "
                  "must equal x)",
                  "exact rational forced-value elimination",
                  "final row-space membership filter")
-_REDUCE_AT = 2**31       # divide p and den by their gcd past this bound
+# the largest prime below 2^25: residues stay below P, so a product sums
+# at most (m + 1) P^2 < 2^63 over the m = q^(n-k) members of a pencil
+# while m < 2^13; past that the dense T alone has over 2^28 entries
+_PRIME = 33_554_393
 _ENDGAME_DIM = 6         # switch to value branching when this few remain
 
 
@@ -102,12 +110,12 @@ class _Contradiction(Exception):
 
 
 class _Directions:
-    """T, read-only, with its number of rows, its forced (zero) columns,
-    the sorted list of those that are not pivots of the eliminations
-    that made T, its largest |entry|, a memo of the eliminations already
-    made from it and the pencil plans that start from it."""
+    """T mod P, read-only, with its number of rows, its forced (zero)
+    columns, the sorted list of those that are not pivots of the
+    eliminations that made T, a memo of the eliminations already made
+    from it and the pencil plans that start from it."""
 
-    __slots__ = ("a", "dim", "forced", "fresh", "m", "memo", "plans")
+    __slots__ = ("a", "dim", "forced", "fresh", "memo", "plans")
 
     def __init__(self, a: np.ndarray, parent: "_Directions | None" = None,
                  pivot: int = -1):
@@ -119,26 +127,27 @@ class _Directions:
         if parent is not None:  # T is the parent's T with pivot eliminated
             self.fresh = sorted(parent.fresh + [
                 j for j in self.fresh if not parent.forced[j] and j != pivot])
-        self.m = int(abs(a).max(initial=0))
-        self.memo: dict[int, tuple[int, int, _Directions]] = {}
+        self.memo: dict[int, tuple[np.ndarray, _Directions]] = {}
         self.plans: dict[tuple[tuple[int, ...], int], _Plan] = {}
 
-    def eliminated(self, j: int) -> "tuple[int, int, _Directions]":
-        """(r, c, T') for column j, by `exact.eliminate`: with pivot row
-        r and c = T[r, j], T[s] <- c T[s] - T[s, j] T[r], row r is
-        dropped and every changed row divided by its gcd."""
+    def eliminated(self, j: int) -> "tuple[np.ndarray, _Directions]":
+        """(R, T') for column j: the pivot row r is the first with
+        T[r, j] != 0, R = T[r] / T[r, j] mod P, T[s] <- T[s] - T[s, j] R
+        mod P for every other row, and row r takes the last row's place
+        while the last row is dropped.  Each changed row is a nonzero
+        multiple mod P of the rational elimination's."""
         hit = self.memo.get(j)
         if hit is None:
-            r, c, out = exact.eliminate(self.a, j, self.m)
-            hit = self.memo[j] = (r, c, _Directions(out, self, j))
+            a = self.a
+            col = a[:, j]
+            nz = col.nonzero()[0]
+            r, rows = nz[0], nz[1:]
+            pivot = a[r] * pow(int(col[r]), -1, _PRIME) % _PRIME
+            out = a.copy()
+            out[rows] = (a[rows] - col[rows, None] * pivot) % _PRIME
+            out[r] = out[-1]
+            hit = self.memo[j] = (pivot, _Directions(out[:-1], self, j))
         return hit
-
-
-def _fit(a: np.ndarray) -> np.ndarray:
-    """a as int64 when its entries stay below `exact.INT64_GUARD`."""
-    if a.dtype == object and abs(a).max(initial=0) < exact.INT64_GUARD:
-        return a.astype(np.int64)
-    return a
 
 
 class _Plan:
@@ -150,32 +159,26 @@ class _Plan:
     order, as `_Search._assign` does, cascades included, so every choice
     meets the same chain of T's: u_i is either forced in the current T
     or eliminated from it by `_Directions.eliminated`.  With
-    e_i = p_{i-1}[u_i] - v_i den_{i-1}:
+    e_i = p_{i-1}[u_i] - v_i mod P:
     - a forced u_i needs e_i = 0;
-    - an eliminated u_i, with pivot row R_i and c_i, makes
-      p_i = c_i p_{i-1} - e_i R_i and den_i = c_i den_{i-1}.
-    v_i enters only as v_i den_{i-1} = v_i den prod_{l < i} c_l, so every
-    e_i, and every alpha_i = -e_i prod_{l > i} c_l, is a linear form in
-    s = (p[u], den) of the node and den v, the same for every choice.
-    One walk of the chain builds these forms, a check per forced member
-    and an alpha per eliminated one, and splits each in two: its part on
-    s is a column of `forms`, (m + 1) x m, and its part on den v, summed
-    over each choice's picks, a column of `forms_v`, (choices) x m; the
-    `nchecks` checks come first.  So s @ forms + den forms_v gives every
-    choice's checks and alphas; a choice survives iff its checks vanish,
-    and then p' = ctot p + alpha @ R and den' = ctot den, with
-    ctot = prod c_i.
-    Every form and ctot are negated when ctot < 0, so den' > 0, and
-    p' / den' is the p / den of `_Tableau.assigned` up to a positive
-    scale."""
+    - an eliminated u_i, with pivot row R_i, makes p_i = p_{i-1} - e_i R_i.
+    So every e_i, and every alpha_i = -e_i, is a linear form mod P in
+    p[u] of the node and v, the same for every choice.  One walk of the
+    chain builds these forms, a check per forced member and an alpha per
+    eliminated one, and splits each in two: its part on p[u] is a column
+    of `forms`, m x m, and minus its part on v, summed over each
+    choice's picks, a column of `targets`, (choices) x m; the `nchecks`
+    checks come first.  So a choice survives iff p[u] @ forms equals its
+    targets on the checks mod P, and then its alphas are
+    p[u] @ forms - targets and p' = p + alpha @ R mod P is the p of
+    `_Tableau.assigned`."""
 
-    __slots__ = ("choices", "forms", "forms_v", "nchecks", "rows", "ctot",
-                 "dirs", "bound")
+    __slots__ = ("choices", "forms", "targets", "nchecks", "rows", "dirs")
 
     def __init__(self, dirs: _Directions, unknown: tuple[int, ...],
                  need: int):
         m = len(unknown)
-        # forms_v holds (choices) x m entries
+        # targets holds (choices) x m entries
         check_size("{0} choices of {1} pencil members x {1} forms exceed "
                    "guard {cap}", comb(m, need), m)
         picks = np.array(list(itertools.combinations(range(m), need)),
@@ -183,113 +186,74 @@ class _Plan:
         choices = np.zeros((len(picks), m), dtype=np.int64)
         choices[np.arange(len(picks))[:, None], picks] = 1
         self.choices = choices.tolist()
-        # column l of pu is p[u_l] as a form in (p[u], den, den v)
-        pu = np.zeros((2 * m + 1, m), dtype=object)
-        pu[:m] = np.eye(m, dtype=np.int64)
-        ctot, checks, steps, rows = 1, [], [], []
+        # column l of pu is p[u_l] as a form in (p[u], v)
+        pu = np.eye(2 * m, m, dtype=np.int64)
+        checks, alphas, rows = [], [], []
         for i, u in enumerate(unknown):
             e = pu[:, i].copy()
-            e[m + 1 + i] -= ctot
+            e[m + i] -= 1
             if dirs.forced[u]:
-                checks.append(e)
+                checks.append(e % _PRIME)
                 continue
-            r, c, nxt = dirs.eliminated(u)
-            row = dirs.a[r]
-            pu[:, i + 1:] = (c * pu[:, i + 1:]
-                             - e[:, None] * row[list(unknown[i + 1:])])
-            steps.append((e, c))
+            row, dirs = dirs.eliminated(u)
+            later = row[list(unknown[i + 1:])]
+            pu[:, i + 1:] = (pu[:, i + 1:] - e[:, None] * later) % _PRIME
+            alphas.append(-e % _PRIME)
             rows.append(row)
-            ctot *= c
-            dirs = nxt
-        tail, alphas = 1, []
-        for e, c in reversed(steps):
-            alphas.append(-tail * e)
-            tail *= c
-        forms = np.stack(checks + alphas[::-1], axis=1)
-        if ctot < 0:
-            ctot, forms = -ctot, -forms
-        self.ctot, self.dirs, self.nchecks = ctot, dirs, len(checks)
-        self.forms = _fit(forms[:m + 1])
-        self.forms_v = _fit(forms[m + 1:][picks].sum(axis=1))
-        self.rows = _fit(np.stack(rows) if rows else
-                         np.zeros((0, dirs.a.shape[1]), dtype=np.int64))
-        # |s| <= M bounds every form of a choice by f M, and every entry
-        # of ctot p + alpha @ R and of ctot den by this bound times M
-        f = ((m + 1) * int(abs(self.forms).max())
-             + int(abs(self.forms_v).max()))
-        self.bound = max(f, ctot + len(rows) * f
-                         * int(abs(self.rows).max(initial=0)))
+        forms = np.stack(checks + alphas, axis=1)
+        self.dirs, self.nchecks = dirs, len(checks)
+        self.forms = forms[:m]
+        self.targets = -forms[m:][picks].sum(axis=1) % _PRIME
+        self.rows = (np.stack(rows) if rows else
+                     np.zeros((0, dirs.a.shape[1]), dtype=np.int64))
 
 
 class _Tableau:
-    """Assigned equations m_j . y = val_j as T = N M and p / den = y0 M.
+    """Assigned equations m_j . y = val_j mod P as T = N M and p = y0 M.
 
-    M is the point x k-space incidence matrix, the rows of N are an
-    integer basis of {z : m_i . z = 0 for every assigned i}, and y0
-    solves every assigned equation.  T is a `_Directions` shared between
-    tableaux; each tableau owns only p and den, kept up to a positive
-    scale with den > 0, and a bound mp on max(|p|, den).  Updates build
-    new arrays and never write into old ones, so a search state can
-    share its tableau with its children."""
+    M is the point x k-space incidence matrix, the rows of N are a basis
+    mod P of {z : m_i . z = 0 for every assigned i}, and y0 solves every
+    assigned equation mod P; by the rank argument of the module
+    docstring every true solution satisfies them.  T is a `_Directions`
+    shared between tableaux; each tableau owns only p, int64 residues in
+    [0, P).  Updates build new arrays and never write into old ones, so
+    a search state can share its tableau with its children."""
 
-    __slots__ = ("dirs", "p", "den", "mp")
+    __slots__ = ("dirs", "p")
 
-    def __init__(self, dirs: _Directions, p: np.ndarray, den: int, mp: int):
+    def __init__(self, dirs: _Directions, p: np.ndarray):
         self.dirs = dirs
         self.p = p
-        self.den = den
-        self.mp = mp
 
     @classmethod
     def start(cls, matrix: np.ndarray) -> "_Tableau":
         # a copy, since `_Directions` locks its T against writes; an
         # F-order copy measured no faster
         return cls(_Directions(matrix.astype(np.int64, order="C")),
-                   np.zeros(matrix.shape[1], dtype=np.int64), 1, 1)
+                   np.zeros(matrix.shape[1], dtype=np.int64))
 
     @property
     def dim(self) -> int:
         """Dimension of the solution space of the assigned equations."""
         return self.dirs.dim
 
-    def reduced(self) -> "tuple[np.ndarray, int, int]":
-        """p, den and max(|p|, den), with p and den divided by their
-        gcd."""
-        g = gcd(int(np.gcd.reduce(self.p)), self.den)
-        p, den = self.p // g, self.den // g
-        return p, den, max(int(abs(p).max()), den)
-
     def assigned(self, j: int, val: int) -> "_Tableau":
         """The tableau with m_j . y = val added; raises _Contradiction
         when m_j is already forced to another value.
 
-        T is eliminated by `_Directions.eliminated`; with its pivot row r
-        and c = T[r, j], p <- |c| p + sign(c) (val den - p[j]) T[r] and
-        den <- |c| den, unless p[j] = val den already, which leaves p and
-        den as they are.  When the new bound reaches `_REDUCE_AT`, p and
-        den are first divided by their gcd."""
-        dirs, p, den, mp = self.dirs, self.p, self.den, self.mp
+        T is eliminated by `_Directions.eliminated`; with its pivot row
+        R, p <- p - e R mod P with e = p[j] - val, unless e = 0, which
+        leaves p as it is."""
+        dirs, p = self.dirs, self.p
         if dirs.forced[j]:
-            if p[j] != val * den:
+            if p[j] != val:
                 raise _Contradiction
             return self
-        r, c, child = dirs.eliminated(j)
-        e = int(p[j]) - val * den
+        row, child = dirs.eliminated(j)
+        e = int(p[j]) - val
         if e:
-            if abs(c) * mp + abs(e) * dirs.m >= _REDUCE_AT:
-                p, den, mp = self.reduced()
-                e = int(p[j]) - val * den
-            if c < 0:
-                c, e = -c, -e
-            row = dirs.a[r]
-            # |c p - e T[r]| <= c mp + |e| m, and den grows by c
-            mp = c * mp + abs(e) * dirs.m
-            if mp >= exact.INT64_GUARD:
-                # Python ints from here on
-                p, row = p.astype(object), row.astype(object)
-            p = c * p - e * row
-            den *= c
-        return _Tableau(child, p, den, mp)
+            p = (p - e * row) % _PRIME
+        return _Tableau(child, p)
 
 
 class _State:
@@ -310,6 +274,13 @@ class _Search:
     exactly x members in every pencil at infinity."""
 
     def __init__(self, space: AmbientSpace, k: int, x: int, stats: SearchStats):
+        # the rank argument of the module docstring needs P > r and P
+        # other than the characteristic
+        r = gaussian_binomial(space.n, k, space.q)
+        if _PRIME <= r or space.q % _PRIME == 0:
+            raise ScaleExceeded(f"the search's prime {_PRIME} must exceed the "
+                                f"{r} k-spaces through a point and differ "
+                                f"from the characteristic")
         self.x = x
         self.stats = stats
         _, pencil_members, per_space = space.infinity_pencils(k)
@@ -364,11 +335,9 @@ class _Search:
                 i += 1
                 if values[j] != -1:  # set by a pencil cascade
                     continue
-                num = tab.p[j]
-                if num == 0:
-                    self._assign(state, j, 0)
-                elif num == tab.den:
-                    self._assign(state, j, 1)
+                val = tab.p[j]
+                if val == 0 or val == 1:
+                    self._assign(state, j, int(val))
                 else:
                     self.stats.pruned_by_elimination += 1
                     raise _Contradiction
@@ -419,11 +388,8 @@ class _Search:
         in the order of `itertools.combinations` over its unknown
         members, each as if those members were assigned in pencil order:
         one block step of the `_Plan` kept on T for (unknown, need), whose
-        one product s @ forms + den forms_v gives every choice's checks
-        and alphas, and one den for all of them.  p and den are first
-        divided by their gcd when the children's bound reaches
-        `_REDUCE_AT`, and p widens to Python ints when it reaches
-        `exact.INT64_GUARD`."""
+        one product p[u] @ forms, compared with every choice's targets,
+        gives its checks, and the alphas of the choices that pass."""
         values = state.values
         unknown = tuple(t for t in self.pencils[pid] if values[t] == -1)
         need = self.x - state.ones[pid]
@@ -433,20 +399,14 @@ class _Search:
         if plan is None:
             plan = tab.dirs.plans[key] = _Plan(tab.dirs, unknown, need)
             self.plans_built += 1
-        p, den, mp = tab.p, tab.den, tab.mp
-        if mp * plan.bound >= _REDUCE_AT:
-            p, den, mp = tab.reduced()
-        mp *= plan.bound
-        if mp >= exact.INT64_GUARD:
-            p = p.astype(object)  # Python ints from here on
-        s = np.append(p[list(unknown)], den)
-        out = s @ plan.forms + s[-1:] * plan.forms_v
-        alive = ~out[:, :plan.nchecks].any(axis=1)
+        nchecks, targets = plan.nchecks, plan.targets
+        base = tab.p[list(unknown)] @ plan.forms % _PRIME
+        alive = (targets[:, :nchecks] == base[:nchecks]).all(axis=1)
         picked = np.flatnonzero(alive).tolist()
         if not picked:
             return []
-        ps = plan.ctot * p + out[alive, plan.nchecks:] @ plan.rows
-        den *= plan.ctot
+        alphas = (base[nchecks:] - targets[alive, nchecks:]) % _PRIME
+        ps = (tab.p + alphas @ plan.rows) % _PRIME
         ones = state.ones[:]
         ones[pid] = self.x
         left = state.unknown[:]
@@ -457,7 +417,7 @@ class _Search:
             for t, val in zip(unknown, plan.choices[v]):
                 vals[t] = val
             children.append(_State(vals, ones[:], left[:],
-                                   _Tableau(plan.dirs, ps[row], den, mp)))
+                                   _Tableau(plan.dirs, ps[row])))
         return children
 
     def _leaf(self, state):

@@ -481,20 +481,31 @@ def kset_to_json(l: KSet) -> dict:
 
 def kset_from_json(doc: dict) -> KSet:
     """n, q, k and every member coordinate must be ints, not bools or
-    floats (TypeError otherwise).  Each member is first looked up among
-    the space's canonical k-spaces, keyed by its coordinates read with
-    `_int`; only one that is not found there is validated row by row, so
-    every malformed member is refused by `subspace_from_json`."""
+    floats (TypeError otherwise).  One type check over the file's
+    flattened coordinates decides the route: when every one is an int,
+    each member is first looked up among the space's canonical k-spaces,
+    keyed by its raw coordinate tuples, and only one not found there is
+    validated row by row; otherwise (a bool or a float compares equal
+    to an int, and so would be found) every member is.  Either way every
+    malformed member is refused by `subspace_from_json`."""
     space = ambient(_int(doc["n"]), _int(doc["q"]), doc["mode"])
     k = _int(doc["k"])
     index = space.space_index(k)
+    members = doc["members"]
+    try:
+        coords = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(members))
+        ints = set(map(type, coords)) <= {int}
+    except TypeError:  # a member or a row that is no sequence
+        ints = False
     found, subs = [], []
-    for rows in doc["members"]:
-        try:
-            found.append(index[tuple(tuple(map(_int, r)) for r in rows)])
-            continue
-        except (KeyError, TypeError):
-            pass
+    for rows in members:
+        if ints:
+            try:
+                found.append(index[tuple(map(tuple, rows))])
+                continue
+            except KeyError:
+                pass
         subs.append(subspace_from_json(space.n, space.q, rows))
     for s in subs:
         if s.dim != k:

@@ -5,16 +5,21 @@ kernels are yes/no mathematical facts and have to be decided exactly.
 `eliminate` is the one elimination step, fraction-free with every changed
 row divided by its gcd (not Bareiss's division by the previous pivot, so
 no minor bounds the entries): it works in int64 while a bound on the new
-entries stays below `INT64_GUARD` and in Python ints past it.  The
-search's tableau eliminates with it, and so does `nullspace_int`, which
-gives `IncidenceMatrix.kernel_basis` and the scheme's eigenvectors.
+entries stays below `INT64_GUARD` and in Python ints past it.
+`nullspace_int` eliminates with it, and gives
+`IncidenceMatrix.kernel_basis` and the scheme's eigenvectors.  The
+search's tableau does not: the incidence matrix M is a 2-design, so
+det(M M^T) = (r - lambda)^(v-1) r q^k is a unit mod every prime P > r
+other than the characteristic, every Cameron-Liebler vector is y M with
+y free of P in its denominators, and `classify` eliminates over GF(P)
+instead, which keeps every entry below P.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eliminate", "nullspace_int"]
+__all__ = ["nullspace_int"]
 
 INT64_GUARD = 2**62
 

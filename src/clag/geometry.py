@@ -392,7 +392,11 @@ class AmbientSpace:
             idx = self.infinite_index(k - 1)
             per_space = np.array([idx[infinite_part(s).rows]
                                   for s in self.spaces(k)], dtype=np.int64)
-            members = [np.nonzero(per_space == i)[0] for i in range(len(idx))]
+            # one stable sort lists every pencil's members in index order
+            order = np.argsort(per_space, kind="stable")
+            ends = np.cumsum(np.bincount(per_space,
+                                         minlength=len(idx))).tolist()
+            members = [order[a:b] for a, b in zip([0] + ends, ends)]
             return self.infinite_subspaces(k - 1), members, per_space
         return self.memo(("infinity_pencils", k), build)
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clag import classify, exact
+from clag import classify, cli, exact
 from clag.classify import (ScaleExceeded, SearchStats, _Contradiction,
                            _ENDGAME_DIM, _Search, _Tableau,
                            classify_hyperplane_cl, cross_check_projection,
@@ -184,6 +186,18 @@ def without_wall_clock(cert):
     return json.dumps(cert, sort_keys=True)
 
 
+def test_search_certificates_are_pinned():
+    # SHA-256 of the whole certificates, wall clock aside, of AG(3,3)
+    # lines at x = 1 (the 27 pencils) and x = 2 (none): any change to
+    # their bytes, the pruning rules' text included, moves them
+    pinned = {
+        1: "25a34295d7cdd95ef7e8abe16869c4961aca20ec340d2e026f1e7e33aa2a415d",
+        2: "ebe09c76274b49d3ef4f52594c63409b7eebea10de78e04c45772cf0e4c090e8"}
+    for x, digest in pinned.items():
+        text = without_wall_clock(search_cl_ksets(3, 3, 1, x))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n,q,k,x,stats", [
     (3, 3, 1, 2, (8488, 11473, 4665, 3024, 0)),
     (3, 3, 1, 1, (325, 1235, 72, 189, 27)),
@@ -207,13 +221,10 @@ def test_search_statistics_are_pinned(n, q, k, x, stats):
 
 class _CheckedSearch(_Search):
     """A search that, at every branching node, checks its pencil
-    children against the one-clone-per-combination reference; with
-    `same_dtypes` off, T's entries and p / den must agree but not their
-    dtypes."""
+    children against the one-clone-per-combination reference, which
+    assigns the same residues mod P one member at a time."""
 
     checked = 0
-    same_dtypes = True
-    widened = 0  # block steps that took an int64 p to Python ints
 
     def _children(self, state, pid):
         assert state.tab.dim > _ENDGAME_DIM
@@ -224,15 +235,8 @@ class _CheckedSearch(_Search):
             assert (a.values, a.ones, a.unknown) == (b.values, b.ones, b.unknown)
             assert a.tab.dirs is b.tab.dirs
             assert np.array_equal(a.tab.dirs.a, b.tab.dirs.a)
-            # p / den agree as rational vectors, not in scale
-            assert np.array_equal(a.tab.p * b.tab.den, b.tab.p * a.tab.den)
-            assert a.tab.den > 0 and b.tab.den > 0
-            if self.same_dtypes:
-                assert a.tab.dirs.a.dtype == b.tab.dirs.a.dtype
-                assert a.tab.p.dtype == b.tab.p.dtype
-        if state.tab.p.dtype != object and any(
-                c.tab.p.dtype == object for c in got):
-            self.widened += 1
+            assert np.array_equal(a.tab.p, b.tab.p)
+            assert a.tab.p.dtype == b.tab.p.dtype == np.int64
         self.checked += 1
         return got
 
@@ -251,63 +255,25 @@ def test_pencil_children_match_combination_loop(n, q, k, x):
     assert search.solutions == reference.solutions
 
 
-def test_search_python_int_fallback(monkeypatch):
-    expected = {x: without_wall_clock(search_cl_ksets(3, 2, 1, x))
-                for x in (1, 2)}
-    t_dtypes, p_dtypes = set(), set()
-    assigned = _Tableau.assigned
-
-    def recording(self, j, val):
-        tab = assigned(self, j, val)
-        t_dtypes.add(tab.dirs.a.dtype)
-        p_dtypes.add(tab.p.dtype)
-        return tab
-
-    monkeypatch.setattr(_Tableau, "assigned", recording)
-    # tableau entries on AG(3,2) stay below 2^4, so 2^3 forces the widening
-    monkeypatch.setattr(exact, "INT64_GUARD", 2**3)
-    for x in (1, 2):
-        assert without_wall_clock(search_cl_ksets(3, 2, 1, x)) == expected[x]
-    assert np.dtype(object) in t_dtypes
-    assert np.dtype(object) in p_dtypes
+RESIDUE_SEARCHES = [(3, 3, 1, 2, 130), (3, 4, 1, 1, 400), (4, 2, 2, 2, 150)]
 
 
-def test_pencil_block_step_widens_to_python_ints(monkeypatch):
-    # at 2^12 some branching nodes reach their plan's bound while p is
-    # still int64 (36 of 307 on AG(3,3) x = 2; at most others p has
-    # already widened in `_Tableau.assigned`)
-    expected = without_wall_clock(search_cl_ksets(3, 3, 1, 2))
-    monkeypatch.setattr(exact, "INT64_GUARD", 2**12)
-    search = _CheckedSearch(ambient(3, 3, "affine"), 1, 2, SearchStats())
-    search.same_dtypes = False
-    search.run()
-    assert search.widened > 0
-    assert without_wall_clock(search_cl_ksets(3, 3, 1, 2)) == expected
+def assert_residues(a):
+    assert a.dtype == np.int64
+    assert a.min(initial=0) >= 0 and a.max(initial=0) < classify._PRIME
 
 
-BOUND_SEARCHES = [(3, 3, 1, 2, 130), (3, 4, 1, 1, 400), (4, 2, 2, 2, 150)]
-
-
-@pytest.mark.parametrize("reduce_at", [None, 2**4])
-@pytest.mark.parametrize("n,q,k,x,cap", BOUND_SEARCHES)
-def test_tableau_bound_holds_and_p_stays_int64(n, q, k, x, cap, reduce_at,
-                                               monkeypatch):
-    # every tableau the search builds keeps max |p| and den within its
-    # bound mp, with den > 0; at the default guard none widens to Python
-    # ints, which a block step that widens p before reducing it does on
-    # AG(3,4); a lowered reduction threshold leaves the certificate as
-    # it is
+@pytest.mark.parametrize("n,q,k,x,cap", RESIDUE_SEARCHES)
+def test_tableau_entries_are_residues_mod_p(n, q, k, x, cap, monkeypatch):
+    # every tableau that an assignment or a block step builds holds T and
+    # p as int64 residues in [0, P)
     expected = without_wall_clock(search_cl_ksets(n, q, k, x, cap=cap))
-    if reduce_at is not None:
-        monkeypatch.setattr(classify, "_REDUCE_AT", reduce_at)
-    seen = {"tableaux": 0, "reduced": 0}
-    assigned, children, reduced = (_Tableau.assigned, _Search._children,
-                                   _Tableau.reduced)
+    seen = {"tableaux": 0}
+    assigned, children = _Tableau.assigned, _Search._children
 
     def check(tab):
-        assert tab.p.dtype == np.int64
-        assert int(abs(tab.p).max()) <= tab.mp
-        assert 0 < tab.den <= tab.mp
+        assert_residues(tab.dirs.a)
+        assert_residues(tab.p)
         seen["tableaux"] += 1
 
     def checked_assigned(self, j, val):
@@ -321,17 +287,46 @@ def test_tableau_bound_holds_and_p_stays_int64(n, q, k, x, cap, reduce_at,
             check(child.tab)
         return got
 
-    def counted_reduced(self):
-        seen["reduced"] += 1
-        return reduced(self)
-
     monkeypatch.setattr(_Tableau, "assigned", checked_assigned)
     monkeypatch.setattr(_Search, "_children", checked_children)
-    monkeypatch.setattr(_Tableau, "reduced", counted_reduced)
     assert without_wall_clock(search_cl_ksets(n, q, k, x, cap=cap)) == expected
     assert seen["tableaux"] > 0
-    if reduce_at is not None:
-        assert seen["reduced"] > 0
+
+
+def least_admissible_prime(n, q, k):
+    """The least prime above r = [n choose k]_q, the k-spaces through an
+    affine point; it is never the characteristic, which is at most q."""
+    r = gaussian_binomial(n, k, q)
+    return next(p for p in itertools.count(r + 1)
+                if all(p % d for d in range(2, p)))
+
+
+@pytest.mark.parametrize("n,q,k,prime", [(3, 2, 1, 11), (3, 3, 1, 17),
+                                         (4, 2, 2, 37)])
+def test_least_admissible_prime_finds_the_same_solutions(n, q, k, prime,
+                                                         monkeypatch):
+    # coincidences mod a small P only change how much is pruned, so the
+    # counters may move but the solutions may not
+    assert least_admissible_prime(n, q, k) == prime
+    cap = len(ambient(n, q, "affine").spaces(k))
+    xs = (1, 2)
+    expected = [search_cl_ksets(n, q, k, x, cap=cap) for x in xs]
+    monkeypatch.setattr(classify, "_PRIME", prime)
+    for x, want in zip(xs, expected):
+        got = search_cl_ksets(n, q, k, x, cap=cap)
+        assert got["solutions"] == want["solutions"]
+        assert verify_certificate(got)
+
+
+@pytest.mark.parametrize("prime", [13, 7, 3])
+def test_inadmissible_prime_is_refused(prime, monkeypatch, capsys):
+    # AG(3,3) lines: r = 13 lines through a point, and 3 is the
+    # characteristic
+    monkeypatch.setattr(classify, "_PRIME", prime)
+    with pytest.raises(ScaleExceeded, match=f"prime {prime} must exceed"):
+        search_cl_ksets(3, 3, 1, 1)
+    assert cli.main(["search", "--n", "3", "--q", "3", "--x", "1"]) == 2
+    assert f"prime {prime} must exceed the 13" in capsys.readouterr().err
 
 
 def test_pencil_plans_are_built_once_per_directions_and_key(monkeypatch):
@@ -370,6 +365,27 @@ def assigned_value(rows, values, col):
         return None
     coeffs = solve_left(rows, col) if rows else []
     return sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
+
+
+def residue(value: Fraction) -> int:
+    """value mod P; its denominator is a unit mod P."""
+    p = classify._PRIME
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def assert_row_multiples(t, ref):
+    """Each row of t is a nonzero multiple mod P of the row of the
+    integer matrix ref."""
+    p = classify._PRIME
+    ref = np.array([[int(v) % p for v in row] for row in ref],
+                   dtype=np.int64).reshape(t.shape)
+    lead = (ref != 0).argmax(axis=1)
+    rows = np.arange(len(t))
+    assert ref[rows, lead].all()
+    scale = np.array([int(a) * pow(int(b), -1, p) % p for a, b in
+                      zip(t[rows, lead], ref[rows, lead])], dtype=np.int64)
+    assert scale.all()
+    assert np.array_equal(scale[:, None] * ref % p, t)
 
 
 ASSIGNMENT_SEQUENCES = [(3, 3, 1, 1), (3, 3, 1, 2), (4, 2, 2, 1), (4, 2, 2, 2)]
@@ -417,7 +433,7 @@ def test_tableau_matches_exact_elimination(n, q, k, seed):
             want = assigned_value(rows, values, cols[i])
             assert (not tab.dirs.a[:, i].any()) == (want is not None)
             if want is not None:
-                assert Fraction(int(tab.p[i]), tab.den) == want
+                assert int(tab.p[i]) == residue(want)
         if not tab.dim:
             break
     assert not tab.dim
@@ -427,8 +443,9 @@ def test_tableau_matches_exact_elimination(n, q, k, seed):
 @pytest.mark.parametrize("n,q,k,seed", ASSIGNMENT_SEQUENCES)
 def test_tableau_matches_one_array_tableau(n, q, k, seed, guard,
                                            monkeypatch):
-    # with a lowered guard T and p widen to Python ints at other steps
-    # than the one array does, so only their entries must agree
+    # the rational reference, which widens to Python ints past a lowered
+    # guard, reduced mod P: each row of T a nonzero multiple of its row,
+    # and p its p / den
     if guard is not None:
         monkeypatch.setattr(exact, "INT64_GUARD", guard)
     m, order, target, _ = assignment_sequence(n, q, k, seed)
@@ -442,15 +459,12 @@ def test_tableau_matches_one_array_tableau(n, q, k, seed, guard,
                 tab.assigned(j, target[j])
             continue
         tab = tab.assigned(j, target[j])
-        assert np.array_equal(tab.dirs.a, ref.t)
-        # the same rational vector; the tableau reduces p / den only
-        # past `_REDUCE_AT`, the reference at every step
-        assert np.array_equal(tab.p * ref.den, ref.p * tab.den)
-        assert tab.den > 0 and ref.den > 0
-        if guard is None:
-            assert tab.dirs.a.dtype == ref.t.dtype
-            assert tab.p.dtype == ref.p.dtype
-        widened |= {name for name, a in (("t", tab.dirs.a), ("p", tab.p))
+        assert_residues(tab.dirs.a)
+        assert_residues(tab.p)
+        assert_row_multiples(tab.dirs.a, ref.t)
+        assert tab.p.tolist() == [residue(Fraction(int(v), ref.den))
+                                  for v in ref.p]
+        widened |= {name for name, a in (("t", ref.t), ("p", ref.p))
                     if a.dtype == object}
     assert not tab.dim
     assert widened == (set() if guard is None else {"t", "p"})
@@ -461,7 +475,7 @@ def test_tableau_children_share_their_directions():
     tab = _Tableau.start(m)
     zero, one = tab.assigned(5, 0), tab.assigned(5, 1)
     assert zero.dirs is one.dirs
-    assert zero.den == 1 and not zero.p.any() and one.p.any()
+    assert not zero.p.any() and one.p.any()
     for a in (tab.dirs.a, zero.dirs.a):
         with pytest.raises(ValueError):
             a[0, 0] = 7

@@ -99,6 +99,18 @@ def test_affine_spaces_through_infinite_axis():
         assert len(members) == gaussian_binomial(n, k, q)
 
 
+@pytest.mark.parametrize("n,q,k", [(3, 3, 1), (4, 2, 2), (5, 2, 3)])
+def test_pencil_members_match_one_scan_per_pencil(n, q, k):
+    # the members of every pencil, read from one sort of per_space, are
+    # the arrays one nonzero scan per pencil gives, dtype included
+    _, members, per_space = ambient(n, q, "affine").infinity_pencils(k)
+    want = [np.nonzero(per_space == i)[0] for i in range(len(members))]
+    assert len(members) == len(want)
+    for got, ref in zip(members, want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
 def test_rref_canonicalization_invariance():
     rng = random.Random(23)
     space = ambient(3, 3, "projective")
