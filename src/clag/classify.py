@@ -47,9 +47,22 @@ the node's p at those members and in the choice's bits.  One plan per
 (T, unknown members, count) walks the chain once and keeps each form as
 its part on p and its part on the bits summed over each choice, and one
 product per node gives every choice's checks and coefficients alpha.
-One block step builds every child of the node from it: the choices
+One block step makes every child of the node from it: the choices
 whose checks vanish survive, each with p' = p + alpha @ R, the children
 of assigning the members one by one.
+
+A child is decided by its first forced read before it is built.  The
+children of one block step share T, the set of unknown spaces and the
+pencil counts, so their scans all read first at the same column t0 of
+T's forced columns: a child whose p[t0] is not 0 or 1 is counted as a
+node pruned by elimination and never becomes a search state, and with
+no t0 no scan reads anything, so the siblings take their next
+branching together, a block step by one product of their stacked p[u]
+with the plan's forms.  In the endgame the two children of a value
+branch on j share T' = T with j eliminated and its pivot row R, so
+child v reads p[t0] - (p[j] - v) R[t0] first: two scalars of the
+parent's p decide it, unless j's pencil then has x ones or needs all
+its unknown members, whose cascade assigns more before the scan.
 """
 
 from __future__ import annotations
@@ -167,13 +180,16 @@ class _Plan:
     chain builds these forms, a check per forced member and an alpha per
     eliminated one, and splits each in two: its part on p[u] is a column
     of `forms`, m x m, and minus its part on v, summed over each
-    choice's picks, a column of `targets`, (choices) x m; the `nchecks`
+    choice's picks, a column of its targets, m of them; the `nchecks`
     checks come first.  So a choice survives iff p[u] @ forms equals its
     targets on the checks mod P, and then its alphas are
     p[u] @ forms - targets and p' = p + alpha @ R mod P is the p of
-    `_Tableau.assigned`."""
+    `_Tableau.assigned`.  `passing` maps the targets on the checks to
+    the choices that have them, in order, as their bits v with their
+    targets on the alphas, so one lookup finds a node's surviving
+    choices."""
 
-    __slots__ = ("choices", "forms", "targets", "nchecks", "rows", "dirs")
+    __slots__ = ("forms", "passing", "nchecks", "rows", "dirs")
 
     def __init__(self, dirs: _Directions, unknown: tuple[int, ...],
                  need: int):
@@ -185,7 +201,7 @@ class _Plan:
                          dtype=np.intp)
         choices = np.zeros((len(picks), m), dtype=np.int64)
         choices[np.arange(len(picks))[:, None], picks] = 1
-        self.choices = choices.tolist()
+        choices = choices.tolist()
         # column l of pu is p[u_l] as a form in (p[u], v)
         pu = np.eye(2 * m, m, dtype=np.int64)
         checks, alphas, rows = [], [], []
@@ -203,7 +219,13 @@ class _Plan:
         forms = np.stack(checks + alphas, axis=1)
         self.dirs, self.nchecks = dirs, len(checks)
         self.forms = forms[:m]
-        self.targets = -forms[m:][picks].sum(axis=1) % _PRIME
+        targets = -forms[m:][picks].sum(axis=1) % _PRIME
+        passing: dict[tuple[int, ...], list[int]] = {}
+        for v, key in enumerate(targets[:, :self.nchecks].tolist()):
+            passing.setdefault(tuple(key), []).append(v)
+        self.passing = {key: ([choices[v] for v in picked],
+                              targets[picked, self.nchecks:])
+                        for key, picked in passing.items()}
         self.rows = (np.stack(rows) if rows else
                      np.zeros((0, dirs.a.shape[1]), dtype=np.int64))
 
@@ -265,8 +287,51 @@ class _State:
         self.unknown = unknown
         self.tab = tab
 
-    def clone(self) -> "_State":
-        return _State(self.values[:], self.ones[:], self.unknown[:], self.tab)
+
+@dataclass(slots=True, eq=False)
+class _Siblings:
+    """States that share T, the set of unknown spaces and the pencil
+    counts, and differ only in p and in the values of the spaces
+    `members`: a scanned state alone, or the children of one block step.
+    State i has `values` with `members` set to bits[i], and p = `p` when
+    `alphas` is None (a state alone), else p + alphas[i] @ rows mod P,
+    formed only where it is read.  `values` gives every member a value,
+    so it shows which spaces every sibling leaves unknown.  Shared lists
+    are never written."""
+
+    values: list[int]
+    members: tuple[int, ...]
+    bits: list
+    ones: list[int]
+    unknown: list[int]
+    dirs: _Directions
+    p: np.ndarray
+    alphas: np.ndarray | None = None
+    rows: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def columns(self, cols: list[int]) -> np.ndarray:
+        """Every sibling's p at cols, a row per sibling."""
+        if self.alphas is None:
+            return self.p[cols][None]
+        return (self.p[cols] + self.alphas @ self.rows[:, cols]) % _PRIME
+
+    def p_of(self, i: int) -> np.ndarray:
+        if self.alphas is None:
+            return self.p
+        return (self.p + self.alphas[i] @ self.rows) % _PRIME
+
+    def values_of(self, i: int) -> list[int]:
+        values = self.values[:]
+        for t, val in zip(self.members, self.bits[i]):
+            values[t] = val
+        return values
+
+    def state(self, i: int) -> _State:
+        return _State(self.values_of(i), self.ones[:], self.unknown[:],
+                      _Tableau(self.dirs, self.p_of(i)))
 
 
 class _Search:
@@ -293,7 +358,10 @@ class _Search:
 
     # -- assignment and propagation ----------------------------------------
 
-    def _assign(self, state, j, val):
+    def _assign(self, state, j, val, read=False):
+        """Assigns val to space j and cascades a pencil that becomes
+        full or exact; `read` says val was read from p at a forced
+        column of state's T, so the tableau already holds it."""
         cur = state.values[j]
         if cur != -1:
             if cur != val:
@@ -308,7 +376,8 @@ class _Search:
         if ones > self.x or ones + unknown < self.x:
             self.stats.pruned_by_pencil_counts += 1
             raise _Contradiction
-        state.tab = state.tab.assigned(j, val)
+        if not read:
+            state.tab = state.tab.assigned(j, val)
         if unknown and ones == self.x:
             for t in self.pencils[pid]:
                 if state.values[t] == -1:
@@ -335,12 +404,11 @@ class _Search:
                 i += 1
                 if values[j] != -1:  # set by a pencil cascade
                     continue
-                val = tab.p[j]
-                if val == 0 or val == 1:
-                    self._assign(state, j, int(val))
-                else:
+                val = tab.p.item(j)  # a residue, so 0 or 1 iff <= 1
+                if val > 1:
                     self.stats.pruned_by_elimination += 1
                     raise _Contradiction
+                self._assign(state, j, val, read=True)
                 self.stats.forced += 1
                 if state.tab is not tab:
                     changed = True
@@ -349,6 +417,11 @@ class _Search:
                                if t > j and values[t] == -1], 0
 
     # -- main recursion ----------------------------------------------------
+    #
+    # A node is counted when it is scanned.  Siblings whose scan would
+    # read nothing are counted together and branch together; a child
+    # whose scan would prune at its first read is counted as pruned and
+    # never built: see `_visit` and `_value_branch`.
 
     def run(self):
         state = _State([-1] * len(self.per_space),
@@ -364,68 +437,133 @@ class _Search:
             self._scan_forced(state)
         except _Contradiction:
             return
-        nxt = next((pid for pid, left in enumerate(state.unknown) if left),
+        self._branch(_Siblings(state.values, (), [()], state.ones,
+                               state.unknown, state.tab.dirs, state.tab.p))
+
+    def _visit(self, sibs):
+        """Counts and scans unscanned siblings.  They share T's unknown
+        forced columns, so each one's scan reads first at the same
+        column t0: siblings whose p[t0] is not 0 or 1 are pruned there,
+        the others are scanned one by one; with no t0 no scan reads
+        anything and the siblings branch together."""
+        values = sibs.values
+        t0 = next((t for t in sibs.dirs.fresh if values[t] == -1), None)
+        if t0 is None:
+            self.stats.nodes += len(sibs)
+            self._branch(sibs)
+            return
+        keep = sibs.columns([t0])[:, 0] <= 1
+        dead = len(keep) - int(keep.sum())
+        self.stats.nodes += dead
+        self.stats.pruned_by_elimination += dead
+        for i in np.flatnonzero(keep).tolist():
+            self._dfs(sibs.state(i))
+
+    def _branch(self, sibs):
+        """The common next branching of scanned siblings: every one a
+        leaf, a value branch in the endgame, or a block step."""
+        nxt = next((pid for pid, left in enumerate(sibs.unknown) if left),
                    None)
         if nxt is None:
-            self._leaf(state)
-            return
-        if state.tab.dirs.dim <= _ENDGAME_DIM:
-            self.stats.endgame_nodes += 1
-            j = next(t for t in self.pencils[nxt] if state.values[t] == -1)
-            for val in (0, 1):
-                child = state.clone()
-                try:
-                    self._assign(child, j, val)
-                except _Contradiction:
+            # `_assign` bounds every pencil and a block step fills one
+            assert sibs.ones == [self.x] * len(sibs.ones)
+            for i in range(len(sibs)):
+                self._leaf(sibs.values_of(i))
+        elif sibs.dirs.dim <= _ENDGAME_DIM:
+            self.stats.endgame_nodes += len(sibs)
+            self._value_branch(sibs, nxt)
+        else:
+            for _, kids in self._children(sibs, nxt):
+                self._visit(kids)
+
+    def _value_branch(self, sibs, pid):
+        """Both values of the first unknown member j of pencil pid, for
+        every sibling.  Unless the pencil is pruned or cascades, the
+        children of a value share T' = T with j eliminated, pivot row R,
+        and the first column t0 their scan reads, where a child holds
+        p[t0] - (p[j] - val) R[t0] mod P with p its parent's: a value
+        outside {0, 1} prunes the child before it is built."""
+        shared = sibs.values
+        j = next(t for t in self.pencils[pid] if shared[t] == -1)
+        left = sibs.unknown[pid] - 1
+        count = len(sibs)
+        dirs = None
+        for val in (0, 1):
+            ones = sibs.ones[pid] + val
+            if ones > self.x or ones + left < self.x:
+                self.stats.pruned_by_pencil_counts += count
+                continue
+            if left and (ones == self.x or ones + left == self.x):
+                for i in range(count):  # a cascade: build and assign
+                    child = sibs.state(i)
+                    try:
+                        self._assign(child, j, val)
+                    except _Contradiction:
+                        continue
+                    self._dfs(child)
+                continue
+            if dirs is None:
+                row, dirs = sibs.dirs.eliminated(j)
+                t0 = next((t for t in dirs.fresh if shared[t] == -1), None)
+                if t0 is None:
+                    pj, = sibs.columns([j]).T.tolist()
+                else:
+                    pj, p0 = sibs.columns([j, t0]).T.tolist()
+                    r0 = row.item(t0)
+            counts, unknown = sibs.ones[:], sibs.unknown[:]
+            counts[pid], unknown[pid] = ones, left
+            for i in range(count):
+                e = pj[i] - val
+                if t0 is not None and (p0[i] - e * r0) % _PRIME > 1:
+                    self.stats.nodes += 1
+                    self.stats.pruned_by_elimination += 1
                     continue
-                self._dfs(child)
-            return
-        for child in self._children(state, nxt):
-            self._dfs(child)
+                values = sibs.values_of(i)
+                values[j] = val
+                p = sibs.p_of(i)
+                if e:
+                    p = (p - e * row) % _PRIME
+                self._dfs(_State(values, counts[:], unknown[:],
+                                 _Tableau(dirs, p)))
 
-    def _children(self, state, pid):
-        """The states that complete pencil pid with exactly x members,
-        in the order of `itertools.combinations` over its unknown
-        members, each as if those members were assigned in pencil order:
-        one block step of the `_Plan` kept on T for (unknown, need), whose
-        one product p[u] @ forms, compared with every choice's targets,
-        gives its checks, and the alphas of the choices that pass."""
-        values = state.values
-        unknown = tuple(t for t in self.pencils[pid] if values[t] == -1)
-        need = self.x - state.ones[pid]
-        tab = state.tab
+    def _children(self, sibs, pid):
+        """Per sibling i with any, (i, its children): the states that
+        complete pencil pid with exactly x members, in the order of
+        `itertools.combinations` over its unknown members, each as if
+        those members were assigned in pencil order.  One block step of
+        the `_Plan` kept on T for (unknown, need) serves every sibling:
+        one product of the stacked p[u] with `forms` gives every
+        sibling's checks, which pick its surviving choices from
+        `passing`, and their alphas give its children's p."""
+        unknown = tuple(t for t in self.pencils[pid] if sibs.values[t] == -1)
+        need = self.x - sibs.ones[pid]
+        dirs = sibs.dirs
         key = (unknown, need)
-        plan = tab.dirs.plans.get(key)
+        plan = dirs.plans.get(key)
         if plan is None:
-            plan = tab.dirs.plans[key] = _Plan(tab.dirs, unknown, need)
+            plan = dirs.plans[key] = _Plan(dirs, unknown, need)
             self.plans_built += 1
-        nchecks, targets = plan.nchecks, plan.targets
-        base = tab.p[list(unknown)] @ plan.forms % _PRIME
-        alive = (targets[:, :nchecks] == base[:nchecks]).all(axis=1)
-        picked = np.flatnonzero(alive).tolist()
-        if not picked:
-            return []
-        alphas = (base[nchecks:] - targets[alive, nchecks:]) % _PRIME
-        ps = (tab.p + alphas @ plan.rows) % _PRIME
-        ones = state.ones[:]
+        nchecks = plan.nchecks
+        base = sibs.columns(list(unknown)) @ plan.forms % _PRIME
+        ones = sibs.ones[:]
         ones[pid] = self.x
-        left = state.unknown[:]
+        left = sibs.unknown[:]
         left[pid] = 0
-        children = []
-        for row, v in enumerate(picked):
-            vals = values[:]
-            for t, val in zip(unknown, plan.choices[v]):
-                vals[t] = val
-            children.append(_State(vals, ones[:], left[:],
-                                   _Tableau(plan.dirs, ps[row])))
-        return children
+        for i, checks in enumerate(base[:, :nchecks].tolist()):
+            hit = plan.passing.get(tuple(checks))
+            if hit is None:
+                continue
+            bits, tails = hit
+            alphas = (base[i, nchecks:] - tails) % _PRIME
+            values = sibs.values_of(i)
+            for t, val in zip(unknown, bits[0]):
+                values[t] = val
+            yield i, _Siblings(values, unknown, bits, ones, left, plan.dirs,
+                               sibs.p_of(i), alphas, plan.rows)
 
-    def _leaf(self, state):
-        chi = np.array(state.values, dtype=np.int64)
+    def _leaf(self, values):
+        chi = np.array(values, dtype=np.int64)
         assert (chi >= 0).all()
-        for pid, members in enumerate(self.pencils):
-            if int(chi[members].sum()) != self.x:
-                return
         if not self.incidence.in_row_space(chi):
             return  # final definitional filter
         self.solutions.append(tuple(int(i) for i in np.nonzero(chi)[0]))

@@ -16,6 +16,11 @@ clone per `itertools.combinations` choice of a pencil's unknown
 members, each replaying the pencil's assignments one `_assign` at a
 time from the start.
 
+`BuildEveryChildSearch` is the search without decided children: every
+child of a value branch is a clone given its value by `_assign`, the
+children of a block step are those of `combination_children`, every
+child is scanned on its own, and every leaf re-sums its pencils.
+
 `OneArrayTableau` is the search's former tableau: one integer array
 holds T with p as its last row, and every assignment eliminates the
 whole array, T included.
@@ -72,7 +77,7 @@ from math import gcd
 import numpy as np
 
 from clag import _kernels, exact
-from clag.classify import _Contradiction
+from clag.classify import _ENDGAME_DIM, _Contradiction, _Search, _State
 from clag.clsets import (DimensionViolation, KSet, NotSkew,
                          kset_from_subspaces)
 from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, _int,
@@ -97,13 +102,17 @@ def contains(big: Subspace, small: Subspace) -> bool:
     return span(big, small) == big
 
 
+def clone(state: _State) -> _State:
+    return _State(state.values[:], state.ones[:], state.unknown[:], state.tab)
+
+
 def combination_children(search, state, pid) -> list:
     undecided = [t for t in search.pencils[pid] if state.values[t] == -1]
     need = search.x - state.ones[pid]
     children = []
     for chosen in itertools.combinations(undecided, need):
         chosen = set(chosen)
-        child = state.clone()
+        child = clone(state)
         try:
             for t in undecided:
                 search._assign(child, t, 1 if t in chosen else 0)
@@ -111,6 +120,36 @@ def combination_children(search, state, pid) -> list:
             continue
         children.append(child)
     return children
+
+
+class BuildEveryChildSearch(_Search):
+    def _dfs(self, state):
+        self.stats.nodes += 1
+        try:
+            self._scan_forced(state)
+        except _Contradiction:
+            return
+        nxt = next((pid for pid, left in enumerate(state.unknown) if left),
+                   None)
+        if nxt is None:
+            chi = np.array(state.values, dtype=np.int64)
+            if all(int(chi[members].sum()) == self.x
+                   for members in self.pencils):
+                self._leaf(state.values)
+            return
+        if state.tab.dim <= _ENDGAME_DIM:
+            self.stats.endgame_nodes += 1
+            j = next(t for t in self.pencils[nxt] if state.values[t] == -1)
+            for val in (0, 1):
+                child = clone(state)
+                try:
+                    self._assign(child, j, val)
+                except _Contradiction:
+                    continue
+                self._dfs(child)
+            return
+        for child in combination_children(self, state, nxt):
+            self._dfs(child)
 
 
 class OneArrayTableau:

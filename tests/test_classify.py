@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from clag.clsets import (complement, is_cameron_liebler, kset_from_indices,
                          point_pencil)
 from clag.geometry import AmbientSpace, SizeGuard, ambient, gaussian_binomial
 from clag.incidence import build_incidence
-from oracle import (OneArrayTableau, bareiss_rank, combination_children,
-                    dense_incidence, solve_left)
+from oracle import (BuildEveryChildSearch, OneArrayTableau, bareiss_rank,
+                    combination_children, dense_incidence, solve_left)
 
 
 def found_sets(cert):
@@ -199,46 +200,66 @@ def test_search_certificates_are_pinned():
 
 
 @pytest.mark.parametrize("n,q,k,x,stats", [
-    (3, 3, 1, 2, (8488, 11473, 4665, 3024, 0)),
-    (3, 3, 1, 1, (325, 1235, 72, 189, 27)),
-    (4, 2, 1, 1, (89, 865, 8, 56, 16)),
-    (3, 4, 1, 1, (1801, 7833, 24, 288, 64)),
-    (5, 2, 1, 2, (3585, 85080, 935, 1384, 0)),
-    (3, 3, 1, 3, (80080, 70341, 48813, 27678, 0)),
-    (4, 3, 1, 1, (937, 39236, 18, 405, 81)),
-    (5, 2, 2, 1, (345, 19264, 96, 112, 32)),
-    (5, 2, 3, 2, (349, 576, 194, 0, 0))])
+    (3, 3, 1, 2, (8488, 11473, 0, 4665, 3024, 0)),
+    (3, 3, 1, 1, (325, 1235, 0, 72, 189, 27)),
+    (4, 2, 1, 1, (89, 865, 0, 8, 56, 16)),
+    (3, 4, 1, 1, (1801, 7833, 0, 24, 288, 64)),
+    (5, 2, 1, 2, (3585, 85080, 0, 935, 1384, 0)),
+    (3, 3, 1, 3, (80080, 70341, 0, 48813, 27678, 0)),
+    (4, 3, 1, 1, (937, 39236, 0, 18, 405, 81)),
+    (5, 2, 2, 1, (345, 19264, 0, 96, 112, 32)),
+    (5, 2, 3, 2, (349, 576, 0, 194, 0, 0)),
+    # pencil-count prunes, where a value branch's children are built
+    (3, 3, 1, 0, (7, 7, 3, 0, 3, 1)),
+    (5, 2, 3, 4, (17, 139, 4, 0, 4, 1))])
 def test_search_statistics_are_pinned(n, q, k, x, stats):
     # any change to the order of forced-value scans or of a pencil's
     # choices moves these counts
-    nodes, forced, pruned, endgame, solutions = stats
     cap = len(ambient(n, q, "affine").spaces(k))
-    assert search_cl_ksets(n, q, k, x, cap=cap)["stats"] == {
-        "nodes": nodes, "forced": forced, "pruned_by_pencil_counts": 0,
-        "pruned_by_elimination": pruned, "endgame_nodes": endgame,
-        "solutions": solutions}
+    assert search_cl_ksets(n, q, k, x, cap=cap)["stats"] == asdict(
+        SearchStats(*stats))
+
+
+@pytest.mark.parametrize("n,q,k,x", [
+    *((3, 2, 1, x) for x in range(5)), *((3, 3, 1, x) for x in range(4)),
+    (4, 2, 2, 1), (4, 2, 2, 2), (5, 2, 3, 2), (5, 2, 3, 4), (3, 4, 1, 1)])
+def test_search_matches_build_every_child_reference(n, q, k, x):
+    # deciding children from their first forced read, and branching
+    # siblings together, changes no counter and no solution
+    space = ambient(n, q, "affine")
+    got, want = SearchStats(), SearchStats()
+    search = _Search(space, k, x, got)
+    search.run()
+    reference = BuildEveryChildSearch(space, k, x, want)
+    reference.run()
+    assert got == want
+    assert search.solutions == reference.solutions
 
 
 class _CheckedSearch(_Search):
-    """A search that, at every branching node, checks its pencil
-    children against the one-clone-per-combination reference, which
-    assigns the same residues mod P one member at a time."""
+    """A search that, at every branching node, checks the pencil
+    children of every sibling against the one-clone-per-combination
+    reference, which assigns the same residues mod P one member at a
+    time; children decided later are checked as well as built ones."""
 
     checked = 0
 
-    def _children(self, state, pid):
-        assert state.tab.dim > _ENDGAME_DIM
-        want = combination_children(self, state, pid)
-        got = super()._children(state, pid)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.values, a.ones, a.unknown) == (b.values, b.ones, b.unknown)
-            assert a.tab.dirs is b.tab.dirs
-            assert np.array_equal(a.tab.dirs.a, b.tab.dirs.a)
-            assert np.array_equal(a.tab.p, b.tab.p)
-            assert a.tab.p.dtype == b.tab.p.dtype == np.int64
-        self.checked += 1
-        return got
+    def _children(self, sibs, pid):
+        assert sibs.dirs.dim > _ENDGAME_DIM
+        got = dict(super()._children(sibs, pid))
+        for i in range(len(sibs)):
+            want = combination_children(self, sibs.state(i), pid)
+            kids = got.get(i)
+            assert len(want) == (0 if kids is None else len(kids))
+            for r, b in enumerate(want):
+                a = kids.state(r)
+                assert (a.values, a.ones, a.unknown) == (b.values, b.ones, b.unknown)
+                assert a.tab.dirs is b.tab.dirs
+                assert np.array_equal(a.tab.dirs.a, b.tab.dirs.a)
+                assert np.array_equal(a.tab.p, b.tab.p)
+                assert a.tab.p.dtype == b.tab.p.dtype == np.int64
+            self.checked += 1
+        return got.items()
 
 
 @pytest.mark.parametrize("n,q,k,x", [(3, 2, 1, 2), (3, 3, 1, 1), (4, 2, 2, 2),
@@ -265,30 +286,41 @@ def assert_residues(a):
 
 @pytest.mark.parametrize("n,q,k,x,cap", RESIDUE_SEARCHES)
 def test_tableau_entries_are_residues_mod_p(n, q, k, x, cap, monkeypatch):
-    # every tableau that an assignment or a block step builds holds T and
-    # p as int64 residues in [0, P)
+    # every tableau that an assignment builds, and every p of siblings
+    # that a block step makes or that branch together, holds T and p as
+    # int64 residues in [0, P)
     expected = without_wall_clock(search_cl_ksets(n, q, k, x, cap=cap))
     seen = {"tableaux": 0}
-    assigned, children = _Tableau.assigned, _Search._children
+    assigned, children, branch = (_Tableau.assigned, _Search._children,
+                                  _Search._branch)
 
-    def check(tab):
-        assert_residues(tab.dirs.a)
-        assert_residues(tab.p)
+    def check(dirs, p):
+        assert_residues(dirs.a)
+        assert_residues(p)
         seen["tableaux"] += 1
 
     def checked_assigned(self, j, val):
         tab = assigned(self, j, val)
-        check(tab)
+        check(tab.dirs, tab.p)
         return tab
 
-    def checked_children(self, state, pid):
-        got = children(self, state, pid)
-        for child in got:
-            check(child.tab)
-        return got
+    def check_siblings(sibs):
+        for i in range(len(sibs)):
+            check(sibs.dirs, sibs.p_of(i))
+
+    def checked_children(self, sibs, pid):
+        for i, kids in children(self, sibs, pid):
+            assert_residues(kids.alphas)
+            check_siblings(kids)
+            yield i, kids
+
+    def checked_branch(self, sibs):
+        check_siblings(sibs)
+        branch(self, sibs)
 
     monkeypatch.setattr(_Tableau, "assigned", checked_assigned)
     monkeypatch.setattr(_Search, "_children", checked_children)
+    monkeypatch.setattr(_Search, "_branch", checked_branch)
     assert without_wall_clock(search_cl_ksets(n, q, k, x, cap=cap)) == expected
     assert seen["tableaux"] > 0
 
