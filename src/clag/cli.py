@@ -12,7 +12,8 @@ read, of the point marks that disjointness checks and scheme relations
 gather and the meet matrices the relations read, of the dense
 incidence matrix that the search's tableau builds, and of every pencil
 plan the search builds, read on every access; the search's k-space cap
-is --cap.
+is --cap.  A CLAG_SIZE_GUARD that is not a non-negative decimal integer
+exits 2 when it is first read; an empty one keeps the default.
 
 The argument parser is built once per process, on the first call of
 `main`; each parsed command runs the `cmd_*` function bound in this
@@ -28,8 +29,8 @@ import sys
 
 from . import classify, clsets, scheme, spreads
 from .galois import DegreeOutOfRange, NotPrime
-from .geometry import (DimensionOutOfRange, SizeGuard, Subspace, ambient,
-                       make_subspace)
+from .geometry import (BadGuardValue, DimensionOutOfRange, SizeGuard,
+                       Subspace, ambient, make_subspace)
 from .incidence import certificate_to_json
 
 
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     try:
         # read at each call, so a rebound cmd_* (a tracer's) is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except SizeGuard as exc:
+    except (SizeGuard, BadGuardValue) as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 2
     except (NotPrime, DegreeOutOfRange) as exc:

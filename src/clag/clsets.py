@@ -154,7 +154,8 @@ def point_pencil(space: AmbientSpace, point, k: int) -> KSet:
     lead = next((v for v in point if v), 1)
     f = space.field
     # normalized coordinates: the first nonzero one is 1
-    pidx = space.point_index.get(tuple(f.mul(f.inv(lead), v) for v in point))
+    pidx = space.point_index.get(
+        tuple(f.mul_table[f.inv_table[lead], list(point)].tolist()))
     if pidx is None:
         raise DimensionOutOfRange(f"{point} is not a point of {space}")
     members = np.flatnonzero((space.point_lists(k) == pidx).any(axis=1))

@@ -48,6 +48,7 @@ __all__ = [
     "gaussian_binomial", "Subspace", "AmbientSpace", "ambient",
     "make_subspace", "span", "infinite_part",
     "apply_matrix", "DimensionOutOfRange", "AmbientMismatch", "SizeGuard",
+    "BadGuardValue",
 ]
 
 DEFAULT_ENTRY_GUARD = 10**7
@@ -66,10 +67,22 @@ class SizeGuard(RuntimeError):
     pass
 
 
+# CLAG_SIZE_GUARD is no non-negative decimal integer; not a ValueError,
+# which callers read as a malformed input
+class BadGuardValue(RuntimeError):
+    pass
+
+
 def entry_guard() -> int:
-    """Matrix-entry cap: CLAG_SIZE_GUARD, else DEFAULT_ENTRY_GUARD."""
+    """Matrix-entry cap: CLAG_SIZE_GUARD, else (unset or empty)
+    DEFAULT_ENTRY_GUARD."""
     env = os.environ.get("CLAG_SIZE_GUARD")
-    return int(env) if env else DEFAULT_ENTRY_GUARD
+    if not env:
+        return DEFAULT_ENTRY_GUARD
+    if not (env.isascii() and env.isdigit()):
+        raise BadGuardValue(f"CLAG_SIZE_GUARD={env!r} is not a "
+                            "non-negative decimal integer")
+    return int(env)
 
 
 def count_text(v: int) -> str:

@@ -3,7 +3,9 @@
 Spread types:
 
 * type I    -- a projective spread obtained by field reduction (the
-               Desarguesian one), restrictable to the affine space;
+               Desarguesian one) on GF(q)'s tables, f the least monic
+               irreducible of degree k + 1 over GF(q) (the one rule of
+               `galois`), restrictable to the affine space;
 * type II   -- all affine k-spaces through a fixed (k-1)-space at
                infinity (a parallel class);
 * type III  -- mix over the q affine hyperplanes through a fixed
@@ -40,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galois import field_for_order, make_field, expansion_table
-from .geometry import (AmbientSpace, Subspace, ambient,
+from .galois import _irreducible
+from .geometry import (AmbientSpace, Subspace, ambient, check_size,
                        enumerate_rref_matrices, gaussian_binomial,
                        make_subspace, span)
 
@@ -210,33 +212,43 @@ def switching_pair_from_spreads(s1: Spread, s2: Spread) -> SwitchingPair:
 # type I: field reduction
 # ---------------------------------------------------------------------------
 
+def _times_x(field, f, v: np.ndarray) -> np.ndarray:
+    """v C, C the companion matrix of f: the coefficient vectors v
+    (last axis) of elements of GF(q)[x]/(f), each times x."""
+    shifted = np.roll(v, 1, axis=-1)
+    shifted[..., 0] = 0
+    # x^t = -(f_0 + f_1 x + ... + f_(t-1) x^(t-1))
+    return field.add_table[shifted, field.mul_table[
+        v[..., -1:], field.neg_table[np.array(f[:-1])]]]
+
+
 def spread_type_I(n: int, q: int, k: int) -> Spread:
     """Desarguesian projective k-spread of PG(n, q) by field reduction:
-    the points of PG((n+1)/(k+1) - 1, q^(k+1)) blown up to k-spaces."""
+    with t = k + 1 and m = (n + 1)/t, GF(q^t) = GF(q)[x]/(f), and a
+    point of PG(m - 1, q^t) is m blocks v_i in GF(q)^t, the first
+    nonzero one (1, 0, ..., 0) (its codes, as base-q digits).  Its
+    member is spanned by the rows (v_1 C^j | ... | v_m C^j), j < t,
+    C the companion matrix of f.  The points of PG(n, q), which bound the members and f's trial
+    divisors and which `is_spread` reads, pass `check_size` first."""
     if k < 1:
         raise WrongDimension(f"k={k}: field reduction needs k >= 1")
     if (n + 1) % (k + 1) != 0:
         raise DivisibilityViolated(f"(k+1)={k + 1} must divide (n+1)={n + 1}")
+    t, m = k + 1, (n + 1) // (k + 1)
     space = ambient(n, q, "projective")
-    sub = field_for_order(q)
-    big = make_field(sub.p, sub.h * (k + 1))
-    expand = expansion_table(sub, big)
-    gen = big.p  # code of the basis generator x
-    m = (n + 1) // (k + 1)
-    members = []
-    for rows in enumerate_rref_matrices(m, 1, big.q):
-        v = rows[0]
-        basis = []
-        mult = 1
-        for _ in range(k + 1):
-            row = []
-            for comp in v:
-                row.extend(int(c) for c in expand[big.mul(mult, comp)])
-            basis.append(row)
-            mult = big.mul(mult, gen)
-        members.append(make_subspace(n, q, basis))
+    check_size(f"{{}} points of PG({n},{q}) exceed guard {{cap}}",
+               space.num_points)
+    f = _irreducible(space.field, t)
+    codes = np.array([rows[0] for rows in enumerate_rref_matrices(m, 1, q**t)])
+    blocks = codes[:, :, None] // q ** np.arange(t) % q
+    bases = []
+    for _ in range(t):
+        bases.append(blocks.reshape(len(codes), n + 1))
+        blocks = _times_x(space.field, f, blocks)
+    members = [make_subspace(n, q, basis)
+               for basis in np.stack(bases, axis=1).tolist()]
     spread = Spread(space, k, _sorted_members(members), "I",
-                    {"subfield": q, "extension": big.q})
+                    {"subfield": q, "extension": q**t})
     ok, reason = is_spread(spread.members, space, k)
     if not ok:
         raise AssertionError(f"field reduction failed: {reason}")

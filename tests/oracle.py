@@ -1,5 +1,12 @@
 """Reference implementations for the tests.
 
+`gf_add`, `gf_neg`, `gf_mul`, `gf_inv`, `gf_div` and `gf_pow` are
+scalar GF(q) arithmetic that reads no table of `clag.galois`: addition
+and negation digit by digit, the rest through the field's exp/log
+tables.  `irreducible_mod_p` is the former search for the modulus of
+GF(p^h), trial division by `_poly_divmod` with integers mod p; every
+field's modulus must equal it.
+
 `gf_rref`, `gf_combinations` and `triple_counts` are plain-Python
 loops that the numpy kernels of `clag._kernels` must match bit for bit.
 
@@ -201,6 +208,77 @@ class OneArrayTableau:
         out[-2] = out[-1]
         out = out[:-1]
         return OneArrayTableau(out, den)
+
+
+def gf_add(f, a: int, b: int) -> int:
+    return f._encode([(x + y) % f.p for x, y in zip(f._digits(a), f._digits(b))])
+
+
+def gf_neg(f, a: int) -> int:
+    return f._encode([(-d) % f.p for d in f._digits(a)])
+
+
+def gf_mul(f, a: int, b: int) -> int:
+    if a == 0 or b == 0:
+        return 0
+    return int(f.exp[(int(f.log[a]) + int(f.log[b])) % (f.q - 1)])
+
+
+def gf_inv(f, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("inverse of 0")
+    return int(f.exp[(-int(f.log[a])) % (f.q - 1)])
+
+
+def gf_div(f, a: int, b: int) -> int:
+    return gf_mul(f, a, gf_inv(f, b))
+
+
+def gf_pow(f, a: int, e: int) -> int:
+    if e == 0:
+        return 1
+    if a == 0:
+        return 0
+    return int(f.exp[(int(f.log[a]) * e) % (f.q - 1)])
+
+
+def _poly_divmod(num: list[int], den: list[int], p: int):
+    num = list(num)
+    dd = len(den) - 1
+    inv_lead = pow(den[-1], p - 2, p)
+    quot = [0] * max(len(num) - dd, 0)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] * inv_lead % p
+        if c:
+            quot[i - dd] = c
+            for j, dv in enumerate(den):
+                num[i - dd + j] = (num[i - dd + j] - c * dv) % p
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+def irreducible_mod_p(p: int, h: int) -> tuple[int, ...]:
+    """Least monic irreducible of degree h over GF(p), by trial division."""
+    if h == 1:
+        return (0, 1)
+    # All monic polynomials of degree 1..h//2, reused for every candidate.
+    divisors = []
+    for d in range(1, h // 2 + 1):
+        for code in range(p**d):
+            digits = [(code // p**i) % p for i in range(d)]
+            divisors.append(digits + [1])
+    for code in range(p**h):
+        cand = [(code // p**i) % p for i in range(h)] + [1]
+        if cand[0] == 0:
+            continue
+        for div in divisors:
+            _, rem = _poly_divmod(cand, div, p)
+            if not rem:
+                break
+        else:
+            return tuple(cand)
+    raise AssertionError("no irreducible polynomial found")
 
 
 def gf_rref(m, add, mul, neg, inv):

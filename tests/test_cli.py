@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import clag
-from clag import cli
+from clag import cli, spreads
 from clag.classify import search_cl_ksets, verify_certificate
 from clag.clsets import (kset_from_indices, kset_from_json, kset_to_json,
                          point_pencil)
@@ -165,6 +165,44 @@ def test_search_certificates_are_pinned(capsys):
         assert cli.main(["search", *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_type_I_spreads_are_pinned(capsys):
+    # SHA-256 of printed type I spreads over prime fields and GF(4) with
+    # k = 1: any change to the modulus rule of f or to the members that
+    # field reduction builds from it moves them
+    pinned = {
+        (3, 2, 1): "56cf4a482d44bca775b033f69f429431a5acb1e9140aa29606b171130d0e497f",
+        (3, 3, 1): "b22bd7cf58d7f1462f9646552bc080bef03fb033613a2d2f57d88ecaf5da128c",
+        (3, 4, 1): "dfbbfc703a3d3bca19284c36c7609eb0b3386ac6c74465366e77f2abd6af336d",
+        (3, 5, 1): "7afe991059e95bb47024a4ee91a0499d3dba8713d0ebab4f0277b7e68d916d1d",
+        (3, 7, 1): "8958cfc64c5c70878250b8530c9ddecb0e1dd508ddfab00063f14d8ba80d2ec5",
+        (3, 11, 1): "dc140385448fa3c0f2bdf93236580fee4d38a9c462fc36bd10996cf2f406d57e",
+        (3, 23, 1): "756c55a6c8e58d1ef128f92e8ac22dc5458dd7bf42b761e7355968ee5e4123c7",
+        (5, 2, 1): "1dc80883c54f08ef00150fd8a004f784cbf80ad6732d54b512a9f52047cca7cf",
+        (5, 2, 2): "ac0bfeea9a2ed9cf039839f8ef87aaa66426df8559a0e1702540863c8e044301",
+        (5, 4, 1): "451edfec56276241e1c0b8b7112ccd5a0245ec881f228ad52f712f2198bc8ddd",
+        (7, 2, 1): "ba00c7b68d48440e5d2be2f384beb8f87a644fe28b04abdb6965b2c126a90275",
+        (7, 3, 3): "9a95378e4da968069f5c05165da43cb46dae7766e4e84e5debd265fae6416f88"}
+    for (n, q, k), digest in pinned.items():
+        argv = ["--n", str(n), "--q", str(q), "--k", str(k)]
+        assert cli.main(["spread", "--type", "1", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, q, k)
+
+
+def test_type_I_spread_past_the_size_guard_exits_2_first(monkeypatch,
+                                                         capsys):
+    # is_spread would read all 585 points of PG(3,8): the guard refuses
+    # them before f is sought or any member is built
+    def unreachable(*args):
+        raise AssertionError("type I spread built past the size guard")
+    monkeypatch.setattr(spreads, "_irreducible", unreachable)
+    monkeypatch.setattr(spreads, "enumerate_rref_matrices", unreachable)
+    monkeypatch.setenv("CLAG_SIZE_GUARD", "50")
+    assert cli.main(["spread", "--type", "1", "--n", "3", "--q", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "size guard: 585 points of PG(3,8) exceed guard 50\n")
 
 
 def test_verify_pencil(tmp_path):
@@ -352,6 +390,24 @@ def test_size_guard_env(tmp_path):
     r = run_cli("search", "--n", "3", "--q", "3", "--x", "0", "--cap", "50")
     assert r.returncode == 2
     assert "scale exceeded" in r.stderr
+
+
+@pytest.mark.parametrize("value,argv", [
+    ("abc", ["search", "--n", "3", "--q", "2", "--x", "1"]),
+    ("1e6", ["scheme", "--n", "3", "--q", "2", "--brute-force"]),
+    ("-5", ["verify"])])
+def test_malformed_size_guard_exits_2(tmp_path, value, argv):
+    # exit 1 is verify's "not Cameron-Liebler": a bad setting must not
+    # end in a traceback that reads as that verdict
+    if argv == ["verify"]:
+        setfile = tmp_path / "set.json"
+        setfile.write_text(json.dumps(kset_to_json(
+            point_pencil(ambient(3, 2, "affine"), (1, 0, 0, 0), 1))))
+        argv = ["verify", "--set", str(setfile)]
+    r = run_cli(*argv, env={"CLAG_SIZE_GUARD": value})
+    assert r.returncode == 2
+    assert r.stderr == (f"size guard: CLAG_SIZE_GUARD={value!r} is not a "
+                        "non-negative decimal integer\n")
 
 
 @pytest.mark.parametrize("argv", [

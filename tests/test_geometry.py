@@ -15,7 +15,7 @@ from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
 
 from clag.clsets import pg_hyperplane_set
 
-from oracle import contains, meet
+from oracle import contains, gf_add, gf_mul, meet
 
 
 def test_gaussian_binomial_values():
@@ -124,8 +124,10 @@ def test_rref_canonicalization_invariance():
         if (a * d - b * c) % 3 == 0:
             continue
         mixed = [
-            [field.add(field.mul(a, u), field.mul(b, v)) for u, v in zip(*rows)],
-            [field.add(field.mul(c, u), field.mul(d, v)) for u, v in zip(*rows)],
+            [gf_add(field, gf_mul(field, a, u), gf_mul(field, b, v))
+             for u, v in zip(*rows)],
+            [gf_add(field, gf_mul(field, c, u), gf_mul(field, d, v))
+             for u, v in zip(*rows)],
         ]
         assert make_subspace(3, 3, mixed).rows == sub.rows
 

@@ -56,23 +56,36 @@ def test_size_guard_is_raised_in_one_place():
     assert everywhere == in_helper == 1
 
 
-def test_every_exact_name_has_a_library_caller():
-    # clag.exact keeps only what the rest of the library runs; a name
-    # that only tests call belongs in tests/oracle.py
-    from clag import exact
+def _library_uses(module: str) -> set[str]:
+    """The names of clag.<module> that the other library modules read,
+    as `module.name` or through `from .module import name`."""
     package = os.path.dirname(os.path.abspath(clag.__file__))
     used = set()
     for fname in sorted(os.listdir(package)):
-        if not fname.endswith(".py") or fname == "exact.py":
+        if not fname.endswith(".py") or fname == f"{module}.py":
             continue
         with open(os.path.join(package, fname)) as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
-                    and node.value.id == "exact"):
+                    and node.value.id == module):
                 used.add(node.attr)
             elif (isinstance(node, ast.ImportFrom)
-                  and node.module in ("exact", "clag.exact")):
+                  and node.module in (module, f"clag.{module}")):
                 used.update(alias.name for alias in node.names)
-    assert not set(exact.__all__) - used
+    return used
+
+
+def test_every_exact_name_has_a_library_caller():
+    # clag.exact keeps only what the rest of the library runs; a name
+    # that only tests call belongs in tests/oracle.py
+    from clag import exact
+    assert not set(exact.__all__) - _library_uses("exact")
+
+
+def test_every_galois_name_has_a_library_caller():
+    # clag.galois keeps one field model, the table field; scalar
+    # arithmetic that only tests call lives in tests/oracle.py
+    from clag import galois
+    assert not set(galois.__all__) - _library_uses("galois")

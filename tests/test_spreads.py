@@ -32,11 +32,30 @@ def test_type_I_field_reduction():
 
 
 def test_type_I_extension_beyond_table_bound():
-    # GF(529) exceeds the dense-table bound; field reduction only needs
-    # its scalar arithmetic, while every subspace lives over GF(23)
+    # GF(529) exceeds the table bound 512, but field reduction reads
+    # GF(23)'s tables alone: GF(529) is GF(23)[x]/(f), x acting as the
+    # companion matrix of f
     s = spread_type_I(3, 23, 1)
     assert len(s) == 23**2 + 1
     assert s.data == {"subfield": 23, "extension": 529}
+    # GF(17^4) exceeds 2^16: the one member is PG(3,17)
+    s = spread_type_I(3, 17, 3)
+    assert len(s) == 1 and s.members[0].dim == 3
+    assert s.data == {"subfield": 17, "extension": 17**4}
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 8, 1), (3, 9, 1), (3, 16, 1),
+                                   (5, 4, 2), (5, 3, 2), (7, 2, 3)])
+def test_type_I_over_prime_power_fields(n, q, k):
+    # every member is a k-space through field reduction's companion
+    # powers, and together they partition PG(n, q)
+    s = spread_type_I(n, q, k)
+    t = k + 1
+    assert len(s) == (q ** (n + 1) - 1) // (q ** t - 1)
+    assert s.data == {"subfield": q, "extension": q**t}
+    assert {m.dim for m in s.members} == {k}
+    ok, reason = is_spread(s.members, s.space, k)
+    assert ok, reason
 
 
 def test_type_I_plane_spread():
