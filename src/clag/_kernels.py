@@ -1,5 +1,5 @@
 """Hot integer kernels in numpy.  The tests compare each with a
-plain-Python reference loop in `tests/oracle.py`, bit for bit.
+reference in `tests/oracle.py`, bit for bit.
 
 Everything here is small-integer table arithmetic; exact rational work
 lives in `exact`.
@@ -58,6 +58,31 @@ def gf_combinations(coeffs, basis, add, mul):
         out *= q
         out += mul.take(scaled[:, t, None] + basis[..., t, None, :])
         out = add.take(out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the normalised points of row spaces over GF(q), one block per basis row
+# ---------------------------------------------------------------------------
+
+def gf_point_blocks(bases, add, mul, blocks):
+    """Blocks 0..blocks-1 of the normalised points of the row spaces of
+    reduced-echelon bases b_0 ... b_{r-1}, shape (m, r, cols): block i is
+    the coset b_i + span(b_{i+1}, ...), grown from b_i by one table
+    addition per later row, in ascending code order."""
+    q = add.shape[0]
+    m, r, cols = bases.shape
+    add = add.ravel()
+    # q * (c b_j), j >= 1: row offsets into the raveled `add`
+    multiples = (mul.ravel() * q).take(
+        np.arange(0, q * q, q)[:, None] + bases[:, 1:, None])
+    out = []
+    for i in range(blocks):
+        pts = bases[:, i:i + 1]
+        for j in range(i, r - 1):
+            pts = add.take(pts[:, :, None] + multiples[:, j, None]
+                           ).reshape(m, -1, cols)
+        out.append(pts)
     return out
 
 

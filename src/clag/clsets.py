@@ -147,15 +147,23 @@ def full_kset(space: AmbientSpace, k: int) -> KSet:
 
 
 def point_pencil(space: AmbientSpace, point, k: int) -> KSet:
-    """All k-spaces of the space through a fixed point (x = 1)."""
+    """All k-spaces of the space through a fixed point (x = 1), given by
+    n + 1 ints in 0..q-1; else DimensionOutOfRange."""
     if isinstance(point, Subspace):
         point = point.rows[0]
-    point = tuple(int(v) for v in point)
-    lead = next((v for v in point if v), 1)
+    try:
+        coords = tuple(map(_int, point))
+    except TypeError:
+        coords = ()
+    if (len(coords) != space.n + 1
+            or not all(0 <= v < space.q for v in coords)):
+        raise DimensionOutOfRange(f"{point}: not {space.n + 1} field codes "
+                                  f"0..{space.q - 1}")
+    lead = next((v for v in coords if v), 1)
     f = space.field
     # normalized coordinates: the first nonzero one is 1
     pidx = space.point_index.get(
-        tuple(f.mul_table[f.inv_table[lead], list(point)].tolist()))
+        tuple(f.mul_table[f.inv_table[lead], list(coords)].tolist()))
     if pidx is None:
         raise DimensionOutOfRange(f"{point} is not a point of {space}")
     members = np.flatnonzero((space.point_lists(k) == pidx).any(axis=1))

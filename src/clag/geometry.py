@@ -20,7 +20,9 @@ long as the instance.
 Each k-space's points are stored once, as one row of the int64 point
 lists of the k-spaces (`AmbientSpace.point_lists`), computed by
 `point_sets` in a few vectorised chunks of bounded size; they are also
-the one stored form of the point versus k-space incidence.  No dense
+the one stored form of the point versus k-space incidence.  They are
+built as cosets of the echelon basis, an affine k-space's q^k affine
+points the first, and indexed in closed form: no point is listed.  No dense
 points x k-spaces matrix and no per-space tuples are kept.  An affine
 question about a subspace at infinity is never read in the projective
 closure: `AmbientSpace.shared_at_origin` answers it at the affine point
@@ -55,7 +57,7 @@ DEFAULT_ENTRY_GUARD = 10**7
 
 # (subspace, point) pairs whose coordinates `point_sets` builds at once;
 # the largest call of any benchmark workload (the 363 affine hyperplanes
-# of AG(5,3), 121 points each in the closure) fits in one such chunk
+# of AG(5,3), 81 points each) fits in one such chunk
 POINT_BLOCK_ENTRIES = 2**16
 
 
@@ -220,6 +222,14 @@ def apply_matrix(s: Subspace, matrix) -> Subspace:
         field.add_table, field.mul_table))
 
 
+def _index_form(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, shift): the normalised point x of PG(n, q) led at c has
+    index x @ weights + shift[c], weights = (q^n, ..., 1) and
+    shift[c] = sum_{c' < c} q^(n-c') - q^(n-c)."""
+    weights = q ** np.arange(n, -1, -1, dtype=np.int64)
+    return weights, np.cumsum(weights) - 2 * weights
+
+
 def _free_cells(pivots, ncols):
     cells = []
     pivot_set = set(pivots)
@@ -327,45 +337,38 @@ class AmbientSpace:
 
     # -- point sets ------------------------------------------------------
 
-    def _point_rows(self, subs) -> np.ndarray:
-        """(len(subs), points, n+1): the normalized coordinates of every
-        point of each of the equal-dimension subspaces, including the
-        points at infinity."""
-        field = self.field
-        bases = np.array([s.rows for s in subs], dtype=np.int64)
-        r = bases.shape[1]
-        coeffs = self.memo(("coefficients", r), lambda: np.array(
-            [m[0] for m in enumerate_rref_matrices(r, 1, self.q)],
-            dtype=np.int64))
-        return _kernels.gf_combinations(coeffs, bases, field.add_table,
-                                        field.mul_table)
-
-    def _point_lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, lookup): lookup[point @ weights] is the index of a
-        normalized point (x0 is 0 or 1)."""
-        weights = self.q ** np.arange(self.n, -1, -1, dtype=np.int64)
-        lookup = np.full(2 * self.q**self.n, -1, dtype=np.int64)
-        lookup[np.array(self.points, dtype=np.int64) @ weights] = \
-            np.arange(self.num_points)
-        return weights, lookup
-
     def point_sets(self, subs) -> np.ndarray:
         """Sorted int64 (len(subs), s) array: for each of the
         equal-dimension subspaces `subs`, the indices of its s points in
-        this space, read in the closure (in AG its affine points, the
-        ones whose closure index is below q^n).  Raises AmbientMismatch
-        when the subspaces have different numbers of points here, as a
-        line at infinity and an affine line do in AG.  Coordinates are
-        built for at most POINT_BLOCK_ENTRIES (subspace, point) pairs at
-        a time, so the peak stays near the result's size."""
-        proj = self.closure
-        weights, lookup = proj.memo("point_lookup", proj._point_lookup)
-        step = max(1, POINT_BLOCK_ENTRIES
-                   // gaussian_binomial(len(subs[0].rows), 1, self.q))
+        this space: in PG every block of `_kernels.gf_point_blocks`, in
+        AG block 0 alone (an affine k-space's q^k affine points; none
+        for a subspace at infinity).  Raises AmbientMismatch when the
+        subspaces have different numbers of points here, as a line at
+        infinity and an affine line do in AG.  Points are built for at
+        most POINT_BLOCK_ENTRIES (subspace, point) pairs at a time, so
+        the peak stays near the result's size."""
+        n, q, r = self.n, self.q, len(subs[0].rows)
+        if any(len(s.rows) != r for s in subs):
+            raise DimensionOutOfRange("subspaces of different dimensions")
+        blocks = 1 if self.mode == "affine" else r
+        weights, shift = _index_form(n, q)
+        built = q**(r - 1) if blocks == 1 else gaussian_binomial(r, 1, q)
+        step = max(1, POINT_BLOCK_ENTRIES // built)
+        field = self.field
         out = None
         for start in range(0, len(subs), step):
-            rows = proj._point_rows(subs[start:start + step])
-            idx = np.sort(lookup[rows @ weights], axis=1)
+            chunk = subs[start:start + step]
+            bases = np.fromiter(
+                itertools.chain.from_iterable(itertools.chain.from_iterable(
+                    s.rows for s in chunk)),
+                np.int64, len(chunk) * r * (n + 1)).reshape(-1, r, n + 1)
+            shifts = shift[(bases != 0).argmax(axis=2)]
+            # block i is led left of block i + 1 and each block ascends,
+            # so the indices come sorted
+            idx = np.concatenate([
+                pts @ weights + shifts[:, i, None]
+                for i, pts in enumerate(_kernels.gf_point_blocks(
+                    bases, field.add_table, field.mul_table, blocks))], axis=1)
             keep = (idx < self.num_points).sum(axis=1)
             if out is None:
                 out = np.empty((len(subs), keep[0]), dtype=np.int64)

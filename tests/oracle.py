@@ -10,6 +10,12 @@ field's modulus must equal it.
 `gf_rref`, `gf_combinations` and `triple_counts` are plain-Python
 loops that the numpy kernels of `clag._kernels` must match bit for bit.
 
+`point_sets` is `AmbientSpace.point_sets` by its former route, the
+reference for `_kernels.gf_point_blocks` and the closed-form index:
+every normalised coefficient row times each basis by
+`_kernels.gf_combinations`, each point looked up in a dict on the
+closure's `points`, the points outside the space dropped.
+
 `dense_incidence` is M itself, the dense int64 points x k-spaces
 matrix, filled in Python from `space_point_indices`.
 
@@ -88,8 +94,8 @@ from clag.classify import _ENDGAME_DIM, _Contradiction, _Search, _State
 from clag.clsets import (DimensionViolation, KSet, NotSkew,
                          kset_from_subspaces)
 from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, _int,
-                           ambient, apply_matrix, make_subspace, span,
-                           subspace_from_json)
+                           ambient, apply_matrix, enumerate_rref_matrices,
+                           make_subspace, span, subspace_from_json)
 from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
                           NotAtInfinity, Spread, _sorted_members,
                           is_spread, spread_type_III)
@@ -324,6 +330,18 @@ def gf_combinations(coeffs, basis, add, mul):
                 for j in range(cols):
                     out[i, j] = add[out[i, j], mul[c, basis[t, j]]]
     return out
+
+
+def point_sets(space: AmbientSpace, subs) -> np.ndarray:
+    field, index = space.field, space.closure.point_index
+    coeffs = np.array([m[0] for m in enumerate_rref_matrices(
+        len(subs[0].rows), 1, space.q)], dtype=np.int64)
+    rows = [sorted(i for i in (index[tuple(p)] for p in
+                               _kernels.gf_combinations(
+                                   coeffs, np.array(s.rows, dtype=np.int64),
+                                   field.add_table, field.mul_table).tolist())
+                   if i < space.num_points) for s in subs]
+    return np.array(rows, dtype=np.int64).reshape(len(subs), -1)
 
 
 def triple_counts(rel, d):

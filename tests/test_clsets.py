@@ -22,7 +22,8 @@ from clag.clsets import (NOT_APPLICABLE, DimensionViolation, NotContained,
                          modular_check, pg_hyperplane_set,
                          point_pencil, project_through_infinite_subspace,
                          restrict_from_pg, union)
-from clag.geometry import SizeGuard, ambient, make_subspace
+from clag.geometry import (DimensionOutOfRange, SizeGuard, ambient,
+                           make_subspace)
 from clag.incidence import IncidenceMatrix, meets
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
                           extend_spread_from_subspace,
@@ -82,6 +83,20 @@ def test_point_pencil_is_cl_with_x_1():
     # certificate: exactly the unit vector at the vertex
     vertex = AG32.point_index[(1, 0, 0, 0)]
     assert cert[vertex] == 1 and sum(map(abs, cert)) == 1
+
+
+def test_point_pencil_refuses_malformed_coordinates():
+    # a negative code used to wrap round the tables to (1, 0, 0, 1), and
+    # a code past q to raise a bare IndexError
+    for point in [(1, 0, 0, -1), (1, 0, 0, 5), (1, 0, 0), (1, 0, 0, 0, 0),
+                  (1, 0, 0, 1.0), (1, 0, 0, True), (1, 0, 0, "1"), 7]:
+        with pytest.raises(DimensionOutOfRange, match="field codes 0..1"):
+            point_pencil(AG32, point, 1)
+    # well-formed non-points are refused as before
+    for point in [(0, 0, 0, 0), (0, 1, 0, 0)]:
+        with pytest.raises(DimensionOutOfRange, match="is not a point"):
+            point_pencil(AG32, point, 1)
+    assert point_pencil(AG32, (1, 0, 0, 1), 1).size == 7
 
 
 def test_pencils_read_the_point_lists_under_a_small_guard(monkeypatch):

@@ -8,13 +8,14 @@ import pytest
 
 from clag.galois import field_for_order
 from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
-                           SizeGuard, ambient, apply_matrix, count_text,
-                           enumerate_rref_matrices, gaussian_binomial,
-                           infinite_part, make_subspace, span,
-                           subspace_from_json)
+                           SizeGuard, _index_form, ambient, apply_matrix,
+                           count_text, enumerate_rref_matrices,
+                           gaussian_binomial, infinite_part, make_subspace,
+                           span, subspace_from_json)
 
 from clag.clsets import pg_hyperplane_set
 
+import oracle
 from oracle import contains, gf_add, gf_mul, meet
 
 
@@ -248,6 +249,9 @@ def test_point_sets_of_unequal_point_counts_are_refused():
         ag.point_sets([affine_line, line_at_infinity])
     # in the closure both lines have q + 1 points
     assert ag.closure.point_sets([affine_line, line_at_infinity]).shape == (2, 3)
+    # a plane's first two rows span a line: never read as one
+    with pytest.raises(DimensionOutOfRange):
+        ag.point_sets([affine_line, ag.spaces(2)[0]])
 
 
 def test_point_ordering_affine_first():
@@ -395,9 +399,73 @@ def test_point_sets_in_chunks_match_one_block(monkeypatch):
     assert np.array_equal(ag.point_sets(lines), whole)
     assert np.array_equal(ag.closure.point_sets(lines),
                           ag.closure.point_lists(1)[:len(lines)])
-    # 2 lines per chunk: the line at infinity is alone in the third
+    # 3 lines per chunk (10 // q^k): the line at infinity is alone in the third
     with pytest.raises(AmbientMismatch):
-        ag.point_sets(lines[:4] + [line_at_infinity])
+        ag.point_sets(lines[:6] + [line_at_infinity])
+
+
+_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+_POINT_SET_ROWS = (
+    [(3, q, "affine", k) for q in _FIELDS for k in range(3)]
+    + [(n, q, "affine", k) for n, q in ((4, 2), (4, 3), (5, 2))
+       for k in range(n + 1)]
+    + [(3, q, "projective", k) for q in _FIELDS for k in range(4)]
+    + [(4, 2, "projective", k) for k in range(5)])
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,q,mode,k", _POINT_SET_ROWS)
+def test_point_sets_match_the_former_route(n, q, mode, k):
+    space = ambient(n, q, mode)
+    _same_bytes(space.point_sets(space.spaces(k)),
+                oracle.point_sets(space, space.spaces(k)))
+    if mode == "affine" and k < n:
+        # block 0 of a subspace at infinity holds no affine point
+        inf = space.infinite_subspaces(k)
+        _same_bytes(space.point_sets(inf), oracle.point_sets(space, inf))
+        assert space.point_sets(inf).shape == (len(inf), 0)
+        _same_bytes(space.closure.point_sets(inf),
+                    oracle.point_sets(space.closure, inf))
+
+
+@pytest.mark.parametrize("n,q,mode", [(3, 3, "affine"), (3, 4, "projective"),
+                                      (4, 2, "affine"), (4, 2, "projective")])
+def test_point_sets_in_small_chunks_match_the_former_route(monkeypatch, n, q,
+                                                           mode):
+    from clag import geometry
+    monkeypatch.setattr(geometry, "POINT_BLOCK_ENTRIES", 7)
+    space = ambient(n, q, mode)
+    for k in range(n + 1):
+        _same_bytes(space.point_sets(space.spaces(k)),
+                    oracle.point_sets(space, space.spaces(k)))
+
+
+@pytest.mark.parametrize("n,q", sorted({(n, q) for n, q, _, _ in
+                                        _POINT_SET_ROWS}))
+def test_closed_form_index_is_the_point_index(n, q):
+    pg = ambient(n, q, "projective")
+    pts = np.array(pg.points, dtype=np.int64)
+    weights, shift = _index_form(n, q)
+    idx = pts @ weights + shift[(pts != 0).argmax(axis=1)]
+    assert idx.tolist() == [pg.point_index[p] for p in pg.points]
+
+
+def test_point_sets_enumerate_no_points(monkeypatch):
+    # PG(3,31) has 30,784 points; the point sets need none of them listed
+    from clag import geometry
+    monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
+    pg = ambient(3, 31, "projective")
+    lines = [make_subspace(3, 31, [[1, 0, 0, 0], [0, 1, 2, 3]]),
+             make_subspace(3, 31, [[0, 1, 0, 5], [0, 0, 1, 30]])]
+    assert pg.point_sets(lines).shape == (2, 32)
+    ag = ambient(3, 31, "affine")
+    assert ag.point_sets(lines[:1]).shape == (1, 31)
+    assert ag.point_sets(lines[1:]).shape == (1, 0)
+    assert "points" not in pg._memo and "points" not in ag._memo
 
 
 def test_point_lists_peak_stays_near_their_size(monkeypatch):
