@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (AmbientSpace, Subspace, _int, _read_only, ambient,
-                       gaussian_binomial, infinite_part, subspace_from_json,
+                       gaussian_binomial, subspace_from_json,
                        DimensionOutOfRange)
 from .incidence import build_incidence, meet_counts
 from .spreads import SwitchingPair
@@ -127,7 +127,7 @@ class KSet:
 
 def kset_from_indices(space: AmbientSpace, k: int, indices) -> KSet:
     total = len(space.spaces(k))
-    idx = frozenset(int(i) for i in indices)
+    idx = frozenset(map(_int, indices))
     if idx and (min(idx) < 0 or max(idx) >= total):
         raise IndexError("member index out of range")
     return KSet(space, k, idx)
@@ -161,12 +161,12 @@ def point_pencil(space: AmbientSpace, point, k: int) -> KSet:
                                   f"0..{space.q - 1}")
     lead = next((v for v in coords if v), 1)
     f = space.field
-    # normalized coordinates: the first nonzero one is 1
-    pidx = space.point_index.get(
-        tuple(f.mul_table[f.inv_table[lead], list(coords)].tolist()))
-    if pidx is None:
+    # normalized (first nonzero coordinate 1); no index at infinity in AG
+    pidx = space.point_indices_of(Subspace(space.n, space.q, (tuple(
+        f.mul_table[f.inv_table[lead], list(coords)].tolist()),)))
+    if not any(coords) or len(pidx) != 1:
         raise DimensionOutOfRange(f"{point} is not a point of {space}")
-    members = np.flatnonzero((space.point_lists(k) == pidx).any(axis=1))
+    members = np.flatnonzero((space.point_lists(k) == pidx[0]).any(axis=1))
     return KSet(space, k, frozenset(members.tolist()))
 
 
@@ -399,7 +399,7 @@ def canonical_complement(space: AmbientSpace, axis: Subspace) -> Subspace:
         t = min(t.rows for t, c in zip(space.infinite_subspaces(dim - 1),
                                        space.shared_at_origin(dim, axis))
                 if c == 1)
-        return Subspace(space.n, space.q, (space.points[0], *t))
+        return Subspace(space.n, space.q, ((1,) + (0,) * space.n, *t))
     return space.memo(("canonical_complement", axis.rows), build)
 
 
@@ -410,19 +410,16 @@ def _projection_map(space: AmbientSpace, k: int, axis: Subspace,
     with pi among the (k-i-1)-spaces of pi viewed as AG(n-i-1, q), and
     -1 for every other k-space.  Built once per (k, axis, pi)."""
     def build():
-        at_inf = space.infinite_index(pi.dim - 1)[infinite_part(pi).rows]
+        at_inf = space.infinite_index(pi.dim - 1)[pi.rows[1:]]
         if space.shared_at_origin(pi.dim, axis)[at_inf] != 1:
             raise NotSkew("pi must be skew to the axis")
         d = k - axis.dim - 1
         target = ambient(pi.dim, space.q, "affine")
-        pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
-        # pi's affine points as points of the target: their coordinates
-        # in the pivot columns of pi
-        ours = space.point_indices_of(pi)
-        points, index = space.points, target.point_index
+        # pi's affine point b_0 + c_1 b_1 + ... reads (1, c_1, ...) at
+        # pi's pivots, its target coordinates; both numberings ascend
+        # with c, so the i-th is point i
         local = np.full(space.num_points, -1, dtype=np.int64)
-        local[ours] = [index[tuple(points[p][c] for c in pivots)]
-                       for p in ours.tolist()]
+        local[space.point_indices_of(pi)] = np.arange(target.num_points)
         pencils = space.shared_at_origin(k, axis) == space.q ** (axis.dim + 1)
         through = np.flatnonzero(pencils[space.infinity_pencils(k)[2]])
         # each cut with pi, through its affine points, sorted: the -1

@@ -6,23 +6,24 @@ infinity x0 = 0, with affine points normalized to x0 = 1.  A subspace
 is stored as the unique reduced row echelon basis of its row space, so
 two subspaces are equal iff their matrices are equal.
 
-The projective space owns the canonical order: its points and k-spaces
-are sorted on the echelon matrix, affine ones first.  AG(n, q) reads its
-points and k-spaces as the affine prefix of its projective `closure`,
-the same `Subspace` objects, so embedding into PG(n, q) and restricting
+The projective space owns the canonical order: its k-spaces are sorted
+on the echelon matrix, affine ones first, and its points are listed and
+indexed in closed form, by this module alone (`_index_form`): block c
+holds the normalised points led by a 1 in column c, in base-q order.
+AG(n, q) reads its points (block 0) and k-spaces as the affine prefix of
+its projective `closure`, so embedding into PG(n, q) and restricting
 to AG(n, q) keep every index, and the order is reproducible everywhere:
 file formats, incidence block structure, search certificates.  Every
-derived table of a space (enumerations, indices, point sets, pencils,
-the point lists through the affine point 0) is built once and kept in
-that instance's one memo, `AmbientSpace.memo`, so it lives exactly as
-long as the instance.
+derived table of a space (enumerations, indices, point sets, pencils)
+is built once and kept in that instance's one memo, `AmbientSpace.memo`,
+so it lives exactly as long as the instance.
 
 Each k-space's points are stored once, as one row of the int64 point
 lists of the k-spaces (`AmbientSpace.point_lists`), computed by
 `point_sets` in a few vectorised chunks of bounded size; they are also
 the one stored form of the point versus k-space incidence.  They are
 built as cosets of the echelon basis, an affine k-space's q^k affine
-points the first, and indexed in closed form: no point is listed.  No dense
+points the first: no point is listed.  No dense
 points x k-spaces matrix and no per-space tuples are kept.  An affine
 question about a subspace at infinity is never read in the projective
 closure: `AmbientSpace.shared_at_origin` answers it at the affine point
@@ -230,6 +231,15 @@ def _index_form(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, np.cumsum(weights) - 2 * weights
 
 
+def normalized_points(n: int, q: int, blocks: int) -> list[tuple[int, ...]]:
+    """Blocks 0..blocks-1 of the points of PG(n, q), numbered as by
+    `_index_form`: block c is (0,)*c + (1,) + t, t in base-q order."""
+    check_size("{} points exceed guard {cap}",
+               sum(q ** (n - c) for c in range(blocks)))
+    return [(0,) * c + (1,) + t for c in range(blocks)
+            for t in itertools.product(range(q), repeat=n - c)]
+
+
 def _free_cells(pivots, ncols):
     cells = []
     pivot_set = set(pivots)
@@ -302,13 +312,9 @@ class AmbientSpace:
 
     @property
     def points(self) -> list[tuple[int, ...]]:
-        """Normalized coordinates, in the order of the 0-spaces."""
-        return self.memo("points", lambda: [s.rows[0] for s in self.spaces(0)])
-
-    @property
-    def point_index(self) -> dict:
-        return self.memo("point_index",
-                         lambda: {pt: i for i, pt in enumerate(self.points)})
+        """Normalized coordinates, in index order."""
+        return self.memo("points", lambda: normalized_points(
+            self.n, self.q, 1 if self.mode == "affine" else self.n + 1))
 
     # -- k-spaces ------------------------------------------------------
 
@@ -331,9 +337,6 @@ class AmbientSpace:
     def space_index(self, k: int) -> dict:
         return self.memo(("space_index", k), lambda: {
             s.rows: i for i, s in enumerate(self.spaces(k))})
-
-    def index_of(self, s: Subspace) -> int:
-        return self.space_index(s.dim)[s.rows]
 
     # -- point sets ------------------------------------------------------
 
@@ -406,8 +409,9 @@ class AmbientSpace:
 
         def build():
             idx = self.infinite_index(k - 1)
-            per_space = np.array([idx[infinite_part(s).rows]
-                                  for s in self.spaces(k)], dtype=np.int64)
+            # rows below the first: the k-space's part at infinity
+            per_space = np.array([idx[s.rows[1:]] for s in self.spaces(k)],
+                                 dtype=np.int64)
             # one stable sort lists every pencil's members in index order
             order = np.argsort(per_space, kind="stable")
             ends = np.cumsum(np.bincount(per_space,
@@ -437,7 +441,7 @@ class AmbientSpace:
             return self.memo(("origin_lists", d), lambda: _read_only(
                 self.point_sets([Subspace(self.n, self.q, (p0, *t.rows))
                                  for t in self.infinite_subspaces(d - 1)])))
-        p0 = self.points[0]
+        p0 = (1,) + (0,) * self.n
         mask = np.zeros(self.num_points, dtype=bool)
         mask[origin_lists(a.dim + 1)[self.infinite_index(a.dim)[a.rows]]] = True
         return mask[origin_lists(k)].sum(axis=1)

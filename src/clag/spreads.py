@@ -44,8 +44,8 @@ import numpy as np
 
 from .galois import _irreducible
 from .geometry import (AmbientSpace, Subspace, ambient, check_size,
-                       enumerate_rref_matrices, gaussian_binomial,
-                       make_subspace, span)
+                       gaussian_binomial, make_subspace, normalized_points,
+                       span)
 
 __all__ = [
     "Spread", "SwitchingPair", "SpreadError", "DivisibilityViolated",
@@ -239,7 +239,7 @@ def spread_type_I(n: int, q: int, k: int) -> Spread:
     check_size(f"{{}} points of PG({n},{q}) exceed guard {{cap}}",
                space.num_points)
     f = _irreducible(space.field, t)
-    codes = np.array([rows[0] for rows in enumerate_rref_matrices(m, 1, q**t)])
+    codes = np.array(normalized_points(m - 1, q**t, m))
     blocks = codes[:, :, None] // q ** np.arange(t) % q
     bases = []
     for _ in range(t):

@@ -332,8 +332,14 @@ def gf_combinations(coeffs, basis, add, mul):
     return out
 
 
+def coordinate_index(space: AmbientSpace) -> dict:
+    """Normalised coordinates -> index, read off the enumeration of the
+    0-spaces, apart from the library's closed form."""
+    return {s.rows[0]: i for i, s in enumerate(space.spaces(0))}
+
+
 def point_sets(space: AmbientSpace, subs) -> np.ndarray:
-    field, index = space.field, space.closure.point_index
+    field, index = space.field, coordinate_index(space.closure)
     coeffs = np.array([m[0] for m in enumerate_rref_matrices(
         len(subs[0].rows), 1, space.q)], dtype=np.int64)
     rows = [sorted(i for i in (index[tuple(p)] for p in
@@ -510,7 +516,8 @@ def project_through_infinite_subspace(l: KSet, axis: Subspace,
     d = l.k - i - 1
     target = ambient(pi.dim, space.q, "affine")
     pivots = [next(c for c, v in enumerate(row) if v) for row in pi.rows]
-    points, index = space.points, target.point_index
+    points = [s.rows[0] for s in space.spaces(0)]
+    index = coordinate_index(target)
     local = {p: index[tuple(points[p][c] for c in pivots)]
              for p in space.point_indices_of(pi).tolist()
              if p < space.q**space.n}

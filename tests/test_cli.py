@@ -198,7 +198,7 @@ def test_type_I_spread_past_the_size_guard_exits_2_first(monkeypatch,
     def unreachable(*args):
         raise AssertionError("type I spread built past the size guard")
     monkeypatch.setattr(spreads, "_irreducible", unreachable)
-    monkeypatch.setattr(spreads, "enumerate_rref_matrices", unreachable)
+    monkeypatch.setattr(spreads, "normalized_points", unreachable)
     monkeypatch.setenv("CLAG_SIZE_GUARD", "50")
     assert cli.main(["spread", "--type", "1", "--n", "3", "--q", "8"]) == 2
     assert capsys.readouterr().err == (

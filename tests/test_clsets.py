@@ -81,7 +81,7 @@ def test_point_pencil_is_cl_with_x_1():
     ok, cert = is_cameron_liebler(pen)
     assert ok
     # certificate: exactly the unit vector at the vertex
-    vertex = AG32.point_index[(1, 0, 0, 0)]
+    vertex = AG32.points.index((1, 0, 0, 0))
     assert cert[vertex] == 1 and sum(map(abs, cert)) == 1
 
 
@@ -97,6 +97,32 @@ def test_point_pencil_refuses_malformed_coordinates():
         with pytest.raises(DimensionOutOfRange, match="is not a point"):
             point_pencil(AG32, point, 1)
     assert point_pencil(AG32, (1, 0, 0, 1), 1).size == 7
+
+
+def test_point_pencil_normalises_the_point():
+    space = ambient(3, 3, "affine")
+    assert (point_pencil(space, (2, 0, 0, 2), 1).members
+            == point_pencil(space, (1, 0, 0, 1), 1).members)
+    assert (point_pencil(space.closure, (0, 2, 1, 0), 1).members
+            == point_pencil(space.closure, (0, 1, 2, 0), 1).members)
+
+
+def test_point_pencil_lists_no_point(monkeypatch):
+    # AG(3,17) and its closure have 4,913 and 5,220 points
+    monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
+    space = ambient(3, 17, "affine")
+    space.point_lists(1)
+    assert point_pencil(space, (1, 2, 3, 4), 1).size == 307
+    assert "points" not in space._memo
+    assert "points" not in space.closure._memo
+
+
+def test_kset_from_indices_refuses_bools_and_floats():
+    # int() used to read 2.7 as 2 and True as 1
+    for indices in ([2.7, True], [1.0], [True]):
+        with pytest.raises(TypeError):
+            kset_from_indices(AG32, 1, indices)
+    assert kset_from_indices(AG32, 1, np.array([2, 1])).members == {1, 2}
 
 
 def test_pencils_read_the_point_lists_under_a_small_guard(monkeypatch):

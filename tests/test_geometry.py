@@ -211,6 +211,14 @@ def test_affine_spaces_are_projective_prefix():
             assert ag.infinite_subspaces(k) == proj[len(aff):]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["affine", "projective"])
+def test_points_in_closed_form_are_the_enumerated_ones(mode, n, q):
+    space = AmbientSpace(n, q, mode)
+    assert space.points == [s.rows[0] for s in space.spaces(0)]
+
+
 def test_space_tables_die_with_the_instance():
     old = AmbientSpace(3, 2, "affine")
     points, lists = old.points, old.point_lists(1)
@@ -447,11 +455,12 @@ def test_point_sets_in_small_chunks_match_the_former_route(monkeypatch, n, q,
 @pytest.mark.parametrize("n,q", sorted({(n, q) for n, q, _, _ in
                                         _POINT_SET_ROWS}))
 def test_closed_form_index_is_the_point_index(n, q):
+    # the 0-spaces, enumerated and sorted, are numbered by the closed form
     pg = ambient(n, q, "projective")
-    pts = np.array(pg.points, dtype=np.int64)
+    pts = np.array([s.rows[0] for s in pg.spaces(0)], dtype=np.int64)
     weights, shift = _index_form(n, q)
     idx = pts @ weights + shift[(pts != 0).argmax(axis=1)]
-    assert idx.tolist() == [pg.point_index[p] for p in pg.points]
+    assert idx.tolist() == list(range(len(pts)))
 
 
 def test_point_sets_enumerate_no_points(monkeypatch):

@@ -56,6 +56,37 @@ def test_size_guard_is_raised_in_one_place():
     assert everywhere == in_helper == 1
 
 
+def _names(tree) -> list[str]:
+    """Every name, attribute and definition of a parsed module."""
+    return [getattr(node, attr) for node in ast.walk(tree)
+            for attr in ("id", "attr", "name") if isinstance(
+                getattr(node, attr, None), str)]
+
+
+def test_points_are_numbered_in_geometry_alone():
+    # the closed form of `_index_form` is the one point numbering: no
+    # other module indexes points, and none lists the 0-spaces
+    package = os.path.dirname(os.path.abspath(clag.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    for folder in (package, tests):
+        for fname in sorted(os.listdir(folder)):
+            if not fname.endswith(".py"):
+                continue
+            with open(os.path.join(folder, fname)) as fh:
+                tree = ast.parse(fh.read())
+            names = _names(tree)
+            assert "point_index" not in names, fname
+            if folder != package or fname == "geometry.py":
+                continue
+            assert "_index_form" not in names, fname
+            args = [arg for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "spaces"
+                    for arg in node.args]
+            assert not any(isinstance(arg, ast.Constant) and arg.value == 0
+                           for arg in args), fname
+
+
 def _library_uses(module: str) -> set[str]:
     """The names of clag.<module> that the other library modules read,
     as `module.name` or through `from .module import name`."""
