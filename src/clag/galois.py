@@ -1,11 +1,14 @@
 """Exact arithmetic in GF(q) for prime powers q = p^h of at most 512.
 
 Elements are encoded as integers 0..q-1: the base-p digits of the code,
-little-endian, are the coefficients of a polynomial in the canonical
-generator.  Every field is a table field: addition, negation,
+little-endian, are the coefficients of a polynomial in x, and GF(p^h) is
+GF(p)[x]/(modulus).  Every field is a table field: addition, negation,
 multiplication and inversion are the dense tables `add_table`,
-`neg_table`, `mul_table` and `inv_table`, built once from the field's
-exp/log tables, and every caller indexes them.
+`neg_table`, `mul_table` and `inv_table`, built once, and every caller
+indexes them.  Addition and negation act digit by digit.  The
+multiplication table is a b = sum_i b_i (a x^i), each a x^i read by
+`_times_x` (the companion matrix of the modulus, on GF(p)'s tables),
+and 1/a is the column of the 1 in row a of that table.
 
 One rule fixes every polynomial modulus: the least monic irreducible of
 degree t over a table field GF(q), "least" meaning the smallest code
@@ -13,8 +16,9 @@ c_0 + c_1 q + ... + c_{t-1} q^(t-1) of its non-leading coefficients,
 found by `_irreducible` (trial division on the tables).  Over GF(p) it
 is the modulus of GF(p^h); over GF(q) it is the modulus f of
 GF(q^t) = GF(q)[x]/(f), from which type I spreads are built by field
-reduction.  Fixing the modulus this way keeps element encodings, and
-hence every canonical subspace form downstream, reproducible.
+reduction with the same `_times_x`.  Fixing the modulus this way keeps
+element encodings, and hence every canonical subspace form downstream,
+reproducible.
 
 Fields are immutable after construction and safe to share.
 """
@@ -75,6 +79,17 @@ def _irreducible(field: FiniteField, t: int) -> tuple[int, ...]:
                 if not any(_divides(field, g, f) for g in divisors))
 
 
+def _times_x(field: FiniteField, f, v: np.ndarray) -> np.ndarray:
+    """v C, C the companion matrix of the monic f over `field`: the
+    coefficient vectors v (last axis) of elements of field[x]/(f), each
+    times x."""
+    shifted = np.roll(v, 1, axis=-1)
+    shifted[..., 0] = 0
+    # x^t = -(f_0 + f_1 x + ... + f_(t-1) x^(t-1))
+    return field.add_table[shifted, field.mul_table[
+        v[..., -1:], field.neg_table[np.array(f[:-1])]]]
+
+
 class FiniteField:
     """Arithmetic tables for GF(p^h), p^h <= TABLE_MAX, with dense
     integer element codes."""
@@ -90,68 +105,24 @@ class FiniteField:
         self.modulus = (0, 1) if h == 1 else _irreducible(make_field(p), h)
         self._build_tables()
 
-    def _digits(self, a: int) -> list[int]:
-        return [(a // self.p**i) % self.p for i in range(self.h)]
-
-    def _encode(self, digits) -> int:
-        return sum(int(d) % self.p * self.p**i for i, d in enumerate(digits))
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        p, h = self.p, self.h
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * h - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the defining polynomial
-        for i in range(len(prod) - 1, h - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(h):
-                    prod[i - h + j] = (prod[i - h + j] - c * self.modulus[j]) % p
-        return self._encode(prod[:h])
-
     def _build_tables(self):
-        self._build_log()
         q, p = self.q, self.p
         powers = p ** np.arange(self.h)
         dig = np.arange(q)[:, None] // powers % p
         self.add_table = ((dig[:, None, :] + dig[None, :, :]) % p) @ powers
         self.neg_table = (-dig % p) @ powers
-        # a b = g^(log a + log b) and 1/a = g^(-log a) for nonzero a, b
-        log = self.log
-        mul = self.exp[(log[:, None] + log[None, :]) % (q - 1)]
-        mul[0, :] = 0
-        mul[:, 0] = 0
+        # a b = sum_i b_i (a x^i), a x^i by the companion matrix of the
+        # modulus; column c p^i + r (r < p^i) is column r plus c (a x^i)
+        scaled = (np.arange(p)[:, None, None] * dig % p) @ powers
+        vec, mul = dig, np.zeros((q, 1), dtype=np.int64)
+        for i in range(self.h):
+            if i:
+                vec = _times_x(make_field(p), self.modulus, vec)
+            term = scaled[:, vec @ powers].T[:, :, None]
+            mul = self.add_table[term, mul[:, None, :]].reshape(q, -1)
         self.mul_table = mul
-        inv = self.exp[-log % (q - 1)]
-        inv[0] = 0
-        self.inv_table = inv
-
-    def _build_log(self):
-        # exp/log tables for the multiplicative group, the source of the
-        # multiplication and inversion tables.  Candidate 1 is primitive
-        # only in GF(2), where exp = [1] and log = [0, 0].
-        q = self.q
-        for g in range(1, q):
-            exp = [1]
-            x = 1
-            for _ in range(q - 1):
-                x = self._mul_poly(x, g)
-                exp.append(x)
-                if x == 1:
-                    break
-            if len(exp) == q and exp[-1] == 1:
-                self.exp = np.array(exp[:-1], dtype=np.int64)
-                log = np.zeros(q, dtype=np.int64)
-                for e, v in enumerate(exp[:-1]):
-                    log[v] = e
-                self.log = log
-                self.generator = g
-                return
-        raise AssertionError("no primitive element found")
+        # row a of the table holds 1 in the column of 1/a alone
+        self.inv_table = np.concatenate(([0], np.nonzero(mul == 1)[1]))
 
     def __repr__(self):
         return f"GF({self.q})" if self.h == 1 else f"GF({self.p}^{self.h})"

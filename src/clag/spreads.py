@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galois import _irreducible
+from .galois import _irreducible, _times_x
 from .geometry import (AmbientSpace, Subspace, ambient, check_size,
                        gaussian_binomial, make_subspace, normalized_points,
                        span)
@@ -211,16 +211,6 @@ def switching_pair_from_spreads(s1: Spread, s2: Spread) -> SwitchingPair:
 # ---------------------------------------------------------------------------
 # type I: field reduction
 # ---------------------------------------------------------------------------
-
-def _times_x(field, f, v: np.ndarray) -> np.ndarray:
-    """v C, C the companion matrix of f: the coefficient vectors v
-    (last axis) of elements of GF(q)[x]/(f), each times x."""
-    shifted = np.roll(v, 1, axis=-1)
-    shifted[..., 0] = 0
-    # x^t = -(f_0 + f_1 x + ... + f_(t-1) x^(t-1))
-    return field.add_table[shifted, field.mul_table[
-        v[..., -1:], field.neg_table[np.array(f[:-1])]]]
-
 
 def spread_type_I(n: int, q: int, k: int) -> Spread:
     """Desarguesian projective k-spread of PG(n, q) by field reduction:

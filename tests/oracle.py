@@ -2,10 +2,18 @@
 
 `gf_add`, `gf_neg`, `gf_mul`, `gf_inv`, `gf_div` and `gf_pow` are
 scalar GF(q) arithmetic that reads no table of `clag.galois`: addition
-and negation digit by digit, the rest through the field's exp/log
-tables.  `irreducible_mod_p` is the former search for the modulus of
-GF(p^h), trial division by `_poly_divmod` with integers mod p; every
-field's modulus must equal it.
+and negation digit by digit, products by `_mul_poly` (the digit
+polynomials multiplied and reduced modulo the field's modulus with
+integers mod p), powers by repeated products and 1/a as a^(q-2).
+`poly_mod` reduces a polynomial over GF(q) modulo a monic one by long
+division on those scalars, the reference for `galois._times_x`.
+`irreducible_mod_p` is the former search for the modulus of GF(p^h),
+trial division by `_poly_divmod` with integers mod p; every field's
+modulus must equal it.
+
+`point_pencil_members` is the members of `clsets.point_pencil` by its
+former route: the k-spaces whose row of `point_lists(k)` holds the
+point, one scan of the whole array per point.
 
 `gf_rref`, `gf_combinations` and `triple_counts` are plain-Python
 loops that the numpy kernels of `clag._kernels` must match bit for bit.
@@ -99,6 +107,11 @@ from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, _int,
 from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
                           NotAtInfinity, Spread, _sorted_members,
                           is_spread, spread_type_III)
+
+
+def point_pencil_members(space: AmbientSpace, point: int, k: int) -> set:
+    return set(np.flatnonzero(
+        (space.point_lists(k) == point).any(axis=1)).tolist())
 
 
 def dense_incidence(space: AmbientSpace, k: int) -> np.ndarray:
@@ -216,36 +229,72 @@ class OneArrayTableau:
         return OneArrayTableau(out, den)
 
 
+def _digits(f, a: int) -> list[int]:
+    return [(a // f.p**i) % f.p for i in range(f.h)]
+
+
+def _encode(f, digits) -> int:
+    return sum(int(d) % f.p * f.p**i for i, d in enumerate(digits))
+
+
+def _mul_poly(f, a: int, b: int) -> int:
+    """a b: the product of the digit polynomials, reduced modulo the
+    field's modulus by long division, with integers mod p."""
+    p, h = f.p, f.h
+    db = _digits(f, b)
+    prod = [0] * (2 * h - 1)
+    for i, x in enumerate(_digits(f, a)):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(len(prod) - 1, h - 1, -1):
+        c = prod[i]
+        if c:
+            for j in range(h):
+                prod[i - h + j] = (prod[i - h + j] - c * f.modulus[j]) % p
+    return _encode(f, prod[:h])
+
+
 def gf_add(f, a: int, b: int) -> int:
-    return f._encode([(x + y) % f.p for x, y in zip(f._digits(a), f._digits(b))])
+    return _encode(f, [x + y for x, y in zip(_digits(f, a), _digits(f, b))])
 
 
 def gf_neg(f, a: int) -> int:
-    return f._encode([(-d) % f.p for d in f._digits(a)])
+    return _encode(f, [-d for d in _digits(f, a)])
 
 
 def gf_mul(f, a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(f.exp[(int(f.log[a]) + int(f.log[b])) % (f.q - 1)])
+    return _mul_poly(f, a, b)
+
+
+def gf_pow(f, a: int, e: int) -> int:
+    out = 1
+    for _ in range(e):
+        out = _mul_poly(f, out, a)
+    return out
 
 
 def gf_inv(f, a: int) -> int:
+    """a^(q-2), the inverse of a nonzero a in the group of order q-1."""
     if a == 0:
         raise ZeroDivisionError("inverse of 0")
-    return int(f.exp[(-int(f.log[a])) % (f.q - 1)])
+    return gf_pow(f, a, f.q - 2)
 
 
 def gf_div(f, a: int, b: int) -> int:
     return gf_mul(f, a, gf_inv(f, b))
 
 
-def gf_pow(f, a: int, e: int) -> int:
-    if e == 0:
-        return 1
-    if a == 0:
-        return 0
-    return int(f.exp[(int(f.log[a]) * e) % (f.q - 1)])
+def poly_mod(field, num: list[int], f) -> list[int]:
+    """num mod the monic f, both coefficient lists over `field` from
+    degree 0 up, by long division with the scalar references."""
+    num, d = list(num), len(f) - 1
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        for j, fj in enumerate(f):
+            num[i - d + j] = gf_add(field, num[i - d + j],
+                                    gf_neg(field, gf_mul(field, c, fj)))
+    return num[:d]
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int):

@@ -23,14 +23,14 @@ from clag.clsets import (NOT_APPLICABLE, DimensionViolation, NotContained,
                          point_pencil, project_through_infinite_subspace,
                          restrict_from_pg, union)
 from clag.geometry import (DimensionOutOfRange, SizeGuard, ambient,
-                           make_subspace)
+                           gaussian_binomial, make_subspace)
 from clag.incidence import IncidenceMatrix, meets
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
                           extend_spread_from_subspace,
                           sample_type_III_spreads, spread_type_II,
                           switching_pair_from_spreads)
 
-from oracle import contains, meet
+from oracle import contains, meet, point_pencil_members
 
 AG32 = ambient(3, 2, "affine")
 PG32 = ambient(3, 2, "projective")
@@ -115,6 +115,31 @@ def test_point_pencil_lists_no_point(monkeypatch):
     assert point_pencil(space, (1, 2, 3, 4), 1).size == 307
     assert "points" not in space._memo
     assert "points" not in space.closure._memo
+
+
+@pytest.mark.parametrize("n,q,mode", [(3, 3, "affine"), (4, 2, "affine"),
+                                      (3, 2, "projective")])
+def test_point_pencils_match_the_scan(n, q, mode):
+    space = ambient(n, q, mode)
+    for k in range(n + 1):
+        for i, p in enumerate(space.points):
+            assert (point_pencil(space, p, k).members
+                    == point_pencil_members(space, i, k)), (k, p)
+
+
+def test_kset_parameter_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gaussian_binomial(*args)
+
+    monkeypatch.setattr(clsets, "gaussian_binomial", counted)
+    l = kset_from_indices(AG32, 1, [0, 3])
+    assert l.x == l.x == Fraction(2, 7)
+    assert len(calls) == 1
+    assert l == kset_from_indices(AG32, 1, [3, 0])
+    assert hash(l) == hash(kset_from_indices(AG32, 1, [3, 0]))
 
 
 def test_kset_from_indices_refuses_bools_and_floats():

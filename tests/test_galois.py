@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from clag import galois
 from clag.galois import (DegreeOutOfRange, NotPrime, TABLE_MAX, _irreducible,
-                         field_for_order, make_field)
+                         _times_x, field_for_order, make_field)
 
 import oracle
 
@@ -123,22 +125,54 @@ def test_irreducible_over_an_extension_field():
 
 @pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 9)])
 def test_dense_tables_match_polynomial_arithmetic(p, h):
-    # the tables come from exp/log; _mul_poly multiplies polynomials
+    # the reference multiplies digit polynomials mod the modulus
     f = make_field(p, h)
     q = f.q
     assert (f.mul_table == f.mul_table.T).all()
     for a in range(q):
         for b in range(a, q):
-            assert f.mul_table[a, b] == f._mul_poly(a, b)
-        assert f.neg_table[a] == f._encode([-x for x in f._digits(a)])
+            assert f.mul_table[a, b] == oracle.gf_mul(f, a, b)
+        assert f.neg_table[a] == oracle.gf_neg(f, a)
         if a:
-            assert f._mul_poly(a, int(f.inv_table[a])) == 1
+            assert oracle.gf_mul(f, a, int(f.inv_table[a])) == 1
     assert f.inv_table[0] == 0
+
+
+def test_no_field_table_moves(monkeypatch):
+    # one digest over the four tables of every field of order <= 512,
+    # in the order of test_no_field_modulus_moves
+    monkeypatch.setattr(galois, "_CACHE", {})
+    digest = hashlib.sha256()
+    for p in filter(galois._is_prime, range(2, TABLE_MAX + 1)):
+        for h in range(1, 10):
+            if p**h > TABLE_MAX:
+                break
+            f = field_for_order(p**h)
+            for table in (f.add_table, f.neg_table, f.mul_table, f.inv_table):
+                digest.update(table.astype(np.int64).tobytes())
+            galois._CACHE.clear()
+    assert digest.hexdigest() == ("bae375e8be548456760a2493e4bb4d7d"
+                                  "2185b3bf087de7a95f3dc6908f1d5b3e")
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+@pytest.mark.parametrize("t", [2, 3])
+def test_times_x_reduces_by_the_modulus(q, t):
+    field = field_for_order(q)
+    f = _irreducible(field, t)
+    # every vector of GF(q)^t, as a stack of shape (q, q^(t-1), t)
+    codes = np.arange(q**t)
+    v = (codes[:, None] // q ** np.arange(t) % q).reshape(q, -1, t)
+    got = _times_x(field, f, v)
+    assert got.shape == v.shape
+    rows = zip(v.reshape(-1, t).tolist(), got.reshape(-1, t).tolist())
+    for row, out in rows:
+        assert out == oracle.poly_mod(field, [0] + row, f)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_scalar_operations_match_dense_tables(q):
-    # the reference takes the digit and exp/log paths, never the tables
+    # the reference takes the digit and polynomial paths, never the tables
     f = field_for_order(q)
     for a in range(q):
         assert oracle.gf_neg(f, a) == f.neg_table[a]
@@ -150,10 +184,3 @@ def test_scalar_operations_match_dense_tables(q):
         if a:
             assert oracle.gf_inv(f, a) == f.inv_table[a]
             assert oracle.gf_pow(f, a, q - 1) == 1
-
-
-def test_gf2_exp_log_and_generator():
-    f = make_field(2, 1)
-    assert f.generator == 1
-    assert f.exp.tolist() == [1]
-    assert f.log.tolist() == [0, 0]
