@@ -16,10 +16,9 @@ points in AG and all points in PG.
 
 Every other incidence question is read off point lists, never by row
 reduction and never from a dense matrix: a point pencil is the
-k-spaces whose list (`AmbientSpace.point_lists`) holds its point, every
-point's pencil read at once from one stable sort of the lists, kept per
-k; a hyperplane set is the k-spaces whose list lies in the hyperplane's
-points.
+k-spaces whose list (`AmbientSpace.point_lists`) holds its point, read
+as one row of `AmbientSpace.point_pencils`; a hyperplane set is the
+k-spaces whose list lies in the hyperplane's points.
 A question about a subspace at infinity (the k-spaces through an axis,
 the canonical skew complement, whether pi is skew to the axis) is read
 at the affine point 0 through the pencils, by
@@ -169,13 +168,7 @@ def point_pencil(space: AmbientSpace, point, k: int) -> KSet:
         f.mul_table[f.inv_table[lead], list(coords)].tolist()),)))
     if not any(coords) or len(pidx) != 1:
         raise DimensionOutOfRange(f"{point} is not a point of {space}")
-    # every point lies in [n choose k]_q k-spaces: one stable sort of the
-    # point lists gives each point's row of ascending k-space indices
-    lists = space.point_lists(k)
-    pencils = space.memo(("point_pencils", k), lambda: _read_only(
-        np.argsort(lists, axis=None, kind="stable").reshape(
-            space.num_points, -1) // lists.shape[1]))
-    return KSet(space, k, frozenset(pencils[pidx[0]].tolist()))
+    return KSet(space, k, frozenset(space.point_pencils(k)[pidx[0]].tolist()))
 
 
 def pg_hyperplane_set(space: AmbientSpace, hyperplane: Subspace, k: int) -> KSet:

@@ -154,12 +154,8 @@ def field_for_order(q: int) -> FiniteField:
     p = 2
     while p * p <= q:
         if q % p == 0:
-            h = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                h += 1
-            if m != 1:
+            h = next(h for h in range(1, q) if p**h >= q)
+            if p**h != q:
                 raise NotPrime(f"{q} is not a prime power")
             return make_field(p, h)
         p += 1

@@ -113,6 +113,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _pencil_rows(lists: np.ndarray, v: int) -> np.ndarray:
+    """Row p: the indices of the rows of the point lists `lists` that
+    hold point p, ascending, from one stable sort of `lists`; every
+    point of 0..v-1 must lie in the same number of rows.  Indices below
+    2^16 are sorted as uint16 (a radix sort), which keeps the order."""
+    narrow = lists.astype(np.uint16) if v <= 1 << 16 else lists
+    return np.argsort(narrow, axis=None, kind="stable").reshape(
+        v, -1) // lists.shape[1]
+
+
 class AmbientMismatch(ValueError):
     pass
 
@@ -449,7 +459,8 @@ class AmbientSpace:
     def point_lists(self, k: int) -> np.ndarray:
         """Read-only C-contiguous int64 (k-spaces x points per k-space)
         array of `point_sets(spaces(k))`, the one stored copy of the
-        k-spaces' points and so of the point versus k-space incidence.
+        k-spaces' points and so of the point versus k-space incidence;
+        `point_pencils(k)` is sorted out of it.
         In AG it owns its memory, not a view of the closure-width rows.
         Every call first raises SizeGuard when its entries, counted in
         closed form, exceed `entry_guard()`, whatever is already
@@ -460,6 +471,14 @@ class AmbientSpace:
         check_size("{} x {} point lists exceed guard {cap}", spaces, size)
         return self.memo(("point_lists", k), lambda: _read_only(
             self.point_sets(self.spaces(k))))
+
+    def point_pencils(self, k: int) -> np.ndarray:
+        """Read-only int64 (points x [n k]_q) array: row p lists the
+        k-spaces through point p in index order, sorted once out of
+        `point_lists(k)`, under its size guard."""
+        lists = self.point_lists(k)
+        return self.memo(("point_pencils", k), lambda: _read_only(
+            _pencil_rows(lists, self.num_points)))
 
     def infinite_subspaces(self, d: int) -> list[Subspace]:
         """The d-spaces contained in the hyperplane at infinity, in

@@ -9,9 +9,10 @@ incidence matrix of the hyperplane at infinity, one dimension down.
 An `IncidenceMatrix` holds M as point lists, never as a dense matrix:
 column j of M is the point list of k-space j (`points`, the space's
 own K x s array `AmbientSpace.point_lists(k)`), and row p is the list
-of the r k-spaces through point p, sorted out of the same array by the
-design check.  Every product with M or M^T is a gather and sum over one
-of the two lists.
+of the r k-spaces through point p (`AmbientSpace.point_pencils(k)`,
+sorted once out of the same array, which the design check reads).
+Every product with M or M^T is a gather and sum over one of the two
+lists.
 
 Membership in the rational row space uses the 2-design structure.
 Every point lies on r k-spaces and every two points on lambda of them,
@@ -52,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact
+from . import exact, geometry
 from .geometry import AmbientSpace, DimensionOutOfRange, check_size
 
 __all__ = ["IncidenceMatrix", "build_incidence", "LengthMismatch",
@@ -122,8 +123,11 @@ class IncidenceMatrix:
             lam = r * (s - 1) // (v - 1) if v > 1 else 0
             if r <= lam or (degree != r).any():
                 raise refused
-            # the k-spaces through each point, in index order
-            through = np.argsort(pts.ravel(), kind="stable").reshape(v, r) // s
+            # the k-spaces through each point, in index order: the
+            # space's own table, unless M was built on other lists
+            through = (self.space.point_pencils(self.k)
+                       if pts is self.space.point_lists(self.k)
+                       else geometry._pencil_rows(pts, v))
             for p, mine in enumerate(through):
                 count = np.bincount(pts[mine].ravel(), minlength=v)
                 count[p] += lam - r

@@ -8,7 +8,7 @@ import pytest
 
 from clag.galois import field_for_order
 from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
-                           SizeGuard, _index_form, ambient, apply_matrix,
+                           SizeGuard, _index_form, _pencil_rows, ambient, apply_matrix,
                            count_text, enumerate_rref_matrices,
                            gaussian_binomial, infinite_part, make_subspace,
                            span, subspace_from_json)
@@ -450,6 +450,19 @@ def test_point_sets_in_small_chunks_match_the_former_route(monkeypatch, n, q,
     for k in range(n + 1):
         _same_bytes(space.point_sets(space.spaces(k)),
                     oracle.point_sets(space, space.spaces(k)))
+
+
+@pytest.mark.parametrize("v", [2**16, 2**16 + 2])
+def test_pencil_rows_on_narrow_and_wide_indices(v):
+    # two random pairings of 0..v-1: point p lies in row a[p] // 2 of
+    # the first and v / 2 + b[p] // 2 of the second; v = 2^16 is sorted
+    # as uint16, v = 2^16 + 2 as int64
+    rng = np.random.default_rng(v)
+    first, second = rng.permutation(v), rng.permutation(v)
+    lists = np.concatenate([first, second]).reshape(-1, 2)
+    a, b = np.argsort(first), np.argsort(second)
+    expected = np.stack([a // 2, v // 2 + b // 2], axis=1)
+    assert np.array_equal(_pencil_rows(lists, v), expected)
 
 
 @pytest.mark.parametrize("n,q", sorted({(n, q) for n, q, _, _ in

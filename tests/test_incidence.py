@@ -176,6 +176,9 @@ def test_one_incidence_buffer_per_space_and_k():
         assert inc.points is space.point_lists(k)
         inc.design()
         assert build_incidence(space, k).points is inc.points
+        # the design check reads the pencils that point_pencil reads
+        assert inc._through is space.point_pencils(k)
+        assert not inc._through.flags.writeable
         m = dense(inc)
         t = _Tableau.start(m).dirs.a
         assert t.dtype == np.int64 and np.array_equal(t, m)
