@@ -90,12 +90,12 @@ def gf_point_blocks(bases, add, mul, blocks):
 # intersection numbers p_ij^l from a relation matrix, with constancy check
 # ---------------------------------------------------------------------------
 
-# rows of the relation matrix per product: no |X| x |X| product is held
-# beyond the digit matrix
+# rows of the relation matrix per product, and the most rows of length
+# |X| that any temporary holds beyond the digit matrix
 _ROWS = 64
 
 
-def triple_counts(rel, d):
+def triple_counts(rel, d, covers=None):
     """All intersection numbers p_ij^l, verifying they are constant over
     every pair of each relation.  Returns (constant?, p[i,j,l]).
 
@@ -105,30 +105,50 @@ def triple_counts(rel, d):
         (A_i D)[a, c] = sum_j (A_i A_j)[a, c] 2^(b j),
     one base-2^b digit per j, with no carries.  One float64 product per
     relation i, taken in row blocks, thus gives all d+1 products A_i A_j.
-    Every term and partial sum is a non-negative integer below
-    2^(b g) <= 2^53 when the relations are split into digit groups of
-    g = floor(53 / b), so float64 is exact; today's sizes need one group
-    (496 lines use 36 bits, 1080 use 44).  The relation equal to I gives
-    D itself, and since sum_l A_l = J, the relation e with the most
-    cells needs no product: A_e D = 1 colsum(D) - sum_{i != e} A_i D.
+    The relation equal to I gives D itself, and since sum_l A_l = J, one
+    relation e needs no product: A_e D = 1 colsum(D) - sum_{i != e} A_i D.
+    e is the relation with the most cells among those that neither have
+    a cover nor equal I.
+
+    covers[i], when given, is a clique cover of relation i: an int array
+    (cliques x size) of elements in which every element lies in the same
+    number m of rows.  With M its clique incidence, A_i = M^T M - m I,
+    so A_i D is each row's m clique sums (M D) gathered, minus m D: no
+    dense product.  The cover is checked on every cell: the number of
+    cliques holding both a and c must be [rel[a, c] = i] for a != c and
+    m for a = c.  A malformed or wrong cover makes the result not
+    constant, never raises; a relation without a cover takes the dense
+    product.
+
+    Every packed value is a sum of terms n_c D[a', c] over elements c
+    with sum_c n_c at most t = max(|X|, m size) (|X| for the dense
+    products and colsum(D), m size for the clique sums), so it is below
+    t 2^(b (g-1)) < 2^53 when the relations are split into digit groups
+    of g = floor((53 - bit_length(t)) / b) + 1, and float64 is exact;
+    today's sizes need one group (496 lines use 36 bits, 1080 use 44).
 
     Every packed product P_i = A_i D is compared with T_i[rel], where
     T_i[l] is P_i at the first pair of relation l in row-major order.
     p is read from T, so on any rel it is the table at those pairs.
     """
     x = rel.shape[0]
+    cliques = {i: _cliques(c, x) if 0 <= i <= d else None
+               for i, c in (covers or {}).items()}
+    ok = None not in cliques.values()
     b = x.bit_length()
-    g = 53 // b
+    top = max([x] + [c[1] * c[0].shape[1] for c in cliques.values()
+                     if c is not None])
+    g = (53 - top.bit_length()) // b + 1
     flat = rel.ravel()
     counts = [np.count_nonzero(flat == l) for l in range(d + 1)]
-    e = int(np.argmax(counts))
     ident = next((l for l in range(d + 1) if counts[l] == x
                   and (np.diagonal(rel) == l).all()), None)
+    e = max(range(d + 1), key=lambda l: (l not in cliques and l != ident,
+                                         counts[l], -l))
     present = np.flatnonzero(counts)
     rows, cols = np.divmod([np.argmax(flat == l) for l in present], x)
     first_rows = rel[rows]
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    ok = True
     for lo in range(0, d + 1, g):
         width = min(g, d + 1 - lo)
         digit = np.zeros(d + 1)
@@ -142,18 +162,81 @@ def triple_counts(rel, d):
         packed = t.astype(np.int64)
         for j in range(width):
             p[:, lo + j, :] = (packed >> (b * j)) & ((1 << b) - 1)
+        if not ok:
+            continue
+        sums = {i: _clique_sums(dig, c[0]) for i, c in cliques.items()
+                if i != e}
         colsum = dig.sum(axis=0)
         for s in range(0, x, _ROWS):
-            if not ok:
-                break
             block = rel[s:s + _ROWS]
+            # the covers do not depend on the digits: check them once
+            ok = lo > 0 or all(_cover_holds(block, s, i, c)
+                               for i, c in cliques.items())
             prod_e = np.broadcast_to(colsum, block.shape).copy()
             for i in range(d + 1):
-                if i == e:
+                if not ok or i == e:
                     continue
-                prod = (dig[s:s + _ROWS] if i == ident
-                        else (block == i).astype(np.float64) @ dig)
-                ok = ok and bool((prod == np.take(t[i], block)).all())
+                if i in sums:
+                    prod = _clique_product(sums[i], cliques[i], dig, s)
+                elif i == ident:
+                    prod = dig[s:s + _ROWS]
+                else:
+                    prod = (block == i).astype(np.float64) @ dig
+                ok = bool((prod == np.take(t[i], block)).all())
                 prod_e -= prod
             ok = ok and bool((prod_e == np.take(t[e], block)).all())
+            if not ok:
+                break
     return ok, p
+
+
+def _cliques(cover, x):
+    """(cover, m, where), where[a] the m rows of `cover` that hold a
+    (with multiplicity); None unless `cover` is a non-empty 2-d integer
+    array of elements 0..x-1 that each occur m times."""
+    cover = np.asarray(cover)
+    if (cover.ndim != 2 or cover.size == 0 or cover.dtype.kind not in "iu"
+            or cover.size % x or cover.min() < 0 or cover.max() >= x):
+        return None
+    m = cover.size // x
+    cover = cover.astype(np.intp, copy=False)
+    flat = cover.ravel()
+    if (np.bincount(flat, minlength=x) != m).any():
+        return None
+    return cover, m, (np.argsort(flat, kind="stable")
+                      // cover.shape[1]).reshape(x, m)
+
+
+def _clique_sums(dig, cover):
+    """M D: the sum of dig's rows over each clique, gathering at most
+    _ROWS rows at a time."""
+    out = np.zeros((len(cover), dig.shape[1]))
+    for lo in range(0, len(cover), _ROWS):
+        part = out[lo:lo + _ROWS]
+        for col in cover[lo:lo + _ROWS].T:
+            part += dig[col]
+    return out
+
+
+def _cover_holds(block, start, i, clique):
+    """For the rows start.. of `block`: the number of cliques holding
+    both a and c is [block[a, c] = i] off the diagonal and m on it."""
+    cover, m, where = clique
+    rows, x = block.shape
+    at = cover[where[start:start + rows]] + (x * np.arange(rows))[:, None, None]
+    want = (block == i).astype(np.int64)
+    want[np.arange(rows), start + np.arange(rows)] = m
+    return bool((np.bincount(at.ravel(), minlength=rows * x)
+                 == want.ravel()).all())
+
+
+def _clique_product(sums, clique, dig, start):
+    """Rows start.. of A_i D = M^T (M D) - m D, one gather of row
+    length |X| per clique of each row."""
+    _, m, where = clique
+    w = where[start:start + _ROWS]
+    prod = sums[w[:, 0]]
+    for j in range(1, m):
+        prod += sums[w[:, j]]
+    prod -= m * dig[start:start + _ROWS]
+    return prod

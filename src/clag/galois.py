@@ -109,7 +109,10 @@ class FiniteField:
         q, p = self.q, self.p
         powers = p ** np.arange(self.h)
         dig = np.arange(q)[:, None] // powers % p
-        self.add_table = ((dig[:, None, :] + dig[None, :, :]) % p) @ powers
+        # one digit at a time: no (q, q, h) temporary
+        self.add_table = np.zeros((q, q), dtype=np.int64)
+        for col, w in zip(dig.T, powers):
+            self.add_table += (col[:, None] + col) % p * w
         self.neg_table = (-dig % p) @ powers
         # a b = sum_i b_i (a x^i), a x^i by the companion matrix of the
         # modulus; column c p^i + r (r < p^i) is column r plus c (a x^i)

@@ -26,10 +26,13 @@ D = 2^(b rel), row a of the float64 product A_i D holds every
 (A_i A_j)[a, c] as its base-2^b digit j, without carries.  Every term
 is a non-negative integer and every partial sum stays below 2^53 (the
 relations are split into digit groups of at most 53 bits), so float64
-is exact.  Only two relations for lines and one for hyperplanes take a
-product: A_0 = I gives D, and the relation with the most pairs
-(disjoint lines, e.g. 420 of 496 in AG(5,2); affinely meeting
-hyperplanes) follows from sum_l A_l = J.
+is exact.  No relation takes a dense product: A_0 = I gives D, the
+relation with the most pairs (disjoint lines, e.g. 420 of 496 in
+AG(5,2); affinely meeting hyperplanes) follows from sum_l A_l = J, and
+the others are covered by cliques the geometry stores, A_i = M^T M - m I
+(parallel k-spaces by the pencils at infinity, m = 1; lines meeting in
+a point by the point pencils, m = q), so A_i D is a gather of clique
+sums.
 Through p, each Bose-Mesner identity among
 N_j = sum_a lut_j[a] A_a is an integer combination of the A_l, whose
 supports are disjoint and non-empty, so it holds exactly iff its
@@ -290,24 +293,35 @@ def hyperplane_adjudication(n: int, q: int,
 # brute force
 # ---------------------------------------------------------------------------
 
-def scheme_axioms_bruteforce(rel: np.ndarray, d: int) -> tuple[bool, np.ndarray]:
+def scheme_axioms_bruteforce(rel: np.ndarray, d: int,
+                             covers=None) -> tuple[bool, np.ndarray]:
     """Partition/identity/symmetry plus constancy of every p_ij^l over
     every pair, exhaustively.  Returns (ok, p[i,j,l]); p is zero when
-    some entry is not a relation number 0..d."""
+    some entry is not a relation number 0..d.  `covers` maps relations
+    to clique covers, checked and used as in `_kernels.triple_counts`."""
     if not ((rel >= 0) & (rel <= d)).all():
         return False, np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     ok = bool((np.diag(rel) == 0).all())
     ok = ok and bool((rel == rel.T).all())
     off = rel[~np.eye(rel.shape[0], dtype=bool)]
     ok = ok and bool((off > 0).all())
-    const, p = _kernels.triple_counts(np.ascontiguousarray(rel), d)
+    const, p = _kernels.triple_counts(np.ascontiguousarray(rel), d,
+                                      covers)
     return ok and bool(const), p
 
 
 def _product_table(space: AmbientSpace, kind: str) -> np.ndarray:
-    """p[i,j,l] from one relation matrix; raises if the axioms fail."""
+    """p[i,j,l] from one relation matrix; raises if the axioms fail.
+    The parallel relation is covered by the pencils at infinity (m = 1),
+    and for lines, which share at most one point, the relation of
+    meeting in a point by the point pencils (m = q)."""
+    spec = _kind(kind)
+    k = spec.k(space.n)
     rel = relation_matrix(space, kind)
-    ok, p = scheme_axioms_bruteforce(rel, max(_kind(kind).codes))
+    covers = {spec.codes[1]: np.stack(space.infinity_pencils(k)[1])}
+    if k == 1:
+        covers[spec.codes[2]] = space.point_pencils(1)
+    ok, p = scheme_axioms_bruteforce(rel, max(spec.codes), covers)
     if not ok:
         raise AssertionError("scheme axioms fail by brute force")
     return p
@@ -347,30 +361,40 @@ def _charpoly(mat) -> list[int]:
     return coeffs  # x^size + coeffs[1] x^(size-1) + ... + coeffs[size]
 
 
+def _horner(coeffs, lam: int) -> int:
+    val = 0
+    for c in coeffs:
+        val = val * lam + c
+    return val
+
+
 def eigenmatrix_bruteforce(mats: list[np.ndarray]) -> np.ndarray:
     """P from the intersection matrices of a passing scheme_axioms_bruteforce:
     their common left eigenvectors, leading entry 1, valency row first.
 
     The rows are the left eigenvectors of B = sum_{i>=1} t^i B_i at any t
-    where B has d+1 distinct eigenvalues.  Two distinct rows give equal
-    eigenvalues for at most d values of t, so some t <= d C(d+1, 2) + 1
-    separates them all.  The eigenvalues must be integers; they are
-    bounded by the largest row sum of |B|."""
+    where B has d+1 distinct eigenvalues.  Row r's eigenvalue there is
+    sum_i t^i P_ri, and P_ri, an eigenvalue of B_i, must be an integer
+    with |P_ri| <= k_i: so B_i's integer roots in [-k_i, k_i] are found
+    once, and only their sums are tested, exactly, on the characteristic
+    polynomial of B.  Two distinct rows give equal eigenvalues for at
+    most d - 1 values of t >= 1 (their difference is t times a
+    polynomial of degree at most d - 1), so some t <= (d-1) C(d+1, 2) + 2
+    separates them all.  The scan starts at t = 2: at t = 1, B is the
+    intersection matrix of J - I, with the two eigenvalues |X| - 1 and
+    -1."""
     d = len(mats) - 1
-    for t in range(1, (d + 1) ** 3 + 1):
+    valencies = [1] + [int(mats[j][0][j]) for j in range(1, d + 1)]
+    thetas = [[lam for lam in range(-k, k + 1) if _horner(coeffs, lam) == 0]
+              for k, coeffs in zip(valencies[1:], map(_charpoly, mats[1:]))]
+    for t in range(2, (d + 1) ** 3 + 2):
         bt = [[sum(t**i * int(mats[i][c][r]) for i in range(1, d + 1))
                for c in range(d + 1)] for r in range(d + 1)]
         coeffs = _charpoly(bt)
-        bound = max(sum(abs(v) for v in col) for col in zip(*bt))
-        roots = []
-        for lam in range(-bound, bound + 1):
-            val = 0
-            for c in coeffs:
-                val = val * lam + c
-            if val == 0:
-                roots.append(lam)
-                if len(roots) == d + 1:
-                    break
+        sums = {0}
+        for i, theta in enumerate(thetas, 1):
+            sums = {s + t**i * lam for s in sums for lam in theta}
+        roots = [lam for lam in sums if _horner(coeffs, lam) == 0]
         if len(roots) == d + 1:
             break
     else:
@@ -384,7 +408,6 @@ def eigenmatrix_bruteforce(mats: list[np.ndarray]) -> np.ndarray:
         row = [Fraction(v, vec[0]) for v in vec]
         assert all(f.denominator == 1 for f in row)
         rows.append([int(f) for f in row])
-    valencies = [1] + [int(mats[j][0][j]) for j in range(1, d + 1)]
     rows.sort(key=lambda r: (r != valencies, [-v for v in r[1:]]))
     return np.array(rows, dtype=np.int64)
 

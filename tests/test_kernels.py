@@ -2,6 +2,7 @@
 reference loop in `oracle`."""
 
 import random
+from functools import cache
 
 import numpy as np
 import pytest
@@ -88,6 +89,103 @@ def test_triple_counts_paths_agree():
 
 
 
+def _geometry_covers(space, kind):
+    """The clique covers a geometry gives by hand: the pencils at
+    infinity for the parallel relation and, for lines, the point pencils
+    for meeting in a point."""
+    if kind == "affine_lines":
+        return {1: space.point_pencils(1),
+                2: np.stack(space.infinity_pencils(1)[1])}
+    return {1: np.stack(space.infinity_pencils(space.n - 1)[1])}
+
+
+@cache
+def _reference(n, q, kind):
+    rel = relation_matrix(ambient(n, q, "affine"), kind)
+    return oracle.triple_counts(rel, int(rel.max()))
+
+
+GEOMETRIES = [(n, q, kind) for n, q in [(3, 2), (3, 3), (4, 2)]
+              for kind in ("affine_lines", "affine_hyperplanes")]
+
+
+@pytest.mark.parametrize("n,q,kind", GEOMETRIES)
+def test_triple_counts_from_covers_match_reference(n, q, kind):
+    space = ambient(n, q, "affine")
+    rel = relation_matrix(space, kind)
+    ok, p = _kernels.triple_counts(rel, int(rel.max()),
+                                   _geometry_covers(space, kind))
+    ok_ref, p_ref = _reference(n, q, kind)
+    assert ok and ok_ref and np.array_equal(p, p_ref)
+
+
+def _swap_one_member(cover):
+    # exchange one member of the first clique with a member of another
+    # clique that does not already hold it: every element still occurs
+    # equally often
+    bad = np.array(cover)
+    a = bad[0, 0]
+    row, col = next((r, c) for r in range(1, len(bad)) if a not in bad[r]
+                    for c in range(bad.shape[1]) if bad[r, c] not in bad[0])
+    bad[0, 0], bad[row, col] = bad[row, col], a
+    return bad
+
+
+def _bad_covers(space, kind, d):
+    # relation 1's cover spoilt in each way, beside the others' good ones
+    covers = _geometry_covers(space, kind)
+    cover = covers[1]
+    rest = {i: c for i, c in covers.items() if i != 1}
+    yield "swapped member", {**rest, 1: _swap_one_member(cover)}
+    yield "wrong relation", {**rest, d: cover}
+    # the relation with the most cells is derived from sum_l A_l = J
+    # when all are covered, so only the check on every cell sees this
+    yield "wrong cover of the derived relation", {**covers, d: cover}
+    yield "unequal occurrences", {**rest, 1: cover[1:]}
+    yield "not an integer array", {**rest, 1: cover.astype(float)}
+    yield "one-dimensional", {**rest, 1: cover.ravel()}
+    yield "element out of range", {**rest, 1: cover + 1}
+    yield "relation out of range", {**covers, 7: cover}
+
+
+@pytest.mark.parametrize("n,q,kind", GEOMETRIES)
+def test_triple_counts_refuse_wrong_covers_without_raising(n, q, kind):
+    space = ambient(n, q, "affine")
+    rel = relation_matrix(space, kind)
+    d = int(rel.max())
+    p_ref = _kernels.triple_counts(rel, d)[1]
+    for what, covers in _bad_covers(space, kind, d):
+        ok, p = _kernels.triple_counts(rel, d, covers)
+        assert not ok, what
+        # p is read from rel alone, at the first pair of each relation
+        assert np.array_equal(p, p_ref), what
+
+
+def test_triple_counts_check_a_cover_on_every_cell():
+    # rows 0 and 1 are equal, so D = 2^(b rel) is singular: the clique
+    # {0, 1} gives M^T M - I = J - I != A_1, yet the same A_1 D
+    rel = np.array([[0, 1], [0, 1]], dtype=np.int8)
+    assert _kernels.triple_counts(rel, 1)[0]
+    assert not _kernels.triple_counts(rel, 1, {1: np.array([[0, 1]])})[0]
+
+
+@pytest.mark.parametrize("kind", ["affine_lines", "affine_hyperplanes"])
+def test_triple_counts_from_covers_reject_perturbed_relations(kind):
+    space = ambient(3, 3, "affine")
+    rel = relation_matrix(space, kind).copy()
+    d = int(rel.max())
+    covers = _geometry_covers(space, kind)
+    assert _kernels.triple_counts(rel, d, covers)[0]
+    # swap one symmetric pair of relation 1 with one of relation d
+    a, b = map(int, np.argwhere(rel == 1)[0])
+    c, e = map(int, np.argwhere(rel == d)[0])
+    rel[a, b] = rel[b, a] = d
+    rel[c, e] = rel[e, c] = 1
+    ok, p = _kernels.triple_counts(rel, d, covers)
+    ok_ref, p_ref = oracle.triple_counts(rel, d)
+    assert not ok and not ok_ref and np.array_equal(p, p_ref)
+
+
 def _random_relation(rng, x, d, symmetric, zero_diagonal):
     rel = rng.integers(0, d + 1, size=(x, x))
     if symmetric:
@@ -120,9 +218,8 @@ def test_triple_counts_on_schemes_with_identity_and_largest_relation():
     # largest relation, are both present and derived without a pass
     for kind in ("affine_lines", "affine_hyperplanes"):
         rel = relation_matrix(ambient(3, 3, "affine"), kind)
-        d = int(rel.max())
-        ok_np, p_np = _kernels.triple_counts(rel, d)
-        ok, p = oracle.triple_counts(rel, d)
+        ok_np, p_np = _kernels.triple_counts(rel, int(rel.max()))
+        ok, p = _reference(3, 3, kind)
         assert ok_np and ok and np.array_equal(p_np, p)
 
 

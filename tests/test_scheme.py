@@ -179,6 +179,12 @@ def test_eigenmatrix_bruteforce_johnson():
     assert sorted(P.tolist()) == sorted(known)
 
 
+def test_eigenmatrix_bruteforce_complete_graph():
+    # d = 1: relation 1 is J - I on 6 points, eigenvalues 5 and -1
+    rel = 1 - np.eye(6, dtype=np.int8)
+    assert _eigenmatrix_of(rel, 1).tolist() == [[1, 5], [1, -1]]
+
+
 def test_eigenmatrix_bruteforce_refuses_pentagon():
     # the 5-cycle's distance scheme has eigenvalues (-1 +- sqrt 5) / 2
     rel = np.array([[min((a - b) % 5, (b - a) % 5) for b in range(5)]
@@ -433,6 +439,37 @@ def test_scheme_report_counts_triples_once(monkeypatch, kind):
     rep = scheme_report(3, 2, kind, brute_force=True)
     assert rep["brute_force"]["diff"] == []
     assert calls == {"triples": 1, "relation": 1}
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2), (5, 2)])
+@pytest.mark.parametrize("kind", ["affine_lines", "affine_hyperplanes"])
+def test_product_table_covers_all_but_identity_and_largest(monkeypatch,
+                                                           n, q, kind):
+    # I gives the digit matrix and the largest relation follows from
+    # sum_l A_l = J; every other relation gets a clique cover, so the
+    # library path takes no dense product
+    seen = []
+
+    def capture(rel, d, covers=None):
+        seen.append((rel, d, covers))
+        return triple_counts(rel, d, covers)
+
+    triple_counts = _kernels.triple_counts
+    monkeypatch.setattr(_kernels, "triple_counts", capture)
+    p = scheme._product_table(ambient(n, q, "affine"), kind)
+    ((rel, d, covers),) = seen
+    counts = np.bincount(rel.ravel())
+    assert (np.diagonal(rel) == 0).all() and counts[0] == len(rel)
+    assert counts[d] == counts.max()
+    assert sorted(covers) == list(range(1, d))
+    assert np.array_equal(p, triple_counts(rel, d)[1])
+
+
+def test_scheme_report_no_diff_on_ag35_lines():
+    # 775 lines; AG(4,3) (1080 lines) is acceptance criterion 1
+    rep = scheme_report(3, 5, "affine_lines", brute_force=True)
+    assert rep["brute_force"]["diff"] == []
+    assert all(rep["brute_force"]["bose_mesner"].values())
 
 
 def test_scheme_report_reads_the_environment_guard(monkeypatch):
