@@ -51,18 +51,27 @@ One block step makes every child of the node from it: the choices
 whose checks vanish survive, each with p' = p + alpha @ R, the children
 of assigning the members one by one.
 
-A child is decided by its first forced read before it is built.  The
+A child is decided by its whole forced scan before it is built.  The
 children of one block step share T, the set of unknown spaces and the
-pencil counts, so their scans all read first at the same column t0 of
-T's forced columns: a child whose p[t0] is not 0 or 1 is counted as a
-node pruned by elimination and never becomes a search state, and with
-no t0 no scan reads anything, so the siblings take their next
-branching together, a block step by one product of their stacked p[u]
-with the plan's forms.  In the endgame the two children of a value
-branch on j share T' = T with j eliminated and its pivot row R, so
-child v reads p[t0] - (p[j] - v) R[t0] first: two scalars of the
-parent's p decide it, unless j's pencil then has x ones or needs all
-its unknown members, whose cascade assigns more before the scan.
+pencil counts, so their scans read the same columns, T's unknown fresh
+ones: one product reads every child's p there, and `_Search._scan` runs
+each child's scan on those reads alone, in index order, keeping its
+pencil counts and the spaces it sets beside it.  A child pruned by
+elimination or by a pencil count, or whose cascade meets a forced
+column holding the other value, is counted and never becomes a search
+state; a survivor is built once, with its scan's assignments, and
+branches.  With nothing to read the siblings take their next branching
+together, a block step by one product of their stacked p[u] with the
+plan's forms.  In the endgame the children of a value branch on j share
+T' = T with j eliminated and its pivot row R, and their scans read only
+the columns that eliminating j forced, where child v holds
+p[t] - (p[j] - v) R[t] mod P, scalars of its parent's p computed only
+as far as its scan gets.  The exception is a value after which j's
+pencil has x ones or needs all its unknown members: that cascade
+assigns more before the scan, so its children are built and assigned.
+A scan whose cascade would eliminate a column of T hands that read to
+`_Search._assign`: its child is built with the reads before it and
+scanned on as a state, as the root and the cascades' children are.
 """
 
 from __future__ import annotations
@@ -101,6 +110,9 @@ PRUNING_RULES = ("pencil-at-infinity counts (type II spread intersections "
 # while m < 2^13; past that the dense T alone has over 2^28 entries
 _PRIME = 33_554_393
 _ENDGAME_DIM = 6         # switch to value branching when this few remain
+# how `_Search._scan` ends a scan, unless at a read it hands to `_assign`
+_SURVIVED, _CONTRADICTION = "survived", "contradiction"
+_ELIMINATION, _PENCIL_COUNTS = "elimination", "pencil counts"
 
 
 class ScaleExceeded(RuntimeError):
@@ -126,20 +138,27 @@ class _Directions:
     """T mod P, read-only, with its number of rows, its forced (zero)
     columns, the sorted list of those that are not pivots of the
     eliminations that made T, a memo of the eliminations already made
-    from it and the pencil plans that start from it."""
+    from it and the pencil plans that start from it.  A T made from its
+    parent by eliminating a pivot with row R also keeps what a value
+    branch on the pivot reads: the columns it forced (`new`), `reads`,
+    those and then the pivot, and R at `reads`."""
 
-    __slots__ = ("a", "dim", "forced", "fresh", "memo", "plans")
+    __slots__ = ("a", "dim", "forced", "fresh", "new", "reads", "row_reads",
+                 "memo", "plans")
 
     def __init__(self, a: np.ndarray, parent: "_Directions | None" = None,
-                 pivot: int = -1):
+                 pivot: int = -1, row: np.ndarray | None = None):
         self.a = _read_only(a)
         self.dim = a.shape[0]
         forced = ~a.any(axis=0)
         self.forced = forced.tolist()
         self.fresh = np.flatnonzero(forced).tolist()
         if parent is not None:  # T is the parent's T with pivot eliminated
-            self.fresh = sorted(parent.fresh + [
-                j for j in self.fresh if not parent.forced[j] and j != pivot])
+            self.new = [j for j in self.fresh
+                        if not parent.forced[j] and j != pivot]
+            self.fresh = sorted(parent.fresh + self.new)
+            self.reads = np.array(self.new + [pivot])
+            self.row_reads = row[self.reads].tolist()
         self.memo: dict[int, tuple[np.ndarray, _Directions]] = {}
         self.plans: dict[tuple[tuple[int, ...], int], _Plan] = {}
 
@@ -159,7 +178,8 @@ class _Directions:
             out = a.copy()
             out[rows] = (a[rows] - col[rows, None] * pivot) % _PRIME
             out[r] = out[-1]
-            hit = self.memo[j] = (pivot, _Directions(out[:-1], self, j))
+            hit = self.memo[j] = (pivot,
+                                  _Directions(out[:-1], self, j, pivot))
         return hit
 
 
@@ -312,8 +332,9 @@ class _Siblings:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def columns(self, cols: list[int]) -> np.ndarray:
+    def columns(self, cols) -> np.ndarray:
         """Every sibling's p at cols, a row per sibling."""
+        cols = np.asarray(cols)  # indexes a 2-d array faster than a list
         if self.alphas is None:
             return self.p[cols][None]
         return (self.p[cols] + self.alphas @ self.rows[:, cols]) % _PRIME
@@ -355,6 +376,7 @@ class _Search:
         self.tableau = _Tableau.start(_dense_rows(space, k).T)
         self.solutions: list[tuple[int, ...]] = []
         self.plans_built = 0
+        self.states_built = 0
 
     # -- assignment and propagation ----------------------------------------
 
@@ -387,83 +409,191 @@ class _Search:
                 if state.values[t] == -1:
                     self._assign(state, t, 1)
 
-    def _scan_forced(self, state):
-        # visit forced unknowns in index order, re-reading the tableau
-        # after each assignment, and pass again while T changed (with T
-        # unchanged a pass leaves no forced column unknown); a T's
-        # pivots are assigned in every state that reaches it, so only
-        # its other forced columns (`fresh`) that are unknown are read
-        values = state.values
-        changed = True
-        while changed:
-            changed = False
-            tab = state.tab
-            todo, i = [j for j in tab.dirs.fresh if values[j] == -1], 0
-            while i < len(todo):
-                j = todo[i]
-                i += 1
-                if values[j] != -1:  # set by a pencil cascade
+    def _scan(self, values, todo, ones, unknown, first, children, r=None,
+              val=0):
+        """The forced scans of children that share T, the spaces set in
+        `values` and `first`, the pencil counts ones and unknown, and
+        the columns todo that each scan reads, in index order, without
+        building its child.  `children` holds pairs (i, base): child i's
+        p at todo[k] is base[k], or with r, (base[k] - e r[k]) mod P with
+        e = base[-1] - val, read only as far as the scan gets.  Counts
+        every read and every prune, and yields (i, exit, done, ones,
+        unknown) for each child whose scan ends in neither a prune nor a
+        contradiction, a cascade onto a forced column holding the other
+        value, which `_Tableau.assigned` raises uncounted.  done, ones
+        and unknown are those of the child, copied at its scan's first
+        assignment, and exit is `_SURVIVED` or the read j whose pencil's
+        cascade only `_assign` can make: one that meets a column outside
+        todo, unforced, so that T changes, or forced but not read here,
+        with j and what follows it unapplied."""
+        x, per_space, pencils = self.x, self.per_space, self.pencils
+        stats, e, rr, pos = self.stats, 0, r, None
+        for i, base in children:
+            if r is None:
+                rr = base
+            else:
+                e = base[-1] - val
+            done, counts, left, reads, exit = (first, ones, unknown, 0,
+                                               _SURVIVED)
+            for j, b, c in zip(todo, base, rr):
+                if j in done:  # set by a pencil cascade
                     continue
-                val = tab.p.item(j)  # a residue, so 0 or 1 iff <= 1
-                if val > 1:
-                    self.stats.pruned_by_elimination += 1
-                    raise _Contradiction
-                self._assign(state, j, val, read=True)
+                v = (b - e * c) % _PRIME
+                if v > 1:
+                    exit = _ELIMINATION
+                    break
+                pid = per_space[j]
+                ones_p, left_p = counts[pid] + v, left[pid] - 1
+                if ones_p > x or ones_p + left_p < x:
+                    exit = _PENCIL_COUNTS
+                    break
+                cascade = ()
+                if left_p and (ones_p == x or ones_p + left_p == x):
+                    fill = int(ones_p < x)
+                    cascade = [t for t in pencils[pid]
+                               if t != j and values[t] == -1 and t not in done]
+                    if pos is None:
+                        pos = {t: k for k, t in enumerate(todo)}
+                    for t in cascade:  # in the order `_assign` takes them
+                        k = pos.get(t)
+                        if k is None:
+                            exit = j
+                            break
+                        if (base[k] - e * rr[k]) % _PRIME != fill:
+                            exit = _CONTRADICTION
+                            break
+                    if exit is not _SURVIVED:
+                        break
+                    ones_p += fill * len(cascade)
+                    left_p -= len(cascade)
+                if not reads:
+                    done, counts, left = dict(done), counts[:], left[:]
+                done[j] = v
+                for t in cascade:
+                    done[t] = fill
+                counts[pid], left[pid] = ones_p, left_p
+                reads += 1
+            stats.forced += reads
+            if exit is _ELIMINATION:
+                stats.pruned_by_elimination += 1
+            elif exit is _PENCIL_COUNTS:
+                stats.pruned_by_pencil_counts += 1
+            elif exit is not _CONTRADICTION:
+                yield i, exit, done, counts, left
+
+    def _scan_forced(self, state, j=-1):
+        """`_scan` on state's own p, applied to state, after first
+        making the read j, if any, that a scan handed on.  A read handed
+        on ends one scan: `_assign` makes it, and the scan resumes past
+        it, on the new T if its cascade changed T; a pass that changed T
+        is followed by a pass from the start, where the new T's forced
+        columns may lie (with T unchanged a pass leaves no forced column
+        unknown).  A T's pivots are assigned in every state that reaches
+        it, so only its other forced columns (`fresh`) that are unknown
+        are read."""
+        values = state.values
+        changed, after = False, -1
+        while True:
+            if j >= 0:
+                tab = state.tab
+                self._assign(state, j, tab.p.item(j), read=True)
                 self.stats.forced += 1
-                if state.tab is not tab:
-                    changed = True
-                    tab = state.tab
-                    todo, i = [t for t in tab.dirs.fresh
-                               if t > j and values[t] == -1], 0
+                changed |= state.tab is not tab
+                after = j
+            tab = state.tab
+            todo = [t for t in tab.dirs.fresh if t > after and values[t] == -1]
+            scanned = next(self._scan(
+                values, todo, state.ones, state.unknown, {},
+                [(0, tab.p[todo].tolist())]), None)
+            if scanned is None:
+                raise _Contradiction
+            _, exit, done, state.ones, state.unknown = scanned
+            for t, val in done.items():
+                values[t] = val
+            if exit is not _SURVIVED:
+                j = exit
+            elif changed:
+                changed, after, j = False, -1, -1
+            else:
+                return
 
     # -- main recursion ----------------------------------------------------
     #
-    # A node is counted when it is scanned.  Siblings whose scan would
-    # read nothing are counted together and branch together; a child
-    # whose scan would prune at its first read is counted as pruned and
-    # never built: see `_visit` and `_value_branch`.
+    # A node is counted when it is decided, and scanned before or as it
+    # is built: a child only once its scan survives (`_decide`).
+    # Siblings whose scan would read nothing are counted together and
+    # branch together.
 
     def run(self):
         state = _State([-1] * len(self.per_space),
                        [0] * len(self.pencils),
                        [len(p) for p in self.pencils],
                        self.tableau)
+        self.stats.nodes += 1
         self._dfs(state)
         self.solutions.sort()
 
-    def _dfs(self, state):
-        self.stats.nodes += 1
+    def _dfs(self, state, j=-1):
+        """Scans a counted node, after the read j of `_scan_forced`, and
+        branches."""
         try:
-            self._scan_forced(state)
+            self._scan_forced(state, j)
         except _Contradiction:
             return
         self._branch(_Siblings(state.values, (), [()], state.ones,
                                state.unknown, state.tab.dirs, state.tab.p))
 
     def _visit(self, sibs):
-        """Counts and scans unscanned siblings.  They share T's unknown
-        forced columns, so each one's scan reads first at the same
-        column t0: siblings whose p[t0] is not 0 or 1 are pruned there,
-        the others are scanned one by one; with no t0 no scan reads
-        anything and the siblings branch together."""
-        values = sibs.values
-        t0 = next((t for t in sibs.dirs.fresh if values[t] == -1), None)
-        if t0 is None:
+        """Counts and scans the unscanned children of one block step.
+        They share T, their unknown spaces and pencil counts, so they
+        share `todo`, T's unknown fresh columns, and one product reads
+        every sibling's p there for `_decide`.  With no todo no scan
+        reads anything and the siblings branch together."""
+        todo = [t for t in sibs.dirs.fresh if sibs.values[t] == -1]
+        if not todo:
             self.stats.nodes += len(sibs)
             self._branch(sibs)
             return
-        keep = sibs.columns([t0])[:, 0] <= 1
-        dead = len(keep) - int(keep.sum())
-        self.stats.nodes += dead
-        self.stats.pruned_by_elimination += dead
-        for i in np.flatnonzero(keep).tolist():
-            self._dfs(sibs.state(i))
+        self._decide(sibs, sibs.dirs, todo, sibs.columns(todo).tolist(),
+                     sibs.ones, sibs.unknown)
+
+    def _decide(self, sibs, dirs, todo, cols, ones, unknown, j=-1, val=0):
+        """Counts a child of each sibling and decides it by its whole
+        forced scan before it is built.  The children have T = dirs, the
+        unknown fresh columns `todo` and the pencil counts ones and
+        unknown, and cols holds each one's p at todo.  With j, the child
+        is the sibling with j set to val, T' = dirs, its p is
+        p - (p[j] - val) R mod P with R the pivot row, and cols holds
+        the sibling's p at `dirs.reads`.  A pruned child is never built;
+        a survivor is built once with its scan's assignments and
+        branches; a child whose scan hands a read to `_assign` is built
+        with the reads before it, and `_dfs` scans it on."""
+        first, row, r = {}, None, None
+        if j >= 0:
+            first, row = {j: val}, sibs.dirs.eliminated(j)[0]
+            r = dirs.row_reads
+        self.stats.nodes += len(cols)
+        for i, exit, done, counts, left in self._scan(
+                sibs.values, todo, ones, unknown, first, enumerate(cols), r,
+                val):
+            values = sibs.values_of(i)
+            for t, v in done.items():
+                values[t] = v
+            p = sibs.p_of(i)
+            if row is not None and p.item(j) != val:
+                p = (p - (p.item(j) - val) * row) % _PRIME
+            self.states_built += 1
+            if exit is _SURVIVED:
+                self._branch(_Siblings(values, (), [()], counts, left, dirs,
+                                       p))
+            else:
+                self._dfs(_State(values, counts[:], left[:],
+                                 _Tableau(dirs, p)), exit)
 
     def _branch(self, sibs):
         """The common next branching of scanned siblings: every one a
         leaf, a value branch in the endgame, or a block step."""
-        nxt = next((pid for pid, left in enumerate(sibs.unknown) if left),
-                   None)
+        nxt = next(itertools.compress(itertools.count(), sibs.unknown), None)
         if nxt is None:
             # `_assign` bounds every pencil and a block step fills one
             assert sibs.ones == [self.x] * len(sibs.ones)
@@ -479,52 +609,38 @@ class _Search:
     def _value_branch(self, sibs, pid):
         """Both values of the first unknown member j of pencil pid, for
         every sibling.  Unless the pencil is pruned or cascades, the
-        children of a value share T' = T with j eliminated, pivot row R,
-        and the first column t0 their scan reads, where a child holds
-        p[t0] - (p[j] - val) R[t0] mod P with p its parent's: a value
-        outside {0, 1} prunes the child before it is built."""
+        children of a value share T' = T with j eliminated, its pivot
+        row R and their unknown fresh columns, T'.new, the columns that
+        eliminating j forced: a scanned sibling has every fresh column
+        of T assigned.  One product reads every sibling's p there and at
+        j, and `_decide` decides each child from those reads; a
+        cascade's children are built and assigned."""
         shared = sibs.values
         j = next(t for t in self.pencils[pid] if shared[t] == -1)
         left = sibs.unknown[pid] - 1
-        count = len(sibs)
         dirs = None
         for val in (0, 1):
             ones = sibs.ones[pid] + val
             if ones > self.x or ones + left < self.x:
-                self.stats.pruned_by_pencil_counts += count
+                self.stats.pruned_by_pencil_counts += len(sibs)
                 continue
             if left and (ones == self.x or ones + left == self.x):
-                for i in range(count):  # a cascade: build and assign
+                for i in range(len(sibs)):  # a cascade: build and assign
                     child = sibs.state(i)
+                    self.states_built += 1
                     try:
                         self._assign(child, j, val)
                     except _Contradiction:
                         continue
+                    self.stats.nodes += 1
                     self._dfs(child)
                 continue
             if dirs is None:
-                row, dirs = sibs.dirs.eliminated(j)
-                t0 = next((t for t in dirs.fresh if shared[t] == -1), None)
-                if t0 is None:
-                    pj, = sibs.columns([j]).T.tolist()
-                else:
-                    pj, p0 = sibs.columns([j, t0]).T.tolist()
-                    r0 = row.item(t0)
+                dirs = sibs.dirs.eliminated(j)[1]
+                cols = sibs.columns(dirs.reads).tolist()
             counts, unknown = sibs.ones[:], sibs.unknown[:]
             counts[pid], unknown[pid] = ones, left
-            for i in range(count):
-                e = pj[i] - val
-                if t0 is not None and (p0[i] - e * r0) % _PRIME > 1:
-                    self.stats.nodes += 1
-                    self.stats.pruned_by_elimination += 1
-                    continue
-                values = sibs.values_of(i)
-                values[j] = val
-                p = sibs.p_of(i)
-                if e:
-                    p = (p - e * row) % _PRIME
-                self._dfs(_State(values, counts[:], unknown[:],
-                                 _Tableau(dirs, p)))
+            self._decide(sibs, dirs, dirs.new, cols, counts, unknown, j, val)
 
     def _children(self, sibs, pid):
         """Per sibling i with any, (i, its children): the states that
@@ -575,9 +691,9 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
                     timing: bool = False) -> dict:
     """Complete classification certificate for the Cameron-Liebler
     k-sets of AG(n, q) with parameter x.  With `timing`, the search
-    rate `nodes_per_s` and the number of pencil plans built follow
-    `wall_clock_s`; like it they describe the run, not the
-    classification."""
+    rate `nodes_per_s`, the number of pencil plans built and the number
+    of children built as search states follow `wall_clock_s`; like it
+    they describe the run, not the classification."""
     if not 1 <= k <= n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{n - 1}")
     space = ambient(n, q, "affine")
@@ -592,7 +708,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     complemented = False
     solutions: list[tuple[int, ...]] = []
     stats = SearchStats()
-    plans_built = 0
+    plans_built = states_built = 0
     if 0 <= x <= max_x:
         search_x = x
         if x > max_x - x:
@@ -600,7 +716,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
             search_x = max_x - x
         search = _Search(space, k, search_x, stats)
         search.run()
-        plans_built = search.plans_built
+        plans_built, states_built = search.plans_built, search.states_built
         found = search.solutions
         if complemented:
             allidx = frozenset(range(total))
@@ -624,6 +740,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     if timing:
         cert["nodes_per_s"] = round(stats.nodes / wall) if wall > 0 else 0
         cert["plans_built"] = plans_built
+        cert["states_built"] = states_built
     return cert
 
 

@@ -40,7 +40,12 @@ time from the start.
 `BuildEveryChildSearch` is the search without decided children: every
 child of a value branch is a clone given its value by `_assign`, the
 children of a block step are those of `combination_children`, every
-child is scanned on its own, and every leaf re-sums its pencils.
+child is scanned on its own by the former sequential scan, and every
+leaf re-sums its pencils.  The scan visits a state's unknown forced
+columns in index order, re-reading the tableau after each assignment
+through `_assign`; after a cascade changes T it goes on with the
+columns past the one just read, and passes again from the start while
+a pass changed T.
 
 `OneArrayTableau` is the search's former tableau: one integer array
 holds T with p as its last row, and every assignment eliminates the
@@ -149,6 +154,35 @@ def combination_children(search, state, pid) -> list:
 
 
 class BuildEveryChildSearch(_Search):
+    def run(self):
+        self._dfs(_State([-1] * len(self.per_space), [0] * len(self.pencils),
+                         [len(p) for p in self.pencils], self.tableau))
+        self.solutions.sort()
+
+    def _scan_forced(self, state):
+        values = state.values
+        changed = True
+        while changed:
+            changed = False
+            tab = state.tab
+            todo, i = [j for j in tab.dirs.fresh if values[j] == -1], 0
+            while i < len(todo):
+                j = todo[i]
+                i += 1
+                if values[j] != -1:  # set by a pencil cascade
+                    continue
+                val = tab.p.item(j)
+                if val > 1:
+                    self.stats.pruned_by_elimination += 1
+                    raise _Contradiction
+                self._assign(state, j, val, read=True)
+                self.stats.forced += 1
+                if state.tab is not tab:
+                    changed = True
+                    tab = state.tab
+                    todo, i = [t for t in tab.dirs.fresh
+                               if t > j and values[t] == -1], 0
+
     def _dfs(self, state):
         self.stats.nodes += 1
         try:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -211,7 +212,9 @@ def test_search_certificates_are_pinned():
     (5, 2, 3, 2, (349, 576, 0, 194, 0, 0)),
     # pencil-count prunes, where a value branch's children are built
     (3, 3, 1, 0, (7, 7, 3, 0, 3, 1)),
-    (5, 2, 3, 4, (17, 139, 4, 0, 4, 1))])
+    (5, 2, 3, 4, (17, 139, 4, 0, 4, 1)),
+    # no endgame: every child is decided in a block step
+    (4, 3, 2, 2, (22501, 26622, 0, 19872, 0, 0))])
 def test_search_statistics_are_pinned(n, q, k, x, stats):
     # any change to the order of forced-value scans or of a pencil's
     # choices moves these counts
@@ -220,12 +223,15 @@ def test_search_statistics_are_pinned(n, q, k, x, stats):
         SearchStats(*stats))
 
 
-@pytest.mark.parametrize("n,q,k,x", [
+REFERENCE_SEARCHES = [
     *((3, 2, 1, x) for x in range(5)), *((3, 3, 1, x) for x in range(4)),
-    (4, 2, 2, 1), (4, 2, 2, 2), (5, 2, 3, 2), (5, 2, 3, 4), (3, 4, 1, 1)])
+    (4, 2, 2, 1), (4, 2, 2, 2), (5, 2, 3, 2), (5, 2, 3, 4), (3, 4, 1, 1)]
+
+
+@pytest.mark.parametrize("n,q,k,x", REFERENCE_SEARCHES)
 def test_search_matches_build_every_child_reference(n, q, k, x):
-    # deciding children from their first forced read, and branching
-    # siblings together, changes no counter and no solution
+    # deciding children by their whole forced scan before they are built,
+    # and branching siblings together, changes no counter and no solution
     space = ambient(n, q, "affine")
     got, want = SearchStats(), SearchStats()
     search = _Search(space, k, x, got)
@@ -234,6 +240,78 @@ def test_search_matches_build_every_child_reference(n, q, k, x):
     reference.run()
     assert got == want
     assert search.solutions == reference.solutions
+
+
+class _ExitCountingSearch(_Search):
+    """A search that counts how each child's scan in `_scan` ends.  The
+    scan counts its prunes itself and yields only the other children,
+    so each call is run to its end before its children are handed back;
+    a child neither pruned nor yielded ended in a contradiction."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.exits = Counter()
+
+    def _scan(self, values, todo, ones, unknown, first, children, *rest):
+        children = list(children)
+        stats = self.stats
+        elim, pencil = stats.pruned_by_elimination, stats.pruned_by_pencil_counts
+        out = list(super()._scan(values, todo, ones, unknown, first,
+                                 children, *rest))
+        elim = stats.pruned_by_elimination - elim
+        pencil = stats.pruned_by_pencil_counts - pencil
+        self.exits["elimination"] += elim
+        self.exits["pencil counts"] += pencil
+        self.exits["contradiction"] += len(children) - len(out) - elim - pencil
+        for _, exit, *_ in out:
+            self.exits["survived" if exit is classify._SURVIVED
+                       else "handed to _assign"] += 1
+        yield from out
+
+
+def test_every_scan_exit_is_taken():
+    # over the reference rows, some child's scan is pruned by
+    # elimination, ends in a cascade contradiction, hands a T-changing
+    # cascade to `_assign`, and survives; counting them changes no
+    # counter.  No read breaks a pencil bound there: a scanned state's
+    # pencil with x ones, or with only x reachable, has no unknown
+    # member left, its cascade having set them
+    exits = Counter()
+    for n, q, k, x in REFERENCE_SEARCHES:
+        space = ambient(n, q, "affine")
+        got, want = SearchStats(), SearchStats()
+        search = _ExitCountingSearch(space, k, x, got)
+        search.run()
+        _Search(space, k, x, want).run()
+        assert got == want
+        exits += search.exits
+    assert set(exits) == {"elimination", "contradiction",
+                          "handed to _assign", "survived"}
+    assert min(exits.values()) > 0
+
+
+def test_scan_prunes_a_read_past_a_pencil_bound():
+    # a read of 1 in a pencil that already has its x = 1 member, and a
+    # read of 0 where the pencil's last unknown member must be 1
+    stats = SearchStats()
+    search = _Search(ambient(3, 2, "affine"), 1, 1, stats)
+    t = search.pencils[0][0]
+    values = [-1] * len(search.per_space)
+    ones, unknown = [0] * len(search.pencils), [4] * len(search.pencils)
+    ones[0], unknown[0] = 1, 3
+    assert list(search._scan(values, [t], ones, unknown, {},
+                             [(0, [1])])) == []
+    ones[0], unknown[0] = 0, 1
+    assert list(search._scan(values, [t], ones, unknown, {},
+                             [(0, [0])])) == []
+    assert stats == SearchStats(pruned_by_pencil_counts=2)
+
+
+def test_children_are_built_only_when_their_scan_survives():
+    # on AG(3,3) lines x = 2 most children are decided without a search
+    # state: `states_built` is far below the nodes
+    cert = search_cl_ksets(3, 3, 1, 2, timing=True)
+    assert 0 < 5 * cert["states_built"] < cert["stats"]["nodes"]
 
 
 class _CheckedSearch(_Search):

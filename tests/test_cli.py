@@ -132,7 +132,7 @@ def test_search_over_the_cap_exits_2_without_enumerating(monkeypatch, capsys):
 
 def test_search_timing_is_opt_in():
     # SHA-256 of the certificates as printed before `--timing` reported
-    # the search rate and plan count
+    # the search rate and the plans and states built
     pinned = {
         ("2", "1"): "49e71a0221c429de42dc232ccac26d7b"
                     "9201d6ea9f2e6a38ea06c0d6cfb7648f",
@@ -144,10 +144,12 @@ def test_search_timing_is_opt_in():
         assert hashlib.sha256(plain.stdout.encode()).hexdigest() == digest
         timed = run_cli("search", "--n", "3", "--q", q, "--x", x, "--timing")
         doc = json.loads(timed.stdout)
-        assert list(doc)[-3:] == ["wall_clock_s", "nodes_per_s",
-                                  "plans_built"]
+        assert list(doc)[-4:] == ["wall_clock_s", "nodes_per_s",
+                                  "plans_built", "states_built"]
         assert doc["nodes_per_s"] > 0 and doc["plans_built"] > 0
-        for key in ("wall_clock_s", "nodes_per_s", "plans_built"):
+        assert doc["states_built"] > 0
+        for key in ("wall_clock_s", "nodes_per_s", "plans_built",
+                    "states_built"):
             doc.pop(key)
         assert json.dumps(doc, indent=2) + "\n" == plain.stdout
 

@@ -4,6 +4,9 @@ import os
 
 import pytest
 
+from clag.classify import DEFAULT_SPACE_CAP
+from clag.geometry import ambient
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "search_pairs.py")
 
@@ -21,6 +24,29 @@ def test_rows_are_parsed_with_an_optional_cap():
     assert tool.parse_row("4,3,1,2,1080") == (4, 3, 1, 2, 1080)
     with pytest.raises(argparse.ArgumentTypeError):
         tool.parse_row("3,2,1")
+
+
+def test_every_standard_row_fits_its_cap():
+    rows = _tool().STANDARD_ROWS
+    assert len(set(rows)) == len(rows) == 17
+    for n, q, k, x, cap in rows:
+        count = ambient(n, q, "affine")._num_spaces(k)
+        assert count <= (DEFAULT_SPACE_CAP if cap is None else cap)
+        assert 0 <= x <= q ** (n - k)
+
+
+def test_no_row_runs_the_standard_rows(monkeypatch, capsys):
+    tool = _tool()
+    seen = []
+
+    def fake_run(root, row):
+        seen.append(row)
+        return {"seconds": 1.0, "nodes": 7, "sha256": "same",
+                "keys": {"stats": "same"}}
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    assert tool.main(["a", "b", "--pairs", "1"]) == 0
+    assert seen[::2] == list(tool.STANDARD_ROWS)
 
 
 def test_the_repository_against_itself(capsys):

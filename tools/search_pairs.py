@@ -1,16 +1,18 @@
 """Alternating parent/change runs of classification searches.
 
     python3 tools/search_pairs.py PARENT_DIR CHANGE_DIR \\
-        --row n,q,k,x[,cap] [--row ...] --pairs N
+        [--row n,q,k,x[,cap] ...] --pairs N
 
 Each run is one ``search_cl_ksets(n, q, k, x, cap=cap)`` in a fresh
 interpreter that imports ``clag`` from the checkout's ``src``, timed
-around that call alone (the default cap when a row gives none).  Pair i
-runs the parent first when i is even and the change first when i is
-odd, as ``tools/bench_pairs.py`` does.  For each row prints the time of
-every pair, then each side's median with its quartiles, in how many
-pairs the change read lower and the ratio of the medians.  Exits 1 when
-a certificate without ``wall_clock_s`` differs between the sides; the
+around that call alone (the default cap when a row gives none).  With
+no ``--row``, the rows are ``STANDARD_ROWS``, the searches on which a
+change to the search must give the same certificates.  Pair i runs the
+parent first when i is even and the change first when i is odd, as
+``tools/bench_pairs.py`` does.  For each row prints the time of every
+pair, then each side's median with its quartiles, in how many pairs the
+change read lower and the ratio of the medians.  Exits 1 when a
+certificate without ``wall_clock_s`` differs between the sides; the
 row's line then names the top-level keys whose values differ.
 """
 
@@ -39,6 +41,19 @@ print(json.dumps({"seconds": seconds, "nodes": cert["stats"]["nodes"],
                   "sha256": digest(cert),
                   "keys": {key: digest(v) for key, v in cert.items()}}))
 """
+
+
+# (n, q, k, x, cap): AG(3,2) and AG(3,3) lines, AG(3,4) lines, AG(4,2)
+# lines and planes, AG(5,2) lines, AG(4,3) lines and planes; each cap
+# admits its row's k-spaces, None meaning the default cap
+STANDARD_ROWS = (
+    (3, 2, 1, 1, None), (3, 2, 1, 2, None),
+    *((3, 3, 1, x, None) for x in range(5)),
+    (3, 4, 1, 1, 400), (3, 4, 1, 2, 400),
+    (4, 2, 1, 1, None), (4, 2, 2, 1, 140), (4, 2, 2, 2, 140),
+    (5, 2, 1, 2, 496),
+    (4, 3, 1, 1, 1080), (4, 3, 1, 2, 1080),
+    (4, 3, 2, 2, 1170), (4, 3, 2, 3, 1170))
 
 
 def parse_row(text: str) -> tuple:
@@ -96,12 +111,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--row", type=parse_row, action="append",
-                        required=True)
+    parser.add_argument("--row", type=parse_row, action="append")
     parser.add_argument("--pairs", type=int, required=True)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
-    same = [compare_row(sides, row, args.pairs) for row in args.row]
+    same = [compare_row(sides, row, args.pairs)
+            for row in args.row or STANDARD_ROWS]
     if not all(same):
         print("a certificate differs between the sides", file=sys.stderr)
     return 0 if all(same) else 1
