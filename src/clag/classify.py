@@ -35,10 +35,13 @@ e = p[j] - v.
 T depends only on which spaces were assigned, and in what order, not
 on their values.  So T, its list of forced spaces and a memo of the
 eliminations made from it are one read-only `_Directions` shared by every
-state that reaches it; a state owns only p, and an assignment reuses
-T's elimination and updates p alone.  The forced-value scan runs at
-every node and reads only T's forced columns that were not its own
-pivots, so it costs little where nothing is forced.
+state that reaches it, and an assignment reuses T's elimination and
+forms a new p alone.  Every search state is a `_Siblings`: a lone state
+owns its values, pencil counts and p, which `_Search._assign` updates,
+and siblings share all but p and the spaces their choices set.  The
+forced-value scan runs at every node and reads only T's forced columns
+that were not its own pivots, so it costs little where nothing is
+forced.
 
 Every choice of a branching pencil assigns the pencil's unknown members
 in the same order, so all of them meet the same chain of T's, and
@@ -57,14 +60,14 @@ pencil counts, so their scans read the same columns, T's unknown fresh
 ones: one product reads every child's p there, and `_Search._scan` runs
 each child's scan on those reads alone, in index order, keeping its
 pencil counts and the spaces it sets beside it.  A child pruned by
-elimination or by a pencil count, or whose cascade meets a forced
-column holding the other value, is counted and never becomes a search
-state; a survivor is built once, with its scan's assignments, and
-branches.  With nothing to read the siblings take their next branching
-together, a block step by one product of their stacked p[u] with the
-plan's forms.  In the endgame the children of a value branch on j share
-T' = T with j eliminated and its pivot row R, and their scans read only
-the columns that eliminating j forced, where child v holds
+elimination, or whose cascade meets a forced column holding the other
+value, is counted and never becomes a search state; a survivor is built
+once, with its scan's assignments, and branches.  With nothing to read
+the siblings take their next branching together, a block step by one
+product of their stacked p[u] with the plan's forms.  In the endgame
+the children of a value branch on j share T' = T with j eliminated and
+its pivot row R, and their scans read only the columns that eliminating
+j forced, where child v holds
 p[t] - (p[j] - v) R[t] mod P, scalars of its parent's p computed only
 as far as its scan gets.  The exception is a value after which j's
 pencil has x ones or needs all its unknown members: that cascade
@@ -72,6 +75,11 @@ assigns more before the scan, so its children are built and assigned.
 A scan whose cascade would eliminate a column of T hands that read to
 `_Search._assign`: its child is built with the reads before it and
 scanned on as a state, as the root and the cascades' children are.
+
+Pencil bounds are checked only where they can fail: a value branch
+tries a value without reading it, and is the one place that prunes by
+pencil counts.  A read, or an assignment that a scan hands on, never
+breaks a bound (see `_Search._scan`).
 """
 
 from __future__ import annotations
@@ -87,8 +95,8 @@ from .clsets import (KSet, are_cameron_liebler, complement,
                      kset_from_indices, kset_from_json, point_pencil,
                      project_through_infinite_subspace)
 from .geometry import (AmbientSpace, DimensionOutOfRange, _int, _read_only,
-                       ambient, check_size, count_text, entry_guard,
-                       gaussian_binomial)
+                       ambient, capped_count, check_size, count_text,
+                       entry_guard, gaussian_binomial)
 from .incidence import _dense_rows, build_incidence
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
@@ -112,7 +120,7 @@ _PRIME = 33_554_393
 _ENDGAME_DIM = 6         # switch to value branching when this few remain
 # how `_Search._scan` ends a scan, unless at a read it hands to `_assign`
 _SURVIVED, _CONTRADICTION = "survived", "contradiction"
-_ELIMINATION, _PENCIL_COUNTS = "elimination", "pencil counts"
+_ELIMINATION = "elimination"
 
 
 class ScaleExceeded(RuntimeError):
@@ -204,7 +212,7 @@ class _Plan:
     checks come first.  So a choice survives iff p[u] @ forms equals its
     targets on the checks mod P, and then its alphas are
     p[u] @ forms - targets and p' = p + alpha @ R mod P is the p of
-    `_Tableau.assigned`.  `passing` maps the targets on the checks to
+    `_Search._assign`.  `passing` maps the targets on the checks to
     the choices that have them, in order, as their bits v with their
     targets on the alphas, so one lookup finds a node's surviving
     choices."""
@@ -250,82 +258,28 @@ class _Plan:
                      np.zeros((0, dirs.a.shape[1]), dtype=np.int64))
 
 
-class _Tableau:
-    """Assigned equations m_j . y = val_j mod P as T = N M and p = y0 M.
-
-    M is the point x k-space incidence matrix, the rows of N are a basis
-    mod P of {z : m_i . z = 0 for every assigned i}, and y0 solves every
-    assigned equation mod P; by the rank argument of the module
-    docstring every true solution satisfies them.  T is a `_Directions`
-    shared between tableaux; each tableau owns only p, int64 residues in
-    [0, P).  Updates build new arrays and never write into old ones, so
-    a search state can share its tableau with its children."""
-
-    __slots__ = ("dirs", "p")
-
-    def __init__(self, dirs: _Directions, p: np.ndarray):
-        self.dirs = dirs
-        self.p = p
-
-    @classmethod
-    def start(cls, matrix: np.ndarray) -> "_Tableau":
-        # a copy, since `_Directions` locks its T against writes; an
-        # F-order copy measured no faster
-        return cls(_Directions(matrix.astype(np.int64, order="C")),
-                   np.zeros(matrix.shape[1], dtype=np.int64))
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the solution space of the assigned equations."""
-        return self.dirs.dim
-
-    def assigned(self, j: int, val: int) -> "_Tableau":
-        """The tableau with m_j . y = val added; raises _Contradiction
-        when m_j is already forced to another value.
-
-        T is eliminated by `_Directions.eliminated`; with its pivot row
-        R, p <- p - e R mod P with e = p[j] - val, unless e = 0, which
-        leaves p as it is."""
-        dirs, p = self.dirs, self.p
-        if dirs.forced[j]:
-            if p[j] != val:
-                raise _Contradiction
-            return self
-        row, child = dirs.eliminated(j)
-        e = int(p[j]) - val
-        if e:
-            p = (p - e * row) % _PRIME
-        return _Tableau(child, p)
-
-
-class _State:
-    __slots__ = ("values", "ones", "unknown", "tab")
-
-    def __init__(self, values, ones, unknown, tab):
-        self.values = values
-        self.ones = ones
-        self.unknown = unknown
-        self.tab = tab
-
-
 @dataclass(slots=True, eq=False)
 class _Siblings:
-    """States that share T, the set of unknown spaces and the pencil
-    counts, and differ only in p and in the values of the spaces
-    `members`: a scanned state alone, or the children of one block step.
-    State i has `values` with `members` set to bits[i], and p = `p` when
-    `alphas` is None (a state alone), else p + alphas[i] @ rows mod P,
-    formed only where it is read.  `values` gives every member a value,
-    so it shows which spaces every sibling leaves unknown.  Shared lists
-    are never written."""
+    """Search states that share T, the set of unknown spaces and the
+    pencil counts, and differ only in p and in the values of the spaces
+    `members`: a lone state, `_Siblings(values, ones, unknown, dirs, p)`,
+    or the children of one block step.  State i has `values` with
+    `members` set to bits[i], and p = `p` when `alphas` is None (a lone
+    state), else p + alphas[i] @ rows mod P, formed only where it is
+    read; p holds int64 residues in [0, P).  `values` gives every member
+    a value, so it shows which spaces every sibling leaves unknown.
+
+    A lone state owns its lists: `_Search._assign` writes them and
+    replaces dirs and p by new ones, never writing into an array.  Lists
+    that siblings share are never written."""
 
     values: list[int]
-    members: tuple[int, ...]
-    bits: list
     ones: list[int]
     unknown: list[int]
     dirs: _Directions
     p: np.ndarray
+    members: tuple[int, ...] = ()
+    bits: list | tuple = ((),)
     alphas: np.ndarray | None = None
     rows: np.ndarray | None = None
 
@@ -350,9 +304,10 @@ class _Siblings:
             values[t] = val
         return values
 
-    def state(self, i: int) -> _State:
-        return _State(self.values_of(i), self.ones[:], self.unknown[:],
-                      _Tableau(self.dirs, self.p_of(i)))
+    def state(self, i: int) -> _Siblings:
+        """Sibling i as a lone state of its own."""
+        return _Siblings(self.values_of(i), self.ones[:], self.unknown[:],
+                         self.dirs, self.p_of(i))
 
 
 class _Search:
@@ -373,33 +328,39 @@ class _Search:
         self.pencils = [list(map(int, m)) for m in pencil_members]
         self.per_space = [int(v) for v in per_space]
         self.incidence = build_incidence(space, k)
-        self.tableau = _Tableau.start(_dense_rows(space, k).T)
+        # T of the root, a copy of M, which `_Directions` locks against
+        # writes; an F-order copy measured no faster
+        self.root = _Directions(_dense_rows(space, k).T.astype(np.int64,
+                                                                order="C"))
         self.solutions: list[tuple[int, ...]] = []
         self.plans_built = 0
         self.states_built = 0
 
     # -- assignment and propagation ----------------------------------------
 
-    def _assign(self, state, j, val, read=False):
-        """Assigns val to space j and cascades a pencil that becomes
-        full or exact; `read` says val was read from p at a forced
-        column of state's T, so the tableau already holds it."""
-        cur = state.values[j]
-        if cur != -1:
-            if cur != val:
-                raise _Contradiction
-            return
+    def _assign(self, state, j, val):
+        """Assigns val to the unknown space j of the lone state and
+        cascades a pencil that becomes full or exact.  A forced j must
+        hold val in p, else _Contradiction; otherwise T is eliminated by
+        `_Directions.eliminated` and, with its pivot row R,
+        p <- p - e R mod P with e = p[j] - val, unless e = 0.  No pencil
+        bound is checked: no caller's assignment takes j's pencil out of
+        ones <= x <= ones + unknown (see `_scan`), and a cascade fills
+        its pencil exactly."""
         state.values[j] = val
         pid = self.per_space[j]
         state.unknown[pid] -= 1
-        if val:
-            state.ones[pid] += 1
+        state.ones[pid] += val
+        dirs, p = state.dirs, state.p
+        if dirs.forced[j]:
+            if p.item(j) != val:
+                raise _Contradiction
+        else:
+            row, state.dirs = dirs.eliminated(j)
+            e = p.item(j) - val
+            if e:
+                state.p = (p - e * row) % _PRIME
         ones, unknown = state.ones[pid], state.unknown[pid]
-        if ones > self.x or ones + unknown < self.x:
-            self.stats.pruned_by_pencil_counts += 1
-            raise _Contradiction
-        if not read:
-            state.tab = state.tab.assigned(j, val)
         if unknown and ones == self.x:
             for t in self.pencils[pid]:
                 if state.values[t] == -1:
@@ -417,15 +378,22 @@ class _Search:
         building its child.  `children` holds pairs (i, base): child i's
         p at todo[k] is base[k], or with r, (base[k] - e r[k]) mod P with
         e = base[-1] - val, read only as far as the scan gets.  Counts
-        every read and every prune, and yields (i, exit, done, ones,
-        unknown) for each child whose scan ends in neither a prune nor a
-        contradiction, a cascade onto a forced column holding the other
-        value, which `_Tableau.assigned` raises uncounted.  done, ones
+        every read and every prune by elimination, and yields (i, exit,
+        done, ones, unknown) for each child whose scan ends in neither a
+        prune nor a contradiction, a cascade onto a forced column holding
+        the other value, which `_assign` raises uncounted.  done, ones
         and unknown are those of the child, copied at its scan's first
         assignment, and exit is `_SURVIVED` or the read j whose pencil's
         cascade only `_assign` can make: one that meets a column outside
         todo, unforced, so that T changes, or forced but not read here,
-        with j and what follows it unapplied."""
+        with j and what follows it unapplied.
+
+        No read can break a pencil bound, so none is checked: before a
+        scan every pencil with unknown members has ones < x < ones +
+        unknown, since a cascade fills every pencil that reaches x ones
+        or needs all its unknown members, and a read keeps this or
+        cascades.  At x = 0 every value is 0, p and so every read
+        included, and where x is a pencil's size every value is 1."""
         x, per_space, pencils = self.x, self.per_space, self.pencils
         stats, e, rr, pos = self.stats, 0, r, None
         for i, base in children:
@@ -444,9 +412,6 @@ class _Search:
                     break
                 pid = per_space[j]
                 ones_p, left_p = counts[pid] + v, left[pid] - 1
-                if ones_p > x or ones_p + left_p < x:
-                    exit = _PENCIL_COUNTS
-                    break
                 cascade = ()
                 if left_p and (ones_p == x or ones_p + left_p == x):
                     fill = int(ones_p < x)
@@ -476,8 +441,6 @@ class _Search:
             stats.forced += reads
             if exit is _ELIMINATION:
                 stats.pruned_by_elimination += 1
-            elif exit is _PENCIL_COUNTS:
-                stats.pruned_by_pencil_counts += 1
             elif exit is not _CONTRADICTION:
                 yield i, exit, done, counts, left
 
@@ -495,16 +458,16 @@ class _Search:
         changed, after = False, -1
         while True:
             if j >= 0:
-                tab = state.tab
-                self._assign(state, j, tab.p.item(j), read=True)
+                dirs = state.dirs
+                self._assign(state, j, state.p.item(j))
                 self.stats.forced += 1
-                changed |= state.tab is not tab
+                changed |= state.dirs is not dirs
                 after = j
-            tab = state.tab
-            todo = [t for t in tab.dirs.fresh if t > after and values[t] == -1]
+            todo = [t for t in state.dirs.fresh
+                    if t > after and values[t] == -1]
             scanned = next(self._scan(
                 values, todo, state.ones, state.unknown, {},
-                [(0, tab.p[todo].tolist())]), None)
+                [(0, state.p[todo].tolist())]), None)
             if scanned is None:
                 raise _Contradiction
             _, exit, done, state.ones, state.unknown = scanned
@@ -525,12 +488,11 @@ class _Search:
     # branch together.
 
     def run(self):
-        state = _State([-1] * len(self.per_space),
-                       [0] * len(self.pencils),
-                       [len(p) for p in self.pencils],
-                       self.tableau)
+        v = len(self.per_space)
         self.stats.nodes += 1
-        self._dfs(state)
+        self._dfs(_Siblings([-1] * v, [0] * len(self.pencils),
+                            [len(p) for p in self.pencils], self.root,
+                            np.zeros(v, dtype=np.int64)))
         self.solutions.sort()
 
     def _dfs(self, state, j=-1):
@@ -540,8 +502,7 @@ class _Search:
             self._scan_forced(state, j)
         except _Contradiction:
             return
-        self._branch(_Siblings(state.values, (), [()], state.ones,
-                               state.unknown, state.tab.dirs, state.tab.p))
+        self._branch(state)
 
     def _visit(self, sibs):
         """Counts and scans the unscanned children of one block step.
@@ -583,19 +544,18 @@ class _Search:
             if row is not None and p.item(j) != val:
                 p = (p - (p.item(j) - val) * row) % _PRIME
             self.states_built += 1
+            state = _Siblings(values, counts[:], left[:], dirs, p)
             if exit is _SURVIVED:
-                self._branch(_Siblings(values, (), [()], counts, left, dirs,
-                                       p))
+                self._branch(state)
             else:
-                self._dfs(_State(values, counts[:], left[:],
-                                 _Tableau(dirs, p)), exit)
+                self._dfs(state, exit)
 
     def _branch(self, sibs):
         """The common next branching of scanned siblings: every one a
         leaf, a value branch in the endgame, or a block step."""
         nxt = next(itertools.compress(itertools.count(), sibs.unknown), None)
         if nxt is None:
-            # `_assign` bounds every pencil and a block step fills one
+            # every pencil keeps ones <= x <= ones + unknown (`_scan`)
             assert sibs.ones == [self.x] * len(sibs.ones)
             for i in range(len(sibs)):
                 self._leaf(sibs.values_of(i))
@@ -608,13 +568,15 @@ class _Search:
 
     def _value_branch(self, sibs, pid):
         """Both values of the first unknown member j of pencil pid, for
-        every sibling.  Unless the pencil is pruned or cascades, the
-        children of a value share T' = T with j eliminated, its pivot
-        row R and their unknown fresh columns, T'.new, the columns that
-        eliminating j forced: a scanned sibling has every fresh column
-        of T assigned.  One product reads every sibling's p there and at
-        j, and `_decide` decides each child from those reads; a
-        cascade's children are built and assigned."""
+        every sibling.  A value that breaks the pencil's bounds prunes
+        every sibling, the search's one prune by pencil counts.  Unless
+        the pencil is pruned or cascades, the children of a value share
+        T' = T with j eliminated, its pivot row R and their unknown fresh
+        columns, T'.new, the columns that eliminating j forced: a scanned
+        sibling has every fresh column of T assigned.  One product reads
+        every sibling's p there and at j, and `_decide` decides each
+        child from those reads; a cascade's children are built and
+        assigned."""
         shared = sibs.values
         j = next(t for t in self.pencils[pid] if shared[t] == -1)
         left = sibs.unknown[pid] - 1
@@ -674,8 +636,8 @@ class _Search:
             values = sibs.values_of(i)
             for t, val in zip(unknown, bits[0]):
                 values[t] = val
-            yield i, _Siblings(values, unknown, bits, ones, left, plan.dirs,
-                               sibs.p_of(i), alphas, plan.rows)
+            yield i, _Siblings(values, ones, left, plan.dirs, sibs.p_of(i),
+                               unknown, bits, alphas, plan.rows)
 
     def _leaf(self, values):
         chi = np.array(values, dtype=np.int64)
@@ -697,8 +659,11 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     if not 1 <= k <= n - 1:
         raise DimensionOutOfRange(f"k={k} outside 1..{n - 1}")
     space = ambient(n, q, "affine")
-    total = space._num_spaces(k)  # closed form: nothing is built past the cap
     limit = cap if cap is not None else DEFAULT_SPACE_CAP
+    # closed form, nothing built past the cap: q^(n-k) [n k]_q is at
+    # least q^((k+1)(n-k))
+    total = capped_count(lambda: space._num_spaces(k), q, (k + 1) * (n - k),
+                         limit)
     if total > limit:
         raise ScaleExceeded(f"{count_text(total)} k-spaces exceed the cap "
                             f"{limit}")

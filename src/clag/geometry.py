@@ -95,6 +95,18 @@ def count_text(v: int) -> str:
     return str(v) if b < 100 else f"at least 2^{b}"
 
 
+def capped_count(exact, q: int, e: int, cap: int) -> int:
+    """exact(), a count in closed form known to be at least q^e, unless
+    2^b with b = e (bit length of q - 1), a power of two at most q^e, is
+    at least 2^100 and past cap: then 2^b.  `count_text` prints either
+    as "at least 2^..." there, and forming the closed form that far out
+    can take minutes: [10^7 + 1, 2]_2 alone took 4 s on a 2-core host."""
+    b = e * (q.bit_length() - 1)
+    if b >= 100 and 1 << b > cap:
+        return 1 << b
+    return exact()
+
+
 def check_size(message: str, *shape: int) -> None:
     """The one size policy: raise SizeGuard when a table of the given
     shape, counted in closed form before it is built, has more entries
@@ -264,8 +276,11 @@ def enumerate_rref_matrices(ncols: int, nrows: int, q: int):
     """All reduced-echelon full-rank nrows x ncols matrices over GF(q),
     the (nrows-1)-spaces of PG(ncols-1, q).  Raises SizeGuard before
     the first when their number exceeds `entry_guard()`."""
+    # [a b]_q >= q^(b (a - b))
+    count = capped_count(lambda: gaussian_binomial(ncols, nrows, q), q,
+                         nrows * (ncols - nrows), entry_guard())
     check_size(f"{{}} {nrows - 1}-spaces of PG({ncols - 1},{q}) exceed "
-               "guard {cap}", gaussian_binomial(ncols, nrows, q))
+               "guard {cap}", count)
     for pivots in itertools.combinations(range(ncols), nrows):
         cells = _free_cells(pivots, ncols)
         base = [[0] * ncols for _ in range(nrows)]

@@ -32,18 +32,26 @@ inside big iff adding its rows to big's does not grow the row space,
 decided by GF(q) row reduction (`span` goes through `_kernels.gf_rref`);
 the verdicts of the last 2^16 pairs asked are kept.
 
+`State` and `assign` are the search's former state and assignment, so
+that the references below share neither with the search: `assign` sets
+one space (one already set must keep its value), counts and refuses a
+pencil past its bounds, checks p[j] = val where j is forced and else
+eliminates j from T by `_Directions.eliminated` with
+p <- p - (p[j] - val) R mod P, and cascades a pencil that becomes full
+or exact.
+
 `combination_children` is the reference for `_Search._children`: one
 clone per `itertools.combinations` choice of a pencil's unknown
-members, each replaying the pencil's assignments one `_assign` at a
+members, each replaying the pencil's assignments one `assign` at a
 time from the start.
 
 `BuildEveryChildSearch` is the search without decided children: every
-child of a value branch is a clone given its value by `_assign`, the
+child of a value branch is a clone given its value by `assign`, the
 children of a block step are those of `combination_children`, every
 child is scanned on its own by the former sequential scan, and every
 leaf re-sums its pencils.  The scan visits a state's unknown forced
 columns in index order, re-reading the tableau after each assignment
-through `_assign`; after a cascade changes T it goes on with the
+through `assign`; after a cascade changes T it goes on with the
 columns past the one just read, and passes again from the start while
 a pass changed T.
 
@@ -102,8 +110,8 @@ from math import gcd
 
 import numpy as np
 
-from clag import _kernels, exact
-from clag.classify import _ENDGAME_DIM, _Contradiction, _Search, _State
+from clag import _kernels, classify, exact
+from clag.classify import _ENDGAME_DIM, _Contradiction, _Search
 from clag.clsets import (DimensionViolation, KSet, NotSkew,
                          kset_from_subspaces)
 from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, _int,
@@ -133,8 +141,51 @@ def contains(big: Subspace, small: Subspace) -> bool:
     return span(big, small) == big
 
 
-def clone(state: _State) -> _State:
-    return _State(state.values[:], state.ones[:], state.unknown[:], state.tab)
+class State:
+    __slots__ = ("values", "ones", "unknown", "dirs", "p")
+
+    def __init__(self, values, ones, unknown, dirs, p):
+        self.values = values
+        self.ones = ones
+        self.unknown = unknown
+        self.dirs = dirs
+        self.p = p
+
+
+def clone(state) -> State:
+    return State(state.values[:], state.ones[:], state.unknown[:],
+                 state.dirs, state.p)
+
+
+def assign(search, state, j, val):
+    if state.values[j] != -1:
+        if state.values[j] != val:
+            raise _Contradiction
+        return
+    state.values[j] = val
+    pid = search.per_space[j]
+    state.unknown[pid] -= 1
+    state.ones[pid] += val
+    ones, unknown = state.ones[pid], state.unknown[pid]
+    if ones > search.x or ones + unknown < search.x:
+        search.stats.pruned_by_pencil_counts += 1
+        raise _Contradiction
+    if state.dirs.forced[j]:
+        if state.p[j] != val:
+            raise _Contradiction
+    else:
+        row, state.dirs = state.dirs.eliminated(j)
+        e = int(state.p[j]) - val
+        if e:
+            state.p = (state.p - e * row) % classify._PRIME
+    if unknown and ones == search.x:
+        for t in search.pencils[pid]:
+            if state.values[t] == -1:
+                assign(search, state, t, 0)
+    elif unknown and ones + unknown == search.x:
+        for t in search.pencils[pid]:
+            if state.values[t] == -1:
+                assign(search, state, t, 1)
 
 
 def combination_children(search, state, pid) -> list:
@@ -146,7 +197,7 @@ def combination_children(search, state, pid) -> list:
         child = clone(state)
         try:
             for t in undecided:
-                search._assign(child, t, 1 if t in chosen else 0)
+                assign(search, child, t, 1 if t in chosen else 0)
         except _Contradiction:
             continue
         children.append(child)
@@ -155,8 +206,10 @@ def combination_children(search, state, pid) -> list:
 
 class BuildEveryChildSearch(_Search):
     def run(self):
-        self._dfs(_State([-1] * len(self.per_space), [0] * len(self.pencils),
-                         [len(p) for p in self.pencils], self.tableau))
+        v = len(self.per_space)
+        self._dfs(State([-1] * v, [0] * len(self.pencils),
+                        [len(p) for p in self.pencils], self.root,
+                        np.zeros(v, dtype=np.int64)))
         self.solutions.sort()
 
     def _scan_forced(self, state):
@@ -164,23 +217,23 @@ class BuildEveryChildSearch(_Search):
         changed = True
         while changed:
             changed = False
-            tab = state.tab
-            todo, i = [j for j in tab.dirs.fresh if values[j] == -1], 0
+            dirs = state.dirs
+            todo, i = [j for j in dirs.fresh if values[j] == -1], 0
             while i < len(todo):
                 j = todo[i]
                 i += 1
                 if values[j] != -1:  # set by a pencil cascade
                     continue
-                val = tab.p.item(j)
+                val = state.p.item(j)
                 if val > 1:
                     self.stats.pruned_by_elimination += 1
                     raise _Contradiction
-                self._assign(state, j, val, read=True)
+                assign(self, state, j, val)
                 self.stats.forced += 1
-                if state.tab is not tab:
+                if state.dirs is not dirs:
                     changed = True
-                    tab = state.tab
-                    todo, i = [t for t in tab.dirs.fresh
+                    dirs = state.dirs
+                    todo, i = [t for t in dirs.fresh
                                if t > j and values[t] == -1], 0
 
     def _dfs(self, state):
@@ -197,13 +250,13 @@ class BuildEveryChildSearch(_Search):
                    for members in self.pencils):
                 self._leaf(state.values)
             return
-        if state.tab.dim <= _ENDGAME_DIM:
+        if state.dirs.dim <= _ENDGAME_DIM:
             self.stats.endgame_nodes += 1
             j = next(t for t in self.pencils[nxt] if state.values[t] == -1)
             for val in (0, 1):
                 child = clone(state)
                 try:
-                    self._assign(child, j, val)
+                    assign(self, child, j, val)
                 except _Contradiction:
                     continue
                 self._dfs(child)

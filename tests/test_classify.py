@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 
 from clag import classify, cli, exact
 from clag.classify import (ScaleExceeded, SearchStats, _Contradiction,
-                           _ENDGAME_DIM, _Search, _Tableau,
+                           _ENDGAME_DIM, _Search, _Siblings,
                            classify_hyperplane_cl, cross_check_projection,
                            search_cl_ksets, verify_certificate,
                            verify_hyperplane_spread_classification)
@@ -254,15 +256,12 @@ class _ExitCountingSearch(_Search):
 
     def _scan(self, values, todo, ones, unknown, first, children, *rest):
         children = list(children)
-        stats = self.stats
-        elim, pencil = stats.pruned_by_elimination, stats.pruned_by_pencil_counts
+        elim = self.stats.pruned_by_elimination
         out = list(super()._scan(values, todo, ones, unknown, first,
                                  children, *rest))
-        elim = stats.pruned_by_elimination - elim
-        pencil = stats.pruned_by_pencil_counts - pencil
+        elim = self.stats.pruned_by_elimination - elim
         self.exits["elimination"] += elim
-        self.exits["pencil counts"] += pencil
-        self.exits["contradiction"] += len(children) - len(out) - elim - pencil
+        self.exits["contradiction"] += len(children) - len(out) - elim
         for _, exit, *_ in out:
             self.exits["survived" if exit is classify._SURVIVED
                        else "handed to _assign"] += 1
@@ -273,9 +272,7 @@ def test_every_scan_exit_is_taken():
     # over the reference rows, some child's scan is pruned by
     # elimination, ends in a cascade contradiction, hands a T-changing
     # cascade to `_assign`, and survives; counting them changes no
-    # counter.  No read breaks a pencil bound there: a scanned state's
-    # pencil with x ones, or with only x reachable, has no unknown
-    # member left, its cascade having set them
+    # counter
     exits = Counter()
     for n, q, k, x in REFERENCE_SEARCHES:
         space = ambient(n, q, "affine")
@@ -290,21 +287,62 @@ def test_every_scan_exit_is_taken():
     assert min(exits.values()) > 0
 
 
-def test_scan_prunes_a_read_past_a_pencil_bound():
-    # a read of 1 in a pencil that already has its x = 1 member, and a
-    # read of 0 where the pencil's last unknown member must be 1
-    stats = SearchStats()
-    search = _Search(ambient(3, 2, "affine"), 1, 1, stats)
-    t = search.pencils[0][0]
-    values = [-1] * len(search.per_space)
-    ones, unknown = [0] * len(search.pencils), [4] * len(search.pencils)
-    ones[0], unknown[0] = 1, 3
-    assert list(search._scan(values, [t], ones, unknown, {},
-                             [(0, [1])])) == []
-    ones[0], unknown[0] = 0, 1
-    assert list(search._scan(values, [t], ones, unknown, {},
-                             [(0, [0])])) == []
-    assert stats == SearchStats(pruned_by_pencil_counts=2)
+class _BoundCheckingSearch(_Search):
+    """A search that re-checks the pencil bounds
+    ones <= x <= ones + unknown, which neither `_scan` nor `_assign`
+    checks, at every `_assign` and at every read of a scan: a trace on
+    `_scan` reads the counts ones_p and left_p that the read forms."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checked = Counter()
+
+    def _bound(self, where, ones, unknown):
+        assert ones <= self.x <= ones + unknown, where
+        self.checked[where] += 1
+
+    def _assign(self, state, j, val):
+        pid = self.per_space[j]
+        self._bound("_assign", state.ones[pid] + val, state.unknown[pid] - 1)
+        super()._assign(state, j, val)
+
+    def run(self):
+        code = _Search._scan.__code__
+        lines, start = inspect.getsourcelines(_Search._scan)
+        read = start + next(i for i, text in enumerate(lines)
+                            if text.strip() == "cascade = ()")
+
+        def at_read(frame, event, arg):
+            if event == "line" and frame.f_lineno == read:
+                self._bound("_scan", frame.f_locals["ones_p"],
+                            frame.f_locals["left_p"])
+            return at_read
+
+        before = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     at_read if frame.f_code is code else None)
+        try:
+            super().run()
+        finally:
+            sys.settrace(before)
+
+
+def test_no_read_or_assignment_breaks_a_pencil_bound():
+    # the invariant that lets `_scan` and `_assign` skip the bounds: a
+    # scanned state's pencil with unknown members has ones < x < ones +
+    # unknown, so only `_value_branch`, which tries a value unread, can
+    # break one.  AG(3,3) x = 0 is among the reference rows; AG(4,2)
+    # planes x = 4 adds a search where every value is 1
+    checked = Counter()
+    for n, q, k, x in REFERENCE_SEARCHES + [(4, 2, 2, 4)]:
+        space = ambient(n, q, "affine")
+        got, want = SearchStats(), SearchStats()
+        search = _BoundCheckingSearch(space, k, x, got)
+        search.run()
+        _Search(space, k, x, want).run()
+        assert got == want
+        checked += search.checked
+    assert checked["_scan"] > 0 and checked["_assign"] > 0
 
 
 def test_children_are_built_only_when_their_scan_survives():
@@ -332,10 +370,9 @@ class _CheckedSearch(_Search):
             for r, b in enumerate(want):
                 a = kids.state(r)
                 assert (a.values, a.ones, a.unknown) == (b.values, b.ones, b.unknown)
-                assert a.tab.dirs is b.tab.dirs
-                assert np.array_equal(a.tab.dirs.a, b.tab.dirs.a)
-                assert np.array_equal(a.tab.p, b.tab.p)
-                assert a.tab.p.dtype == b.tab.p.dtype == np.int64
+                assert a.dirs is b.dirs
+                assert np.array_equal(a.p, b.p)
+                assert a.p.dtype == b.p.dtype == np.int64
             self.checked += 1
         return got.items()
 
@@ -364,23 +401,22 @@ def assert_residues(a):
 
 @pytest.mark.parametrize("n,q,k,x,cap", RESIDUE_SEARCHES)
 def test_tableau_entries_are_residues_mod_p(n, q, k, x, cap, monkeypatch):
-    # every tableau that an assignment builds, and every p of siblings
-    # that a block step makes or that branch together, holds T and p as
-    # int64 residues in [0, P)
+    # every T and p that an assignment makes, and every p of siblings
+    # that a block step makes or that branch together, holds int64
+    # residues in [0, P)
     expected = without_wall_clock(search_cl_ksets(n, q, k, x, cap=cap))
     seen = {"tableaux": 0}
-    assigned, children, branch = (_Tableau.assigned, _Search._children,
-                                  _Search._branch)
+    assign, children, branch = (_Search._assign, _Search._children,
+                                _Search._branch)
 
     def check(dirs, p):
         assert_residues(dirs.a)
         assert_residues(p)
         seen["tableaux"] += 1
 
-    def checked_assigned(self, j, val):
-        tab = assigned(self, j, val)
-        check(tab.dirs, tab.p)
-        return tab
+    def checked_assign(self, state, j, val):
+        assign(self, state, j, val)
+        check(state.dirs, state.p)
 
     def check_siblings(sibs):
         for i in range(len(sibs)):
@@ -396,7 +432,7 @@ def test_tableau_entries_are_residues_mod_p(n, q, k, x, cap, monkeypatch):
         check_siblings(sibs)
         branch(self, sibs)
 
-    monkeypatch.setattr(_Tableau, "assigned", checked_assigned)
+    monkeypatch.setattr(_Search, "_assign", checked_assign)
     monkeypatch.setattr(_Search, "_children", checked_children)
     monkeypatch.setattr(_Search, "_branch", checked_branch)
     assert without_wall_clock(search_cl_ksets(n, q, k, x, cap=cap)) == expected
@@ -518,35 +554,55 @@ def assignment_sequence(n, q, k, seed):
     return m, order, [int(v) for v in target], rng
 
 
+def uncascaded(n, q, k):
+    """A search on the k-spaces of AG(n, q) whose x exceeds every
+    pencil's size, so that `_assign` never cascades, and its root."""
+    search = _Search(ambient(n, q, "affine"), k, q ** (n - k) + 1,
+                     SearchStats())
+    v = len(search.per_space)
+    return search, _Siblings([-1] * v, [0] * len(search.pencils),
+                             [len(p) for p in search.pencils], search.root,
+                             np.zeros(v, dtype=np.int64))
+
+
+def assigned(search, state, j, val):
+    """A copy of the lone state with val assigned to j by `_assign`."""
+    child = state.state(0)
+    search._assign(child, j, val)
+    return child
+
+
 @pytest.mark.parametrize("n,q,k,seed", ASSIGNMENT_SEQUENCES)
 def test_tableau_matches_exact_elimination(n, q, k, seed):
     m, order, target, rng = assignment_sequence(n, q, k, seed)
     cols = m.T.tolist()
-    tab = _Tableau.start(m)
+    search, state = uncascaded(n, q, k)
+    assert np.array_equal(state.dirs.a, m)
     rows, values, pivots = [], [], set()
     for j in order:
         val = target[j]
         forced = assigned_value(rows, values, cols[j])
         if forced is not None and forced != val:
             with pytest.raises(_Contradiction):
-                tab.assigned(j, val)
+                assigned(search, state, j, val)
             continue
-        tab = tab.assigned(j, val)
+        state = assigned(search, state, j, val)
         if forced is None:
             rows.append(cols[j])
             values.append(val)
             pivots.add(j)
-        assert tab.dim == m.shape[0] - len(rows)
-        zero = np.flatnonzero(~tab.dirs.a.any(axis=0)).tolist()
-        assert tab.dirs.fresh == [i for i in zero if i not in pivots]
+        dirs = state.dirs
+        assert dirs.dim == m.shape[0] - len(rows)
+        zero = np.flatnonzero(~dirs.a.any(axis=0)).tolist()
+        assert dirs.fresh == [i for i in zero if i not in pivots]
         for i in [j] + rng.sample(range(len(cols)), 3):
             want = assigned_value(rows, values, cols[i])
-            assert (not tab.dirs.a[:, i].any()) == (want is not None)
+            assert (not dirs.a[:, i].any()) == (want is not None)
             if want is not None:
-                assert int(tab.p[i]) == residue(want)
-        if not tab.dim:
+                assert int(state.p[i]) == residue(want)
+        if not dirs.dim:
             break
-    assert not tab.dim
+    assert not state.dirs.dim
 
 
 @pytest.mark.parametrize("guard", [None, 2**5])
@@ -559,34 +615,33 @@ def test_tableau_matches_one_array_tableau(n, q, k, seed, guard,
     if guard is not None:
         monkeypatch.setattr(exact, "INT64_GUARD", guard)
     m, order, target, _ = assignment_sequence(n, q, k, seed)
-    tab, ref = _Tableau.start(m), OneArrayTableau.start(m)
+    (search, state), ref = uncascaded(n, q, k), OneArrayTableau.start(m)
     widened = set()
     for j in order:
         try:
             ref = ref.assigned(j, target[j])
         except _Contradiction:
             with pytest.raises(_Contradiction):
-                tab.assigned(j, target[j])
+                assigned(search, state, j, target[j])
             continue
-        tab = tab.assigned(j, target[j])
-        assert_residues(tab.dirs.a)
-        assert_residues(tab.p)
-        assert_row_multiples(tab.dirs.a, ref.t)
-        assert tab.p.tolist() == [residue(Fraction(int(v), ref.den))
-                                  for v in ref.p]
+        state = assigned(search, state, j, target[j])
+        assert_residues(state.dirs.a)
+        assert_residues(state.p)
+        assert_row_multiples(state.dirs.a, ref.t)
+        assert state.p.tolist() == [residue(Fraction(int(v), ref.den))
+                                    for v in ref.p]
         widened |= {name for name, a in (("t", ref.t), ("p", ref.p))
                     if a.dtype == object}
-    assert not tab.dim
+    assert not state.dirs.dim
     assert widened == (set() if guard is None else {"t", "p"})
 
 
 def test_tableau_children_share_their_directions():
-    m = dense_incidence(ambient(3, 2, "affine"), 1)
-    tab = _Tableau.start(m)
-    zero, one = tab.assigned(5, 0), tab.assigned(5, 1)
+    search, state = uncascaded(3, 2, 1)
+    zero, one = assigned(search, state, 5, 0), assigned(search, state, 5, 1)
     assert zero.dirs is one.dirs
     assert not zero.p.any() and one.p.any()
-    for a in (tab.dirs.a, zero.dirs.a):
+    for a in (state.dirs.a, zero.dirs.a):
         with pytest.raises(ValueError):
             a[0, 0] = 7
 

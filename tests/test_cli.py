@@ -416,7 +416,11 @@ def test_malformed_size_guard_exits_2(tmp_path, value, argv):
     # 2^99999 (2^100000 - 1) lines: past the 4,300 digits str() prints
     ["--n", "100000", "--q", "2", "--x", "1"],
     # [3000, 2999]_2 took 24 s when computed over 2999 factors
-    ["--n", "3000", "--q", "2", "--k", "2999", "--x", "0"]])
+    ["--n", "3000", "--q", "2", "--k", "2999", "--x", "0"],
+    # closed forms of 10^8 bits and more: refused from q^((k+1)(n-k))
+    # rather than formed, which ran past 20 s and past 60 s
+    ["--n", "100000000", "--q", "2", "--k", "2", "--x", "1"],
+    ["--n", "100000000", "--q", "3", "--k", "1", "--x", "1"]])
 def test_search_far_past_the_cap_exits_2_at_once(argv):
     r = run_cli("search", *argv, timeout=10)
     assert r.returncode == 2
@@ -436,6 +440,15 @@ def test_kset_files_past_the_enumeration_guard_exit_2(tmp_path):
         assert r.returncode == 2
         assert r.stderr == ("size guard: 52955405230 1-spaces of PG(12,3) "
                             "exceed guard 10000000\n")
+    # a header alone: [3 10^7 + 1, 2]_2 took 22 s to form before the
+    # guard refused it, and is now refused from 2^(2 (3 10^7 - 1))
+    setfile.write_text(json.dumps({"n": 3 * 10**7, "q": 2, "k": 1,
+                                   "mode": "affine", "members": []}))
+    r = run_cli("verify", "--set", str(setfile), timeout=10,
+                env={"CLAG_SIZE_GUARD": ""})
+    assert r.returncode == 2
+    assert r.stderr == ("size guard: at least 2^59999998 1-spaces of "
+                        "PG(30000000,2) exceed guard 10000000\n")
 
 
 def test_size_guard_env_covers_spread_incidences():

@@ -9,7 +9,7 @@ import pytest
 from clag.galois import field_for_order
 from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
                            SizeGuard, _index_form, _pencil_rows, ambient, apply_matrix,
-                           count_text, enumerate_rref_matrices,
+                           capped_count, count_text, enumerate_rref_matrices,
                            gaussian_binomial, infinite_part, make_subspace,
                            span, subspace_from_json)
 
@@ -54,6 +54,20 @@ def test_counts_past_the_digit_limit_are_printable():
     assert count_text(2**100 - 1) == str(2**100 - 1)
     assert count_text(2**100) == "at least 2^100"
     assert count_text(3 * 2**20000) == "at least 2^20001"
+
+
+def test_capped_count_forms_the_closed_form_below_2_to_the_100():
+    def refuse():
+        raise AssertionError("closed form formed")
+
+    # 3^70 >= 2^70 and 2^100 are lower bounds past a cap of 10
+    assert capped_count(lambda: 3**70, 3, 70, 10) == 3**70
+    assert capped_count(refuse, 2, 100, 10) == 2**100
+    assert capped_count(refuse, 3, 100, 10) == 2**100
+    # a cap at or past the bound: only the closed form decides
+    assert capped_count(lambda: 2**100, 2, 100, 2**100) == 2**100
+    g = gaussian_binomial(60, 2, 2)
+    assert capped_count(lambda: g, 2, 2 * 58, 10) == 2**116 <= g
 
 
 def test_gaussian_binomial_matches_pivot_pattern_count():

@@ -8,7 +8,7 @@ from clag import exact, incidence
 from clag.clsets import (check_line_disjointness, check_pg_disjointness,
                          complement, is_cameron_liebler, kset_from_indices,
                          point_pencil)
-from clag.classify import _Tableau
+from clag.classify import SearchStats, _Search
 from clag.geometry import DimensionOutOfRange, SizeGuard, ambient
 from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
                             build_incidence, certificate_to_json, meet_counts,
@@ -162,8 +162,8 @@ def test_size_guard_holds_on_a_warm_cache(monkeypatch):
 
 def test_one_incidence_buffer_per_space_and_k():
     # one read-only int64 array of point lists per space and k serves the
-    # masks, the design and membership; the search's tableau copies its
-    # own M
+    # masks, the design and membership; the search keeps its own locked
+    # int64 copy of M
     for space, k in ((ambient(3, 2, "affine"), 1),
                      (ambient(3, 3, "projective"), 1),
                      (ambient(4, 2, "affine"), 2)):
@@ -179,10 +179,10 @@ def test_one_incidence_buffer_per_space_and_k():
         # the design check reads the pencils that point_pencil reads
         assert inc._through is space.point_pencils(k)
         assert not inc._through.flags.writeable
-        m = dense(inc)
-        t = _Tableau.start(m).dirs.a
-        assert t.dtype == np.int64 and np.array_equal(t, m)
-        assert not np.shares_memory(t, m)
+        if space.mode == "affine":  # the search's T at its root
+            t = _Search(space, k, 1, SearchStats()).root.a
+            assert t.dtype == np.int64 and np.array_equal(t, dense(inc))
+            assert not t.flags.writeable
 
 
 def test_certificate_export_format():

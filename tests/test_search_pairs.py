@@ -41,12 +41,14 @@ def test_no_row_runs_the_standard_rows(monkeypatch, capsys):
 
     def fake_run(root, row):
         seen.append(row)
-        return {"seconds": 1.0, "nodes": 7, "sha256": "same",
+        return {"seconds": 1.0, "nodes": 7, "plans_built": 2,
+                "states_built": 5, "sha256": "same",
                 "keys": {"stats": "same"}}
 
     monkeypatch.setattr(tool, "run_once", fake_run)
     assert tool.main(["a", "b", "--pairs", "1"]) == 0
     assert seen[::2] == list(tool.STANDARD_ROWS)
+    assert "; plans_built 2/2, states_built 5/5; " in capsys.readouterr().out
 
 
 def test_the_repository_against_itself(capsys):
@@ -55,10 +57,11 @@ def test_the_repository_against_itself(capsys):
                       "--pairs", "2"]) == 0
     out = capsys.readouterr().out
     assert "pair 1 (change first)" in out
-    for x, nodes in ((1, 35), (2, 95)):
+    for x, nodes, states in ((1, 35, 40), (2, 95, 38)):
         line = next(line for line in out.splitlines()
                     if line.startswith(f"AG(3,2) k=1 x={x} "))
-        assert f"{nodes} nodes, certificates same" in line
+        assert (f"{nodes} nodes, certificates same; plans_built 1/1, "
+                f"states_built {states}/{states}; ") in line
         assert "/2  ratio" in line
 
 
@@ -66,7 +69,8 @@ def test_differing_certificates_exit_1(monkeypatch, capsys):
     tool = _tool()
 
     def fake_run(root, row):
-        return {"seconds": 1.0, "nodes": 7, "sha256": root,
+        return {"seconds": 1.0, "nodes": 7, "plans_built": 2,
+                "states_built": len(root), "sha256": root,
                 "keys": {"solutions": "same", "stats": root}}
 
     monkeypatch.setattr(tool, "run_once", fake_run)
@@ -75,3 +79,18 @@ def test_differing_certificates_exit_1(monkeypatch, capsys):
     assert "certificates DIFFER in stats; " in captured.out
     assert "a certificate differs" in captured.err
     assert tool.main(["a", "a", "--row", "3,2,1,1", "--pairs", "1"]) == 0
+
+
+def test_differing_built_counts_are_printed_not_failed(monkeypatch, capsys):
+    # a perf change may rightly build more or fewer plans and states
+    tool = _tool()
+
+    def fake_run(root, row):
+        return {"seconds": 1.0, "nodes": 7, "plans_built": len(root),
+                "states_built": 3 * len(root), "sha256": "same",
+                "keys": {"stats": "same"}}
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    assert tool.main(["a", "bb", "--row", "3,2,1,1", "--pairs", "1"]) == 0
+    assert ("certificates same; plans_built 1/2, states_built 3/6; "
+            in capsys.readouterr().out)

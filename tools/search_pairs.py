@@ -3,17 +3,21 @@
     python3 tools/search_pairs.py PARENT_DIR CHANGE_DIR \\
         [--row n,q,k,x[,cap] ...] --pairs N
 
-Each run is one ``search_cl_ksets(n, q, k, x, cap=cap)`` in a fresh
-interpreter that imports ``clag`` from the checkout's ``src``, timed
-around that call alone (the default cap when a row gives none).  With
-no ``--row``, the rows are ``STANDARD_ROWS``, the searches on which a
-change to the search must give the same certificates.  Pair i runs the
-parent first when i is even and the change first when i is odd, as
-``tools/bench_pairs.py`` does.  For each row prints the time of every
-pair, then each side's median with its quartiles, in how many pairs the
-change read lower and the ratio of the medians.  Exits 1 when a
-certificate without ``wall_clock_s`` differs between the sides; the
-row's line then names the top-level keys whose values differ.
+Each run is one ``search_cl_ksets(n, q, k, x, cap=cap, timing=True)``
+in a fresh interpreter that imports ``clag`` from the checkout's
+``src``, timed around that call alone (the default cap when a row gives
+none).  With no ``--row``, the rows are ``STANDARD_ROWS``, the searches
+on which a change to the search must give the same certificates.  Pair
+i runs the parent first when i is even and the change first when i is
+odd, as ``tools/bench_pairs.py`` does.  For each row prints the time of
+every pair, then each side's ``plans_built`` and ``states_built``
+(parent/change), each side's median with its quartiles, in how many
+pairs the change read lower and the ratio of the medians.  Exits 1 when
+a certificate without its run fields (``wall_clock_s``, ``nodes_per_s``,
+``plans_built``, ``states_built``) differs between the sides; the row's
+line then names the top-level keys whose values differ.  A change to
+the search may rightly move how many plans and states it builds, so a
+difference there is printed, not failed.
 """
 
 from __future__ import annotations
@@ -32,13 +36,14 @@ import hashlib, json, sys, time
 from clag.classify import search_cl_ksets
 n, q, k, x, cap = json.loads(sys.argv[1])
 start = time.perf_counter()
-cert = search_cl_ksets(n, q, k, x, cap=cap)
+cert = search_cl_ksets(n, q, k, x, cap=cap, timing=True)
 seconds = time.perf_counter() - start
-cert.pop("wall_clock_s")
+built = {key: cert.pop(key) for key in ("plans_built", "states_built")}
+cert.pop("wall_clock_s"), cert.pop("nodes_per_s")
 def digest(value):
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 print(json.dumps({"seconds": seconds, "nodes": cert["stats"]["nodes"],
-                  "sha256": digest(cert),
+                  **built, "sha256": digest(cert),
                   "keys": {key: digest(v) for key, v in cert.items()}}))
 """
 
@@ -66,8 +71,9 @@ def parse_row(text: str) -> tuple:
 
 def run_once(root: str, row: tuple) -> dict:
     """One search of checkout `root` in a fresh interpreter: its seconds,
-    its node count, the SHA-256 of its certificate without
-    ``wall_clock_s`` and that of each of its top-level values."""
+    its node count, ``plans_built``, ``states_built``, the SHA-256 of its
+    certificate without the run fields and that of each of its top-level
+    values."""
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     r = subprocess.run([sys.executable, "-c", _SEARCH, json.dumps(row)],
                        cwd=root, capture_output=True, text=True, env=env)
@@ -96,10 +102,13 @@ def compare_row(sides: dict, row: tuple, pairs: int) -> bool:
     s = summarize(*([{"seconds": run["seconds"]} for run in runs[side]]
                     for side in ("parent", "change")))["seconds"]
     (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
+    built = ", ".join(f"{key} {runs['parent'][0][key]}/"
+                      f"{runs['change'][0][key]}"
+                      for key in ("plans_built", "states_built"))
     print(f"AG({n},{q}) k={k} x={x} cap={cap}: "
           f"{runs['change'][0]['nodes']} nodes, certificates "
           f"{'same' if len(digests) == 1 else 'DIFFER'}"
-          f"{' in ' + ', '.join(differ) if differ else ''}; "
+          f"{' in ' + ', '.join(differ) if differ else ''}; {built}; "
           f"parent {pm:.3f} s [{p1:.3f}, {p3:.3f}]  "
           f"change {cm:.3f} s [{c1:.3f}, {c3:.3f}]  "
           f"change lower {s['lower']}/{s['pairs']}  ratio {s['ratio']:.3f}",
