@@ -121,30 +121,29 @@ def cmd_verify(args) -> int:
     if args.all_checks:
         checks = report["checks"]
         if l.space.mode == "affine":
-            type_ii = spreads.all_type_II_spreads(l.space, l.k)
-            r = clsets.check_spread_intersections(l, type_ii)
+            # a type II spread is a parallel class: its count is that of
+            # the pencil of its part at infinity
+            counts = clsets.infinite_pencil_counts(l)
+            r = clsets.check_spread_counts(l, counts)
             checks["spread_intersections_type_II"] = \
                 {"status": r.status, **r.details}
             if l.k == 1:
                 n, q = l.space.n, l.space.q
                 n_taus = (q ** (n - 1) - 1) // (q - 1)
                 exhaustive = len(l.space.infinite_subspaces(n - 2)) * n_taus**q
-                if exhaustive <= 200:
-                    type_iii = spreads.all_type_III_spreads(l.space, 1)
-                    mode = "exhaustive"
-                else:
-                    type_iii = spreads.sample_type_III_spreads(
-                        l.space, 1, 60, args.seed)
-                    mode = "sampled"
-                r = clsets.check_spread_intersections(l, type_iii)
+                sample = () if exhaustive <= 200 else (60, args.seed)
+                keys = spreads.type_III_keys(l.space, 1, *sample)
+                r = clsets.check_spread_counts(
+                    l, clsets.type_III_counts(l, keys))
                 checks["spread_intersections_type_III"] = \
-                    {"status": r.status, "spreads": len(type_iii),
-                     "mode": mode}
+                    {"status": r.status, "spreads": len(keys),
+                     "mode": "sampled" if sample else "exhaustive"}
                 r = clsets.check_line_disjointness(l)
                 checks["line_disjointness"] = {"status": r.status, **r.details}
-            if len(type_ii) >= 2:
-                pair = spreads.switching_pair_from_spreads(type_ii[0], type_ii[1])
-                r = clsets.check_switching_invariance(l, pair)
+            if len(counts) >= 2:
+                # two parallel classes share no k-space: they are the
+                # switching pair of the first two
+                r = clsets.check_switching_counts(l, *counts[:2])
                 checks["switching_invariance"] = {"status": r.status, **r.details}
         else:
             r = clsets.check_pg_disjointness(l)

@@ -6,7 +6,11 @@ The definitional test (characteristic vector in the row space of the
 point versus k-space incidence matrix) is the single source of truth;
 the spread, switching-set and disjointness-count checks are validators.
 The count-based equivalences carry the hypothesis n >= 2k+1 and report
-a dedicated not-applicable status below it.
+a dedicated not-applicable status below it.  The spread and switching
+checks also take the counts themselves (`check_spread_counts`,
+`check_switching_counts`), so a count read from a table needs no
+spread: a parallel class's is its pencil's (`infinite_pencil_counts`),
+and a type III spread's a sum over its parts (`type_III_counts`).
 
 Both disjointness criteria, affine and projective, read their counts
 from `disjoint_counts`: the members each k-space meets, counted over
@@ -43,7 +47,7 @@ from .geometry import (AmbientSpace, Subspace, _int, _read_only, ambient,
                        gaussian_binomial, subspace_from_json,
                        DimensionOutOfRange)
 from .incidence import build_incidence, meet_counts
-from .spreads import SwitchingPair
+from .spreads import SwitchingPair, type_III_tables
 
 __all__ = [
     "KSet", "CheckResult", "NotDisjoint", "NotContained", "NotLines",
@@ -51,7 +55,8 @@ __all__ = [
     "kset_from_indices", "kset_from_subspaces", "empty_kset", "full_kset",
     "point_pencil", "pg_hyperplane_set", "complement", "union", "difference",
     "is_cameron_liebler", "are_cameron_liebler", "check_spread_intersections",
-    "check_switching_invariance", "disjoint_counts",
+    "check_spread_counts", "type_III_counts", "check_switching_invariance",
+    "check_switching_counts", "disjoint_counts",
     "infinite_pencil_counts", "check_line_disjointness",
     "check_pg_disjointness", "embed_to_pg", "restrict_from_pg",
     "count_through_infinite_subspace", "project_through_infinite_subspace",
@@ -246,28 +251,53 @@ def _equivalence_applicable(l: KSet) -> bool:
 
 def check_spread_intersections(l: KSet, spreads) -> CheckResult:
     """|L meet S| for every given spread; passes iff all equal x."""
+    chi = l.chi()
+    return check_spread_counts(l, [int(chi[list(s.member_indices())].sum())
+                                   for s in spreads])
+
+
+def check_spread_counts(l: KSet, counts) -> CheckResult:
+    """The spread check given |L meet S| for each spread S: passes iff
+    every count equals x."""
     if not _equivalence_applicable(l):
         return CheckResult("spread_intersections", NOT_APPLICABLE,
                            {"reason": "requires n >= 2k+1"})
-    idx = [s.member_indices() for s in spreads]
-    # one gather of every member, summed per spread as prefix differences
-    hits = l.chi()[np.fromiter(itertools.chain.from_iterable(idx),
-                               dtype=np.int64)]
-    prefix = np.concatenate(([0], np.cumsum(hits, dtype=np.int64)))
-    ends = np.cumsum([0] + [len(i) for i in idx])
-    counts = (prefix[ends[1:]] - prefix[ends[:-1]]).tolist()
     ok = l.x.denominator == 1 and all(c == l.x for c in counts)
     return CheckResult("spread_intersections", PASS if ok else FAIL,
                        {"counts": counts, "x": str(l.x)})
 
 
+def type_III_counts(l: KSet, keys) -> list[int]:
+    """|L meet S| for each type III spread S of `spreads.type_III_keys`,
+    no `Spread` built.  S is the union of its q parts (H_i, tau_i)
+    (`spreads.type_III_tables`), so |L meet S| is the sum over i of
+    X[H_i, tau_i], where X[H, t] counts the members of L inside H with
+    part at infinity t: one scatter of L's rows of the part table, and
+    one gather per spread."""
+    if not len(keys):
+        return []
+    hyps, _, taus, parts = type_III_tables(l.space, l.k)
+    t = len(l.space.infinite_subspaces(l.k - 1))
+    members = np.fromiter(l.members, np.int64, l.size)
+    dirs = l.space.infinity_pencils(l.k)[2][members]
+    x = np.bincount((parts[members] * t + dirs[:, None]).ravel(),
+                    minlength=hyps.size * t).reshape(-1, t)
+    return x[hyps[keys[:, 0]], taus[keys[:, :1], keys[:, 1:]]].sum(
+        axis=1).tolist()
+
+
 def check_switching_invariance(l: KSet, pair: SwitchingPair) -> CheckResult:
+    idx = l.space.space_index(l.k)
+    return check_switching_counts(
+        l, sum(1 for m in pair.r1 if idx[m.rows] in l.members),
+        sum(1 for m in pair.r2 if idx[m.rows] in l.members))
+
+
+def check_switching_counts(l: KSet, c1: int, c2: int) -> CheckResult:
+    """The switching check given |L meet R1| and |L meet R2|."""
     if not _equivalence_applicable(l):
         return CheckResult("switching_invariance", NOT_APPLICABLE,
                            {"reason": "requires n >= 2k+1"})
-    idx = l.space.space_index(l.k)
-    c1 = sum(1 for m in pair.r1 if idx[m.rows] in l.members)
-    c2 = sum(1 for m in pair.r2 if idx[m.rows] in l.members)
     return CheckResult("switching_invariance", PASS if c1 == c2 else FAIL,
                        {"r1": c1, "r2": c2})
 

@@ -15,17 +15,26 @@ Spread types:
 * type III+ -- type III for lines with all chosen points distinct.
 
 Every constructor validates its output exactly (pairwise disjointness
-and point coverage).  A type III spread is read from the pencil
-structure (`AmbientSpace.infinity_pencils`), never in the projective
-closure: the hyperplanes through pi are pi's pencil of hyperplanes, one
-scatter over their point lists labels every affine point by the
-hyperplane through pi that holds it, the tau inside pi are read at the
-affine point 0 (`AmbientSpace.shared_at_origin`), and a member K has K
-at infinity equal to tau_i, where i is the label of K's first point.
-Its members are gathered as indices into the space's k-spaces and
-validated by one count over the rows of those point lists.  The
-exhaustive list and the seeded sample read each pi's labels once, for
-all of its spreads.
+and point coverage); type III spreads all at once, per (space, k).  A
+type III spread is read from the pencil structure
+(`AmbientSpace.infinity_pencils`), never in the projective closure, by
+`type_III_tables`: the hyperplanes through pi are pi's pencil of
+hyperplanes, one scatter over their point lists labels every affine
+point, for every pi, by the hyperplane through pi that holds it, the
+tau inside pi are read at the affine point 0, and a member K has K at
+infinity equal to tau_i, where i is the label of K's first point.  A
+type III spread is so the union of q parts, each the k-spaces with one
+part at infinity inside one hyperplane; the part table lists, for every
+k-space, the hyperplanes of its parts, and one check of every part
+(each covers its hyperplane's points exactly once) validates every type
+III spread before the first is read.
+
+The type III spreads of a check are named by keys (`type_III_keys`):
+pi's index and each tau_i's position among the tau inside pi, every
+spread in product order or a seeded sample.  `clsets.type_III_counts`
+reads a k-set's count on each from the part table, with no `Spread`
+built; the exhaustive list and the sample build theirs from the same
+keys.
 
 A `Spread` keeps its sorted member indices; the type II and type III
 constructors hand them over.  The parallel classes of a (space, k) and
@@ -43,9 +52,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .galois import _irreducible, _times_x
-from .geometry import (AmbientSpace, Subspace, ambient, check_size,
-                       gaussian_binomial, make_subspace, normalized_points,
-                       span)
+from .geometry import (AmbientSpace, Subspace, _pencil_rows, _read_only,
+                       ambient, check_size, gaussian_binomial, make_subspace,
+                       normalized_points, span)
 
 __all__ = [
     "Spread", "SwitchingPair", "SpreadError", "DivisibilityViolated",
@@ -54,6 +63,7 @@ __all__ = [
     "spread_type_II", "spread_type_III", "is_spread",
     "verify_switching_pair", "switching_pair_from_spreads",
     "all_type_II_spreads", "all_type_III_spreads", "sample_type_III_spreads",
+    "type_III_keys", "type_III_tables",
     "extend_spread_from_subspace", "lift_spread_through_infinity",
 ]
 
@@ -133,19 +143,6 @@ def _sorted_members(members) -> tuple[Subspace, ...]:
     return tuple(sorted(members, key=Subspace.key))
 
 
-def _spread_reason(repeated: bool, counts) -> str:
-    """Why members are not a spread, or "ok": a repeated member, else
-    what `counts` (per point of the space, the number of members through
-    it; not read when a member is repeated) shows."""
-    if repeated:
-        return "repeated member"
-    if (counts > 1).any():
-        return "members overlap"
-    if (counts == 0).any():
-        return "points left uncovered"
-    return "ok"
-
-
 def _point_counts(space: AmbientSpace, members) -> np.ndarray:
     """For every point of the space, the number of members through it:
     a `bincount` of the equal-dimension members' point sets, computed
@@ -174,12 +171,16 @@ def is_spread(members, space: AmbientSpace, k: int | None = None) -> tuple[bool,
         return False, "mixed dimensions"
     if k is not None and dims != {k}:
         return False, f"dimension is not {k}"
-    repeated = len(set(m.rows for m in members)) != len(members)
-    if not repeated and _at_infinity(space, members):
+    if len(set(m.rows for m in members)) != len(members):
+        return False, "repeated member"
+    if _at_infinity(space, members):
         return False, "member at infinity"
-    reason = _spread_reason(
-        repeated, None if repeated else _point_counts(space, members))
-    return reason == "ok", reason
+    counts = _point_counts(space, members)
+    if (counts > 1).any():
+        return False, "members overlap"
+    if (counts == 0).any():
+        return False, "points left uncovered"
+    return True, "ok"
 
 
 def verify_switching_pair(pair: SwitchingPair) -> tuple[bool, str]:
@@ -292,21 +293,69 @@ def all_type_II_spreads(space: AmbientSpace, k: int) -> list[Spread]:
 # type III
 # ---------------------------------------------------------------------------
 
-def _pencil_of(space: AmbientSpace, pi: Subspace, k: int):
-    """(hyps, label, taus) for the (n-2)-space pi at infinity: the
-    indices of the q affine hyperplanes through pi (its pencil in
-    `infinity_pencils(n-1)`, ascending, so in canonical order); for
-    every affine point, the position in hyps of the one holding it; and
-    the (k-1)-spaces tau at infinity inside pi, in canonical order:
-    those whose <P0, tau> shares all its q^k affine points with
-    <P0, pi> (`AmbientSpace.shared_at_origin`)."""
-    _, pencils, _ = space.infinity_pencils(space.n - 1)
-    hyps = pencils[space.infinite_index(space.n - 2)[pi.rows]]
-    label = np.empty(space.num_points, dtype=np.int64)
-    label[space.point_lists(space.n - 1)[hyps]] = np.arange(len(hyps))[:, None]
-    inf_list = space.infinite_subspaces(k - 1)
-    inside = np.flatnonzero(space.shared_at_origin(k, pi) == space.q ** k)
-    return hyps, label, [inf_list[i] for i in inside]
+def type_III_tables(space: AmbientSpace, k: int):
+    """(hyps, at, taus, parts), the tables every type III k-spread is
+    read from, for the (n-2)-spaces pi at infinity in canonical order:
+    hyps[p] the indices of the q affine hyperplanes through the p-th pi
+    (its pencil in `infinity_pencils(n-1)`, ascending, so in canonical
+    order); at[p, P] the one of them holding the affine point P, from one
+    scatter over their point lists; taus[p] the indices of the
+    (k-1)-spaces t at infinity inside pi, ascending: the rule of
+    `AmbientSpace.shared_at_origin` read off `at`, t lies in pi iff the
+    k-space through the affine point 0 with part at infinity t lies in
+    <P0, pi>, the hyperplane at[p, 0].
+
+    parts is the part table.  A part (H, t) is the set of k-spaces with
+    part at infinity t inside the affine hyperplane H, for t inside H's
+    pi; S(pi; tau_1..tau_q) is the union of its parts (hyps[p][i],
+    tau_i).  parts[j, c] is the hyperplane holding k-space j through the
+    c-th pi, ascending, that contains j's part at infinity.  The tables
+    are built once per (space, k) and kept in the space's memo, after
+    `_parts_are_spreads` has checked every part: so every type III
+    spread read from them is a spread."""
+    def build():
+        _, pencils, pi_of = space.infinity_pencils(space.n - 1)
+        lists, dirs = space.point_lists(k), space.infinity_pencils(k)[2]
+        origin = np.flatnonzero(lists[:, 0] == 0)  # one k-space per t
+        check_size("{} x {} x {} pencil labels exceed guard {cap}",
+                   len(pencils), len(origin), space.q ** k)
+        at = np.zeros((len(pencils), space.num_points), dtype=np.int64)
+        at[pi_of[:, None], space.point_lists(space.n - 1)] = \
+            np.arange(len(pi_of))[:, None]
+        inside = (at[:, lists[origin]] == at[:, :1, None]).all(axis=2)
+        taus = np.sort(dirs[origin][np.nonzero(inside)[1]].reshape(
+            len(pencils), -1))
+        parts = at[_pencil_rows(taus, len(origin))[dirs], lists[:, :1]]
+        tables = (np.array(pencils), at, taus, parts)
+        if not _parts_are_spreads(space, k, *tables):
+            raise AssertionError("a type III part does not cover its "
+                                 "hyperplane once")
+        return tuple(map(_read_only, tables))
+    return space.memo(("type_III_tables", k), build)
+
+
+def _parts_are_spreads(space: AmbientSpace, k: int, hyps, at, taus,
+                       parts) -> bool:
+    """True iff the members of every part (H, t) of the part table
+    `parts` cover H's q^(n-1) points exactly once, and so every type III
+    spread, the union of q parts in the q hyperplanes through its pi, is
+    a spread.  That holds iff the hyperplanes through each pi cover every
+    point once, so do the k-spaces with each part at infinity, and
+    parts[j, c] is the hyperplane through the c-th pi containing j's
+    part at infinity (by `taus`) that holds all of j's points (by
+    `at`)."""
+    lists, dirs = space.point_lists(k), space.infinity_pencils(k)[2]
+    t, v = len(space.infinite_subspaces(k - 1)), space.num_points
+    pis = _pencil_rows(taus, t)[dirs]
+
+    def once(labels, pts, classes):
+        return (np.bincount((labels[:, None] * v + pts).ravel(),
+                            minlength=classes * v) == 1).all()
+    return (once(space.infinity_pencils(space.n - 1)[2],
+                 space.point_lists(space.n - 1), len(hyps))
+            and once(dirs, lists, t)
+            and all((at[pis[:, [c]], lists] == parts[:, [c]]).all()
+                    for c in range(parts.shape[1])))
 
 
 def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
@@ -327,92 +376,98 @@ def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     if len(dims) != 1:
         raise BadChoices("choices of mixed dimension")
     k = dims.pop() + 1
-    if k >= space.n:  # pi holds no (n-1)-space
-        raise BadChoices("every tau_i must lie inside pi")
-    return _spread_type_III(space, pi, choices, _pencil_of(space, pi, k))
-
-
-def _spread_type_III(space: AmbientSpace, pi: Subspace, choices,
-                     pencil) -> Spread:
-    """`spread_type_III` past its checks of pi and of the number and
-    dimension k - 1 of the choices, given `_pencil_of(space, pi, k)`."""
-    hyps, label, taus = pencil
-    k = choices[0].dim + 1
-    if not {t.rows for t in choices} <= {t.rows for t in taus}:
-        raise BadChoices("every tau_i must lie inside pi")
+    p = space.infinite_index(space.n - 2)[pi.rows]
     tau_index = space.infinite_index(k - 1)
-    ids = [tau_index[t.rows] for t in choices]
+    ids = [tau_index.get(t.rows) for t in choices]
+    # for k >= n a tau_i is at least an (n-1)-space, which pi cannot hold
+    if k >= space.n or not set(ids) <= set(type_III_tables(space, k)[2][p]):
+        raise BadChoices("every tau_i must lie inside pi")
+    return _spread_type_III(space, k, p, ids)
+
+
+def _spread_type_III(space: AmbientSpace, k: int, p: int, ids) -> Spread:
+    """`spread_type_III` past its checks of its input, given the index p
+    of pi and the indices of the tau_i in `infinite_subspaces(k-1)`."""
     distinct = len(set(ids))
     if distinct == 1:
         raise AllEqual("all tau_i equal degenerates to a type II spread")
-    lists = space.point_lists(k)
+    hyps, at = type_III_tables(space, k)[:2]
     # ascending indices are the canonical (Subspace.key) order
-    idx = np.flatnonzero(space.infinity_pencils(k)[2]
-                         == np.array(ids)[label[lists[:, 0]]])
-    counts = np.bincount(lists[idx].ravel(), minlength=space.num_points)
-    reason = _spread_reason(False, counts)
-    if reason != "ok":
-        raise BadChoices(f"choices do not produce a spread: {reason}")
+    idx = np.flatnonzero(space.infinity_pencils(k)[2] == np.array(ids)[
+        np.searchsorted(hyps[p], at[p, space.point_lists(k)[:, 0]])])
     spaces, hyperplanes = space.spaces(k), space.spaces(space.n - 1)
-    tag = "III+" if k == 1 and distinct == len(choices) else "III"
+    inf_list = space.infinite_subspaces(k - 1)
+    tag = "III+" if k == 1 and distinct == len(ids) else "III"
     return Spread(space, k, tuple(spaces[j] for j in idx), tag, {
-        "pi": pi.to_json(),
-        "hyperplanes": [hyperplanes[j].to_json() for j in hyps],
-        "choices": [t.to_json() for t in choices],
+        "pi": space.infinite_subspaces(space.n - 2)[p].to_json(),
+        "hyperplanes": [hyperplanes[j].to_json() for j in hyps[p]],
+        "choices": [inf_list[i].to_json() for i in ids],
     }, indices=tuple(idx.tolist()))
 
 
+def type_III_keys(space: AmbientSpace, k: int, count: int | None = None,
+                  seed: int | None = None) -> np.ndarray:
+    """The type III k-spreads S(pi; tau_1..tau_q) of a check, as a
+    read-only int64 array with one row (p, c_1, ..., c_q) per spread: p
+    the index of pi in `infinite_subspaces(n-2)`, c_i the position of
+    tau_i among the (k-1)-spaces at infinity inside pi in canonical
+    order, tau_i chosen in the i-th affine hyperplane through pi; rows
+    with all c_i equal are left out.  With no count: every spread, pi in
+    order and the choices in product order.  Else the seeded sample,
+    which draws p and then c_1..c_q with `random.Random(seed).choice`,
+    discards repeats, and stops at `count` spreads, after 50 * count
+    draws, or once every spread has been drawn.  No table of the space
+    is read.  Built once per (space, k, count, seed) and kept in the
+    space's memo.  `seed` must be an int when count is given, so that no
+    unseeded sample is ever kept and handed out again as if it were
+    random."""
+    if count is not None and not isinstance(seed, int):
+        raise BadSeed(f"seed must be an int, got {seed!r}")
+
+    def build():
+        q, pis = space.q, len(space.infinite_subspaces(space.n - 2))
+        taus = gaussian_binomial(space.n - 1, k, q)  # per pi
+        if count is None:
+            keys = [(p, *c) for p in range(pis)
+                    for c in itertools.product(range(taus), repeat=q)
+                    if len(set(c)) > 1]
+        else:
+            rng, keys, attempts = random.Random(seed), {}, 0
+            # stop too once every type III spread has been drawn
+            while (len(keys) < count and attempts < 50 * count
+                   and len(keys) < pis * (taus ** q - taus)):
+                attempts += 1
+                key = (rng.choice(range(pis)),
+                       *(rng.choice(range(taus)) for _ in range(q)))
+                if len(set(key[1:])) > 1:
+                    keys[key] = None  # a dict: repeats are dropped
+        return _read_only(np.array(list(keys), dtype=np.int64).reshape(
+            -1, q + 1))
+    return space.memo(("type_III_keys", k, count, seed), build)
+
+
+def _spreads_of_keys(space: AmbientSpace, k: int, keys) -> tuple[Spread, ...]:
+    taus = type_III_tables(space, k)[2] if len(keys) else None
+    return tuple(_spread_type_III(space, k, p, taus[p, c].tolist())
+                 for p, c in zip(keys[:, 0], keys[:, 1:]))
+
+
 def all_type_III_spreads(space: AmbientSpace, k: int = 1) -> list[Spread]:
-    """Every type III k-spread (exhaustive over pi and the tau choices).
-    Desk scale only: the choice count is (#tau)^q."""
-    out = []
-    q = space.q
-    for pi in space.infinite_subspaces(space.n - 2):
-        pencil = _pencil_of(space, pi, k)
-        for combo in itertools.product(pencil[2], repeat=q):
-            if len({t.rows for t in combo}) == 1:
-                continue
-            out.append(_spread_type_III(space, pi, list(combo), pencil))
-    return out
+    """Every type III k-spread, in the order of `type_III_keys`.  Desk
+    scale only: the choice count is (#tau)^q."""
+    return list(_spreads_of_keys(space, k, type_III_keys(space, k)))
 
 
 def sample_type_III_spreads(space: AmbientSpace, k: int, count: int,
                             seed: int) -> list[Spread]:
-    """Deterministic seeded sample of type III spreads, for checks where
-    the exhaustive list is too large.  Repeats are discarded.  The sample
-    is built once per (space, k, count, seed) and kept in the space's
-    memo: each call returns a new list of the same shared, frozen
-    `Spread` objects.  `seed` must be an int, so that no unseeded sample
-    is ever kept and handed out again as if it were random."""
-    if not isinstance(seed, int):
-        raise BadSeed(f"seed must be an int, got {seed!r}")
-
-    def build():
-        rng = random.Random(seed)
-        pis = space.infinite_subspaces(space.n - 2)
-        taus = gaussian_binomial(space.n - 1, k, space.q)  # per pi
-        out = []
-        seen = set()
-        pencils = {}  # pi.rows -> _pencil_of, for the pis drawn so far
-        attempts = 0
-        # stop too once every type III spread has been drawn
-        while (len(out) < count and attempts < 50 * count
-               and len(seen) < len(pis) * (taus ** space.q - taus)):
-            attempts += 1
-            pi = rng.choice(pis)
-            if pi.rows not in pencils:
-                pencils[pi.rows] = _pencil_of(space, pi, k)
-            pencil = pencils[pi.rows]
-            combo = [rng.choice(pencil[2]) for _ in range(space.q)]
-            if len({t.rows for t in combo}) == 1:
-                continue
-            key = (pi.rows, tuple(t.rows for t in combo))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(_spread_type_III(space, pi, combo, pencil))
-        return tuple(out)
-    return list(space.memo(("type_III_sample", k, count, seed), build))
+    """Deterministic seeded sample of type III spreads, those of
+    `type_III_keys(space, k, count, seed)`, for checks where the
+    exhaustive list is too large.  The sample is built once per (space,
+    k, count, seed) and kept in the space's memo: each call returns a
+    new list of the same shared, frozen `Spread` objects."""
+    return list(space.memo(("type_III_sample", k, count, seed),
+                           lambda: _spreads_of_keys(space, k, type_III_keys(
+                               space, k, count, seed))))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ read: the (k-1)-spaces at infinity inside pi by `contains`, and the
 members of each affine hyperplane h_i through pi as the k-spaces inside
 h_i (by `contains`) among those through tau_i (`spaces_through`).
 
+`drawn_type_III_spreads` is the type III family of
+`spreads.type_III_keys` by its former route: pi drawn from
+`infinite_subspaces(n-2)` and the choices from its `mask_taus`, as
+`Subspace` objects, with the former repeat and stop rules; the
+exhaustive list in product order when no count is given.  Each spread
+is built by `spread_type_III`.
+
 `spaces_through` lists the affine k-spaces that contain a subspace at
 infinity: each k-space's part at infinity is found by `meet` with the
 hyperplane x0 = 0, and each such part is tested by `contains`.
@@ -613,6 +620,32 @@ def member_spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread
     if not ok:
         raise BadChoices(f"choices do not produce a spread: {reason}")
     return spread
+
+
+def drawn_type_III_spreads(space: AmbientSpace, k: int, count=None,
+                           seed=None) -> list[Spread]:
+    pis = space.infinite_subspaces(space.n - 2)
+    if count is None:
+        return [spread_type_III(space, pi, combo) for pi in pis
+                for combo in itertools.product(mask_taus(space, pi, k),
+                                               repeat=space.q)
+                if len({t.rows for t in combo}) > 1]
+    rng = random.Random(seed)
+    taus = len(mask_taus(space, pis[0], k)) if pis else 0  # per pi
+    out, seen, attempts = [], set(), 0
+    while (len(out) < count and attempts < 50 * count
+           and len(seen) < len(pis) * (taus ** space.q - taus)):
+        attempts += 1
+        pi = rng.choice(pis)
+        combo = [rng.choice(mask_taus(space, pi, k)) for _ in range(space.q)]
+        if len({t.rows for t in combo}) == 1:
+            continue
+        key = (pi.rows, tuple(t.rows for t in combo))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(spread_type_III(space, pi, combo))
+    return out
 
 
 def subspace_kset_from_json(doc: dict) -> KSet:

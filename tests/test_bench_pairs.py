@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -80,3 +81,36 @@ def test_each_run_gets_a_fresh_bytecode_cache(monkeypatch):
         assert res["correct"] and res["metrics"]["project_s"] == 0.0519
     assert len(set(seen)) == 2
     assert not any(os.path.exists(cache) for cache in seen)
+
+
+def test_operation_medians_of_the_stored_run_record(tmp_path, monkeypatch,
+                                                   capsys):
+    # each run's record is the one new file under the checkout's
+    # .bench_out/runs/; --ops summarises its per-operation medians
+    tool = _tool()
+    runs = tmp_path / ".bench_out" / "runs"
+    runs.mkdir(parents=True)
+    (runs / "older.json").write_text(json.dumps(
+        {"ops": [{"name": "verify_a", "seconds": [9.0]}]}))
+    seconds = iter([[0.010, 0.012, 0.011], [0.002, 0.004, 0.003]] * 4)
+
+    def fake_run(argv, **kwargs):
+        record = {"ops": [{"name": "verify_a", "seconds": next(seconds)},
+                          {"name": "verify_b", "seconds": [0.5]}]}
+        (runs / f"run{len(os.listdir(runs))}.json").write_text(
+            json.dumps(record))
+        return subprocess.CompletedProcess(argv, 0, stdout=VERIFY_RUN,
+                                           stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    res = tool.run_once(str(tmp_path), "verify", 0, 30)
+    assert res["ops"] == {"verify_a": 0.011, "verify_b": 0.5}
+    assert tool.op_medians({"ops": [{"name": "x", "seconds": [3, 1]}]}) == \
+        {"x": 2}
+    # pair 0 runs the parent first, pair 1 the change
+    assert tool.main([str(tmp_path), str(tmp_path), "--workload", "verify",
+                      "--pairs", "2", "--ops"]) == 0
+    out = capsys.readouterr().out.split("# per operation")[1].splitlines()
+    assert out[1].split()[:5] == ["verify_a", "parent", "0.0070",
+                                  "[0.0050,", "0.0090]"]
+    assert "change lower 1/2" in out[1] and "ratio 1.000" in out[2]

@@ -177,6 +177,23 @@ def test_certificate_past_the_size_guard_raises(monkeypatch):
     assert verify_certificate(cert)
 
 
+def test_oversized_header_is_rejected_before_its_closed_forms(monkeypatch):
+    # an AG(10^6, 3) lines header with the AG(3,2) claims: space_count
+    # must be at least 3^(2 (10^6 - 1)), so it is refused on its bit
+    # length, before [10^6 1]_3 or 3^(10^6 - 1) is formed
+    cert = search_cl_ksets(3, 2, 1, 1)
+    cert.update(solution_count=0, solutions=[])
+    cert["problem"]["n"] = 10**6
+
+    def refuse(*args):
+        raise AssertionError("a closed form was formed")
+    monkeypatch.setattr(classify, "gaussian_binomial", refuse)
+    assert verify_certificate(cert) is False
+    # a space_count long enough, but an expected_weight below 3^(10^6 - 1)
+    cert["space_count"] = 1 << 2 * 10**6
+    assert verify_certificate(cert) is False
+
+
 def test_search_is_deterministic():
     a = search_cl_ksets(3, 2, 1, 1)
     b = search_cl_ksets(3, 2, 1, 1)

@@ -515,13 +515,22 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, monkeypatch,
      "be31f104ba36dd619b134dfa2788ce8c74d6fea93502c6da606e8a378de9306b"),
     ("pg33_star", 0,
      "75b46dd97b22b3bcb8dd99f80149146eb66562a8974e3cfedbc280271a6ab91c"),
+    # recorded from the former route of Spread objects, type II and III
+    # spreads built one by one and counted by check_spread_intersections
+    ("ag34_perturbed", 1,
+     "fd102efd30dec7b0375fff8c6c26e4a4f0b5353c9a68166e555366addb57f61e"),
+    ("ag42_pencil", 0,
+     "b855d8fa0616b35335ccf8e412a6fd5e5bdab8695b47395af3f17f470a6a5620"),
+    # every type III spread, some of them missed by the set
+    ("ag32_perturbed", 1,
+     "93414f4a20617e622f7d8876bcfecc5bdac03b23d0aceb29c1e32a37e0ba2003"),
 ])
 def test_verify_all_checks_reports_stay_byte_identical(tmp_path, monkeypatch,
                                                        capsys, name, code,
                                                        digest):
-    q = 2 if name.startswith("ag32") else 3
-    space = ambient(3, q, "projective" if name.startswith("pg") else "affine")
-    l = point_pencil(space, (1, 0, 0, 0), 1)
+    n, q = int(name[2]), int(name[3])
+    space = ambient(n, q, "projective" if name.startswith("pg") else "affine")
+    l = point_pencil(space, (1,) + (0,) * n, 1)
     if name.endswith("perturbed"):
         # the pencil, its first line swapped for the first line outside it
         outside = min(set(range(len(space.spaces(1)))) - l.members)
@@ -656,10 +665,11 @@ def test_kset_files_and_certificates_refuse_the_same_members(
 
 
 def test_verify_all_checks_report_is_pinned(tmp_path, monkeypatch, capsys):
-    # SHA-256 of the report on the AG(3,4) pencil of the origin, whose
-    # 60 sampled type III spreads were built one spread at a time from
-    # sorted Subspace members; the second run reads them from the memo
-    import clag.spreads as spreads
+    # SHA-256 of the report on the AG(3,4) pencil of the origin, recorded
+    # when its 60 sampled type III spreads were built one spread at a
+    # time from sorted Subspace members; they are now counted from the
+    # part table, and the second run reads the keys and the table from
+    # the memo: it neither draws nor checks the parts again
     space = ambient(3, 4, "affine")
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pencil.json").write_text(
@@ -671,4 +681,25 @@ def test_verify_all_checks_report_is_pinned(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(report.encode()).hexdigest() == digest
         assert json.loads(report)["checks"]["spread_intersections_type_III"] \
             == {"status": "pass", "spreads": 60, "mode": "sampled"}
-        monkeypatch.setattr(spreads, "spread_type_III", None)
+        monkeypatch.setattr(spreads.random, "Random", None)
+        monkeypatch.setattr(spreads, "_parts_are_spreads", None)
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 2, 1), (3, 4, 1), (4, 2, 1),
+                                   (5, 2, 2)])
+def test_verify_all_checks_builds_no_spread(tmp_path, monkeypatch, capsys,
+                                            n, q, k):
+    # every spread count is read from the member set's tables: exhaustive
+    # and sampled type III, type II and the switching pair
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Spread was built")
+    monkeypatch.setattr(spreads.Spread, "__init__", refuse)
+    space = ambient(n, q, "affine")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.json").write_text(json.dumps(kset_to_json(
+        point_pencil(space, (1,) + (0,) * n, k))))
+    assert cli.main(["verify", "--set", "set.json", "--all-checks"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["switching_invariance"]["status"] == "pass"
+    assert checks["spread_intersections_type_II"]["status"] == "pass"
+    assert ("spread_intersections_type_III" in checks) is (k == 1)

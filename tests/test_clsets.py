@@ -13,22 +13,23 @@ from clag.clsets import (NOT_APPLICABLE, DimensionViolation, NotContained,
                          are_cameron_liebler, canonical_complement,
                          check_line_disjointness,
                          check_pg_disjointness, disjoint_counts,
-                         check_spread_intersections,
-                         check_switching_invariance, complement,
+                         check_spread_counts, check_spread_intersections,
+                         check_switching_counts, check_switching_invariance,
+                         complement,
                          count_through_infinite_subspace, difference,
                          embed_to_pg, empty_kset, full_kset,
                          infinite_pencil_counts, is_cameron_liebler,
                          kset_from_indices, kset_from_json, kset_to_json,
                          modular_check, pg_hyperplane_set,
                          point_pencil, project_through_infinite_subspace,
-                         restrict_from_pg, union)
+                         restrict_from_pg, type_III_counts, union)
 from clag.geometry import (DimensionOutOfRange, SizeGuard, ambient,
                            gaussian_binomial, make_subspace)
 from clag.incidence import IncidenceMatrix, meets
 from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
                           extend_spread_from_subspace,
                           sample_type_III_spreads, spread_type_II,
-                          switching_pair_from_spreads)
+                          switching_pair_from_spreads, type_III_keys)
 
 from oracle import contains, meet, point_pencil_members
 
@@ -300,6 +301,57 @@ def test_cl_meets_sampled_spreads_beyond_desk_scale():
     spreads += sample_type_III_spreads(space, 1, 40, seed=7)
     pen = point_pencil(space, (1, 0, 1, 1, 0), 1)
     assert check_spread_intersections(pen, spreads).passed
+
+
+def _counted_ksets(space, k, seed):
+    """Accepted and rejected k-sets: a point pencil and its complement,
+    the pencil with one member swapped for the first k-space outside it,
+    and seeded random sets of the pencil's size and of three members."""
+    pen = point_pencil(space, (1,) + (0,) * space.n, k)
+    total = len(space.spaces(k))
+    outside = min(set(range(total)) - pen.members)
+    rng = random.Random(seed)
+    return [pen, complement(pen),
+            kset_from_indices(space, k, sorted(pen.members)[1:] + [outside]),
+            kset_from_indices(space, k, rng.sample(range(total), pen.size)),
+            kset_from_indices(space, k, rng.sample(range(total), 3))]
+
+
+@pytest.mark.parametrize("n,q,count,seeds", [
+    (3, 2, None, [None]), (3, 3, 60, [0, 1, 2]), (3, 4, 60, [0, 3, 7]),
+    (4, 2, 60, [0, 1])])
+def test_type_III_counts_are_the_per_spread_counts(n, q, count, seeds):
+    # the counts read from the hyperplane x direction table are those
+    # of the spreads built from the same keys
+    space = ambient(n, q, "affine")
+    ksets = _counted_ksets(space, 1, n * q)
+    for seed in seeds:
+        keys = type_III_keys(space, 1, count, seed)
+        family = (all_type_III_spreads(space, 1) if count is None
+                  else sample_type_III_spreads(space, 1, count, seed))
+        for l in ksets:
+            got = type_III_counts(l, keys)
+            assert got == check_spread_intersections(l, family).details[
+                "counts"]
+        assert set(type_III_counts(ksets[0], keys)) == {1}
+    assert type_III_counts(ksets[0], keys[:0]) == []
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 2, 1), (3, 3, 1), (4, 2, 1),
+                                   (4, 2, 2), (5, 2, 2)])
+def test_type_II_and_switching_checks_read_the_pencil_counts(n, q, k):
+    # a parallel class is a pencil at infinity, and two of them share
+    # no k-space, so they are their own switching pair
+    space = ambient(n, q, "affine")
+    t2 = all_type_II_spreads(space, k)
+    pair = switching_pair_from_spreads(t2[0], t2[1])
+    assert (pair.r1, pair.r2) == (t2[0].members, t2[1].members)
+    for l in _counted_ksets(space, k, n * q + k):
+        counts = infinite_pencil_counts(l)
+        assert check_spread_counts(l, counts) == \
+            check_spread_intersections(l, t2)
+        assert check_switching_counts(l, *counts[:2]) == \
+            check_switching_invariance(l, pair)
 
 
 def test_switching_invariance():

@@ -5,20 +5,29 @@ import random
 
 import pytest
 
-from clag.geometry import (AmbientSpace, ambient, apply_matrix, infinite_part,
-                           make_subspace)
+from clag.geometry import (AmbientSpace, _pencil_rows, ambient, apply_matrix,
+                           infinite_part, make_subspace)
 from clag.spreads import (AllEqual, BadChoices, BadSeed, DivisibilityViolated,
-                          NotAtInfinity, Spread, _pencil_of,
+                          NotAtInfinity, Spread, _parts_are_spreads,
                           all_type_II_spreads, all_type_III_spreads,
                           extend_spread_from_subspace, is_spread,
                           lift_spread_through_infinity, restrict_to_affine,
                           sample_type_III_spreads, spread_type_I,
                           spread_type_II, spread_type_III,
-                          switching_pair_from_spreads, verify_switching_pair)
+                          switching_pair_from_spreads, type_III_keys,
+                          type_III_tables, verify_switching_pair)
 
-from oracle import (contains, mask_taus, mask_type_III_indices,
-                    member_spread_type_III, random_affine_collineation,
-                    transport_type_III)
+from oracle import (contains, drawn_type_III_spreads, mask_taus,
+                    mask_type_III_indices, member_spread_type_III,
+                    random_affine_collineation, transport_type_III)
+
+
+def _taus_of(space, pi, k):
+    """The (k-1)-spaces at infinity inside pi, as `type_III_tables`
+    lists them."""
+    inf = space.infinite_subspaces(k - 1)
+    p = space.infinite_index(space.n - 2)[pi.rows]
+    return [inf[i] for i in type_III_tables(space, k)[2][p]]
 
 
 def test_type_I_field_reduction():
@@ -306,7 +315,7 @@ def _type_III_inputs(space, k, limit, seed):
     else `limit` seeded picks; all-equal choices are left out."""
     pairs = [(pi, list(combo))
              for pi in space.infinite_subspaces(space.n - 2)
-             for combo in itertools.product(_pencil_of(space, pi, k)[2],
+             for combo in itertools.product(_taus_of(space, pi, k),
                                             repeat=space.q)
              if len({t.rows for t in combo}) > 1]
     if len(pairs) <= limit:
@@ -387,7 +396,7 @@ def test_every_type_III_spread_matches_the_mask_route(n, q):
     space = AmbientSpace(n, q, "affine")
     pis = space.infinite_subspaces(n - 2)
     for pi in pis:
-        assert _pencil_of(space, pi, 1)[2] == mask_taus(space, pi, 1)
+        assert _taus_of(space, pi, 1) == mask_taus(space, pi, 1)
     family = all_type_III_spreads(space, 1)
     taus = len(mask_taus(space, pis[0], 1))
     assert len(family) == len(pis) * (taus ** q - taus)
@@ -412,7 +421,7 @@ def test_sampled_type_III_spreads_match_the_mask_route(n, q, k):
     assert len(family) == 60
     for s in family:
         pi, choices = _inputs_of(s)
-        assert _pencil_of(space, pi, k)[2] == mask_taus(space, pi, k)
+        assert _taus_of(space, pi, k) == mask_taus(space, pi, k)
         assert s.member_indices() == mask_type_III_indices(space, pi, choices)
     text = json.dumps([s.member_indices() for s in family])
     assert hashlib.sha256(text.encode()).hexdigest() == _SAMPLE_DIGESTS[n, q, k]
@@ -481,3 +490,106 @@ def test_spread_families_are_built_once_per_space(monkeypatch):
     for a, b in zip(first, second):
         assert a is not b and len(a) == len(b)
         assert all(x is y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n,q,k,count,seed", [
+    (3, 2, 1, None, None), (3, 3, 1, None, None), (3, 2, 1, 60, 0),
+    (3, 3, 1, 60, 0), (3, 3, 1, 8, 5), (3, 4, 1, 60, 0), (3, 4, 1, 60, 3),
+    (4, 2, 1, 60, 1), (4, 2, 2, 60, 0)])
+def test_type_III_keys_are_the_former_draws(n, q, k, count, seed):
+    # the spreads built from the keys are those the former route drew,
+    # one Subspace choice at a time, in the same order
+    space = AmbientSpace(n, q, "affine")
+    keys = type_III_keys(space, k, count, seed)
+    ref = drawn_type_III_spreads(space, k, count, seed)
+    got = (all_type_III_spreads(space, k) if count is None
+           else sample_type_III_spreads(space, k, count, seed))
+    assert keys.shape == (len(ref), q + 1) and not keys.flags.writeable
+    assert [s.to_json() for s in got] == [s.to_json() for s in ref]
+    assert type_III_keys(space, k, count, seed) is keys
+
+
+def test_type_III_keys_need_an_int_seed_to_sample():
+    space = AmbientSpace(3, 3, "affine")
+    with pytest.raises(BadSeed, match="seed must be an int"):
+        type_III_keys(space, 1, 4, 1.0)
+    assert not space._memo
+    assert len(type_III_keys(space, 1)) == 780
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 2, 1), (3, 3, 1), (4, 2, 1),
+                                   (4, 2, 2)])
+def test_part_table_holds_every_part(n, q, k):
+    # parts[j] lists the hyperplanes containing k-space j, one through
+    # each (n-2)-space at infinity containing its part at infinity
+    space = AmbientSpace(n, q, "affine")
+    hyps, _, taus, parts = type_III_tables(space, k)
+    hyperplanes, kspaces = space.spaces(n - 1), space.spaces(k)
+    for j, row in enumerate(parts.tolist()):
+        assert row == sorted(
+            row, key=lambda h: space.infinite_index(n - 2)[
+                hyperplanes[h].rows[1:]])
+        assert {h for h in range(len(hyperplanes))
+                if contains(hyperplanes[h], kspaces[j])} == set(row)
+    for p, pi in enumerate(space.infinite_subspaces(n - 2)):
+        assert [hyperplanes[h].rows[1:] for h in hyps[p]] == [pi.rows] * q
+        assert _taus_of(space, pi, k) == mask_taus(space, pi, k)
+
+
+def test_corrupted_part_table_fails_the_part_check(monkeypatch):
+    import clag.spreads as spreads
+    space = AmbientSpace(3, 3, "affine")
+    hyps, at, taus, parts = type_III_tables(space, 1)
+    assert _parts_are_spreads(space, 1, hyps, at, taus, parts)
+    # line 7 through another hyperplane of the same (n-2)-space pi, and
+    # through another hyperplane holding it, of another pi
+    pi = space.infinity_pencils(2)[2][parts[7, 2]]
+    other = next(h for h in hyps[pi] if h != parts[7, 2])
+    for label in (other, parts[7, 0]):
+        bad = parts.copy()
+        bad[7, 2] = label
+        assert not _parts_are_spreads(space, 1, hyps, at, taus, bad)
+    # point 5 labelled with another hyperplane through the first pi, and
+    # the part table read off those labels at every line's first point:
+    # the lines through point 5 that start elsewhere leave their part
+    bad_at = at.copy()
+    bad_at[0, 5] = next(h for h in hyps[0] if h != at[0, 5])
+    pis = _pencil_rows(taus, len(space.infinite_subspaces(0)))[
+        space.infinity_pencils(1)[2]]
+    bad = bad_at[pis, space.point_lists(1)[:, :1]]
+    assert (bad != parts).any()
+    assert not _parts_are_spreads(space, 1, hyps, bad_at, taus, bad)
+    monkeypatch.setattr(spreads, "_parts_are_spreads", lambda *args: False)
+    with pytest.raises(AssertionError, match="does not cover"):
+        type_III_tables(AmbientSpace(3, 3, "affine"), 1)
+
+
+def test_part_check_reads_the_geometry(monkeypatch):
+    # the check counts the hyperplanes' and the lines' points itself:
+    # two equal hyperplanes, two lines with their parts at infinity
+    # swapped, or a line listed twice in place of a parallel one (with
+    # the part table read off the labels at the first points again)
+    # fail it
+    space = AmbientSpace(3, 3, "affine")
+    hyps, at, taus, parts = type_III_tables(space, 1)
+    lists, pencils = space.point_lists, space.infinity_pencils
+    inf, members, per_space = pencils(1)
+    hyper = lists(2).copy()
+    hyper[1] = hyper[0]
+    swapped = per_space.copy()
+    swapped[[0, 1]] = per_space[[1, 0]]
+    assert swapped[0] != swapped[1]
+    twice = lists(1).copy()
+    twice[0] = twice[members[per_space[0]][1]]
+    pis = _pencil_rows(taus, len(inf))[per_space]
+    for attr, fake, table in (
+            ("point_lists", lambda k: hyper if k == 2 else lists(k), parts),
+            ("infinity_pencils",
+             lambda k: (inf, members, swapped) if k == 1 else pencils(k),
+             parts),
+            ("point_lists", lambda k: twice if k == 1 else lists(k),
+             at[pis, twice[:, :1]])):
+        with monkeypatch.context() as m:
+            m.setattr(space, attr, fake)
+            assert not _parts_are_spreads(space, 1, hyps, at, taus, table)
+    assert _parts_are_spreads(space, 1, hyps, at, taus, parts)
