@@ -87,6 +87,20 @@ def gf_point_blocks(bases, add, mul, blocks):
 
 
 # ---------------------------------------------------------------------------
+# the rows of a point list table through each point
+# ---------------------------------------------------------------------------
+
+def _pencil_rows(lists, v):
+    """Row p: the indices of the rows of the point lists `lists` that
+    hold point p, ascending, from one stable sort of `lists`; every
+    point of 0..v-1 must lie in the same number of rows.  Indices below
+    2^16 are sorted as uint16 (a radix sort), which keeps the order."""
+    narrow = lists.astype(np.uint16) if v <= 1 << 16 else lists
+    return np.argsort(narrow, axis=None, kind="stable").reshape(
+        v, -1) // lists.shape[1]
+
+
+# ---------------------------------------------------------------------------
 # intersection numbers p_ij^l from a relation matrix, with constancy check
 # ---------------------------------------------------------------------------
 
@@ -200,11 +214,9 @@ def _cliques(cover, x):
         return None
     m = cover.size // x
     cover = cover.astype(np.intp, copy=False)
-    flat = cover.ravel()
-    if (np.bincount(flat, minlength=x) != m).any():
+    if (np.bincount(cover.ravel(), minlength=x) != m).any():
         return None
-    return cover, m, (np.argsort(flat, kind="stable")
-                      // cover.shape[1]).reshape(x, m)
+    return cover, m, _pencil_rows(cover, x)
 
 
 def _clique_sums(dig, cover):

@@ -325,7 +325,7 @@ class _Search:
         self.x = x
         self.stats = stats
         _, pencil_members, per_space = space.infinity_pencils(k)
-        self.pencils = [list(map(int, m)) for m in pencil_members]
+        self.pencils = pencil_members.tolist()
         self.per_space = [int(v) for v in per_space]
         self.incidence = build_incidence(space, k)
         # T of the root, a copy of M, which `_Directions` locks against

@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
             # a type II spread is a parallel class: its count is that of
             # the pencil of its part at infinity
             counts = clsets.infinite_pencil_counts(l)
-            r = clsets.check_spread_counts(l, counts)
+            r = clsets.check_spread_intersections(l, counts)
             checks["spread_intersections_type_II"] = \
                 {"status": r.status, **r.details}
             if l.k == 1:
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
                 exhaustive = len(l.space.infinite_subspaces(n - 2)) * n_taus**q
                 sample = () if exhaustive <= 200 else (60, args.seed)
                 keys = spreads.type_III_keys(l.space, 1, *sample)
-                r = clsets.check_spread_counts(
+                r = clsets.check_spread_intersections(
                     l, clsets.type_III_counts(l, keys))
                 checks["spread_intersections_type_III"] = \
                     {"status": r.status, "spreads": len(keys),
@@ -143,7 +143,7 @@ def cmd_verify(args) -> int:
             if len(counts) >= 2:
                 # two parallel classes share no k-space: they are the
                 # switching pair of the first two
-                r = clsets.check_switching_counts(l, *counts[:2])
+                r = clsets.check_switching_invariance(l, *counts[:2])
                 checks["switching_invariance"] = {"status": r.status, **r.details}
         else:
             r = clsets.check_pg_disjointness(l)

@@ -7,10 +7,10 @@ point versus k-space incidence matrix) is the single source of truth;
 the spread, switching-set and disjointness-count checks are validators.
 The count-based equivalences carry the hypothesis n >= 2k+1 and report
 a dedicated not-applicable status below it.  The spread and switching
-checks also take the counts themselves (`check_spread_counts`,
-`check_switching_counts`), so a count read from a table needs no
-spread: a parallel class's is its pencil's (`infinite_pencil_counts`),
-and a type III spread's a sum over its parts (`type_III_counts`).
+checks take the counts |L meet S| themselves, each an int, and every
+count is read from a table with no spread built: a parallel class's is
+its pencil's (`infinite_pencil_counts`), and a type III spread's a sum
+over its parts (`type_III_counts`).
 
 Both disjointness criteria, affine and projective, read their counts
 from `disjoint_counts`: the members each k-space meets, counted over
@@ -47,7 +47,7 @@ from .geometry import (AmbientSpace, Subspace, _int, _read_only, ambient,
                        gaussian_binomial, subspace_from_json,
                        DimensionOutOfRange)
 from .incidence import build_incidence, meet_counts
-from .spreads import SwitchingPair, type_III_tables
+from .spreads import type_III_tables
 
 __all__ = [
     "KSet", "CheckResult", "NotDisjoint", "NotContained", "NotLines",
@@ -55,8 +55,7 @@ __all__ = [
     "kset_from_indices", "kset_from_subspaces", "empty_kset", "full_kset",
     "point_pencil", "pg_hyperplane_set", "complement", "union", "difference",
     "is_cameron_liebler", "are_cameron_liebler", "check_spread_intersections",
-    "check_spread_counts", "type_III_counts", "check_switching_invariance",
-    "check_switching_counts", "disjoint_counts",
+    "type_III_counts", "check_switching_invariance", "disjoint_counts",
     "infinite_pencil_counts", "check_line_disjointness",
     "check_pg_disjointness", "embed_to_pg", "restrict_from_pg",
     "count_through_infinite_subspace", "project_through_infinite_subspace",
@@ -249,16 +248,11 @@ def _equivalence_applicable(l: KSet) -> bool:
     return l.space.n >= 2 * l.k + 1
 
 
-def check_spread_intersections(l: KSet, spreads) -> CheckResult:
-    """|L meet S| for every given spread; passes iff all equal x."""
-    chi = l.chi()
-    return check_spread_counts(l, [int(chi[list(s.member_indices())].sum())
-                                   for s in spreads])
-
-
-def check_spread_counts(l: KSet, counts) -> CheckResult:
+def check_spread_intersections(l: KSet, counts) -> CheckResult:
     """The spread check given |L meet S| for each spread S: passes iff
-    every count equals x."""
+    every count equals x.  Each count is read by `_int`, so a `Spread`,
+    a bool or a float raises TypeError."""
+    counts = list(map(_int, counts))
     if not _equivalence_applicable(l):
         return CheckResult("spread_intersections", NOT_APPLICABLE,
                            {"reason": "requires n >= 2k+1"})
@@ -286,15 +280,10 @@ def type_III_counts(l: KSet, keys) -> list[int]:
         axis=1).tolist()
 
 
-def check_switching_invariance(l: KSet, pair: SwitchingPair) -> CheckResult:
-    idx = l.space.space_index(l.k)
-    return check_switching_counts(
-        l, sum(1 for m in pair.r1 if idx[m.rows] in l.members),
-        sum(1 for m in pair.r2 if idx[m.rows] in l.members))
-
-
-def check_switching_counts(l: KSet, c1: int, c2: int) -> CheckResult:
-    """The switching check given |L meet R1| and |L meet R2|."""
+def check_switching_invariance(l: KSet, c1: int, c2: int) -> CheckResult:
+    """The switching check given |L meet R1| and |L meet R2|, each read
+    by `_int`: passes iff they are equal."""
+    c1, c2 = _int(c1), _int(c2)
     if not _equivalence_applicable(l):
         return CheckResult("switching_invariance", NOT_APPLICABLE,
                            {"reason": "requires n >= 2k+1"})
@@ -311,10 +300,9 @@ def disjoint_counts(l: KSet) -> np.ndarray:
 
 
 def infinite_pencil_counts(l: KSet) -> list[int]:
-    """Members through each (k-1)-space at infinity, canonical order."""
-    _, pencil_members, _ = l.space.infinity_pencils(l.k)
-    chi = l.chi()
-    return [int(chi[m].sum()) for m in pencil_members]
+    """Members through each (k-1)-space at infinity, canonical order:
+    one gather of chi over the pencil table."""
+    return l.chi()[l.space.infinity_pencils(l.k)[1]].sum(axis=1).tolist()
 
 
 def _disjointness_mismatches(l: KSet, factor: int):

@@ -125,16 +125,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _pencil_rows(lists: np.ndarray, v: int) -> np.ndarray:
-    """Row p: the indices of the rows of the point lists `lists` that
-    hold point p, ascending, from one stable sort of `lists`; every
-    point of 0..v-1 must lie in the same number of rows.  Indices below
-    2^16 are sorted as uint16 (a radix sort), which keeps the order."""
-    narrow = lists.astype(np.uint16) if v <= 1 << 16 else lists
-    return np.argsort(narrow, axis=None, kind="stable").reshape(
-        v, -1) // lists.shape[1]
-
-
 class AmbientMismatch(ValueError):
     pass
 
@@ -425,9 +415,10 @@ class AmbientSpace:
         """Type II pencil structure for affine k-spaces.
 
         Returns (inf_list, members, per_space): the (k-1)-spaces at
-        infinity in canonical order, the member index array of each
-        pencil (the k-spaces through that subspace, a type II spread),
-        and per_space[j] = pencil id of k-space j.
+        infinity in canonical order; the read-only (pencils x q^(n-k))
+        pencil table, row i the k-spaces through the i-th of them in
+        index order (a type II spread), sorted by `_pencil_rows`; and
+        per_space[j] = pencil id of k-space j.
         """
         if self.mode != "affine":
             raise DimensionOutOfRange("pencil structure is an affine notion")
@@ -437,12 +428,9 @@ class AmbientSpace:
             # rows below the first: the k-space's part at infinity
             per_space = np.array([idx[s.rows[1:]] for s in self.spaces(k)],
                                  dtype=np.int64)
-            # one stable sort lists every pencil's members in index order
-            order = np.argsort(per_space, kind="stable")
-            ends = np.cumsum(np.bincount(per_space,
-                                         minlength=len(idx))).tolist()
-            members = [order[a:b] for a, b in zip([0] + ends, ends)]
-            return self.infinite_subspaces(k - 1), members, per_space
+            members = _kernels._pencil_rows(per_space[:, None], len(idx))
+            return (self.infinite_subspaces(k - 1), _read_only(members),
+                    per_space)
         return self.memo(("infinity_pencils", k), build)
 
     def shared_at_origin(self, k: int, a: Subspace) -> np.ndarray:
@@ -493,7 +481,7 @@ class AmbientSpace:
         `point_lists(k)`, under its size guard."""
         lists = self.point_lists(k)
         return self.memo(("point_pencils", k), lambda: _read_only(
-            _pencil_rows(lists, self.num_points)))
+            _kernels._pencil_rows(lists, self.num_points)))
 
     def infinite_subspaces(self, d: int) -> list[Subspace]:
         """The d-spaces contained in the hyperplane at infinity, in

@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact, geometry
+from . import _kernels, exact
 from .geometry import AmbientSpace, DimensionOutOfRange, check_size
 
 __all__ = ["IncidenceMatrix", "build_incidence", "LengthMismatch",
@@ -127,7 +127,7 @@ class IncidenceMatrix:
             # space's own table, unless M was built on other lists
             through = (self.space.point_pencils(self.k)
                        if pts is self.space.point_lists(self.k)
-                       else geometry._pencil_rows(pts, v))
+                       else _kernels._pencil_rows(pts, v))
             for p, mine in enumerate(through):
                 count = np.bincount(pts[mine].ravel(), minlength=v)
                 count[p] += lam - r

@@ -318,7 +318,7 @@ def _product_table(space: AmbientSpace, kind: str) -> np.ndarray:
     spec = _kind(kind)
     k = spec.k(space.n)
     rel = relation_matrix(space, kind)
-    covers = {spec.codes[1]: np.stack(space.infinity_pencils(k)[1])}
+    covers = {spec.codes[1]: space.infinity_pencils(k)[1]}
     if k == 1:
         covers[spec.codes[2]] = space.point_pencils(1)
     ok, p = scheme_axioms_bruteforce(rel, max(spec.codes), covers)

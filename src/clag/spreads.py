@@ -29,18 +29,14 @@ k-space, the hyperplanes of its parts, and one check of every part
 (each covers its hyperplane's points exactly once) validates every type
 III spread before the first is read.
 
-The type III spreads of a check are named by keys (`type_III_keys`):
-pi's index and each tau_i's position among the tau inside pi, every
-spread in product order or a seeded sample.  `clsets.type_III_counts`
-reads a k-set's count on each from the part table, with no `Spread`
-built; the exhaustive list and the sample build theirs from the same
-keys.
-
-A `Spread` keeps its sorted member indices; the type II and type III
-constructors hand them over.  The parallel classes of a (space, k) and
-the seeded sample of type III spreads of a (space, k, count, seed) are
-built once and kept in the space's memo; every call returns a new list
-of the same frozen `Spread` objects.
+Each spread family of a check has one source, and no `Spread` is built
+for it.  The parallel classes of a (space, k) are the rows of the
+pencil table `AmbientSpace.infinity_pencils(k)[1]`, and
+`spread_type_II` builds one of them on request.  The type III spreads
+are named by keys alone (`type_III_keys`): pi's index and each tau_i's
+position among the tau inside pi, every spread in product order or a
+seeded sample; `clsets.type_III_counts` reads a k-set's count on each
+from the part table, and `spread_type_III` builds one on request.
 """
 
 from __future__ import annotations
@@ -51,9 +47,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _pencil_rows
 from .galois import _irreducible, _times_x
-from .geometry import (AmbientSpace, Subspace, _pencil_rows, _read_only,
-                       ambient, check_size, gaussian_binomial, make_subspace,
+from .geometry import (AmbientSpace, Subspace, _read_only, ambient,
+                       check_size, gaussian_binomial, make_subspace,
                        normalized_points, span)
 
 __all__ = [
@@ -62,7 +59,6 @@ __all__ = [
     "GeometryMismatch", "BadSeed", "spread_type_I", "restrict_to_affine",
     "spread_type_II", "spread_type_III", "is_spread",
     "verify_switching_pair", "switching_pair_from_spreads",
-    "all_type_II_spreads", "all_type_III_spreads", "sample_type_III_spreads",
     "type_III_keys", "type_III_tables",
     "extend_spread_from_subspace", "lift_spread_through_infinity",
 ]
@@ -107,20 +103,14 @@ class Spread:
     members: tuple[Subspace, ...]
     type_tag: str = "untyped"
     data: dict = field(default_factory=dict, compare=False, hash=False)
-    # the sorted member indices: given by the type II and III
-    # constructors, else looked up on the first `member_indices` call
-    indices: tuple[int, ...] | None = field(default=None, compare=False,
-                                            repr=False)
 
     def __len__(self):
         return len(self.members)
 
     def member_indices(self) -> tuple[int, ...]:
-        if self.indices is None:
-            idx = self.space.space_index(self.k)
-            object.__setattr__(self, "indices", tuple(sorted(
-                idx[m.rows] for m in self.members)))
-        return self.indices
+        """The members' indices in `space.spaces(k)`, ascending."""
+        idx = self.space.space_index(self.k)
+        return tuple(sorted(idx[m.rows] for m in self.members))
 
     def to_json(self) -> dict:
         return {
@@ -275,18 +265,8 @@ def spread_type_II(space: AmbientSpace, at_infinity: Subspace) -> Spread:
         raise WrongDimension("axis must be a (k-1)-space at infinity")
     spaces = space.spaces(k)
     # pencil indices are ascending, which is the canonical (Subspace.key) order
-    idx = pencil_members[i].tolist()
-    return Spread(space, k, tuple(spaces[j] for j in idx), "II",
-                  {"at_infinity": at_infinity.to_json()}, indices=tuple(idx))
-
-
-def all_type_II_spreads(space: AmbientSpace, k: int) -> list[Spread]:
-    """Every parallel class of k-spaces: `spread_type_II` on each
-    (k-1)-space at infinity, in canonical order.  The classes are built
-    once per (space, k) and kept in the space's memo: each call returns
-    a new list of the same frozen `Spread` objects."""
-    return list(space.memo(("type_II_spreads", k), lambda: tuple(
-        spread_type_II(space, axis) for axis in space.infinity_pencils(k)[0])))
+    return Spread(space, k, tuple(spaces[j] for j in pencil_members[i]), "II",
+                  {"at_infinity": at_infinity.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +362,6 @@ def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     # for k >= n a tau_i is at least an (n-1)-space, which pi cannot hold
     if k >= space.n or not set(ids) <= set(type_III_tables(space, k)[2][p]):
         raise BadChoices("every tau_i must lie inside pi")
-    return _spread_type_III(space, k, p, ids)
-
-
-def _spread_type_III(space: AmbientSpace, k: int, p: int, ids) -> Spread:
-    """`spread_type_III` past its checks of its input, given the index p
-    of pi and the indices of the tau_i in `infinite_subspaces(k-1)`."""
     distinct = len(set(ids))
     if distinct == 1:
         raise AllEqual("all tau_i equal degenerates to a type II spread")
@@ -396,13 +370,13 @@ def _spread_type_III(space: AmbientSpace, k: int, p: int, ids) -> Spread:
     idx = np.flatnonzero(space.infinity_pencils(k)[2] == np.array(ids)[
         np.searchsorted(hyps[p], at[p, space.point_lists(k)[:, 0]])])
     spaces, hyperplanes = space.spaces(k), space.spaces(space.n - 1)
-    inf_list = space.infinite_subspaces(k - 1)
     tag = "III+" if k == 1 and distinct == len(ids) else "III"
+    # pi and the choices were found by their rows: they are canonical
     return Spread(space, k, tuple(spaces[j] for j in idx), tag, {
-        "pi": space.infinite_subspaces(space.n - 2)[p].to_json(),
+        "pi": pi.to_json(),
         "hyperplanes": [hyperplanes[j].to_json() for j in hyps[p]],
-        "choices": [inf_list[i].to_json() for i in ids],
-    }, indices=tuple(idx.tolist()))
+        "choices": [t.to_json() for t in choices],
+    })
 
 
 def type_III_keys(space: AmbientSpace, k: int, count: int | None = None,
@@ -420,13 +394,19 @@ def type_III_keys(space: AmbientSpace, k: int, count: int | None = None,
     is read.  Built once per (space, k, count, seed) and kept in the
     space's memo.  `seed` must be an int when count is given, so that no
     unseeded sample is ever kept and handed out again as if it were
-    random."""
+    random.  With no count, every call first raises SizeGuard when the
+    #pi (#tau)^q choices, counted in closed form, exceed the guard."""
     if count is not None and not isinstance(seed, int):
         raise BadSeed(f"seed must be an int, got {seed!r}")
+    q = space.q
+    # the (n-2)-spaces pi at infinity, and the tau inside each
+    pis = gaussian_binomial(space.n, space.n - 1, q)
+    taus = gaussian_binomial(space.n - 1, k, q)
+    if count is None:
+        check_size("{} x {} type III key choices exceed guard {cap}", pis,
+                   taus ** q)
 
     def build():
-        q, pis = space.q, len(space.infinite_subspaces(space.n - 2))
-        taus = gaussian_binomial(space.n - 1, k, q)  # per pi
         if count is None:
             keys = [(p, *c) for p in range(pis)
                     for c in itertools.product(range(taus), repeat=q)
@@ -444,30 +424,6 @@ def type_III_keys(space: AmbientSpace, k: int, count: int | None = None,
         return _read_only(np.array(list(keys), dtype=np.int64).reshape(
             -1, q + 1))
     return space.memo(("type_III_keys", k, count, seed), build)
-
-
-def _spreads_of_keys(space: AmbientSpace, k: int, keys) -> tuple[Spread, ...]:
-    taus = type_III_tables(space, k)[2] if len(keys) else None
-    return tuple(_spread_type_III(space, k, p, taus[p, c].tolist())
-                 for p, c in zip(keys[:, 0], keys[:, 1:]))
-
-
-def all_type_III_spreads(space: AmbientSpace, k: int = 1) -> list[Spread]:
-    """Every type III k-spread, in the order of `type_III_keys`.  Desk
-    scale only: the choice count is (#tau)^q."""
-    return list(_spreads_of_keys(space, k, type_III_keys(space, k)))
-
-
-def sample_type_III_spreads(space: AmbientSpace, k: int, count: int,
-                            seed: int) -> list[Spread]:
-    """Deterministic seeded sample of type III spreads, those of
-    `type_III_keys(space, k, count, seed)`, for checks where the
-    exhaustive list is too large.  The sample is built once per (space,
-    k, count, seed) and kept in the space's memo: each call returns a
-    new list of the same shared, frozen `Spread` objects."""
-    return list(space.memo(("type_III_sample", k, count, seed),
-                           lambda: _spreads_of_keys(space, k, type_III_keys(
-                               space, k, count, seed))))
 
 
 # ---------------------------------------------------------------------------

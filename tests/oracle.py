@@ -79,6 +79,15 @@ h_i (by `contains`) among those through tau_i (`spaces_through`).
 exhaustive list in product order when no count is given.  Each spread
 is built by `spread_type_III`.
 
+`keyed_type_III_spreads` builds the type III spreads named by rows of
+a `spreads.type_III_keys` array through the public `spread_type_III`:
+pi is `infinite_subspaces(n-2)[p]` and the choices its `mask_taus` at
+the key's positions.  `parallel_classes` is every type II spread, by
+`spread_type_II` over the (k-1)-spaces at infinity in canonical order.
+`spread_counts` is |L meet S| for each spread S, read from the spread's
+`member_indices()`, the counts that `clsets.check_spread_intersections`
+takes.
+
 `spaces_through` lists the affine k-spaces that contain a subspace at
 infinity: each k-space's part at infinity is found by `meet` with the
 hyperplane x0 = 0, and each such part is tested by `contains`.
@@ -126,7 +135,7 @@ from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, _int,
                            make_subspace, span, subspace_from_json)
 from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
                           NotAtInfinity, Spread, _sorted_members,
-                          is_spread, spread_type_III)
+                          is_spread, spread_type_II, spread_type_III)
 
 
 def point_pencil_members(space: AmbientSpace, point: int, k: int) -> set:
@@ -646,6 +655,26 @@ def drawn_type_III_spreads(space: AmbientSpace, k: int, count=None,
         seen.add(key)
         out.append(spread_type_III(space, pi, combo))
     return out
+
+
+def keyed_type_III_spreads(space: AmbientSpace, k: int, keys) -> list[Spread]:
+    pis = space.infinite_subspaces(space.n - 2)
+    taus = {}
+    spreads = []
+    for p, *c in np.asarray(keys).tolist():
+        if p not in taus:
+            taus[p] = mask_taus(space, pis[p], k)
+        spreads.append(spread_type_III(space, pis[p], [taus[p][i] for i in c]))
+    return spreads
+
+
+def parallel_classes(space: AmbientSpace, k: int) -> list[Spread]:
+    return [spread_type_II(space, axis)
+            for axis in space.infinity_pencils(k)[0]]
+
+
+def spread_counts(l: KSet, spreads) -> list[int]:
+    return [len(l.members.intersection(s.member_indices())) for s in spreads]
 
 
 def subspace_kset_from_json(doc: dict) -> KSet:

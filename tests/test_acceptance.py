@@ -25,8 +25,8 @@ from clag.scheme import (align_rows_to, eigenmatrix_bruteforce, eigenspace_profi
                          intersection_matrices_bruteforce, relation_matrix,
                          line_scheme, scheme_axioms_bruteforce,
                          scheme_report, verify_bose_mesner)
-from clag.spreads import all_type_II_spreads, all_type_III_spreads
-from oracle import bareiss_rank
+from clag.spreads import type_III_keys
+from oracle import bareiss_rank, keyed_type_III_spreads, parallel_classes
 
 GEOMETRIES = [(3, 2), (3, 3), (4, 2)]
 
@@ -123,7 +123,7 @@ def test_criterion_05_spread_vectors():
     for n, q in [(3, 2), (3, 3)]:
         space = ambient(n, q, "affine")
         tables = line_scheme(n, q)
-        type_ii = all_type_II_spreads(space, 1)
+        type_ii = parallel_classes(space, 1)
         count_ok = len(type_ii) == (q**n - 1) // (q - 1)
         vecs = []
         profiles_ok = True
@@ -132,8 +132,8 @@ def test_criterion_05_spread_vectors():
             profiles_ok = profiles_ok and eigenspace_profile(l, tables) == {0, 3}
             vecs.append(l.chi().astype(np.int64))
         rank = bareiss_rank(np.array(vecs))
-        plus = next(s for s in all_type_III_spreads(space, 1)
-                    if s.type_tag == "III+")
+        plus = next(s for s in keyed_type_III_spreads(
+            space, 1, type_III_keys(space, 1)) if s.type_tag == "III+")
         lp = spread_kset(space, plus)
         u = inner_distribution(lp, "affine_lines")
         u_ok = u == [1, 0, q ** (n - 2) - 1, q ** (n - 1) - q ** (n - 2)]
@@ -146,7 +146,8 @@ def test_criterion_05_spread_vectors():
 
 def test_criterion_06_spread_equivalence():
     space = ambient(3, 2, "affine")
-    spreads = all_type_II_spreads(space, 1) + all_type_III_spreads(space, 1)
+    spreads = parallel_classes(space, 1) + keyed_type_III_spreads(
+        space, 1, type_III_keys(space, 1))
     spread_mat = np.zeros((len(spreads), 28), dtype=np.int64)
     for i, s in enumerate(spreads):
         spread_mat[i, list(s.member_indices())] = 1

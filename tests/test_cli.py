@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -516,7 +517,7 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, monkeypatch,
     ("pg33_star", 0,
      "75b46dd97b22b3bcb8dd99f80149146eb66562a8974e3cfedbc280271a6ab91c"),
     # recorded from the former route of Spread objects, type II and III
-    # spreads built one by one and counted by check_spread_intersections
+    # spreads built one by one and each counted from its member indices
     ("ag34_perturbed", 1,
      "fd102efd30dec7b0375fff8c6c26e4a4f0b5353c9a68166e555366addb57f61e"),
     ("ag42_pencil", 0,
@@ -703,3 +704,23 @@ def test_verify_all_checks_builds_no_spread(tmp_path, monkeypatch, capsys,
     assert checks["switching_invariance"]["status"] == "pass"
     assert checks["spread_intersections_type_II"]["status"] == "pass"
     assert ("spread_intersections_type_III" in checks) is (k == 1)
+
+
+def test_verify_all_checks_runs_the_traced_spread_checks(tmp_path,
+                                                         monkeypatch, capsys):
+    # the benchmark's per-layer spans name the checks `verify` runs: the
+    # type II and type III spread checks and the switching check
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "clagbench")
+    monkeypatch.syspath_prepend(bench)
+    tracer = importlib.import_module("tracer")
+    space = ambient(3, 2, "affine")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.json").write_text(json.dumps(kset_to_json(
+        point_pencil(space, (1, 0, 0, 0), 1))))
+    with tracer.Tracer() as traced:
+        assert cli.main(["verify", "--set", "set.json", "--all-checks"]) == 0
+    capsys.readouterr()
+    names = [span[0] for span in traced.spans]
+    assert names.count("clsets.check_spread_intersections") == 2
+    assert names.count("clsets.check_switching_invariance") == 1

@@ -13,9 +13,8 @@ from clag.clsets import (NOT_APPLICABLE, DimensionViolation, NotContained,
                          are_cameron_liebler, canonical_complement,
                          check_line_disjointness,
                          check_pg_disjointness, disjoint_counts,
-                         check_spread_counts, check_spread_intersections,
-                         check_switching_counts, check_switching_invariance,
-                         complement,
+                         check_spread_intersections,
+                         check_switching_invariance, complement,
                          count_through_infinite_subspace, difference,
                          embed_to_pg, empty_kset, full_kset,
                          infinite_pencil_counts, is_cameron_liebler,
@@ -23,15 +22,14 @@ from clag.clsets import (NOT_APPLICABLE, DimensionViolation, NotContained,
                          modular_check, pg_hyperplane_set,
                          point_pencil, project_through_infinite_subspace,
                          restrict_from_pg, type_III_counts, union)
-from clag.geometry import (DimensionOutOfRange, SizeGuard, ambient,
-                           gaussian_binomial, make_subspace)
+from clag.geometry import (AmbientSpace, DimensionOutOfRange, SizeGuard,
+                           ambient, gaussian_binomial, make_subspace)
 from clag.incidence import IncidenceMatrix, meets
-from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
-                          extend_spread_from_subspace,
-                          sample_type_III_spreads, spread_type_II,
+from clag.spreads import (extend_spread_from_subspace, spread_type_II,
                           switching_pair_from_spreads, type_III_keys)
 
-from oracle import contains, meet, point_pencil_members
+from oracle import (contains, keyed_type_III_spreads, meet, parallel_classes,
+                    point_pencil_members, spread_counts)
 
 AG32 = ambient(3, 2, "affine")
 PG32 = ambient(3, 2, "projective")
@@ -265,15 +263,37 @@ def test_complement_union_difference():
 
 def test_spread_intersection_checks():
     pen = point_pencil(AG32, (1, 0, 0, 0), 1)
-    t2 = all_type_II_spreads(AG32, 1)
-    r = check_spread_intersections(pen, t2)
+    t2 = parallel_classes(AG32, 1)
+    r = check_spread_intersections(pen, spread_counts(pen, t2))
     assert r.passed and set(r.details["counts"]) == {1}
-    t3 = all_type_III_spreads(AG32, 1)
+    t3 = keyed_type_III_spreads(AG32, 1, type_III_keys(AG32, 1))
     assert len(t3) == 42
-    assert check_spread_intersections(pen, t3).passed
+    assert check_spread_intersections(pen, spread_counts(pen, t3)).passed
     single = kset_from_indices(AG32, 1, [0])
-    r = check_spread_intersections(single, t2)
+    r = check_spread_intersections(single, spread_counts(single, t2))
     assert r.status == "fail" and set(r.details["counts"]) == {0, 1}
+
+
+def test_spread_checks_refuse_what_is_not_a_count():
+    # the checks take counts: spreads, bools and floats raise, also
+    # where the check does not apply; numpy ints are counts
+    t2 = parallel_classes(AG32, 1)
+    planes = kset_from_indices(AG32, 2, [0, 1])
+    for l in (point_pencil(AG32, (1, 0, 0, 0), 1), planes):
+        for bad in (t2, [True] * 7, [1.0] * 7):
+            with pytest.raises(TypeError):
+                check_spread_intersections(l, bad)
+        for c1, c2 in ((t2[0], t2[1]), (True, 1), (1, 1.0)):
+            with pytest.raises(TypeError):
+                check_switching_invariance(l, c1, c2)
+    r = check_spread_intersections(planes, np.ones(7, np.int64))
+    assert r.status == NOT_APPLICABLE
+    r = check_spread_intersections(point_pencil(AG32, (1, 0, 0, 0), 1),
+                                   np.ones(7, np.int64))
+    assert r.passed and r.details["counts"] == [1] * 7
+    assert all(type(c) is int for c in r.details["counts"])
+    assert check_switching_invariance(planes, np.int64(1), 1).status == \
+        NOT_APPLICABLE
 
 
 def test_cl_meets_every_spread_exhaustively():
@@ -284,12 +304,14 @@ def test_cl_meets_every_spread_exhaustively():
     from clag.spreads import restrict_to_affine, spread_type_I
     for n, q in [(3, 2), (3, 3)]:
         space = ambient(n, q, "affine")
-        spreads = all_type_II_spreads(space, 1) + all_type_III_spreads(space, 1)
+        spreads = parallel_classes(space, 1) + keyed_type_III_spreads(
+            space, 1, type_III_keys(space, 1))
         spreads.append(restrict_to_affine(spread_type_I(n, q, 1)))
         pen = point_pencil(space, space.points[1], 1)
-        assert check_spread_intersections(pen, spreads).passed
+        assert check_spread_intersections(
+            pen, spread_counts(pen, spreads)).passed
         co = complement(pen)
-        r = check_spread_intersections(co, spreads)
+        r = check_spread_intersections(co, spread_counts(co, spreads))
         assert r.passed and set(r.details["counts"]) == {q ** (n - 1) - 1}
 
 
@@ -297,10 +319,11 @@ def test_cl_meets_sampled_spreads_beyond_desk_scale():
     # the same invariant on AG(4,2), with seeded sampling of the mixed
     # spreads (the exhaustive list is large there)
     space = ambient(4, 2, "affine")
-    spreads = all_type_II_spreads(space, 1)
-    spreads += sample_type_III_spreads(space, 1, 40, seed=7)
+    spreads = parallel_classes(space, 1)
+    spreads += keyed_type_III_spreads(space, 1,
+                                      type_III_keys(space, 1, 40, seed=7))
     pen = point_pencil(space, (1, 0, 1, 1, 0), 1)
-    assert check_spread_intersections(pen, spreads).passed
+    assert check_spread_intersections(pen, spread_counts(pen, spreads)).passed
 
 
 def _counted_ksets(space, k, seed):
@@ -327,12 +350,9 @@ def test_type_III_counts_are_the_per_spread_counts(n, q, count, seeds):
     ksets = _counted_ksets(space, 1, n * q)
     for seed in seeds:
         keys = type_III_keys(space, 1, count, seed)
-        family = (all_type_III_spreads(space, 1) if count is None
-                  else sample_type_III_spreads(space, 1, count, seed))
+        family = keyed_type_III_spreads(space, 1, keys)
         for l in ksets:
-            got = type_III_counts(l, keys)
-            assert got == check_spread_intersections(l, family).details[
-                "counts"]
+            assert type_III_counts(l, keys) == spread_counts(l, family)
         assert set(type_III_counts(ksets[0], keys)) == {1}
     assert type_III_counts(ksets[0], keys[:0]) == []
 
@@ -343,23 +363,28 @@ def test_type_II_and_switching_checks_read_the_pencil_counts(n, q, k):
     # a parallel class is a pencil at infinity, and two of them share
     # no k-space, so they are their own switching pair
     space = ambient(n, q, "affine")
-    t2 = all_type_II_spreads(space, k)
+    t2 = parallel_classes(space, k)
     pair = switching_pair_from_spreads(t2[0], t2[1])
     assert (pair.r1, pair.r2) == (t2[0].members, t2[1].members)
     for l in _counted_ksets(space, k, n * q + k):
         counts = infinite_pencil_counts(l)
-        assert check_spread_counts(l, counts) == \
-            check_spread_intersections(l, t2)
-        assert check_switching_counts(l, *counts[:2]) == \
-            check_switching_invariance(l, pair)
+        assert counts == spread_counts(l, t2)
+        assert counts[:2] == _pair_counts(l, pair)
+
+
+def _pair_counts(l, pair):
+    """[|L meet R1|, |L meet R2|] of a switching pair."""
+    idx = l.space.space_index(l.k)
+    return [sum(idx[m.rows] in l.members for m in r)
+            for r in (pair.r1, pair.r2)]
 
 
 def test_switching_invariance():
-    t2 = all_type_II_spreads(AG32, 1)
+    t2 = parallel_classes(AG32, 1)
     pen = point_pencil(AG32, (1, 0, 1, 0), 1)
     for i in range(1, 4):
         pair = switching_pair_from_spreads(t2[0], t2[i])
-        assert check_switching_invariance(pen, pair).passed
+        assert check_switching_invariance(pen, *_pair_counts(pen, pair)).passed
     # a single line is separated by a pair built from a spread through
     # it and one avoiding it
     line_idx = sorted(pen.members)[0]
@@ -367,7 +392,8 @@ def test_switching_invariance():
     avoiding = next(s for s in t2 if line_idx not in s.member_indices())
     pair = switching_pair_from_spreads(containing, avoiding)
     single = kset_from_indices(AG32, 1, [line_idx])
-    assert check_switching_invariance(single, pair).status == "fail"
+    r = check_switching_invariance(single, *_pair_counts(single, pair))
+    assert r.status == "fail" and r.details == {"r1": 1, "r2": 0}
 
 
 def test_affine_disjoint_counts():
@@ -494,7 +520,8 @@ def test_affine_questions_read_no_point_list_of_the_closure(monkeypatch):
            if contains(solid, m)]
     assert len(extend_spread_from_subspace(sub, solid, inf[0], ag42)) == 8
     ag33 = ambient(3, 3, "affine")
-    assert len(sample_type_III_spreads(ag33, 1, 8, seed=0)) == 8
+    assert len(keyed_type_III_spreads(
+        ag33, 1, type_III_keys(ag33, 1, 8, seed=0))) == 8
 
 
 def test_count_through_an_axis_needs_an_affine_set():
@@ -521,10 +548,10 @@ def test_pg_hyperplane_set_parameters():
 def test_equivalence_checkers_not_applicable_below_2k1():
     # planes of AG(3,2): n = 3 < 2k+1 = 5
     l = kset_from_indices(AG32, 2, [0, 1])
-    r = check_spread_intersections(l, all_type_II_spreads(AG32, 2))
+    counts = infinite_pencil_counts(l)
+    r = check_spread_intersections(l, counts)
     assert r.status == NOT_APPLICABLE
-    pair = switching_pair_from_spreads(*all_type_II_spreads(AG32, 2)[:2])
-    assert check_switching_invariance(l, pair).status == NOT_APPLICABLE
+    assert check_switching_invariance(l, *counts[:2]).status == NOT_APPLICABLE
 
 
 def test_embed_restrict_extend():
@@ -627,15 +654,19 @@ def test_restriction_to_subspace_keeps_shifted_constant():
 def test_sampled_type_III_spreads_deterministic():
     from clag.spreads import is_spread
     space = ambient(3, 3, "affine")
-    a = sample_type_III_spreads(space, 1, 12, seed=5)
-    b = sample_type_III_spreads(space, 1, 12, seed=5)
-    assert [s.to_json() for s in a] == [s.to_json() for s in b]
+    keys = type_III_keys(space, 1, 12, seed=5)
+    # a new space draws the same keys again
+    again = type_III_keys(AmbientSpace(3, 3, "affine"), 1, 12, seed=5)
+    assert again is not keys and again.tolist() == keys.tolist()
+    a = keyed_type_III_spreads(space, 1, keys)
     assert len(a) == 12
     for s in a:
         ok, _ = is_spread(s.members, space, 1)
         assert ok
     pen = point_pencil(space, (1, 0, 0, 0), 1)
-    assert check_spread_intersections(pen, a).passed
+    counts = type_III_counts(pen, keys)
+    assert counts == spread_counts(pen, a)
+    assert check_spread_intersections(pen, counts).passed
 
 
 def test_kset_json_round_trip(tmp_path):

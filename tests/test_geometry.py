@@ -6,9 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
+from clag._kernels import _pencil_rows
 from clag.galois import field_for_order
 from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
-                           SizeGuard, _index_form, _pencil_rows, ambient, apply_matrix,
+                           SizeGuard, _index_form, ambient, apply_matrix,
                            capped_count, count_text, enumerate_rref_matrices,
                            gaussian_binomial, infinite_part, make_subspace,
                            span, subspace_from_json)

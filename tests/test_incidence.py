@@ -14,9 +14,9 @@ from clag.incidence import (IncidenceMatrix, LengthMismatch, NotADesign,
                             build_incidence, certificate_to_json, meet_counts,
                             meets)
 from clag.scheme import relation_matrix
-from clag.spreads import all_type_II_spreads, restrict_to_affine, spread_type_I
+from clag.spreads import restrict_to_affine, spread_type_I
 from oracle import (bareiss_rank, classify_line_pair, dense_incidence,
-                    solve_left)
+                    parallel_classes, solve_left)
 
 
 def dense(A):
@@ -100,7 +100,7 @@ def test_membership_consistent_with_kernel_on_random_vectors():
 def test_spread_difference_lies_in_kernel():
     space = ambient(3, 2, "affine")
     m = dense(build_incidence(space, 1))
-    spreads = all_type_II_spreads(space, 1)
+    spreads = parallel_classes(space, 1)
     aff_type_I = restrict_to_affine(spread_type_I(3, 2, 1))
     spreads = spreads + [aff_type_I]
     for s1 in spreads:

@@ -17,12 +17,12 @@ from clag.scheme import (EmptySet, align_rows_to,
                          intersection_matrices_bruteforce, line_scheme,
                          relation_matrix, scheme_axioms_bruteforce, scheme_report,
                          u_dot_q, verify_bose_mesner)
-from clag.spreads import (all_type_II_spreads, all_type_III_spreads,
-                          sample_type_III_spreads)
+from clag.spreads import type_III_keys
 from oracle import (bareiss_rank, classify_line_pair,
                     hyperplane_dual_eigenmatrix,
-                    hyperplane_intersection_matrices, line_dual_eigenmatrix,
-                    line_intersection_matrices, meet)
+                    hyperplane_intersection_matrices, keyed_type_III_spreads,
+                    line_dual_eigenmatrix, line_intersection_matrices, meet,
+                    parallel_classes)
 
 AG32 = ambient(3, 2, "affine")
 
@@ -32,8 +32,8 @@ def spread_kset(space, spread):
 
 
 def first_type_iii_plus(space):
-    return next(s for s in all_type_III_spreads(space, 1)
-                if s.type_tag == "III+")
+    return next(s for s in keyed_type_III_spreads(
+        space, 1, type_III_keys(space, 1)) if s.type_tag == "III+")
 
 
 def test_classify_line_pair():
@@ -305,7 +305,7 @@ def test_b2_e3_eigen_relation():
 def test_inner_distributions():
     pen = point_pencil(AG32, (1, 0, 0, 0), 1)
     assert inner_distribution(pen) == [1, 6, 0, 0]
-    t2 = spread_kset(AG32, all_type_II_spreads(AG32, 1)[0])
+    t2 = spread_kset(AG32, parallel_classes(AG32, 1)[0])
     assert inner_distribution(t2) == [1, 0, 3, 0]
     t3 = spread_kset(AG32, first_type_iii_plus(AG32))
     assert inner_distribution(t3) == [1, 0, 1, 2]
@@ -328,7 +328,7 @@ def test_inner_distribution_closed_forms_general():
         pen = point_pencil(space, space.points[0], 1)
         assert inner_distribution(pen) == \
             [1, Fraction(q**n - q, q - 1), 0, 0]
-        t2 = spread_kset(space, all_type_II_spreads(space, 1)[0])
+        t2 = spread_kset(space, parallel_classes(space, 1)[0])
         assert inner_distribution(t2) == [1, 0, q ** (n - 1) - 1, 0]
         t3 = spread_kset(space, first_type_iii_plus(space))
         assert inner_distribution(t3) == \
@@ -341,8 +341,9 @@ def test_inner_distribution_matches_pair_classifier(q):
     lines = space.spaces(1)
     rng = random.Random(q)
     sets = [point_pencil(space, space.points[1], 1),
-            spread_kset(space, all_type_II_spreads(space, 1)[-1]),
-            spread_kset(space, sample_type_III_spreads(space, 1, 1, q)[0]),
+            spread_kset(space, parallel_classes(space, 1)[-1]),
+            spread_kset(space, keyed_type_III_spreads(
+                space, 1, type_III_keys(space, 1, 1, q))[0]),
             kset_from_indices(space, 1, rng.sample(range(len(lines)), 15))]
     for l in sets:
         counts = [0, 0, 0, 0]
@@ -355,7 +356,7 @@ def test_inner_distribution_matches_pair_classifier(q):
 def test_eigenspace_profiles():
     pen = point_pencil(AG32, (1, 0, 0, 0), 1)
     assert eigenspace_profile(pen) == {0, 1}
-    t2 = spread_kset(AG32, all_type_II_spreads(AG32, 1)[0])
+    t2 = spread_kset(AG32, parallel_classes(AG32, 1)[0])
     assert eigenspace_profile(t2) == {0, 3}
     t3 = spread_kset(AG32, first_type_iii_plus(AG32))
     assert eigenspace_profile(t3) == {0, 2, 3}
@@ -366,7 +367,7 @@ def test_u_dot_q_matches_projector_vanishing():
     tables = line_scheme(3, 2)
     ems = idempotents_scaled(rel, tables.Q, tables.size)
     for l in (point_pencil(AG32, (1, 1, 0, 0), 1),
-              spread_kset(AG32, all_type_II_spreads(AG32, 1)[2]),
+              spread_kset(AG32, parallel_classes(AG32, 1)[2]),
               kset_from_indices(AG32, 1, [0, 4, 9, 12, 20])):
         chi = l.chi().astype(np.int64)
         uq = u_dot_q(l, tables)
@@ -387,7 +388,7 @@ def test_hyperplane_scheme_tables():
 
 
 def test_hyperplane_inner_distributions():
-    t2 = all_type_II_spreads(AG32, 2)[0]
+    t2 = parallel_classes(AG32, 2)[0]
     s = spread_kset(AG32, t2)
     assert inner_distribution(s) == [1, 1, 0]      # (1, q-1, 0)
     assert eigenspace_profile(s) == {0, 1}
@@ -492,7 +493,7 @@ def test_type_iii_plus_span():
     tables = line_scheme(3, 2)
     ems = idempotents_scaled(rel, tables.Q, tables.size)
     vecs = []
-    for s in all_type_III_spreads(AG32, 1):
+    for s in keyed_type_III_spreads(AG32, 1, type_III_keys(AG32, 1)):
         if s.type_tag != "III+":
             continue
         chi = spread_kset(AG32, s).chi().astype(np.int64)
@@ -522,7 +523,7 @@ def test_type_ii_spread_vectors_span_v0_v3():
     tables = line_scheme(3, 2)
     ems = idempotents_scaled(rel, tables.Q, tables.size)
     vecs = []
-    for s in all_type_II_spreads(AG32, 1):
+    for s in parallel_classes(AG32, 1):
         chi = spread_kset(AG32, s).chi().astype(np.int64)
         for j in (1, 2):
             assert not (ems[j][0] @ chi).any()

@@ -2,24 +2,26 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
-from clag.geometry import (AmbientSpace, _pencil_rows, ambient, apply_matrix,
+from clag._kernels import _pencil_rows
+from clag.clsets import full_kset, type_III_counts
+from clag.geometry import (AmbientSpace, SizeGuard, ambient, apply_matrix,
                            infinite_part, make_subspace)
 from clag.spreads import (AllEqual, BadChoices, BadSeed, DivisibilityViolated,
                           NotAtInfinity, Spread, _parts_are_spreads,
-                          all_type_II_spreads, all_type_III_spreads,
                           extend_spread_from_subspace, is_spread,
                           lift_spread_through_infinity, restrict_to_affine,
-                          sample_type_III_spreads, spread_type_I,
-                          spread_type_II, spread_type_III,
+                          spread_type_I, spread_type_II, spread_type_III,
                           switching_pair_from_spreads, type_III_keys,
                           type_III_tables, verify_switching_pair)
 
-from oracle import (contains, drawn_type_III_spreads, mask_taus,
-                    mask_type_III_indices, member_spread_type_III,
-                    random_affine_collineation, transport_type_III)
+from oracle import (contains, drawn_type_III_spreads, keyed_type_III_spreads,
+                    mask_taus, mask_type_III_indices, member_spread_type_III,
+                    parallel_classes, random_affine_collineation,
+                    transport_type_III)
 
 
 def _taus_of(space, pi, k):
@@ -110,7 +112,7 @@ def test_type_II_errors():
 def test_type_II_pencils_partition_lines():
     space = ambient(3, 2, "affine")
     seen = set()
-    for s in all_type_II_spreads(space, 1):
+    for s in parallel_classes(space, 1):
         for idx in s.member_indices():
             assert idx not in seen
             seen.add(idx)
@@ -119,9 +121,12 @@ def test_type_II_pencils_partition_lines():
 
 @pytest.mark.parametrize("n,q,k", [(3, 2, 1), (3, 3, 1), (4, 2, 2)])
 def test_all_type_II_spreads_follow_the_pencils(n, q, k):
+    # the parallel classes are the rows of one read-only pencil table
     space = ambient(n, q, "affine")
     inf_list, pencil_members, _ = space.infinity_pencils(k)
-    got = all_type_II_spreads(space, k)
+    assert pencil_members.shape == (len(inf_list), q ** (n - k))
+    assert not pencil_members.flags.writeable
+    got = parallel_classes(space, k)
     assert len(got) == len(inf_list)
     for s, axis, members in zip(got, inf_list, pencil_members):
         assert s.type_tag == "II" and s.k == k
@@ -174,14 +179,15 @@ def test_type_III_not_plus_for_larger_q():
 def test_all_type_III_counts():
     space = ambient(3, 2, "affine")
     # 7 infinite lines, each with 3 points: 3^2 - 3 choice vectors
-    spreads = all_type_III_spreads(space, 1)
+    spreads = keyed_type_III_spreads(space, 1, type_III_keys(space, 1))
     assert len(spreads) == 42
     assert sum(s.type_tag == "III+" for s in spreads) == 42
 
 
 def test_spread_counts_and_sizes():
-    plus = [s for s in all_type_III_spreads(ambient(3, 3, "affine"), 1)
-            if s.type_tag == "III+"]
+    space = ambient(3, 3, "affine")
+    plus = [s for s in keyed_type_III_spreads(
+        space, 1, type_III_keys(space, 1)) if s.type_tag == "III+"]
     for s in plus[:5]:
         assert len(s) == 9
         ok, _ = is_spread(s.members, s.space, 1)
@@ -231,7 +237,7 @@ def test_member_at_infinity_is_refused_in_the_affine_space():
     from clag.spreads import SwitchingPair
     space = ambient(3, 2, "affine")
     at_inf = make_subspace(3, 2, [[0, 1, 0, 0], [0, 0, 1, 0]])
-    members = list(all_type_II_spreads(space, 1)[0].members)
+    members = list(parallel_classes(space, 1)[0].members)
     assert is_spread(members, space, 1) == (True, "ok")
     assert is_spread(members + [at_inf], space, 1) == \
         (False, "member at infinity")
@@ -338,35 +344,31 @@ def test_type_III_from_indices_matches_the_member_route(n, q, k, limit):
 
 
 def test_sampled_type_III_family_is_built_once_per_space(monkeypatch):
+    # the sample is its keys, drawn once per (space, k, count, seed)
     import clag.spreads as spreads
     space = AmbientSpace(3, 3, "affine")
-    first = sample_type_III_spreads(space, 1, 8, seed=2)
+    first = type_III_keys(space, 1, 8, seed=2)
     keys = [key for key in space._memo
-            if isinstance(key, tuple) and key[0] == "type_III_sample"]
-    assert keys == [("type_III_sample", 1, 8, 2)]
+            if isinstance(key, tuple) and key[0] == "type_III_keys"]
+    assert keys == [("type_III_keys", 1, 8, 2)]
 
     def refuse(*args):
-        raise AssertionError("a spread was built again")
+        raise AssertionError("a sample was drawn again")
 
-    monkeypatch.setattr(spreads, "spread_type_III", refuse)
-    first.clear()
-    second = sample_type_III_spreads(space, 1, 8, seed=2)
-    assert len(second) == 8
-    second.pop()
-    third = sample_type_III_spreads(space, 1, 8, seed=2)
-    assert len(third) == 8 and third is not second
-    assert all(a is b for a, b in zip(second, third))
+    monkeypatch.setattr(spreads.random, "Random", refuse)
+    assert type_III_keys(space, 1, 8, seed=2) is first
+    assert len(first) == 8 and not first.flags.writeable
     monkeypatch.undo()
     # another seed is another sample
-    other = sample_type_III_spreads(space, 1, 8, seed=3)
-    assert [s.to_json() for s in other] != [s.to_json() for s in third]
+    other = type_III_keys(space, 1, 8, seed=3)
+    assert other.tolist() != first.tolist()
 
 
 @pytest.mark.parametrize("seed", [None, 1.0, "0", (0,)])
 def test_sampled_type_III_spreads_need_an_int_seed(seed):
     space = AmbientSpace(3, 3, "affine")
     with pytest.raises(BadSeed, match="seed must be an int"):
-        sample_type_III_spreads(space, 1, 4, seed)
+        type_III_keys(space, 1, 4, seed)
     assert issubclass(BadSeed, ValueError)
     assert not space._memo
 
@@ -379,7 +381,8 @@ def test_sampled_type_III_family_is_the_one_pinned():
               3: "5b23dd9665d82c0a89cbb4665aeefdd92c5b7ab78e5fa89c4aa188c8c74320bc"}
     space = ambient(3, 4, "affine")
     for seed, digest in pinned.items():
-        family = sample_type_III_spreads(space, 1, 60, seed)
+        family = keyed_type_III_spreads(space, 1,
+                                        type_III_keys(space, 1, 60, seed))
         text = json.dumps([s.to_json() for s in family])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -397,7 +400,7 @@ def test_every_type_III_spread_matches_the_mask_route(n, q):
     pis = space.infinite_subspaces(n - 2)
     for pi in pis:
         assert _taus_of(space, pi, 1) == mask_taus(space, pi, 1)
-    family = all_type_III_spreads(space, 1)
+    family = keyed_type_III_spreads(space, 1, type_III_keys(space, 1))
     taus = len(mask_taus(space, pis[0], 1))
     assert len(family) == len(pis) * (taus ** q - taus)
     for s in family:
@@ -417,7 +420,7 @@ _SAMPLE_DIGESTS = {
 @pytest.mark.parametrize("n,q,k", sorted(_SAMPLE_DIGESTS))
 def test_sampled_type_III_spreads_match_the_mask_route(n, q, k):
     space = AmbientSpace(n, q, "affine")
-    family = sample_type_III_spreads(space, k, 60, 0)
+    family = keyed_type_III_spreads(space, k, type_III_keys(space, k, 60, 0))
     assert len(family) == 60
     for s in family:
         pi, choices = _inputs_of(s)
@@ -439,8 +442,11 @@ def test_type_III_reads_no_containment_masks(monkeypatch):
         return lists(space, k)
     monkeypatch.setattr(AmbientSpace, "point_lists", affine_only)
     space = AmbientSpace(3, 3, "affine")
-    assert len(sample_type_III_spreads(space, 1, 8, seed=0)) == 8
-    assert len(all_type_III_spreads(space, 1)) == 780
+    sample = keyed_type_III_spreads(space, 1, type_III_keys(space, 1, 8, 0))
+    assert len(sample) == 8
+    keys = type_III_keys(space, 1)
+    assert len(keyed_type_III_spreads(space, 1, keys)) == 780
+    assert set(type_III_counts(full_kset(space, 1), keys)) == {9}
 
 
 def test_sample_stops_once_every_type_III_spread_is_drawn(monkeypatch):
@@ -456,40 +462,39 @@ def test_sample_stops_once_every_type_III_spread_is_drawn(monkeypatch):
             return super().choice(seq)
     monkeypatch.setattr(spreads.random, "Random", Counting)
     space = AmbientSpace(3, 2, "affine")
-    sample = sample_type_III_spreads(space, 1, 60, seed=0)
+    sample = type_III_keys(space, 1, 60, seed=0)
     pis = draws.count(7)  # 278 at seed 0
     assert len(sample) == 42 and pis < 600
-    assert sorted(s.member_indices() for s in sample) == sorted(
-        s.member_indices() for s in all_type_III_spreads(space, 1))
+    assert sorted(sample.tolist()) == type_III_keys(space, 1).tolist()
 
 
 def test_spread_member_indices_are_the_members_indices():
+    # members are in canonical order, so their indices ascend; a type II
+    # spread's are its row of the pencil table
     space = ambient(3, 3, "affine")
-    given = [*all_type_II_spreads(space, 1),
-             *sample_type_III_spreads(space, 1, 8, seed=1)]
+    classes = parallel_classes(space, 1)
+    given = [*classes, *keyed_type_III_spreads(
+        space, 1, type_III_keys(space, 1, 8, seed=1))]
     idx = space.space_index(1)
     for s in given:
-        assert s.indices is not None
         assert s.member_indices() == tuple(idx[m.rows] for m in s.members)
-    looked_up = Spread(space, 1, given[0].members, "untyped")
-    assert looked_up.indices is None
-    assert looked_up.member_indices() == given[0].member_indices()
-    assert looked_up == Spread(space, 1, given[0].members, "untyped",
-                               indices=given[0].indices)
+    assert [s.member_indices() for s in classes] == [
+        tuple(row) for row in space.infinity_pencils(1)[1].tolist()]
+    untyped = Spread(space, 1, given[-1].members, "untyped")
+    assert untyped.member_indices() == given[-1].member_indices()
 
 
 def test_spread_families_are_built_once_per_space(monkeypatch):
+    # the type II family is the pencil table, the type III family its
+    # keys: each built once per space and shared read-only
     import clag.spreads as spreads
     space = AmbientSpace(3, 3, "affine")
-    first = [all_type_II_spreads(space, 1),
-             sample_type_III_spreads(space, 1, 8, seed=0)]
-    monkeypatch.setattr(spreads, "spread_type_II", None)
-    monkeypatch.setattr(spreads, "_spread_type_III", None)
-    second = [all_type_II_spreads(space, 1),
-              sample_type_III_spreads(space, 1, 8, seed=0)]
+    first = [space.infinity_pencils(1)[1], type_III_keys(space, 1, 8, seed=0)]
+    monkeypatch.setattr(spreads.random, "Random", None)
+    monkeypatch.setattr(AmbientSpace, "spaces", None)
+    second = [space.infinity_pencils(1)[1], type_III_keys(space, 1, 8, seed=0)]
     for a, b in zip(first, second):
-        assert a is not b and len(a) == len(b)
-        assert all(x is y for x, y in zip(a, b))
+        assert a is b and not a.flags.writeable
 
 
 @pytest.mark.parametrize("n,q,k,count,seed", [
@@ -502,8 +507,7 @@ def test_type_III_keys_are_the_former_draws(n, q, k, count, seed):
     space = AmbientSpace(n, q, "affine")
     keys = type_III_keys(space, k, count, seed)
     ref = drawn_type_III_spreads(space, k, count, seed)
-    got = (all_type_III_spreads(space, k) if count is None
-           else sample_type_III_spreads(space, k, count, seed))
+    got = keyed_type_III_spreads(space, k, keys)
     assert keys.shape == (len(ref), q + 1) and not keys.flags.writeable
     assert [s.to_json() for s in got] == [s.to_json() for s in ref]
     assert type_III_keys(space, k, count, seed) is keys
@@ -515,6 +519,22 @@ def test_type_III_keys_need_an_int_seed_to_sample():
         type_III_keys(space, 1, 4, 1.0)
     assert not space._memo
     assert len(type_III_keys(space, 1)) == 780
+
+
+def test_exhaustive_type_III_keys_are_guarded(monkeypatch):
+    # AG(3,7) lines: 57 pi x 8^7 choices, about 1.2e8 keys, past the
+    # default guard; the guard is counted before a key is listed
+    monkeypatch.delenv("CLAG_SIZE_GUARD", raising=False)
+    space = AmbientSpace(3, 7, "affine")
+    start = time.perf_counter()
+    with pytest.raises(SizeGuard, match="^57 x 2097152 type III key choices "
+                                        "exceed guard 10000000$"):
+        type_III_keys(space, 1)
+    assert time.perf_counter() - start < 1
+    assert not space._memo
+    assert len(type_III_keys(space, 1, 8, seed=0)) == 8  # a sample draws
+    assert len(type_III_keys(AmbientSpace(3, 2, "affine"), 1)) == 42
+    assert len(type_III_keys(AmbientSpace(3, 3, "affine"), 1)) == 780
 
 
 @pytest.mark.parametrize("n,q,k", [(3, 2, 1), (3, 3, 1), (4, 2, 1),
