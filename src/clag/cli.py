@@ -128,10 +128,9 @@ def cmd_verify(args) -> int:
             checks["spread_intersections_type_II"] = \
                 {"status": r.status, **r.details}
             if l.k == 1:
-                n, q = l.space.n, l.space.q
-                n_taus = (q ** (n - 1) - 1) // (q - 1)
-                exhaustive = len(l.space.infinite_subspaces(n - 2)) * n_taus**q
-                sample = () if exhaustive <= 200 else (60, args.seed)
+                pis, taus = spreads.type_III_choices(l.space, 1)
+                exhaustive = pis * taus ** l.space.q <= 200
+                sample = () if exhaustive else (60, args.seed)
                 keys = spreads.type_III_keys(l.space, 1, *sample)
                 r = clsets.check_spread_intersections(
                     l, clsets.type_III_counts(l, keys))

@@ -7,8 +7,9 @@ row divided by its gcd (not Bareiss's division by the previous pivot, so
 no minor bounds the entries): it works in int64 while a bound on the new
 entries stays below `INT64_GUARD` and in Python ints past it.
 `nullspace_int` eliminates with it, and gives
-`IncidenceMatrix.kernel_basis` and the scheme's eigenvectors.  The
-search's tableau does not: the incidence matrix M is a 2-design, so
+`IncidenceMatrix.kernel_basis`.  The brute-force scheme does not (it
+reads P off its product table as the algebra's characters), nor does
+the search's tableau: the incidence matrix M is a 2-design, so
 det(M M^T) = (r - lambda)^(v-1) r q^k is a unit mod every prime P > r
 other than the characteristic, every Cameron-Liebler vector is y M with
 y free of P in its denominators, and `classify` eliminates over GF(P)

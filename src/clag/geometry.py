@@ -418,7 +418,7 @@ class AmbientSpace:
         infinity in canonical order; the read-only (pencils x q^(n-k))
         pencil table, row i the k-spaces through the i-th of them in
         index order (a type II spread), sorted by `_pencil_rows`; and
-        per_space[j] = pencil id of k-space j.
+        the read-only per_space, per_space[j] = pencil id of k-space j.
         """
         if self.mode != "affine":
             raise DimensionOutOfRange("pencil structure is an affine notion")
@@ -430,7 +430,7 @@ class AmbientSpace:
                                  dtype=np.int64)
             members = _kernels._pencil_rows(per_space[:, None], len(idx))
             return (self.infinite_subspaces(k - 1), _read_only(members),
-                    per_space)
+                    _read_only(per_space))
         return self.memo(("infinity_pencils", k), build)
 
     def shared_at_origin(self, k: int, a: Subspace) -> np.ndarray:

@@ -36,10 +36,9 @@ sums.
 Through p, each Bose-Mesner identity among
 N_j = sum_a lut_j[a] A_a is an integer combination of the A_l, whose
 supports are disjoint and non-empty, so it holds exactly iff its
-coefficients agree: no |X|^2 work.  The rows of P are the common left
-eigenvectors of the intersection matrices B_i, found in one pass as the
-eigenvectors of a combination sum_i t^i B_i with d+1 distinct integer
-eigenvalues.
+coefficients agree: no |X|^2 work.  The rows of P are the characters
+of that algebra, read off p too: the tuples of integer eigenvalues of
+the intersection matrices B_i that multiply as the A_i do.
 
 Line relations: 0 identity, 1 meet in an affine point, 2 meet at
 infinity (parallel), 3 disjoint in the projective closure.  Hyperplane
@@ -49,6 +48,7 @@ hyperplanes with different spaces at infinity always meet.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _kernels, exact
+from . import _kernels
 from .clsets import KSet
 from .galois import field_for_order
 from .geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
@@ -369,45 +369,27 @@ def _horner(coeffs, lam: int) -> int:
 
 
 def eigenmatrix_bruteforce(mats: list[np.ndarray]) -> np.ndarray:
-    """P from the intersection matrices of a passing scheme_axioms_bruteforce:
-    their common left eigenvectors, leading entry 1, valency row first.
+    """P from the intersection matrices of a passing scheme_axioms_bruteforce,
+    valency row first: its rows are the characters of the Bose-Mesner
+    algebra, the tuples theta with theta_0 = 1 and theta_i theta_j =
+    sum_l p_ij^l theta_l for every i, j (p_ij^l = B_i[l, j]).
 
-    The rows are the left eigenvectors of B = sum_{i>=1} t^i B_i at any t
-    where B has d+1 distinct eigenvalues.  Row r's eigenvalue there is
-    sum_i t^i P_ri, and P_ri, an eigenvalue of B_i, must be an integer
-    with |P_ri| <= k_i: so B_i's integer roots in [-k_i, k_i] are found
-    once, and only their sums are tested, exactly, on the characteristic
-    polynomial of B.  Two distinct rows give equal eigenvalues for at
-    most d - 1 values of t >= 1 (their difference is t times a
-    polynomial of degree at most d - 1), so some t <= (d-1) C(d+1, 2) + 2
-    separates them all.  The scan starts at t = 2: at t = 1, B is the
-    intersection matrix of J - I, with the two eigenvalues |X| - 1 and
-    -1."""
+    Each theta_i is an eigenvalue of B_i, and in P an integer with
+    |theta_i| <= k_i: so B_i's integer roots in [-k_i, k_i] are found
+    once and every tuple of them is tried, exactly.  A commutative
+    algebra of dimension d+1 has at most d+1 characters; fewer than d+1
+    integer ones leave P without an integer row, and raise."""
     d = len(mats) - 1
-    valencies = [1] + [int(mats[j][0][j]) for j in range(1, d + 1)]
-    thetas = [[lam for lam in range(-k, k + 1) if _horner(coeffs, lam) == 0]
-              for k, coeffs in zip(valencies[1:], map(_charpoly, mats[1:]))]
-    for t in range(2, (d + 1) ** 3 + 2):
-        bt = [[sum(t**i * int(mats[i][c][r]) for i in range(1, d + 1))
-               for c in range(d + 1)] for r in range(d + 1)]
-        coeffs = _charpoly(bt)
-        sums = {0}
-        for i, theta in enumerate(thetas, 1):
-            sums = {s + t**i * lam for s in sums for lam in theta}
-        roots = [lam for lam in sums if _horner(coeffs, lam) == 0]
-        if len(roots) == d + 1:
-            break
-    else:
-        raise AssertionError("no integer eigenvalues separate the rows of P")
-    rows = []
-    for lam in roots:
-        (vec,) = exact.nullspace_int([[v - (lam if i == j else 0)
-                                       for j, v in enumerate(row)]
-                                      for i, row in enumerate(bt)])
-        assert vec[0] != 0, "eigenvector not normalizable"
-        row = [Fraction(v, vec[0]) for v in vec]
-        assert all(f.denominator == 1 for f in row)
-        rows.append([int(f) for f in row])
+    b = [m.tolist() for m in mats]
+    valencies = [1] + [b[j][0][j] for j in range(1, d + 1)]
+    roots = [[lam for lam in range(-k, k + 1) if _horner(coeffs, lam) == 0]
+             for k, coeffs in zip(valencies[1:], map(_charpoly, b[1:]))]
+    idx = range(d + 1)
+    rows = [row for row in ([1, *t] for t in itertools.product(*roots))
+            if all(row[i] * row[j] == sum(b[i][l][j] * row[l] for l in idx)
+                   for i in idx for j in idx)]
+    if len(rows) != d + 1:
+        raise AssertionError(f"{len(rows)} integer characters, not {d + 1}")
     rows.sort(key=lambda r: (r != valencies, [-v for v in r[1:]]))
     return np.array(rows, dtype=np.int64)
 

@@ -35,8 +35,10 @@ pencil table `AmbientSpace.infinity_pencils(k)[1]`, and
 `spread_type_II` builds one of them on request.  The type III spreads
 are named by keys alone (`type_III_keys`): pi's index and each tau_i's
 position among the tau inside pi, every spread in product order or a
-seeded sample; `clsets.type_III_counts` reads a k-set's count on each
-from the part table, and `spread_type_III` builds one on request.
+seeded sample, out of the #pi (#tau)^q choices `type_III_choices`
+counts in closed form; `clsets.type_III_counts` reads a k-set's count
+on each from the part table, and `spread_type_III` builds one on
+request.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = [
     "GeometryMismatch", "BadSeed", "spread_type_I", "restrict_to_affine",
     "spread_type_II", "spread_type_III", "is_spread",
     "verify_switching_pair", "switching_pair_from_spreads",
-    "type_III_keys", "type_III_tables",
+    "type_III_choices", "type_III_keys", "type_III_tables",
     "extend_spread_from_subspace", "lift_spread_through_infinity",
 ]
 
@@ -379,6 +381,15 @@ def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     })
 
 
+def type_III_choices(space: AmbientSpace, k: int) -> tuple[int, int]:
+    """(#pi, #tau) in closed form: the (n-2)-spaces pi at infinity, and
+    the (k-1)-spaces at infinity inside each.  A type III k-spread picks
+    one pi and q taus, so #pi (#tau)^q counts its choices, the q taus
+    all equal included."""
+    return (gaussian_binomial(space.n, space.n - 1, space.q),
+            gaussian_binomial(space.n - 1, k, space.q))
+
+
 def type_III_keys(space: AmbientSpace, k: int, count: int | None = None,
                   seed: int | None = None) -> np.ndarray:
     """The type III k-spreads S(pi; tau_1..tau_q) of a check, as a
@@ -399,9 +410,7 @@ def type_III_keys(space: AmbientSpace, k: int, count: int | None = None,
     if count is not None and not isinstance(seed, int):
         raise BadSeed(f"seed must be an int, got {seed!r}")
     q = space.q
-    # the (n-2)-spaces pi at infinity, and the tau inside each
-    pis = gaussian_binomial(space.n, space.n - 1, q)
-    taus = gaussian_binomial(space.n - 1, k, q)
+    pis, taus = type_III_choices(space, k)
     if count is None:
         check_size("{} x {} type III key choices exceed guard {cap}", pis,
                    taus ** q)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -471,6 +473,44 @@ def test_scheme_report_no_diff_on_ag35_lines():
     rep = scheme_report(3, 5, "affine_lines", brute_force=True)
     assert rep["brute_force"]["diff"] == []
     assert all(rep["brute_force"]["bose_mesner"].values())
+
+
+# SHA-256 of json.dumps(scheme_report(n, q, kind, brute_force=True),
+# sort_keys=True): every byte of these brute-force reports is pinned
+REPORT_DIGESTS = {
+    (3, 2, "affine_lines"):
+        "c5e919682d065422501a8d0169d89cc477a1e0b30eee376f5b017e342c6aeae9",
+    (3, 3, "affine_lines"):
+        "977a2e7e028b443b4bedab80cd47e88b44e07249a3c01fd59d3dfc256ba92f70",
+    (3, 4, "affine_lines"):
+        "22fcd61199e32ed126fd569a0f7ebcde43a71257f377cff37fea1fd3aa31a609",
+    (4, 2, "affine_lines"):
+        "04f4274ad21a2fb556852303e4b9dff395dde77f2d8dd49dedbaf9f7abdfbb4b",
+    (4, 3, "affine_lines"):
+        "14ac431b959ac710c1afb7948c6b08551cc03f9c608fed80cc3005a22368e6a9",
+    (5, 2, "affine_lines"):
+        "85467e9def49680c3a7d023099fc9ec03abac3e762233c9b5ab777e41340f916",
+    (2, 2, "affine_hyperplanes"):
+        "7ff61bcbfe7a978ffa15e347f9f733a278031c176f725e94f293a92c8666156f",
+    (3, 2, "affine_hyperplanes"):
+        "25e066c68c490bffa1b2af111d3eb7ec7ac08762d8a776aaf894b0dd3949b93c",
+    (3, 3, "affine_hyperplanes"):
+        "e80b2da87eda925a2608eb276056583f48d68d45839b9be66db645cdd4857974",
+    (4, 2, "affine_hyperplanes"):
+        "a0940dedd937b9b220ee0a6318cf9a3ce17ef2ac28834e73160146f16c18e961",
+    (5, 3, "affine_hyperplanes"):
+        "9881ccbac89a5b93806c70850e279582ddb4d9b8f20f328c37ef36aa4d3c9c97",
+    (4, 4, "affine_hyperplanes"):
+        "18e921643c55e837517e5aad5507cfad19d69b2896618e59861d738d020e5bd4",
+}
+
+
+@pytest.mark.parametrize("n,q,kind", sorted(REPORT_DIGESTS))
+def test_scheme_reports_stay_byte_identical(n, q, kind):
+    text = json.dumps(scheme_report(n, q, kind, brute_force=True),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        REPORT_DIGESTS[n, q, kind]
 
 
 def test_scheme_report_reads_the_environment_guard(monkeypatch):

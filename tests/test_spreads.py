@@ -15,8 +15,9 @@ from clag.spreads import (AllEqual, BadChoices, BadSeed, DivisibilityViolated,
                           extend_spread_from_subspace, is_spread,
                           lift_spread_through_infinity, restrict_to_affine,
                           spread_type_I, spread_type_II, spread_type_III,
-                          switching_pair_from_spreads, type_III_keys,
-                          type_III_tables, verify_switching_pair)
+                          switching_pair_from_spreads, type_III_choices,
+                          type_III_keys, type_III_tables,
+                          verify_switching_pair)
 
 from oracle import (contains, drawn_type_III_spreads, keyed_type_III_spreads,
                     mask_taus, mask_type_III_indices, member_spread_type_III,
@@ -121,11 +122,13 @@ def test_type_II_pencils_partition_lines():
 
 @pytest.mark.parametrize("n,q,k", [(3, 2, 1), (3, 3, 1), (4, 2, 2)])
 def test_all_type_II_spreads_follow_the_pencils(n, q, k):
-    # the parallel classes are the rows of one read-only pencil table
+    # the parallel classes are the rows of one read-only pencil table,
+    # and the pencil ids beside it are read-only too
     space = ambient(n, q, "affine")
-    inf_list, pencil_members, _ = space.infinity_pencils(k)
+    inf_list, pencil_members, per_space = space.infinity_pencils(k)
     assert pencil_members.shape == (len(inf_list), q ** (n - k))
     assert not pencil_members.flags.writeable
+    assert not per_space.flags.writeable
     got = parallel_classes(space, k)
     assert len(got) == len(inf_list)
     for s, axis, members in zip(got, inf_list, pencil_members):
@@ -533,8 +536,14 @@ def test_exhaustive_type_III_keys_are_guarded(monkeypatch):
     assert time.perf_counter() - start < 1
     assert not space._memo
     assert len(type_III_keys(space, 1, 8, seed=0)) == 8  # a sample draws
-    assert len(type_III_keys(AmbientSpace(3, 2, "affine"), 1)) == 42
-    assert len(type_III_keys(AmbientSpace(3, 3, "affine"), 1)) == 780
+    assert type_III_choices(space, 1) == (57, 8)
+    # clag verify lists every spread up to 200 choices and samples past
+    # them: AG(3,2) is exhaustive, AG(3,3) sampled
+    for q, choices, keys in ((2, 63, 42), (3, 832, 780)):
+        small = AmbientSpace(3, q, "affine")
+        pis, taus = type_III_choices(small, 1)
+        assert pis * taus ** q == choices
+        assert len(type_III_keys(small, 1)) == pis * (taus ** q - taus) == keys
 
 
 @pytest.mark.parametrize("n,q,k", [(3, 2, 1), (3, 3, 1), (4, 2, 1),
