@@ -95,8 +95,8 @@ from .clsets import (KSet, are_cameron_liebler, complement,
                      kset_from_indices, kset_from_json, point_pencil,
                      project_through_infinite_subspace)
 from .geometry import (AmbientSpace, DimensionOutOfRange, _int, _read_only,
-                       ambient, capped_count, check_size, count_text,
-                       entry_guard, gaussian_binomial)
+                       _subspaces, ambient, capped_count, check_size,
+                       count_text, entry_guard, gaussian_binomial)
 from .incidence import _dense_rows, build_incidence
 
 __all__ = ["ScaleExceeded", "SearchStats", "search_cl_ksets",
@@ -667,7 +667,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
     if total > limit:
         raise ScaleExceeded(f"{count_text(total)} k-spaces exceed the cap "
                             f"{limit}")
-    spaces = space.spaces(k)
+    bases = space.bases(k)
     start = time.monotonic()
     max_x = q ** (n - k)
     complemented = False
@@ -696,7 +696,7 @@ def search_cl_ksets(n: int, q: int, k: int, x: int,
         "pruning_rules": list(PRUNING_RULES),
         "solution_count": len(solutions),
         "solutions": [{"indices": list(s),
-                       "members": [spaces[j].to_json() for j in s]}
+                       "members": bases[list(s)].tolist()}
                       for s in solutions],
         "stats": asdict(stats),
         "seed": seed,
@@ -777,6 +777,13 @@ def classify_hyperplane_cl(n: int, q: int) -> dict:
     counts are cross-checked against (a) and whose every set is checked
     to hold x members of each parallel class.  (b) is skipped when (a)'s
     total count times |X| exceeds `entry_guard()`.
+
+    That last check, `every_solution_selects_x_per_class`, re-reads what
+    the search already enforces before a set reaches `_Search._leaf`:
+    every pencil at infinity holds exactly y of its members (the
+    search's proved pencil rule).  So it cannot read False on a working
+    search; it cross-checks the leaves, not the pencil rule, and the
+    classification rests on the counts of (a) and (b).
     """
     space = ambient(n, q, "affine")
     k = n - 1
@@ -887,7 +894,7 @@ def cross_check_projection(n: int, q: int, k: int) -> dict:
     for (name, _), ok in zip(catalog, verdicts):
         if not ok:
             raise AssertionError(f"catalog set {name} is not Cameron-Liebler")
-    axes = space.infinite_subspaces(k - 2)
+    axes = _subspaces(n, q, space.infinite_index(k - 2).bases)
     pairs = [(name, l, axis) for name, l in catalog for axis in axes]
     images = [project_through_infinite_subspace(l, axis)
               for _, l, axis in pairs]

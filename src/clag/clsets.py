@@ -43,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (AmbientSpace, Subspace, _int, _read_only, ambient,
-                       gaussian_binomial, subspace_from_json,
+from .geometry import (AmbientSpace, Subspace, _int, _read_only, _subspaces,
+                       ambient, gaussian_binomial, subspace_from_json,
                        DimensionOutOfRange)
 from .incidence import build_incidence, meet_counts
 from .spreads import type_III_tables
@@ -121,18 +121,18 @@ class KSet:
                         gaussian_binomial(self.space.n, self.k, self.space.q))
 
     def chi(self) -> np.ndarray:
-        vec = np.zeros(len(self.space.spaces(self.k)), dtype=np.int8)
+        vec = np.zeros(self.space._num_spaces(self.k), dtype=np.int8)
         if self.members:
             vec[sorted(self.members)] = 1
         return vec
 
     def subspaces(self) -> list[Subspace]:
-        spaces = self.space.spaces(self.k)
-        return [spaces[j] for j in sorted(self.members)]
+        return _subspaces(self.space.n, self.space.q,
+                          self.space.bases(self.k)[sorted(self.members)])
 
 
 def kset_from_indices(space: AmbientSpace, k: int, indices) -> KSet:
-    total = len(space.spaces(k))
+    total = space._num_spaces(k)
     idx = frozenset(map(_int, indices))
     if idx and (min(idx) < 0 or max(idx) >= total):
         raise IndexError("member index out of range")
@@ -149,7 +149,7 @@ def empty_kset(space: AmbientSpace, k: int) -> KSet:
 
 
 def full_kset(space: AmbientSpace, k: int) -> KSet:
-    return KSet(space, k, frozenset(range(len(space.spaces(k)))))
+    return KSet(space, k, frozenset(range(space._num_spaces(k))))
 
 
 def point_pencil(space: AmbientSpace, point, k: int) -> KSet:
@@ -192,7 +192,7 @@ def pg_hyperplane_set(space: AmbientSpace, hyperplane: Subspace, k: int) -> KSet
 # ---------------------------------------------------------------------------
 
 def complement(l: KSet) -> KSet:
-    total = len(l.space.spaces(l.k))
+    total = l.space._num_spaces(l.k)
     return KSet(l.space, l.k, frozenset(range(total)) - l.members)
 
 
@@ -271,7 +271,7 @@ def type_III_counts(l: KSet, keys) -> list[int]:
     if not len(keys):
         return []
     hyps, _, taus, parts = type_III_tables(l.space, l.k)
-    t = len(l.space.infinite_subspaces(l.k - 1))
+    t = gaussian_binomial(l.space.n, l.k, l.space.q)  # (k-1)-spaces at infinity
     members = np.fromiter(l.members, np.int64, l.size)
     dirs = l.space.infinity_pencils(l.k)[2][members]
     x = np.bincount((parts[members] * t + dirs[:, None]).ravel(),
@@ -333,8 +333,8 @@ def check_line_disjointness(l: KSet) -> CheckResult:
                            {"reason": "non-integral parameter"})
     x = int(l.x)
     base = q * q * gaussian_binomial(n - 2, 1, q) + 1
-    lines = space.spaces(1)
-    bad = [{"line": lines[j].to_json(), "got": got, "expected": int(expected)}
+    lines = space.bases(1)
+    bad = [{"line": lines[j].tolist(), "got": got, "expected": int(expected)}
            for j, got, expected in _disjointness_mismatches(l, base)]
     pencil_counts = infinite_pencil_counts(l)
     pencil_ok = all(c == x for c in pencil_counts)
@@ -354,8 +354,7 @@ def check_pg_disjointness(l: KSet) -> CheckResult:
         raise DimensionOutOfRange("projective count on a projective set")
     n, k, q = space.n, l.k, space.q
     factor = gaussian_binomial(n - k - 1, k, q) * q ** (k * k + k)
-    kspaces = space.spaces(k)
-    bad = [{"k_space": kspaces[j].to_json(), "got": got,
+    bad = [{"k_space": space.bases(k)[j].tolist(), "got": got,
             "expected": str(expected)}
            for j, got, expected in _disjointness_mismatches(l, factor)]
     return CheckResult("pg_disjointness", PASS if not bad else FAIL,
@@ -381,7 +380,7 @@ def restrict_from_pg(l: KSet) -> tuple[KSet, int]:
     if l.space.mode != "projective":
         raise DimensionOutOfRange("restriction starts from a projective set")
     aff = ambient(l.space.n, l.space.q, "affine")
-    n_affine = len(aff.spaces(l.k))
+    n_affine = aff._num_spaces(l.k)
     kept = frozenset(j for j in l.members if j < n_affine)
     return KSet(aff, l.k, kept), l.size - len(kept)
 
@@ -415,9 +414,9 @@ def canonical_complement(space: AmbientSpace, axis: Subspace) -> Subspace:
     <P0, t> for the least rows t at infinity skew to the axis."""
     def build():
         dim = space.n - axis.dim - 1
-        t = min(t.rows for t, c in zip(space.infinite_subspaces(dim - 1),
-                                       space.shared_at_origin(dim, axis))
-                if c == 1)
+        skew = space.infinite_index(dim - 1).bases[
+            space.shared_at_origin(dim, axis) == 1]
+        t = min(tuple(map(tuple, b)) for b in skew.tolist())
         return Subspace(space.n, space.q, ((1,) + (0,) * space.n, *t))
     return space.memo(("canonical_complement", axis.rows), build)
 
@@ -449,7 +448,7 @@ def _projection_map(space: AmbientSpace, k: int, axis: Subspace,
             raise DimensionViolation("projection lost dimension")
         by_points = {tuple(pts): j
                      for j, pts in enumerate(target.point_lists(d).tolist())}
-        image = np.full(len(space.spaces(k)), -1, dtype=np.int64)
+        image = np.full(space._num_spaces(k), -1, dtype=np.int64)
         image[through] = [by_points[tuple(c)]
                           for c in cuts[:, cuts.shape[1] - size:].tolist()]
         return _read_only(image)
@@ -507,35 +506,32 @@ def kset_to_json(l: KSet) -> dict:
 def kset_from_json(doc: dict) -> KSet:
     """n, q, k and every member coordinate must be ints, not bools or
     floats (TypeError otherwise).  One type check over the file's
-    flattened coordinates decides the route: when every one is an int,
-    each member is first looked up among the space's canonical k-spaces,
-    keyed by its raw coordinate tuples, and only one not found there is
+    flattened coordinates decides the route: when every one is an int
+    and the members stack into one (members, k+1, n+1) array, they are
+    looked up at once among the space's canonical k-spaces by key
+    (`Enumeration.find`), and only a member not found there is
     validated row by row; otherwise (a bool or a float compares equal
     to an int, and so would be found) every member is.  Either way every
     malformed member is refused by `subspace_from_json`."""
     space = ambient(_int(doc["n"]), _int(doc["q"]), doc["mode"])
     k = _int(doc["k"])
     index = space.space_index(k)
-    members = doc["members"]
+    members, found = doc["members"], []
     try:
-        coords = itertools.chain.from_iterable(
-            itertools.chain.from_iterable(members))
-        ints = set(map(type, coords)) <= {int}
-    except TypeError:  # a member or a row that is no sequence
-        ints = False
-    found, subs = [], []
-    for rows in members:
-        if ints:
-            try:
-                found.append(index[tuple(map(tuple, rows))])
-                continue
-            except KeyError:
-                pass
-        subs.append(subspace_from_json(space.n, space.q, rows))
+        lines = list(itertools.chain.from_iterable(members))
+        coords = list(itertools.chain.from_iterable(lines))
+        if (set(map(type, coords)) <= {int} and set(map(len, members))
+                == {k + 1} and set(map(len, lines)) == {space.n + 1}):
+            found = index.find(np.array(coords, dtype=np.int64).reshape(
+                len(members), k + 1, space.n + 1)).tolist()
+    except (TypeError, OverflowError):
+        pass  # a member or a row that is no sequence, or an int past int64
+    subs = [subspace_from_json(space.n, space.q, rows) for rows, j in
+            itertools.zip_longest(members, found, fillvalue=-1) if j < 0]
     for s in subs:
         if s.dim != k:
             raise DimensionViolation("member of wrong dimension")
-    members = frozenset(found + [index[s.rows] for s in subs])
-    if len(members) != len(found) + len(subs):
+    indices = [j for j in found if j >= 0] + [index[s.rows] for s in subs]
+    if len(set(indices)) != len(indices):
         raise ValueError("a member is listed twice")
-    return KSet(space, k, members)
+    return KSet(space, k, frozenset(indices))

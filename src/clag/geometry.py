@@ -10,12 +10,19 @@ The projective space owns the canonical order: its k-spaces are sorted
 on the echelon matrix, affine ones first, and its points are listed and
 indexed in closed form, by this module alone (`_index_form`): block c
 holds the normalised points led by a 1 in column c, in base-q order.
-AG(n, q) reads its points (block 0) and k-spaces as the affine prefix of
-its projective `closure`, so embedding into PG(n, q) and restricting
-to AG(n, q) keep every index, and the order is reproducible everywhere:
-file formats, incidence block structure, search certificates.  Every
-derived table of a space (enumerations, indices, point sets, pencils)
-is built once and kept in that instance's one memo, `AmbientSpace.memo`,
+The k-spaces are enumerated once per (space, k) as one read-only int64
+array of echelon bases (`AmbientSpace.bases`), every pivot pattern's
+matrices at once, and sorted once on byte-string keys (`_keys`); a
+subspace is found among them by its key (`Enumeration.find`), and the
+`Subspace` objects of `spaces(k)` are built from the array only for the
+callers that emit or take them.  AG(n, q) reads its points (block 0) and
+k-spaces as the affine prefix of its projective `closure`, so embedding
+into PG(n, q) and restricting to AG(n, q) keep every index, and the
+order is reproducible everywhere: file formats, incidence block
+structure, search certificates.  The subspaces at infinity have their
+own enumeration, that of PG(n-1, q) with a zero column prepended.
+Every derived table of a space (enumerations, point sets, pencils) is
+built once and kept in that instance's one memo, `AmbientSpace.memo`,
 so it lives exactly as long as the instance.
 
 Each k-space's points are stored once, as one row of the int64 point
@@ -48,10 +55,9 @@ from . import _kernels
 from .galois import FiniteField, field_for_order
 
 __all__ = [
-    "gaussian_binomial", "Subspace", "AmbientSpace", "ambient",
-    "make_subspace", "span", "infinite_part",
-    "apply_matrix", "DimensionOutOfRange", "AmbientMismatch", "SizeGuard",
-    "BadGuardValue",
+    "gaussian_binomial", "Subspace", "Enumeration", "AmbientSpace",
+    "ambient", "make_subspace", "span", "apply_matrix",
+    "DimensionOutOfRange", "AmbientMismatch", "SizeGuard", "BadGuardValue",
 ]
 
 DEFAULT_ENTRY_GUARD = 10**7
@@ -212,20 +218,6 @@ def span(a: Subspace, b: Subspace) -> Subspace:
     return make_subspace(a.n, a.q, list(a.rows) + list(b.rows))
 
 
-def infinite_part(s: Subspace) -> Subspace | None:
-    """s intersected with the hyperplane at infinity x0 = 0.
-
-    For an affine k-space this is its (k-1)-space at infinity: in echelon
-    form exactly the rows below the first.  Returns None for an affine
-    point.
-    """
-    if not s.is_affine():
-        return s
-    if len(s.rows) == 1:
-        return None
-    return Subspace(s.n, s.q, s.rows[1:])
-
-
 def apply_matrix(s: Subspace, matrix) -> Subspace:
     """Image of a subspace under an invertible (n+1)x(n+1) matrix acting
     on row vectors."""
@@ -252,37 +244,81 @@ def normalized_points(n: int, q: int, blocks: int) -> list[tuple[int, ...]]:
             for t in itertools.product(range(q), repeat=n - c)]
 
 
-def _free_cells(pivots, ncols):
-    cells = []
-    pivot_set = set(pivots)
-    for i, pc in enumerate(pivots):
-        for j in range(pc + 1, ncols):
-            if j not in pivot_set:
-                cells.append((i, j))
-    return cells
-
-
-def enumerate_rref_matrices(ncols: int, nrows: int, q: int):
+def _echelon_bases(ncols: int, nrows: int, q: int) -> np.ndarray:
     """All reduced-echelon full-rank nrows x ncols matrices over GF(q),
-    the (nrows-1)-spaces of PG(ncols-1, q).  Raises SizeGuard before
-    the first when their number exceeds `entry_guard()`."""
+    the (nrows-1)-spaces of PG(ncols-1, q), as one int64 array (count,
+    nrows, ncols), unsorted: each pivot pattern's at once, its f free
+    cells every tuple of f field codes, in product order.  Raises
+    SizeGuard before any is built when their number exceeds
+    `entry_guard()`."""
     # [a b]_q >= q^(b (a - b))
     count = capped_count(lambda: gaussian_binomial(ncols, nrows, q), q,
                          nrows * (ncols - nrows), entry_guard())
     check_size(f"{{}} {nrows - 1}-spaces of PG({ncols - 1},{q}) exceed "
                "guard {cap}", count)
+    blocks = [np.zeros((0, nrows * ncols), dtype=np.int64)]
     for pivots in itertools.combinations(range(ncols), nrows):
-        cells = _free_cells(pivots, ncols)
-        base = [[0] * ncols for _ in range(nrows)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = 1
-        if not cells:
-            yield tuple(tuple(r) for r in base)
-            continue
-        for values in itertools.product(range(q), repeat=len(cells)):
-            for (i, j), v in zip(cells, values):
-                base[i][j] = v
-            yield tuple(tuple(r) for r in base)
+        # the matrices flattened: entry (i, j) at i ncols + j
+        free = [i * ncols + j for i, pc in enumerate(pivots)
+                for j in range(pc + 1, ncols) if j not in pivots]
+        block = np.zeros((q ** len(free), nrows * ncols), dtype=np.int64)
+        block[:, np.arange(nrows) * ncols + pivots] = 1
+        block[:, free] = np.indices((q,) * len(free)).reshape(len(free),
+                                                               len(block)).T
+        blocks.append(block)
+    return np.concatenate(blocks).reshape(-1, nrows, ncols)
+
+
+def _keys(bases: np.ndarray) -> np.ndarray:
+    """Byte-string keys of echelon bases (m, r, c) that ascend in
+    canonical order (`Subspace.key`): the leading pivot column of row 0,
+    then every entry row by row, each as two big-endian bytes.  Entries
+    below 2^16 (every field code: q <= 512) give distinct matrices
+    distinct keys, of any length: no key overflows."""
+    lead = (bases[:, 0] != 0).argmax(axis=1)
+    entries = bases.reshape(len(bases), math.prod(bases.shape[1:]))
+    words = np.concatenate([lead[:, None], entries], axis=1).astype(">u2")
+    return words.view(f"S{words.itemsize * words.shape[1]}").ravel()
+
+
+def _subspaces(n: int, q: int, bases: np.ndarray) -> list[Subspace]:
+    """The echelon bases (m, r, n+1) as `Subspace` objects."""
+    return [Subspace(n, q, tuple(map(tuple, b))) for b in bases.tolist()]
+
+
+class Enumeration:
+    """Echelon bases in canonical order, read-only, with their sorted
+    `_keys`: the one lookup of subspaces among the k-spaces of a space
+    (`AmbientSpace.space_index`) or those at infinity
+    (`AmbientSpace.infinite_index`), by one searchsorted."""
+
+    def __init__(self, q: int, bases: np.ndarray, keys=None):
+        if keys is None:  # sort once
+            keys = _keys(bases)
+            order = np.argsort(keys, kind="stable")
+            bases, keys = bases[order], keys[order]
+        self.q, self.bases, self.keys = q, _read_only(bases), keys
+
+    def find(self, bases: np.ndarray) -> np.ndarray:
+        """Position of each basis of the int64 array `bases` (m, r, c)
+        among these, -1 for one not among them; a basis with an entry
+        outside 0..q-1 is never found."""
+        if bases.shape[1:] != self.bases.shape[1:] or not len(self.keys):
+            return np.full(len(bases), -1, dtype=np.int64)
+        keys = _keys(bases)
+        at = self.keys.searchsorted(keys)
+        # the key of an entry outside 0..q-1 (negative ones are past q
+        # as uint64) may alias: such a basis is refused whatever its key
+        # matches
+        found = (bases.view(np.uint64) < self.q).all(axis=(1, 2))
+        found &= self.keys.take(at, mode="clip") == keys
+        return np.where(found, at, -1)
+
+    def __getitem__(self, rows) -> int:
+        i = int(self.find(np.array([rows], dtype=np.int64))[0])
+        if i < 0:
+            raise KeyError(rows)
+        return i
 
 
 class AmbientSpace:
@@ -333,66 +369,69 @@ class AmbientSpace:
 
     # -- k-spaces ------------------------------------------------------
 
-    def spaces(self, k: int) -> list[Subspace]:
-        """Canonically ordered list of the k-spaces of this space,
-        enumerated in the closure; SizeGuard is raised first when the
-        closure has more k-spaces, counted in closed form, than
+    def space_index(self, k: int) -> Enumeration:
+        """The canonically ordered k-spaces of this space, enumerated
+        once, in the closure, and found by key; SizeGuard is raised first
+        when the closure has more k-spaces, counted in closed form, than
         `entry_guard()`."""
         if k < 0 or k > self.n:
             raise DimensionOutOfRange(f"k={k} outside 0..{self.n}")
 
         def build():
             if self.mode == "affine":
-                return self.closure.spaces(k)[:self._num_spaces(k)]
-            return sorted((Subspace(self.n, self.q, rows) for rows in
-                           enumerate_rref_matrices(self.n + 1, k + 1, self.q)),
-                          key=Subspace.key)
-        return self.memo(("spaces", k), build)
+                full, m = self.closure.space_index(k), self._num_spaces(k)
+                return Enumeration(self.q, full.bases[:m], full.keys[:m])
+            return Enumeration(self.q, _echelon_bases(self.n + 1, k + 1, self.q))
+        return self.memo(("space_index", k), build)
 
-    def space_index(self, k: int) -> dict:
-        return self.memo(("space_index", k), lambda: {
-            s.rows: i for i, s in enumerate(self.spaces(k))})
+    def bases(self, k: int) -> np.ndarray:
+        """Read-only int64 (k-spaces x (k+1) x (n+1)) array of the
+        echelon bases of the k-spaces, in canonical order."""
+        return self.space_index(k).bases
+
+    def spaces(self, k: int) -> list[Subspace]:
+        """`bases(k)` as `Subspace` objects, built on the first call, for
+        the callers that emit or take them; in AG the closure's own."""
+        bases = self.bases(k)
+        return self.memo(("spaces", k), lambda: (
+            self.closure.spaces(k)[:len(bases)] if self.mode == "affine"
+            else _subspaces(self.n, self.q, bases)))
 
     # -- point sets ------------------------------------------------------
 
-    def point_sets(self, subs) -> np.ndarray:
-        """Sorted int64 (len(subs), s) array: for each of the
-        equal-dimension subspaces `subs`, the indices of its s points in
-        this space: in PG every block of `_kernels.gf_point_blocks`, in
-        AG block 0 alone (an affine k-space's q^k affine points; none
+    def point_sets(self, bases: np.ndarray) -> np.ndarray:
+        """Sorted int64 (len(bases), s) array: for each basis of the int64
+        array `bases` (m, r, n+1) of reduced echelon bases, such as
+        `bases(k)`, the indices of the s points of its row space in this
+        space: in PG every block of `_kernels.gf_point_blocks`, in AG
+        block 0 alone (an affine subspace's q^(r-1) affine points; none
         for a subspace at infinity).  Raises AmbientMismatch when the
         subspaces have different numbers of points here, as a line at
         infinity and an affine line do in AG.  Points are built for at
         most POINT_BLOCK_ENTRIES (subspace, point) pairs at a time, so
         the peak stays near the result's size."""
-        n, q, r = self.n, self.q, len(subs[0].rows)
-        if any(len(s.rows) != r for s in subs):
-            raise DimensionOutOfRange("subspaces of different dimensions")
+        n, q, r = self.n, self.q, bases.shape[1]
+        affine = bases[:, 0, 0] != 0
+        if self.mode == "affine" and affine.any() and not affine.all():
+            raise AmbientMismatch("unequal numbers of points in this space")
         blocks = 1 if self.mode == "affine" else r
-        weights, shift = _index_form(n, q)
         built = q**(r - 1) if blocks == 1 else gaussian_binomial(r, 1, q)
+        # in AG block 0 of a subspace at infinity holds no point
+        width = built if self.mode == "projective" or affine.all() else 0
+        weights, shift = _index_form(n, q)
         step = max(1, POINT_BLOCK_ENTRIES // built)
         field = self.field
-        out = None
-        for start in range(0, len(subs), step):
-            chunk = subs[start:start + step]
-            bases = np.fromiter(
-                itertools.chain.from_iterable(itertools.chain.from_iterable(
-                    s.rows for s in chunk)),
-                np.int64, len(chunk) * r * (n + 1)).reshape(-1, r, n + 1)
-            shifts = shift[(bases != 0).argmax(axis=2)]
+        out = np.empty((len(bases), width), dtype=np.int64)
+        for start in range(0, len(bases), step):
+            chunk = bases[start:start + step]
+            shifts = shift[(chunk != 0).argmax(axis=2)]
             # block i is led left of block i + 1 and each block ascends,
             # so the indices come sorted
-            idx = np.concatenate([
+            out[start:start + step] = np.concatenate([
                 pts @ weights + shifts[:, i, None]
                 for i, pts in enumerate(_kernels.gf_point_blocks(
-                    bases, field.add_table, field.mul_table, blocks))], axis=1)
-            keep = (idx < self.num_points).sum(axis=1)
-            if out is None:
-                out = np.empty((len(subs), keep[0]), dtype=np.int64)
-            if (keep != out.shape[1]).any():
-                raise AmbientMismatch("unequal numbers of points in this space")
-            out[start:start + step] = idx[:, :out.shape[1]]
+                    chunk, field.add_table, field.mul_table, blocks))],
+                axis=1)[:, :width]
         return out
 
     def points_of(self, s: Subspace) -> list[tuple[int, ...]]:
@@ -401,7 +440,7 @@ class AmbientSpace:
         return [self.points[i] for i in self.point_indices_of(s)]
 
     def point_indices_of(self, s: Subspace) -> np.ndarray:
-        return self.point_sets([s])[0]
+        return self.point_sets(np.array([s.rows], dtype=np.int64))[0]
 
     def space_point_indices(self, k: int) -> list[tuple[int, ...]]:
         """Per k-space sorted point-index tuples of Python ints, in
@@ -414,23 +453,23 @@ class AmbientSpace:
     def infinity_pencils(self, k: int):
         """Type II pencil structure for affine k-spaces.
 
-        Returns (inf_list, members, per_space): the (k-1)-spaces at
-        infinity in canonical order; the read-only (pencils x q^(n-k))
-        pencil table, row i the k-spaces through the i-th of them in
-        index order (a type II spread), sorted by `_pencil_rows`; and
-        the read-only per_space, per_space[j] = pencil id of k-space j.
+        Returns (inf_bases, members, per_space): the bases of
+        `infinite_index(k-1)`, the (k-1)-spaces at infinity in canonical
+        order; the read-only (pencils x q^(n-k)) pencil table, row i the
+        k-spaces through the i-th of them in index order (a type II
+        spread), sorted by `_pencil_rows`; and the read-only per_space,
+        per_space[j] = pencil id of k-space j, found by the key of its
+        part at infinity in one `Enumeration.find`.
         """
         if self.mode != "affine":
             raise DimensionOutOfRange("pencil structure is an affine notion")
 
         def build():
-            idx = self.infinite_index(k - 1)
+            inf = self.infinite_index(k - 1)
             # rows below the first: the k-space's part at infinity
-            per_space = np.array([idx[s.rows[1:]] for s in self.spaces(k)],
-                                 dtype=np.int64)
-            members = _kernels._pencil_rows(per_space[:, None], len(idx))
-            return (self.infinite_subspaces(k - 1), _read_only(members),
-                    _read_only(per_space))
+            per_space = inf.find(self.bases(k)[:, 1:])
+            members = _kernels._pencil_rows(per_space[:, None], len(inf.keys))
+            return inf.bases, _read_only(members), _read_only(per_space)
         return self.memo(("infinity_pencils", k), build)
 
     def shared_at_origin(self, k: int, a: Subspace) -> np.ndarray:
@@ -451,17 +490,20 @@ class AmbientSpace:
         def origin_lists(d):
             check_size("{} x {} point lists through point 0 exceed guard "
                        "{cap}", gaussian_binomial(self.n, d, self.q), self.q**d)
-            return self.memo(("origin_lists", d), lambda: _read_only(
-                self.point_sets([Subspace(self.n, self.q, (p0, *t.rows))
-                                 for t in self.infinite_subspaces(d - 1)])))
-        p0 = (1,) + (0,) * self.n
+
+            def build():
+                bases = np.pad(self.infinite_index(d - 1).bases,
+                               ((0, 0), (1, 0), (0, 0)))
+                bases[:, 0, 0] = 1  # P0 above each t
+                return _read_only(self.point_sets(bases))
+            return self.memo(("origin_lists", d), build)
         mask = np.zeros(self.num_points, dtype=bool)
         mask[origin_lists(a.dim + 1)[self.infinite_index(a.dim)[a.rows]]] = True
         return mask[origin_lists(k)].sum(axis=1)
 
     def point_lists(self, k: int) -> np.ndarray:
         """Read-only C-contiguous int64 (k-spaces x points per k-space)
-        array of `point_sets(spaces(k))`, the one stored copy of the
+        array of `point_sets(bases(k))`, the one stored copy of the
         k-spaces' points and so of the point versus k-space incidence;
         `point_pencils(k)` is sorted out of it.
         In AG it owns its memory, not a view of the closure-width rows.
@@ -473,7 +515,7 @@ class AmbientSpace:
                 else gaussian_binomial(k + 1, 1, self.q))
         check_size("{} x {} point lists exceed guard {cap}", spaces, size)
         return self.memo(("point_lists", k), lambda: _read_only(
-            self.point_sets(self.spaces(k))))
+            self.point_sets(self.bases(k))))
 
     def point_pencils(self, k: int) -> np.ndarray:
         """Read-only int64 (points x [n k]_q) array: row p lists the
@@ -483,22 +525,23 @@ class AmbientSpace:
         return self.memo(("point_pencils", k), lambda: _read_only(
             _kernels._pencil_rows(lists, self.num_points)))
 
-    def infinite_subspaces(self, d: int) -> list[Subspace]:
+    def infinite_index(self, d: int) -> Enumeration:
         """The d-spaces contained in the hyperplane at infinity, in
-        canonical order: the d-spaces of PG(n-1, q), enumerated on their
-        own rather than cut from the closure's d-spaces, under the same
-        guard as `spaces`."""
+        canonical order, found by key: the d-spaces of PG(n-1, q) with a
+        zero column prepended, enumerated on their own rather than cut
+        from the closure's d-spaces, under the same guard as
+        `space_index`."""
+        return self.memo(("infinite_index", d), lambda: Enumeration(
+            self.q, np.pad(_echelon_bases(self.n, d + 1, self.q),
+                           ((0, 0), (0, 0), (1, 0)))))
+
+    def infinite_subspaces(self, d: int) -> list[Subspace]:
+        """The bases of `infinite_index(d)` as `Subspace` objects, built
+        on the first call; none for d < 0."""
         if d < 0:
             return []
-        return self.memo(("infinite_subspaces", d), lambda: sorted(
-            (Subspace(self.n, self.q, tuple((0,) + r for r in rows))
-             for rows in enumerate_rref_matrices(self.n, d + 1, self.q)),
-            key=Subspace.key))
-
-    def infinite_index(self, d: int) -> dict:
-        """Rows -> position in `infinite_subspaces(d)`, built once per d."""
-        return self.memo(("infinite_index", d), lambda: {
-            s.rows: i for i, s in enumerate(self.infinite_subspaces(d))})
+        return self.memo(("infinite_subspaces", d), lambda: _subspaces(
+            self.n, self.q, self.infinite_index(d).bases))
 
     def __repr__(self):
         name = "AG" if self.mode == "affine" else "PG"

@@ -51,8 +51,8 @@ import numpy as np
 
 from ._kernels import _pencil_rows
 from .galois import _irreducible, _times_x
-from .geometry import (AmbientSpace, Subspace, _read_only, ambient,
-                       check_size, gaussian_binomial, make_subspace,
+from .geometry import (AmbientSpace, Subspace, _read_only, _subspaces,
+                       ambient, check_size, gaussian_binomial, make_subspace,
                        normalized_points, span)
 
 __all__ = [
@@ -110,7 +110,7 @@ class Spread:
         return len(self.members)
 
     def member_indices(self) -> tuple[int, ...]:
-        """The members' indices in `space.spaces(k)`, ascending."""
+        """The members' indices in `space.bases(k)`, ascending."""
         idx = self.space.space_index(self.k)
         return tuple(sorted(idx[m.rows] for m in self.members))
 
@@ -142,7 +142,8 @@ def _point_counts(space: AmbientSpace, members) -> np.ndarray:
     (a type III spread reads them, see `spread_type_III`): a spread of
     PG(3, 23) has 530 members, the space 293,090 lines.  The members
     must all have points in the space (none at infinity in AG)."""
-    pts = space.point_sets(members).ravel() if members else []
+    pts = space.point_sets(np.array([m.rows for m in members],
+                                    dtype=np.int64)).ravel() if members else []
     return np.bincount(pts, minlength=space.num_points)
 
 
@@ -262,13 +263,12 @@ def spread_type_II(space: AmbientSpace, at_infinity: Subspace) -> Spread:
         raise NotAtInfinity("the axis of a type II spread lies at infinity")
     k = at_infinity.dim + 1
     _, pencil_members, _ = space.infinity_pencils(k)
-    i = space.infinite_index(k - 1).get(at_infinity.rows)
-    if i is None:
+    i = space.infinite_index(k - 1).find(np.array([at_infinity.rows]))[0]
+    if i < 0:
         raise WrongDimension("axis must be a (k-1)-space at infinity")
-    spaces = space.spaces(k)
     # pencil indices are ascending, which is the canonical (Subspace.key) order
-    return Spread(space, k, tuple(spaces[j] for j in pencil_members[i]), "II",
-                  {"at_infinity": at_infinity.to_json()})
+    return Spread(space, k, tuple(_subspaces(space.n, space.q, space.bases(k)[
+        pencil_members[i]])), "II", {"at_infinity": at_infinity.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def _parts_are_spreads(space: AmbientSpace, k: int, hyps, at, taus,
     part at infinity (by `taus`) that holds all of j's points (by
     `at`)."""
     lists, dirs = space.point_lists(k), space.infinity_pencils(k)[2]
-    t, v = len(space.infinite_subspaces(k - 1)), space.num_points
+    t, v = gaussian_binomial(space.n, k, space.q), space.num_points
     pis = _pencil_rows(taus, t)[dirs]
 
     def once(labels, pts, classes):
@@ -360,7 +360,7 @@ def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     k = dims.pop() + 1
     p = space.infinite_index(space.n - 2)[pi.rows]
     tau_index = space.infinite_index(k - 1)
-    ids = [tau_index.get(t.rows) for t in choices]
+    ids = tau_index.find(np.array([t.rows for t in choices])).tolist()
     # for k >= n a tau_i is at least an (n-1)-space, which pi cannot hold
     if k >= space.n or not set(ids) <= set(type_III_tables(space, k)[2][p]):
         raise BadChoices("every tau_i must lie inside pi")
@@ -371,12 +371,12 @@ def spread_type_III(space: AmbientSpace, pi: Subspace, choices) -> Spread:
     # ascending indices are the canonical (Subspace.key) order
     idx = np.flatnonzero(space.infinity_pencils(k)[2] == np.array(ids)[
         np.searchsorted(hyps[p], at[p, space.point_lists(k)[:, 0]])])
-    spaces, hyperplanes = space.spaces(k), space.spaces(space.n - 1)
     tag = "III+" if k == 1 and distinct == len(ids) else "III"
     # pi and the choices were found by their rows: they are canonical
-    return Spread(space, k, tuple(spaces[j] for j in idx), tag, {
+    return Spread(space, k, tuple(_subspaces(space.n, space.q,
+                                             space.bases(k)[idx])), tag, {
         "pi": pi.to_json(),
-        "hyperplanes": [hyperplanes[j].to_json() for j in hyps[p]],
+        "hyperplanes": space.bases(space.n - 1)[hyps[p]].tolist(),
         "choices": [t.to_json() for t in choices],
     })
 
@@ -394,7 +394,7 @@ def type_III_keys(space: AmbientSpace, k: int, count: int | None = None,
                   seed: int | None = None) -> np.ndarray:
     """The type III k-spreads S(pi; tau_1..tau_q) of a check, as a
     read-only int64 array with one row (p, c_1, ..., c_q) per spread: p
-    the index of pi in `infinite_subspaces(n-2)`, c_i the position of
+    the index of pi in `infinite_index(n-2)`, c_i the position of
     tau_i among the (k-1)-spaces at infinity inside pi in canonical
     order, tau_i chosen in the i-th affine hyperplane through pi; rows
     with all c_i equal are left out.  With no count: every spread, pi in
@@ -456,7 +456,7 @@ def extend_spread_from_subspace(sub_members, tau_a: Subspace,
     pencil = pencils[space.infinite_index(k - 1)[axis.rows]]
     inside = np.isin(space.point_lists(k)[pencil],
                      space.point_indices_of(tau_a)).all(axis=1)
-    extra = [space.spaces(k)[j] for j in pencil[~inside]]
+    extra = _subspaces(space.n, space.q, space.bases(k)[pencil[~inside]])
     members = _sorted_members(sub_members + extra)
     spread = Spread(space, k, members, "untyped",
                     {"extended_from": tau_a.to_json(), "axis": axis.to_json()})

@@ -11,6 +11,15 @@ division on those scalars, the reference for `galois._times_x`.
 trial division by `_poly_divmod` with integers mod p; every field's
 modulus must equal it.
 
+`enumerate_rref_matrices` is the former enumeration of the reduced
+echelon matrices, one tuple of rows at a time, and `canonical_bases`
+the former canonical order read off it: every matrix as a `Subspace`,
+sorted on `Subspace.key`; `AmbientSpace.bases(k)` and
+`infinite_index(d).bases` must equal it.
+
+`infinite_part` is a subspace's part at infinity: for an affine one,
+the echelon rows below the first; the tests alone read it.
+
 `point_pencil_members` is the members of `clsets.point_pencil` by its
 former route: the k-spaces whose row of `point_lists(k)` holds the
 point, one scan of the whole array per point.
@@ -131,11 +140,45 @@ from clag.classify import _ENDGAME_DIM, _Contradiction, _Search
 from clag.clsets import (DimensionViolation, KSet, NotSkew,
                          kset_from_subspaces)
 from clag.geometry import (AmbientMismatch, AmbientSpace, Subspace, _int,
-                           ambient, apply_matrix, enumerate_rref_matrices,
-                           make_subspace, span, subspace_from_json)
+                           ambient, apply_matrix, make_subspace, span,
+                           subspace_from_json)
 from clag.spreads import (AllEqual, BadChoices, GeometryMismatch,
                           NotAtInfinity, Spread, _sorted_members,
                           is_spread, spread_type_II, spread_type_III)
+
+
+def infinite_part(s: Subspace) -> Subspace | None:
+    if not s.is_affine():
+        return s
+    if len(s.rows) == 1:
+        return None
+    return Subspace(s.n, s.q, s.rows[1:])
+
+
+def enumerate_rref_matrices(ncols: int, nrows: int, q: int):
+    for pivots in itertools.combinations(range(ncols), nrows):
+        cells = [(i, j) for i, pc in enumerate(pivots)
+                 for j in range(pc + 1, ncols) if j not in pivots]
+        base = [[0] * ncols for _ in range(nrows)]
+        for i, pc in enumerate(pivots):
+            base[i][pc] = 1
+        for values in itertools.product(range(q), repeat=len(cells)):
+            for (i, j), v in zip(cells, values):
+                base[i][j] = v
+            yield tuple(tuple(r) for r in base)
+
+
+def canonical_bases(n: int, q: int, nrows: int,
+                    at_infinity: bool = False) -> np.ndarray:
+    """The (nrows-1)-spaces of PG(n, q), or with at_infinity those of
+    the hyperplane x0 = 0, as an int64 (count, nrows, n+1) array."""
+    pad = (0,) if at_infinity else ()
+    subs = sorted((Subspace(n, q, tuple(pad + r for r in rows))
+                   for rows in enumerate_rref_matrices(n + 1 - len(pad),
+                                                       nrows, q)),
+                  key=Subspace.key)
+    return np.array([s.rows for s in subs], dtype=np.int64).reshape(
+        len(subs), nrows, n + 1)
 
 
 def point_pencil_members(space: AmbientSpace, point: int, k: int) -> set:
@@ -670,7 +713,7 @@ def keyed_type_III_spreads(space: AmbientSpace, k: int, keys) -> list[Spread]:
 
 def parallel_classes(space: AmbientSpace, k: int) -> list[Spread]:
     return [spread_type_II(space, axis)
-            for axis in space.infinity_pencils(k)[0]]
+            for axis in space.infinite_subspaces(k - 1)]
 
 
 def spread_counts(l: KSet, spreads) -> list[int]:

@@ -724,3 +724,37 @@ def test_verify_all_checks_runs_the_traced_spread_checks(tmp_path,
     names = [span[0] for span in traced.spans]
     assert names.count("clsets.check_spread_intersections") == 2
     assert names.count("clsets.check_switching_invariance") == 1
+
+
+def test_workload_paths_build_no_subspace_lists(tmp_path, monkeypatch,
+                                                capsys):
+    # the benchmark's commands read the bases arrays and their lookups:
+    # no space they touch builds the Subspace lists of spaces(k) or
+    # infinite_subspaces(d)
+    from clag import geometry
+    from clag.classify import cross_check_projection
+    from clag.scheme import scheme_report
+    files = {}
+    for space in (ambient(3, 4, "affine"), ambient(3, 3, "projective")):
+        star = point_pencil(space, (1, 0, 0, 0), 1)
+        # a rejected set: its report lists disjointness mismatches
+        moved = sorted(star.members)[1:] + [max(star.members) + 1]
+        for name, l, code in (("star", star, 0), ("moved", kset_from_indices(
+                space, 1, moved), 1)):
+            path = tmp_path / f"{space.mode}_{name}.json"
+            path.write_text(json.dumps(kset_to_json(l)))
+            files[path] = code
+    monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
+    scheme_report(5, 2, brute_force=True)
+    scheme_report(5, 3, "affine_hyperplanes", True)
+    for x in (1, 2):
+        search_cl_ksets(3, 3, 1, x)
+    for path, code in files.items():
+        assert cli.main(["verify", "--set", str(path), "--all-checks"]) == code
+    assert capsys.readouterr().out.count('"mismatches": [\n') == 2
+    assert cross_check_projection(4, 2, 2)["all_images_cl_with_same_x"]
+    touched = geometry._AMBIENT_CACHE.values()
+    assert {str(s) for s in touched} >= {"AG(5,2)", "AG(5,3)", "AG(3,3)",
+                                         "AG(3,4)", "PG(3,3)", "AG(4,2)"}
+    assert not [(s, key) for s in touched for key in s._memo
+                if key[0] in ("spaces", "infinite_subspaces")]

@@ -10,14 +10,13 @@ from clag._kernels import _pencil_rows
 from clag.galois import field_for_order
 from clag.geometry import (AmbientMismatch, AmbientSpace, DimensionOutOfRange,
                            SizeGuard, _index_form, ambient, apply_matrix,
-                           capped_count, count_text, enumerate_rref_matrices,
-                           gaussian_binomial, infinite_part, make_subspace,
-                           span, subspace_from_json)
+                           capped_count, count_text, gaussian_binomial,
+                           make_subspace, span, subspace_from_json)
 
-from clag.clsets import pg_hyperplane_set
+from clag.clsets import kset_from_json, pg_hyperplane_set
 
 import oracle
-from oracle import contains, gf_add, gf_mul, meet
+from oracle import contains, gf_add, gf_mul, infinite_part, meet
 
 
 def test_gaussian_binomial_values():
@@ -50,6 +49,73 @@ def test_enumeration_passes_the_size_guard_first(monkeypatch):
     assert ("spaces", 1) not in space._memo
 
 
+# every k of PG(n, q), n <= 5, whose k-spaces the oracle builds and
+# sorts as Subspaces under a size cap
+_ORDER_ROWS = [(n, q, k) for n in range(1, 6) for q in (2, 3, 4, 5, 7, 8, 9)
+               for k in range(n + 1)
+               if gaussian_binomial(n + 1, k + 1, q) <= 4000]
+
+
+@pytest.mark.parametrize("n,q,k", _ORDER_ROWS)
+def test_bases_are_the_former_canonical_order(n, q, k):
+    # the k-spaces of PG(n, q), its affine prefix and the k-spaces at
+    # infinity, byte for byte as the oracle's Subspaces sorted on
+    # Subspace.key
+    ag = AmbientSpace(n, q, "affine")
+    want = oracle.canonical_bases(n, q, k + 1)
+    _same_bytes(ag.closure.bases(k), want)
+    _same_bytes(ag.bases(k), want[:ag._num_spaces(k)])
+    assert not ag.bases(k).flags.writeable
+    _same_bytes(ag.infinite_index(k).bases,
+                oracle.canonical_bases(n, q, k + 1, at_infinity=True))
+
+
+def test_lookup_past_63_key_bits():
+    # AG(6,5) hyperplanes: 6 x 7 base-5 digits need about 97 bits; each
+    # is found at its own index, and the hyperplane at infinity, the
+    # closure's last, is found there alone
+    ag = AmbientSpace(6, 5, "affine")
+    index, bases = ag.space_index(5), ag.bases(5)
+    assert np.array_equal(index.find(bases), np.arange(len(bases)))
+    assert index[tuple(map(tuple, bases[-1].tolist()))] == len(bases) - 1
+    at_infinity = ag.closure.bases(5)[-1:]
+    assert (at_infinity[0, :, 0] == 0).all()
+    assert index.find(at_infinity).tolist() == [-1]
+    assert ag.closure.space_index(5).find(at_infinity).tolist() == [
+        len(ag.closure.bases(5)) - 1]
+    with pytest.raises(KeyError):
+        index[tuple(map(tuple, at_infinity[0].tolist()))]
+
+
+@pytest.mark.parametrize("member", [
+    [[1, 0, 0, 0], [0, 0, 0, 2]],         # base-2 digits of (0, 0, 1, 0)
+    [[1, 0, 0, 0], [0, 0, 1, 2**16]],     # 0 in 16 bits
+    [[1, 0, 0, 0], [0, 0, 1, -2**16]],
+    [[1, 0, 0, 0], [0, 0, 1, 2**64]],     # past int64
+])
+def test_coordinates_outside_the_field_alias_no_k_space(member):
+    # each member would read as the line ((1,0,0,0), (0,0,1,0)) of
+    # AG(3,2) under a key of base-q or 16-bit digits
+    index = AmbientSpace(3, 2, "affine").space_index(1)
+    assert index[((1, 0, 0, 0), (0, 0, 1, 0))] >= 0
+    if abs(member[1][3]) < 2**63:
+        assert index.find(np.array([member])).tolist() == [-1]
+    with pytest.raises(ValueError, match="^basis entries must be field codes"):
+        kset_from_json({"n": 3, "q": 2, "k": 1, "mode": "affine",
+                        "members": [member]})
+
+
+def test_a_k_set_file_without_members_meets_the_enumeration_guard(
+        monkeypatch):
+    # no member is looked up, yet the lookup is built first: so the
+    # enumeration's guard speaks, not a later table's
+    monkeypatch.delenv("CLAG_SIZE_GUARD", raising=False)
+    with pytest.raises(SizeGuard, match=r"^52955405230 1-spaces of "
+                       r"PG\(12,3\) exceed guard 10000000$"):
+        kset_from_json({"n": 12, "q": 3, "k": 1, "mode": "affine",
+                        "members": []})
+
+
 def test_counts_past_the_digit_limit_are_printable():
     # str() refuses an int of more than 4,300 digits
     assert count_text(2**100 - 1) == str(2**100 - 1)
@@ -76,7 +142,8 @@ def test_gaussian_binomial_matches_pivot_pattern_count():
     for a in range(6):
         for b in range(a + 1):
             for q in (2, 3, 4, 5):
-                count = sum(1 for _ in enumerate_rref_matrices(a, b, q))
+                count = sum(1 for _ in oracle.enumerate_rref_matrices(
+                    a, b, q))
                 assert count == gaussian_binomial(a, b, q)
 
 
@@ -262,19 +329,21 @@ def test_space_point_indices_are_the_point_lists_as_tuples(n, q, mode, k):
     assert ("space_point_indices", k) not in space._memo
 
 
+def _bases(subs):
+    return np.array([s.rows for s in subs], dtype=np.int64)
+
+
 def test_point_sets_of_unequal_point_counts_are_refused():
     ag = ambient(3, 2, "affine")
     affine_line = ag.spaces(1)[0]
     line_at_infinity = make_subspace(3, 2, [[0, 1, 0, 0], [0, 0, 1, 0]])
-    sets = ag.point_sets([affine_line, affine_line])
+    sets = ag.point_sets(_bases([affine_line, affine_line]))
     assert sets.dtype == np.int64 and sets.shape == (2, 2)
     with pytest.raises(AmbientMismatch):
-        ag.point_sets([affine_line, line_at_infinity])
+        ag.point_sets(_bases([affine_line, line_at_infinity]))
     # in the closure both lines have q + 1 points
-    assert ag.closure.point_sets([affine_line, line_at_infinity]).shape == (2, 3)
-    # a plane's first two rows span a line: never read as one
-    with pytest.raises(DimensionOutOfRange):
-        ag.point_sets([affine_line, ag.spaces(2)[0]])
+    assert ag.closure.point_sets(
+        _bases([affine_line, line_at_infinity])).shape == (2, 3)
 
 
 def test_point_ordering_affine_first():
@@ -415,7 +484,7 @@ def test_origin_lists_are_memoised_and_read_only():
 def test_point_sets_in_chunks_match_one_block(monkeypatch):
     from clag import geometry
     ag = ambient(3, 3, "affine")
-    lines = ag.spaces(1)
+    lines = ag.bases(1)
     whole = ag.point_sets(lines)
     line_at_infinity = make_subspace(3, 3, [[0, 1, 0, 0], [0, 0, 1, 0]])
     monkeypatch.setattr(geometry, "POINT_BLOCK_ENTRIES", 10)
@@ -424,7 +493,8 @@ def test_point_sets_in_chunks_match_one_block(monkeypatch):
                           ag.closure.point_lists(1)[:len(lines)])
     # 3 lines per chunk (10 // q^k): the line at infinity is alone in the third
     with pytest.raises(AmbientMismatch):
-        ag.point_sets(lines[:6] + [line_at_infinity])
+        ag.point_sets(np.concatenate([lines[:6],
+                                      _bases([line_at_infinity])]))
 
 
 _FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -444,15 +514,15 @@ def _same_bytes(got, want):
 @pytest.mark.parametrize("n,q,mode,k", _POINT_SET_ROWS)
 def test_point_sets_match_the_former_route(n, q, mode, k):
     space = ambient(n, q, mode)
-    _same_bytes(space.point_sets(space.spaces(k)),
+    _same_bytes(space.point_sets(space.bases(k)),
                 oracle.point_sets(space, space.spaces(k)))
     if mode == "affine" and k < n:
         # block 0 of a subspace at infinity holds no affine point
-        inf = space.infinite_subspaces(k)
-        _same_bytes(space.point_sets(inf), oracle.point_sets(space, inf))
+        inf, subs = space.infinite_index(k).bases, space.infinite_subspaces(k)
+        _same_bytes(space.point_sets(inf), oracle.point_sets(space, subs))
         assert space.point_sets(inf).shape == (len(inf), 0)
         _same_bytes(space.closure.point_sets(inf),
-                    oracle.point_sets(space.closure, inf))
+                    oracle.point_sets(space.closure, subs))
 
 
 @pytest.mark.parametrize("n,q,mode", [(3, 3, "affine"), (3, 4, "projective"),
@@ -463,7 +533,7 @@ def test_point_sets_in_small_chunks_match_the_former_route(monkeypatch, n, q,
     monkeypatch.setattr(geometry, "POINT_BLOCK_ENTRIES", 7)
     space = ambient(n, q, mode)
     for k in range(n + 1):
-        _same_bytes(space.point_sets(space.spaces(k)),
+        _same_bytes(space.point_sets(space.bases(k)),
                     oracle.point_sets(space, space.spaces(k)))
 
 
@@ -496,8 +566,8 @@ def test_point_sets_enumerate_no_points(monkeypatch):
     from clag import geometry
     monkeypatch.setattr(geometry, "_AMBIENT_CACHE", {})
     pg = ambient(3, 31, "projective")
-    lines = [make_subspace(3, 31, [[1, 0, 0, 0], [0, 1, 2, 3]]),
-             make_subspace(3, 31, [[0, 1, 0, 5], [0, 0, 1, 30]])]
+    lines = _bases([make_subspace(3, 31, [[1, 0, 0, 0], [0, 1, 2, 3]]),
+                    make_subspace(3, 31, [[0, 1, 0, 5], [0, 0, 1, 30]])])
     assert pg.point_sets(lines).shape == (2, 32)
     ag = ambient(3, 31, "affine")
     assert ag.point_sets(lines[:1]).shape == (1, 31)

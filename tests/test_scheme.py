@@ -167,6 +167,20 @@ def test_eigenmatrix_bruteforce_hamming(n):
     assert sorted(P.tolist()) == sorted(known)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_eigenmatrix_bruteforce_rows_descend_below_the_valency_row(n):
+    # the valency row first, then the rows in descending order of their
+    # entries: for the Hamming scheme the Krawtchouk order r = 0..n, in
+    # which P[r][1] = n - 2r falls
+    words = list(itertools.product((0, 1), repeat=n))
+    rel = np.array([[sum(x != y for x, y in zip(a, b)) for b in words]
+                    for a in words], dtype=np.int8)
+    known = [[sum((-1) ** j * comb(r, j) * comb(n - r, i - j)
+                  for j in range(i + 1)) for i in range(n + 1)]
+             for r in range(n + 1)]
+    assert _eigenmatrix_of(rel, n).tolist() == known
+
+
 def test_eigenmatrix_bruteforce_johnson():
     v, k = 7, 3
     blocks = [set(c) for c in itertools.combinations(range(v), k)]

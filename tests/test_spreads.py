@@ -9,7 +9,7 @@ import pytest
 from clag._kernels import _pencil_rows
 from clag.clsets import full_kset, type_III_counts
 from clag.geometry import (AmbientSpace, SizeGuard, ambient, apply_matrix,
-                           infinite_part, make_subspace)
+                           make_subspace)
 from clag.spreads import (AllEqual, BadChoices, BadSeed, DivisibilityViolated,
                           NotAtInfinity, Spread, _parts_are_spreads,
                           extend_spread_from_subspace, is_spread,
@@ -19,10 +19,10 @@ from clag.spreads import (AllEqual, BadChoices, BadSeed, DivisibilityViolated,
                           type_III_keys, type_III_tables,
                           verify_switching_pair)
 
-from oracle import (contains, drawn_type_III_spreads, keyed_type_III_spreads,
-                    mask_taus, mask_type_III_indices, member_spread_type_III,
-                    parallel_classes, random_affine_collineation,
-                    transport_type_III)
+from oracle import (contains, drawn_type_III_spreads, infinite_part,
+                    keyed_type_III_spreads, mask_taus, mask_type_III_indices,
+                    member_spread_type_III, parallel_classes,
+                    random_affine_collineation, transport_type_III)
 
 
 def _taus_of(space, pi, k):
@@ -133,7 +133,7 @@ def test_all_type_II_spreads_follow_the_pencils(n, q, k):
     assert len(got) == len(inf_list)
     for s, axis, members in zip(got, inf_list, pencil_members):
         assert s.type_tag == "II" and s.k == k
-        assert s.data == {"at_infinity": axis.to_json()}
+        assert s.data == {"at_infinity": axis.tolist()}
         assert s.member_indices() == tuple(sorted(members.tolist()))
         assert list(s.members) == sorted(s.members, key=lambda m: m.key())
 
